@@ -16,9 +16,8 @@ BENCH_SCHEMA = "repro-bench-v1"
 def write_figure_output(output_dir: Path, name: str, text: str) -> None:
     """Write a figure's textual representation to ``benchmarks/output/<name>.txt``.
 
-    The ``.txt`` tables are volatile local artifacts (gitignored); the
-    committed, trackable counterparts are the ``BENCH_*.json`` files written
-    by :func:`write_bench_json`.
+    The ``.txt`` tables are volatile local artifacts (gitignored), as are the
+    ``BENCH_*.json`` files written by :func:`write_bench_json`.
     """
     path = Path(output_dir) / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf8")
@@ -46,12 +45,17 @@ def write_bench_json(
     *,
     extra: Dict[str, object] | None = None,
 ) -> Path:
-    """Write a machine-readable benchmark artifact ``BENCH_<name>.json``.
+    """Write a machine-readable benchmark artifact ``latest/BENCH_<name>.json``.
 
     Schema: ``{"schema", "git_sha", "variants": {variant: {"median_ms",
-    "mean_ms", "runs", ...}}, ...extra}`` — stable across PRs so the perf
-    trajectory can be tracked and regression-checked in CI
+    "mean_ms", "runs", ...}}, ...extra}`` — stable across changes so the
+    perf trajectory can be tracked and regression-checked in CI
     (``benchmarks/check_regression.py``).
+
+    The file goes to the gitignored ``latest/`` subdirectory of
+    *output_dir*, so running the benchmarks never rewrites the committed
+    baselines in *output_dir* itself.  Updating a baseline is a deliberate
+    copy from ``latest/``.
     """
     payload: Dict[str, object] = {
         "schema": BENCH_SCHEMA,
@@ -62,6 +66,8 @@ def write_bench_json(
     }
     if extra:
         payload.update(extra)
-    path = Path(output_dir) / f"BENCH_{name}.json"
+    latest = Path(output_dir) / "latest"
+    latest.mkdir(parents=True, exist_ok=True)
+    path = latest / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf8")
     return path

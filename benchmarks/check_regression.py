@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Compare a fresh ``BENCH_fig8.json`` against the committed baseline.
 
-Used by the ``bench-smoke`` CI job: the benchmark subset regenerates
-``benchmarks/output/BENCH_fig8.json`` and this script fails (exit code 1)
-when the median runtime of any local-search variant regressed by more than
-the allowed fraction over the committed baseline.
+Used by the ``bench-smoke`` CI job: the benchmark subset writes
+``benchmarks/output/latest/BENCH_fig8.json`` (gitignored), this script
+compares it against the committed ``benchmarks/output/BENCH_fig8.json`` and
+fails (exit code 1) when the median runtime of any local-search variant
+regressed by more than the allowed fraction over that baseline.
 
 Absolute milliseconds are not comparable across machines (the committed
 baseline comes from whatever box last regenerated it), so by default each

@@ -5,8 +5,8 @@ evaluation section on a laptop-scale instance grid.  The grid is run exactly
 once per session (the ``grid_records`` fixture) and shared by all
 record-driven figure benchmarks; the per-figure benchmarks then time the
 figure computation itself and write the resulting rows/series both to stdout
-and to ``benchmarks/output/<figure>.txt`` so they can be compared against the
-paper (see ``EXPERIMENTS.md``).
+and to ``benchmarks/output/<figure>.txt`` (see :mod:`bench_utils`) so they
+can be compared against the paper.
 
 Scaling knobs (environment variables):
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, List
+from typing import List
 
 import pytest
 
@@ -63,9 +63,3 @@ def grid_records(bench_specs) -> List[RunRecord]:
         scheduler=scheduler,
         master_seed=_bench_seed(),
     )
-
-
-def write_figure_output(output_dir: Path, name: str, text: str) -> None:
-    """Write a figure's textual representation to the output directory."""
-    path = output_dir / f"{name}.txt"
-    path.write_text(text + "\n", encoding="utf8")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.carbon.scenarios import generate_power_profile
-from repro.core.scheduler import run_variant
+from repro.core.scheduler import CaWoSched
 from repro.mapping.carbon_heft import carbon_aware_heft_mapping
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
@@ -52,7 +52,7 @@ def run_comparison():
                 num_intervals=max(1, deadline // 8), rng=seed,
             )
             instance = ProblemInstance(dag, profile)
-            results[weight].append(run_variant(instance, "pressWR-LS").carbon_cost)
+            results[weight].append(CaWoSched().run(instance, "pressWR-LS").carbon_cost)
     return {
         weight: {"mean_cost": float(np.mean(costs)), "costs": costs}
         for weight, costs in results.items()

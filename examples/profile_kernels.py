@@ -3,18 +3,17 @@
 Profiles repeated full scheduling calls (greedy phase + local search) with
 ``cProfile`` and prints the top functions by cumulative time — the breakdown
 that motivated the batch-gain / incremental-EST-LST kernel work.  Run with
-``--scalar`` to profile the scalar reference kernels instead and compare, or
-with ``--json`` to dump the rows machine-readably.
+``--json`` to dump the rows machine-readably.
 
 Examples
 --------
-Default breakdown (vectorized kernels, pressWR-LS on a 60-task workflow)::
+Default breakdown (pressWR-LS on a 60-task workflow)::
 
     PYTHONPATH=src python examples/profile_kernels.py
 
-Scalar reference path, JSON output::
+JSON output::
 
-    PYTHONPATH=src python examples/profile_kernels.py --scalar --json -
+    PYTHONPATH=src python examples/profile_kernels.py --json -
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import time
 
 from repro.core.scheduler import CaWoSched
 from repro.experiments.instances import InstanceSpec, make_instance
-from repro.utils.kernels import SCALAR_KERNELS_ENV
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -40,11 +38,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--repeats", type=int, default=20, help="profiled calls")
     parser.add_argument("--top", type=int, default=15, help="functions to show")
     parser.add_argument(
-        "--scalar",
-        action="store_true",
-        help=f"force the scalar reference kernels ({SCALAR_KERNELS_ENV}=1)",
-    )
-    parser.add_argument(
         "--json",
         metavar="PATH",
         help="write the profile rows as JSON to PATH ('-' for stdout)",
@@ -54,8 +47,6 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.scalar:
-        os.environ[SCALAR_KERNELS_ENV] = "1"
 
     instance = make_instance(
         InstanceSpec(args.family, args.tasks, "small", "S1", 2.0, seed=0),
@@ -74,9 +65,8 @@ def main(argv=None) -> int:
 
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
-    kernels = "scalar" if args.scalar else "vectorized"
     print(
-        f"{args.variant} on {args.family}/{args.tasks} ({kernels} kernels): "
+        f"{args.variant} on {args.family}/{args.tasks}: "
         f"{elapsed / args.repeats * 1e3:.2f} ms per call over {args.repeats} calls"
     )
 
@@ -108,7 +98,6 @@ def main(argv=None) -> int:
             "family": args.family,
             "tasks": args.tasks,
             "repeats": args.repeats,
-            "kernels": kernels,
             "ms_per_call": round(elapsed / args.repeats * 1e3, 3),
             "functions": top,
         }

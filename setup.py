@@ -1,8 +1,9 @@
 """Setup shim.
 
-The project is fully described by ``pyproject.toml``; this file only exists so
-that legacy editable installs (``pip install -e . --no-use-pep517``) work in
-offline environments where the ``wheel`` package is unavailable.
+The project is described by ``pyproject.toml``; this file only exists for
+setuptools commands that need a ``setup.py``.  ``pip install -e .`` builds
+through the ``wheel`` package, so offline environments without ``wheel``
+install with ``python setup.py develop`` instead.
 """
 
 from setuptools import setup

@@ -13,7 +13,7 @@ Quickstart
 >>> from repro import (
 ...     generate_workflow, scaled_small_cluster, heft_mapping,
 ...     build_enhanced_dag, generate_power_profile, asap_makespan,
-...     ProblemInstance, run_variant,
+...     ProblemInstance, CaWoSched,
 ... )
 >>> workflow = generate_workflow("atacseq", 60, rng=1)
 >>> cluster = scaled_small_cluster()
@@ -25,8 +25,9 @@ Quickstart
 ...     idle_power=dag.platform.total_idle_power(),
 ...     work_power=dag.platform.total_work_power(), rng=1)
 >>> instance = ProblemInstance(dag, profile)
->>> result = run_variant(instance, "pressWR-LS")
->>> result.carbon_cost <= run_variant(instance, "ASAP").carbon_cost
+>>> scheduler = CaWoSched()
+>>> result = scheduler.run(instance, "pressWR-LS")
+>>> result.carbon_cost <= scheduler.run(instance, "ASAP").carbon_cost
 True
 """
 
@@ -93,8 +94,6 @@ from repro.core import (
     ScheduleResult,
     greedy_schedule,
     local_search,
-    run_all_variants,
-    run_variant,
     variant_names,
 )
 from repro.io import (
@@ -119,15 +118,10 @@ from repro.api import (
     Job,
     JobResult,
     ProcessBackend,
+    ResultCache,
     ThreadBackend,
     UnknownVariant,
     make_backend,
-)
-from repro.service import (
-    ResultCache,
-    ScheduleRequest,
-    ScheduleResponse,
-    SchedulingService,
     parallel_map,
 )
 from repro.sim import (
@@ -202,8 +196,6 @@ __all__ = [
     "ScheduleResult",
     "greedy_schedule",
     "local_search",
-    "run_all_variants",
-    "run_variant",
     "variant_names",
     # io (wire format)
     "instance_fingerprint",
@@ -229,11 +221,7 @@ __all__ = [
     "ThreadBackend",
     "UnknownVariant",
     "make_backend",
-    # service
     "ResultCache",
-    "ScheduleRequest",
-    "ScheduleResponse",
-    "SchedulingService",
     "parallel_map",
     # sim (online simulation)
     "CarbonSignal",

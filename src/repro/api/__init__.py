@@ -15,9 +15,8 @@ One stable, versioned surface through which *all* work enters the system:
   over a backend;
 * the structured error taxonomy of :mod:`repro.api.errors`.
 
-The classic entry points — ``CaWoSched.run``/``run_many``,
-``SchedulingService``, ``run_grid``, the CLI — are thin shims over this
-package and produce byte-identical results.
+The grid runner (``run_grid``), the online simulator and every CLI
+subcommand submit their work through this package.
 """
 
 from repro.api.errors import (
@@ -27,7 +26,6 @@ from repro.api.errors import (
     UnknownVariant,
     error_payload,
 )
-from repro.api.pool import EXECUTORS, parallel_map
 from repro.api.cache import ResultCache
 from repro.api.registry import (
     DEFAULT_REGISTRY,
@@ -39,12 +37,14 @@ from repro.api.jobs import Job, JobResult, job_fingerprint
 from repro.api.execute import execute_job, record_for
 from repro.api.backends import (
     BACKEND_EXECUTORS,
+    EXECUTORS,
     BackendOutcome,
     ExecutionBackend,
     InlineBackend,
     ProcessBackend,
     ThreadBackend,
     make_backend,
+    parallel_map,
 )
 from repro.api.client import Client
 

@@ -4,8 +4,7 @@ An :class:`ExecutionBackend` accepts jobs (:meth:`~ExecutionBackend.submit`
 returns a ticket), executes everything pending on
 :meth:`~ExecutionBackend.gather` (in submission order), and reports
 counters through :meth:`~ExecutionBackend.stats`.  Three implementations
-cover the execution modes the system previously scattered across the
-scheduling service and the grid runner:
+cover the execution modes of the client facade and the grid runner:
 
 * :class:`InlineBackend` — runs in the calling process; full
   :class:`~repro.core.scheduler.ScheduleResult` objects (including the
@@ -13,23 +12,32 @@ scheduling service and the grid runner:
 * :class:`ThreadBackend` — a thread pool; shares the process, so live
   instances are reused and full results are retained.
 * :class:`ProcessBackend` — a process pool; only wire-format plain data
-  crosses the boundary (a job dictionary out, record dictionaries back),
-  exactly the discipline the scheduling service's worker path has always
-  used.  Full schedule objects are not shipped back.
+  crosses the boundary (a job dictionary out, record dictionaries back).
+  Full schedule objects are not shipped back.
 
-Thread- and process-parallelism run over the order-preserving
-:func:`repro.api.pool.parallel_map`, which this layer absorbed from
-``repro.service.pool``.
+Thread- and process-parallelism run over :func:`parallel_map`, a thin,
+deterministic wrapper around :mod:`concurrent.futures` that the grid runner
+and the simulation sweeps use directly too.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+    TypeVar,
+    runtime_checkable,
+)
 
 import repro.api.execute as execute
 from repro.api.jobs import Job
-from repro.api.pool import parallel_map
 from repro.api.registry import AlgorithmRegistry
 from repro.core.scheduler import ScheduleResult
 from repro.experiments.runner import RunRecord
@@ -41,11 +49,62 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "make_backend",
+    "parallel_map",
     "BACKEND_EXECUTORS",
+    "EXECUTORS",
 ]
 
 #: Executor names accepted by :func:`make_backend`.
 BACKEND_EXECUTORS = ("inline", "thread", "process")
+
+#: Pool flavours accepted by :func:`parallel_map`.
+EXECUTORS = ("process", "thread")
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
+
+def parallel_map(
+    fn: Callable[[_Item], _Result],
+    items: Iterable[_Item],
+    *,
+    jobs: int = 1,
+    executor: str = "process",
+) -> List[_Result]:
+    """Apply *fn* to every item, optionally over a worker pool.
+
+    Parameters
+    ----------
+    fn:
+        The worker function.  Must be picklable (module-level) for the
+        ``"process"`` executor; everything it receives and returns crosses
+        the process boundary as pickled plain data.
+    items:
+        The inputs, consumed eagerly.
+    jobs:
+        Number of workers.  ``jobs <= 1`` (or fewer than two items) runs
+        inline in the calling process without creating a pool.
+    executor:
+        ``"process"`` for a :class:`~concurrent.futures.ProcessPoolExecutor`
+        (true parallelism, pickling overhead) or ``"thread"`` for a
+        :class:`~concurrent.futures.ThreadPoolExecutor` (no pickling, shares
+        the GIL).
+
+    Returns
+    -------
+    list
+        The results in input order, regardless of completion order.
+    """
+    if executor not in EXECUTORS:
+        known = ", ".join(EXECUTORS)
+        raise ValueError(f"unknown executor {executor!r}; known: {known}")
+    items = list(items)
+    jobs = int(jobs)
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    pool_cls = ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
+    with pool_cls(max_workers=min(jobs, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)

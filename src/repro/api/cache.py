@@ -8,9 +8,6 @@ matter where or when they were built, and no matter which submission path
 it.  The cache is bounded; inserting into a full cache evicts the least
 recently used entry.  Hit/miss/eviction counters are kept for the client's
 statistics.
-
-Historically this lived at :mod:`repro.service.cache`; it moved here when
-caching became a facade concern.  The old import path remains as a shim.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@
 turns into schedules: it materialises the instance, rebuilds the scheduler
 from the job's configuration, dispatches every variant through an
 :class:`~repro.api.registry.AlgorithmRegistry`, and derives the flat
-:class:`~repro.experiments.runner.RunRecord` rows exactly as the classic
-:func:`repro.experiments.runner.run_instance` did — so results are
-byte-identical between the facade and the legacy entry points.
+:class:`~repro.experiments.runner.RunRecord` rows — one per variant, in job
+order.
 
 :func:`execute_job_payload` is the module-level worker function of the
 process backend: it receives a job as plain wire data and returns record
@@ -31,8 +30,7 @@ def record_for(instance: ProblemInstance, result: ScheduleResult) -> RunRecord:
 
     The instance metadata (family, cluster, scenario, deadline factor) is
     denormalised into the record so downstream grouping never needs the
-    instance again.  Field-for-field identical to the rows
-    ``run_instance`` has always produced.
+    instance again.
     """
     meta = instance.metadata
     return RunRecord(

@@ -119,8 +119,8 @@ def _normalise_spec(spec_data: Mapping[str, object]) -> Dict[str, object]:
     materialisation is lazy (the workflow is only generated when the
     instance is actually needed — possibly inside a worker process).
     """
-    spec_data = dict(spec_data)
     try:
+        spec_data = dict(spec_data)
         return {
             "family": str(spec_data["family"]),
             "tasks": int(spec_data.get("tasks", spec_data.get("num_tasks"))),
@@ -131,6 +131,15 @@ def _normalise_spec(spec_data: Mapping[str, object]) -> Dict[str, object]:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidJob(f"malformed job spec {spec_data!r}: {exc}") from exc
+
+
+def _job_field(data: Mapping[str, object], key: str, convert, default):
+    """Coerce ``data[key]`` (or *default*) with *convert*, as an :class:`InvalidJob`."""
+    value = data.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidJob(f"malformed job field {key!r}: {value!r} ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -264,34 +273,41 @@ class Job:
         Raises
         ------
         InvalidJob
-            If neither (or both) instance sources are present, or the spec
-            or scheduler configuration is malformed.
+            If *data* is not a mapping, neither (or both) instance sources
+            are present, or any field has the wrong type.
         """
+        if not isinstance(data, Mapping):
+            raise InvalidJob(f"a job must be a JSON object, got {data!r}")
         has_instance = "instance" in data
         has_spec = "spec" in data
         if has_instance == has_spec:
             raise InvalidJob(
                 "a job needs either an 'instance' payload or a 'spec' (exactly one)"
             )
-        payload = dict(data["instance"]) if has_instance else None
+        payload = _job_field(data, "instance", dict, None) if has_instance else None
         spec = _normalise_spec(data["spec"]) if has_spec else None
-        variants = data.get("variants")
-        names = tuple(str(v) for v in variants) if variants else tuple(variant_names())
+        names = _job_field(
+            data,
+            "variants",
+            lambda value: tuple(str(v) for v in value) if value else tuple(variant_names()),
+            None,
+        )
         try:
             scheduler = CaWoSched.from_config(data.get("scheduler"))
         except (TypeError, ValueError) as exc:
             raise InvalidJob(
                 f"malformed scheduler config {data.get('scheduler')!r}: {exc}"
             ) from exc
-        master_seed = data.get("master_seed")
         return cls(
             payload=payload,
             spec=spec,
             variants=names,
             scheduler=scheduler.config_dict(),
-            priority=int(data.get("priority", 0)),
-            tags=tuple(str(t) for t in data.get("tags", ())),
-            master_seed=None if master_seed is None else int(master_seed),
+            priority=_job_field(data, "priority", int, 0),
+            tags=_job_field(data, "tags", lambda value: tuple(str(t) for t in value), ()),
+            master_seed=_job_field(
+                data, "master_seed", lambda value: None if value is None else int(value), None
+            ),
         )
 
     # ------------------------------------------------------------------ #

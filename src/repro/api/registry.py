@@ -7,8 +7,8 @@ phases it runs (greedy / local search / baseline), which base score it
 optimises, whether it exploits the deadline, and which cost model it
 minimises — and optionally a third-party runner callable.
 
-All name-keyed dispatch in the system (``variants --json``, the scheduling
-service, the online simulator, the client facade) goes through a registry
+All name-keyed dispatch in the system (``variants --json``, the online
+simulator, the client facade) goes through a registry
 instead of the raw variant table, so registering a new algorithm makes it
 available everywhere at once:
 

@@ -28,7 +28,7 @@ variant (:class:`~repro.api.errors.UnknownVariant`), ``4`` for an
 execution-backend failure (:class:`~repro.api.errors.BackendFailure`).
 Argument and input-file problems keep argparse's conventional exit code 2.
 
-Invoke via ``python -m repro ...`` or the ``cawosched`` console script::
+Invoke via ``python -m repro ...``::
 
     python -m repro schedule --family atacseq --tasks 60 --scenario S1 \\
         --deadline-factor 2.0 --variants ASAP pressWR-LS
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     batch = subparsers.add_parser(
-        "batch", help="serve a JSON file of scheduling requests through the service"
+        "batch", help="serve a JSON file of scheduling requests through the client facade"
     )
     batch.add_argument(
         "requests", metavar="REQUESTS_JSON",
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="algorithm variant that plans committed workflows")
     simulate_.add_argument("--seed", type=int, default=0)
     simulate_.add_argument("--cache-size", type=int, default=256,
-                           help="bound of the service's schedule cache")
+                           help="bound of the client's schedule cache")
     simulate_.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the full simulation report to PATH as wire-format JSON",
@@ -456,7 +456,7 @@ def _run_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0
 
 
-def _run_variants(args: argparse.Namespace) -> int:
+def _list_variants(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(DEFAULT_REGISTRY.describe(), indent=2))
         return 0
@@ -488,7 +488,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "simulate":
             return _run_simulate(args, parser)
         if args.command == "variants":
-            return _run_variants(args)
+            return _list_variants(args)
     except ApiError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_code

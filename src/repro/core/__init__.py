@@ -27,7 +27,7 @@ from repro.core.variants import (
     get_variant,
     variant_names,
 )
-from repro.core.scheduler import CaWoSched, ScheduleResult, run_all_variants, run_variant
+from repro.core.scheduler import CaWoSched, ScheduleResult
 
 __all__ = [
     "EstLstTracker",
@@ -55,6 +55,4 @@ __all__ = [
     "variant_names",
     "CaWoSched",
     "ScheduleResult",
-    "run_all_variants",
-    "run_variant",
 ]

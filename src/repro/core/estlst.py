@@ -9,9 +9,9 @@ task at ``start`` can only *raise* ESTs downstream and *lower* LSTs upstream,
 so the tracker propagates the change outward from the fixed task along the
 topological order and stops as soon as values stop changing.  Most fixes
 touch a small neighbourhood, which turns the greedy phase's quadratic
-bookkeeping into near-linear work; the full two-sweep recompute is kept as
-the scalar reference (forced via ``REPRO_SCALAR_KERNELS``) and both paths
-produce identical EST/LST maps.  Internally all bookkeeping is positional
+bookkeeping into near-linear work.  The full two-sweep recompute only runs
+once, to initialise the tracker; the test suite checks every incremental
+update against it.  Internally all bookkeeping is positional
 (lists indexed by topological rank, adjacency as index/duration pairs), so
 the propagation loop touches no hashing at all.
 
@@ -29,7 +29,6 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.utils.errors import InfeasibleScheduleError
-from repro.utils.kernels import scalar_kernels_enabled
 
 __all__ = ["EstLstTracker"]
 
@@ -43,11 +42,6 @@ class EstLstTracker:
         The communication-enhanced DAG.
     deadline:
         The deadline ``T``.
-    incremental:
-        Whether :meth:`fix` propagates changes outward from the fixed task
-        instead of recomputing both sweeps from scratch.  ``None`` (default)
-        uses the incremental kernel unless ``REPRO_SCALAR_KERNELS`` forces
-        the scalar reference; both paths yield identical values.
 
     Raises
     ------
@@ -55,9 +49,7 @@ class EstLstTracker:
         If the deadline cannot be met even without fixing any task.
     """
 
-    def __init__(
-        self, dag: EnhancedDAG, deadline: int, *, incremental: Optional[bool] = None
-    ) -> None:
+    def __init__(self, dag: EnhancedDAG, deadline: int) -> None:
         self._dag = dag
         self._deadline = int(deadline)
         self._order = dag.topological_order()
@@ -78,9 +70,6 @@ class EstLstTracker:
         self._succs: List[List[int]] = [
             [position[succ] for succ in succ_map[node]] for node in self._order
         ]
-        if incremental is None:
-            incremental = not scalar_kernels_enabled()
-        self._incremental = bool(incremental)
         self._fixed: Dict[Hashable, int] = {}
         self._is_fixed: List[bool] = [False] * len(self._order)
         self._est: List[int] = []
@@ -147,10 +136,7 @@ class EstLstTracker:
             )
         self._fixed[node] = start
         self._is_fixed[index] = True
-        if self._incremental:
-            self._propagate_fix(index, start)
-        else:
-            self._recompute()
+        self._propagate_fix(index, start)
 
     # ------------------------------------------------------------------ #
     def _propagate_fix(self, index: int, start: int) -> None:

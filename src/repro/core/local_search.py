@@ -10,24 +10,20 @@ is applied.  Rounds over all processors are repeated until a full round yields
 no gain, so the procedure is a plain hill climber and can only improve the
 schedule.
 
-Two byte-identical kernels implement the inner loop.  The default vectorized
-kernel asks :meth:`~repro.schedule.timeline.PowerTimeline.gain_profile` for
-the gains of *all* candidate starts of a task in one NumPy expression and
+The inner loop asks :meth:`~repro.schedule.timeline.PowerTimeline.gain_profile`
+for the gains of *all* candidate starts of a task in one NumPy expression and
 keeps each task's legal window in a lazily invalidated cache (a window only
-changes when a graph neighbour actually moves).  The scalar kernel is the
-original per-candidate ``move_gain`` loop, kept as the executable reference
-and forced via the ``REPRO_SCALAR_KERNELS`` environment variable.
+changes when a graph neighbour actually moves).  It is byte-identical to the
+per-candidate ``move_gain`` hill climber of the paper, which the test suite
+keeps as its reference.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Set
 
-import numpy as np
-
 from repro.schedule.schedule import Schedule
 from repro.schedule.timeline import PowerTimeline
-from repro.utils.kernels import scalar_kernels_enabled
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = ["local_search", "DEFAULT_WINDOW"]
@@ -87,10 +83,7 @@ def local_search(
         key=lambda proc: (-instance.dag.platform.processor(proc).p_work, str(proc)),
     )
 
-    if scalar_kernels_enabled():
-        searcher = _ScalarSearch(instance, timeline, starts)
-    else:
-        searcher = _VectorSearch(instance, timeline, starts)
+    searcher = _VectorSearch(instance, timeline, starts)
 
     rounds = 0
     while True:
@@ -108,71 +101,6 @@ def local_search(
 
     name = algorithm_name or f"{schedule.algorithm}-LS"
     return Schedule._trusted(instance, starts, algorithm=name)
-
-
-class _ScalarSearch:
-    """The original per-candidate ``move_gain`` loop (reference kernel)."""
-
-    def __init__(
-        self,
-        instance,
-        timeline: PowerTimeline,
-        starts: Dict[Hashable, int],
-    ) -> None:
-        self._dag = instance.dag
-        self._deadline = instance.deadline
-        self._timeline = timeline
-        self._starts = starts
-
-    def tasks_on(self, processor: Hashable) -> List[Hashable]:
-        return self._dag.tasks_on(processor)
-
-    def improve(self, node: Hashable, window: int, best_improvement: bool) -> bool:
-        dag, starts, timeline = self._dag, self._starts, self._timeline
-        current = starts[node]
-        duration = dag.duration(node)
-
-        # Legal window of the node given the *current* schedule of its
-        # neighbours (its EST/LST with every other task pinned).
-        earliest = max(
-            (starts[pred] + dag.duration(pred) for pred in dag.predecessors(node)),
-            default=0,
-        )
-        latest = min(
-            (starts[succ] for succ in dag.successors(node)),
-            default=self._deadline,
-        ) - duration
-        latest = min(latest, self._deadline - duration)
-
-        lo = max(earliest, current - window)
-        hi = min(latest, current + window)
-        if hi < lo:
-            return False
-
-        if best_improvement:
-            best_gain = 0
-            best_candidate = None
-            for candidate in range(lo, hi + 1):
-                if candidate == current:
-                    continue
-                gain = timeline.move_gain(node, candidate)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_candidate = candidate
-            if best_candidate is not None:
-                timeline.move(node, best_candidate)
-                starts[node] = best_candidate
-                return True
-        else:
-            for candidate in range(lo, hi + 1):
-                if candidate == current:
-                    continue
-                gain = timeline.move_gain(node, candidate)
-                if gain > 0:
-                    timeline.move(node, candidate)
-                    starts[node] = candidate
-                    return True
-        return False
 
 
 class _VectorSearch:

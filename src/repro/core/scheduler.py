@@ -10,20 +10,20 @@ time spent, which is what the experiment harness records.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.core.greedy import greedy_schedule
 from repro.core.local_search import DEFAULT_WINDOW, local_search
 from repro.core.subdivision import DEFAULT_BLOCK_SIZE
-from repro.core.variants import ALL_VARIANTS, VariantSpec, get_variant, variant_names
+from repro.core.variants import get_variant
 from repro.schedule.asap import asap_schedule
 from repro.schedule.cost import carbon_cost
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.schedule.validation import check_schedule
 
-__all__ = ["ScheduleResult", "CaWoSched", "run_variant", "run_all_variants"]
+__all__ = ["ScheduleResult", "CaWoSched"]
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,8 @@ class CaWoSched:
     def config_dict(self) -> Dict[str, object]:
         """Return the scheduler configuration as a plain dictionary.
 
-        Used by the scheduling service and the parallel grid runner to ship
-        the configuration across process boundaries and to fingerprint
-        requests (see :mod:`repro.service`).
+        Used by :mod:`repro.api` jobs to ship the configuration across
+        process boundaries and to fingerprint them.
         """
         return {
             "block_size": self.block_size,
@@ -141,55 +140,3 @@ class CaWoSched:
             runtime_seconds=elapsed,
             makespan=produced.makespan,
         )
-
-    def run_many(
-        self,
-        instance: ProblemInstance,
-        variants: Optional[Iterable[str]] = None,
-    ) -> Dict[str, ScheduleResult]:
-        """Run several variants (default: all 17) on *instance*.
-
-        .. deprecated::
-            As a *submission* entry point, prefer
-            :class:`repro.api.client.Client` with a
-            :class:`repro.api.jobs.Job` — it adds caching, deduplication
-            and pluggable execution with byte-identical results.  Direct
-            use remains supported for algorithm-level work.
-        """
-        names = list(variants) if variants is not None else variant_names()
-        return {name: self.run(instance, name) for name in names}
-
-
-def run_variant(
-    instance: ProblemInstance,
-    variant: str,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    window: int = DEFAULT_WINDOW,
-) -> ScheduleResult:
-    """Convenience wrapper: run a single variant with default parameters.
-
-    .. deprecated::
-        As a *submission* entry point, prefer
-        :meth:`repro.api.client.Client.solve`, which serves repeated plans
-        from the canonical fingerprint cache with byte-identical results.
-    """
-    return CaWoSched(block_size=block_size, window=window).run(instance, variant)
-
-
-def run_all_variants(
-    instance: ProblemInstance,
-    *,
-    variants: Optional[Iterable[str]] = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    window: int = DEFAULT_WINDOW,
-) -> Dict[str, ScheduleResult]:
-    """Convenience wrapper: run a set of variants with default parameters.
-
-    .. deprecated::
-        As a *submission* entry point, prefer
-        :meth:`repro.api.client.Client.submit` with a
-        :class:`repro.api.jobs.Job`, which adds caching, deduplication and
-        pluggable execution with byte-identical results.
-    """
-    return CaWoSched(block_size=block_size, window=window).run_many(instance, variants)

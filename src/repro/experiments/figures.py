@@ -4,8 +4,7 @@ Every public function of this module computes the numeric content behind one
 figure or table of the paper from a list of :class:`RunRecord` objects (or,
 for the ILP comparison and the local-search ablation, from instance specs it
 runs itself).  The benchmark harness in ``benchmarks/`` calls these functions
-and prints the resulting rows; ``EXPERIMENTS.md`` records the measured values
-next to the paper's.
+and prints the resulting rows next to the paper's values.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.experiments.metrics import (
     runtime_statistics,
     size_class_of,
 )
-from repro.experiments.runner import RunRecord, run_instance
+from repro.experiments.runner import RunRecord
 from repro.exact.dp_single import dp_single_processor
 from repro.platform_.presets import table1_rows
 from repro.schedule.cost import carbon_cost
@@ -74,6 +73,19 @@ def table1_platform() -> List[Dict[str, object]]:
 def _main_variants() -> List[str]:
     """The variant set of the paper's main comparison: ASAP + the 8 LS variants."""
     return [BASELINE] + list(LS_VARIANTS)
+
+
+def _run(
+    instance, variants: Sequence[str], scheduler: Optional[CaWoSched] = None
+) -> Tuple[RunRecord, ...]:
+    """Run *variants* on *instance* through the facade's job executor."""
+    # Imported lazily: repro.api imports this package (for RunRecord).
+    from repro.api.execute import execute_job
+    from repro.api.jobs import Job
+
+    job = Job.from_instance(instance, variants=variants, scheduler=scheduler)
+    _, records = execute_job(job)
+    return records
 
 
 def figure1_rank_distribution(records: Iterable[RunRecord]) -> Dict[str, Dict[int, float]]:
@@ -228,7 +240,7 @@ def figure7_ilp_comparison(
         instance = make_instance(spec, master_seed=master_seed)
         optimal = carbon_cost(ilp_optimal(instance))
         optima.append(optimal)
-        for record in run_instance(instance, variants=names, scheduler=scheduler):
+        for record in _run(instance, names, scheduler):
             if record.carbon_cost == 0:
                 ratio = 1.0
             elif optimal == 0:
@@ -320,7 +332,7 @@ def dp_single_processor_comparison(
                 size, scenario=scenario, deadline_factor=deadline_factor, seed=seed
             )
             optimal = carbon_cost(dp_single_processor(instance))
-            records = run_instance(instance, variants=_main_variants())
+            records = _run(instance, _main_variants())
             best = min(record.carbon_cost for record in records)
             asap_cost = next(
                 record.carbon_cost for record in records if record.variant == BASELINE

@@ -2,7 +2,7 @@
 
 The benchmark harness prints the rows behind every figure with these helpers,
 so that ``pytest benchmarks/ --benchmark-only`` output can be compared
-directly against the paper's figures and recorded in ``EXPERIMENTS.md``.
+directly against the paper's figures.
 """
 
 from __future__ import annotations

@@ -7,14 +7,13 @@ runs the requested algorithm variants on it, and emits one
 :mod:`repro.experiments.metrics`) operates on lists of these records, which
 keeps the figure generators independent from how the runs were produced.
 
-Both entry points are thin shims over the :mod:`repro.api` facade and
-produce byte-identical records to the pre-facade implementation:
-:func:`run_instance` executes one :class:`~repro.api.jobs.Job` in-process,
-and :func:`run_grid` submits one spec-defined job per grid cell to an
-execution backend (``jobs=N`` fans the cells out over a worker pool; each
-cell derives its random streams from the master seed and its own
-coordinates only, so the parallel path produces exactly the same records as
-the sequential one, up to wall-clock timings, in the same order).
+:func:`run_grid` runs through the :mod:`repro.api` facade: sequentially it
+executes one :class:`~repro.api.jobs.Job` per grid cell in-process, and
+with ``jobs=N`` it submits one spec-defined job per cell to a pooled
+execution backend.  Each cell derives its random streams from the master
+seed and its own coordinates only, so the parallel path produces exactly
+the same records as the sequential one, up to wall-clock timings, in the
+same order.
 
 The facade imports are deferred: :mod:`repro.api` composes this module's
 :class:`RunRecord` into its results, so importing it at module load time
@@ -31,10 +30,9 @@ import numpy as np
 
 from repro.core.scheduler import CaWoSched
 from repro.experiments.instances import InstanceSpec, make_instance
-from repro.schedule.instance import ProblemInstance
 from repro.utils.rng import RNGLike
 
-__all__ = ["RunRecord", "run_instance", "run_grid", "records_by_instance"]
+__all__ = ["RunRecord", "run_grid", "records_by_instance"]
 
 
 @dataclass(frozen=True)
@@ -95,28 +93,6 @@ class RunRecord:
             scenario=str(data.get("scenario", "")),
             deadline_factor=float(data.get("deadline_factor", 0.0)),
         )
-
-
-def run_instance(
-    instance: ProblemInstance,
-    *,
-    variants: Optional[Sequence[str]] = None,
-    scheduler: Optional[CaWoSched] = None,
-) -> List[RunRecord]:
-    """Run *variants* (default: all) on a single instance.
-
-    .. deprecated::
-        Thin shim over the facade — prefer submitting a
-        :class:`repro.api.jobs.Job` through
-        :class:`repro.api.client.Client` in new code; results are
-        byte-identical.
-    """
-    from repro.api.execute import execute_job
-    from repro.api.jobs import Job
-
-    job = Job.from_instance(instance, variants=variants, scheduler=scheduler)
-    _, records = execute_job(job)
-    return list(records)
 
 
 def run_grid(

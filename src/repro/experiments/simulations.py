@@ -9,9 +9,9 @@ out over a worker pool, with identical results either way, because every
 cell's randomness derives from its own configuration only.
 
 Only plain configuration and report dictionaries cross the worker boundary,
-mirroring the scheduling service's worker protocol.
+mirroring the process backend of :mod:`repro.api`.
 
-The simulation stack (:mod:`repro.sim`, :mod:`repro.service`) is imported
+The simulation stack (:mod:`repro.sim`, :mod:`repro.api`) is imported
 lazily inside the functions: those packages themselves import experiment
 modules, and this package's ``__init__`` re-exports this module, so eager
 imports here would be circular.
@@ -93,7 +93,7 @@ def run_sim_grid(
         Worker pool flavour for ``jobs > 1``: ``"process"`` (default) or
         ``"thread"``.
     """
-    from repro.api.pool import parallel_map
+    from repro.api.backends import parallel_map
     from repro.sim.report import SimReport
 
     payloads = [config.to_dict() for config in configs]

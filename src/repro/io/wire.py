@@ -24,8 +24,9 @@ time) are serialised verbatim and the communication-enhanced DAG is rebuilt
 deterministically around them via ``build_enhanced_dag(..., platform=...)``.
 
 :func:`instance_fingerprint` hashes the canonical JSON form of an instance
-payload; the scheduling service (:mod:`repro.service`) uses it to deduplicate
-requests and key its result cache.
+payload; the job fingerprint of :mod:`repro.api` hashes the same canonical
+form (with the instance labels stripped) to deduplicate jobs and key the
+client's result cache.
 """
 
 from __future__ import annotations
@@ -308,8 +309,8 @@ def sim_report_from_dict(payload: TMapping[str, object]):
     """Rebuild a :class:`repro.sim.report.SimReport` from its payload.
 
     The import is deferred: :mod:`repro.sim` sits above this module in the
-    layering (its engine schedules through the service, which serialises
-    through here), so importing it at module load time would be circular.
+    layering (its engine schedules through the client facade, which
+    serialises through here), so importing it at module load time would be circular.
     """
     from repro.sim.report import SimReport
 

@@ -6,8 +6,8 @@ deferral wake-ups — over a platform of ``slots`` identical cluster replicas.
 Each arriving workflow is queued; whenever a decision point passes, the
 configured :class:`~repro.sim.policies.Policy` picks which queued workflows
 to commit.  Committing plans the workflow with one of the paper's algorithm
-variants (through the :class:`~repro.service.service.SchedulingService`, so
-identical plans are served from the result cache) against the *forecast*
+variants (through a :class:`~repro.api.client.Client`, so identical plans
+are served from the result cache) against the *forecast*
 window ``[now, deadline)``; the resulting schedule is then executed verbatim
 and its actual carbon cost is re-evaluated against the *true* signal — the
 gap between the two is exactly the price of imperfect forecasts.
@@ -26,13 +26,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
+from repro.api.client import Client
 from repro.api.registry import DEFAULT_REGISTRY
 from repro.carbon.traces import SYNTHETIC_TRACE_PROFILES, synthetic_daily_trace
 from repro.core.scheduler import CaWoSched, ScheduleResult
 from repro.schedule.cost import carbon_cost
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
-from repro.service.service import SchedulingService
 from repro.sim.arrivals import make_arrivals
 from repro.sim.events import SimEvent
 from repro.sim.forecast import FORECAST_MODELS, make_forecast
@@ -52,6 +52,11 @@ _PRIO_FINISH = 0
 _PRIO_ARRIVAL = 1
 _PRIO_TICK = 2
 _PRIO_WAKE = 3
+
+#: The client counters echoed in :attr:`SimReport.service`, in report order.
+_REPORT_STATS = (
+    "computed", "solved", "solve_hits", "size", "max_size", "hits", "misses", "evictions",
+)
 
 
 @dataclass(frozen=True)
@@ -235,24 +240,21 @@ class Simulator:
     ----------
     config:
         The run description.
-    service:
-        Scheduling service to plan through; a fresh one (with the
-        configuration's cache size) is created when omitted.  Sharing a
-        service across runs shares its result cache — useful for sweeps over
-        policies on the same workload, but the service statistics echoed in
-        the report then cover all runs so far.
+    client:
+        Client facade to plan through; a fresh one (with the configuration's
+        cache size) is created when omitted.  Sharing a client across runs
+        shares its result cache — useful for sweeps over policies on the
+        same workload, but the client statistics echoed in the report then
+        cover all runs so far.
     """
 
     def __init__(
-        self, config: SimulationConfig, *, service: Optional[SchedulingService] = None
+        self, config: SimulationConfig, *, client: Optional[Client] = None
     ) -> None:
         self.config = config
         self._workload = config.workload()
         self._scheduler = config.scheduler()
-        self._service = service or SchedulingService(cache_size=config.cache_size)
-        # All planning goes through the typed client facade underneath the
-        # service (one cache across every submission path).
-        self._client = self._service.client
+        self._client = client or Client(cache_size=config.cache_size)
         cluster = cluster_for(config.cluster)
         trace = synthetic_daily_trace(
             config.trace,
@@ -334,7 +336,7 @@ class Simulator:
         """Carbon cost of the clairvoyant offline schedule (planned at arrival).
 
         With the oracle forecast and an immediate commit, the online plan is
-        the identical request and is answered from the service cache.
+        the identical request and is answered from the client's cache.
         """
         length = self._window_length(job, job.arrival)
         instance = self._instance(job, self._signal.window(job.arrival, length))
@@ -384,12 +386,13 @@ class Simulator:
         metrics = compute_metrics(
             self._records, slots=self.config.slots, horizon=self.config.horizon
         )
+        stats = self._client.stats()
         return SimReport(
             config=self.config.to_dict(),
             events=tuple(self._events),
             jobs=tuple(self._records),
             metrics=metrics,
-            service=self._service.stats(),
+            service={key: stats[key] for key in _REPORT_STATS},
         )
 
     def _handle(self, kind: str, payload: object, now: int) -> None:
@@ -482,8 +485,6 @@ class Simulator:
         )
 
 
-def simulate(
-    config: SimulationConfig, *, service: Optional[SchedulingService] = None
-) -> SimReport:
+def simulate(config: SimulationConfig, *, client: Optional[Client] = None) -> SimReport:
     """Run one simulation and return its report (see :class:`Simulator`)."""
-    return Simulator(config, service=service).run()
+    return Simulator(config, client=client).run()

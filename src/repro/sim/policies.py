@@ -4,8 +4,8 @@ A policy answers the two online questions the offline paper never had to
 ask: in which *order* should queued workflows grab free slots, and should a
 workflow be committed *now* or deferred to a greener moment?  The actual
 schedule of a committed workflow is always computed by the paper's variants
-(through the :class:`~repro.service.service.SchedulingService`, so repeated
-plans hit the result cache); policies only steer *when* that happens and
+(through a :class:`~repro.api.client.Client`, so repeated plans hit the
+result cache); policies only steer *when* that happens and
 *what forecast window* the variant sees.
 
 Four policies are provided:
@@ -55,7 +55,7 @@ class PolicyContext:
         The forecast model (policies must use it for the *future*).
     plan:
         ``plan(job, now)`` — schedule *job*'s planning window starting at
-        *now* through the scheduling service and return the
+        *now* through the client facade and return the
         :class:`ScheduleResult` (cached for repeated identical plans).
     emit:
         ``emit(kind, job_name, **data)`` — append an event to the log.
@@ -161,7 +161,7 @@ class ReschedulePolicy(Policy):
     re-planned against the current forecast, keeping predictions honest as
     the remaining window shrinks.  Plans whose window content is unchanged
     (notably the commit-time plan right after an arrival-time plan) are
-    answered by the service's result cache.
+    answered by the client's result cache.
 
     Parameters
     ----------

@@ -3,7 +3,7 @@
 A :class:`SimReport` is the complete, self-describing outcome of one
 simulation run.  It is plain data end to end — the configuration dictionary
 that produced it, the structured event log, one :class:`JobRecord` per
-completed workflow, the aggregated metrics, and the scheduling-service
+completed workflow, the aggregated metrics, and the client facade's
 statistics (cache hits tell how much work rescheduling policies saved).
 
 Reports round-trip exactly through ``to_dict``/``from_dict`` and are
@@ -42,8 +42,9 @@ class SimReport:
         :func:`repro.sim.metrics.compute_metrics`); empty when nothing
         arrived.
     service:
-        Statistics of the scheduling service that backed the run (computed /
-        cached schedule counts).
+        Statistics of the :class:`~repro.api.client.Client` that backed the
+        run (computed / cached schedule counts).  The field keeps its
+        historical name so reports stay byte-identical.
     """
 
     config: Dict[str, object]

@@ -1,32 +1,18 @@
-"""Byte-identity of the legacy entry points with the repro.api facade.
+"""Byte-identity of the grid runner with the repro.api facade.
 
-The classic submission surfaces — ``run_instance``/``run_grid``,
-``CaWoSched.run_many``, ``ScheduleRequest``/``SchedulingService`` — are
-thin shims over the facade after the redesign.  These tests pin that the
-shims produce byte-identical results (up to wall-clock timings) and that
-the canonical fingerprint is shared across every path.
+``run_grid`` submits its cells through the facade.  These tests pin that it
+produces byte-identical records (up to wall-clock timings) to submitting
+each cell as a job through a :class:`Client`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from repro.api import Client, Job
-from repro.core.scheduler import CaWoSched
-from repro.experiments.instances import InstanceSpec, make_instance
-from repro.experiments.runner import run_grid, run_instance
+from repro.experiments.instances import InstanceSpec
+from repro.experiments.runner import run_grid
 from repro.io.wire import canonical_json, records_to_dict
-from repro.service import ScheduleRequest, SchedulingService
-
-VARIANTS = ("ASAP", "slackR", "pressWR-LS")
-
-
-@pytest.fixture(scope="module")
-def grid_instance():
-    return make_instance(InstanceSpec("bacass", 15, "small", "S1", 1.5, seed=1))
-
 
 def _canonical(records):
     stripped = [dataclasses.replace(r, runtime_seconds=0.0) for r in records]
@@ -34,20 +20,12 @@ def _canonical(records):
 
 
 class TestRunnerShims:
-    def test_run_instance_matches_client_submit(self, grid_instance):
-        scheduler = CaWoSched()
-        legacy = run_instance(grid_instance, variants=VARIANTS, scheduler=scheduler)
-        facade = Client().submit(
-            Job.from_instance(grid_instance, variants=VARIANTS, scheduler=scheduler)
-        )
-        assert _canonical(facade.records) == _canonical(legacy)
-
     def test_run_grid_matches_per_cell_submission(self):
         specs = [
             InstanceSpec("bacass", 12, "small", "S1", 1.5, seed=3),
             InstanceSpec("chain", 8, "single", "S4", 2.0, seed=3),
         ]
-        legacy = run_grid(specs, variants=("ASAP", "pressWR-LS"), master_seed=7)
+        via_grid = run_grid(specs, variants=("ASAP", "pressWR-LS"), master_seed=7)
         client = Client(cache_size=8)
         facade = []
         for spec in specs:
@@ -55,55 +33,4 @@ class TestRunnerShims:
                 Job.from_spec(spec, variants=("ASAP", "pressWR-LS"), master_seed=7)
             )
             facade.extend(result.records)
-        assert _canonical(facade) == _canonical(legacy)
-
-    def test_cawosched_run_many_matches_facade(self, grid_instance):
-        legacy = CaWoSched().run_many(grid_instance, VARIANTS)
-        facade = Client().submit(Job.from_instance(grid_instance, variants=VARIANTS))
-        for record, (name, result) in zip(facade.records, legacy.items()):
-            assert record.variant == name
-            assert record.carbon_cost == result.carbon_cost
-            assert record.makespan == result.makespan
-
-
-class TestServiceShims:
-    def test_request_fingerprint_is_the_canonical_job_fingerprint(self, grid_instance):
-        request = ScheduleRequest.from_instance(grid_instance, variants=VARIANTS)
-        job = Job.from_instance(grid_instance, variants=VARIANTS)
-        assert request.fingerprint == job.fingerprint
-        assert request.job.fingerprint == request.fingerprint
-
-    def test_batch_and_solve_paths_share_one_fingerprint(self, grid_instance):
-        # Satellite fix: the batch path used to fingerprint name/metadata
-        # while solve stripped them; both now hash identically.
-        service = SchedulingService(cache_size=8)
-        request = ScheduleRequest.from_instance(grid_instance, variants=("pressWR",))
-        solved = service.solve(grid_instance, "pressWR")
-        response = service.submit(request)
-        assert response.cached is True  # answered by the solve path's entry
-        assert response.records[0].carbon_cost == solved.carbon_cost
-        assert service.computed == 0 and service.solved == 1
-
-    def test_relabelled_instances_dedupe_in_batches(self, grid_instance):
-        from repro.schedule.instance import ProblemInstance
-
-        relabelled = ProblemInstance(
-            grid_instance.dag,
-            grid_instance.profile,
-            name="another-name",
-            metadata={"note": "labels differ"},
-        )
-        service = SchedulingService(cache_size=8)
-        first = ScheduleRequest.from_instance(grid_instance, variants=("ASAP",))
-        second = ScheduleRequest.from_instance(relabelled, variants=("ASAP",))
-        assert first.fingerprint == second.fingerprint
-        responses = service.submit_batch([first, second])
-        assert [r.cached for r in responses] == [False, True]
-        assert service.computed == 1
-
-    def test_service_batch_matches_direct_client(self, grid_instance):
-        service = SchedulingService(cache_size=8)
-        request = ScheduleRequest.from_instance(grid_instance, variants=VARIANTS)
-        response = service.submit(request)
-        facade = Client().submit(Job.from_instance(grid_instance, variants=VARIANTS))
-        assert _canonical(response.records) == _canonical(facade.records)
+        assert _canonical(facade) == _canonical(via_grid)

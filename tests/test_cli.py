@@ -194,6 +194,21 @@ class TestBatchCommand:
             main(["batch", str(path)])
         assert "'instance' payload or a 'spec'" in capsys.readouterr().err
 
+        spec = {"family": "chain", "tasks": 6, "cluster": "single"}
+        for entry, message in [
+            ({"spec": spec, "priority": "high"}, "malformed job field 'priority'"),
+            ({"spec": spec, "tags": 5}, "malformed job field 'tags'"),
+            ({"spec": spec, "master_seed": "x"}, "malformed job field 'master_seed'"),
+            ({"instance": 7}, "malformed job field 'instance'"),
+            (5, "must be a JSON object"),
+            ({"spec": 5}, "malformed job spec"),
+        ]:
+            path = self._requests_file(tmp_path, [entry])
+            with pytest.raises(SystemExit) as exit_info:
+                main(["batch", str(path)])
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
+
     def test_batch_malformed_inline_instance_errors(self, capsys, tmp_path):
         # A malformed payload is only discovered at execution time, so it
         # surfaces as a backend failure with the facade's exit code 4.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.scheduler import CaWoSched, run_all_variants, run_variant
+from repro.core.scheduler import CaWoSched
 from repro.core.variants import variant_names
 from repro.schedule.cost import carbon_cost
 from repro.schedule.validation import is_feasible
@@ -20,13 +20,17 @@ class TestCaWoSched:
         assert result.runtime_seconds >= 0
 
     def test_all_variants_feasible(self, tiny_multi_instance):
-        results = CaWoSched().run_many(tiny_multi_instance)
-        assert set(results) == set(variant_names())
-        for result in results.values():
+        scheduler = CaWoSched()
+        for name in variant_names():
+            result = scheduler.run(tiny_multi_instance, name)
+            assert result.variant == name
             assert is_feasible(result.schedule)
 
     def test_ls_variant_never_worse_than_greedy(self, tiny_multi_instance):
-        results = CaWoSched().run_many(tiny_multi_instance)
+        scheduler = CaWoSched()
+        results = {
+            name: scheduler.run(tiny_multi_instance, name) for name in variant_names()
+        }
         for greedy_name in ("slack", "slackW", "slackR", "slackWR",
                             "press", "pressW", "pressR", "pressWR"):
             assert results[f"{greedy_name}-LS"].carbon_cost <= results[greedy_name].carbon_cost
@@ -42,12 +46,11 @@ class TestCaWoSched:
             CaWoSched().run(tiny_multi_instance, "not-a-variant")
 
     def test_run_subset(self, tiny_multi_instance):
-        results = run_all_variants(tiny_multi_instance, variants=["ASAP", "slack-LS"])
-        assert set(results) == {"ASAP", "slack-LS"}
-
-    def test_run_variant_convenience(self, tiny_multi_instance):
-        result = run_variant(tiny_multi_instance, "slackR")
-        assert result.variant == "slackR"
+        scheduler = CaWoSched(block_size=2, window=5)
+        for name in ("ASAP", "slackR", "slack-LS"):
+            result = scheduler.run(tiny_multi_instance, name)
+            assert result.variant == name
+            assert is_feasible(result.schedule)
 
     def test_parameters_are_stored(self):
         scheduler = CaWoSched(block_size=2, window=5, validate=False)

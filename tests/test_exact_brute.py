@@ -15,10 +15,12 @@ class TestBruteForce:
         assert is_feasible(brute_force_optimal(tiny_single_instance))
 
     def test_not_worse_than_any_heuristic(self, tiny_multi_instance):
-        from repro.core.scheduler import run_all_variants
+        from repro.core.scheduler import CaWoSched
+        from repro.core.variants import variant_names
 
         optimal = carbon_cost(brute_force_optimal(tiny_multi_instance))
-        for result in run_all_variants(tiny_multi_instance).values():
+        for name in variant_names():
+            result = CaWoSched().run(tiny_multi_instance, name)
             assert optimal <= result.carbon_cost
 
     def test_node_limit_enforced(self, tiny_multi_instance):

@@ -52,10 +52,12 @@ class TestOptimality:
         assert carbon_cost(optimal) == carbon_cost(brute_force_optimal(tiny_multi_instance))
 
     def test_heuristics_never_beat_ilp(self, tiny_multi_instance):
-        from repro.core.scheduler import run_all_variants
+        from repro.core.scheduler import CaWoSched
+        from repro.core.variants import variant_names
 
         optimal_cost = carbon_cost(ilp_optimal(tiny_multi_instance))
-        for result in run_all_variants(tiny_multi_instance).values():
+        for name in variant_names():
+            result = CaWoSched().run(tiny_multi_instance, name)
             assert result.carbon_cost >= optimal_cost
 
     def test_lower_bound_not_above_optimum(self, tiny_multi_instance):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.scheduler import run_variant
+from repro.core.scheduler import CaWoSched
 from repro.exact.ilp import ilp_optimal
 from repro.experiments.hardness import (
     solvable_three_partition_items,
@@ -86,4 +86,4 @@ class TestInstanceConstruction:
     def test_asap_on_hardness_instance_is_expensive(self):
         items, bound = solvable_three_partition_items(2, bound=16, rng=5)
         instance = three_partition_instance(items, bound)
-        assert run_variant(instance, "ASAP").carbon_cost > 0
+        assert CaWoSched().run(instance, "ASAP").carbon_cost > 0

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Client, Job
 from repro.core.scheduler import CaWoSched
 from repro.experiments.instances import InstanceSpec, make_instance
-from repro.experiments.runner import RunRecord, records_by_instance, run_grid, run_instance
+from repro.experiments.runner import RunRecord, records_by_instance, run_grid
+
+
+def submit_records(instance, variants):
+    """The records of one instance, submitted as a job through a client."""
+    return Client().submit(Job.from_instance(instance, variants=variants)).records
 
 
 @pytest.fixture(scope="module")
@@ -21,13 +27,13 @@ def tiny_grid_records():
 class TestRunInstance:
     def test_one_record_per_variant(self):
         instance = make_instance(InstanceSpec("eager", 20, "small", "S2", 2.0, seed=0))
-        records = run_instance(instance, variants=["ASAP", "press"])
+        records = submit_records(instance, ["ASAP", "press"])
         assert [record.variant for record in records] == ["ASAP", "press"]
         assert all(record.instance == instance.name for record in records)
 
     def test_metadata_denormalised(self):
         instance = make_instance(InstanceSpec("eager", 20, "small", "S2", 2.0, seed=0))
-        record = run_instance(instance, variants=["ASAP"])[0]
+        record = submit_records(instance, ["ASAP"])[0]
         assert record.scenario == "S2"
         assert record.cluster == "small"
         assert record.deadline_factor == 2.0
@@ -36,7 +42,7 @@ class TestRunInstance:
 
     def test_to_dict_round_trip(self):
         instance = make_instance(InstanceSpec("eager", 20, "small", "S2", 2.0, seed=0))
-        record = run_instance(instance, variants=["ASAP"])[0]
+        record = submit_records(instance, ["ASAP"])[0]
         as_dict = record.to_dict()
         assert as_dict["variant"] == "ASAP"
         assert as_dict["carbon_cost"] == record.carbon_cost

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    CaWoSched,
     ProblemInstance,
     asap_makespan,
     build_enhanced_dag,
@@ -21,7 +22,6 @@ from repro import (
     generate_workflow,
     heft_mapping,
     is_feasible,
-    run_all_variants,
     scaled_small_cluster,
     synthetic_daily_trace,
     profile_from_trace,
@@ -29,6 +29,13 @@ from repro import (
 from repro.core.variants import GREEDY_VARIANTS, variant_names
 from repro.exact.ilp import ilp_optimal
 from repro.experiments.instances import InstanceSpec, make_instance
+
+
+def run_all(instance, variants=None):
+    """Run *variants* (default: all 17) on *instance*, keyed by name."""
+    scheduler = CaWoSched()
+    names = variant_names() if variants is None else variants
+    return {name: scheduler.run(instance, name) for name in names}
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +56,7 @@ def pipeline_instance() -> ProblemInstance:
 
 class TestFullPipeline:
     def test_all_seventeen_variants_run_and_are_feasible(self, pipeline_instance):
-        results = run_all_variants(pipeline_instance)
+        results = run_all(pipeline_instance)
         assert len(results) == 17
         for result in results.values():
             assert is_feasible(result.schedule)
@@ -58,7 +65,7 @@ class TestFullPipeline:
 
     def test_heuristics_beat_asap_on_s1(self, pipeline_instance):
         """S1 has little green power early, so ASAP must be beatable."""
-        results = run_all_variants(pipeline_instance)
+        results = run_all(pipeline_instance)
         baseline = results["ASAP"].carbon_cost
         best = min(
             result.carbon_cost for name, result in results.items() if name != "ASAP"
@@ -66,12 +73,12 @@ class TestFullPipeline:
         assert best < baseline
 
     def test_local_search_never_hurts(self, pipeline_instance):
-        results = run_all_variants(pipeline_instance)
+        results = run_all(pipeline_instance)
         for greedy_name in GREEDY_VARIANTS:
             assert results[f"{greedy_name}-LS"].carbon_cost <= results[greedy_name].carbon_cost
 
     def test_makespans_respect_deadline(self, pipeline_instance):
-        results = run_all_variants(pipeline_instance)
+        results = run_all(pipeline_instance)
         for result in results.values():
             assert result.makespan <= pipeline_instance.deadline
 
@@ -90,7 +97,7 @@ class TestTraceDrivenPipeline:
             work_power=dag.platform.total_work_power(),
         )
         instance = ProblemInstance(dag, profile, name="trace-driven")
-        results = run_all_variants(instance, variants=["ASAP", "pressWR-LS"])
+        results = run_all(instance, variants=["ASAP", "pressWR-LS"])
         assert results["pressWR-LS"].carbon_cost <= results["ASAP"].carbon_cost
 
 
@@ -100,7 +107,7 @@ class TestOptimalityOnSmallInstances:
         spec = InstanceSpec("bacass", 12, "small", scenario, 1.5, seed=2)
         instance = make_instance(spec, master_seed=4)
         optimal = carbon_cost(ilp_optimal(instance))
-        results = run_all_variants(instance)
+        results = run_all(instance)
         for name, result in results.items():
             assert result.carbon_cost >= optimal, name
 
@@ -110,7 +117,7 @@ class TestOptimalityOnSmallInstances:
         spec = InstanceSpec("bacass", 12, "small", "S1", 2.0, seed=3)
         instance = make_instance(spec, master_seed=4)
         optimal = carbon_cost(ilp_optimal(instance))
-        results = run_all_variants(instance, variants=variant_names(only_local_search=True))
+        results = run_all(instance, variants=variant_names(only_local_search=True))
         best = min(r.carbon_cost for name, r in results.items() if name != "ASAP")
         assert best == optimal
 
@@ -121,7 +128,7 @@ class TestDeadlineEffect:
         for factor in (1.0, 2.0, 3.0):
             spec = InstanceSpec("eager", 30, "small", "S1", factor, seed=6)
             instance = make_instance(spec, master_seed=6)
-            results = run_all_variants(
+            results = run_all(
                 instance, variants=["pressWR-LS", "slackWR-LS", "press-LS", "slack-LS"]
             )
             costs[factor] = min(result.carbon_cost for result in results.values())

@@ -6,10 +6,11 @@ import json
 
 import pytest
 
+from repro.api import Client, Job
 from repro.carbon.intervals import Interval, PowerProfile
 from repro.core.scheduler import CaWoSched
 from repro.experiments.instances import InstanceSpec, make_instance
-from repro.experiments.runner import RunRecord, run_instance
+from repro.experiments.runner import RunRecord
 from repro.io.wire import (
     WIRE_FORMAT,
     WIRE_VERSION,
@@ -250,7 +251,9 @@ class TestScheduleAndResultRoundTrips:
 
 class TestRecordsRoundTrip:
     def test_records(self, grid_instance):
-        records = run_instance(grid_instance, variants=["ASAP", "slack"])
+        records = list(
+            Client().submit(Job.from_instance(grid_instance, variants=["ASAP", "slack"])).records
+        )
         clone = records_from_dict(records_to_dict(records))
         assert clone == records
 
@@ -308,7 +311,9 @@ class TestFileRoundTrips:
         assert document["kind"] == "instance"
 
     def test_records_file(self, grid_instance, tmp_path):
-        records = run_instance(grid_instance, variants=["ASAP", "slack"])
+        records = list(
+            Client().submit(Job.from_instance(grid_instance, variants=["ASAP", "slack"])).records
+        )
         path = tmp_path / "records.json"
         save_records(records, path)
         assert load_records(path) == records

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.carbon.scenarios import generate_power_profile
-from repro.core.scheduler import run_variant
+from repro.core.scheduler import CaWoSched
 from repro.mapping.carbon_heft import carbon_aware_heft_mapping
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
@@ -82,6 +82,6 @@ class TestCarbonAwareHeft:
             work_power=dag.platform.total_work_power(), rng=5,
         )
         instance = ProblemInstance(dag, profile, name="two-pass")
-        scheduled = run_variant(instance, "pressWR-LS")
-        baseline = run_variant(instance, "ASAP")
+        scheduled = CaWoSched().run(instance, "pressWR-LS")
+        baseline = CaWoSched().run(instance, "ASAP")
         assert scheduled.carbon_cost <= baseline.carbon_cost

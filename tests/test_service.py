@@ -1,20 +1,17 @@
-"""Tests for the scheduling service subsystem (:mod:`repro.service`)."""
+"""Tests for the scheduling client built by :mod:`repro.api`.
+
+Covers the result cache, the worker pool, batch-file job entries, and
+batched and single-variant submission through a :class:`Client`.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 import repro.api.execute as execute_module
+from repro.api import Client, InvalidJob, Job, ResultCache, make_backend, parallel_map
 from repro.experiments.instances import InstanceSpec, make_instance
 from repro.io.wire import instance_to_dict
-from repro.service import (
-    ResultCache,
-    ScheduleRequest,
-    ScheduleResponse,
-    SchedulingService,
-    parallel_map,
-)
-from repro.utils.errors import WireFormatError
 
 
 @pytest.fixture
@@ -87,30 +84,32 @@ class TestParallelMap:
 
 
 class TestScheduleRequest:
+    """Batch-file request entries parse into :class:`Job` objects."""
+
     def test_fingerprint_identical_for_identical_content(self, grid_instance):
         spec = InstanceSpec("bacass", 15, "small", "S1", 1.5, seed=1)
         twin = make_instance(spec)
-        first = ScheduleRequest.from_instance(grid_instance, variants=VARIANTS)
-        second = ScheduleRequest.from_instance(twin, variants=VARIANTS)
+        first = Job.from_instance(grid_instance, variants=VARIANTS)
+        second = Job.from_instance(twin, variants=VARIANTS)
         assert first.fingerprint == second.fingerprint
 
     def test_fingerprint_depends_on_variants(self, grid_instance):
-        first = ScheduleRequest.from_instance(grid_instance, variants=("ASAP",))
-        second = ScheduleRequest.from_instance(grid_instance, variants=("slack",))
+        first = Job.from_instance(grid_instance, variants=("ASAP",))
+        second = Job.from_instance(grid_instance, variants=("slack",))
         assert first.fingerprint != second.fingerprint
 
     def test_fingerprint_depends_on_instance(self, grid_instance, other_instance):
-        first = ScheduleRequest.from_instance(grid_instance, variants=VARIANTS)
-        second = ScheduleRequest.from_instance(other_instance, variants=VARIANTS)
+        first = Job.from_instance(grid_instance, variants=VARIANTS)
+        second = Job.from_instance(other_instance, variants=VARIANTS)
         assert first.fingerprint != second.fingerprint
 
     def test_dict_round_trip(self, grid_instance):
-        request = ScheduleRequest.from_instance(grid_instance, variants=VARIANTS)
-        clone = ScheduleRequest.from_dict(request.to_dict())
+        request = Job.from_instance(grid_instance, variants=VARIANTS)
+        clone = Job.from_dict(request.to_dict())
         assert clone.fingerprint == request.fingerprint
 
     def test_from_dict_with_spec(self, grid_instance):
-        request = ScheduleRequest.from_dict(
+        request = Job.from_dict(
             {
                 "spec": {
                     "family": "bacass", "tasks": 15, "cluster": "small",
@@ -119,16 +118,16 @@ class TestScheduleRequest:
                 "variants": list(VARIANTS),
             }
         )
-        inline = ScheduleRequest.from_instance(grid_instance, variants=VARIANTS)
+        inline = Job.from_instance(grid_instance, variants=VARIANTS)
         assert request.fingerprint == inline.fingerprint
 
     def test_from_dict_requires_instance_or_spec(self):
-        with pytest.raises(WireFormatError):
-            ScheduleRequest.from_dict({"variants": ["ASAP"]})
+        with pytest.raises(InvalidJob):
+            Job.from_dict({"variants": ["ASAP"]})
 
     def test_from_dict_rejects_malformed_scheduler_config(self, grid_instance):
-        with pytest.raises(WireFormatError, match="malformed scheduler config"):
-            ScheduleRequest.from_dict(
+        with pytest.raises(InvalidJob, match="malformed scheduler config"):
+            Job.from_dict(
                 {
                     "instance": instance_to_dict(grid_instance),
                     "scheduler": {"block_size": "huge"},
@@ -136,9 +135,9 @@ class TestScheduleRequest:
             )
 
     def test_live_instance_not_part_of_identity(self, grid_instance):
-        request = ScheduleRequest.from_instance(grid_instance, variants=VARIANTS)
+        request = Job.from_instance(grid_instance, variants=VARIANTS)
         assert request.live_instance is grid_instance
-        clone = ScheduleRequest.from_dict(request.to_dict())
+        clone = Job.from_dict(request.to_dict())
         assert clone.live_instance is None
         assert clone == request
         assert clone.fingerprint == request.fingerprint
@@ -146,11 +145,13 @@ class TestScheduleRequest:
 
 
 class TestSchedulingService:
+    """Batch submission through a :class:`Client`."""
+
     def _counting(self, monkeypatch):
         """Count scheduler invocations through the per-job execution core.
 
         ``execute_job`` sits on every in-process execution path (the inline
-        and thread backends the service's client runs on), so patching it
+        and thread backends the client runs on), so patching it
         counts every job that is actually scheduled.
         """
         calls = []
@@ -165,68 +166,68 @@ class TestSchedulingService:
 
     def test_duplicates_scheduled_once(self, grid_instance, monkeypatch):
         calls = self._counting(monkeypatch)
-        service = SchedulingService(cache_size=8)
-        request = ScheduleRequest.from_instance(grid_instance, variants=VARIANTS)
-        responses = service.submit_batch([request, request, request])
+        client = Client(cache_size=8)
+        request = Job.from_instance(grid_instance, variants=VARIANTS)
+        responses = client.submit_many([request, request, request])
         assert len(calls) == 1
         assert [response.cached for response in responses] == [False, True, True]
         assert responses[0].records == responses[1].records == responses[2].records
-        assert service.computed == 1
+        assert client.computed == 1
 
     def test_cache_survives_batches(self, grid_instance, monkeypatch):
         calls = self._counting(monkeypatch)
-        service = SchedulingService(cache_size=8)
-        request = ScheduleRequest.from_instance(grid_instance, variants=VARIANTS)
-        first = service.submit(request)
-        second = service.submit(request)
+        client = Client(cache_size=8)
+        request = Job.from_instance(grid_instance, variants=VARIANTS)
+        first = client.submit(request)
+        second = client.submit(request)
         assert len(calls) == 1
         assert not first.cached and second.cached
         assert first.records == second.records
 
     def test_identical_fingerprints_identical_results(self, grid_instance):
-        service = SchedulingService(cache_size=8)
+        client = Client(cache_size=8)
         spec = InstanceSpec("bacass", 15, "small", "S1", 1.5, seed=1)
-        twin_request = ScheduleRequest.from_instance(
+        twin_request = Job.from_instance(
             make_instance(spec), variants=VARIANTS
         )
-        request = ScheduleRequest.from_instance(grid_instance, variants=VARIANTS)
+        request = Job.from_instance(grid_instance, variants=VARIANTS)
         assert request.fingerprint == twin_request.fingerprint
-        first = service.submit(request)
-        second = service.submit(twin_request)
+        first = client.submit(request)
+        second = client.submit(twin_request)
         assert second.cached
         assert first.records == second.records
 
     def test_lru_bound_forces_recompute(self, grid_instance, other_instance, monkeypatch):
         calls = self._counting(monkeypatch)
-        service = SchedulingService(cache_size=1)
-        first = ScheduleRequest.from_instance(grid_instance, variants=("ASAP",))
-        second = ScheduleRequest.from_instance(other_instance, variants=("ASAP",))
-        service.submit(first)
-        service.submit(second)   # evicts `first`
-        assert len(service.cache) == 1
-        response = service.submit(first)  # must recompute
+        client = Client(cache_size=1)
+        first = Job.from_instance(grid_instance, variants=("ASAP",))
+        second = Job.from_instance(other_instance, variants=("ASAP",))
+        client.submit(first)
+        client.submit(second)   # evicts `first`
+        assert len(client.cache) == 1
+        response = client.submit(first)  # must recompute
         assert not response.cached
         assert len(calls) == 3
-        assert service.cache.evictions == 2
+        assert client.cache.evictions == 2
 
     def test_mixed_batch_order_preserved(self, grid_instance, other_instance):
-        service = SchedulingService(cache_size=8)
-        a = ScheduleRequest.from_instance(grid_instance, variants=("ASAP",))
-        b = ScheduleRequest.from_instance(other_instance, variants=("ASAP",))
-        responses = service.submit_batch([a, b, a, b])
+        client = Client(cache_size=8)
+        a = Job.from_instance(grid_instance, variants=("ASAP",))
+        b = Job.from_instance(other_instance, variants=("ASAP",))
+        responses = client.submit_many([a, b, a, b])
         assert [response.fingerprint for response in responses] == [
             a.fingerprint, b.fingerprint, a.fingerprint, b.fingerprint
         ]
         assert [response.cached for response in responses] == [False, False, True, True]
-        assert service.computed == 2
+        assert client.computed == 2
 
     def test_thread_pool_matches_inline(self, grid_instance, other_instance):
-        request_a = ScheduleRequest.from_instance(grid_instance, variants=VARIANTS)
-        request_b = ScheduleRequest.from_instance(other_instance, variants=VARIANTS)
-        inline = SchedulingService(cache_size=8, jobs=1)
-        pooled = SchedulingService(cache_size=8, jobs=2, executor="thread")
-        inline_responses = inline.submit_batch([request_a, request_b])
-        pooled_responses = pooled.submit_batch([request_a, request_b])
+        request_a = Job.from_instance(grid_instance, variants=VARIANTS)
+        request_b = Job.from_instance(other_instance, variants=VARIANTS)
+        inline = Client(cache_size=8)
+        pooled = Client(backend=make_backend("thread", 2), cache_size=8)
+        inline_responses = inline.submit_many([request_a, request_b])
+        pooled_responses = pooled.submit_many([request_a, request_b])
         for seq, par in zip(inline_responses, pooled_responses):
             assert seq.fingerprint == par.fingerprint
             assert [r.carbon_cost for r in seq.records] == [
@@ -237,12 +238,12 @@ class TestSchedulingService:
             ]
 
     def test_process_pool_matches_inline(self, grid_instance, other_instance):
-        request_a = ScheduleRequest.from_instance(grid_instance, variants=("ASAP",))
-        request_b = ScheduleRequest.from_instance(other_instance, variants=("ASAP",))
-        inline = SchedulingService(cache_size=8, jobs=1)
-        pooled = SchedulingService(cache_size=8, jobs=2, executor="process")
-        inline_responses = inline.submit_batch([request_a, request_b])
-        pooled_responses = pooled.submit_batch([request_a, request_b])
+        request_a = Job.from_instance(grid_instance, variants=("ASAP",))
+        request_b = Job.from_instance(other_instance, variants=("ASAP",))
+        inline = Client(cache_size=8)
+        pooled = Client(backend=make_backend("process", 2), cache_size=8)
+        inline_responses = inline.submit_many([request_a, request_b])
+        pooled_responses = pooled.submit_many([request_a, request_b])
         for seq, par in zip(inline_responses, pooled_responses):
             assert seq.fingerprint == par.fingerprint
             assert [r.carbon_cost for r in seq.records] == [
@@ -250,19 +251,19 @@ class TestSchedulingService:
             ]
 
     def test_response_to_dict(self, grid_instance):
-        service = SchedulingService(cache_size=8)
-        request = ScheduleRequest.from_instance(grid_instance, variants=("ASAP",))
-        response = service.submit(request)
+        client = Client(cache_size=8)
+        request = Job.from_instance(grid_instance, variants=("ASAP",))
+        response = client.submit(request)
         data = response.to_dict()
         assert data["fingerprint"] == request.fingerprint
         assert data["cached"] is False
         assert data["records"][0]["variant"] == "ASAP"
 
     def test_stats(self, grid_instance):
-        service = SchedulingService(cache_size=4)
-        request = ScheduleRequest.from_instance(grid_instance, variants=("ASAP",))
-        service.submit_batch([request, request])
-        stats = service.stats()
+        client = Client(cache_size=4)
+        request = Job.from_instance(grid_instance, variants=("ASAP",))
+        client.submit_many([request, request])
+        stats = client.stats()
         assert stats["computed"] == 1
         assert stats["hits"] == 1
         assert stats["size"] == 1
@@ -271,45 +272,45 @@ class TestSchedulingService:
 
 class TestSolve:
     def test_returns_full_result(self, grid_instance):
-        service = SchedulingService(cache_size=8)
-        result = service.solve(grid_instance, "ASAP")
+        client = Client(cache_size=8)
+        result = client.solve(grid_instance, "ASAP")
         assert result.variant == "ASAP"
         assert result.schedule.instance is grid_instance
         assert result.carbon_cost >= 0
-        assert service.solved == 1
+        assert client.solved == 1
 
     def test_identical_plans_hit_the_cache(self, grid_instance):
-        service = SchedulingService(cache_size=8)
-        first = service.solve(grid_instance, "pressWR-LS")
-        second = service.solve(grid_instance, "pressWR-LS")
+        client = Client(cache_size=8)
+        first = client.solve(grid_instance, "pressWR-LS")
+        second = client.solve(grid_instance, "pressWR-LS")
         assert second is first
-        assert service.solved == 1
-        assert service.schedule_cache.hits == 1
+        assert client.solved == 1
+        assert client.cache.hits == 1
 
     def test_variant_and_scheduler_are_part_of_the_key(self, grid_instance):
         from repro.core.scheduler import CaWoSched
 
-        service = SchedulingService(cache_size=8)
-        service.solve(grid_instance, "ASAP")
-        service.solve(grid_instance, "slack")
-        service.solve(grid_instance, "slack", scheduler=CaWoSched(window=5))
-        assert service.solved == 3
+        client = Client(cache_size=8)
+        client.solve(grid_instance, "ASAP")
+        client.solve(grid_instance, "slack")
+        client.solve(grid_instance, "slack", scheduler=CaWoSched(window=5))
+        assert client.solved == 3
 
     def test_solve_matches_direct_scheduler_run(self, grid_instance):
         from repro.core.scheduler import CaWoSched
 
-        service = SchedulingService(cache_size=8)
-        via_service = service.solve(grid_instance, "pressWR")
+        client = Client(cache_size=8)
+        via_client = client.solve(grid_instance, "pressWR")
         direct = CaWoSched().run(grid_instance, "pressWR")
-        assert via_service.carbon_cost == direct.carbon_cost
-        assert via_service.makespan == direct.makespan
-        assert via_service.schedule.same_start_times(direct.schedule)
+        assert via_client.carbon_cost == direct.carbon_cost
+        assert via_client.makespan == direct.makespan
+        assert via_client.schedule.same_start_times(direct.schedule)
 
     def test_solve_counters_in_stats(self, grid_instance):
-        service = SchedulingService(cache_size=8)
-        service.solve(grid_instance, "ASAP")
-        service.solve(grid_instance, "ASAP")
-        stats = service.stats()
+        client = Client(cache_size=8)
+        client.solve(grid_instance, "ASAP")
+        client.solve(grid_instance, "ASAP")
+        stats = client.stats()
         assert stats["solved"] == 1
         assert stats["solve_hits"] == 1
 
@@ -324,8 +325,8 @@ class TestSolve:
             name="other-label",
             metadata={"plan_time": 123},
         )
-        service = SchedulingService(cache_size=8)
-        first = service.solve(grid_instance, "pressWR")
-        second = service.solve(relabelled, "pressWR")
+        client = Client(cache_size=8)
+        first = client.solve(grid_instance, "pressWR")
+        second = client.solve(relabelled, "pressWR")
         assert second is first
-        assert service.solved == 1
+        assert client.solved == 1

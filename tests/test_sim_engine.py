@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Client
 from repro.io.wire import canonical_json, dumps, loads
-from repro.service import SchedulingService
 from repro.sim import SimReport, SimulationConfig, simulate
 from repro.utils.errors import SimulationError
 
@@ -66,6 +66,10 @@ class TestOracleEquality:
         # commit-time plan is the identical request and hits the cache.
         assert report.service["solved"] == len(report.jobs)
         assert report.service["solve_hits"] >= len(report.jobs)
+        assert list(report.service) == [
+            "computed", "solved", "solve_hits", "size",
+            "max_size", "hits", "misses", "evictions",
+        ]
 
 
 class TestEngineBehaviour:
@@ -167,12 +171,14 @@ class TestEngineBehaviour:
         assert "reschedule" in kinds
 
     def test_shared_service_reuses_cache_across_runs(self):
-        service = SchedulingService(cache_size=512)
+        client = Client(cache_size=512)
         config = small_config(forecast="oracle", slots=64)
-        simulate(config, service=service)
-        solved_once = service.solved
-        simulate(config, service=service)
-        assert service.solved == solved_once  # second run fully cached
+        first = simulate(config, client=client)
+        solved_once = client.solved
+        second = simulate(config, client=client)
+        assert client.solved == solved_once  # second run fully cached
+        assert second.service["solved"] == first.service["solved"]
+        assert second.service["solve_hits"] > first.service["solve_hits"]
 
     def test_utilization_in_unit_range(self):
         report = simulate(small_config())
