@@ -22,10 +22,9 @@ scheduler, realising the two-pass approach end to end (see the
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
-from repro.mapping.heft import HeftResult, _earliest_slot, _insert_slot, upward_ranks
-from repro.mapping.mapping import Mapping
+from repro.mapping.heft import HeftResult, _duration_table, _ListSchedule, _ranks
 from repro.platform_.cluster import Cluster
 from repro.utils.errors import InvalidMappingError
 from repro.utils.validation import check_probability
@@ -66,11 +65,12 @@ def carbon_aware_heft_mapping(
     if bandwidth <= 0:
         raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
     workflow.validate()
-    ranks = upward_ranks(workflow, cluster, bandwidth=bandwidth)
-    priority: List[Hashable] = sorted(workflow.tasks(), key=lambda task: -ranks[task])
-
     processors = cluster.processors()
-    max_active_power = max(spec.total_power for spec in processors) or 1
+    durations = _duration_table(workflow, processors)
+    ranks = _ranks(workflow, durations, len(processors), bandwidth)
+
+    power = {spec.name: spec.total_power for spec in processors}
+    max_active_power = max(power.values()) or 1
     # Normalise the finish-time term by a crude serial upper bound so both
     # objective terms live on comparable scales.
     slowest = min(spec.speed for spec in processors)
@@ -78,27 +78,12 @@ def carbon_aware_heft_mapping(
         1.0, workflow.total_work() / slowest + workflow.total_data() / bandwidth
     )
 
-    assignment: Dict[Hashable, Hashable] = {}
-    start_times: Dict[Hashable, int] = {}
-    finish_times: Dict[Hashable, int] = {}
-    busy: Dict[Hashable, List[Tuple[int, int, Hashable]]] = {p.name: [] for p in processors}
-
-    for task in priority:
-        work = workflow.work(task)
+    schedule = _ListSchedule(workflow, processors, bandwidth)
+    for task in schedule.priority(ranks):
         best_score: Optional[float] = None
         best: Optional[Tuple[int, int, Hashable]] = None
-        for proc in processors:
-            duration = proc.execution_time(work)
-            ready = 0
-            for predecessor in workflow.predecessors(task):
-                comm = 0
-                if assignment[predecessor] != proc.name:
-                    volume = workflow.data(predecessor, task)
-                    comm = int(-(-volume // bandwidth)) if volume > 0 else 0
-                ready = max(ready, finish_times[predecessor] + comm)
-            start = _earliest_slot(busy[proc.name], ready, duration)
-            finish = start + duration
-            energy = duration * proc.total_power
+        for name, duration, start, finish in schedule.candidates(task, durations[task]):
+            energy = duration * power[name]
             score = (1.0 - power_weight) * (finish / horizon_scale) + power_weight * (
                 energy / (horizon_scale * max_active_power)
             )
@@ -108,24 +93,7 @@ def carbon_aware_heft_mapping(
                 best[1] if best else 0,
             ):
                 best_score = score
-                best = (finish, start, proc.name)
+                best = (finish, start, name)
         assert best is not None
-        finish, start, proc_name = best
-        assignment[task] = proc_name
-        start_times[task] = start
-        finish_times[task] = finish
-        _insert_slot(busy[proc_name], (start, finish, task))
-
-    processor_order = {
-        proc_name: [task for _, _, task in sorted(slots)]
-        for proc_name, slots in busy.items()
-        if slots
-    }
-    mapping = Mapping(workflow, cluster, assignment, processor_order=processor_order)
-    return HeftResult(
-        mapping=mapping,
-        start_times=start_times,
-        finish_times=finish_times,
-        makespan=max(finish_times.values(), default=0),
-        ranks=ranks,
-    )
+        schedule.place(task, best[2], best[1], best[0])
+    return schedule.result(cluster, ranks)

@@ -14,6 +14,9 @@ module is that implementation:
    order; each is placed on the processor minimising its earliest finish time
    (EFT), using the standard insertion policy that may fill idle gaps.
 
+Both phases read task durations from one table built per call, which
+computes each distinct ``(work, speed)`` pair once.
+
 The result is returned both as a :class:`~repro.mapping.mapping.Mapping`
 (assignment + per-processor order + per-link communication order, which is
 all CaWoSched needs) and, optionally, as the concrete HEFT schedule (start
@@ -23,10 +26,11 @@ times) for inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import Cluster
+from repro.platform_.processor import ProcessorSpec
 from repro.utils.errors import InvalidMappingError
 from repro.workflow.dag import Workflow
 
@@ -62,6 +66,29 @@ class HeftResult:
     ranks: Dict[Hashable, float]
 
 
+def _duration_table(
+    workflow: Workflow, processors: Sequence[ProcessorSpec]
+) -> Dict[Hashable, List[int]]:
+    """Return task -> running time on each of *processors*, in processor order.
+
+    Each distinct ``(work, speed)`` pair goes through
+    :meth:`~repro.platform_.processor.ProcessorSpec.execution_time` once;
+    both HEFT phases then read durations from this table.
+    """
+    known: Dict[Tuple[int, float], int] = {}
+    table: Dict[Hashable, List[int]] = {}
+    for task, work in workflow.graph.nodes(data="work"):
+        row: List[int] = []
+        for proc in processors:
+            key = (work, proc.speed)
+            duration = known.get(key)
+            if duration is None:
+                duration = known[key] = proc.execution_time(work)
+            row.append(duration)
+        table[task] = row
+    return table
+
+
 def upward_ranks(
     workflow: Workflow,
     cluster: Cluster,
@@ -78,21 +105,25 @@ def upward_ranks(
     if bandwidth <= 0:
         raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
     processors = cluster.processors()
-    num_procs = len(processors)
+    return _ranks(workflow, _duration_table(workflow, processors), len(processors), bandwidth)
+
+
+def _ranks(
+    workflow: Workflow,
+    durations: Dict[Hashable, List[int]],
+    num_procs: int,
+    bandwidth: float,
+) -> Dict[Hashable, float]:
+    """Upward ranks from a :func:`_duration_table` (bandwidth already checked)."""
     cross_probability = (num_procs - 1) / num_procs if num_procs > 1 else 0.0
-
-    avg_cost: Dict[Hashable, float] = {}
-    for task in workflow.tasks():
-        work = workflow.work(task)
-        avg_cost[task] = sum(p.execution_time(work) for p in processors) / num_procs
-
+    successors = workflow.graph.succ
     ranks: Dict[Hashable, float] = {}
     for task in reversed(workflow.topological_order()):
         best_successor = 0.0
-        for successor in workflow.successors(task):
-            comm = workflow.data(task, successor) / bandwidth * cross_probability
+        for successor, attrs in successors[task].items():
+            comm = int(attrs["data"]) / bandwidth * cross_probability
             best_successor = max(best_successor, comm + ranks[successor])
-        ranks[task] = avg_cost[task] + best_successor
+        ranks[task] = sum(durations[task]) / num_procs + best_successor
     return ranks
 
 
@@ -120,64 +151,106 @@ def heft_mapping(
     of each processor and places the task in the earliest gap that fits.
     """
     workflow.validate()
-    ranks = upward_ranks(workflow, cluster, bandwidth=bandwidth)
-
-    # Non-increasing rank order; stable sort keeps insertion order for ties.
-    priority: List[Hashable] = sorted(
-        workflow.tasks(), key=lambda task: -ranks[task]
-    )
-
+    if bandwidth <= 0:
+        raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
     processors = cluster.processors()
-    assignment: Dict[Hashable, Hashable] = {}
-    start_times: Dict[Hashable, int] = {}
-    finish_times: Dict[Hashable, int] = {}
-    # Occupied slots per processor, kept sorted by start time.
-    busy: Dict[Hashable, List[Tuple[int, int, Hashable]]] = {p.name: [] for p in processors}
-
-    for task in priority:
-        work = workflow.work(task)
+    durations = _duration_table(workflow, processors)
+    ranks = _ranks(workflow, durations, len(processors), bandwidth)
+    schedule = _ListSchedule(workflow, processors, bandwidth)
+    for task in schedule.priority(ranks):
         best: Optional[Tuple[int, int, Hashable]] = None  # (finish, start, processor)
-        for proc in processors:
-            duration = proc.execution_time(work)
-            ready = 0
-            for predecessor in workflow.predecessors(task):
-                if predecessor not in finish_times:
-                    # Predecessor has lower rank — allowed by HEFT only if the
-                    # rank computation failed; guard explicitly.
-                    raise InvalidMappingError(
-                        "HEFT priority order is not a topological order; "
-                        "check the workflow weights"
-                    )
-                comm = 0
-                if assignment[predecessor] != proc.name:
-                    comm_volume = workflow.data(predecessor, task)
-                    comm = int(-(-comm_volume // bandwidth)) if comm_volume > 0 else 0
-                ready = max(ready, finish_times[predecessor] + comm)
-            start = _earliest_slot(busy[proc.name], ready, duration)
-            finish = start + duration
+        for name, _, start, finish in schedule.candidates(task, durations[task]):
             if best is None or (finish, start) < (best[0], best[1]):
-                best = (finish, start, proc.name)
+                best = (finish, start, name)
         assert best is not None
-        finish, start, proc_name = best
-        assignment[task] = proc_name
-        start_times[task] = start
-        finish_times[task] = finish
-        _insert_slot(busy[proc_name], (start, finish, task))
+        schedule.place(task, best[2], best[1], best[0])
+    return schedule.result(cluster, ranks)
 
-    processor_order = {
-        proc_name: [task for _, _, task in sorted(slots)]
-        for proc_name, slots in busy.items()
-        if slots
-    }
-    mapping = Mapping(workflow, cluster, assignment, processor_order=processor_order)
-    makespan = max(finish_times.values(), default=0)
-    return HeftResult(
-        mapping=mapping,
-        start_times=start_times,
-        finish_times=finish_times,
-        makespan=makespan,
-        ranks=ranks,
-    )
+
+# --------------------------------------------------------------------------- #
+# Processor-selection phase
+# --------------------------------------------------------------------------- #
+class _ListSchedule:
+    """The partial schedule of the processor-selection phase.
+
+    Shared by :func:`heft_mapping` and the carbon-aware variant, which differ
+    only in how they pick one of the :meth:`candidates`.
+    """
+
+    def __init__(
+        self, workflow: Workflow, processors: Sequence[ProcessorSpec], bandwidth: float
+    ) -> None:
+        self.workflow = workflow
+        self.names = [proc.name for proc in processors]
+        self.bandwidth = bandwidth
+        self.assignment: Dict[Hashable, Hashable] = {}
+        self.start_times: Dict[Hashable, int] = {}
+        self.finish_times: Dict[Hashable, int] = {}
+        # Occupied slots per processor, kept sorted by start time.
+        self.busy: Dict[Hashable, List[Tuple[int, int, Hashable]]] = {
+            name: [] for name in self.names
+        }
+
+    def priority(self, ranks: Dict[Hashable, float]) -> List[Hashable]:
+        """Non-increasing rank order; the stable sort keeps insertion order for ties."""
+        return sorted(self.workflow.tasks(), key=lambda task: -ranks[task])
+
+    def candidates(
+        self, task: Hashable, durations: List[int]
+    ) -> Iterator[Tuple[Hashable, int, int, int]]:
+        """Yield ``(processor, duration, start, finish)`` of *task* per processor.
+
+        *durations* is the task's :func:`_duration_table` row.  Each incoming
+        edge is read once: a predecessor's data arrives at its finish time on
+        its own processor and ``ceil(data / bandwidth)`` later elsewhere.
+        """
+        incoming = []
+        for predecessor, attrs in self.workflow.graph.pred[task].items():
+            if predecessor not in self.finish_times:
+                # Predecessor has lower rank — allowed by HEFT only if the
+                # rank computation failed; guard explicitly.
+                raise InvalidMappingError(
+                    "HEFT priority order is not a topological order; "
+                    "check the workflow weights"
+                )
+            volume = attrs["data"]
+            comm = int(-(-volume // self.bandwidth)) if volume > 0 else 0
+            incoming.append(
+                (self.assignment[predecessor], self.finish_times[predecessor], comm)
+            )
+        for name, duration in zip(self.names, durations):
+            ready = 0
+            for pred_proc, pred_finish, comm in incoming:
+                arrival = pred_finish if pred_proc == name else pred_finish + comm
+                if arrival > ready:
+                    ready = arrival
+            start = _earliest_slot(self.busy[name], ready, duration)
+            yield name, duration, start, start + duration
+
+    def place(self, task: Hashable, name: Hashable, start: int, finish: int) -> None:
+        """Commit *task* to processor *name* over ``[start, finish)``."""
+        self.assignment[task] = name
+        self.start_times[task] = start
+        self.finish_times[task] = finish
+        _insert_slot(self.busy[name], (start, finish, task))
+
+    def result(self, cluster: Cluster, ranks: Dict[Hashable, float]) -> HeftResult:
+        """Return the validated mapping and the schedule as a :class:`HeftResult`."""
+        processor_order = {
+            name: [task for _, _, task in sorted(slots)]
+            for name, slots in self.busy.items()
+            if slots
+        }
+        mapping = Mapping(
+            self.workflow, cluster, self.assignment, processor_order=processor_order
+        )
+        return HeftResult(
+            mapping=mapping,
+            start_times=self.start_times,
+            finish_times=self.finish_times,
+            makespan=max(self.finish_times.values(), default=0),
+            ranks=ranks,
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -63,29 +63,55 @@ class CarbonSignal:
         high = max(trace.intensities)
         self._low = float(low)
         self._spread = float(high - low) or 1.0
+        # A budget depends only on the trace sample a time unit falls in.
+        self._budgets: List[int] = [
+            int(
+                round(
+                    self.idle_power
+                    + self._fraction(float(intensity)) * self.green_cap * self.work_power
+                )
+            )
+            for intensity in trace.intensities
+        ]
 
     # ------------------------------------------------------------------ #
+    def _fraction(self, intensity: float) -> float:
+        return 1.0 - (intensity - self._low) / self._spread
+
     def green_fraction(self, time: int) -> float:
         """Return the normalised greenness of time unit *time* (1 = cleanest)."""
-        intensity = self.trace.intensity_at(int(time))
-        return 1.0 - (intensity - self._low) / self._spread
+        return self._fraction(self.trace.intensity_at(int(time)))
 
     def budget_at(self, time: int) -> int:
         """Return the true green budget of absolute time unit *time*."""
-        fraction = self.green_fraction(time)
-        return int(round(self.idle_power + fraction * self.green_cap * self.work_power))
+        time = check_non_negative_int(int(time), "time")
+        return self._budgets[(time // self.trace.sample_duration) % len(self._budgets)]
 
     def window(self, begin: int, length: int) -> PowerProfile:
         """Return the true power profile over ``[begin, begin + length)``.
 
         The returned profile is *relative*: its horizon starts at 0 and spans
         *length* time units, matching how schedules are planned (the engine
-        shifts start times back to absolute time when executing).
+        shifts start times back to absolute time when executing).  Its
+        intervals are the maximal runs of equal budgets, cut sample by sample.
         """
         begin = check_non_negative_int(begin, "begin")
         length = check_positive_int(length, "length")
-        budgets: List[int] = [self.budget_at(begin + offset) for offset in range(length)]
-        return PowerProfile.from_time_unit_budgets(budgets)
+        sample_duration = self.trace.sample_duration
+        lengths: List[int] = []
+        budgets: List[int] = []
+        time, end = begin, begin + length
+        while time < end:
+            sample = time // sample_duration
+            run_end = min((sample + 1) * sample_duration, end)
+            budget = self._budgets[sample % len(self._budgets)]
+            if budgets and budgets[-1] == budget:
+                lengths[-1] += run_end - time
+            else:
+                lengths.append(run_end - time)
+                budgets.append(budget)
+            time = run_end
+        return PowerProfile(lengths, budgets)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -120,7 +120,9 @@ class Workflow:
         except (TypeError, ValueError) as exc:
             raise InvalidWorkflowError(str(exc)) from exc
         # Reject edges that would close a cycle *before* mutating the graph.
-        if nx.has_path(self._graph, target, source):
+        # No path can leave a target without successors, so generators that
+        # wire edges into fresh tasks skip the search.
+        if self._graph.succ[target] and nx.has_path(self._graph, target, source):
             raise CyclicWorkflowError(
                 f"edge {source!r} -> {target!r} would create a cycle"
             )

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.carbon.traces import synthetic_daily_trace
+from repro.carbon.intervals import PowerProfile
+from repro.carbon.traces import CarbonIntensityTrace, synthetic_daily_trace
 from repro.sim.forecast import (
     FORECAST_MODELS,
     MovingAverageForecast,
@@ -22,7 +25,69 @@ def signal() -> CarbonSignal:
     return CarbonSignal(trace, idle_power=100, work_power=400, green_cap=0.8)
 
 
+def reference_budget(trace: CarbonIntensityTrace, time: int, *, idle_power: int,
+                     work_power: int, green_cap: float) -> int:
+    """The budget formula written out per time unit (test-only reference)."""
+    low = min(trace.intensities)
+    spread = float(max(trace.intensities) - low) or 1.0
+    intensity = float(trace.intensities[(time // trace.sample_duration) % trace.num_samples])
+    fraction = 1.0 - (intensity - float(low)) / spread
+    return int(round(idle_power + fraction * green_cap * work_power))
+
+
+PARITY_TRACES = {
+    "solar-1": synthetic_daily_trace("solar", sample_duration=1, noise=0.0),
+    "solar-60": synthetic_daily_trace("solar", sample_duration=60, noise=0.0),
+    "wind-noisy-60": synthetic_daily_trace("wind", sample_duration=60, noise=0.2, rng=4),
+    "flat-1": CarbonIntensityTrace((300.0,) * 5, sample_duration=1, name="flat"),
+    "flat-60": CarbonIntensityTrace((300.0,) * 5, sample_duration=60, name="flat"),
+}
+POWER = {"idle_power": 37, "work_power": 413, "green_cap": 0.7}
+
+
 class TestCarbonSignal:
+    @pytest.mark.parametrize("key", sorted(PARITY_TRACES))
+    def test_budget_at_matches_reference(self, key):
+        trace = PARITY_TRACES[key]
+        signal = CarbonSignal(trace, **POWER)
+        for time in range(0, 2 * trace.duration + 7):
+            assert signal.budget_at(time) == reference_budget(trace, time, **POWER)
+
+    @pytest.mark.parametrize("key", sorted(PARITY_TRACES))
+    @given(begin=st.integers(0, 5000), length=st.integers(1, 400))
+    @settings(max_examples=40, deadline=None)
+    def test_window_matches_reference(self, key, begin, length):
+        trace = PARITY_TRACES[key]
+        signal = CarbonSignal(trace, **POWER)
+        expected = PowerProfile.from_time_unit_budgets(
+            [reference_budget(trace, t, **POWER) for t in range(begin, begin + length)]
+        )
+        assert signal.window(begin, length).to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("key", sorted(PARITY_TRACES))
+    def test_window_beyond_one_cycle(self, key):
+        trace = PARITY_TRACES[key]
+        signal = CarbonSignal(trace, **POWER)
+        begin = trace.duration + trace.sample_duration // 2 + 3
+        length = 2 * trace.duration + 11
+        expected = PowerProfile.from_time_unit_budgets(
+            [reference_budget(trace, t, **POWER) for t in range(begin, begin + length)]
+        )
+        assert signal.window(begin, length) == expected
+
+    def test_flat_trace_is_one_interval(self):
+        signal = CarbonSignal(PARITY_TRACES["flat-60"], **POWER)
+        profile = signal.window(1000, 700)
+        assert profile.num_intervals == 1
+        # Spread 0 counts as 1, so every unit is at the cleanest fraction.
+        assert profile.budget_at(0) == int(round(37 + 1.0 * 0.7 * 413))
+
+    def test_negative_times_raise(self, signal):
+        with pytest.raises(ValueError):
+            signal.budget_at(-1)
+        with pytest.raises(ValueError):
+            signal.window(-1, 5)
+
     def test_budget_bounds(self, signal):
         for t in range(0, 3000, 37):
             budget = signal.budget_at(t)

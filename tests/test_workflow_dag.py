@@ -70,6 +70,17 @@ class TestConstruction:
         with pytest.raises(CyclicWorkflowError):
             wf.add_dependency("b", "a")
 
+    def test_three_cycle_rejected(self):
+        # The closing edge's target has successors, so the path search runs.
+        wf = Workflow("w")
+        for name in "abc":
+            wf.add_task(name)
+        wf.add_dependency("a", "b")
+        wf.add_dependency("b", "c")
+        with pytest.raises(CyclicWorkflowError):
+            wf.add_dependency("c", "a")
+        assert not wf.has_dependency("c", "a")
+
     def test_negative_data_rejected(self):
         wf = Workflow("w")
         wf.add_task("a")
