@@ -4,7 +4,7 @@ The facade adds payload serialisation, canonical fingerprinting, cache
 bookkeeping and record derivation around every submission.  This benchmark
 quantifies that toll on the paper's reference workload shape — one
 ``pressWR-LS`` run on a 30-task instance — by timing a fresh
-``Job → Client → InlineBackend`` submission against a direct
+``Job → Client`` submission (inline, ``execute_job``) against a direct
 ``CaWoSched.run`` of the same work, and asserts the facade stays within 10%
 of the direct path.
 
@@ -87,7 +87,7 @@ def test_facade_overhead(benchmark, output_dir):
         ["median overhead", f"{overhead * 100.0:+.2f}%"],
     ]
     text = format_table(rows, ["quantity", "value"])
-    print("\nFacade overhead (Job + InlineBackend vs CaWoSched.run)\n" + text)
+    print("\nFacade overhead (Job + Client vs CaWoSched.run)\n" + text)
     write_figure_output(output_dir, "api_overhead", text)
 
     assert overhead < MAX_OVERHEAD, (

@@ -106,22 +106,14 @@ from repro.io import (
     save_records,
 )
 from repro.api import (
-    AlgorithmCapabilities,
-    AlgorithmRegistry,
     ApiError,
     BackendFailure,
     Client,
-    DEFAULT_REGISTRY,
-    ExecutionBackend,
-    InlineBackend,
     InvalidJob,
     Job,
     JobResult,
-    ProcessBackend,
     ResultCache,
-    ThreadBackend,
     UnknownVariant,
-    make_backend,
     parallel_map,
 )
 from repro.sim import (
@@ -206,21 +198,13 @@ __all__ = [
     "save_instance",
     "save_records",
     # api (the typed client facade)
-    "AlgorithmCapabilities",
-    "AlgorithmRegistry",
     "ApiError",
     "BackendFailure",
     "Client",
-    "DEFAULT_REGISTRY",
-    "ExecutionBackend",
-    "InlineBackend",
     "InvalidJob",
     "Job",
     "JobResult",
-    "ProcessBackend",
-    "ThreadBackend",
     "UnknownVariant",
-    "make_backend",
     "ResultCache",
     "parallel_map",
     # sim (online simulation)

@@ -5,14 +5,15 @@ One stable, versioned surface through which *all* work enters the system:
 * :class:`~repro.api.jobs.Job` / :class:`~repro.api.jobs.JobResult` — the
   typed unit of work (instance-or-spec + variants + scheduler config +
   priority/tags) with the canonical content fingerprint every path shares;
-* :class:`~repro.api.registry.AlgorithmRegistry` — named algorithm
-  variants with capability metadata and third-party registration;
-* :class:`~repro.api.backends.ExecutionBackend` — pluggable execution
-  (:class:`~repro.api.backends.InlineBackend`,
-  :class:`~repro.api.backends.ThreadBackend`,
-  :class:`~repro.api.backends.ProcessBackend`);
-* :class:`~repro.api.client.Client` — caching, deduplicating submission
-  over a backend;
+  :meth:`Job.validate <repro.api.jobs.Job.validate>` checks its variant
+  names against the paper's variant table
+  (:data:`~repro.core.variants.ALL_VARIANTS`);
+* :func:`~repro.api.execute.execute_job` — the one execution path: every
+  job's variants run through :meth:`CaWoSched.run
+  <repro.core.scheduler.CaWoSched.run>`, in-process or, via
+  :func:`~repro.api.execute.parallel_map`, in a worker process;
+* :class:`~repro.api.client.Client` — caching, deduplicating submission;
+  ``Client(jobs=N)`` fans fresh jobs out over *N* worker processes;
 * the structured error taxonomy of :mod:`repro.api.errors`.
 
 The grid runner (``run_grid``), the online simulator and every CLI
@@ -27,25 +28,8 @@ from repro.api.errors import (
     error_payload,
 )
 from repro.api.cache import ResultCache
-from repro.api.registry import (
-    DEFAULT_REGISTRY,
-    AlgorithmCapabilities,
-    AlgorithmRegistry,
-    RegisteredAlgorithm,
-)
 from repro.api.jobs import Job, JobResult, job_fingerprint
-from repro.api.execute import execute_job, record_for
-from repro.api.backends import (
-    BACKEND_EXECUTORS,
-    EXECUTORS,
-    BackendOutcome,
-    ExecutionBackend,
-    InlineBackend,
-    ProcessBackend,
-    ThreadBackend,
-    make_backend,
-    parallel_map,
-)
+from repro.api.execute import execute_job, parallel_map, record_for
 from repro.api.client import Client
 
 __all__ = [
@@ -55,29 +39,16 @@ __all__ = [
     "InvalidJob",
     "UnknownVariant",
     "error_payload",
-    # pool / cache
-    "EXECUTORS",
-    "parallel_map",
+    # cache
     "ResultCache",
-    # registry
-    "DEFAULT_REGISTRY",
-    "AlgorithmCapabilities",
-    "AlgorithmRegistry",
-    "RegisteredAlgorithm",
     # jobs
     "Job",
     "JobResult",
     "job_fingerprint",
     # execution
     "execute_job",
+    "parallel_map",
     "record_for",
-    "BACKEND_EXECUTORS",
-    "BackendOutcome",
-    "ExecutionBackend",
-    "InlineBackend",
-    "ProcessBackend",
-    "ThreadBackend",
-    "make_backend",
     # client
     "Client",
 ]

@@ -2,9 +2,10 @@
 
 :class:`Client` accepts typed jobs (:class:`~repro.api.jobs.Job`),
 deduplicates them on the canonical fingerprint, serves repeats from one
-bounded LRU result cache, and executes every unique uncached job through a
-pluggable :class:`~repro.api.backends.ExecutionBackend`.  Both submission
-shapes share that one cache:
+bounded LRU result cache, and executes every unique uncached job through
+:func:`~repro.api.execute.execute_job` — in the calling process by default,
+or over a process pool with ``Client(jobs=N)``.  Both submission shapes
+share that one cache:
 
 * :meth:`Client.submit` / :meth:`Client.submit_many` — batch-style: one
   :class:`~repro.api.jobs.JobResult` per job, in request order, flagged
@@ -19,9 +20,9 @@ a batch submission of the same job (or vice versa) computes once.
 
 Errors surface through the structured taxonomy of
 :mod:`repro.api.errors`: malformed jobs raise
-:class:`~repro.api.errors.InvalidJob`, unregistered algorithm names raise
-:class:`~repro.api.errors.UnknownVariant` *before* any work is dispatched,
-and failures inside a backend are wrapped in
+:class:`~repro.api.errors.InvalidJob`, names that are not one of the
+paper's variants raise :class:`~repro.api.errors.UnknownVariant` *before*
+any work is dispatched, and failures during execution are wrapped in
 :class:`~repro.api.errors.BackendFailure` with the cause chained.
 
 Examples
@@ -39,52 +40,38 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 import repro.api.execute as execute
-from repro.api.backends import ExecutionBackend, InlineBackend
 from repro.api.cache import ResultCache
 from repro.api.errors import ApiError, BackendFailure
 from repro.api.jobs import Job, JobResult
-from repro.api.registry import DEFAULT_REGISTRY, AlgorithmRegistry
 from repro.core.scheduler import CaWoSched, ScheduleResult
+from repro.experiments.runner import RunRecord
 from repro.schedule.instance import ProblemInstance
 
 __all__ = ["Client"]
 
 
 class Client:
-    """Typed submission facade with caching, dedupe and pluggable execution.
+    """Typed submission facade with caching, dedupe and optional pooling.
 
     Parameters
     ----------
-    backend:
-        Where unique uncached jobs run; defaults to an
-        :class:`~repro.api.backends.InlineBackend`.
+    jobs:
+        Number of worker processes fresh jobs run on.  ``1`` (the default)
+        runs them in the calling process, reusing live instances and
+        keeping the full :class:`~repro.core.scheduler.ScheduleResult`
+        objects.  ``N > 1`` ships each job as wire data to a pool of *N*
+        processes and keeps flat records only.
     cache_size:
         Bound of the LRU result cache (entries, keyed by job fingerprint).
         Entries computed in-process retain the full per-variant
         :class:`~repro.core.scheduler.ScheduleResult` objects (schedules
         and their instances) so the ``solve`` path can share them — for
         large instances, size the bound accordingly.
-    registry:
-        Algorithm registry jobs are validated against (and, for in-process
-        backends, dispatched through); defaults to
-        :data:`~repro.api.registry.DEFAULT_REGISTRY`.
     """
 
-    def __init__(
-        self,
-        *,
-        backend: Optional[ExecutionBackend] = None,
-        cache_size: int = 128,
-        registry: Optional[AlgorithmRegistry] = None,
-    ) -> None:
-        self._registry = registry or DEFAULT_REGISTRY
-        self._backend = backend if backend is not None else InlineBackend(registry=registry)
-        if registry is not None:
-            # Hand the registry to a user-supplied in-process backend that
-            # has none, so algorithms the client validates also execute.
-            binder = getattr(self._backend, "bind_registry", None)
-            if binder is not None:
-                binder(registry)
+    def __init__(self, *, jobs: int = 1, cache_size: int = 128) -> None:
+        self._jobs = int(jobs)
+        self._backend = "inline" if self._jobs <= 1 else "process"
         self._cache: ResultCache[JobResult] = ResultCache(cache_size)
         self._submitted = 0
         self._computed = 0
@@ -92,16 +79,6 @@ class Client:
         self._solve_hits = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def backend(self) -> ExecutionBackend:
-        """The execution backend fresh jobs run on."""
-        return self._backend
-
-    @property
-    def registry(self) -> AlgorithmRegistry:
-        """The algorithm registry jobs are validated against."""
-        return self._registry
-
     @property
     def cache(self) -> ResultCache:
         """The unified result cache shared by every submission path."""
@@ -118,23 +95,17 @@ class Client:
         return self._solved
 
     def stats(self) -> Dict[str, object]:
-        """Return client statistics (counters plus cache and backend state)."""
+        """Return client statistics (counters, cache state, backend name)."""
         return {
             "submitted": self._submitted,
             "computed": self._computed,
             "solved": self._solved,
             "solve_hits": self._solve_hits,
             **self._cache.stats(),
-            "backend": self._backend.stats(),
+            "backend": self._backend,
         }
 
     # ------------------------------------------------------------------ #
-    def _validate(self, job: Job) -> None:
-        """Reject malformed jobs and unknown variant names before dispatch."""
-        job.validate()
-        for name in job.variants:
-            self._registry.get(name)
-
     @staticmethod
     def _relabelled(result: JobResult, job: Job) -> JobResult:
         """Re-stamp cached records with the requesting job's instance labels.
@@ -143,19 +114,18 @@ class Client:
         so a cache entry may have been computed for a differently-labelled
         twin of *job*'s instance.  The schedule content is identical, but
         records denormalise the labels — restore the requester's, exactly
-        as a fresh run of this job would have produced them.
+        as a fresh run of this job would have produced them.  Spec jobs
+        take them from the instance their fingerprint materialised.
         """
-        payload = job.payload
-        if payload is None or not result.records:
+        if not result.records:
             return result
-        meta = dict(payload.get("metadata", {}))
-        labels = {
-            "instance": str(payload.get("name", "instance")),
-            "family": str(meta.get("family", meta.get("workflow", ""))),
-            "cluster": str(meta.get("cluster", "")),
-            "scenario": str(meta.get("scenario", "")),
-            "deadline_factor": float(meta.get("deadline_factor", 0.0)),
-        }
+        if job.payload is not None:
+            labels = execute.record_labels(
+                job.payload.get("name", "instance"), job.payload.get("metadata", {})
+            )
+        else:
+            instance = job.instance()
+            labels = execute.record_labels(instance.name, instance.metadata)
         if all(
             getattr(record, field) == value
             for record in result.records
@@ -168,27 +138,34 @@ class Client:
         return dataclasses.replace(result, records=records)
 
     def _execute_fresh(self, jobs: Sequence[Job]) -> List[JobResult]:
-        """Run *jobs* on the backend, wrapping failures uniformly."""
+        """Run *jobs* inline or over the pool, wrapping failures uniformly."""
         try:
-            for job in jobs:
-                self._backend.submit(job)
-            outcomes = self._backend.gather()
+            if self._jobs <= 1:
+                outcomes = [execute.execute_job(job) for job in jobs]
+            else:
+                rows = execute.parallel_map(
+                    execute.execute_job_payload,
+                    [job.to_dict() for job in jobs],
+                    jobs=self._jobs,
+                )
+                outcomes = [
+                    (None, tuple(RunRecord.from_dict(entry) for entry in row))
+                    for row in rows
+                ]
         except ApiError:
             raise
         except Exception as exc:
-            raise BackendFailure(
-                f"backend {self._backend.name!r} failed: {exc}"
-            ) from exc
+            raise BackendFailure(f"backend {self._backend!r} failed: {exc}") from exc
         return [
             JobResult(
                 fingerprint=job.fingerprint,
                 variants=job.variants,
-                records=outcome.records,
+                records=records,
                 cached=False,
-                backend=self._backend.name,
-                results=outcome.results,
+                backend=self._backend,
+                results=results,
             )
-            for job, outcome in zip(jobs, outcomes)
+            for job, (results, records) in zip(jobs, outcomes)
         ]
 
     def submit(self, job: Job) -> JobResult:
@@ -205,7 +182,7 @@ class Client:
         """
         jobs = list(jobs)
         for job in jobs:
-            self._validate(job)
+            job.validate()
         self._submitted += len(jobs)
         fingerprints = [job.fingerprint for job in jobs]
 
@@ -255,19 +232,19 @@ class Client:
         job submitted either way computes once), but always executes
         in-process so the returned :class:`ScheduleResult` references the
         *live* instance and includes the schedule.  A cached entry that
-        carries flat records only (computed by a process backend) is
+        carries flat records only (computed by the process pool) is
         upgraded in place.
         """
         scheduler = scheduler or CaWoSched()
         job = Job.from_instance(instance, variants=(variant,), scheduler=scheduler)
-        self._validate(job)
+        job.validate()
         fingerprint = job.fingerprint
         entry = self._cache.get(fingerprint)
         if entry is not None and entry.results is not None:
             self._solve_hits += 1
             return entry.results[0]
         try:
-            results, records = execute.execute_job(job, registry=self._registry)
+            results, records = execute.execute_job(job)
         except ApiError:
             raise
         except Exception as exc:

@@ -12,7 +12,10 @@ exception            code                exit code
 :class:`BackendFailure`  ``backend-failure``  4
 ===================  ==================  =========
 
-All three derive from :class:`ApiError` (itself a
+:class:`UnknownVariant` names a variant outside the paper's variant table
+(:data:`~repro.core.variants.ALL_VARIANTS`); :class:`BackendFailure` wraps
+any failure while a job runs, whether in-process or in a worker of
+``Client(jobs=N)``.  All three derive from :class:`ApiError` (itself a
 :class:`~repro.utils.errors.CaWoSchedError`), so existing ``except
 CaWoSchedError`` guards keep working.  :func:`error_payload` renders any
 exception into the plain-data body of a wire-format ``"error"`` document
@@ -57,18 +60,24 @@ class InvalidJob(ApiError):
 
 
 class UnknownVariant(ApiError):
-    """A job names an algorithm variant the registry does not know."""
+    """A job names an algorithm variant that is not one of the paper's seventeen.
+
+    The known names are those of :data:`~repro.core.variants.ALL_VARIANTS`
+    (see :func:`repro.api.jobs.check_variant`).
+    """
 
     code = "unknown-variant"
     exit_code = 3
 
 
 class BackendFailure(ApiError):
-    """An execution backend failed to produce results for a job.
+    """A job failed while it ran, in-process (``"inline"``) or in a worker
+    process (``"process"``).
 
     Wraps the underlying cause (malformed instance payload discovered at
     execution time, a worker crash, an infeasible schedule, ...); the
-    original exception is chained as ``__cause__``.
+    message reads ``backend '<name>' failed: ...`` and the original
+    exception is chained as ``__cause__``.
     """
 
     code = "backend-failure"

@@ -1,80 +1,109 @@
-"""In-process job execution shared by every backend.
+"""Job execution: the one place where a job turns into schedules.
 
-:func:`execute_job` is the single place where a :class:`~repro.api.jobs.Job`
-turns into schedules: it materialises the instance, rebuilds the scheduler
-from the job's configuration, dispatches every variant through an
-:class:`~repro.api.registry.AlgorithmRegistry`, and derives the flat
-:class:`~repro.experiments.runner.RunRecord` rows — one per variant, in job
-order.
+:func:`execute_job` materialises a :class:`~repro.api.jobs.Job`'s instance,
+rebuilds the scheduler from the job's configuration, runs every variant
+through :meth:`CaWoSched.run <repro.core.scheduler.CaWoSched.run>` and
+derives the flat :class:`~repro.experiments.runner.RunRecord` rows — one per
+variant, in job order.
 
-:func:`execute_job_payload` is the module-level worker function of the
-process backend: it receives a job as plain wire data and returns record
-dictionaries, so only JSON-shaped data crosses the process boundary.
+:func:`execute_job_payload` is the worker function of the process pool: it
+receives a job as plain wire data and returns record dictionaries, so only
+JSON-shaped data crosses the process boundary.  :func:`parallel_map` is
+that pool, a thin, order-preserving wrapper around
+:class:`~concurrent.futures.ProcessPoolExecutor` that the client, the grid
+runner and the simulation sweeps share.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple, TypeVar
 
 from repro.api.jobs import Job
-from repro.api.registry import DEFAULT_REGISTRY, AlgorithmRegistry
 from repro.core.scheduler import CaWoSched, ScheduleResult
 from repro.experiments.runner import RunRecord
 from repro.schedule.instance import ProblemInstance
 
-__all__ = ["record_for", "execute_job", "execute_job_payload"]
+__all__ = [
+    "record_labels",
+    "record_for",
+    "execute_job",
+    "execute_job_payload",
+    "parallel_map",
+]
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
+
+def record_labels(name: str, metadata: Mapping[str, object]) -> Dict[str, object]:
+    """Return the instance labels a :class:`RunRecord` denormalises.
+
+    *name* and *metadata* are an instance's ``name`` and ``metadata``; the
+    result holds the record fields ``instance``, ``family``, ``cluster``,
+    ``scenario`` and ``deadline_factor``.
+    """
+    return {
+        "instance": str(name),
+        "family": str(metadata.get("family", metadata.get("workflow", ""))),
+        "cluster": str(metadata.get("cluster", "")),
+        "scenario": str(metadata.get("scenario", "")),
+        "deadline_factor": float(metadata.get("deadline_factor", 0.0)),
+    }
 
 
 def record_for(instance: ProblemInstance, result: ScheduleResult) -> RunRecord:
     """Flatten one :class:`ScheduleResult` into a :class:`RunRecord`.
 
-    The instance metadata (family, cluster, scenario, deadline factor) is
-    denormalised into the record so downstream grouping never needs the
-    instance again.
+    The instance labels (see :func:`record_labels`) are denormalised into
+    the record so downstream grouping never needs the instance again.
     """
-    meta = instance.metadata
     return RunRecord(
-        instance=instance.name,
         variant=result.variant,
         carbon_cost=result.carbon_cost,
         runtime_seconds=result.runtime_seconds,
         makespan=result.makespan,
         deadline=instance.deadline,
         num_tasks=instance.num_tasks,
-        family=str(meta.get("family", meta.get("workflow", ""))),
-        cluster=str(meta.get("cluster", "")),
-        scenario=str(meta.get("scenario", "")),
-        deadline_factor=float(meta.get("deadline_factor", 0.0)),
+        **record_labels(instance.name, instance.metadata),
     )
 
 
-def execute_job(
-    job: Job, *, registry: Optional[AlgorithmRegistry] = None
-) -> Tuple[Tuple[ScheduleResult, ...], Tuple[RunRecord, ...]]:
+def execute_job(job: Job) -> Tuple[Tuple[ScheduleResult, ...], Tuple[RunRecord, ...]]:
     """Run every variant of *job* and return (full results, flat records).
 
-    Variants run in job order through the registry; built-in variants go
-    through :class:`~repro.core.scheduler.CaWoSched` unchanged.
+    Variants run in job order through :meth:`CaWoSched.run`, so results are
+    byte-identical to calling the scheduler directly.
     """
-    registry = registry or DEFAULT_REGISTRY
     instance = job.instance()
     scheduler = CaWoSched.from_config(job.scheduler)
-    results: List[ScheduleResult] = []
-    records: List[RunRecord] = []
-    for name in job.variants:
-        result = registry.run(instance, name, scheduler=scheduler)
-        results.append(result)
-        records.append(record_for(instance, result))
-    return tuple(results), tuple(records)
+    results = tuple(scheduler.run(instance, name) for name in job.variants)
+    return results, tuple(record_for(instance, result) for result in results)
 
 
 def execute_job_payload(job_data: Mapping[str, object]) -> List[Dict[str, object]]:
     """Run one job shipped as plain data and return its records as dicts.
 
     Module-level so the process pool can pickle it; input and output are
-    wire-format plain data only.  Workers dispatch through their own
-    process's :data:`DEFAULT_REGISTRY`.
+    wire-format plain data only.
     """
-    job = Job.from_dict(job_data)
-    _, records = execute_job(job)
+    _, records = execute_job(Job.from_dict(job_data))
     return [record.to_dict() for record in records]
+
+
+def parallel_map(
+    fn: Callable[[_Item], _Result], items: Iterable[_Item], *, jobs: int
+) -> List[_Result]:
+    """Apply *fn* to every item, over a process pool when *jobs* > 1.
+
+    *fn* must be picklable (module-level); everything it receives and
+    returns crosses the process boundary as pickled plain data.  ``jobs <=
+    1`` (or fewer than two items) runs inline in the calling process
+    without creating a pool.  Results come back in input order, regardless
+    of completion order.
+    """
+    items = list(items)
+    if int(jobs) <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=min(int(jobs), len(items))) as pool:
+        return list(pool.map(fn, items))

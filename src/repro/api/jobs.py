@@ -19,7 +19,7 @@ part of the fingerprint.
 
 A :class:`JobResult` pairs the fingerprint with the produced records (one
 flat :class:`~repro.experiments.runner.RunRecord` per variant) and — when
-the executing backend runs in-process — the full
+the job ran in the client's own process — the full
 :class:`~repro.core.scheduler.ScheduleResult` objects including the
 schedules themselves.
 """
@@ -31,14 +31,20 @@ import weakref
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.api.errors import BackendFailure, InvalidJob
+from repro.api.errors import BackendFailure, InvalidJob, UnknownVariant
 from repro.core.scheduler import CaWoSched, ScheduleResult
-from repro.core.variants import variant_names
+from repro.core.variants import ALL_VARIANTS, variant_names
 from repro.experiments.runner import RunRecord
 from repro.io.wire import canonical_json, instance_from_dict, instance_to_dict
 from repro.schedule.instance import ProblemInstance
 
-__all__ = ["Job", "JobResult", "job_fingerprint", "shared_instance_payload"]
+__all__ = [
+    "Job",
+    "JobResult",
+    "check_variant",
+    "job_fingerprint",
+    "shared_instance_payload",
+]
 
 #: Keys of a normalised grid-cell spec (see :class:`repro.experiments.instances.InstanceSpec`).
 _SPEC_KEYS = ("family", "tasks", "cluster", "scenario", "deadline_factor", "seed")
@@ -110,6 +116,17 @@ def job_fingerprint(
         "scheduler": dict(scheduler or {}),
     }
     return hashlib.sha256(canonical_json(body).encode("utf8")).hexdigest()
+
+
+def check_variant(name: str) -> None:
+    """Raise :class:`UnknownVariant` unless *name* is one of the paper's variants.
+
+    The known names are the seventeen of
+    :data:`~repro.core.variants.ALL_VARIANTS` (ASAP + 8 greedy + 8 ``-LS``).
+    """
+    if name not in ALL_VARIANTS:
+        known = ", ".join(sorted(ALL_VARIANTS))
+        raise UnknownVariant(f"unknown algorithm variant {name!r}; known: {known}")
 
 
 def _normalise_spec(spec_data: Mapping[str, object]) -> Dict[str, object]:
@@ -312,13 +329,16 @@ class Job:
 
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        """Check the job's own structure (not the variant names).
+        """Check the job's structure, then its variant names.
 
         Raises
         ------
         InvalidJob
             If the job names neither (or both of) a payload and a spec, or
             the variant list is empty.
+        UnknownVariant
+            If a variant is not one of the paper's variants (see
+            :func:`check_variant`).
         """
         if (self.payload is None) == (self.spec is None):
             raise InvalidJob(
@@ -326,6 +346,8 @@ class Job:
             )
         if not self.variants:
             raise InvalidJob("a job needs at least one algorithm variant")
+        for name in self.variants:
+            check_variant(name)
 
     def instance(self) -> ProblemInstance:
         """Return the job's problem instance, materialising it if needed.
@@ -430,11 +452,12 @@ class JobResult:
         Whether the records were served from the result cache rather than
         computed for this submission.
     backend:
-        Name of the backend that computed the entry.
+        Where the entry was computed: ``"inline"`` (the client's own
+        process) or ``"process"`` (a worker pool).
     results:
         The full per-variant :class:`ScheduleResult` objects (including the
-        schedules), when the computing backend ran in-process; ``None``
-        when only flat records crossed a process boundary.  Not part of
+        schedules), when the entry was computed inline; ``None`` when only
+        flat records crossed a process boundary.  Not part of
         equality or the serialised form.
     """
 
@@ -452,14 +475,13 @@ class JobResult:
         """Return the full :class:`ScheduleResult` for *variant*.
 
         Defaults to the job's only variant.  Raises
-        :class:`BackendFailure` when the computing backend did not retain
-        full results (e.g. the process pool, which ships flat records
-        only).
+        :class:`BackendFailure` when the entry came from the process pool,
+        which ships flat records only.
         """
         if self.results is None:
             raise BackendFailure(
                 f"backend {self.backend!r} returned flat records only; "
-                "use an in-process backend for full schedule results"
+                "submit through Client(jobs=1) for full schedule results"
             )
         if variant is None:
             if len(self.variants) != 1:

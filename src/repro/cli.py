@@ -16,16 +16,18 @@ Python:
 * ``simulate`` — run the online discrete-event simulator (workflow arrivals,
   carbon forecasts, scheduling policies) and print the online metrics;
   ``--out`` writes the full report as wire-format JSON;
-* ``variants`` — list the registered algorithm variants (``--json`` for a
-  machine-readable listing with the registry's capability metadata).
+* ``variants`` — list the paper's algorithm variants (``--json`` for a
+  machine-readable listing with each variant's phases, score and cost
+  model).
 
 Every subcommand routes its scheduling work through the typed client
 facade (:mod:`repro.api`): jobs are validated up front, results are served
 through one canonical fingerprint cache, and failures surface with the
 facade's structured exit codes — ``2`` for a malformed job
 (:class:`~repro.api.errors.InvalidJob`), ``3`` for an unknown algorithm
-variant (:class:`~repro.api.errors.UnknownVariant`), ``4`` for an
-execution-backend failure (:class:`~repro.api.errors.BackendFailure`).
+variant (:class:`~repro.api.errors.UnknownVariant`), ``4`` for a job
+that fails while it runs, in-process or in a ``--jobs`` worker
+(:class:`~repro.api.errors.BackendFailure`).
 Argument and input-file problems keep argparse's conventional exit code 2.
 
 Invoke via ``python -m repro ...``::
@@ -50,10 +52,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.api import ApiError, Client, Job, make_backend
-from repro.api.registry import DEFAULT_REGISTRY
+from repro.api import ApiError, Client, Job
 from repro.core.scheduler import CaWoSched
-from repro.core.variants import variant_names
+from repro.core.variants import ALL_VARIANTS, VariantSpec, variant_names
 from repro.experiments.instances import (
     DEFAULT_DEADLINE_FACTORS,
     DEFAULT_SCENARIOS,
@@ -338,9 +339,7 @@ def _run_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     if args.cache_size <= 0:
         parser.error(f"--cache-size must be positive, got {args.cache_size}")
-    client = Client(
-        backend=make_backend("process", args.jobs), cache_size=args.cache_size
-    )
+    client = Client(jobs=args.jobs, cache_size=args.cache_size)
     # Facade errors (unknown variants, backend failures) propagate to
     # main(), which maps them onto the structured exit codes.
     results = client.submit_many(jobs)
@@ -456,11 +455,34 @@ def _run_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return 0
 
 
+def _describe_variant(spec: VariantSpec) -> dict:
+    """Return one ``variants --json`` entry for *spec*."""
+    if spec.is_baseline:
+        phases = ["baseline"]
+    elif spec.local_search:
+        phases = ["greedy", "local-search"]
+    else:
+        phases = ["greedy"]
+    return {
+        "name": spec.name,
+        "score": spec.base,
+        "weighted": spec.weighted,
+        "refined": spec.refined,
+        "local_search": spec.local_search,
+        "baseline": spec.is_baseline,
+        "phases": phases,
+        "supports_deadline": not spec.is_baseline,
+        "cost_model": "makespan" if spec.is_baseline else "carbon",
+        "builtin": True,
+    }
+
+
 def _list_variants(args: argparse.Namespace) -> int:
     if args.json:
-        print(json.dumps(DEFAULT_REGISTRY.describe(), indent=2))
+        listing = [_describe_variant(ALL_VARIANTS[name]) for name in variant_names()]
+        print(json.dumps(listing, indent=2))
         return 0
-    for name in DEFAULT_REGISTRY.names():
+    for name in variant_names():
         print(name)
     return 0
 
@@ -470,7 +492,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Facade errors map onto the structured exit codes of
     :mod:`repro.api.errors`: 2 = invalid job, 3 = unknown algorithm
-    variant, 4 = execution-backend failure.
+    variant, 4 = a job failed while it ran.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -9,8 +9,8 @@ keeps the figure generators independent from how the runs were produced.
 
 :func:`run_grid` runs through the :mod:`repro.api` facade: sequentially it
 executes one :class:`~repro.api.jobs.Job` per grid cell in-process, and
-with ``jobs=N`` it submits one spec-defined job per cell to a pooled
-execution backend.  Each cell derives its random streams from the master
+with ``jobs=N`` it ships one spec-defined job per cell to a pool of worker
+processes.  Each cell derives its random streams from the master
 seed and its own coordinates only, so the parallel path produces exactly
 the same records as the sequential one, up to wall-clock timings, in the
 same order.
@@ -103,7 +103,6 @@ def run_grid(
     master_seed: RNGLike = None,
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
-    executor: str = "process",
 ) -> List[RunRecord]:
     """Run *variants* on every instance of the grid.
 
@@ -125,15 +124,11 @@ def run_grid(
     jobs:
         Number of parallel workers.  ``1`` (the default) runs sequentially in
         this process; ``N > 1`` fans one spec-defined job per cell out over
-        an execution backend and produces identical records in the identical
-        order (cells derive their randomness from the master seed and their
-        own coordinates only).
-    executor:
-        Worker pool flavour for ``jobs > 1``: ``"process"`` (default) or
-        ``"thread"``.
+        a pool of worker processes and produces identical records in the
+        identical order (cells derive their randomness from the master seed
+        and their own coordinates only).
     """
-    from repro.api.backends import make_backend
-    from repro.api.execute import execute_job
+    from repro.api.execute import execute_job, execute_job_payload, parallel_map
     from repro.api.jobs import Job
 
     scheduler = scheduler or CaWoSched()
@@ -145,18 +140,19 @@ def run_grid(
                 "run_grid(jobs>1) needs an integer (or None) master_seed; a live "
                 "generator would make results depend on evaluation order"
             )
-        backend = make_backend(executor, jobs)
-        for spec in specs:
-            backend.submit(
-                Job.from_spec(
-                    spec, variants=variants, scheduler=scheduler, master_seed=master_seed
-                )
-            )
+        payloads = [
+            Job.from_spec(
+                spec, variants=variants, scheduler=scheduler, master_seed=master_seed
+            ).to_dict()
+            for spec in specs
+        ]
+        rows = parallel_map(execute_job_payload, payloads, jobs=jobs)
         records: List[RunRecord] = []
-        for spec, outcome in zip(specs, backend.gather()):
-            records.extend(outcome.records)
+        for spec, row in zip(specs, rows):
+            cell_records = [RunRecord.from_dict(entry) for entry in row]
+            records.extend(cell_records)
             if progress is not None:
-                elapsed = sum(r.runtime_seconds for r in outcome.records)
+                elapsed = sum(r.runtime_seconds for r in cell_records)
                 progress(f"{spec.label}: {elapsed:.2f}s")
         return records
 

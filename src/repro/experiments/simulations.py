@@ -77,7 +77,6 @@ def run_sim_grid(
     configs: Iterable["SimulationConfig"],
     *,
     jobs: int = 1,
-    executor: str = "process",
 ) -> List["SimReport"]:
     """Run every simulation of the grid, optionally over a worker pool.
 
@@ -86,18 +85,15 @@ def run_sim_grid(
     configs:
         The grid cells (see :func:`default_sim_grid`).
     jobs:
-        Number of parallel workers; ``1`` runs sequentially.  Results are
+        Number of worker processes; ``1`` runs sequentially.  Results are
         identical in either mode and come back in input order — each cell is
         a pure function of its configuration.
-    executor:
-        Worker pool flavour for ``jobs > 1``: ``"process"`` (default) or
-        ``"thread"``.
     """
-    from repro.api.backends import parallel_map
+    from repro.api.execute import parallel_map
     from repro.sim.report import SimReport
 
     payloads = [config.to_dict() for config in configs]
-    raw = parallel_map(_run_sim_cell, payloads, jobs=jobs, executor=executor)
+    raw = parallel_map(_run_sim_cell, payloads, jobs=jobs)
     return [SimReport.from_dict(entry) for entry in raw]
 
 

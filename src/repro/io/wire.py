@@ -82,10 +82,6 @@ __all__ = [
     "load_records",
     "save_sim_report",
     "load_sim_report",
-    "save_job",
-    "load_job",
-    "save_job_result",
-    "load_job_result",
 ]
 
 #: Identifier of the wire format (the envelope's ``format`` field).
@@ -385,8 +381,12 @@ _KIND_DESERIALISERS = {
 def dumps(kind: str, obj: object, *, indent: Optional[int] = 2) -> str:
     """Serialise *obj* of the given *kind* to enveloped JSON text.
 
-    Supported kinds: ``"instance"`` (a :class:`ProblemInstance`) and
-    ``"records"`` (an iterable of :class:`RunRecord`).
+    Supported kinds: ``"instance"`` (a :class:`ProblemInstance`),
+    ``"records"`` (an iterable of :class:`RunRecord`), ``"sim-report"`` (a
+    :class:`~repro.sim.report.SimReport`), ``"job"`` (a
+    :class:`~repro.api.jobs.Job`), ``"job-result"`` (a
+    :class:`~repro.api.jobs.JobResult`) and ``"error"`` (an exception,
+    rendered by :func:`error_to_dict`).
     """
     try:
         serialise = _KIND_SERIALISERS[kind]
@@ -465,23 +465,3 @@ def save_sim_report(report, path: Union[str, Path]) -> None:
 def load_sim_report(path: Union[str, Path]):
     """Read a simulation report from an enveloped JSON file."""
     return load(path, "sim-report")
-
-
-def save_job(job, path: Union[str, Path]) -> None:
-    """Write a :class:`repro.api.jobs.Job` to *path* as enveloped JSON."""
-    save("job", job, path)
-
-
-def load_job(path: Union[str, Path]):
-    """Read a :class:`repro.api.jobs.Job` from an enveloped JSON file."""
-    return load(path, "job")
-
-
-def save_job_result(result, path: Union[str, Path]) -> None:
-    """Write a :class:`repro.api.jobs.JobResult` to *path* as enveloped JSON."""
-    save("job-result", result, path)
-
-
-def load_job_result(path: Union[str, Path]):
-    """Read a :class:`repro.api.jobs.JobResult` from an enveloped JSON file."""
-    return load(path, "job-result")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.api.client import Client
-from repro.api.registry import DEFAULT_REGISTRY
+from repro.api.jobs import check_variant
 from repro.carbon.traces import SYNTHETIC_TRACE_PROFILES, synthetic_daily_trace
 from repro.core.scheduler import CaWoSched, ScheduleResult
 from repro.schedule.cost import carbon_cost
@@ -118,10 +118,8 @@ class SimulationConfig:
             raise SimulationError(f"unknown trace kind {self.trace!r}; known: {known}")
         if int(self.cache_size) <= 0:
             raise SimulationError(f"cache_size must be positive, got {self.cache_size}")
-        # Raises on unknown variant names; consulting the registry (rather
-        # than the built-in variant table) lets simulations plan with
-        # registered third-party algorithms too.
-        DEFAULT_REGISTRY.get(self.variant)
+        # Raises UnknownVariant, the client's error for the same mistake.
+        check_variant(self.variant)
         # Arrival, policy, signal and workload parameters are validated by
         # building each component once; bare range errors from the validators
         # are normalised to SimulationError so every bad configuration fails

@@ -1,4 +1,4 @@
-"""Tests for the execution backends (:mod:`repro.api.backends`)."""
+"""Tests for the client's two execution paths: inline and the process pool."""
 
 from __future__ import annotations
 
@@ -6,14 +6,8 @@ import dataclasses
 
 import pytest
 
-from repro.api import (
-    ExecutionBackend,
-    InlineBackend,
-    Job,
-    ProcessBackend,
-    ThreadBackend,
-    make_backend,
-)
+from repro.api import Client, Job, execute_job
+from repro.core.scheduler import CaWoSched
 from repro.experiments.instances import InstanceSpec, make_instance
 
 VARIANTS = ("ASAP", "pressWR-LS")
@@ -31,82 +25,41 @@ def _strip_runtimes(records):
     return [dataclasses.replace(r, runtime_seconds=0.0) for r in records]
 
 
-class TestProtocol:
-    @pytest.mark.parametrize(
-        "backend", [InlineBackend(), ThreadBackend(2), ProcessBackend(2)]
-    )
-    def test_implementations_satisfy_protocol(self, backend):
-        assert isinstance(backend, ExecutionBackend)
-
-    def test_submit_returns_tickets_and_stats_track_progress(self):
-        backend = InlineBackend()
-        jobs = _jobs()
-        assert [backend.submit(job) for job in jobs] == [0, 1]
-        assert backend.stats()["pending"] == 2
-        outcomes = backend.gather()
-        assert len(outcomes) == 2
-        stats = backend.stats()
-        assert stats["submitted"] == 2
-        assert stats["completed"] == 2
-        assert stats["pending"] == 0
-        assert stats["backend"] == "inline"
-
-    def test_gather_clears_the_queue(self):
-        backend = InlineBackend()
-        backend.submit(_jobs()[0])
-        backend.gather()
-        assert backend.gather() == []
-
-
 class TestExecutionEquivalence:
     @pytest.fixture(scope="class")
-    def inline_outcomes(self):
-        backend = InlineBackend()
-        for job in _jobs():
-            backend.submit(job)
-        return backend.gather()
+    def inline_results(self):
+        return Client().submit_many(_jobs())
 
-    @pytest.mark.parametrize("factory", [lambda: ThreadBackend(2), lambda: ProcessBackend(2)])
-    def test_pool_backends_match_inline_records(self, inline_outcomes, factory):
-        backend = factory()
-        for job in _jobs():
-            backend.submit(job)
-        outcomes = backend.gather()
-        for inline, pooled in zip(inline_outcomes, outcomes):
+    @pytest.fixture(scope="class")
+    def pooled_results(self):
+        return Client(jobs=2).submit_many(_jobs())
+
+    def test_pool_backends_match_inline_records(self, inline_results, pooled_results):
+        assert len(pooled_results) == len(inline_results) == 2
+        for inline, pooled in zip(inline_results, pooled_results):
+            assert pooled.fingerprint == inline.fingerprint
             assert _strip_runtimes(pooled.records) == _strip_runtimes(inline.records)
+        assert [r.backend for r in inline_results] == ["inline", "inline"]
+        assert [r.backend for r in pooled_results] == ["process", "process"]
 
-    def test_in_process_backends_retain_full_results(self, inline_outcomes):
-        assert inline_outcomes[0].results is not None
-        assert [r.variant for r in inline_outcomes[0].results] == list(VARIANTS)
+    def test_in_process_backends_retain_full_results(self, inline_results):
+        assert inline_results[0].results is not None
+        assert [r.variant for r in inline_results[0].results] == list(VARIANTS)
 
-    def test_process_backend_ships_records_only(self):
-        backend = ProcessBackend(2)
-        for job in _jobs():
-            backend.submit(job)
-        outcomes = backend.gather()
-        assert all(outcome.results is None for outcome in outcomes)
-        assert backend.returns_results is False
+    def test_process_backend_ships_records_only(self, pooled_results):
+        assert all(result.results is None for result in pooled_results)
+        assert [len(result.records) for result in pooled_results] == [2, 2]
 
-
-class TestMakeBackend:
-    def test_single_worker_collapses_to_inline(self):
-        assert make_backend("process", 1).name == "inline"
-        assert make_backend("thread", 0).name == "inline"
-
-    def test_pool_flavours(self):
-        assert make_backend("thread", 3).name == "thread"
-        assert make_backend("process", 3).name == "process"
-        assert make_backend("thread", 3).workers == 3
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_backend("fiber", 2)
+    def test_execute_job_matches_direct_scheduler(self):
+        instance = make_instance(InstanceSpec("bacass", 12, "small", "S1", 1.5, seed=1))
+        direct = CaWoSched().run(instance, "pressWR")
+        results, records = execute_job(Job.from_instance(instance, variants=("pressWR",)))
+        assert results[0].carbon_cost == direct.carbon_cost == records[0].carbon_cost
+        assert results[0].schedule.same_start_times(direct.schedule)
 
 
 class TestLiveInstanceReuse:
     def test_inline_reuses_live_instance(self):
         instance = make_instance(InstanceSpec("chain", 6, "single", "S4", 2.0, seed=0))
-        backend = InlineBackend()
-        backend.submit(Job.from_instance(instance, variants=("ASAP",)))
-        outcome = backend.gather()[0]
-        assert outcome.results[0].schedule.instance is instance
+        result = Client().submit(Job.from_instance(instance, variants=("ASAP",)))
+        assert result.results[0].schedule.instance is instance

@@ -8,6 +8,8 @@ smaller than the batch width.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro.api.execute as execute_module
@@ -16,9 +18,9 @@ from repro.api import (
     Client,
     InvalidJob,
     Job,
-    ProcessBackend,
     UnknownVariant,
 )
+from repro.core.scheduler import CaWoSched
 from repro.experiments.instances import InstanceSpec, make_instance
 
 VARIANTS = ("ASAP", "pressWR-LS")
@@ -77,12 +79,16 @@ class TestSubmission:
             Client().submit(job)
 
     def test_backend_failures_are_wrapped(self):
-        client = Client(cache_size=8)
+        # Both execution paths: inline (jobs=1) and the process pool.
         bogus = Job(payload={"bogus": 1}, variants=("ASAP",))
-        with pytest.raises(BackendFailure, match="missing field") as excinfo:
-            client.submit(bogus)
-        assert excinfo.value.__cause__ is not None
-        assert excinfo.value.exit_code == 4
+        other = Job(payload={"bogus": 2}, variants=("ASAP",))
+        for client, backend in ((Client(cache_size=8), "inline"),
+                                (Client(jobs=2, cache_size=8), "process")):
+            with pytest.raises(BackendFailure, match="missing field") as excinfo:
+                client.submit_many([bogus, other])
+            assert str(excinfo.value).startswith(f"backend {backend!r} failed: ")
+            assert excinfo.value.__cause__ is not None
+            assert excinfo.value.exit_code == 4
 
     def test_eviction_recompute_branch(
         self, grid_instance, other_instance, third_instance, monkeypatch
@@ -100,8 +106,6 @@ class TestSubmission:
         assert len(calls) == 4
         assert [r.cached for r in results] == [False, False, False, False]
         # The recompute re-measures wall clock; everything else is identical.
-        import dataclasses
-
         strip = lambda recs: [  # noqa: E731
             dataclasses.replace(r, runtime_seconds=0.0) for r in recs
         ]
@@ -142,9 +146,9 @@ class TestCrossPathDedupe:
         assert client.solved == 1
 
     def test_records_only_entry_upgraded_for_solve(self, grid_instance):
-        # A process backend ships flat records; a later solve of the same
+        # The process pool ships flat records; a later solve of the same
         # job recomputes once and upgrades the cache entry in place.
-        client = Client(backend=ProcessBackend(2), cache_size=8)
+        client = Client(jobs=2, cache_size=8)
         job = Job.from_instance(grid_instance, variants=("ASAP",))
         other = Job.from_instance(grid_instance, variants=("slack",))
         batched = client.submit_many([job, other])[0]
@@ -184,46 +188,47 @@ class TestLabelFidelity:
         assert responses[0].records[0].instance == grid_instance.name
         assert record.carbon_cost == responses[0].records[0].carbon_cost
 
+    def test_cached_spec_job_carries_its_own_labels(self):
+        # A spec job answered from an entry computed for a differently
+        # labelled payload twin must carry the labels of the instance the
+        # spec materialises, exactly as a fresh run of the spec would.
+        from repro.schedule.instance import ProblemInstance
+
+        spec = InstanceSpec("bacass", 12, "small", "S1", 1.5, seed=1)
+        built = make_instance(spec)
+        twin = ProblemInstance(
+            built.dag,
+            built.profile,
+            name="twin",
+            metadata={"family": "twin-family", "cluster": "twin-cluster",
+                      "scenario": "S9", "deadline_factor": 9.0},
+        )
+        client = Client(cache_size=8)
+        responses = client.submit_many([
+            Job.from_instance(twin, variants=VARIANTS),
+            Job.from_spec(spec, variants=VARIANTS),
+        ])
+        assert responses[1].cached is True  # deduped on content
+        assert responses[0].records[0].instance == "twin"
+        fresh = Client().submit(Job.from_spec(spec, variants=VARIANTS))
+        strip = lambda recs: [  # noqa: E731
+            dataclasses.replace(r, runtime_seconds=0.0) for r in recs
+        ]
+        assert strip(responses[1].records) == strip(fresh.records)
+        record = responses[1].records[0]
+        assert record.instance == "bacass-12-small-S1-d1.5"
+        assert record.scenario == "S1"
+        assert record.deadline_factor == 1.5
+
 
 class TestErrorTaxonomy:
-    def test_solve_wraps_execution_failures(self, grid_instance):
-        from repro.api import AlgorithmCapabilities, AlgorithmRegistry
-
-        def broken(instance, scheduler):
+    def test_solve_wraps_execution_failures(self, grid_instance, monkeypatch):
+        def broken(self, instance, variant):
             raise RuntimeError("boom")
 
-        registry = AlgorithmRegistry()
-        registry.register(
-            "broken",
-            broken,
-            capabilities=AlgorithmCapabilities(
-                phases=("greedy",), score=None, weighted=False, refined=False,
-                supports_deadline=True, cost_model="carbon",
-            ),
-        )
-        client = Client(registry=registry)
-        with pytest.raises(BackendFailure, match="boom"):
-            client.solve(grid_instance, "broken")
-
-    def test_explicit_backend_adopts_the_clients_registry(self, grid_instance):
-        from repro.api import AlgorithmCapabilities, AlgorithmRegistry, ThreadBackend
-        from repro.schedule.asap import asap_schedule
-
-        registry = AlgorithmRegistry()
-        registry.register(
-            "asap-twin",
-            lambda instance, scheduler: asap_schedule(instance),
-            capabilities=AlgorithmCapabilities(
-                phases=("baseline",), score=None, weighted=False, refined=False,
-                supports_deadline=False, cost_model="makespan",
-            ),
-        )
-        client = Client(backend=ThreadBackend(2), registry=registry)
-        job = Job.from_instance(grid_instance, variants=("ASAP", "asap-twin"))
-        other = Job.from_instance(grid_instance, variants=("asap-twin",))
-        results = client.submit_many([job, other])
-        costs = {r.variant: r.carbon_cost for r in results[0].records}
-        assert costs["asap-twin"] == costs["ASAP"]
+        monkeypatch.setattr(CaWoSched, "run", broken)
+        with pytest.raises(BackendFailure, match="backend 'inline' failed: boom"):
+            Client().solve(grid_instance, "ASAP")
 
 
 class TestStats:
@@ -236,5 +241,6 @@ class TestStats:
         assert stats["submitted"] == 2
         assert stats["computed"] == 1
         assert stats["solve_hits"] == 1
-        assert stats["backend"]["backend"] == "inline"
+        assert stats["backend"] == "inline"
+        assert Client(jobs=2).stats()["backend"] == "process"
         assert stats["size"] == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import InvalidJob, Job, JobResult, job_fingerprint
+from repro.api import InvalidJob, Job, JobResult, UnknownVariant, job_fingerprint
 from repro.core.scheduler import CaWoSched
 from repro.core.variants import variant_names
 from repro.experiments.instances import InstanceSpec, make_instance
@@ -60,6 +60,18 @@ class TestJobConstruction:
         job = Job(payload=instance_to_dict(grid_instance), variants=())
         with pytest.raises(InvalidJob, match="at least one"):
             job.validate()
+
+    def test_validate_rejects_unknown_variants(self, grid_instance):
+        Job.from_instance(grid_instance).validate()  # all seventeen variants
+        job = Job.from_instance(grid_instance, variants=("ASAP", "NOPE"))
+        with pytest.raises(UnknownVariant) as excinfo:
+            job.validate()
+        known = ", ".join(sorted(variant_names()))
+        assert str(excinfo.value) == f"unknown algorithm variant 'NOPE'; known: {known}"
+        assert excinfo.value.exit_code == 3
+        # The structural checks come first.
+        with pytest.raises(InvalidJob):
+            Job(variants=("NOPE",)).validate()
 
     def test_dict_round_trip(self, grid_instance):
         job = Job.from_instance(

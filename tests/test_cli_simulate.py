@@ -112,13 +112,19 @@ class TestVariantsJson:
         assert lines == variant_names()
 
     def test_json_listing_round_trips_the_registry(self, capsys):
-        # The machine-readable listing is exactly the registry's capability
-        # metadata: parsing it back yields DEFAULT_REGISTRY.describe().
-        from repro.api import DEFAULT_REGISTRY, AlgorithmCapabilities
-
+        # Every listing entry restates its VariantSpec: the legacy keys
+        # mirror the spec, and the phases/cost model follow from it.
         assert run_cli("variants", "--json") == 0
         listing = json.loads(capsys.readouterr().out)
-        assert listing == DEFAULT_REGISTRY.describe()
         for entry in listing:
-            caps = AlgorithmCapabilities.from_dict(entry)
-            assert caps == DEFAULT_REGISTRY.capabilities(entry["name"])
+            spec = ALL_VARIANTS[entry["name"]]
+            assert entry["score"] == spec.base
+            assert entry["weighted"] == spec.weighted
+            assert entry["refined"] == spec.refined
+            assert entry["local_search"] == spec.local_search
+            assert entry["baseline"] == spec.is_baseline
+            assert ("local-search" in entry["phases"]) == spec.local_search
+            assert ("baseline" in entry["phases"]) == spec.is_baseline
+            assert entry["supports_deadline"] == (not spec.is_baseline)
+            assert entry["cost_model"] == ("makespan" if spec.is_baseline else "carbon")
+            assert entry["builtin"] is True

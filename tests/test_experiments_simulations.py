@@ -50,16 +50,10 @@ class TestRunSimGrid:
         for config, report in zip(grid, reports):
             assert report.config == config.to_dict()
 
-    def test_parallel_matches_sequential(self):
-        grid = tiny_grid()
-        sequential = run_sim_grid(grid)
-        threaded = run_sim_grid(grid, jobs=2, executor="thread")
-        assert [r.to_dict() for r in sequential] == [r.to_dict() for r in threaded]
-
     def test_process_pool_matches_sequential(self):
         grid = tiny_grid()[:2]
         sequential = run_sim_grid(grid)
-        pooled = run_sim_grid(grid, jobs=2, executor="process")
+        pooled = run_sim_grid(grid, jobs=2)
         assert [r.to_dict() for r in sequential] == [r.to_dict() for r in pooled]
 
 

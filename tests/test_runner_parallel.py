@@ -37,19 +37,12 @@ class TestRunGridParallel:
     def sequential_records(self) -> List[RunRecord]:
         return run_grid(_specs(), variants=VARIANTS, master_seed=7)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_matches_sequential_byte_identical(
-        self, sequential_records, executor
-    ):
-        parallel = run_grid(
-            _specs(), variants=VARIANTS, master_seed=7, jobs=2, executor=executor
-        )
+    def test_parallel_matches_sequential_byte_identical(self, sequential_records):
+        parallel = run_grid(_specs(), variants=VARIANTS, master_seed=7, jobs=2)
         assert _canonical_bytes(parallel) == _canonical_bytes(sequential_records)
 
     def test_parallel_preserves_record_order(self, sequential_records):
-        parallel = run_grid(
-            _specs(), variants=VARIANTS, master_seed=7, jobs=3, executor="thread"
-        )
+        parallel = run_grid(_specs(), variants=VARIANTS, master_seed=7, jobs=3)
         assert [(r.instance, r.variant) for r in parallel] == [
             (r.instance, r.variant) for r in sequential_records
         ]
@@ -62,7 +55,7 @@ class TestRunGridParallel:
         messages: List[str] = []
         run_grid(
             _specs()[:2], variants=("ASAP",), master_seed=7, jobs=2,
-            executor="thread", progress=messages.append,
+            progress=messages.append,
         )
         assert len(messages) == 2
         assert messages[0].startswith("bacass-12-small-S1")
@@ -74,9 +67,3 @@ class TestRunGridParallel:
                 master_seed=np.random.default_rng(1), jobs=2,
             )
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            run_grid(
-                _specs()[:2], variants=("ASAP",), master_seed=7, jobs=2,
-                executor="fiber",
-            )

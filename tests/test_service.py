@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 import repro.api.execute as execute_module
-from repro.api import Client, InvalidJob, Job, ResultCache, make_backend, parallel_map
+from repro.api import Client, InvalidJob, Job, ResultCache, parallel_map
 from repro.experiments.instances import InstanceSpec, make_instance
 from repro.io.wire import instance_to_dict
 
@@ -73,14 +73,8 @@ class TestParallelMap:
     def test_inline_path(self):
         assert parallel_map(str, [1, 2, 3], jobs=1) == ["1", "2", "3"]
 
-    def test_thread_pool_preserves_order(self):
-        assert parallel_map(str, range(8), jobs=4, executor="thread") == [
-            str(i) for i in range(8)
-        ]
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            parallel_map(str, [1, 2], jobs=2, executor="fiber")
+    def test_process_pool_preserves_order(self):
+        assert parallel_map(str, range(8), jobs=4) == [str(i) for i in range(8)]
 
 
 class TestScheduleRequest:
@@ -221,11 +215,11 @@ class TestSchedulingService:
         assert [response.cached for response in responses] == [False, False, True, True]
         assert client.computed == 2
 
-    def test_thread_pool_matches_inline(self, grid_instance, other_instance):
+    def test_process_pool_matches_inline(self, grid_instance, other_instance):
         request_a = Job.from_instance(grid_instance, variants=VARIANTS)
         request_b = Job.from_instance(other_instance, variants=VARIANTS)
         inline = Client(cache_size=8)
-        pooled = Client(backend=make_backend("thread", 2), cache_size=8)
+        pooled = Client(jobs=2, cache_size=8)
         inline_responses = inline.submit_many([request_a, request_b])
         pooled_responses = pooled.submit_many([request_a, request_b])
         for seq, par in zip(inline_responses, pooled_responses):
@@ -235,19 +229,6 @@ class TestSchedulingService:
             ]
             assert [r.makespan for r in seq.records] == [
                 r.makespan for r in par.records
-            ]
-
-    def test_process_pool_matches_inline(self, grid_instance, other_instance):
-        request_a = Job.from_instance(grid_instance, variants=("ASAP",))
-        request_b = Job.from_instance(other_instance, variants=("ASAP",))
-        inline = Client(cache_size=8)
-        pooled = Client(backend=make_backend("process", 2), cache_size=8)
-        inline_responses = inline.submit_many([request_a, request_b])
-        pooled_responses = pooled.submit_many([request_a, request_b])
-        for seq, par in zip(inline_responses, pooled_responses):
-            assert seq.fingerprint == par.fingerprint
-            assert [r.carbon_cost for r in seq.records] == [
-                r.carbon_cost for r in par.records
             ]
 
     def test_response_to_dict(self, grid_instance):
