@@ -4,7 +4,8 @@
 rebuilds the scheduler from the job's configuration, runs every variant
 through :meth:`CaWoSched.run <repro.core.scheduler.CaWoSched.run>` and
 derives the flat :class:`~repro.experiments.runner.RunRecord` rows — one per
-variant, in job order.
+variant, in job order.  An ``-LS`` variant refines its greedy parent's
+schedule when the parent ran earlier in the same job.
 
 :func:`execute_job_payload` is the worker function of the process pool: it
 receives a job as plain wire data and returns record dictionaries, so only
@@ -21,6 +22,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Tuple, TypeVar
 
 from repro.api.jobs import Job
 from repro.core.scheduler import CaWoSched, ScheduleResult
+from repro.core.variants import get_variant
 from repro.experiments.runner import RunRecord
 from repro.schedule.instance import ProblemInstance
 
@@ -73,12 +75,24 @@ def execute_job(job: Job) -> Tuple[Tuple[ScheduleResult, ...], Tuple[RunRecord, 
     """Run every variant of *job* and return (full results, flat records).
 
     Variants run in job order through :meth:`CaWoSched.run`, so results are
-    byte-identical to calling the scheduler directly.
+    byte-identical to calling the scheduler directly.  An ``-LS`` variant
+    whose greedy parent already ran earlier in the job gets that result as
+    ``parent=`` and only adds the local search; its ``runtime_seconds`` then
+    covers the parent's greedy phase plus its own local search.
     """
     instance = job.instance()
     scheduler = CaWoSched.from_config(job.scheduler)
-    results = tuple(scheduler.run(instance, name) for name in job.variants)
-    return results, tuple(record_for(instance, result) for result in results)
+    done: Dict[str, ScheduleResult] = {}
+    results = []
+    for name in job.variants:
+        parent = done.get(get_variant(name).parent)
+        if parent is None:
+            result = scheduler.run(instance, name)
+        else:
+            result = scheduler.run(instance, name, parent=parent)
+        done[name] = result
+        results.append(result)
+    return tuple(results), tuple(record_for(instance, result) for result in results)
 
 
 def execute_job_payload(job_data: Mapping[str, object]) -> List[Dict[str, object]]:

@@ -54,6 +54,11 @@ class VariantSpec:
     local_search: bool
     is_baseline: bool = False
 
+    @property
+    def parent(self) -> Optional[str]:
+        """Name of the greedy variant an ``-LS`` variant refines, else ``None``."""
+        return self.name[: -len("-LS")] if self.local_search else None
+
 
 def _build_variants() -> Tuple[Dict[str, VariantSpec], List[str], List[str]]:
     variants: Dict[str, VariantSpec] = {}

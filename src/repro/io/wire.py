@@ -178,6 +178,7 @@ def instance_from_dict(payload: TMapping[str, object]) -> ProblemInstance:
         mapping = Mapping.from_dict(payload["mapping"])
         links = [ProcessorSpec.from_dict(entry) for entry in payload.get("links", [])]
         profile = PowerProfile.from_dict(payload["profile"])
+        metadata = dict(payload.get("metadata", {}))
     except KeyError as exc:
         raise WireFormatError(f"instance payload is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -191,7 +192,7 @@ def instance_from_dict(payload: TMapping[str, object]) -> ProblemInstance:
         dag,
         profile,
         name=str(payload.get("name", "instance")),
-        metadata=dict(payload.get("metadata", {})),
+        metadata=metadata,
     )
 
 

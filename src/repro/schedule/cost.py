@@ -33,16 +33,15 @@ def power_events(schedule: Schedule) -> List[Tuple[int, int]]:
     ``−P_work`` at its finish time.  Idle power is not part of the events (it
     is a constant baseline).
     """
+    instance = schedule.instance
+    duration = instance.dag.duration_map()
+    work_power = instance.work_power_map
     events: List[Tuple[int, int]] = []
-    dag = schedule.instance.dag
-    for node in dag.nodes():
-        start = schedule.start(node)
-        finish = start + dag.duration(node)
-        work_power = dag.processor_spec(node).p_work
-        if work_power == 0:
-            continue
-        events.append((start, work_power))
-        events.append((finish, -work_power))
+    for node, start in schedule.start_times().items():
+        power = work_power[node]
+        if power:
+            events.append((start, power))
+            events.append((start + duration[node], -power))
     events.sort()
     return events
 

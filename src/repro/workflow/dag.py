@@ -308,7 +308,15 @@ class Workflow:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "Workflow":
-        """Rebuild a workflow from :meth:`to_dict` output."""
+        """Rebuild a workflow from :meth:`to_dict` output.
+
+        Raises
+        ------
+        TypeError
+            If *data* is not a mapping.
+        """
+        if not isinstance(data, Mapping):
+            raise TypeError(f"workflow must be an object, got {type(data).__name__}")
         workflow = cls(str(data.get("name", "workflow")))
         for entry in data["tasks"]:
             workflow.add_task(

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import pytest
 
+from repro.api.execute import execute_job
+from repro.api.jobs import Job
 from repro.core.scheduler import CaWoSched
-from repro.core.variants import variant_names
+from repro.core.variants import GREEDY_VARIANTS, variant_names
+from repro.experiments.instances import InstanceSpec, make_instance
+from repro.io.wire import instance_from_dict, instance_to_dict
 from repro.schedule.cost import carbon_cost
 from repro.schedule.validation import is_feasible
 from repro.utils.errors import CaWoSchedError
@@ -64,3 +71,78 @@ class TestCaWoSched:
         a = CaWoSched(validate=True).schedule(tiny_multi_instance, "pressR")
         b = CaWoSched(validate=False).schedule(tiny_multi_instance, "pressR")
         assert a.start_times() == b.start_times()
+
+
+#: Grid cells covering two families, both clusters and two scenarios.
+SHARED_GREEDY_SPECS = (
+    InstanceSpec("bacass", 15, "small", "S1", 1.5, seed=1),
+    InstanceSpec("bacass", 15, "large", "S2", 2.0, seed=2),
+    InstanceSpec("atacseq", 20, "small", "S2", 1.5, seed=3),
+    InstanceSpec("atacseq", 20, "large", "S1", 3.0, seed=4),
+)
+
+
+def _outcome(result):
+    return result.schedule.start_times(), result.carbon_cost, result.makespan
+
+
+class TestSharedGreedyPhase:
+    """``-LS`` variants refining their parent's schedule within one job."""
+
+    @pytest.mark.parametrize("spec", SHARED_GREEDY_SPECS, ids=lambda spec: spec.label)
+    @pytest.mark.parametrize("order", ["parents_first", "reversed"])
+    def test_execute_job_matches_standalone_runs(self, spec, order):
+        instance = make_instance(spec)
+        variants = variant_names()
+        if order == "reversed":
+            # Every -LS variant precedes its parent, so nothing is shared.
+            variants = variants[::-1]
+        standalone = {name: CaWoSched().run(instance, name) for name in variants}
+        results, _ = execute_job(Job.from_instance(instance, variants=variants))
+        assert [result.variant for result in results] == variants
+        for result in results:
+            assert _outcome(result) == _outcome(standalone[result.variant])
+
+    def test_parent_schedule_unchanged_by_its_ls_twin(self):
+        instance = make_instance(SHARED_GREEDY_SPECS[0])
+        scheduler = CaWoSched()
+        for name in GREEDY_VARIANTS:
+            parent = scheduler.run(instance, name)
+            before = parent.schedule.start_times()
+            child = scheduler.run(instance, f"{name}-LS", parent=parent)
+            assert parent.schedule.start_times() == before
+            assert child.carbon_cost <= parent.carbon_cost
+
+
+class TestParentContract:
+    def test_wrong_parent_variant_rejected(self, tiny_multi_instance):
+        scheduler = CaWoSched()
+        parent = scheduler.run(tiny_multi_instance, "slack")
+        with pytest.raises(CaWoSchedError, match="refines 'press'"):
+            scheduler.run(tiny_multi_instance, "press-LS", parent=parent)
+
+    def test_parent_from_another_instance_rejected(self, tiny_multi_instance):
+        twin = instance_from_dict(instance_to_dict(tiny_multi_instance))
+        assert instance_to_dict(twin) == instance_to_dict(tiny_multi_instance)
+        scheduler = CaWoSched()
+        parent = scheduler.run(twin, "pressWR")
+        with pytest.raises(CaWoSchedError, match="another instance"):
+            scheduler.run(tiny_multi_instance, "pressWR-LS", parent=parent)
+
+    @pytest.mark.parametrize("variant", ["pressWR", "ASAP"])
+    def test_parent_for_non_ls_variant_rejected(self, tiny_multi_instance, variant):
+        scheduler = CaWoSched()
+        parent = scheduler.run(tiny_multi_instance, "pressWR")
+        with pytest.raises(CaWoSchedError, match="only accepted for -LS variants"):
+            scheduler.run(tiny_multi_instance, variant, parent=parent)
+
+    def test_runtime_adds_parent_and_own_elapsed(self, tiny_multi_instance, monkeypatch):
+        scheduler = CaWoSched()
+        parent = dataclasses.replace(
+            scheduler.run(tiny_multi_instance, "slackR"), runtime_seconds=1.5
+        )
+        ticks = itertools.count(start=10.0, step=0.25)
+        monkeypatch.setattr("repro.core.scheduler.time.perf_counter", lambda: next(ticks))
+        result = scheduler.run(tiny_multi_instance, "slackR-LS", parent=parent)
+        # One clock read before and one after the local search: 0.25 s own time.
+        assert result.runtime_seconds == parent.runtime_seconds + 0.25

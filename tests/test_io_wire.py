@@ -198,6 +198,20 @@ class TestInstanceRoundTrip:
         with pytest.raises(WireFormatError, match="malformed instance payload"):
             instance_from_dict(payload)
 
+    @pytest.mark.parametrize("workflow", [None, "x", -1, 1.5, True, []])
+    def test_non_object_workflow_rejected_as_wire_error(self, grid_instance, workflow):
+        payload = instance_to_dict(grid_instance)
+        payload["mapping"]["workflow"] = workflow
+        with pytest.raises(WireFormatError, match="malformed instance payload"):
+            instance_from_dict(payload)
+
+    @pytest.mark.parametrize("metadata", [None, "x", -1, 1.5, True])
+    def test_non_object_metadata_rejected_as_wire_error(self, grid_instance, metadata):
+        payload = instance_to_dict(grid_instance)
+        payload["metadata"] = metadata
+        with pytest.raises(WireFormatError, match="malformed instance payload"):
+            instance_from_dict(payload)
+
     def test_mismatched_platform_rejected(self, grid_instance):
         from repro.mapping.enhanced_dag import build_enhanced_dag
         from repro.platform_.cluster import ExtendedPlatform
