@@ -28,8 +28,6 @@ from repro.io.wire import (
     load_records,
     loads,
     open_envelope,
-    record_from_dict,
-    record_to_dict,
     records_from_dict,
     records_to_dict,
     result_from_dict,
@@ -55,8 +53,6 @@ __all__ = [
     "load_records",
     "loads",
     "open_envelope",
-    "record_from_dict",
-    "record_to_dict",
     "records_from_dict",
     "records_to_dict",
     "result_from_dict",

@@ -60,8 +60,6 @@ __all__ = [
     "schedule_from_dict",
     "result_to_dict",
     "result_from_dict",
-    "record_to_dict",
-    "record_from_dict",
     "records_to_dict",
     "records_from_dict",
     "sim_report_to_dict",
@@ -274,16 +272,6 @@ def result_from_dict(
 # ---------------------------------------------------------------------- #
 # Experiment records
 # ---------------------------------------------------------------------- #
-def record_to_dict(record: RunRecord) -> Dict[str, object]:
-    """Serialise a :class:`RunRecord` (delegates to ``RunRecord.to_dict``)."""
-    return record.to_dict()
-
-
-def record_from_dict(payload: TMapping[str, object]) -> RunRecord:
-    """Rebuild a :class:`RunRecord` (delegates to ``RunRecord.from_dict``)."""
-    return RunRecord.from_dict(payload)
-
-
 def records_to_dict(records: Iterable[RunRecord]) -> List[Dict[str, object]]:
     """Serialise a list of run records."""
     return [record.to_dict() for record in records]

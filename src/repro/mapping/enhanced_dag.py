@@ -18,14 +18,12 @@ evaluators and exact algorithms work on.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import ExtendedPlatform, link_name
 from repro.platform_.processor import ProcessorSpec
-from repro.utils.errors import InvalidMappingError
+from repro.utils.errors import CyclicWorkflowError, InvalidMappingError
 from repro.utils.ordering import topological_order
 from repro.utils.rng import RNGLike
 from repro.workflow.task import CommTask
@@ -50,41 +48,34 @@ class EnhancedDAG:
 
     def __init__(
         self,
-        graph: nx.DiGraph,
         platform: ExtendedPlatform,
         mapping: Mapping,
         processor_tasks: Dict[Hashable, List[Hashable]],
+        durations: Dict[Hashable, int],
+        processors: Dict[Hashable, Hashable],
+        comm_nodes: Set[Hashable],
+        succ: Dict[Hashable, Dict[Hashable, None]],
+        pred: Dict[Hashable, Dict[Hashable, None]],
     ) -> None:
-        self._graph = graph
         self._platform = platform
         self._mapping = mapping
         self._processor_tasks = processor_tasks
-        if not nx.is_directed_acyclic_graph(graph):
+        self._processors = processors
+        self._comm_nodes = comm_nodes
+        try:
+            self._order = topological_order(succ)
+        except CyclicWorkflowError as exc:
             raise InvalidMappingError(
                 "the communication-enhanced DAG contains a cycle; the mapping's "
                 "orderings are inconsistent with the precedence constraints"
-            )
-        self._order = topological_order(graph)
-        # Read-only maps shared by the scheduling kernels: the DAG is
-        # immutable after construction, so durations and adjacency are
-        # materialised once instead of being re-chased through the graph on
-        # every greedy/local-search run.
-        self._duration_map: Dict[Hashable, int] = {
-            node: int(graph.nodes[node]["duration"]) for node in self._order
-        }
-        self._pred_map: Dict[Hashable, List[Hashable]] = {
-            node: list(graph.predecessors(node)) for node in self._order
-        }
-        self._succ_map: Dict[Hashable, List[Hashable]] = {
-            node: list(graph.successors(node)) for node in self._order
-        }
+            ) from exc
+        # Read-only maps shared by the scheduling kernels, keyed in
+        # topological order: the DAG is immutable after construction.
+        self._duration_map = {node: durations[node] for node in self._order}
+        self._pred_map = {node: list(pred[node]) for node in self._order}
+        self._succ_map = {node: list(succ[node]) for node in self._order}
 
     # ------------------------------------------------------------------ #
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying DAG (treat as read-only)."""
-        return self._graph
-
     @property
     def platform(self) -> ExtendedPlatform:
         """The extended platform (compute processors + used links)."""
@@ -98,20 +89,22 @@ class EnhancedDAG:
     @property
     def num_nodes(self) -> int:
         """Total number of nodes ``N = n + |E'|``."""
-        return self._graph.number_of_nodes()
+        return len(self._processors)
 
     @property
     def num_comm_tasks(self) -> int:
         """Number of communication tasks ``|E'|``."""
-        return sum(1 for node in self._graph.nodes if self.is_comm(node))
+        return len(self._comm_nodes)
 
     def nodes(self) -> List[Hashable]:
-        """Return all node names (original tasks and communication tasks)."""
-        return list(self._graph.nodes)
+        """Return all node names: original tasks, then communication tasks."""
+        return list(self._processors)
 
     def edges(self) -> List[Edge]:
-        """Return all precedence edges of ``Ec``."""
-        return list(self._graph.edges)
+        """Return all precedence edges of ``Ec``, grouped by source in :meth:`nodes` order."""
+        return [
+            (source, target) for source in self._processors for target in self._succ_map[source]
+        ]
 
     def duration(self, node: Hashable) -> int:
         """Return the running time of *node* on its assigned processor."""
@@ -131,7 +124,7 @@ class EnhancedDAG:
 
     def processor(self, node: Hashable) -> Hashable:
         """Return the name of the processor executing *node*."""
-        return self._graph.nodes[node]["processor"]
+        return self._processors[node]
 
     def processor_spec(self, node: Hashable) -> ProcessorSpec:
         """Return the :class:`ProcessorSpec` of the processor executing *node*."""
@@ -139,7 +132,7 @@ class EnhancedDAG:
 
     def is_comm(self, node: Hashable) -> bool:
         """Return whether *node* is a communication task."""
-        return bool(self._graph.nodes[node]["is_comm"])
+        return node in self._comm_nodes
 
     def predecessors(self, node: Hashable) -> List[Hashable]:
         """Return the direct predecessors of *node* in ``Gc``."""
@@ -167,23 +160,21 @@ class EnhancedDAG:
 
     def total_duration(self) -> int:
         """Return the sum of all node durations (serial execution time)."""
-        return sum(self.duration(node) for node in self._graph.nodes)
+        return sum(self._duration_map.values())
 
     def critical_path_duration(self) -> int:
         """Return the longest path duration — a lower bound on any makespan."""
         best: Dict[Hashable, int] = {}
         for node in self._order:
-            incoming = max(
-                (best[p] for p in self._graph.predecessors(node)), default=0
-            )
-            best[node] = incoming + self.duration(node)
+            incoming = max((best[p] for p in self._pred_map[node]), default=0)
+            best[node] = incoming + self._duration_map[node]
         return max(best.values(), default=0)
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._processors)
 
     def __contains__(self, node: Hashable) -> bool:
-        return self._graph.has_node(node)
+        return node in self._processors
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -252,41 +243,48 @@ def build_enhanced_dag(
                     f"{source_proc!r} -> {target_proc!r}"
                 )
 
-    graph = nx.DiGraph()
+    durations: Dict[Hashable, int] = {}
+    processors: Dict[Hashable, Hashable] = {}
     processor_tasks: Dict[Hashable, List[Hashable]] = {}
 
     # Compute tasks.
     for task in workflow.tasks():
-        proc = mapping.processor_of(task)
-        duration = cluster.processor(proc).execution_time(workflow.work(task))
-        graph.add_node(task, duration=duration, processor=proc, is_comm=False)
+        proc = processors[task] = mapping.processor_of(task)
+        durations[task] = cluster.processor(proc).execution_time(workflow.work(task))
 
     # Communication tasks (E').
     comm_nodes: Dict[Edge, Hashable] = {}
     for source, target in mapping.communications():
         comm = CommTask(source, target, volume=workflow.data(source, target))
         link = link_name(mapping.processor_of(source), mapping.processor_of(target))
-        duration = platform.processor(link).execution_time(comm.volume)
-        graph.add_node(comm.name, duration=duration, processor=link, is_comm=True)
+        durations[comm.name] = platform.processor(link).execution_time(comm.volume)
+        processors[comm.name] = link
         comm_nodes[(source, target)] = comm.name
+
+    # Adjacency as node -> {neighbour: None}: adding an edge that already
+    # exists (a chain edge parallel to a precedence edge) keeps its position.
+    succ: Dict[Hashable, Dict[Hashable, None]] = {node: {} for node in processors}
+    pred: Dict[Hashable, Dict[Hashable, None]] = {node: {} for node in processors}
+
+    def add_edge(source: Hashable, target: Hashable) -> None:
+        succ[source][target] = pred[target][source] = None
 
     # Original edges: same-processor (or zero-data) edges stay, cross-processor
     # edges are routed through their communication task.
     for source, target in workflow.dependencies():
-        key = (source, target)
-        if key in comm_nodes:
-            graph.add_edge(source, comm_nodes[key])
-            graph.add_edge(comm_nodes[key], target)
+        comm = comm_nodes.get((source, target))
+        if comm is not None:
+            add_edge(source, comm)
+            add_edge(comm, target)
         else:
-            graph.add_edge(source, target)
+            add_edge(source, target)
 
     # Per-processor ordering chains.
     for proc, tasks in mapping.processor_order().items():
         if tasks:
             processor_tasks[proc] = list(tasks)
         for earlier, later in zip(tasks, tasks[1:]):
-            if not graph.has_edge(earlier, later):
-                graph.add_edge(earlier, later)
+            add_edge(earlier, later)
 
     # Per-link communication ordering chains (E'').
     for (src_proc, dst_proc), edges in mapping.communication_order().items():
@@ -295,7 +293,9 @@ def build_enhanced_dag(
         if ordered_nodes:
             processor_tasks[link] = list(ordered_nodes)
         for earlier, later in zip(ordered_nodes, ordered_nodes[1:]):
-            if not graph.has_edge(earlier, later):
-                graph.add_edge(earlier, later)
+            add_edge(earlier, later)
 
-    return EnhancedDAG(graph, platform, mapping, processor_tasks)
+    return EnhancedDAG(
+        platform, mapping, processor_tasks, durations, processors,
+        set(comm_nodes.values()), succ, pred,
+    )

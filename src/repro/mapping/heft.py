@@ -77,7 +77,8 @@ def _duration_table(
     """
     known: Dict[Tuple[int, float], int] = {}
     table: Dict[Hashable, List[int]] = {}
-    for task, work in workflow.graph.nodes(data="work"):
+    for task in workflow.tasks():
+        work = workflow.work(task)
         row: List[int] = []
         for proc in processors:
             key = (work, proc.speed)
@@ -116,12 +117,12 @@ def _ranks(
 ) -> Dict[Hashable, float]:
     """Upward ranks from a :func:`_duration_table` (bandwidth already checked)."""
     cross_probability = (num_procs - 1) / num_procs if num_procs > 1 else 0.0
-    successors = workflow.graph.succ
+    successors = workflow.successor_map()
     ranks: Dict[Hashable, float] = {}
     for task in reversed(workflow.topological_order()):
         best_successor = 0.0
-        for successor, attrs in successors[task].items():
-            comm = int(attrs["data"]) / bandwidth * cross_probability
+        for successor, volume in successors[task].items():
+            comm = volume / bandwidth * cross_probability
             best_successor = max(best_successor, comm + ranks[successor])
         ranks[task] = sum(durations[task]) / num_procs + best_successor
     return ranks
@@ -205,7 +206,7 @@ class _ListSchedule:
         its own processor and ``ceil(data / bandwidth)`` later elsewhere.
         """
         incoming = []
-        for predecessor, attrs in self.workflow.graph.pred[task].items():
+        for predecessor, volume in self.workflow.predecessor_map()[task].items():
             if predecessor not in self.finish_times:
                 # Predecessor has lower rank — allowed by HEFT only if the
                 # rank computation failed; guard explicitly.
@@ -213,7 +214,6 @@ class _ListSchedule:
                     "HEFT priority order is not a topological order; "
                     "check the workflow weights"
                 )
-            volume = attrs["data"]
             comm = int(-(-volume // self.bandwidth)) if volume > 0 else 0
             incoming.append(
                 (self.assignment[predecessor], self.finish_times[predecessor], comm)

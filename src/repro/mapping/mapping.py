@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.platform_.cluster import Cluster, link_name
-from repro.utils.errors import InvalidMappingError
+from repro.utils.errors import CyclicWorkflowError, InvalidMappingError
 from repro.utils.names import decode_name, encode_name
+from repro.utils.ordering import topological_order
 from repro.workflow.dag import Workflow
 
 __all__ = ["Mapping"]
@@ -294,16 +293,18 @@ class Mapping:
 
     def _validate_acyclic(self) -> None:
         """Check that the orderings are compatible with the precedence constraints."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._workflow.tasks())
-        graph.add_edges_from(self._workflow.dependencies())
+        successors = {
+            task: list(targets) for task, targets in self._workflow.successor_map().items()
+        }
         for tasks in self._processor_order.values():
             for earlier, later in zip(tasks, tasks[1:]):
-                graph.add_edge(earlier, later)
-        if not nx.is_directed_acyclic_graph(graph):
+                successors[earlier].append(later)
+        try:
+            topological_order(successors)
+        except CyclicWorkflowError as exc:
             raise InvalidMappingError(
                 "per-processor ordering contradicts the workflow precedence constraints"
-            )
+            ) from exc
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -7,8 +7,8 @@ subpackages:
 * :mod:`repro.utils.rng` — seeded random-number-generator helpers so that
   every stochastic component (workflow generators, power-profile scenarios,
   instance grids) is reproducible.
-* :mod:`repro.utils.ordering` — topological-order helpers on
-  :class:`networkx.DiGraph` objects.
+* :mod:`repro.utils.ordering` — the deterministic topological order (and
+  acyclicity check) on plain ``node -> successors`` mappings.
 * :mod:`repro.utils.names` — JSON encoding of hashable node names (used by
   the wire format in :mod:`repro.io`).
 * :mod:`repro.utils.validation` — argument-checking helpers shared by the
@@ -28,12 +28,7 @@ from repro.utils.errors import (
 )
 from repro.utils.names import decode_name, encode_name
 from repro.utils.rng import derive_rng, ensure_rng, spawn_seeds
-from repro.utils.ordering import (
-    topological_order,
-    is_topological_order,
-    ancestors_closure,
-    descendants_closure,
-)
+from repro.utils.ordering import topological_order, is_topological_order
 from repro.utils.validation import (
     check_positive_int,
     check_non_negative_int,
@@ -58,8 +53,6 @@ __all__ = [
     "spawn_seeds",
     "topological_order",
     "is_topological_order",
-    "ancestors_closure",
-    "descendants_closure",
     "check_positive_int",
     "check_non_negative_int",
     "check_probability",

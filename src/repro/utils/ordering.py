@@ -1,74 +1,72 @@
-"""Topological-order helpers on :class:`networkx.DiGraph` objects.
+"""Topological-order helpers on plain ``node -> successors`` mappings.
 
 The schedulers rely on topological orders in several places: EST/LST
-propagation, the greedy placement loop and the single-processor DP.  These
-helpers wrap :mod:`networkx` with deterministic tie-breaking (by node sort
-key) so that repeated runs produce identical orders, which matters for the
-reproducibility of the greedy heuristics.
+propagation, the greedy placement loop and the single-processor DP.  The
+order is a Kahn pass with deterministic tie-breaking (by node sort key, then
+by insertion order) so that repeated runs produce identical orders, which
+matters for the reproducibility of the greedy heuristics.  The same pass is
+the library's only acyclicity check.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Sequence, Set
-
-import networkx as nx
+from heapq import heapify, heappop, heappush
+from typing import Hashable, Iterable, List, Mapping, Sequence
 
 from repro.utils.errors import CyclicWorkflowError
 
-__all__ = [
-    "topological_order",
-    "is_topological_order",
-    "ancestors_closure",
-    "descendants_closure",
-]
+__all__ = ["topological_order", "is_topological_order"]
+
+Successors = Mapping[Hashable, Iterable[Hashable]]
 
 
-def topological_order(graph: nx.DiGraph) -> List[Hashable]:
-    """Return a deterministic topological order of *graph*.
+def topological_order(successors: Successors) -> List[Hashable]:
+    """Return a deterministic topological order of a ``node -> successors`` map.
 
-    Ties (nodes whose predecessors are all already emitted) are broken by the
-    natural sort order of the node labels, so the result is unique for a given
-    graph.
+    Every node must be a key of *successors*; the key order is the insertion
+    order.  Among the nodes whose predecessors are all emitted, the smallest
+    ``(sort key, insertion index)`` comes first, so the result is unique for a
+    given graph.
 
     Raises
     ------
     CyclicWorkflowError
         If the graph contains a cycle.
     """
-    try:
-        return list(nx.lexicographical_topological_sort(graph, key=_sort_key))
-    except nx.NetworkXUnfeasible as exc:
-        raise CyclicWorkflowError("graph contains a cycle") from exc
+    index = {node: position for position, node in enumerate(successors)}
+    indegree = dict.fromkeys(successors, 0)
+    for targets in successors.values():
+        for node in targets:
+            indegree[node] += 1
+    ready = [(_sort_key(node), index[node], node) for node, d in indegree.items() if d == 0]
+    heapify(ready)
+    order: List[Hashable] = []
+    while ready:
+        node = heappop(ready)[2]
+        order.append(node)
+        for child in successors[node]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                heappush(ready, (_sort_key(child), index[child], child))
+    if len(order) != len(index):
+        raise CyclicWorkflowError("graph contains a cycle")
+    return order
 
 
-def is_topological_order(graph: nx.DiGraph, order: Sequence[Hashable]) -> bool:
-    """Check whether *order* is a valid topological order of *graph*.
+def is_topological_order(successors: Successors, order: Sequence[Hashable]) -> bool:
+    """Check whether *order* is a valid topological order of *successors*.
 
-    The order must contain every node of the graph exactly once and place
-    every edge source before its target.
+    The order must contain every node exactly once and place every edge
+    source before its target.
     """
-    if len(order) != graph.number_of_nodes():
-        return False
     position = {node: index for index, node in enumerate(order)}
-    if len(position) != graph.number_of_nodes():
+    if len(order) != len(successors) or position.keys() != successors.keys():
         return False
-    for node in graph.nodes:
-        if node not in position:
-            return False
-    for source, target in graph.edges:
-        if position[source] >= position[target]:
-            return False
-    return True
-
-
-def ancestors_closure(graph: nx.DiGraph, node: Hashable) -> Set[Hashable]:
-    """Return the set of ancestors of *node* (excluding the node itself)."""
-    return set(nx.ancestors(graph, node))
-
-
-def descendants_closure(graph: nx.DiGraph, node: Hashable) -> Set[Hashable]:
-    """Return the set of descendants of *node* (excluding the node itself)."""
-    return set(nx.descendants(graph, node))
+    return all(
+        position[source] < position[target]
+        for source, targets in successors.items()
+        for target in targets
+    )
 
 
 def _sort_key(node: Hashable):

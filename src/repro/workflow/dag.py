@@ -5,25 +5,24 @@ positive integer *work* volume) and whose edges are precedence constraints
 annotated with a non-negative integer *data* volume (the amount of data that
 must be communicated if the two endpoint tasks run on different processors).
 
-The class wraps a :class:`networkx.DiGraph` and adds
+The class keeps plain insertion-ordered dicts (task -> work, task ->
+category, and ``succ[u][v]`` / ``pred[v][u]`` -> data volume) and adds
 
 * strict validation (positive weights, acyclicity, known endpoints),
 * deterministic topological orders,
 * convenience accessors used throughout the library (sources, sinks,
   total work, critical path, level structure),
-* structural editing helpers used by the generators (scaling, relabelling,
-  pruning of pseudo-tasks).
+* structural editing helpers used by the generators (scaling, pruning of
+  pseudo-tasks).
 
-The underlying graph is reachable through :attr:`Workflow.graph` for read-only
-interoperability with :mod:`networkx`; mutating it directly bypasses the
-validation and is not supported.
+:meth:`Workflow.successor_map` and :meth:`Workflow.predecessor_map` expose the
+adjacency for read-only use; mutating them bypasses the validation and is not
+supported.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.utils.errors import CyclicWorkflowError, InvalidWorkflowError
 from repro.utils.names import decode_name, encode_name
@@ -56,7 +55,10 @@ class Workflow:
 
     def __init__(self, name: str = "workflow") -> None:
         self._name = str(name)
-        self._graph = nx.DiGraph()
+        self._work: Dict[Hashable, int] = {}
+        self._category: Dict[Hashable, Optional[str]] = {}
+        self._succ: Dict[Hashable, Dict[Hashable, int]] = {}
+        self._pred: Dict[Hashable, Dict[Hashable, int]] = {}
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -75,13 +77,16 @@ class Workflow:
             If a task with the same name already exists or the work volume is
             not a positive integer.
         """
-        if self._graph.has_node(name):
+        if name in self._work:
             raise InvalidWorkflowError(f"task {name!r} already exists")
         try:
             work = check_positive_int(work, "work")
         except (TypeError, ValueError) as exc:
             raise InvalidWorkflowError(str(exc)) from exc
-        self._graph.add_node(name, work=work, category=category)
+        self._work[name] = work
+        self._category[name] = category
+        self._succ[name] = {}
+        self._pred[name] = {}
 
     def add_tasks(self, tasks: Iterable[Task]) -> None:
         """Add several :class:`~repro.workflow.task.Task` objects at once."""
@@ -111,22 +116,27 @@ class Workflow:
         if source == target:
             raise InvalidWorkflowError(f"self-loop on task {source!r} is not allowed")
         for endpoint in (source, target):
-            if not self._graph.has_node(endpoint):
+            if endpoint not in self._work:
                 raise InvalidWorkflowError(f"unknown task {endpoint!r}")
-        if self._graph.has_edge(source, target):
+        if target in self._succ[source]:
             raise InvalidWorkflowError(f"edge {source!r} -> {target!r} already exists")
         try:
             data = check_non_negative_int(data, "data")
         except (TypeError, ValueError) as exc:
             raise InvalidWorkflowError(str(exc)) from exc
         # Reject edges that would close a cycle *before* mutating the graph.
-        # No path can leave a target without successors, so generators that
-        # wire edges into fresh tasks skip the search.
-        if self._graph.succ[target] and nx.has_path(self._graph, target, source):
-            raise CyclicWorkflowError(
-                f"edge {source!r} -> {target!r} would create a cycle"
-            )
-        self._graph.add_edge(source, target, data=data)
+        # The search starts at the target's successors, so generators that
+        # wire edges into fresh tasks (no successors yet) skip it.
+        stack, seen = list(self._succ[target]), set()
+        while stack:
+            node = stack.pop()
+            if node == source:
+                raise CyclicWorkflowError(f"edge {source!r} -> {target!r} would create a cycle")
+            if node not in seen:
+                seen.add(node)
+                stack.extend(self._succ[node])
+        self._succ[source][target] = data
+        self._pred[target][source] = data
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -137,54 +147,57 @@ class Workflow:
         return self._name
 
     @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying :class:`networkx.DiGraph` (treat as read-only)."""
-        return self._graph
-
-    @property
     def number_of_tasks(self) -> int:
         """Number of tasks (vertices)."""
-        return self._graph.number_of_nodes()
+        return len(self._work)
 
     @property
     def number_of_dependencies(self) -> int:
         """Number of precedence edges."""
-        return self._graph.number_of_edges()
+        return sum(len(targets) for targets in self._succ.values())
 
     def tasks(self) -> List[Hashable]:
         """Return the list of task names (insertion order)."""
-        return list(self._graph.nodes)
+        return list(self._work)
 
     def dependencies(self) -> List[Tuple[Hashable, Hashable]]:
-        """Return the list of precedence edges."""
-        return list(self._graph.edges)
+        """Return the precedence edges, by source task and then by insertion order."""
+        return [(source, target) for source, targets in self._succ.items() for target in targets]
+
+    def successor_map(self) -> Dict[Hashable, Dict[Hashable, int]]:
+        """Return the task -> {successor: data} map (treat as read-only)."""
+        return self._succ
+
+    def predecessor_map(self) -> Dict[Hashable, Dict[Hashable, int]]:
+        """Return the task -> {predecessor: data} map (treat as read-only)."""
+        return self._pred
 
     def has_task(self, name: Hashable) -> bool:
         """Return whether a task called *name* exists."""
-        return self._graph.has_node(name)
+        return name in self._work
 
     def has_dependency(self, source: Hashable, target: Hashable) -> bool:
         """Return whether the edge ``source -> target`` exists."""
-        return self._graph.has_edge(source, target)
+        return target in self._succ.get(source, ())
 
     def work(self, name: Hashable) -> int:
         """Return the work volume of task *name*."""
         try:
-            return int(self._graph.nodes[name]["work"])
+            return self._work[name]
         except KeyError as exc:
             raise InvalidWorkflowError(f"unknown task {name!r}") from exc
 
     def category(self, name: Hashable) -> Optional[str]:
         """Return the category label of task *name* (``None`` if unset)."""
         try:
-            return self._graph.nodes[name].get("category")
+            return self._category[name]
         except KeyError as exc:
             raise InvalidWorkflowError(f"unknown task {name!r}") from exc
 
     def data(self, source: Hashable, target: Hashable) -> int:
         """Return the communication volume of edge ``source -> target``."""
         try:
-            return int(self._graph.edges[source, target]["data"])
+            return self._succ[source][target]
         except KeyError as exc:
             raise InvalidWorkflowError(
                 f"unknown dependency {source!r} -> {target!r}"
@@ -196,44 +209,44 @@ class Workflow:
 
     def predecessors(self, name: Hashable) -> List[Hashable]:
         """Return the direct predecessors of task *name*."""
-        if not self._graph.has_node(name):
+        if name not in self._pred:
             raise InvalidWorkflowError(f"unknown task {name!r}")
-        return list(self._graph.predecessors(name))
+        return list(self._pred[name])
 
     def successors(self, name: Hashable) -> List[Hashable]:
         """Return the direct successors of task *name*."""
-        if not self._graph.has_node(name):
+        if name not in self._succ:
             raise InvalidWorkflowError(f"unknown task {name!r}")
-        return list(self._graph.successors(name))
+        return list(self._succ[name])
 
     def sources(self) -> List[Hashable]:
         """Return tasks without predecessors (entry tasks)."""
-        return [n for n in self._graph.nodes if self._graph.in_degree(n) == 0]
+        return [n for n, preds in self._pred.items() if not preds]
 
     def sinks(self) -> List[Hashable]:
         """Return tasks without successors (exit tasks)."""
-        return [n for n in self._graph.nodes if self._graph.out_degree(n) == 0]
+        return [n for n, succs in self._succ.items() if not succs]
 
     def total_work(self) -> int:
         """Return the sum of all task work volumes."""
-        return sum(int(d["work"]) for _, d in self._graph.nodes(data=True))
+        return sum(self._work.values())
 
     def total_data(self) -> int:
         """Return the sum of all edge communication volumes."""
-        return sum(int(d["data"]) for _, _, d in self._graph.edges(data=True))
+        return sum(sum(targets.values()) for targets in self._succ.values())
 
     # ------------------------------------------------------------------ #
     # Structure
     # ------------------------------------------------------------------ #
     def topological_order(self) -> List[Hashable]:
         """Return a deterministic topological order of the tasks."""
-        return topological_order(self._graph)
+        return topological_order(self._succ)
 
     def levels(self) -> Dict[Hashable, int]:
         """Return the level (longest path length in edges from a source) per task."""
         level: Dict[Hashable, int] = {}
         for node in self.topological_order():
-            preds = list(self._graph.predecessors(node))
+            preds = self._pred[node]
             level[node] = 0 if not preds else 1 + max(level[p] for p in preds)
         return level
 
@@ -251,9 +264,8 @@ class Workflow:
         """
         best: Dict[Hashable, int] = {}
         for node in self.topological_order():
-            preds = list(self._graph.predecessors(node))
-            incoming = max((best[p] for p in preds), default=0)
-            best[node] = incoming + self.work(node)
+            incoming = max((best[p] for p in self._pred[node]), default=0)
+            best[node] = incoming + self._work[node]
         return max(best.values(), default=0)
 
     def validate(self) -> None:
@@ -266,20 +278,21 @@ class Workflow:
         InvalidWorkflowError
             If a weight annotation is missing or out of range.
         """
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise CyclicWorkflowError(f"workflow {self._name!r} contains a cycle")
-        for node, attrs in self._graph.nodes(data=True):
-            work = attrs.get("work")
+        try:
+            self.topological_order()
+        except CyclicWorkflowError as exc:
+            raise CyclicWorkflowError(f"workflow {self._name!r} contains a cycle") from exc
+        for node, work in self._work.items():
             if not isinstance(work, int) or work <= 0:
                 raise InvalidWorkflowError(
                     f"task {node!r} has invalid work {work!r} (positive int required)"
                 )
-        for source, target, attrs in self._graph.edges(data=True):
-            data = attrs.get("data")
-            if not isinstance(data, int) or data < 0:
-                raise InvalidWorkflowError(
-                    f"edge {source!r} -> {target!r} has invalid data {data!r}"
-                )
+        for source, targets in self._succ.items():
+            for target, data in targets.items():
+                if not isinstance(data, int) or data < 0:
+                    raise InvalidWorkflowError(
+                        f"edge {source!r} -> {target!r} has invalid data {data!r}"
+                    )
 
     # ------------------------------------------------------------------ #
     # Serialisation
@@ -293,16 +306,13 @@ class Workflow:
         return {
             "name": self._name,
             "tasks": [
-                {
-                    "name": encode_name(node),
-                    "work": int(attrs["work"]),
-                    "category": attrs.get("category"),
-                }
-                for node, attrs in self._graph.nodes(data=True)
+                {"name": encode_name(node), "work": work, "category": self._category[node]}
+                for node, work in self._work.items()
             ],
             "dependencies": [
-                [encode_name(source), encode_name(target), int(attrs["data"])]
-                for source, target, attrs in self._graph.edges(data=True)
+                [encode_name(source), encode_name(target), data]
+                for source, targets in self._succ.items()
+                for target, data in targets.items()
             ],
         }
 
@@ -310,10 +320,15 @@ class Workflow:
     def from_dict(cls, data: Mapping[str, object]) -> "Workflow":
         """Rebuild a workflow from :meth:`to_dict` output.
 
+        Weights are passed through unconverted, so a non-integer ``work`` or
+        ``data`` is rejected rather than truncated.
+
         Raises
         ------
         TypeError
             If *data* is not a mapping.
+        InvalidWorkflowError
+            If a weight is not an integer in range, or a task or edge repeats.
         """
         if not isinstance(data, Mapping):
             raise TypeError(f"workflow must be an object, got {type(data).__name__}")
@@ -321,35 +336,29 @@ class Workflow:
         for entry in data["tasks"]:
             workflow.add_task(
                 decode_name(entry["name"]),
-                work=int(entry["work"]),
+                work=entry["work"],
                 category=entry.get("category"),
             )
         for source, target, volume in data["dependencies"]:
-            workflow.add_dependency(
-                decode_name(source), decode_name(target), data=int(volume)
-            )
+            workflow.add_dependency(decode_name(source), decode_name(target), data=volume)
         return workflow
 
     # ------------------------------------------------------------------ #
     # Editing helpers (used by generators and .dot import)
     # ------------------------------------------------------------------ #
     def copy(self, name: Optional[str] = None) -> "Workflow":
-        """Return a deep copy of the workflow (optionally renamed)."""
-        clone = Workflow(name if name is not None else self._name)
-        clone._graph = self._graph.copy()
-        return clone
+        """Return a deep copy of the workflow (optionally renamed).
 
-    def relabel(self, mapping: Mapping[Hashable, Hashable], name: Optional[str] = None) -> "Workflow":
-        """Return a copy with task names substituted according to *mapping*.
-
-        Tasks not present in *mapping* keep their name.  The mapping must not
-        merge two distinct tasks into one.
+        Each copied task lists its predecessors in :meth:`dependencies` order.
         """
-        targets = [mapping.get(n, n) for n in self._graph.nodes]
-        if len(set(targets)) != len(targets):
-            raise InvalidWorkflowError("relabel mapping merges distinct tasks")
         clone = Workflow(name if name is not None else self._name)
-        clone._graph = nx.relabel_nodes(self._graph, dict(mapping), copy=True)
+        clone._work = dict(self._work)
+        clone._category = dict(self._category)
+        clone._succ = {node: dict(targets) for node, targets in self._succ.items()}
+        clone._pred = {node: {} for node in self._work}
+        for source, targets in self._succ.items():
+            for target, data in targets.items():
+                clone._pred[target][source] = data
         return clone
 
     def remove_task(self, name: Hashable, *, reconnect: bool = False) -> None:
@@ -365,48 +374,52 @@ class Workflow:
             precedence is preserved.  This is what the Nextflow pseudo-task
             pruning uses.
         """
-        if not self._graph.has_node(name):
+        if name not in self._work:
             raise InvalidWorkflowError(f"unknown task {name!r}")
         if reconnect:
-            preds = list(self._graph.predecessors(name))
-            succs = list(self._graph.successors(name))
-            for p in preds:
-                for s in succs:
-                    if p != s and not self._graph.has_edge(p, s):
-                        self._graph.add_edge(p, s, data=0)
-        self._graph.remove_node(name)
+            for p in self._pred[name]:
+                for s in self._succ[name]:
+                    if p != s and s not in self._succ[p]:
+                        self._succ[p][s] = 0
+                        self._pred[s][p] = 0
+        for s in self._succ.pop(name):
+            del self._pred[s][name]
+        for p in self._pred.pop(name):
+            del self._succ[p][name]
+        del self._work[name], self._category[name]
 
     def scale_work(self, factor: float) -> None:
         """Multiply every task work volume by *factor* (rounded, at least 1)."""
         if factor <= 0:
             raise InvalidWorkflowError(f"scale factor must be positive, got {factor}")
-        for node in self._graph.nodes:
-            new_work = max(1, int(round(self._graph.nodes[node]["work"] * factor)))
-            self._graph.nodes[node]["work"] = new_work
+        for node, work in self._work.items():
+            self._work[node] = max(1, int(round(work * factor)))
 
     def set_work(self, name: Hashable, work: int) -> None:
         """Set the work volume of task *name*."""
-        if not self._graph.has_node(name):
+        if name not in self._work:
             raise InvalidWorkflowError(f"unknown task {name!r}")
-        self._graph.nodes[name]["work"] = check_positive_int(work, "work")
+        self._work[name] = check_positive_int(work, "work")
 
     def set_data(self, source: Hashable, target: Hashable, data: int) -> None:
         """Set the communication volume of edge ``source -> target``."""
-        if not self._graph.has_edge(source, target):
+        if not self.has_dependency(source, target):
             raise InvalidWorkflowError(f"unknown dependency {source!r} -> {target!r}")
-        self._graph.edges[source, target]["data"] = check_non_negative_int(data, "data")
+        self._succ[source][target] = self._pred[target][source] = check_non_negative_int(
+            data, "data"
+        )
 
     # ------------------------------------------------------------------ #
     # Dunder methods
     # ------------------------------------------------------------------ #
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._graph.nodes)
+        return iter(self._work)
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._work)
 
     def __contains__(self, name: Hashable) -> bool:
-        return self._graph.has_node(name)
+        return name in self._work
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -35,7 +35,7 @@ from repro.io.wire import (
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import Cluster, ExtendedPlatform
 from repro.platform_.processor import ProcessorSpec
-from repro.utils.errors import WireFormatError
+from repro.utils.errors import InvalidWorkflowError, WireFormatError
 from repro.utils.names import decode_name, encode_name
 from repro.workflow.dag import Workflow
 from repro.workflow.generators import generate_workflow
@@ -210,6 +210,21 @@ class TestInstanceRoundTrip:
         payload = instance_to_dict(grid_instance)
         payload["metadata"] = metadata
         with pytest.raises(WireFormatError, match="malformed instance payload"):
+            instance_from_dict(payload)
+
+    @pytest.mark.parametrize("work", [2.7, 1.0, True, "3"])
+    def test_non_integer_work_rejected(self, grid_instance, work):
+        # Loading must not truncate a weight into range: 2.7 is not work 2.
+        payload = instance_to_dict(grid_instance)
+        payload["mapping"]["workflow"]["tasks"][0]["work"] = work
+        with pytest.raises(InvalidWorkflowError, match="work must be an integer"):
+            instance_from_dict(payload)
+
+    @pytest.mark.parametrize("data", [1.9, 0.0, True, "1"])
+    def test_non_integer_data_rejected(self, grid_instance, data):
+        payload = instance_to_dict(grid_instance)
+        payload["mapping"]["workflow"]["dependencies"][0][2] = data
+        with pytest.raises(InvalidWorkflowError, match="data must be an integer"):
             instance_from_dict(payload)
 
     def test_mismatched_platform_rejected(self, grid_instance):

@@ -14,6 +14,8 @@ from repro.utils.errors import InvalidMappingError
 from repro.workflow.dag import Workflow
 from repro.workflow.generators import atacseq_like_workflow
 
+from nx_oracle import to_networkx
+
 
 @pytest.fixture
 def cross_mapping(diamond_workflow_fixed):
@@ -82,7 +84,7 @@ class TestConstruction:
         cluster = scaled_small_cluster()
         mapping = heft_mapping(workflow, cluster).mapping
         dag = build_enhanced_dag(mapping, rng=1)
-        assert nx.is_directed_acyclic_graph(dag.graph)
+        assert nx.is_directed_acyclic_graph(to_networkx(dag))
 
     def test_invalid_bandwidth_rejected(self, cross_mapping):
         with pytest.raises(InvalidMappingError):

@@ -27,6 +27,8 @@ from repro.schedule.instance import ProblemInstance
 from repro.schedule.validation import is_feasible
 from repro.workflow.generators import generate_workflow
 
+from nx_oracle import to_networkx
+
 
 def build_random_instance(family: str, num_tasks: int, scenario: str,
                           deadline_factor: float, seed: int,
@@ -107,12 +109,13 @@ class TestHeftProperties:
         cluster = cluster_from_table1(nodes_per_type, name="prop")
         mapping = heft_mapping(workflow, cluster).mapping
         dag = build_enhanced_dag(mapping, rng=seed)
-        assert nx.is_directed_acyclic_graph(dag.graph)
+        mirror = to_networkx(dag)
+        assert nx.is_directed_acyclic_graph(mirror)
         assert dag.num_nodes == workflow.number_of_tasks + dag.num_comm_tasks
         # Every original precedence constraint is represented (directly or via
         # a communication task).
         for source, target in workflow.dependencies():
-            assert nx.has_path(dag.graph, source, target)
+            assert nx.has_path(mirror, source, target)
 
     @given(
         num_tasks=st.integers(5, 30),

@@ -15,6 +15,8 @@ from repro.workflow.generators import (
     random_dag_workflow,
 )
 
+from nx_oracle import to_networkx
+
 FAMILIES = st.sampled_from(["atacseq", "methylseq", "eager", "bacass", "layered", "forkjoin"])
 
 
@@ -24,7 +26,7 @@ class TestGeneratorProperties:
     def test_generated_workflows_are_valid_dags(self, family, num_tasks, seed):
         wf = generate_workflow(family, num_tasks, rng=seed)
         wf.validate()
-        assert nx.is_directed_acyclic_graph(wf.graph)
+        assert nx.is_directed_acyclic_graph(to_networkx(wf))
         assert wf.number_of_tasks >= 1
         assert all(wf.work(task) >= 1 for task in wf.tasks())
         assert all(wf.data(u, v) >= 0 for u, v in wf.dependencies())

@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.utils.errors import CyclicWorkflowError
-from repro.utils.ordering import (
-    ancestors_closure,
-    descendants_closure,
-    is_topological_order,
-    topological_order,
-)
+from repro.utils.ordering import is_topological_order, topological_order
 
 
-def make_diamond() -> nx.DiGraph:
-    graph = nx.DiGraph()
-    graph.add_edges_from([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
-    return graph
+def make_diamond() -> dict:
+    return {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []}
 
 
 class TestTopologicalOrder:
@@ -31,17 +23,19 @@ class TestTopologicalOrder:
         assert topological_order(graph) == topological_order(graph)
 
     def test_cycle_raises(self):
-        graph = nx.DiGraph([("a", "b"), ("b", "a")])
+        graph = {"a": ["b"], "b": ["a"]}
         with pytest.raises(CyclicWorkflowError):
             topological_order(graph)
 
     def test_empty_graph(self):
-        assert topological_order(nx.DiGraph()) == []
+        assert topological_order({}) == []
 
     def test_single_node(self):
-        graph = nx.DiGraph()
-        graph.add_node("only")
-        assert topological_order(graph) == ["only"]
+        assert topological_order({"only": []}) == ["only"]
+
+    def test_ties_broken_by_label_then_insertion(self):
+        # Labels sort before insertion order; equal keys keep insertion order.
+        assert topological_order({"b": [], "a": [], 2: [], "2": []}) == [2, "2", "a", "b"]
 
 
 class TestIsTopologicalOrder:
@@ -60,17 +54,3 @@ class TestIsTopologicalOrder:
     def test_accepts_any_valid_order(self):
         graph = make_diamond()
         assert is_topological_order(graph, ["a", "c", "b", "d"])
-
-
-class TestClosures:
-    def test_ancestors(self):
-        graph = make_diamond()
-        assert ancestors_closure(graph, "d") == {"a", "b", "c"}
-
-    def test_descendants(self):
-        graph = make_diamond()
-        assert descendants_closure(graph, "a") == {"b", "c", "d"}
-
-    def test_source_has_no_ancestors(self):
-        graph = make_diamond()
-        assert ancestors_closure(graph, "a") == set()

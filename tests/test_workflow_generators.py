@@ -24,6 +24,8 @@ from repro.workflow.generators import (
     random_dag_workflow,
 )
 
+from nx_oracle import to_networkx
+
 
 class TestGenericGenerators:
     def test_chain_structure(self):
@@ -55,7 +57,7 @@ class TestGenericGenerators:
     def test_layered_random_size_and_acyclic(self):
         wf = layered_random_workflow(30, num_layers=5, edge_probability=0.4, rng=1)
         assert wf.number_of_tasks == 30
-        assert nx.is_directed_acyclic_graph(wf.graph)
+        assert nx.is_directed_acyclic_graph(to_networkx(wf))
         # Each layer is connected to the next: single weakly connected block
         # is not guaranteed, but there must be at least 25 edges (one per
         # non-first-layer task).
@@ -127,7 +129,7 @@ class TestFamilies:
     def test_families_are_valid_dags(self, factory):
         wf = factory(80, rng=0)
         wf.validate()
-        assert nx.is_directed_acyclic_graph(wf.graph)
+        assert nx.is_directed_acyclic_graph(to_networkx(wf))
         assert len(wf.sources()) == 1  # input_check
 
     def test_family_size_roughly_matches_target(self):

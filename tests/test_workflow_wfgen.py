@@ -10,6 +10,8 @@ from repro.workflow.dag import Workflow
 from repro.workflow.generators import bacass_like_workflow, chain_workflow
 from repro.workflow.wfgen import replicate_workflow, scale_workflow
 
+from nx_oracle import to_networkx
+
 
 @pytest.fixture
 def model() -> Workflow:
@@ -23,8 +25,8 @@ class TestReplicate:
 
     def test_is_dag_and_connected(self, model):
         replicated = replicate_workflow(model, 2, rng=0)
-        assert nx.is_directed_acyclic_graph(replicated.graph)
-        assert nx.is_weakly_connected(replicated.graph)
+        assert nx.is_directed_acyclic_graph(to_networkx(replicated))
+        assert nx.is_weakly_connected(to_networkx(replicated))
 
     def test_staging_and_collect_exist(self, model):
         replicated = replicate_workflow(model, 2, rng=0)
@@ -54,7 +56,7 @@ class TestScale:
         target = 2 * model.number_of_tasks  # below 2 replicas + glue
         scaled = scale_workflow(model, target, rng=0, exact=True)
         assert scaled.number_of_tasks == target
-        assert nx.is_directed_acyclic_graph(scaled.graph)
+        assert nx.is_directed_acyclic_graph(to_networkx(scaled))
 
     def test_scale_down_keeps_single_replica(self):
         model = chain_workflow(10, rng=0)
