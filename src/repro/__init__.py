@@ -6,7 +6,11 @@ Constraint"*: workflows, heterogeneous platforms, HEFT mappings, the
 communication-enhanced DAG, green-power profiles, the 16 CaWoSched heuristic
 variants, the ASAP baseline, the exact algorithms (single-processor dynamic
 program and ILP) and the experiment harness that regenerates every figure and
-table of the paper's evaluation.
+table of the paper's evaluation, plus the JSON wire format (:mod:`repro.io`),
+the client facade (:mod:`repro.api`) and the online simulator
+(:mod:`repro.sim`) built on top.  This namespace re-exports the entry points
+the CLI, the examples and the benchmarks use; each subpackage's ``__all__``
+lists the rest.
 
 Quickstart
 ----------
@@ -48,8 +52,6 @@ from repro.workflow import (
     WORKFLOW_FAMILIES,
     generate_workflow,
     scale_workflow,
-    read_dot,
-    write_dot,
     workflow_stats,
 )
 from repro.platform_ import (
@@ -75,7 +77,6 @@ from repro.carbon import (
     CarbonIntensityTrace,
     PowerProfile,
     generate_power_profile,
-    generate_scenario_suite,
     profile_from_trace,
     synthetic_daily_trace,
 )
@@ -97,7 +98,6 @@ from repro.core import (
     variant_names,
 )
 from repro.io import (
-    instance_fingerprint,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -147,8 +147,6 @@ __all__ = [
     "WORKFLOW_FAMILIES",
     "generate_workflow",
     "scale_workflow",
-    "read_dot",
-    "write_dot",
     "workflow_stats",
     # platform
     "Cluster",
@@ -171,7 +169,6 @@ __all__ = [
     "CarbonIntensityTrace",
     "PowerProfile",
     "generate_power_profile",
-    "generate_scenario_suite",
     "profile_from_trace",
     "synthetic_daily_trace",
     # schedule
@@ -190,7 +187,6 @@ __all__ = [
     "local_search",
     "variant_names",
     # io (wire format)
-    "instance_fingerprint",
     "instance_from_dict",
     "instance_to_dict",
     "load_instance",

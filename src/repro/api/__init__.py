@@ -3,8 +3,8 @@
 One stable, versioned surface through which *all* work enters the system:
 
 * :class:`~repro.api.jobs.Job` / :class:`~repro.api.jobs.JobResult` — the
-  typed unit of work (instance-or-spec + variants + scheduler config +
-  priority/tags) with the canonical content fingerprint every path shares;
+  typed unit of work (instance-or-spec + variants + scheduler config) with
+  the canonical content fingerprint every path shares;
   :meth:`Job.validate <repro.api.jobs.Job.validate>` checks its variant
   names against the paper's variant table
   (:data:`~repro.core.variants.ALL_VARIANTS`);
@@ -25,7 +25,6 @@ from repro.api.errors import (
     BackendFailure,
     InvalidJob,
     UnknownVariant,
-    error_payload,
 )
 from repro.api.cache import ResultCache
 from repro.api.jobs import Job, JobResult, job_fingerprint
@@ -38,7 +37,6 @@ __all__ = [
     "BackendFailure",
     "InvalidJob",
     "UnknownVariant",
-    "error_payload",
     # cache
     "ResultCache",
     # jobs

@@ -17,15 +17,10 @@ exception            code                exit code
 any failure while a job runs, whether in-process or in a worker of
 ``Client(jobs=N)``.  All three derive from :class:`ApiError` (itself a
 :class:`~repro.utils.errors.CaWoSchedError`), so existing ``except
-CaWoSchedError`` guards keep working.  :func:`error_payload` renders any
-exception into the plain-data body of a wire-format ``"error"`` document
-(see :mod:`repro.io.wire`), which is how services and the CLI surface
-failures uniformly.
+CaWoSchedError`` guards keep working.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from repro.utils.errors import CaWoSchedError
 
@@ -34,14 +29,13 @@ __all__ = [
     "InvalidJob",
     "UnknownVariant",
     "BackendFailure",
-    "error_payload",
 ]
 
 
 class ApiError(CaWoSchedError):
     """Base class of every error raised by the :mod:`repro.api` facade."""
 
-    #: Stable machine-readable error code (the wire ``"error"`` payload).
+    #: Stable machine-readable error code (the CLI prints it on stderr).
     code = "api-error"
     #: Process exit code the CLI returns for this error class.
     exit_code = 1
@@ -83,18 +77,3 @@ class BackendFailure(ApiError):
     code = "backend-failure"
     exit_code = 4
 
-
-def error_payload(exc: BaseException) -> Dict[str, object]:
-    """Render an exception as the plain-data payload of a wire ``"error"``.
-
-    :class:`ApiError` subclasses contribute their stable code and exit code;
-    any other exception is reported under the generic ``api-error`` code.
-    """
-    code = getattr(exc, "code", ApiError.code)
-    exit_code = getattr(exc, "exit_code", ApiError.exit_code)
-    return {
-        "code": str(code),
-        "message": str(exc),
-        "exit_code": int(exit_code),
-        "type": type(exc).__name__,
-    }

@@ -2,11 +2,11 @@
 
 A :class:`Job` is self-contained plain data describing *what* to schedule —
 a problem instance (inline wire payload, live object, or a grid-cell spec
-materialised on demand), the algorithm variants to run, the scheduler
-configuration, and routing metadata (priority, tags).  Being plain data it
-can be read from a JSON batch file, shipped to a worker process, and —
-crucially — content-hashed: :attr:`Job.fingerprint` is *the* canonical
-cache and deduplication key of the whole system.
+materialised on demand), the algorithm variants to run and the scheduler
+configuration.  Being plain data it can be read from a JSON batch file,
+shipped to a worker process, and — crucially — content-hashed:
+:attr:`Job.fingerprint` is *the* canonical cache and deduplication key of
+the whole system.
 
 The fingerprint is deliberately normalised: the instance's ``name`` and
 ``metadata`` are stripped before hashing, because the produced schedule
@@ -14,8 +14,6 @@ depends only on the DAG, the mapping and the power profile.  Two jobs for
 identically-shaped problems therefore dedupe regardless of how their
 instances are labelled, and regardless of which path (batch submission or
 single-variant :meth:`~repro.api.client.Client.solve`) they enter through.
-Priority and tags are routing metadata, not content, and are likewise not
-part of the fingerprint.
 
 A :class:`JobResult` pairs the fingerprint with the produced records (one
 flat :class:`~repro.experiments.runner.RunRecord` per variant) and — when
@@ -29,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.api.errors import BackendFailure, InvalidJob, UnknownVariant
 from repro.core.scheduler import CaWoSched, ScheduleResult
@@ -48,6 +46,12 @@ __all__ = [
 
 #: Keys of a normalised grid-cell spec (see :class:`repro.experiments.instances.InstanceSpec`).
 _SPEC_KEYS = ("family", "tasks", "cluster", "scenario", "deadline_factor", "seed")
+#: Keys a raw spec may carry: the normalised ones plus the ``num_tasks`` alias.
+_RAW_SPEC_KEYS = _SPEC_KEYS + ("num_tasks",)
+#: Keys of a job object (see :meth:`Job.from_dict`).
+_JOB_KEYS = ("instance", "spec", "variants", "scheduler", "master_seed")
+#: Keys of a scheduler configuration (see :meth:`CaWoSched.config_dict`).
+_SCHEDULER_KEYS = ("block_size", "window", "validate")
 
 
 class _InstanceArtifacts:
@@ -129,15 +133,24 @@ def check_variant(name: str) -> None:
         raise UnknownVariant(f"unknown algorithm variant {name!r}; known: {known}")
 
 
+def _reject_unknown_keys(what: str, data: Mapping[str, object], known: Sequence[str]) -> None:
+    """Raise :class:`InvalidJob` naming the first key of *data* not in *known*."""
+    for key in data:
+        if key not in known:
+            raise InvalidJob(f"unknown {what} field {key!r}; known: {', '.join(known)}")
+
+
 def _normalise_spec(spec_data: Mapping[str, object]) -> Dict[str, object]:
     """Coerce a raw spec mapping onto the canonical spec keys (eagerly).
 
-    Validation is eager (malformed values fail at job construction time),
-    materialisation is lazy (the workflow is only generated when the
-    instance is actually needed — possibly inside a worker process).
+    Validation is eager (malformed values and unknown keys fail at job
+    construction time), materialisation is lazy (the workflow is only
+    generated when the instance is actually needed — possibly inside a
+    worker process).
     """
     try:
         spec_data = dict(spec_data)
+        _reject_unknown_keys("job spec", spec_data, _RAW_SPEC_KEYS)
         return {
             "family": str(spec_data["family"]),
             "tasks": int(spec_data.get("tasks", spec_data.get("num_tasks"))),
@@ -183,10 +196,6 @@ class Job:
     scheduler:
         The scheduler configuration
         (:meth:`repro.core.scheduler.CaWoSched.config_dict` output).
-    priority:
-        Routing priority (not part of the fingerprint).
-    tags:
-        Free-form routing labels (not part of the fingerprint).
     master_seed:
         Master seed combined with a spec's coordinates at materialisation
         (spec-defined jobs only).
@@ -196,8 +205,6 @@ class Job:
     spec: Optional[Dict[str, object]] = None
     variants: Tuple[str, ...] = ()
     scheduler: Dict[str, object] = field(default_factory=dict)
-    priority: int = 0
-    tags: Tuple[str, ...] = ()
     master_seed: Optional[int] = None
     #: Optional live instance matching *payload*, kept so in-process
     #: execution can skip the deserialisation round trip.  Not part of the
@@ -214,8 +221,6 @@ class Job:
         *,
         variants: Optional[Sequence[str]] = None,
         scheduler: Optional[CaWoSched] = None,
-        priority: int = 0,
-        tags: Sequence[str] = (),
     ) -> "Job":
         """Build a job from a live problem instance.
 
@@ -228,8 +233,6 @@ class Job:
             payload=shared_instance_payload(instance),
             variants=names,
             scheduler=scheduler.config_dict(),
-            priority=int(priority),
-            tags=tuple(str(t) for t in tags),
             live_instance=instance,
         )
 
@@ -241,8 +244,6 @@ class Job:
         variants: Optional[Sequence[str]] = None,
         scheduler: Optional[CaWoSched] = None,
         master_seed: Optional[int] = None,
-        priority: int = 0,
-        tags: Sequence[str] = (),
     ) -> "Job":
         """Build a job from a grid-cell spec (lazy materialisation).
 
@@ -274,8 +275,6 @@ class Job:
             spec=spec_data,
             variants=names,
             scheduler=scheduler.config_dict(),
-            priority=int(priority),
-            tags=tuple(str(t) for t in tags),
             master_seed=None if master_seed is None else int(master_seed),
         )
 
@@ -285,16 +284,18 @@ class Job:
 
         Accepts either an inline ``"instance"`` wire payload or a
         ``"spec"`` grid-cell description, plus optional ``"variants"``,
-        ``"scheduler"``, ``"priority"``, ``"tags"`` and ``"master_seed"``.
+        ``"scheduler"`` and ``"master_seed"``.
 
         Raises
         ------
         InvalidJob
             If *data* is not a mapping, neither (or both) instance sources
-            are present, or any field has the wrong type.
+            are present, any field has the wrong type, or the job, its spec
+            or its scheduler configuration carries an unknown key.
         """
         if not isinstance(data, Mapping):
             raise InvalidJob(f"a job must be a JSON object, got {data!r}")
+        _reject_unknown_keys("job", data, _JOB_KEYS)
         has_instance = "instance" in data
         has_spec = "spec" in data
         if has_instance == has_spec:
@@ -309,19 +310,18 @@ class Job:
             lambda value: tuple(str(v) for v in value) if value else tuple(variant_names()),
             None,
         )
+        config = data.get("scheduler")
+        if isinstance(config, Mapping):
+            _reject_unknown_keys("scheduler", config, _SCHEDULER_KEYS)
         try:
-            scheduler = CaWoSched.from_config(data.get("scheduler"))
+            scheduler = CaWoSched.from_config(config)
         except (TypeError, ValueError) as exc:
-            raise InvalidJob(
-                f"malformed scheduler config {data.get('scheduler')!r}: {exc}"
-            ) from exc
+            raise InvalidJob(f"malformed scheduler config {config!r}: {exc}") from exc
         return cls(
             payload=payload,
             spec=spec,
             variants=names,
             scheduler=scheduler.config_dict(),
-            priority=_job_field(data, "priority", int, 0),
-            tags=_job_field(data, "tags", lambda value: tuple(str(t) for t in value), ()),
             master_seed=_job_field(
                 data, "master_seed", lambda value: None if value is None else int(value), None
             ),
@@ -417,8 +417,7 @@ class Job:
         """Return the job as plain data (inverse of :meth:`from_dict`).
 
         Spec-defined jobs serialise their spec (so workers materialise),
-        payload-defined jobs their payload; priority and tags only appear
-        when set.
+        payload-defined jobs their payload.
         """
         data: Dict[str, object] = {}
         if self.payload is not None:
@@ -429,10 +428,6 @@ class Job:
                 data["master_seed"] = self.master_seed
         data["variants"] = list(self.variants)
         data["scheduler"] = dict(self.scheduler)
-        if self.priority:
-            data["priority"] = self.priority
-        if self.tags:
-            data["tags"] = list(self.tags)
         return data
 
 
@@ -511,23 +506,3 @@ class JobResult:
             "backend": self.backend,
             "records": [record.to_dict() for record in self.records],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "JobResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        records: List[RunRecord] = [
-            RunRecord.from_dict(entry) for entry in data.get("records", [])
-        ]
-        variants = data.get("variants")
-        names = (
-            tuple(str(v) for v in variants)
-            if variants is not None
-            else tuple(record.variant for record in records)
-        )
-        return cls(
-            fingerprint=str(data["fingerprint"]),
-            variants=names,
-            records=tuple(records),
-            cached=bool(data.get("cached", False)),
-            backend=str(data.get("backend", "inline")),
-        )

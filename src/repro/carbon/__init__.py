@@ -7,7 +7,6 @@ from repro.carbon.scenarios import (
     DEFAULT_PERTURBATION,
     SCENARIOS,
     generate_power_profile,
-    generate_scenario_suite,
     scenario_fraction,
 )
 from repro.carbon.traces import (
@@ -25,7 +24,6 @@ __all__ = [
     "DEFAULT_NUM_INTERVALS",
     "DEFAULT_PERTURBATION",
     "generate_power_profile",
-    "generate_scenario_suite",
     "scenario_fraction",
     "CarbonIntensityTrace",
     "profile_from_trace",

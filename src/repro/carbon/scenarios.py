@@ -20,7 +20,7 @@ actually matter.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "SCENARIOS",
     "scenario_fraction",
     "generate_power_profile",
-    "generate_scenario_suite",
     "DEFAULT_NUM_INTERVALS",
     "DEFAULT_GREEN_CAP",
     "DEFAULT_PERTURBATION",
@@ -160,30 +159,3 @@ def generate_power_profile(
         begin += int(length)
 
     return PowerProfile([int(l) for l in lengths], budgets)
-
-
-def generate_scenario_suite(
-    horizon: int,
-    *,
-    idle_power: int,
-    work_power: int,
-    num_intervals: int = DEFAULT_NUM_INTERVALS,
-    rng: RNGLike = None,
-    perturbation: float = DEFAULT_PERTURBATION,
-    green_cap: float = DEFAULT_GREEN_CAP,
-) -> Dict[str, PowerProfile]:
-    """Generate one profile per scenario (S1–S4) with independent perturbations."""
-    rng = ensure_rng(rng)
-    return {
-        name: generate_power_profile(
-            name,
-            horizon,
-            idle_power=idle_power,
-            work_power=work_power,
-            num_intervals=num_intervals,
-            rng=rng,
-            perturbation=perturbation,
-            green_cap=green_cap,
-        )
-        for name in sorted(SCENARIOS)
-    }

@@ -24,7 +24,7 @@ from typing import Dict, Hashable, List, Optional, Set
 
 from repro.schedule.schedule import Schedule
 from repro.schedule.timeline import PowerTimeline
-from repro.utils.validation import check_non_negative_int, check_positive_int
+from repro.utils.validation import check_non_negative_int
 
 __all__ = ["local_search", "DEFAULT_WINDOW"]
 
@@ -36,7 +36,6 @@ def local_search(
     schedule: Schedule,
     *,
     window: int = DEFAULT_WINDOW,
-    max_rounds: Optional[int] = None,
     best_improvement: bool = False,
     algorithm_name: Optional[str] = None,
 ) -> Schedule:
@@ -50,9 +49,6 @@ def local_search(
     window:
         Maximum shift (in time units) considered to the left and to the right
         of a task's current start time (the paper's ``µ``, default 10).
-    max_rounds:
-        Optional safety cap on the number of improvement rounds; ``None``
-        iterates until a round brings no gain (the paper's stopping rule).
     best_improvement:
         If true, evaluate all legal moves of a task and apply the best one
         instead of the first improving one.  The paper reports that this does
@@ -68,8 +64,6 @@ def local_search(
         A schedule whose carbon cost is never higher than the input's.
     """
     window = check_non_negative_int(window, "window")
-    if max_rounds is not None:
-        max_rounds = check_positive_int(max_rounds, "max_rounds")
 
     instance = schedule.instance
     dag = instance.dag
@@ -85,19 +79,15 @@ def local_search(
 
     searcher = _VectorSearch(instance, timeline, starts)
 
-    rounds = 0
-    while True:
+    # Every accepted move lowers the integer, non-negative carbon cost, so
+    # the rounds end.
+    round_gain = True
+    while round_gain:
         round_gain = False
         for processor in processors:
             for node in searcher.tasks_on(processor):
                 if searcher.improve(node, window, best_improvement):
                     round_gain = True
-
-        rounds += 1
-        if not round_gain:
-            break
-        if max_rounds is not None and rounds >= max_rounds:
-            break
 
     name = algorithm_name or f"{schedule.algorithm}-LS"
     return Schedule._trusted(instance, starts, algorithm=name)

@@ -5,7 +5,7 @@ from repro.exact.dp_single import (
     dp_single_processor,
     single_processor_task_chain,
 )
-from repro.exact.ilp import IlpModel, build_ilp, ilp_lower_bound, ilp_optimal
+from repro.exact.ilp import IlpModel, build_ilp, ilp_optimal
 from repro.exact.brute import brute_force_optimal
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "single_processor_task_chain",
     "IlpModel",
     "build_ilp",
-    "ilp_lower_bound",
     "ilp_optimal",
     "brute_force_optimal",
 ]

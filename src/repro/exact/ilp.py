@@ -40,7 +40,7 @@ from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.utils.errors import SolverError
 
-__all__ = ["IlpModel", "build_ilp", "ilp_optimal", "ilp_lower_bound"]
+__all__ = ["IlpModel", "build_ilp", "ilp_optimal"]
 
 
 @dataclass
@@ -249,21 +249,3 @@ def ilp_optimal(
                 best_start = start
         starts[node] = best_start
     return Schedule(instance, starts, algorithm="ILP")
-
-
-def ilp_lower_bound(instance: ProblemInstance) -> float:
-    """Return the LP-relaxation lower bound on the optimal carbon cost.
-
-    Useful as a fast sanity check on larger instances where solving the full
-    MILP is too expensive.
-    """
-    model = build_ilp(instance)
-    result = milp(
-        c=model.objective,
-        constraints=model.constraints,
-        integrality=np.zeros_like(model.integrality),
-        bounds=model.bounds,
-    )
-    if result.x is None:
-        raise SolverError(f"LP relaxation failed: {result.message}")
-    return float(result.fun)

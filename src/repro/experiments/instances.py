@@ -17,8 +17,8 @@ of the grid is generated deterministically from a master seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.carbon.scenarios import DEFAULT_NUM_INTERVALS, generate_power_profile
 from repro.mapping.enhanced_dag import build_enhanced_dag
@@ -36,7 +36,6 @@ __all__ = [
     "build_instance",
     "make_instance",
     "default_grid",
-    "small_grid",
     "single_processor_instance",
     "DEFAULT_DEADLINE_FACTORS",
     "DEFAULT_SCENARIOS",
@@ -218,26 +217,6 @@ def default_grid(
                             )
                         )
     return grid
-
-
-def small_grid(
-    *,
-    families: Sequence[str] = ("atacseq", "methylseq"),
-    sizes: Sequence[int] = (30,),
-    clusters: Sequence[str] = ("small",),
-    scenarios: Sequence[str] = DEFAULT_SCENARIOS,
-    deadline_factors: Sequence[float] = (1.0, 2.0),
-    seed: int = 0,
-) -> List[InstanceSpec]:
-    """Return a small grid (default 16 instances) for quick runs and tests."""
-    return default_grid(
-        families=families,
-        sizes=sizes,
-        clusters=clusters,
-        scenarios=scenarios,
-        deadline_factors=deadline_factors,
-        seed=seed,
-    )
 
 
 def single_processor_instance(

@@ -1,20 +1,21 @@
-"""Versioned JSON wire format for instances, schedules and results.
+"""Versioned JSON wire format for instances, run records and simulation reports.
 
-This module is the serialisation boundary of the library: everything a
-scheduling request or response consists of — workflows, clusters, power
-profiles, mappings, problem instances, schedules, scheduler results and
-experiment records — can be turned into plain JSON-compatible dictionaries
-and back.  The leaf value types carry their own ``to_dict``/``from_dict``
+This module is the serialisation boundary of the library.  The leaf value
+types carry their own ``to_dict``/``from_dict``
 (:class:`~repro.workflow.task.Task`, :class:`~repro.workflow.dag.Workflow`,
 :class:`~repro.platform_.processor.ProcessorSpec`,
 :class:`~repro.platform_.cluster.Cluster`,
 :class:`~repro.carbon.intervals.PowerProfile`,
-:class:`~repro.mapping.mapping.Mapping`,
-:class:`~repro.schedule.schedule.Schedule`); this module composes them into
-the payloads that cross process and machine boundaries and wraps them in a
-versioned envelope::
+:class:`~repro.mapping.mapping.Mapping`); this module composes them into
+the problem-instance payload that crosses process and machine boundaries
+and wraps the documents the CLI writes in a versioned envelope::
 
     {"format": "cawosched-wire", "version": 1, "kind": "instance", "payload": {...}}
+
+There are three kinds: ``"instance"`` (a
+:class:`~repro.schedule.instance.ProblemInstance`), ``"records"`` (a list of
+:class:`~repro.experiments.runner.RunRecord`) and ``"sim-report"`` (a
+:class:`~repro.sim.report.SimReport`).
 
 Reconstruction is exact: a deserialised :class:`ProblemInstance` has the same
 node durations, processor powers, orderings and power profile as the
@@ -23,28 +24,24 @@ of the extended platform (whose powers are drawn randomly at construction
 time) are serialised verbatim and the communication-enhanced DAG is rebuilt
 deterministically around them via ``build_enhanced_dag(..., platform=...)``.
 
-:func:`instance_fingerprint` hashes the canonical JSON form of an instance
-payload; the job fingerprint of :mod:`repro.api` hashes the same canonical
-form (with the instance labels stripped) to deduplicate jobs and key the
-client's result cache.
+The job fingerprint of :mod:`repro.api` hashes the :func:`canonical_json`
+form of an instance payload (with the instance labels stripped) to
+deduplicate jobs and key the client's result cache.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Union
 
 from repro.carbon.intervals import PowerProfile
-from repro.core.scheduler import ScheduleResult
 from repro.experiments.runner import RunRecord
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import ExtendedPlatform
 from repro.platform_.processor import ProcessorSpec
 from repro.schedule.instance import ProblemInstance
-from repro.schedule.schedule import Schedule
 from repro.utils.errors import WireFormatError
 
 __all__ = [
@@ -55,20 +52,6 @@ __all__ = [
     "canonical_json",
     "instance_to_dict",
     "instance_from_dict",
-    "instance_fingerprint",
-    "schedule_to_dict",
-    "schedule_from_dict",
-    "result_to_dict",
-    "result_from_dict",
-    "records_to_dict",
-    "records_from_dict",
-    "sim_report_to_dict",
-    "sim_report_from_dict",
-    "job_to_dict",
-    "job_from_dict",
-    "job_result_to_dict",
-    "job_result_from_dict",
-    "error_to_dict",
     "dumps",
     "loads",
     "save",
@@ -194,176 +177,28 @@ def instance_from_dict(payload: TMapping[str, object]) -> ProblemInstance:
     )
 
 
-def instance_fingerprint(
-    instance: Union[ProblemInstance, TMapping[str, object]],
-) -> str:
-    """Return the content-hash fingerprint of an instance (or its payload).
-
-    Two instances with identical content — same workflow, cluster, mapping,
-    link processors, profile, name and metadata — have the same fingerprint
-    regardless of how or where they were constructed.  The fingerprint is the
-    SHA-256 of the canonical JSON form of the instance payload.
-    """
-    if isinstance(instance, ProblemInstance):
-        payload = instance_to_dict(instance)
-    else:
-        payload = dict(instance)
-    digest = hashlib.sha256(canonical_json(payload).encode("utf8"))
-    return digest.hexdigest()
-
-
 # ---------------------------------------------------------------------- #
-# Schedules and results
+# Text / file round trips
 # ---------------------------------------------------------------------- #
-def schedule_to_dict(
-    schedule: Schedule, *, include_instance: bool = False
-) -> Dict[str, object]:
-    """Serialise a schedule (optionally bundling its instance)."""
-    payload = schedule.to_dict()
-    if include_instance:
-        payload["instance"] = instance_to_dict(schedule.instance)
-    return payload
-
-
-def schedule_from_dict(
-    payload: TMapping[str, object], instance: Optional[ProblemInstance] = None
-) -> Schedule:
-    """Rebuild a schedule from :func:`schedule_to_dict` output.
-
-    Pass *instance* when the payload does not embed one; a payload with an
-    embedded instance wins over the argument.
-    """
-    if "instance" in payload:
-        instance = instance_from_dict(payload["instance"])
-    if instance is None:
-        raise WireFormatError(
-            "schedule payload has no embedded instance; pass instance= explicitly"
-        )
-    return Schedule.from_dict(payload, instance)
-
-
-def result_to_dict(
-    result: ScheduleResult, *, include_instance: bool = False
-) -> Dict[str, object]:
-    """Serialise a :class:`ScheduleResult` (optionally bundling the instance)."""
-    return {
-        "variant": result.variant,
-        "carbon_cost": result.carbon_cost,
-        "runtime_seconds": result.runtime_seconds,
-        "makespan": result.makespan,
-        "schedule": schedule_to_dict(result.schedule, include_instance=include_instance),
-    }
-
-
-def result_from_dict(
-    payload: TMapping[str, object], instance: Optional[ProblemInstance] = None
-) -> ScheduleResult:
-    """Rebuild a :class:`ScheduleResult` from :func:`result_to_dict` output."""
-    schedule = schedule_from_dict(payload["schedule"], instance)
-    return ScheduleResult(
-        variant=str(payload["variant"]),
-        schedule=schedule,
-        carbon_cost=int(payload["carbon_cost"]),
-        runtime_seconds=float(payload["runtime_seconds"]),
-        makespan=int(payload["makespan"]),
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Experiment records
-# ---------------------------------------------------------------------- #
-def records_to_dict(records: Iterable[RunRecord]) -> List[Dict[str, object]]:
-    """Serialise a list of run records."""
-    return [record.to_dict() for record in records]
-
-
-def records_from_dict(payload: Iterable[TMapping[str, object]]) -> List[RunRecord]:
-    """Rebuild a list of run records."""
-    return [RunRecord.from_dict(entry) for entry in payload]
-
-
-# ---------------------------------------------------------------------- #
-# Simulation reports
-# ---------------------------------------------------------------------- #
-def sim_report_to_dict(report) -> Dict[str, object]:
-    """Serialise a :class:`repro.sim.report.SimReport` (delegates to ``to_dict``)."""
-    return report.to_dict()
-
-
-def sim_report_from_dict(payload: TMapping[str, object]):
-    """Rebuild a :class:`repro.sim.report.SimReport` from its payload.
-
-    The import is deferred: :mod:`repro.sim` sits above this module in the
-    layering (its engine schedules through the client facade, which
-    serialises through here), so importing it at module load time would be circular.
-    """
+def _sim_report_from_dict(payload: TMapping[str, object]):
+    # Deferred import: repro.sim sits above this module in the layering (its
+    # engine schedules through the client facade, which serialises through
+    # here), so importing it at module load time would be circular.
     from repro.sim.report import SimReport
 
     return SimReport.from_dict(payload)
 
 
-# ---------------------------------------------------------------------- #
-# Jobs and job results (the repro.api facade)
-# ---------------------------------------------------------------------- #
-def job_to_dict(job) -> Dict[str, object]:
-    """Serialise a :class:`repro.api.jobs.Job` (delegates to ``to_dict``)."""
-    return job.to_dict()
-
-
-def job_from_dict(payload: TMapping[str, object]):
-    """Rebuild a :class:`repro.api.jobs.Job` from its payload.
-
-    The import is deferred: :mod:`repro.api` composes this module's
-    helpers, so importing it at module load time would be circular.
-    """
-    from repro.api.jobs import Job
-
-    return Job.from_dict(payload)
-
-
-def job_result_to_dict(result) -> Dict[str, object]:
-    """Serialise a :class:`repro.api.jobs.JobResult` (delegates to ``to_dict``)."""
-    return result.to_dict()
-
-
-def job_result_from_dict(payload: TMapping[str, object]):
-    """Rebuild a :class:`repro.api.jobs.JobResult` from its payload."""
-    from repro.api.jobs import JobResult
-
-    return JobResult.from_dict(payload)
-
-
-def error_to_dict(exc: BaseException) -> Dict[str, object]:
-    """Serialise an exception into the wire ``"error"`` payload.
-
-    Delegates to :func:`repro.api.errors.error_payload`, which maps the
-    facade's structured taxonomy onto stable codes and exit codes.
-    """
-    from repro.api.errors import error_payload
-
-    return error_payload(exc)
-
-
-# ---------------------------------------------------------------------- #
-# Text / file round trips
-# ---------------------------------------------------------------------- #
 _KIND_SERIALISERS = {
     "instance": instance_to_dict,
-    "records": records_to_dict,
-    "sim-report": sim_report_to_dict,
-    "job": job_to_dict,
-    "job-result": job_result_to_dict,
-    "error": error_to_dict,
+    "records": lambda records: [record.to_dict() for record in records],
+    "sim-report": lambda report: report.to_dict(),
 }
 
 _KIND_DESERIALISERS = {
     "instance": instance_from_dict,
-    "records": records_from_dict,
-    "sim-report": sim_report_from_dict,
-    "job": job_from_dict,
-    "job-result": job_result_from_dict,
-    # An error document's payload is already plain data.
-    "error": dict,
+    "records": lambda payload: [RunRecord.from_dict(entry) for entry in payload],
+    "sim-report": _sim_report_from_dict,
 }
 
 
@@ -371,11 +206,8 @@ def dumps(kind: str, obj: object, *, indent: Optional[int] = 2) -> str:
     """Serialise *obj* of the given *kind* to enveloped JSON text.
 
     Supported kinds: ``"instance"`` (a :class:`ProblemInstance`),
-    ``"records"`` (an iterable of :class:`RunRecord`), ``"sim-report"`` (a
-    :class:`~repro.sim.report.SimReport`), ``"job"`` (a
-    :class:`~repro.api.jobs.Job`), ``"job-result"`` (a
-    :class:`~repro.api.jobs.JobResult`) and ``"error"`` (an exception,
-    rendered by :func:`error_to_dict`).
+    ``"records"`` (an iterable of :class:`RunRecord`) and ``"sim-report"``
+    (a :class:`~repro.sim.report.SimReport`).
     """
     try:
         serialise = _KIND_SERIALISERS[kind]

@@ -64,7 +64,6 @@ def carbon_aware_heft_mapping(
     power_weight = check_probability(power_weight, "power_weight")
     if bandwidth <= 0:
         raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
-    workflow.validate()
     processors = cluster.processors()
     durations = _duration_table(workflow, processors)
     ranks = _ranks(workflow, durations, len(processors), bandwidth)

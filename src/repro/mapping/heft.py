@@ -25,7 +25,7 @@ times) for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mapping.mapping import Mapping
@@ -151,7 +151,6 @@ def heft_mapping(
     tie-breaking, as in the paper).  The insertion policy scans the idle gaps
     of each processor and places the task in the earliest gap that fits.
     """
-    workflow.validate()
     if bandwidth <= 0:
         raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
     processors = cluster.processors()

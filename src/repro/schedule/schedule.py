@@ -127,8 +127,7 @@ class Schedule:
         """Return a JSON-serialisable representation of the schedule.
 
         The instance itself is *not* embedded (it is usually shared between
-        many schedules); pass it to :meth:`from_dict` when deserialising, or
-        use :func:`repro.io.wire.schedule_to_dict` to bundle both.
+        many schedules); pass it to :meth:`from_dict` when deserialising.
         """
         return {
             "algorithm": self._algorithm,

@@ -28,7 +28,7 @@ from repro.utils.errors import (
 )
 from repro.utils.names import decode_name, encode_name
 from repro.utils.rng import derive_rng, ensure_rng, spawn_seeds
-from repro.utils.ordering import topological_order, is_topological_order
+from repro.utils.ordering import topological_order
 from repro.utils.validation import (
     check_positive_int,
     check_non_negative_int,
@@ -52,7 +52,6 @@ __all__ = [
     "ensure_rng",
     "spawn_seeds",
     "topological_order",
-    "is_topological_order",
     "check_positive_int",
     "check_non_negative_int",
     "check_probability",

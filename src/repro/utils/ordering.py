@@ -11,11 +11,11 @@ the library's only acyclicity check.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Hashable, Iterable, List, Mapping, Sequence
+from typing import Hashable, Iterable, List, Mapping
 
 from repro.utils.errors import CyclicWorkflowError
 
-__all__ = ["topological_order", "is_topological_order"]
+__all__ = ["topological_order"]
 
 Successors = Mapping[Hashable, Iterable[Hashable]]
 
@@ -51,22 +51,6 @@ def topological_order(successors: Successors) -> List[Hashable]:
     if len(order) != len(index):
         raise CyclicWorkflowError("graph contains a cycle")
     return order
-
-
-def is_topological_order(successors: Successors, order: Sequence[Hashable]) -> bool:
-    """Check whether *order* is a valid topological order of *successors*.
-
-    The order must contain every node exactly once and place every edge
-    source before its target.
-    """
-    position = {node: index for index, node in enumerate(order)}
-    if len(order) != len(successors) or position.keys() != successors.keys():
-        return False
-    return all(
-        position[source] < position[target]
-        for source, targets in successors.items()
-        for target in targets
-    )
 
 
 def _sort_key(node: Hashable):

@@ -1,4 +1,4 @@
-"""Workflow (DAG) substrate: tasks, DAG model, generators, I/O, analysis.
+"""Workflow (DAG) substrate: tasks, DAG model, generators, analysis.
 
 Public surface:
 
@@ -8,8 +8,6 @@ Public surface:
   (:func:`~repro.workflow.generators.generate_workflow`,
   :data:`~repro.workflow.generators.WORKFLOW_FAMILIES`)
 * WfGen-style scaling (:func:`~repro.workflow.wfgen.scale_workflow`)
-* ``.dot`` import/export (:func:`~repro.workflow.dot_io.read_dot`,
-  :func:`~repro.workflow.dot_io.write_dot`)
 * structural analysis (:func:`~repro.workflow.analysis.workflow_stats`)
 """
 
@@ -26,20 +24,12 @@ from repro.workflow.generators import (
     fork_join_workflow,
     generate_workflow,
     independent_tasks_workflow,
-    in_tree_workflow,
     layered_random_workflow,
     methylseq_like_workflow,
     out_tree_workflow,
     random_dag_workflow,
 )
 from repro.workflow.wfgen import replicate_workflow, scale_workflow
-from repro.workflow.dot_io import (
-    parse_dot,
-    prune_pseudo_tasks,
-    read_dot,
-    workflow_to_dot,
-    write_dot,
-)
 from repro.workflow.analysis import WorkflowStats, size_class, width_profile, workflow_stats
 
 __all__ = [
@@ -56,18 +46,12 @@ __all__ = [
     "fork_join_workflow",
     "generate_workflow",
     "independent_tasks_workflow",
-    "in_tree_workflow",
     "layered_random_workflow",
     "methylseq_like_workflow",
     "out_tree_workflow",
     "random_dag_workflow",
     "replicate_workflow",
     "scale_workflow",
-    "parse_dot",
-    "prune_pseudo_tasks",
-    "read_dot",
-    "workflow_to_dot",
-    "write_dot",
     "WorkflowStats",
     "size_class",
     "width_profile",

@@ -8,12 +8,14 @@ must be communicated if the two endpoint tasks run on different processors).
 The class keeps plain insertion-ordered dicts (task -> work, task ->
 category, and ``succ[u][v]`` / ``pred[v][u]`` -> data volume) and adds
 
-* strict validation (positive weights, acyclicity, known endpoints),
+* strict validation on every write (positive integer work, non-negative
+  integer data, acyclicity, known endpoints), so a workflow is valid by
+  construction,
 * deterministic topological orders,
 * convenience accessors used throughout the library (sources, sinks,
   total work, critical path, level structure),
-* structural editing helpers used by the generators (scaling, pruning of
-  pseudo-tasks).
+* structural editing helpers used by the generators (weight updates, task
+  removal with reconnection).
 
 :meth:`Workflow.successor_map` and :meth:`Workflow.predecessor_map` expose the
 adjacency for read-only use; mutating them bypasses the validation and is not
@@ -31,6 +33,14 @@ from repro.utils.validation import check_non_negative_int, check_positive_int
 from repro.workflow.task import Task
 
 __all__ = ["Workflow"]
+
+
+def _checked(check, value, what: str) -> int:
+    """Return ``check(value, what)``, raising :class:`InvalidWorkflowError` on failure."""
+    try:
+        return check(value, what)
+    except (TypeError, ValueError) as exc:
+        raise InvalidWorkflowError(str(exc)) from exc
 
 
 class Workflow:
@@ -79,11 +89,7 @@ class Workflow:
         """
         if name in self._work:
             raise InvalidWorkflowError(f"task {name!r} already exists")
-        try:
-            work = check_positive_int(work, "work")
-        except (TypeError, ValueError) as exc:
-            raise InvalidWorkflowError(str(exc)) from exc
-        self._work[name] = work
+        self._work[name] = _checked(check_positive_int, work, "work")
         self._category[name] = category
         self._succ[name] = {}
         self._pred[name] = {}
@@ -120,10 +126,7 @@ class Workflow:
                 raise InvalidWorkflowError(f"unknown task {endpoint!r}")
         if target in self._succ[source]:
             raise InvalidWorkflowError(f"edge {source!r} -> {target!r} already exists")
-        try:
-            data = check_non_negative_int(data, "data")
-        except (TypeError, ValueError) as exc:
-            raise InvalidWorkflowError(str(exc)) from exc
+        data = _checked(check_non_negative_int, data, "data")
         # Reject edges that would close a cycle *before* mutating the graph.
         # The search starts at the target's successors, so generators that
         # wire edges into fresh tasks (no successors yet) skip it.
@@ -268,32 +271,6 @@ class Workflow:
             best[node] = incoming + self._work[node]
         return max(best.values(), default=0)
 
-    def validate(self) -> None:
-        """Validate the workflow structure.
-
-        Raises
-        ------
-        CyclicWorkflowError
-            If the graph has a cycle.
-        InvalidWorkflowError
-            If a weight annotation is missing or out of range.
-        """
-        try:
-            self.topological_order()
-        except CyclicWorkflowError as exc:
-            raise CyclicWorkflowError(f"workflow {self._name!r} contains a cycle") from exc
-        for node, work in self._work.items():
-            if not isinstance(work, int) or work <= 0:
-                raise InvalidWorkflowError(
-                    f"task {node!r} has invalid work {work!r} (positive int required)"
-                )
-        for source, targets in self._succ.items():
-            for target, data in targets.items():
-                if not isinstance(data, int) or data < 0:
-                    raise InvalidWorkflowError(
-                        f"edge {source!r} -> {target!r} has invalid data {data!r}"
-                    )
-
     # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #
@@ -344,7 +321,7 @@ class Workflow:
         return workflow
 
     # ------------------------------------------------------------------ #
-    # Editing helpers (used by generators and .dot import)
+    # Editing helpers (used by the generators)
     # ------------------------------------------------------------------ #
     def copy(self, name: Optional[str] = None) -> "Workflow":
         """Return a deep copy of the workflow (optionally renamed).
@@ -371,8 +348,8 @@ class Workflow:
         reconnect:
             If true, add an edge from every predecessor to every successor of
             the removed task (with communication volume 0) so that transitive
-            precedence is preserved.  This is what the Nextflow pseudo-task
-            pruning uses.
+            precedence is preserved.  This is what WfGen-style down-scaling
+            uses.
         """
         if name not in self._work:
             raise InvalidWorkflowError(f"unknown task {name!r}")
@@ -388,25 +365,30 @@ class Workflow:
             del self._succ[p][name]
         del self._work[name], self._category[name]
 
-    def scale_work(self, factor: float) -> None:
-        """Multiply every task work volume by *factor* (rounded, at least 1)."""
-        if factor <= 0:
-            raise InvalidWorkflowError(f"scale factor must be positive, got {factor}")
-        for node, work in self._work.items():
-            self._work[node] = max(1, int(round(work * factor)))
-
     def set_work(self, name: Hashable, work: int) -> None:
-        """Set the work volume of task *name*."""
+        """Set the work volume of task *name*.
+
+        Raises
+        ------
+        InvalidWorkflowError
+            If the task is unknown or *work* is not a positive integer.
+        """
         if name not in self._work:
             raise InvalidWorkflowError(f"unknown task {name!r}")
-        self._work[name] = check_positive_int(work, "work")
+        self._work[name] = _checked(check_positive_int, work, "work")
 
     def set_data(self, source: Hashable, target: Hashable, data: int) -> None:
-        """Set the communication volume of edge ``source -> target``."""
+        """Set the communication volume of edge ``source -> target``.
+
+        Raises
+        ------
+        InvalidWorkflowError
+            If the edge is unknown or *data* is not a non-negative integer.
+        """
         if not self.has_dependency(source, target):
             raise InvalidWorkflowError(f"unknown dependency {source!r} -> {target!r}")
-        self._succ[source][target] = self._pred[target][source] = check_non_negative_int(
-            data, "data"
+        self._succ[source][target] = self._pred[target][source] = _checked(
+            check_non_negative_int, data, "data"
         )
 
     # ------------------------------------------------------------------ #

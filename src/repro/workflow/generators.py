@@ -7,7 +7,7 @@ with this reproduction, so this module provides *structure-mimicking*
 generators for each family: per-sample analysis pipelines (parallel chains of
 category-labelled stages) that fan in to merge/report tasks — the dominant
 shape of nf-core workflows — plus a set of generic DAG generators (chains,
-fork-join, layered random, trees, diamonds) used by unit tests and ablation
+fork-join, layered random, out-trees, diamonds) used by unit tests and ablation
 studies.
 
 All generators
@@ -15,7 +15,8 @@ All generators
 * take an explicit RNG / seed for reproducibility,
 * assign task and edge weights from normal distributions where task weights
   are in general larger than edge weights (as in the paper, §6.1),
-* return a validated :class:`~repro.workflow.dag.Workflow`.
+* return a :class:`~repro.workflow.dag.Workflow`, valid by construction
+  (every mutator checks its weights and acyclicity).
 
 The public entry point for the experiment grid is :func:`generate_workflow`,
 which dispatches on the family name, and :data:`WORKFLOW_FAMILIES`, the
@@ -40,7 +41,6 @@ __all__ = [
     "fork_join_workflow",
     "layered_random_workflow",
     "out_tree_workflow",
-    "in_tree_workflow",
     "diamond_workflow",
     "random_dag_workflow",
     "independent_tasks_workflow",
@@ -116,7 +116,6 @@ def chain_workflow(
         wf.add_dependency(f"t{i}", f"t{i + 1}", data=0)
     if weighted:
         assign_random_weights(wf, rng=rng)
-    wf.validate()
     return wf
 
 
@@ -149,7 +148,6 @@ def fork_join_workflow(
         wf.add_dependency(previous, "sink", data=0)
     if weighted:
         assign_random_weights(wf, rng=rng)
-    wf.validate()
     return wf
 
 
@@ -209,7 +207,6 @@ def layered_random_workflow(
                             wf.add_dependency(candidate, task, data=0)
     if weighted:
         assign_random_weights(wf, rng=rng)
-    wf.validate()
     return wf
 
 
@@ -240,28 +237,6 @@ def out_tree_workflow(
         frontier = new_frontier
     if weighted:
         assign_random_weights(wf, rng=rng)
-    wf.validate()
-    return wf
-
-
-def in_tree_workflow(
-    depth: int,
-    branching: int = 2,
-    *,
-    rng: RNGLike = None,
-    name: str = "intree",
-    weighted: bool = True,
-) -> Workflow:
-    """Return a complete in-tree (reduction pattern) of given depth."""
-    tree = out_tree_workflow(depth, branching, rng=None, name=name, weighted=False)
-    wf = Workflow(tree.name)
-    for task in tree.tasks():
-        wf.add_task(task, work=1, category=tree.category(task))
-    for source, target in tree.dependencies():
-        wf.add_dependency(target, source, data=0)  # reverse every edge
-    if weighted:
-        assign_random_weights(wf, rng=rng)
-    wf.validate()
     return wf
 
 
@@ -301,7 +276,6 @@ def random_dag_workflow(
                 wf.add_dependency(f"t{i}", f"t{j}", data=0)
     if weighted:
         assign_random_weights(wf, rng=rng)
-    wf.validate()
     return wf
 
 
@@ -331,7 +305,6 @@ def independent_tasks_workflow(
             wf.set_work(f"t{i}", int(w))
     else:
         assign_random_weights(wf, rng=rng)
-    wf.validate()
     return wf
 
 
@@ -396,7 +369,6 @@ def _pipeline_family(
         previous_merge = stage
 
     assign_random_weights(wf, rng=rng)
-    wf.validate()
     return wf
 
 

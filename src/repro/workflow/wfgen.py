@@ -19,7 +19,6 @@ mechanism:
 
 from __future__ import annotations
 
-import math
 from typing import Hashable, List, Optional
 
 from repro.utils.errors import InvalidWorkflowError
@@ -100,7 +99,6 @@ def replicate_workflow(
             data_mean=DEFAULT_DATA_MEAN,
             data_std=DEFAULT_DATA_STD,
         )
-    result.validate()
     return result
 
 
@@ -159,5 +157,4 @@ def scale_workflow(
             break
         scaled.remove_task(task, reconnect=True)
         surplus -= 1
-    scaled.validate()
     return scaled

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import InvalidJob, Job, JobResult, UnknownVariant, job_fingerprint
+from repro.api import InvalidJob, Job, UnknownVariant, job_fingerprint
 from repro.core.scheduler import CaWoSched
 from repro.core.variants import variant_names
 from repro.experiments.instances import InstanceSpec, make_instance
-from repro.io.wire import instance_to_dict, loads, dumps
+from repro.io.wire import instance_to_dict
 from repro.schedule.instance import ProblemInstance
 
 VARIANTS = ("ASAP", "pressWR-LS")
@@ -56,6 +56,26 @@ class TestJobConstruction:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"variant": ["ASAP"]}, "unknown job field 'variant'; known: instance, spec,"),
+            ({"priority": 3}, "unknown job field 'priority'"),
+            ({"tags": ["urgent"]}, "unknown job field 'tags'"),
+            ({"scheduler": {"windw": 5}}, "unknown scheduler field 'windw'; known: block_size"),
+            ({"spec": {"family": "chain", "taks": 6}}, "unknown job spec field 'taks'; known: family"),
+        ],
+    )
+    def test_from_dict_rejects_unknown_fields(self, entry, message):
+        data = {"spec": {"family": "chain", "tasks": 6, "cluster": "single"}, **entry}
+        with pytest.raises(InvalidJob) as excinfo:
+            Job.from_dict(data)
+        assert message in str(excinfo.value)
+
+    def test_from_dict_accepts_the_num_tasks_alias(self):
+        job = Job.from_dict({"spec": {"family": "chain", "num_tasks": 6}})
+        assert job.spec["tasks"] == 6
+
     def test_validate_rejects_empty_variants(self, grid_instance):
         job = Job(payload=instance_to_dict(grid_instance), variants=())
         with pytest.raises(InvalidJob, match="at least one"):
@@ -74,13 +94,12 @@ class TestJobConstruction:
             Job(variants=("NOPE",)).validate()
 
     def test_dict_round_trip(self, grid_instance):
-        job = Job.from_instance(
-            grid_instance, variants=VARIANTS, priority=3, tags=("urgent",)
-        )
-        clone = Job.from_dict(job.to_dict())
+        job = Job.from_instance(grid_instance, variants=VARIANTS)
+        data = job.to_dict()
+        assert list(data) == ["instance", "variants", "scheduler"]
+        clone = Job.from_dict(data)
         assert clone.fingerprint == job.fingerprint
-        assert clone.priority == 3
-        assert clone.tags == ("urgent",)
+        assert clone == job
         assert clone.live_instance is None
 
     def test_spec_job_dict_round_trip_ships_the_spec(self):
@@ -114,13 +133,6 @@ class TestJobFingerprint:
         second = Job.from_instance(relabelled, variants=VARIANTS)
         assert first.fingerprint == second.fingerprint
 
-    def test_fingerprint_ignores_priority_and_tags(self, grid_instance):
-        plain = Job.from_instance(grid_instance, variants=VARIANTS)
-        routed = Job.from_instance(
-            grid_instance, variants=VARIANTS, priority=9, tags=("a", "b")
-        )
-        assert plain.fingerprint == routed.fingerprint
-
     def test_fingerprint_depends_on_variants_and_scheduler(self, grid_instance):
         base = Job.from_instance(grid_instance, variants=("ASAP",))
         other = Job.from_instance(grid_instance, variants=("slack",))
@@ -143,28 +155,3 @@ class TestJobFingerprint:
             job.payload, job.variants, job.scheduler
         )
 
-
-class TestWireKinds:
-    def test_job_wire_round_trip(self, grid_instance):
-        job = Job.from_instance(grid_instance, variants=VARIANTS)
-        clone = loads(dumps("job", job), "job")
-        assert isinstance(clone, Job)
-        assert clone.fingerprint == job.fingerprint
-
-    def test_job_result_wire_round_trip(self, grid_instance):
-        from repro.api import Client
-
-        result = Client().submit(Job.from_instance(grid_instance, variants=VARIANTS))
-        clone = loads(dumps("job-result", result), "job-result")
-        assert isinstance(clone, JobResult)
-        assert clone.fingerprint == result.fingerprint
-        assert clone.records == result.records
-        assert clone.results is None  # schedules never cross the wire here
-
-    def test_error_wire_document(self):
-        from repro.api import UnknownVariant
-
-        document = loads(dumps("error", UnknownVariant("nope")), "error")
-        assert document["code"] == "unknown-variant"
-        assert document["exit_code"] == 3
-        assert "nope" in document["message"]

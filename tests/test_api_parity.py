@@ -12,11 +12,11 @@ import dataclasses
 from repro.api import Client, Job
 from repro.experiments.instances import InstanceSpec
 from repro.experiments.runner import run_grid
-from repro.io.wire import canonical_json, records_to_dict
+from repro.io.wire import canonical_json
 
 def _canonical(records):
     stripped = [dataclasses.replace(r, runtime_seconds=0.0) for r in records]
-    return canonical_json(records_to_dict(stripped)).encode("utf8")
+    return canonical_json([record.to_dict() for record in stripped]).encode("utf8")
 
 
 class TestRunnerShims:

@@ -7,7 +7,6 @@ import pytest
 from repro.carbon.scenarios import (
     SCENARIOS,
     generate_power_profile,
-    generate_scenario_suite,
     scenario_fraction,
 )
 from repro.utils.errors import InvalidProfileError
@@ -101,10 +100,3 @@ class TestGenerateProfile:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             generate_power_profile("S1", 0, idle_power=1, work_power=1)
-
-
-class TestScenarioSuite:
-    def test_suite_has_all_scenarios(self):
-        suite = generate_scenario_suite(100, idle_power=5, work_power=20, rng=0)
-        assert set(suite) == {"S1", "S2", "S3", "S4"}
-        assert all(profile.horizon == 100 for profile in suite.values())

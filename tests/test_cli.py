@@ -196,8 +196,9 @@ class TestBatchCommand:
 
         spec = {"family": "chain", "tasks": 6, "cluster": "single"}
         for entry, message in [
-            ({"spec": spec, "priority": "high"}, "malformed job field 'priority'"),
-            ({"spec": spec, "tags": 5}, "malformed job field 'tags'"),
+            ({"spec": spec, "priority": "high"}, "unknown job field 'priority'"),
+            ({"spec": spec, "tags": 5}, "unknown job field 'tags'"),
+            ({"spec": spec, "variant": ["ASAP"]}, "unknown job field 'variant'"),
             ({"spec": spec, "master_seed": "x"}, "malformed job field 'master_seed'"),
             ({"instance": 7}, "malformed job field 'instance'"),
             (5, "must be a JSON object"),

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.exact.brute import brute_force_optimal
 from repro.exact.dp_single import dp_single_processor
-from repro.exact.ilp import build_ilp, ilp_lower_bound, ilp_optimal
+from repro.exact.ilp import build_ilp, ilp_optimal
 from repro.schedule.cost import carbon_cost
 from repro.schedule.validation import is_feasible
 
@@ -59,11 +57,6 @@ class TestOptimality:
         for name in variant_names():
             result = CaWoSched().run(tiny_multi_instance, name)
             assert result.carbon_cost >= optimal_cost
-
-    def test_lower_bound_not_above_optimum(self, tiny_multi_instance):
-        bound = ilp_lower_bound(tiny_multi_instance)
-        optimum = carbon_cost(ilp_optimal(tiny_multi_instance))
-        assert bound <= optimum + 1e-6
 
     def test_algorithm_label(self, tiny_single_instance):
         assert ilp_optimal(tiny_single_instance).algorithm == "ILP"

@@ -12,7 +12,6 @@ from repro.experiments.instances import (
     default_grid,
     make_instance,
     single_processor_instance,
-    small_grid,
 )
 from repro.platform_.presets import scaled_small_cluster
 from repro.schedule.asap import asap_makespan
@@ -99,9 +98,6 @@ class TestGrids:
         assert all(spec.seed == 1 for spec in grid)
         assert {spec.scenario for spec in grid} == set(DEFAULT_SCENARIOS)
         assert {spec.deadline_factor for spec in grid} == set(DEFAULT_DEADLINE_FACTORS)
-
-    def test_small_grid_is_smaller(self):
-        assert len(small_grid()) < len(default_grid())
 
     def test_grid_cells_are_unique(self):
         grid = default_grid(sizes=(30,))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,8 @@ from repro.platform_.presets import (
 from repro.platform_.processor import ProcessorSpec
 from repro.workflow.dag import Workflow
 from repro.workflow.generators import generate_workflow
+
+from nx_oracle import to_networkx
 
 
 # --------------------------------------------------------------------------- #
@@ -60,7 +63,12 @@ def _reference_heft(
     power_weight: Optional[float] = None,
 ) -> Tuple[Dict, Dict, Dict, int, Dict]:
     """Plain HEFT (``power_weight=None``) or the carbon-aware first pass."""
-    workflow.validate()
+    assert nx.is_directed_acyclic_graph(to_networkx(workflow))
+    assert all(type(workflow.work(task)) is int and workflow.work(task) > 0 for task in workflow)
+    assert all(
+        type(workflow.data(u, v)) is int and workflow.data(u, v) >= 0
+        for u, v in workflow.dependencies()
+    )
     ranks = _reference_ranks(workflow, cluster, bandwidth)
     priority: List[Hashable] = sorted(workflow.tasks(), key=lambda task: -ranks[task])
     processors = cluster.processors()

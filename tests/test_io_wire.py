@@ -14,32 +14,32 @@ from repro.experiments.runner import RunRecord
 from repro.io.wire import (
     WIRE_FORMAT,
     WIRE_VERSION,
+    canonical_json,
     dumps,
     envelope,
-    instance_fingerprint,
     instance_from_dict,
     instance_to_dict,
     load_instance,
     load_records,
     loads,
     open_envelope,
-    records_from_dict,
-    records_to_dict,
-    result_from_dict,
-    result_to_dict,
     save_instance,
     save_records,
-    schedule_from_dict,
-    schedule_to_dict,
 )
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import Cluster, ExtendedPlatform
 from repro.platform_.processor import ProcessorSpec
+from repro.schedule.schedule import Schedule
 from repro.utils.errors import InvalidWorkflowError, WireFormatError
 from repro.utils.names import decode_name, encode_name
 from repro.workflow.dag import Workflow
 from repro.workflow.generators import generate_workflow
 from repro.workflow.task import CommTask, Task
+
+
+def _canonical(instance) -> str:
+    """The canonical payload text the job fingerprint hashes."""
+    return canonical_json(instance_to_dict(instance))
 
 
 @pytest.fixture
@@ -181,12 +181,10 @@ class TestInstanceRoundTrip:
 
     def test_fingerprint_stable_across_round_trips(self, grid_instance):
         clone = instance_from_dict(instance_to_dict(grid_instance))
-        assert instance_fingerprint(clone) == instance_fingerprint(grid_instance)
+        assert _canonical(clone) == _canonical(grid_instance)
 
     def test_fingerprint_distinguishes_content(self, grid_instance, tiny_multi_instance):
-        assert instance_fingerprint(grid_instance) != instance_fingerprint(
-            tiny_multi_instance
-        )
+        assert _canonical(grid_instance) != _canonical(tiny_multi_instance)
 
     def test_missing_field_rejected(self):
         with pytest.raises(WireFormatError, match="missing field"):
@@ -252,30 +250,10 @@ class TestInstanceRoundTrip:
 class TestScheduleAndResultRoundTrips:
     def test_schedule_round_trip(self, grid_instance):
         schedule = CaWoSched().schedule(grid_instance, "pressWR-LS")
-        clone = schedule_from_dict(schedule.to_dict(), grid_instance)
+        clone = Schedule.from_dict(schedule.to_dict(), grid_instance)
         assert clone.same_start_times(schedule)
         assert clone.algorithm == schedule.algorithm
         assert clone.makespan == schedule.makespan
-
-    def test_schedule_with_embedded_instance(self, grid_instance):
-        schedule = CaWoSched().schedule(grid_instance, "ASAP")
-        payload = schedule_to_dict(schedule, include_instance=True)
-        clone = schedule_from_dict(payload)
-        assert clone.same_start_times(schedule)
-        assert clone.instance.name == grid_instance.name
-
-    def test_schedule_without_instance_rejected(self, grid_instance):
-        schedule = CaWoSched().schedule(grid_instance, "ASAP")
-        with pytest.raises(WireFormatError):
-            schedule_from_dict(schedule.to_dict())
-
-    def test_result_round_trip(self, grid_instance):
-        result = CaWoSched().run(grid_instance, "pressWR-LS")
-        clone = result_from_dict(result_to_dict(result), grid_instance)
-        assert clone.variant == result.variant
-        assert clone.carbon_cost == result.carbon_cost
-        assert clone.makespan == result.makespan
-        assert clone.schedule.same_start_times(result.schedule)
 
 
 class TestRecordsRoundTrip:
@@ -283,7 +261,7 @@ class TestRecordsRoundTrip:
         records = list(
             Client().submit(Job.from_instance(grid_instance, variants=["ASAP", "slack"])).records
         )
-        clone = records_from_dict(records_to_dict(records))
+        clone = loads(dumps("records", records), "records")
         assert clone == records
 
     def test_record_from_csv_strings(self):
@@ -327,13 +305,21 @@ class TestEnvelope:
         with pytest.raises(WireFormatError):
             dumps("mystery", object())
 
+    @pytest.mark.parametrize("kind", ["job", "job-result", "error"])
+    def test_only_the_cli_kinds_are_known(self, kind):
+        message = "known: instance, records, sim-report"
+        with pytest.raises(WireFormatError, match=message):
+            dumps(kind, object())
+        with pytest.raises(WireFormatError, match=message):
+            loads(json.dumps(envelope(kind, {})))
+
 
 class TestFileRoundTrips:
     def test_instance_file(self, grid_instance, tmp_path):
         path = tmp_path / "instance.json"
         save_instance(grid_instance, path)
         clone = load_instance(path)
-        assert instance_fingerprint(clone) == instance_fingerprint(grid_instance)
+        assert _canonical(clone) == _canonical(grid_instance)
         # The file is a valid envelope readable by any JSON consumer.
         document = json.loads(path.read_text(encoding="utf8"))
         assert document["format"] == WIRE_FORMAT
@@ -349,4 +335,4 @@ class TestFileRoundTrips:
 
     def test_dumps_loads_text(self, grid_instance):
         clone = loads(dumps("instance", grid_instance))
-        assert instance_fingerprint(clone) == instance_fingerprint(grid_instance)
+        assert _canonical(clone) == _canonical(grid_instance)

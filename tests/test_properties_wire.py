@@ -17,14 +17,8 @@ from repro.core.scheduler import CaWoSched
 from repro.experiments.instances import InstanceSpec, make_instance
 from repro.experiments.reporting import records_from_csv, records_to_csv
 from repro.experiments.runner import RunRecord
-from repro.io.wire import (
-    instance_fingerprint,
-    instance_from_dict,
-    instance_to_dict,
-    records_from_dict,
-    records_to_dict,
-    schedule_from_dict,
-)
+from repro.io.wire import canonical_json, dumps, instance_from_dict, instance_to_dict, loads
+from repro.schedule.schedule import Schedule
 from repro.utils.names import decode_name, encode_name
 from repro.workflow.dag import Workflow
 from repro.workflow.generators import generate_workflow
@@ -109,7 +103,9 @@ class TestInstanceProperties:
         spec = InstanceSpec(family, num_tasks, "small", scenario, 1.5, seed=seed)
         instance = make_instance(spec)
         clone = instance_from_dict(_through_json(instance_to_dict(instance)))
-        assert instance_fingerprint(clone) == instance_fingerprint(instance)
+        assert canonical_json(instance_to_dict(clone)) == canonical_json(
+            instance_to_dict(instance)
+        )
         scheduler = CaWoSched()
         for variant in ("ASAP", "pressWR-LS"):
             original = scheduler.run(instance, variant)
@@ -117,9 +113,7 @@ class TestInstanceProperties:
             assert roundtrip.carbon_cost == original.carbon_cost
             assert roundtrip.makespan == original.makespan
             # The schedule itself survives a round trip against the clone.
-            rebuilt = schedule_from_dict(
-                _through_json(original.schedule.to_dict()), clone
-            )
+            rebuilt = Schedule.from_dict(_through_json(original.schedule.to_dict()), clone)
             assert rebuilt.same_start_times(original.schedule)
 
 
@@ -127,7 +121,7 @@ class TestRecordProperties:
     @given(records=st.lists(RECORDS, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_records_json_round_trip(self, records):
-        assert records_from_dict(_through_json(records_to_dict(records))) == records
+        assert loads(dumps("records", records), "records") == records
 
     @given(records=st.lists(RECORDS, max_size=8))
     @settings(max_examples=50, deadline=None)

@@ -6,8 +6,6 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workflow.dag import Workflow
-from repro.workflow.dot_io import parse_dot, workflow_to_dot
 from repro.workflow.generators import (
     fork_join_workflow,
     generate_workflow,
@@ -25,11 +23,10 @@ class TestGeneratorProperties:
     @settings(max_examples=30, deadline=None)
     def test_generated_workflows_are_valid_dags(self, family, num_tasks, seed):
         wf = generate_workflow(family, num_tasks, rng=seed)
-        wf.validate()
         assert nx.is_directed_acyclic_graph(to_networkx(wf))
         assert wf.number_of_tasks >= 1
-        assert all(wf.work(task) >= 1 for task in wf.tasks())
-        assert all(wf.data(u, v) >= 0 for u, v in wf.dependencies())
+        assert all(type(wf.work(task)) is int and wf.work(task) >= 1 for task in wf.tasks())
+        assert all(type(wf.data(u, v)) is int and wf.data(u, v) >= 0 for u, v in wf.dependencies())
 
     @given(num_tasks=st.integers(1, 80), seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -61,14 +58,3 @@ class TestGeneratorProperties:
         assert wf.critical_path_work() <= wf.total_work()
         assert wf.depth() <= wf.number_of_tasks
 
-
-class TestDotRoundTripProperty:
-    @given(family=FAMILIES, num_tasks=st.integers(10, 60), seed=st.integers(0, 10**6))
-    @settings(max_examples=15, deadline=None)
-    def test_dot_round_trip_preserves_weights(self, family, num_tasks, seed):
-        original = generate_workflow(family, num_tasks, rng=seed)
-        loaded = parse_dot(workflow_to_dot(original))
-        assert loaded.number_of_tasks == original.number_of_tasks
-        assert loaded.number_of_dependencies == original.number_of_dependencies
-        assert loaded.total_work() == original.total_work()
-        assert loaded.total_data() == original.total_data()

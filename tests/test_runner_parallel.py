@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments.instances import InstanceSpec
 from repro.experiments.runner import RunRecord, run_grid
-from repro.io.wire import canonical_json, records_to_dict
+from repro.io.wire import canonical_json
 
 VARIANTS = ("ASAP", "pressWR-LS")
 
@@ -29,7 +29,7 @@ def _strip_runtimes(records: List[RunRecord]) -> List[RunRecord]:
 
 
 def _canonical_bytes(records: List[RunRecord]) -> bytes:
-    return canonical_json(records_to_dict(_strip_runtimes(records))).encode("utf8")
+    return canonical_json([record.to_dict() for record in _strip_runtimes(records)]).encode("utf8")
 
 
 class TestRunGridParallel:

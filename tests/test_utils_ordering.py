@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.utils.errors import CyclicWorkflowError
-from repro.utils.ordering import is_topological_order, topological_order
+from repro.utils.ordering import topological_order
 
 
 def make_diamond() -> dict:
@@ -16,7 +17,7 @@ class TestTopologicalOrder:
     def test_valid_order(self):
         graph = make_diamond()
         order = topological_order(graph)
-        assert is_topological_order(graph, order)
+        assert order in [list(valid) for valid in nx.all_topological_sorts(nx.DiGraph(graph))]
 
     def test_deterministic(self):
         graph = make_diamond()
@@ -37,20 +38,3 @@ class TestTopologicalOrder:
         # Labels sort before insertion order; equal keys keep insertion order.
         assert topological_order({"b": [], "a": [], 2: [], "2": []}) == [2, "2", "a", "b"]
 
-
-class TestIsTopologicalOrder:
-    def test_rejects_wrong_length(self):
-        graph = make_diamond()
-        assert not is_topological_order(graph, ["a", "b", "c"])
-
-    def test_rejects_duplicates(self):
-        graph = make_diamond()
-        assert not is_topological_order(graph, ["a", "a", "b", "d"])
-
-    def test_rejects_edge_violation(self):
-        graph = make_diamond()
-        assert not is_topological_order(graph, ["b", "a", "c", "d"])
-
-    def test_accepts_any_valid_order(self):
-        graph = make_diamond()
-        assert is_topological_order(graph, ["a", "c", "b", "d"])

@@ -140,9 +140,6 @@ class TestStructure:
         assert wf.critical_path_work() == 0
         assert wf.topological_order() == []
 
-    def test_validate_passes_on_good_workflow(self, diamond_workflow_fixed):
-        diamond_workflow_fixed.validate()
-
 
 class TestEditing:
     def test_copy_is_independent(self, diamond_workflow_fixed):
@@ -161,21 +158,24 @@ class TestEditing:
         assert not diamond_workflow_fixed.has_dependency("a", "d")
         assert "b" not in diamond_workflow_fixed.tasks()
 
-    def test_scale_work(self, diamond_workflow_fixed):
-        diamond_workflow_fixed.scale_work(2.0)
-        assert diamond_workflow_fixed.work("a") == 4
-        assert diamond_workflow_fixed.work("c") == 2
-
-    def test_scale_work_never_below_one(self, diamond_workflow_fixed):
-        diamond_workflow_fixed.scale_work(0.01)
-        assert all(diamond_workflow_fixed.work(t) >= 1 for t in diamond_workflow_fixed.tasks())
-
-    def test_scale_work_invalid_factor(self, diamond_workflow_fixed):
-        with pytest.raises(InvalidWorkflowError):
-            diamond_workflow_fixed.scale_work(0)
-
     def test_set_work_and_data(self, diamond_workflow_fixed):
         diamond_workflow_fixed.set_work("a", 10)
         diamond_workflow_fixed.set_data("a", "b", 7)
         assert diamond_workflow_fixed.work("a") == 10
         assert diamond_workflow_fixed.data("a", "b") == 7
+
+    @pytest.mark.parametrize(
+        "method, args, message",
+        [
+            ("set_work", ("a", 0), "work must be positive"),
+            ("set_work", ("a", 2.5), "work must be an integer"),
+            ("set_data", ("a", "b", -1), "data must be non-negative"),
+            ("set_data", ("a", "b", True), "data must be an integer"),
+        ],
+        ids=["work-zero", "work-float", "data-negative", "data-bool"],
+    )
+    def test_set_rejects_invalid_weights(self, diamond_workflow_fixed, method, args, message):
+        before = diamond_workflow_fixed.to_dict()
+        with pytest.raises(InvalidWorkflowError, match=message):
+            getattr(diamond_workflow_fixed, method)(*args)
+        assert diamond_workflow_fixed.to_dict() == before
