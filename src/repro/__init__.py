@@ -51,8 +51,6 @@ from repro.workflow import (
     Workflow,
     WORKFLOW_FAMILIES,
     generate_workflow,
-    scale_workflow,
-    workflow_stats,
 )
 from repro.platform_ import (
     Cluster,
@@ -146,8 +144,6 @@ __all__ = [
     "Workflow",
     "WORKFLOW_FAMILIES",
     "generate_workflow",
-    "scale_workflow",
-    "workflow_stats",
     # platform
     "Cluster",
     "ExtendedPlatform",

@@ -230,10 +230,13 @@ class Client:
 
         Runs through the same cache as the batch path (a single-variant
         job submitted either way computes once), but always executes
-        in-process so the returned :class:`ScheduleResult` references the
-        *live* instance and includes the schedule.  A cached entry that
-        carries flat records only (computed by the process pool) is
-        upgraded in place.
+        in-process so the returned :class:`ScheduleResult` includes the
+        schedule.  On a cache hit it is the result computed for the first
+        job with the same fingerprint, whose schedule references that
+        job's instance — possibly a differently-labelled twin of
+        *instance*, since the fingerprint ignores ``name`` and
+        ``metadata``.  A cached entry that carries flat records only
+        (computed by the process pool) is upgraded in place.
         """
         scheduler = scheduler or CaWoSched()
         job = Job.from_instance(instance, variants=(variant,), scheduler=scheduler)

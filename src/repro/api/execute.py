@@ -11,8 +11,8 @@ schedule when the parent ran earlier in the same job.
 receives a job as plain wire data and returns record dictionaries, so only
 JSON-shaped data crosses the process boundary.  :func:`parallel_map` is
 that pool, a thin, order-preserving wrapper around
-:class:`~concurrent.futures.ProcessPoolExecutor` that the client, the grid
-runner and the simulation sweeps share.
+:class:`~concurrent.futures.ProcessPoolExecutor` that the client and the
+grid runner share.
 """
 
 from __future__ import annotations

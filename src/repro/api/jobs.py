@@ -25,16 +25,18 @@ schedules themselves.
 from __future__ import annotations
 
 import hashlib
-import weakref
-from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.api.errors import BackendFailure, InvalidJob, UnknownVariant
+from repro.carbon.scenarios import SCENARIOS
 from repro.core.scheduler import CaWoSched, ScheduleResult
 from repro.core.variants import ALL_VARIANTS, variant_names
 from repro.experiments.runner import RunRecord
 from repro.io.wire import canonical_json, instance_from_dict, instance_to_dict
+from repro.platform_.presets import CLUSTER_PRESETS
 from repro.schedule.instance import ProblemInstance
+from repro.workflow.generators import WORKFLOW_FAMILIES
 
 __all__ = [
     "Job",
@@ -46,54 +48,63 @@ __all__ = [
 
 #: Keys of a normalised grid-cell spec (see :class:`repro.experiments.instances.InstanceSpec`).
 _SPEC_KEYS = ("family", "tasks", "cluster", "scenario", "deadline_factor", "seed")
-#: Keys a raw spec may carry: the normalised ones plus the ``num_tasks`` alias.
-_RAW_SPEC_KEYS = _SPEC_KEYS + ("num_tasks",)
+#: Keys a raw spec may carry: the normalised ones, the optional
+#: ``nodes_per_type`` and the ``num_tasks`` alias.
+_RAW_SPEC_KEYS = _SPEC_KEYS + ("nodes_per_type", "num_tasks")
+#: The names a spec's ``family``, ``cluster`` and ``scenario`` must be one of.
+_SPEC_NAMES = (
+    ("family", WORKFLOW_FAMILIES),
+    ("cluster", CLUSTER_PRESETS),
+    ("scenario", SCENARIOS),
+)
 #: Keys of a job object (see :meth:`Job.from_dict`).
 _JOB_KEYS = ("instance", "spec", "variants", "scheduler", "master_seed")
 #: Keys of a scheduler configuration (see :meth:`CaWoSched.config_dict`).
 _SCHEDULER_KEYS = ("block_size", "window", "validate")
 
 
-class _InstanceArtifacts:
-    """Wire payload and fingerprints derived from one live instance."""
+def _memo(instance: ProblemInstance, key: str, compute: Callable[[], object]):
+    """Return ``compute()``, computed once per live *instance*.
 
-    __slots__ = ("ref", "payload", "fingerprints")
-
-
-_ARTIFACTS: Dict[int, _InstanceArtifacts] = {}
-
-
-def _instance_artifacts(instance: ProblemInstance) -> _InstanceArtifacts:
-    """Return the cached derived artifacts of a live *instance*.
-
-    Serialising an instance (and hashing the result) costs a sizable share
-    of a facade submission now that the schedulers themselves are fast, yet
-    both are pure functions of the instance.  The cache is keyed by object
-    identity and evicted via a weak reference when the instance is
-    collected; the shared payload dict must therefore be treated as
-    read-only by all consumers (they already copy before mutating).
+    The value is stored in the frozen instance's ``__dict__``, as its own
+    ``cached_property`` maps are, and lives as long as the instance.
     """
-    key = id(instance)
-    entry = _ARTIFACTS.get(key)
-    if entry is not None and entry.ref() is instance:
-        return entry
-    entry = _InstanceArtifacts()
-    entry.payload = instance_to_dict(instance)
-    entry.fingerprints = {}
-    entry.ref = weakref.ref(instance, lambda _ref, key=key: _ARTIFACTS.pop(key, None))
-    _ARTIFACTS[key] = entry
-    return entry
+    memo = instance.__dict__
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def shared_instance_payload(instance: ProblemInstance) -> Dict[str, object]:
-    """Return *instance* as a wire payload, cached per live instance.
+    """Return *instance* as a wire payload, built once per live instance.
 
-    The returned dict is shared between every job/request built from the
-    same instance object (which also lets their fingerprints share one
-    canonicalisation + hash) — treat it as read-only and copy before
-    mutating.
+    Every job built from the same instance shares the returned dict, and
+    :attr:`Job.fingerprint` memoises the instance's canonical text the same
+    way, so resubmitting an instance pays for neither again.  Treat the
+    dict as read-only and copy before mutating.
     """
-    return _instance_artifacts(instance).payload
+    return _memo(instance, "_wire_payload", lambda: instance_to_dict(instance))
+
+
+def _problem_text(problem: Mapping[str, object]) -> str:
+    """Return the canonical JSON of an instance payload without its labels."""
+    problem = dict(problem)
+    problem.pop("name", None)
+    problem.pop("metadata", None)
+    return canonical_json(problem)
+
+
+def _fingerprint(
+    problem_text: str, variants: Sequence[str], scheduler: Optional[Mapping[str, object]]
+) -> str:
+    # The canonical JSON of {"instance", "scheduler", "variants"}: sorted keys,
+    # compact separators, the instance already canonical.
+    body = (
+        f'{{"instance":{problem_text},'
+        f'"scheduler":{canonical_json(dict(scheduler or {}))},'
+        f'"variants":{canonical_json([str(v) for v in variants])}}}'
+    )
+    return hashlib.sha256(body.encode("utf8")).hexdigest()
 
 
 def job_fingerprint(
@@ -111,15 +122,7 @@ def job_fingerprint(
     requests, ``solve``, the wire protocol — hashes through this one
     function.
     """
-    problem = dict(problem)
-    problem.pop("name", None)
-    problem.pop("metadata", None)
-    body = {
-        "instance": problem,
-        "variants": [str(v) for v in variants],
-        "scheduler": dict(scheduler or {}),
-    }
-    return hashlib.sha256(canonical_json(body).encode("utf8")).hexdigest()
+    return _fingerprint(_problem_text(problem), variants, scheduler)
 
 
 def check_variant(name: str) -> None:
@@ -143,15 +146,17 @@ def _reject_unknown_keys(what: str, data: Mapping[str, object], known: Sequence[
 def _normalise_spec(spec_data: Mapping[str, object]) -> Dict[str, object]:
     """Coerce a raw spec mapping onto the canonical spec keys (eagerly).
 
-    Validation is eager (malformed values and unknown keys fail at job
-    construction time), materialisation is lazy (the workflow is only
-    generated when the instance is actually needed — possibly inside a
-    worker process).
+    Validation is eager (unknown keys, malformed values, unknown family,
+    cluster or scenario names, a non-positive size or a deadline factor
+    below 1 fail at job construction time), materialisation is lazy (the
+    workflow is only generated when the instance is actually needed —
+    possibly inside a worker process).  ``nodes_per_type`` is kept only
+    when it is set.
     """
     try:
         spec_data = dict(spec_data)
         _reject_unknown_keys("job spec", spec_data, _RAW_SPEC_KEYS)
-        return {
+        spec: Dict[str, object] = {
             "family": str(spec_data["family"]),
             "tasks": int(spec_data.get("tasks", spec_data.get("num_tasks"))),
             "cluster": str(spec_data.get("cluster", "small")),
@@ -159,8 +164,29 @@ def _normalise_spec(spec_data: Mapping[str, object]) -> Dict[str, object]:
             "deadline_factor": float(spec_data.get("deadline_factor", 2.0)),
             "seed": int(spec_data.get("seed", 0)),
         }
+        nodes = spec_data.get("nodes_per_type")
+        if nodes is not None:
+            spec["nodes_per_type"] = nodes = int(nodes)
+            if nodes <= 0:
+                raise ValueError(f"nodes_per_type must be positive, got {nodes}")
+        for key, known in _SPEC_NAMES:
+            if spec[key] not in known:
+                names = ", ".join(sorted(known))
+                raise ValueError(f"unknown {key} {spec[key]!r}; known: {names}")
+        if spec["tasks"] <= 0:
+            raise ValueError(f"tasks must be positive, got {spec['tasks']}")
+        if not spec["deadline_factor"] >= 1.0:
+            raise ValueError(f"deadline_factor must be >= 1, got {spec['deadline_factor']}")
+        return spec
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidJob(f"malformed job spec {spec_data!r}: {exc}") from exc
+
+
+def _variant_list(value: object) -> Tuple[str, ...]:
+    """Return a job's ``variants`` field as names (all seventeen when empty)."""
+    if isinstance(value, str):
+        raise TypeError("variants must be a list of names, not a string")
+    return tuple(str(v) for v in value) if value else tuple(variant_names())
 
 
 def _job_field(data: Mapping[str, object], key: str, convert, default):
@@ -189,8 +215,8 @@ class Job:
         spec-defined jobs.
     spec:
         Normalised grid-cell spec (keys ``family``, ``tasks``, ``cluster``,
-        ``scenario``, ``deadline_factor``, ``seed``), or ``None`` for
-        payload-defined jobs.
+        ``scenario``, ``deadline_factor``, ``seed``, and ``nodes_per_type``
+        when set), or ``None`` for payload-defined jobs.
     variants:
         The algorithm variants to run, in order.
     scheduler:
@@ -255,20 +281,12 @@ class Job:
         from repro.experiments.instances import InstanceSpec
 
         if isinstance(spec, InstanceSpec):
-            spec_data: Dict[str, object] = {
-                "family": spec.family,
-                "tasks": spec.num_tasks,
-                "cluster": spec.cluster,
-                "scenario": spec.scenario,
-                "deadline_factor": spec.deadline_factor,
-                "seed": spec.seed,
-            }
-        elif isinstance(spec, Mapping):
-            spec_data = _normalise_spec(spec)
-        else:
+            spec = asdict(spec)
+        elif not isinstance(spec, Mapping):
             raise InvalidJob(
                 f"job spec must be an InstanceSpec or a mapping, got {type(spec).__name__}"
             )
+        spec_data = _normalise_spec(spec)
         scheduler = scheduler or CaWoSched()
         names = tuple(variants) if variants is not None else tuple(variant_names())
         return cls(
@@ -304,12 +322,7 @@ class Job:
             )
         payload = _job_field(data, "instance", dict, None) if has_instance else None
         spec = _normalise_spec(data["spec"]) if has_spec else None
-        names = _job_field(
-            data,
-            "variants",
-            lambda value: tuple(str(v) for v in value) if value else tuple(variant_names()),
-            None,
-        )
+        names = _job_field(data, "variants", _variant_list, None)
         config = data.get("scheduler")
         if isinstance(config, Mapping):
             _reject_unknown_keys("scheduler", config, _SCHEDULER_KEYS)
@@ -373,6 +386,7 @@ class Job:
                 scenario=str(self.spec["scenario"]),
                 deadline_factor=float(self.spec["deadline_factor"]),
                 seed=int(self.spec["seed"]),
+                nodes_per_type=self.spec.get("nodes_per_type"),
             )
             built = make_instance(spec, master_seed=self.master_seed)
         object.__setattr__(self, "_instance", built)
@@ -390,26 +404,17 @@ class Job:
 
         See :func:`job_fingerprint` for the normalisation rules.  Spec jobs
         are materialised on first access so that spec-defined and
-        payload-defined jobs for the same problem share a fingerprint.
+        payload-defined jobs for the same problem share a fingerprint.  Jobs
+        built from one live instance share its canonical problem text.
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is None:
             live = self.live_instance
-            if live is not None and self.payload is not None:
-                # Jobs built from the same live instance share the payload
-                # dict, so the expensive canonicalisation + hash can be
-                # shared across submissions too.
-                artifacts = _instance_artifacts(live)
-                if artifacts.payload is self.payload:
-                    key = (self.variants, tuple(sorted(self.scheduler.items())))
-                    cached = artifacts.fingerprints.get(key)
-                    if cached is None:
-                        cached = job_fingerprint(self.payload, self.variants, self.scheduler)
-                        artifacts.fingerprints[key] = cached
-            if cached is None:
-                cached = job_fingerprint(
-                    self.problem_payload(), self.variants, self.scheduler
-                )
+            if live is not None and self.payload is shared_instance_payload(live):
+                text = _memo(live, "_problem_text", lambda: _problem_text(self.payload))
+            else:
+                text = _problem_text(self.problem_payload())
+            cached = _fingerprint(text, self.variants, self.scheduler)
             object.__setattr__(self, "_fingerprint", cached)
         return cached
 

@@ -72,6 +72,7 @@ from repro.io.wire import (
     save_records,
     save_sim_report,
 )
+from repro.platform_.presets import CLUSTER_PRESETS
 from repro.sim.arrivals import ARRIVAL_PROCESSES
 from repro.sim.engine import SimulationConfig, simulate
 from repro.sim.forecast import FORECAST_MODELS
@@ -87,7 +88,7 @@ def _add_instance_arguments(parser: argparse.ArgumentParser) -> None:
     """Add the generated-instance arguments shared by schedule/export."""
     parser.add_argument("--family", default="atacseq", choices=sorted(WORKFLOW_FAMILIES))
     parser.add_argument("--tasks", type=int, default=60, help="target workflow size")
-    parser.add_argument("--cluster", default="small", choices=["small", "large", "single"])
+    parser.add_argument("--cluster", default="small", choices=list(CLUSTER_PRESETS))
     parser.add_argument("--scenario", default="S1", choices=sorted(DEFAULT_SCENARIOS))
     parser.add_argument("--deadline-factor", type=float, default=2.0)
     parser.add_argument("--seed", type=int, default=0)
@@ -234,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="workflow families sampled per arrival")
     simulate_.add_argument("--tasks", nargs="+", type=int, default=[12],
                            help="workflow sizes sampled per arrival")
-    simulate_.add_argument("--cluster", default="small",
-                           choices=["small", "large", "single"])
+    simulate_.add_argument("--cluster", default="small", choices=list(CLUSTER_PRESETS))
     simulate_.add_argument("--deadline-factor", type=float, default=2.0,
                            help="relative deadline as a multiple of the ASAP makespan")
     simulate_.add_argument("--variant", default="pressWR-LS",
@@ -279,9 +279,18 @@ def _print_cost_table(instance, records: Sequence[RunRecord]) -> None:
     print(format_table(rows, ["variant", "carbon cost", "makespan", "runtime ms"]))
 
 
-def _run_schedule(args: argparse.Namespace) -> int:
+def _scheduler_from_args(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> CaWoSched:
+    try:
+        return CaWoSched(block_size=args.block_size, window=args.window)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _run_schedule(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    scheduler = _scheduler_from_args(args, parser)
     instance = make_instance(_spec_from_args(args))
-    scheduler = CaWoSched(block_size=args.block_size, window=args.window)
     job = Job.from_instance(instance, variants=args.variants, scheduler=scheduler)
     result = Client().submit(job)
     _print_cost_table(instance, result.records)
@@ -375,6 +384,7 @@ def _run_export(args: argparse.Namespace) -> int:
 
 
 def _run_import(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    scheduler = _scheduler_from_args(args, parser)
     path = Path(args.path)
     if not path.exists():
         parser.error(f"instance file not found: {path}")
@@ -382,7 +392,6 @@ def _run_import(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         instance = load_instance(path)
     except CaWoSchedError as exc:
         parser.error(f"instance file {path}: {exc}")
-    scheduler = CaWoSched(block_size=args.block_size, window=args.window)
     job = Job.from_instance(instance, variants=args.variants, scheduler=scheduler)
     result = Client().submit(job)
     _print_cost_table(instance, result.records)
@@ -498,7 +507,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "schedule":
-            return _run_schedule(args)
+            return _run_schedule(args, parser)
         if args.command == "grid":
             return _run_grid(args)
         if args.command == "batch":

@@ -63,18 +63,9 @@ class BudgetIntervals:
         self._budgets = np.asarray(budgets, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
-    @property
-    def num_intervals(self) -> int:
-        """Current number of intervals."""
-        return len(self._begins)
-
     def intervals(self) -> List[Tuple[int, int, int]]:
         """Return the current (begin, end, budget) triples."""
         return list(zip(self._begins, self._ends, self._budgets.tolist()))
-
-    def start_points(self) -> List[int]:
-        """Return the current interval start points."""
-        return list(self._begins)
 
     def best_start(self, earliest: int, latest: int) -> Optional[int]:
         """Return the best interval start within ``[earliest, latest]``.
@@ -88,12 +79,6 @@ class BudgetIntervals:
         if hi <= lo:
             return None
         return self._begins[lo + int(self._budgets[lo:hi].argmax())]
-
-    def split_at(self, time: int) -> None:
-        """Split the interval containing *time* so that *time* becomes a boundary."""
-        if time <= 0 or time >= self._ends[-1]:
-            return
-        self._split_index(time)
 
     def _split_index(self, time: int) -> int:
         """Make *time* an interval boundary and return its interval index.

@@ -25,6 +25,7 @@ from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.schedule.validation import check_schedule
 from repro.utils.errors import CaWoSchedError
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = ["ScheduleResult", "CaWoSched"]
 
@@ -64,9 +65,10 @@ class CaWoSched:
     ----------
     block_size:
         Maximum block size ``k`` of the refined interval subdivision
-        (paper default: 3).
+        (paper default: 3); a positive integer.
     window:
-        Local-search window ``µ`` (paper default: 10).
+        Local-search window ``µ`` (paper default: 10); a non-negative
+        integer.
     validate:
         Check every produced schedule for feasibility (adds a small overhead;
         enabled by default).
@@ -85,8 +87,8 @@ class CaWoSched:
         window: int = DEFAULT_WINDOW,
         validate: bool = True,
     ) -> None:
-        self.block_size = int(block_size)
-        self.window = int(window)
+        self.block_size = check_positive_int(block_size, "block_size")
+        self.window = check_non_negative_int(window, "window")
         self.validate = bool(validate)
 
     # ------------------------------------------------------------------ #

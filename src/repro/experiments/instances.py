@@ -24,7 +24,7 @@ from repro.carbon.scenarios import DEFAULT_NUM_INTERVALS, generate_power_profile
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
 from repro.platform_.cluster import Cluster
-from repro.platform_.presets import scaled_large_cluster, scaled_small_cluster, single_processor_cluster
+from repro.platform_.presets import cluster_preset, single_processor_cluster
 from repro.schedule.asap import asap_makespan
 from repro.schedule.instance import ProblemInstance
 from repro.utils.rng import RNGLike, derive_rng
@@ -62,7 +62,9 @@ class InstanceSpec:
     num_tasks:
         Target workflow size.
     cluster:
-        ``"small"`` or ``"large"`` (scaled-down presets), or ``"single"``.
+        A cluster preset name (a key of
+        :data:`~repro.platform_.presets.CLUSTER_PRESETS`): ``"small"`` or
+        ``"large"`` (scaled-down), or ``"single"``.
     scenario:
         Green-power scenario (``"S1"``–``"S4"``).
     deadline_factor:
@@ -89,16 +91,6 @@ class InstanceSpec:
             f"{self.family}-{self.num_tasks}-{self.cluster}-{self.scenario}"
             f"-d{self.deadline_factor:g}"
         )
-
-
-def _cluster_for(spec: InstanceSpec) -> Cluster:
-    if spec.cluster == "small":
-        return scaled_small_cluster(spec.nodes_per_type or 2)
-    if spec.cluster == "large":
-        return scaled_large_cluster(spec.nodes_per_type or 4)
-    if spec.cluster == "single":
-        return single_processor_cluster()
-    raise ValueError(f"unknown cluster preset {spec.cluster!r}")
 
 
 def build_instance(
@@ -171,7 +163,7 @@ def make_instance(spec: InstanceSpec, *, master_seed: RNGLike = None) -> Problem
         spec.seed,
     )
     workflow = generate_workflow(spec.family, spec.num_tasks, rng=seed)
-    cluster = _cluster_for(spec)
+    cluster = cluster_preset(spec.cluster, spec.nodes_per_type)
     return build_instance(
         workflow,
         cluster,

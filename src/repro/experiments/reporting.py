@@ -1,4 +1,4 @@
-"""Plain-text / CSV reporting of experiment results.
+"""Plain-text reporting of experiment results.
 
 The benchmark harness prints the rows behind every figure with these helpers,
 so that ``pytest benchmarks/ --benchmark-only`` output can be compared
@@ -7,19 +7,11 @@ directly against the paper's figures.
 
 from __future__ import annotations
 
-import csv
-import io
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
-
-from repro.experiments.runner import RunRecord
+from typing import List, Mapping, Optional, Sequence
 
 __all__ = [
     "format_table",
     "format_mapping",
-    "records_to_csv",
-    "records_from_csv",
-    "write_records_csv",
-    "read_records_csv",
     "format_rank_distribution",
     "format_performance_profiles",
 ]
@@ -63,47 +55,6 @@ def format_mapping(
     if sort_by_value:
         items.sort(key=lambda item: item[1])
     return format_table(items, [key_header, value_header])
-
-
-def records_to_csv(records: Iterable[RunRecord]) -> str:
-    """Serialise run records to CSV text."""
-    records = list(records)
-    buffer = io.StringIO()
-    if not records:
-        return ""
-    writer = csv.DictWriter(buffer, fieldnames=list(records[0].to_dict()))
-    writer.writeheader()
-    for record in records:
-        writer.writerow(record.to_dict())
-    return buffer.getvalue()
-
-
-def records_from_csv(text: str) -> List[RunRecord]:
-    """Parse CSV text produced by :func:`records_to_csv` back into records.
-
-    Field values are coerced to their record types (counts back to ``int``,
-    timings and deadline factors back to ``float``), so a write/read round
-    trip reproduces the original records exactly.
-    """
-    text = text.strip()
-    if not text:
-        return []
-    reader = csv.DictReader(io.StringIO(text))
-    return [RunRecord.from_dict(row) for row in reader]
-
-
-def write_records_csv(records: Iterable[RunRecord], path) -> None:
-    """Write run records to a CSV file."""
-    from pathlib import Path
-
-    Path(path).write_text(records_to_csv(records), encoding="utf8")
-
-
-def read_records_csv(path) -> List[RunRecord]:
-    """Read run records back from a CSV file written by :func:`write_records_csv`."""
-    from pathlib import Path
-
-    return records_from_csv(Path(path).read_text(encoding="utf8"))
 
 
 def format_rank_distribution(distribution: Mapping[str, Mapping[int, float]]) -> str:

@@ -7,13 +7,13 @@ runs the requested algorithm variants on it, and emits one
 :mod:`repro.experiments.metrics`) operates on lists of these records, which
 keeps the figure generators independent from how the runs were produced.
 
-:func:`run_grid` runs through the :mod:`repro.api` facade: sequentially it
-executes one :class:`~repro.api.jobs.Job` per grid cell in-process, and
-with ``jobs=N`` it ships one spec-defined job per cell to a pool of worker
-processes.  Each cell derives its random streams from the master
-seed and its own coordinates only, so the parallel path produces exactly
-the same records as the sequential one, up to wall-clock timings, in the
-same order.
+:func:`run_grid` runs through the :mod:`repro.api` facade: it builds one
+spec-defined :class:`~repro.api.jobs.Job` per grid cell and runs the jobs
+through :func:`~repro.api.execute.parallel_map` — inline for ``jobs=1``,
+over a pool of worker processes for ``jobs=N``.  Both modes run the same
+code, and each cell derives its random streams from the master seed and
+its own coordinates only, so they produce the same records, up to
+wall-clock timings, in the same order.
 
 The facade imports are deferred: :mod:`repro.api` composes this module's
 :class:`RunRecord` into its results, so importing it at module load time
@@ -22,15 +22,13 @@ would be circular.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.scheduler import CaWoSched
-from repro.experiments.instances import InstanceSpec, make_instance
-from repro.utils.rng import RNGLike
+from repro.experiments.instances import InstanceSpec
 
 __all__ = ["RunRecord", "run_grid", "records_by_instance"]
 
@@ -57,7 +55,7 @@ class RunRecord:
     deadline_factor: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
-        """Return the record as a plain dictionary (CSV/JSON friendly)."""
+        """Return the record as a plain dictionary (JSON friendly)."""
         return {
             "instance": self.instance,
             "variant": self.variant,
@@ -76,9 +74,8 @@ class RunRecord:
     def from_dict(cls, data: Dict[str, object]) -> "RunRecord":
         """Rebuild a record from :meth:`to_dict` output.
 
-        Values are coerced to their field types, so this also accepts the
-        all-strings rows a CSV reader produces (see
-        :func:`repro.experiments.reporting.read_records_csv`).
+        Values are coerced to their field types, so a record read back from
+        wire-format JSON compares equal to the one written.
         """
         return cls(
             instance=str(data["instance"]),
@@ -100,7 +97,7 @@ def run_grid(
     *,
     variants: Optional[Sequence[str]] = None,
     scheduler: Optional[CaWoSched] = None,
-    master_seed: RNGLike = None,
+    master_seed: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
 ) -> List[RunRecord]:
@@ -115,56 +112,39 @@ def run_grid(
     scheduler:
         Scheduler configuration (block size ``k``, window ``µ``).
     master_seed:
-        Master seed combined with each cell's coordinates.  For ``jobs > 1``
-        this must be an integer or ``None``: passing a live generator would
-        make the derived streams depend on evaluation order, which a worker
-        pool does not define.
+        Master seed combined with each cell's coordinates; an integer or
+        ``None``.  A live generator is rejected: it would make the derived
+        streams depend on evaluation order, which a worker pool does not
+        define.
     progress:
-        Optional callback receiving a short message per completed instance.
+        Optional callback receiving a short message per completed instance
+        (its label and the summed ``runtime_seconds`` of its records).
     jobs:
-        Number of parallel workers.  ``1`` (the default) runs sequentially in
-        this process; ``N > 1`` fans one spec-defined job per cell out over
-        a pool of worker processes and produces identical records in the
-        identical order (cells derive their randomness from the master seed
-        and their own coordinates only).
+        Number of parallel workers.  ``1`` (the default) runs the cells one
+        after another in this process; ``N > 1`` fans them out over a pool
+        of worker processes.  The records are identical, in identical order.
     """
-    from repro.api.execute import execute_job, execute_job_payload, parallel_map
+    from repro.api.execute import execute_job_payload, parallel_map
     from repro.api.jobs import Job
 
-    scheduler = scheduler or CaWoSched()
+    if isinstance(master_seed, np.random.Generator):
+        raise ValueError(
+            "run_grid needs an integer (or None) master_seed; a live generator "
+            "would make results depend on evaluation order"
+        )
     specs = list(specs)
-
-    if jobs > 1:
-        if isinstance(master_seed, np.random.Generator):
-            raise ValueError(
-                "run_grid(jobs>1) needs an integer (or None) master_seed; a live "
-                "generator would make results depend on evaluation order"
-            )
-        payloads = [
-            Job.from_spec(
-                spec, variants=variants, scheduler=scheduler, master_seed=master_seed
-            ).to_dict()
-            for spec in specs
-        ]
-        rows = parallel_map(execute_job_payload, payloads, jobs=jobs)
-        records: List[RunRecord] = []
-        for spec, row in zip(specs, rows):
-            cell_records = [RunRecord.from_dict(entry) for entry in row]
-            records.extend(cell_records)
-            if progress is not None:
-                elapsed = sum(r.runtime_seconds for r in cell_records)
-                progress(f"{spec.label}: {elapsed:.2f}s")
-        return records
-
-    records = []
-    for spec in specs:
-        instance = make_instance(spec, master_seed=master_seed)
-        started = time.perf_counter()
-        job = Job.from_instance(instance, variants=variants, scheduler=scheduler)
-        _, cell_records = execute_job(job)
+    payloads = [
+        Job.from_spec(
+            spec, variants=variants, scheduler=scheduler, master_seed=master_seed
+        ).to_dict()
+        for spec in specs
+    ]
+    records: List[RunRecord] = []
+    for spec, row in zip(specs, parallel_map(execute_job_payload, payloads, jobs=jobs)):
+        cell_records = [RunRecord.from_dict(entry) for entry in row]
         records.extend(cell_records)
         if progress is not None:
-            elapsed = time.perf_counter() - started
+            elapsed = sum(r.runtime_seconds for r in cell_records)
             progress(f"{spec.label}: {elapsed:.2f}s")
     return records
 

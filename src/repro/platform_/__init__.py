@@ -7,9 +7,11 @@ any confusion with the Python standard-library :mod:`platform` module.
 from repro.platform_.processor import COMPUTE, LINK, ProcessorSpec
 from repro.platform_.cluster import Cluster, ExtendedPlatform, link_name
 from repro.platform_.presets import (
+    CLUSTER_PRESETS,
     PROCESSOR_TYPES,
     ProcessorType,
     cluster_from_table1,
+    cluster_preset,
     large_cluster,
     scaled_large_cluster,
     scaled_small_cluster,
@@ -26,9 +28,11 @@ __all__ = [
     "Cluster",
     "ExtendedPlatform",
     "link_name",
+    "CLUSTER_PRESETS",
     "PROCESSOR_TYPES",
     "ProcessorType",
     "cluster_from_table1",
+    "cluster_preset",
     "large_cluster",
     "scaled_large_cluster",
     "scaled_small_cluster",

@@ -6,21 +6,27 @@ per type in the *large* cluster (144 nodes).  Besides the exact presets, this
 module exposes scaled-down variants (same six types, fewer nodes per type)
 which the default benchmark grid uses so that the whole evaluation runs on a
 laptop, and a generic factory :func:`cluster_from_table1`.
+
+:data:`CLUSTER_PRESETS` names the clusters the experiment grid, the online
+simulator and the CLI accept (``small``, ``large``, ``single``);
+:func:`cluster_preset` builds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.platform_.cluster import Cluster
 from repro.platform_.processor import ProcessorSpec
 from repro.utils.validation import check_positive_int
 
 __all__ = [
+    "CLUSTER_PRESETS",
     "PROCESSOR_TYPES",
     "ProcessorType",
     "cluster_from_table1",
+    "cluster_preset",
     "small_cluster",
     "large_cluster",
     "scaled_small_cluster",
@@ -139,3 +145,26 @@ def single_processor_cluster(
 ) -> Cluster:
     """A single-processor cluster (the polynomial DP case)."""
     return uniform_cluster(1, speed=speed, p_idle=p_idle, p_work=p_work, name=name)
+
+
+#: The named cluster presets: name -> factory taking the nodes per processor
+#: type (``None`` for the preset's default; ``single`` has one processor).
+CLUSTER_PRESETS: Dict[str, Callable[[Optional[int]], Cluster]] = {
+    "small": lambda nodes_per_type: scaled_small_cluster(nodes_per_type or 2),
+    "large": lambda nodes_per_type: scaled_large_cluster(nodes_per_type or 4),
+    "single": lambda nodes_per_type: single_processor_cluster(),
+}
+
+
+def cluster_preset(name: str, nodes_per_type: Optional[int] = None) -> Cluster:
+    """Return a fresh cluster of the preset *name* (see :data:`CLUSTER_PRESETS`).
+
+    Raises
+    ------
+    ValueError
+        If *name* is not a preset.
+    """
+    if name not in CLUSTER_PRESETS:
+        known = ", ".join(CLUSTER_PRESETS)
+        raise ValueError(f"unknown cluster preset {name!r}; known: {known}")
+    return CLUSTER_PRESETS[name](nodes_per_type)

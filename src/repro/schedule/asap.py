@@ -73,11 +73,11 @@ def latest_start_times(dag: EnhancedDAG, deadline: int) -> Dict[Hashable, int]:
 def asap_makespan(dag: EnhancedDAG) -> int:
     """Return the makespan ``D`` of the ASAP schedule of *dag*.
 
-    This equals the critical-path duration of the communication-enhanced DAG
-    and is the tightest feasible deadline of any instance built on *dag*.
+    This is the critical-path duration of the communication-enhanced DAG
+    (:meth:`~repro.mapping.enhanced_dag.EnhancedDAG.critical_path_duration`)
+    and the tightest feasible deadline of any instance built on *dag*.
     """
-    est = earliest_start_times(dag)
-    return max((est[node] + dag.duration(node) for node in dag.nodes()), default=0)
+    return dag.critical_path_duration()
 
 
 def asap_schedule(instance: ProblemInstance) -> Schedule:

@@ -24,12 +24,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.api.client import Client
 from repro.api.jobs import check_variant
 from repro.carbon.traces import SYNTHETIC_TRACE_PROFILES, synthetic_daily_trace
 from repro.core.scheduler import CaWoSched, ScheduleResult
+from repro.platform_.presets import cluster_preset
 from repro.schedule.cost import carbon_cost
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
@@ -40,7 +41,7 @@ from repro.sim.metrics import JobRecord, compute_metrics
 from repro.sim.policies import PolicyContext, make_policy
 from repro.sim.report import SimReport
 from repro.sim.signal import CarbonSignal
-from repro.sim.workload import SimJob, WorkloadConfig, build_job, cluster_for
+from repro.sim.workload import SimJob, WorkloadConfig, build_job
 from repro.utils.errors import SimulationError
 from repro.utils.rng import derive_rng
 
@@ -63,10 +64,8 @@ _REPORT_STATS = (
 class SimulationConfig:
     """The complete, plain-data description of one simulation run.
 
-    Every field is JSON-compatible, so configurations ship across process
-    boundaries unchanged (see
-    :func:`repro.experiments.simulations.run_sim_grid`) and are echoed
-    verbatim into the report.
+    Every field is JSON-compatible, and :meth:`to_dict` echoes the complete
+    configuration verbatim into the report.
     """
 
     # Clock and platform.
@@ -120,10 +119,11 @@ class SimulationConfig:
             raise SimulationError(f"cache_size must be positive, got {self.cache_size}")
         # Raises UnknownVariant, the client's error for the same mistake.
         check_variant(self.variant)
-        # Arrival, policy, signal and workload parameters are validated by
-        # building each component once; bare range errors from the validators
-        # are normalised to SimulationError so every bad configuration fails
-        # the same way (the CLI turns them into parser errors).
+        # Arrival, policy, signal, scheduler and workload parameters are
+        # validated by building each component once; bare range errors from
+        # the validators are normalised to SimulationError so every bad
+        # configuration fails the same way (the CLI turns them into parser
+        # errors).
         try:
             make_arrivals(
                 self.arrivals,
@@ -145,6 +145,7 @@ class SimulationConfig:
             )
             if not 0.0 <= float(self.green_cap) <= 1.0:
                 raise ValueError(f"green_cap must lie in [0, 1], got {self.green_cap}")
+            self.scheduler()
         except (TypeError, ValueError) as exc:
             raise SimulationError(str(exc)) from exc
         self.workload()
@@ -195,41 +196,6 @@ class SimulationConfig:
             "cache_size": self.cache_size,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "SimulationConfig":
-        """Rebuild a configuration from :meth:`to_dict` output."""
-        defaults = cls()
-        times = payload.get("arrival_times", None)
-        return cls(
-            horizon=int(payload.get("horizon", defaults.horizon)),
-            slots=int(payload.get("slots", defaults.slots)),
-            seed=int(payload.get("seed", defaults.seed)),
-            arrivals=str(payload.get("arrivals", defaults.arrivals)),
-            rate=float(payload.get("rate", defaults.rate)),
-            burst_period=int(payload.get("burst_period", defaults.burst_period)),
-            burst_size=int(payload.get("burst_size", defaults.burst_size)),
-            burst_jitter=int(payload.get("burst_jitter", defaults.burst_jitter)),
-            arrival_times=tuple(int(t) for t in times) if times is not None else None,
-            policy=str(payload.get("policy", defaults.policy)),
-            threshold=float(payload.get("threshold", defaults.threshold)),
-            check_interval=int(payload.get("check_interval", defaults.check_interval)),
-            reschedule_period=int(payload.get("reschedule_period", defaults.reschedule_period)),
-            forecast=str(payload.get("forecast", defaults.forecast)),
-            ma_window=int(payload.get("ma_window", defaults.ma_window)),
-            trace=str(payload.get("trace", defaults.trace)),
-            trace_noise=float(payload.get("trace_noise", defaults.trace_noise)),
-            sample_duration=int(payload.get("sample_duration", defaults.sample_duration)),
-            green_cap=float(payload.get("green_cap", defaults.green_cap)),
-            families=tuple(str(f) for f in payload.get("families", defaults.families)),
-            tasks=tuple(int(t) for t in payload.get("tasks", defaults.tasks)),
-            cluster=str(payload.get("cluster", defaults.cluster)),
-            deadline_factor=float(payload.get("deadline_factor", defaults.deadline_factor)),
-            variant=str(payload.get("variant", defaults.variant)),
-            block_size=int(payload.get("block_size", defaults.block_size)),
-            window=int(payload.get("window", defaults.window)),
-            cache_size=int(payload.get("cache_size", defaults.cache_size)),
-        )
-
 
 class Simulator:
     """One online simulation run over a :class:`SimulationConfig`.
@@ -253,7 +219,7 @@ class Simulator:
         self._workload = config.workload()
         self._scheduler = config.scheduler()
         self._client = client or Client(cache_size=config.cache_size)
-        cluster = cluster_for(config.cluster)
+        cluster = cluster_preset(config.cluster)
         trace = synthetic_daily_trace(
             config.trace,
             sample_duration=config.sample_duration,
@@ -310,11 +276,11 @@ class Simulator:
     def _window_length(self, job: SimJob, now: int) -> int:
         """Length of the planning window from *now* to the job's deadline.
 
-        Never shorter than the critical path: a workflow committed past its
-        latest feasible start still gets a well-formed (deadline-missing)
-        window to schedule into.
+        Never shorter than the critical path (the minimum makespan): a
+        workflow committed past its latest feasible start still gets a
+        well-formed (deadline-missing) window to schedule into.
         """
-        return max(job.abs_deadline - now, job.critical)
+        return max(job.abs_deadline - now, job.min_makespan)
 
     def _instance(self, job: SimJob, profile) -> ProblemInstance:
         return ProblemInstance(

@@ -10,40 +10,24 @@ preprocessing pipeline of the offline experiments — plus its timing facts
 Job construction is a pure function of ``(workload config, master seed,
 job index)``: the same job index always yields the same workflow, mapping
 and link processors no matter when or where it is built, which is what makes
-parallel simulation sweeps and resumable event logs possible.
+simulations in separate processes and resumable event logs reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.mapping.enhanced_dag import EnhancedDAG, build_enhanced_dag
 from repro.mapping.heft import heft_mapping
-from repro.platform_.cluster import Cluster
-from repro.platform_.presets import (
-    scaled_large_cluster,
-    scaled_small_cluster,
-    single_processor_cluster,
-)
+from repro.platform_.presets import CLUSTER_PRESETS, cluster_preset
 from repro.schedule.asap import asap_makespan
 from repro.utils.errors import SimulationError
 from repro.utils.rng import RNGLike, derive_rng
 from repro.workflow.generators import WORKFLOW_FAMILIES, generate_workflow
 
-__all__ = ["WorkloadConfig", "SimJob", "build_job", "cluster_for"]
-
-
-def cluster_for(preset: str, nodes_per_type: Optional[int] = None) -> Cluster:
-    """Return a fresh cluster replica for the given preset name."""
-    if preset == "small":
-        return scaled_small_cluster(nodes_per_type or 2)
-    if preset == "large":
-        return scaled_large_cluster(nodes_per_type or 4)
-    if preset == "single":
-        return single_processor_cluster()
-    raise SimulationError(f"unknown cluster preset {preset!r}")
+__all__ = ["WorkloadConfig", "SimJob", "build_job"]
 
 
 @dataclass(frozen=True)
@@ -57,8 +41,10 @@ class WorkloadConfig:
     sizes:
         Target workflow sizes sampled uniformly per arrival.
     cluster:
-        Cluster preset each workflow runs on (every committed workflow
-        occupies one replica — a *slot* — for its whole makespan).
+        Cluster preset (a key of
+        :data:`~repro.platform_.presets.CLUSTER_PRESETS`) each workflow runs
+        on (every committed workflow occupies one replica — a *slot* — for
+        its whole makespan).
     deadline_factor:
         Relative deadline as a multiple of the workflow's minimum (ASAP)
         makespan; must be at least 1.
@@ -82,7 +68,9 @@ class WorkloadConfig:
             raise SimulationError(
                 f"deadline_factor must be >= 1, got {self.deadline_factor}"
             )
-        cluster_for(self.cluster)  # validates the preset name
+        if self.cluster not in CLUSTER_PRESETS:
+            known = ", ".join(CLUSTER_PRESETS)
+            raise SimulationError(f"unknown cluster preset {self.cluster!r}; known: {known}")
 
 
 @dataclass(frozen=True)
@@ -101,11 +89,10 @@ class SimJob:
         Workflow family the job was drawn from.
     dag:
         The communication-enhanced DAG (fixed HEFT mapping included).
-    critical:
-        Critical-path duration of the DAG (shortest possible horizon).
     min_makespan:
-        ASAP makespan ``D`` (completion when starting immediately and
-        running greedily).
+        ASAP makespan ``D``, the DAG's critical-path duration (completion
+        when starting immediately and running greedily; the shortest
+        possible horizon).
     rel_deadline:
         Relative deadline ``ceil(deadline_factor * D)``.
     abs_deadline:
@@ -117,7 +104,6 @@ class SimJob:
     arrival: int
     family: str
     dag: EnhancedDAG
-    critical: int
     min_makespan: int
     rel_deadline: int
     abs_deadline: int
@@ -143,13 +129,13 @@ def build_job(
 
     The job's random streams depend only on ``(seed, index)`` — not on the
     arrival time or on how many jobs were built before — so event replay and
-    parallel sweeps see identical workflows.
+    runs in separate processes see identical workflows.
     """
     rng = derive_rng(seed, "job", index)
     family = str(workload.families[int(rng.integers(0, len(workload.families)))])
     size = int(workload.sizes[int(rng.integers(0, len(workload.sizes)))])
     workflow = generate_workflow(family, size, rng=rng)
-    cluster = cluster_for(workload.cluster)
+    cluster = cluster_preset(workload.cluster)
     heft = heft_mapping(workflow, cluster)
     dag = build_enhanced_dag(heft.mapping, rng=derive_rng(seed, "links", index))
     min_makespan = asap_makespan(dag)
@@ -160,7 +146,6 @@ def build_job(
         arrival=int(arrival),
         family=family,
         dag=dag,
-        critical=dag.critical_path_duration(),
         min_makespan=min_makespan,
         rel_deadline=rel_deadline,
         abs_deadline=int(arrival) + rel_deadline,

@@ -1,4 +1,4 @@
-"""Workflow (DAG) substrate: tasks, DAG model, generators, analysis.
+"""Workflow (DAG) substrate: tasks, DAG model, generators.
 
 Public surface:
 
@@ -6,9 +6,8 @@ Public surface:
 * :class:`~repro.workflow.dag.Workflow`
 * generators for generic DAG shapes and nf-core-like families
   (:func:`~repro.workflow.generators.generate_workflow`,
-  :data:`~repro.workflow.generators.WORKFLOW_FAMILIES`)
-* WfGen-style scaling (:func:`~repro.workflow.wfgen.scale_workflow`)
-* structural analysis (:func:`~repro.workflow.analysis.workflow_stats`)
+  :data:`~repro.workflow.generators.WORKFLOW_FAMILIES`); a family's
+  workflow of any size comes from ``generate_workflow(family, n)``
 """
 
 from repro.workflow.task import CommTask, Task
@@ -29,8 +28,6 @@ from repro.workflow.generators import (
     out_tree_workflow,
     random_dag_workflow,
 )
-from repro.workflow.wfgen import replicate_workflow, scale_workflow
-from repro.workflow.analysis import WorkflowStats, size_class, width_profile, workflow_stats
 
 __all__ = [
     "Task",
@@ -50,10 +47,4 @@ __all__ = [
     "methylseq_like_workflow",
     "out_tree_workflow",
     "random_dag_workflow",
-    "replicate_workflow",
-    "scale_workflow",
-    "WorkflowStats",
-    "size_class",
-    "width_profile",
-    "workflow_stats",
 ]

@@ -1,14 +1,16 @@
 """Synthetic workflow generators.
 
 The paper evaluates CaWoSched on four real-world nf-core workflows (atacseq,
-bacass, eager, methylseq) and on scaled-up versions of them produced with a
-WfGen-style generator.  The real Nextflow ``.dot`` exports are not shipped
-with this reproduction, so this module provides *structure-mimicking*
-generators for each family: per-sample analysis pipelines (parallel chains of
+bacass, eager, methylseq) and on scaled-up versions of them produced with
+WfGen.  The real Nextflow ``.dot`` exports are not shipped with this
+reproduction, so this module provides *structure-mimicking* generators for
+each family: per-sample analysis pipelines (parallel chains of
 category-labelled stages) that fan in to merge/report tasks — the dominant
-shape of nf-core workflows — plus a set of generic DAG generators (chains,
-fork-join, layered random, out-trees, diamonds) used by unit tests and ablation
-studies.
+shape of nf-core workflows.  A family generator takes the target size and
+adds samples to reach it, so the scaled-up versions come from the same
+generator as the small ones.  A set of generic DAG generators (chains,
+fork-join, layered random, out-trees, diamonds) serves unit tests and
+ablation studies.
 
 All generators
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.api import InvalidJob, Job, UnknownVariant, job_fingerprint
 from repro.core.scheduler import CaWoSched
 from repro.core.variants import variant_names
 from repro.experiments.instances import InstanceSpec, make_instance
-from repro.io.wire import instance_to_dict
+from repro.io.wire import canonical_json, instance_to_dict
 from repro.schedule.instance import ProblemInstance
 
 VARIANTS = ("ASAP", "pressWR-LS")
@@ -71,6 +73,48 @@ class TestJobConstruction:
         with pytest.raises(InvalidJob) as excinfo:
             Job.from_dict(data)
         assert message in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"spec": {"family": "chain", "tasks": 6, "cluster": "huge"}}, "unknown cluster 'huge'"),
+            ({"spec": {"family": "nope", "tasks": 6}}, "unknown family 'nope'"),
+            ({"spec": {"family": "chain", "tasks": 6, "scenario": "S9"}}, "unknown scenario 'S9'"),
+            ({"spec": {"family": "chain", "tasks": 6, "deadline_factor": 0.5}},
+             "deadline_factor must be >= 1"),
+            ({"spec": {"family": "chain", "tasks": 0}}, "tasks must be positive"),
+            ({"spec": {"family": "chain", "tasks": -3}}, "tasks must be positive"),
+            ({"spec": {"family": "chain", "tasks": 6, "nodes_per_type": 0}},
+             "nodes_per_type must be positive"),
+            ({"spec": {"family": "chain", "tasks": 6}, "variants": "ASAP"},
+             "malformed job field 'variants'"),
+            ({"spec": {"family": "chain", "tasks": 6}, "scheduler": {"window": -1}},
+             "window must be non-negative"),
+            ({"spec": {"family": "chain", "tasks": 6}, "scheduler": {"block_size": 0}},
+             "block_size must be positive"),
+        ],
+    )
+    def test_from_dict_rejects_bad_values(self, entry, message):
+        with pytest.raises(InvalidJob) as excinfo:
+            Job.from_dict(entry)
+        assert message in str(excinfo.value)
+
+    def test_from_spec_checks_instance_specs_too(self):
+        with pytest.raises(InvalidJob, match="unknown cluster 'huge'"):
+            Job.from_spec(InstanceSpec("chain", 6, "huge", "S1", 2.0))
+        with pytest.raises(InvalidJob, match="deadline_factor must be >= 1"):
+            Job.from_spec(InstanceSpec("chain", 6, "single", "S1", 0.9))
+
+    def test_spec_carries_nodes_per_type_only_when_set(self):
+        plain = Job.from_spec(InstanceSpec("bacass", 15, "small", "S1", 1.5, seed=1))
+        assert list(plain.spec) == ["family", "tasks", "cluster", "scenario", "deadline_factor", "seed"]
+        sized = Job.from_spec(
+            InstanceSpec("bacass", 15, "small", "S1", 1.5, seed=1, nodes_per_type=1)
+        )
+        assert sized.spec["nodes_per_type"] == 1
+        assert Job.from_dict(sized.to_dict()) == sized
+        assert sized.instance().dag.platform.cluster.num_processors == 6
+        assert sized.fingerprint != plain.fingerprint
 
     def test_from_dict_accepts_the_num_tasks_alias(self):
         job = Job.from_dict({"spec": {"family": "chain", "num_tasks": 6}})
@@ -148,6 +192,13 @@ class TestJobFingerprint:
         )
         inline_job = Job.from_instance(grid_instance, variants=VARIANTS)
         assert spec_job.fingerprint == inline_job.fingerprint
+
+    def test_fingerprint_hashes_the_canonical_job_body(self, grid_instance):
+        payload = instance_to_dict(grid_instance)
+        problem = {k: v for k, v in payload.items() if k not in ("name", "metadata")}
+        body = {"instance": problem, "variants": list(VARIANTS), "scheduler": {"window": 5}}
+        expected = hashlib.sha256(canonical_json(body).encode("utf8")).hexdigest()
+        assert job_fingerprint(payload, VARIANTS, {"window": 5}) == expected
 
     def test_module_level_helper_matches_property(self, grid_instance):
         job = Job.from_instance(grid_instance, variants=VARIANTS)

@@ -65,6 +65,26 @@ class TestScheduleCommand:
         assert "unknown-variant" in err
         assert "unknown algorithm variant" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--window", "-1"], "window must be non-negative"),
+            (["--block-size", "0"], "block_size must be positive"),
+        ],
+    )
+    def test_bad_scheduler_parameters_are_parser_errors(self, capsys, tmp_path, flags, message):
+        path = tmp_path / "instance.json"
+        assert main(["export", "--family", "chain", "--tasks", "6", "--out", str(path)]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["schedule", "--family", "chain", "--tasks", "6", "--cluster", "single"],
+            ["import", str(path)],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv + flags)
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
+
 
 class TestGridCommand:
     def test_grid_prints_summaries(self, capsys):
@@ -228,6 +248,28 @@ class TestBatchCommand:
         with pytest.raises(SystemExit):
             main(["batch", str(path)])
         assert "malformed job spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"spec": {"family": "chain", "tasks": 6, "cluster": "huge"}},
+             "unknown cluster 'huge'"),
+            ({"spec": {"family": "chain", "tasks": 6, "scenario": "S9"}},
+             "unknown scenario 'S9'"),
+            ({"spec": {"family": "chain", "tasks": 6, "deadline_factor": 0.5}},
+             "deadline_factor must be >= 1"),
+            ({"spec": {"family": "chain", "tasks": 6}, "scheduler": {"window": -1}},
+             "window must be non-negative"),
+            ({"spec": {"family": "chain", "tasks": 6}, "variants": "ASAP"},
+             "malformed job field 'variants'"),
+        ],
+    )
+    def test_batch_bad_values_are_parser_errors(self, capsys, tmp_path, entry, message):
+        path = self._requests_file(tmp_path, [entry])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", str(path)])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_batch_unknown_variant_exit_code(self, capsys, tmp_path):
         path = self._requests_file(tmp_path, [

@@ -1,28 +1,13 @@
-"""Tests for the plain-text / CSV reporting helpers."""
+"""Tests for the plain-text reporting helpers."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.experiments.reporting import (
     format_mapping,
     format_performance_profiles,
     format_rank_distribution,
     format_table,
-    read_records_csv,
-    records_from_csv,
-    records_to_csv,
-    write_records_csv,
 )
-from repro.experiments.runner import RunRecord
-
-
-def make_record(variant: str, cost: int) -> RunRecord:
-    return RunRecord(
-        instance="inst", variant=variant, carbon_cost=cost, runtime_seconds=0.5,
-        makespan=9, deadline=18, num_tasks=5, family="f", cluster="small",
-        scenario="S1", deadline_factor=2.0,
-    )
 
 
 class TestFormatTable:
@@ -45,41 +30,6 @@ class TestFormatMapping:
         lines = text.splitlines()
         assert lines[2].startswith("a")
         assert lines[3].startswith("b")
-
-
-class TestCsv:
-    def test_round_trip_header_and_rows(self):
-        csv_text = records_to_csv([make_record("ASAP", 10), make_record("slack", 5)])
-        lines = csv_text.strip().splitlines()
-        assert lines[0].startswith("instance,variant,carbon_cost")
-        assert len(lines) == 3
-
-    def test_empty_records(self):
-        assert records_to_csv([]) == ""
-
-    def test_write_to_file(self, tmp_path):
-        path = tmp_path / "records.csv"
-        write_records_csv([make_record("ASAP", 1)], path)
-        assert path.read_text().startswith("instance,")
-
-    def test_text_round_trip(self):
-        records = [make_record("ASAP", 10), make_record("slack", 5)]
-        assert records_from_csv(records_to_csv(records)) == records
-
-    def test_file_round_trip(self, tmp_path):
-        records = [make_record("ASAP", 10), make_record("pressWR-LS", 3)]
-        path = tmp_path / "records.csv"
-        write_records_csv(records, path)
-        clone = read_records_csv(path)
-        assert clone == records
-        # Field types are restored, not left as CSV strings.
-        assert isinstance(clone[0].carbon_cost, int)
-        assert isinstance(clone[0].runtime_seconds, float)
-        assert isinstance(clone[0].deadline_factor, float)
-
-    def test_read_empty_text(self):
-        assert records_from_csv("") == []
-        assert records_from_csv("\n") == []
 
 
 class TestFigureFormatters:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.carbon.intervals import PowerProfile
 from repro.core.scheduler import CaWoSched
 from repro.experiments.instances import InstanceSpec, make_instance
-from repro.experiments.reporting import records_from_csv, records_to_csv
 from repro.experiments.runner import RunRecord
 from repro.io.wire import canonical_json, dumps, instance_from_dict, instance_to_dict, loads
 from repro.schedule.schedule import Schedule
@@ -122,8 +121,3 @@ class TestRecordProperties:
     @settings(max_examples=50, deadline=None)
     def test_records_json_round_trip(self, records):
         assert loads(dumps("records", records), "records") == records
-
-    @given(records=st.lists(RECORDS, max_size=8))
-    @settings(max_examples=50, deadline=None)
-    def test_records_csv_round_trip(self, records):
-        assert records_from_csv(records_to_csv(records)) == records

@@ -67,3 +67,15 @@ class TestRunGridParallel:
                 master_seed=np.random.default_rng(1), jobs=2,
             )
 
+    def test_generator_master_seed_rejected_sequentially(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            run_grid(_specs()[:1], variants=("ASAP",), master_seed=np.random.default_rng(1))
+
+    def test_parallel_honours_nodes_per_type(self):
+        # A one-node-per-type cluster gives a different instance than the
+        # preset's default; the worker must build the same one.
+        specs = [InstanceSpec("bacass", 15, "small", "S1", 1.5, seed=1, nodes_per_type=1)]
+        sequential = run_grid(specs, variants=VARIANTS, master_seed=0, jobs=1)
+        parallel = run_grid(specs, variants=VARIANTS, master_seed=0, jobs=2)
+        assert _canonical_bytes(parallel) == _canonical_bytes(sequential)
+
