@@ -98,12 +98,12 @@ def _fingerprint(
     problem_text: str, variants: Sequence[str], scheduler: Optional[Mapping[str, object]]
 ) -> str:
     # The canonical JSON of {"instance", "scheduler", "variants"}: sorted keys,
-    # compact separators, the instance already canonical.
-    body = (
-        f'{{"instance":{problem_text},'
-        f'"scheduler":{canonical_json(dict(scheduler or {}))},'
-        f'"variants":{canonical_json([str(v) for v in variants])}}}'
+    # compact separators, the instance already canonical.  "instance" sorts
+    # first, so the other two keys' canonical object is spliced in after it.
+    rest = canonical_json(
+        {"scheduler": dict(scheduler or {}), "variants": [str(v) for v in variants]}
     )
+    body = f'{{"instance":{problem_text},{rest[1:]}'
     return hashlib.sha256(body.encode("utf8")).hexdigest()
 
 

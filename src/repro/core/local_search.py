@@ -10,17 +10,25 @@ is applied.  Rounds over all processors are repeated until a full round yields
 no gain, so the procedure is a plain hill climber and can only improve the
 schedule.
 
-The inner loop asks :meth:`~repro.schedule.timeline.PowerTimeline.gain_profile`
-for the gains of *all* candidate starts of a task in one NumPy expression and
-keeps each task's legal window in a lazily invalidated cache (a window only
-changes when a graph neighbour actually moves).  It is byte-identical to the
-per-candidate ``move_gain`` hill climber of the paper, which the test suite
-keeps as its reference.
+The search is round-batched.  One
+:meth:`~repro.schedule.timeline.PowerTimeline.gain_profiles` call scores the
+candidate starts of every task that has no valid score yet, and the walk then
+reads the stored scores in the paper's order.  A score stays valid until an
+accepted move changes what it depends on: the task's legal window (a graph
+neighbour moved) or the power in the time region it read (the move's window
+overlaps it).  When the walk reaches a task whose score was dropped, one call
+re-scores it together with every other unscored task still ahead in the
+round, so a run makes at most one kernel call per round plus one per accepted
+move.  Every call reads the timeline's current state, so the result is
+byte-identical to the per-candidate ``move_gain`` hill climber of the paper,
+which the test suite keeps as its reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Dict, Hashable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.schedule.schedule import Schedule
 from repro.schedule.timeline import PowerTimeline
@@ -77,33 +85,27 @@ def local_search(
         key=lambda proc: (-instance.dag.platform.processor(proc).p_work, str(proc)),
     )
 
-    searcher = _VectorSearch(instance, timeline, starts)
+    order = [node for processor in processors for node in dag.ordered_task_map()[processor]]
+    searcher = _BatchedSearch(instance, timeline, starts, window, best_improvement)
 
     # Every accepted move lowers the integer, non-negative carbon cost, so
     # the rounds end.
-    round_gain = True
-    while round_gain:
-        round_gain = False
-        for processor in processors:
-            for node in searcher.tasks_on(processor):
-                if searcher.improve(node, window, best_improvement):
-                    round_gain = True
+    while searcher.walk(order):
+        pass
 
     name = algorithm_name or f"{schedule.algorithm}-LS"
     return Schedule._trusted(instance, starts, algorithm=name)
 
 
-class _VectorSearch:
-    """Batch-gain kernel: one ``gain_profile`` call per task visit.
+class _BatchedSearch:
+    """Round-batched first- (or best-) improvement walk over stored scores.
 
-    The per-task legal window is cached and only recomputed after a graph
-    neighbour moved (moves are rare compared to visits, so almost every visit
-    reuses the cached window), and the gains of all candidate starts come
-    from a single vectorized timeline evaluation.  A task whose last
-    evaluation found no improving move is additionally marked *clean* together
-    with the time region its gains depend on; it is skipped outright until a
-    later move touches that region (in particular, the final no-gain round of
-    the hill climber re-evaluates nothing).
+    Each task's score is kept in one state map together with the time region
+    it depends on and the start it would move to (``None`` when no move
+    improves the cost: the task is *clean*).  A clean task stays clean across
+    rounds until a move touches its window or region, so the final no-gain
+    round of the hill climber re-scores nothing.  A task's legal window is
+    derived from its graph neighbours' current starts when it is scored.
     """
 
     def __init__(
@@ -111,97 +113,109 @@ class _VectorSearch:
         instance,
         timeline: PowerTimeline,
         starts: Dict[Hashable, int],
+        window: int,
+        best_improvement: bool,
     ) -> None:
         dag = instance.dag
         self._deadline = instance.deadline
         self._timeline = timeline
         self._starts = starts
-        nodes = dag.nodes()
+        self._window = window
+        self._best_improvement = best_improvement
         self._duration: Dict[Hashable, int] = dag.duration_map()
         self._preds: Dict[Hashable, List[Hashable]] = dag.predecessor_map()
         self._succs: Dict[Hashable, List[Hashable]] = dag.successor_map()
-        self._tasks_on: Dict[Hashable, List[Hashable]] = dag.ordered_task_map()
-        self._earliest: Dict[Hashable, int] = {}
-        self._latest: Dict[Hashable, int] = {}
-        self._dirty_earliest: Set[Hashable] = set(nodes)
-        self._dirty_latest: Set[Hashable] = set(nodes)
-        # Nodes proven to have no improving move, with the [begin, end) power
-        # region that proof depends on.
-        self._clean_region: Dict[Hashable, "tuple[int, int]"] = {}
+        # Scored tasks: node -> (begin, end, target).  [begin, end) is the
+        # power region the score read; target is the improving start, or
+        # None for a clean task.
+        self._scored: Dict[Hashable, Tuple[int, int, Optional[int]]] = {}
 
-    def tasks_on(self, processor: Hashable) -> List[Hashable]:
-        return self._tasks_on[processor]
+    def walk(self, order: List[Hashable]) -> bool:
+        """Visit every task of *order* once; return whether any task moved."""
+        scored = self._scored
+        moved = False
+        for position, node in enumerate(order):
+            state = scored.get(node)
+            if state is None:
+                self._score([other for other in order[position:] if other not in scored])
+                state = scored[node]
+            target = state[2]
+            if target is not None:
+                self._apply_move(node, target)
+                moved = True
+        return moved
 
-    def _window_of(self, node: Hashable) -> "tuple[int, int]":
+    def _score(self, nodes: List[Hashable]) -> None:
+        """Score the candidate starts of *nodes* with one kernel call."""
         starts = self._starts
-        if node in self._dirty_earliest:
-            earliest = 0
-            for pred in self._preds[node]:
-                finish = starts[pred] + self._duration[pred]
-                if finish > earliest:
-                    earliest = finish
-            self._earliest[node] = earliest
-            self._dirty_earliest.discard(node)
-        if node in self._dirty_latest:
-            bound = self._deadline
-            for succ in self._succs[node]:
-                if starts[succ] < bound:
-                    bound = starts[succ]
-            self._latest[node] = bound - self._duration[node]
-            self._dirty_latest.discard(node)
-        return self._earliest[node], self._latest[node]
+        window = self._window
+        duration = self._duration
+        preds = self._preds
+        succs = self._succs
+        los: List[int] = []
+        his: List[int] = []
+        for node in nodes:
+            # The legal window: after every predecessor's finish, before
+            # every successor's start and the deadline.
+            current = starts[node]
+            lo = current - window
+            if lo < 0:
+                lo = 0
+            for pred in preds[node]:
+                finish = starts[pred] + duration[pred]
+                if finish > lo:
+                    lo = finish
+            hi = self._deadline
+            for succ in succs[node]:
+                if starts[succ] < hi:
+                    hi = starts[succ]
+            hi -= duration[node]
+            if current + window < hi:
+                hi = current + window
+            los.append(lo)
+            his.append(hi)
+        gains, offsets = self._timeline.gain_profiles(nodes, los, his)
+        # Each task's candidates are gains[begin:end]; its chosen index is the
+        # first positive (or, for best improvement, the first positive
+        # maximum) one, and ``end`` when none improves the cost.
+        bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+        if self._best_improvement:
+            chosen = []
+            for begin, end in bounds:
+                index = begin + int(gains[begin:end].argmax()) if end > begin else end
+                chosen.append(index if index < end and gains[index] > 0 else end)
+        else:
+            positive = np.append(np.flatnonzero(gains > 0), offsets[-1])
+            chosen = positive[np.searchsorted(positive, offsets[:-1])].tolist()
+        scored = self._scored
+        for node, lo, hi, (begin, end), index in zip(nodes, los, his, bounds, chosen):
+            current = starts[node]
+            scored[node] = (
+                min(lo, current),
+                max(hi, current) + duration[node],
+                lo + index - begin if index < end else None,
+            )
 
-    def _apply_move(self, node: Hashable, old_start: int, candidate: int) -> None:
+    def _apply_move(self, node: Hashable, target: int) -> None:
         timeline = self._timeline
+        old_start = self._starts[node]
         timeline._remove_unchecked(node, old_start)
-        timeline._place_unchecked(node, candidate)
-        self._starts[node] = candidate
-        for succ in self._succs[node]:
-            self._dirty_earliest.add(succ)
-            self._clean_region.pop(succ, None)
-        for pred in self._preds[node]:
-            self._dirty_latest.add(pred)
-            self._clean_region.pop(pred, None)
-        # Invalidate every no-gain proof whose power region overlaps the
-        # changed window.
-        changed_begin = min(old_start, candidate)
-        changed_end = max(old_start, candidate) + self._duration[node]
+        timeline._place_unchecked(node, target)
+        self._starts[node] = target
+        scored = self._scored
+        del scored[node]
+        # A graph neighbour's legal window changed.
+        for other in self._succs[node]:
+            scored.pop(other, None)
+        for other in self._preds[node]:
+            scored.pop(other, None)
+        # Drop every score whose power region overlaps the changed window.
+        changed_begin = min(old_start, target)
+        changed_end = max(old_start, target) + self._duration[node]
         stale = [
             other
-            for other, (begin, end) in self._clean_region.items()
+            for other, (begin, end, _) in scored.items()
             if begin < changed_end and changed_begin < end
         ]
         for other in stale:
-            del self._clean_region[other]
-
-    def improve(self, node: Hashable, window: int, best_improvement: bool) -> bool:
-        if node in self._clean_region:
-            return False
-        current = self._starts[node]
-        earliest, latest = self._window_of(node)
-        lo = max(earliest, current - window)
-        hi = min(latest, current + window)
-        if hi < lo:
-            self._clean_region[node] = (current, current + self._duration[node])
-            return False
-
-        gains = self._timeline.gain_profile(node, lo, hi)
-        if best_improvement:
-            index = int(gains.argmax())
-        else:
-            positive = (gains > 0).nonzero()[0]
-            if not positive.size:
-                self._clean_region[node] = (
-                    min(lo, current),
-                    max(hi, current) + self._duration[node],
-                )
-                return False
-            index = int(positive[0])
-        if gains[index] <= 0:
-            self._clean_region[node] = (
-                min(lo, current),
-                max(hi, current) + self._duration[node],
-            )
-            return False
-        self._apply_move(node, current, lo + index)
-        return True
+            del scored[other]

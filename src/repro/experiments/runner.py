@@ -22,8 +22,9 @@ would be circular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+import math
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,21 +76,37 @@ class RunRecord:
         """Rebuild a record from :meth:`to_dict` output.
 
         Values are coerced to their field types, so a record read back from
-        wire-format JSON compares equal to the one written.
+        wire-format JSON compares equal to the one written.  A missing
+        required field raises :class:`KeyError` with the field name; a value
+        that is not a scalar of the field's type (a list, an object, a
+        non-numeric string, NaN or an infinity) raises :class:`ValueError`
+        naming the field.
         """
-        return cls(
-            instance=str(data["instance"]),
-            variant=str(data["variant"]),
-            carbon_cost=int(data["carbon_cost"]),
-            runtime_seconds=float(data["runtime_seconds"]),
-            makespan=int(data["makespan"]),
-            deadline=int(data["deadline"]),
-            num_tasks=int(data["num_tasks"]),
-            family=str(data.get("family", "")),
-            cluster=str(data.get("cluster", "")),
-            scenario=str(data.get("scenario", "")),
-            deadline_factor=float(data.get("deadline_factor", 0.0)),
-        )
+        values: Dict[str, object] = {}
+        for field in fields(cls):
+            if field.name not in data:
+                if field.default is MISSING:
+                    raise KeyError(field.name)
+                continue
+            value = data[field.name]
+            coerce, expected = _FIELD_TYPES[field.type]
+            try:
+                coerced = None if isinstance(value, (list, dict)) else coerce(value)
+            except (TypeError, ValueError, OverflowError):
+                coerced = None
+            if coerced is None or (coerce is float and not math.isfinite(coerced)):
+                raise ValueError(f"field {field.name!r} must be {expected}, got {value!r}")
+            values[field.name] = coerced
+        return cls(**values)
+
+
+#: Field annotation -> coercion of a :class:`RunRecord` field read from the
+#: wire, and what it accepts.
+_FIELD_TYPES: Dict[str, Tuple[Callable[[object], object], str]] = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": (float, "a finite number"),
+}
 
 
 def run_grid(

@@ -126,9 +126,12 @@ def canonical_json(payload: object) -> str:
     Canonicalisation makes the text — and therefore any hash of it — depend
     only on content, not on dictionary insertion order.
     """
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
+    return _CANONICAL_ENCODER.encode(payload)
+
+
+#: The encoder :func:`json.dumps` would build for every call of
+#: :func:`canonical_json`, built once.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------- #
@@ -177,6 +180,27 @@ def instance_from_dict(payload: TMapping[str, object]) -> ProblemInstance:
     )
 
 
+def _records_from_payload(payload: object) -> List[RunRecord]:
+    """Rebuild run records from a ``records`` payload (a list of record objects)."""
+    if not isinstance(payload, list):
+        raise WireFormatError(
+            f"records payload must be a list, got {type(payload).__name__}"
+        )
+    records = []
+    for index, entry in enumerate(payload):
+        if not isinstance(entry, dict):
+            raise WireFormatError(
+                f"record {index} must be an object, got {type(entry).__name__}"
+            )
+        try:
+            records.append(RunRecord.from_dict(entry))
+        except KeyError as exc:
+            raise WireFormatError(f"record {index} is missing field {exc}") from exc
+        except ValueError as exc:
+            raise WireFormatError(f"malformed record {index}: {exc}") from exc
+    return records
+
+
 # ---------------------------------------------------------------------- #
 # Text / file round trips
 # ---------------------------------------------------------------------- #
@@ -197,7 +221,7 @@ _KIND_SERIALISERS = {
 
 _KIND_DESERIALISERS = {
     "instance": instance_from_dict,
-    "records": lambda payload: [RunRecord.from_dict(entry) for entry in payload],
+    "records": _records_from_payload,
     "sim-report": _sim_report_from_dict,
 }
 

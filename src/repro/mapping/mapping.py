@@ -202,12 +202,15 @@ class Mapping:
             decode_name(proc): [decode_name(task) for task in tasks]
             for proc, tasks in data["processor_order"]
         }
-        communication_order = {
-            (decode_name(link[0]), decode_name(link[1])): [
+        communication_order = {}
+        for link, edges in data["communication_order"]:
+            if not isinstance(link, (list, tuple)) or len(link) != 2:
+                raise ValueError(
+                    f"communication_order link {link!r} must name two processors"
+                )
+            communication_order[(decode_name(link[0]), decode_name(link[1]))] = [
                 (decode_name(s), decode_name(t)) for s, t in edges
             ]
-            for link, edges in data["communication_order"]
-        }
         return cls(
             workflow,
             cluster,

@@ -14,7 +14,7 @@ tasks by individual time units).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,25 +47,27 @@ class PowerTimeline:
         # instance-level maps are computed once and shared across runs.
         self._duration: Dict[Hashable, int] = instance.dag.duration_map()
         self._work_power: Dict[Hashable, int] = instance.work_power_map
-        # Reusable scratch rows for gain_profile (avoids two allocations per
-        # evaluation; the returned gain vector is always a fresh array).
-        self._scratch = np.empty(horizon, dtype=np.int64)
-        self._scratch_prefix = np.empty(horizon + 1, dtype=np.int64)
         self._starts: Dict[Hashable, int] = {}
         if schedule is not None:
             starts = schedule.start_times()
-            power = self._power
-            for node in instance.dag.nodes():
-                start = starts[node]
-                duration = self._duration[node]
-                if start < 0 or start + duration > horizon:
-                    raise InvalidScheduleError(
-                        f"task {node!r} at start {start} (duration {duration}) does "
-                        f"not fit into the horizon [0, {horizon})"
-                    )
-                work_power = self._work_power[node]
-                if work_power:
-                    power[start : start + duration] += work_power
+            nodes = instance.dag.nodes()
+            count = len(nodes)
+            begin = np.fromiter((starts[node] for node in nodes), np.int64, count)
+            duration = np.fromiter((self._duration[node] for node in nodes), np.int64, count)
+            end = begin + duration
+            outside = (begin < 0) | (end > horizon)
+            if outside.any():
+                index = int(outside.argmax())
+                raise InvalidScheduleError(
+                    f"task {nodes[index]!r} at start {begin[index]} (duration "
+                    f"{duration[index]}) does not fit into the horizon [0, {horizon})"
+                )
+            # Every task adds its working power from its start to its end.
+            work_power = np.fromiter((self._work_power[node] for node in nodes), np.int64, count)
+            delta = np.zeros(horizon + 1, dtype=np.int64)
+            np.add.at(delta, begin, work_power)
+            np.subtract.at(delta, end, work_power)
+            self._power += delta[:-1].cumsum()
             self._starts = starts
 
     # ------------------------------------------------------------------ #
@@ -202,58 +204,95 @@ class PowerTimeline:
 
         The result is an ``int64`` array of length ``hi - lo + 1`` whose entry
         ``s - lo`` equals ``move_gain(node, s)`` (the entry for the current
-        start, when inside the window, is 0).  Instead of the per-candidate
-        remove/place round-trips of :meth:`move_gain`, the node is removed
-        once and every candidate is evaluated with a single prefix-sum
-        expression over the affected window:
+        start, when inside the window, is 0).  This is the one-task case of
+        :meth:`gain_profiles`.  The timeline is left unchanged.
+        """
+        return self.gain_profiles([node], [lo], [hi])[0]
 
-        with ``excess[t] = power[t] - budget[t]`` after removing the node, the
+    def gain_profiles(
+        self, nodes: Sequence[Hashable], los: Sequence[int], his: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Return the move gains of every task's candidate starts in one pass.
+
+        Task ``i`` moves within ``los[i] .. his[i]`` (an empty window when
+        ``his[i] < los[i]``).  The result is ``(gains, offsets)``: the
+        ``int64`` gains of all tasks concatenated in task order, and the
+        ``len(nodes) + 1`` offsets delimiting them, so that
+        ``gains[offsets[i] + s - los[i]] == move_gain(nodes[i], s)``.
+
+        Instead of per-candidate remove/place round-trips, every candidate is
+        scored with one prefix-sum expression over the concatenated regions
+        ``[min(lo, cur), max(hi, cur) + d)`` of the tasks: with ``excess[t] =
+        power[t] - budget[t]`` after removing the task's own power ``p``, the
         cost delta of covering ``t`` is ``max(excess[t] + p, 0) -
         max(excess[t], 0) = clip(excess[t], -p, 0) + p``; the constant ``p``
         per covered unit is shared by every candidate and cancels in the gain
         differences, so the cost of candidate ``s`` differs from the shared
         baseline by the sum of ``clip(excess, -p, 0)`` over ``[s, s + d)`` — a
-        sliding-window sum obtained from one cumulative sum.  All arithmetic
-        is integer, so the profile is bit-identical to the scalar loop.
-
-        The timeline is left unchanged.
+        sliding-window sum read from one cumulative sum, segmented per task.
+        All arithmetic is integer, so the gains are bit-identical to the
+        scalar loop.  The timeline is left unchanged.
         """
-        old_start = self.start_of(node)
-        lo = int(lo)
-        hi = int(hi)
-        duration = self._duration[node]
-        if lo < 0 or hi + duration > self.horizon:
+        count = len(nodes)
+        starts = self._starts
+        try:
+            placed = [starts[node] for node in nodes]
+        except KeyError as exc:
             raise InvalidScheduleError(
-                f"task {node!r} cannot move within [{lo}, {hi}]: outside the horizon"
+                f"task {exc.args[0]!r} is not placed on the timeline"
+            ) from None
+        cur, duration, power, lo, hi = np.array(
+            (
+                placed,
+                [self._duration[node] for node in nodes],
+                [self._work_power[node] for node in nodes],
+                los,
+                his,
+            ),
+            dtype=np.int64,
+        )
+        outside = (lo < 0) | (hi + duration > self.horizon)
+        if outside.any():
+            index = int(outside.argmax())
+            raise InvalidScheduleError(
+                f"task {nodes[index]!r} cannot move within [{lo[index]}, {hi[index]}]: "
+                "outside the horizon"
             )
-        if hi < lo:
-            return np.zeros(0, dtype=np.int64)
-        work_power = self._work_power[node]
-        if not work_power or not duration:
-            # A zero-power or zero-length node never changes the cost.
-            return np.zeros(hi - lo + 1, dtype=np.int64)
-        window_begin = min(lo, old_start)
-        window_end = max(hi, old_start) + duration
-        length = window_end - window_begin
-        excess = self._scratch[:length]
-        np.subtract(
-            self._power[window_begin:window_end],
-            self._budget[window_begin:window_end],
-            out=excess,
+        candidates = np.maximum(hi - lo + 1, 0)
+        offsets = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(candidates, out=offsets[1:])
+        # Region of each task in the concatenated rows; it always holds the
+        # task's current placement, whose window sum is the shared baseline.
+        begin = np.minimum(lo, cur)
+        lengths = np.maximum(hi, cur) + duration - begin
+        region = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(lengths, out=region[1:])
+        # Per cell of the concatenated regions: the offset from cell index to
+        # time, and the task's own start, end and power.
+        shift, own_begin, own_end, own_power = np.repeat(
+            np.array((begin - region[:-1], cur, cur + duration, power)), lengths, axis=1
         )
-        rel_old = old_start - window_begin
-        excess[rel_old : rel_old + duration] -= work_power
+        times = np.arange(region[-1], dtype=np.int64)
+        times += shift
+        excess = self._power[times] - self._budget[times]
+        excess -= ((times >= own_begin) & (times < own_end)) * own_power
         np.minimum(excess, 0, out=excess)
-        np.maximum(excess, -work_power, out=excess)
-        prefix = self._scratch_prefix[: length + 1]
-        prefix[0] = 0
-        excess.cumsum(out=prefix[1:])
-        # The excess row is dead after the cumsum; reuse it for the window sums.
-        window_sums = np.subtract(
-            prefix[duration:], prefix[:-duration], out=self._scratch[: length + 1 - duration]
+        np.maximum(excess, -own_power, out=excess)
+        prefix = np.zeros(len(excess) + 1, dtype=np.int64)
+        np.cumsum(excess, out=prefix[1:])
+        # Prefix index of each task's current start and of every candidate.
+        current = region[:-1] + cur - begin
+        baseline = prefix[current + duration] - prefix[current]
+        first, candidate_duration, candidate_baseline = np.repeat(
+            np.array((region[:-1] + lo - begin - offsets[:-1], duration, baseline)),
+            candidates,
+            axis=1,
         )
-        rel_lo = lo - window_begin
-        return window_sums[rel_old] - window_sums[rel_lo : rel_lo + hi - lo + 1]
+        index = np.arange(offsets[-1], dtype=np.int64)
+        index += first
+        gains = candidate_baseline - prefix[index + candidate_duration]
+        gains += prefix[index]
+        return gains, offsets
 
     def as_schedule(self, *, algorithm: str = "timeline") -> Schedule:
         """Return the currently placed start times as a :class:`Schedule`.

@@ -152,6 +152,27 @@ class TestExportImportCommands:
         assert "unknown wire format" in capsys.readouterr().err
 
 
+    def test_import_malformed_link_exits_cleanly(self, capsys, tmp_path):
+        # A communication_order link key with one processor name is a wire
+        # error: exit status 2 naming the problem, no traceback.
+        path = tmp_path / "instance.json"
+        main([
+            "export", "--family", "bacass", "--tasks", "30", "--cluster", "small",
+            "--seed", "1", "--out", str(path),
+        ])
+        document = json.loads(path.read_text())
+        link = document["payload"]["mapping"]["communication_order"][0]
+        link[0] = link[0][:1]
+        path.write_text(json.dumps(document))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["import", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "must name two processors" in err
+        assert "Traceback" not in err
+
+
 class TestBatchCommand:
     @staticmethod
     def _requests_file(tmp_path, entries):

@@ -225,6 +225,16 @@ class TestInstanceRoundTrip:
         with pytest.raises(InvalidWorkflowError, match="data must be an integer"):
             instance_from_dict(payload)
 
+    @pytest.mark.parametrize("link", [[], ["p0"], "p0", None])
+    def test_malformed_communication_link_rejected_as_wire_error(self, link):
+        # A link key must name its source and target processor.
+        spec = InstanceSpec("bacass", 30, "small", "S1", 1.5, seed=1)
+        payload = instance_to_dict(make_instance(spec))
+        assert payload["mapping"]["communication_order"]
+        payload["mapping"]["communication_order"][0][0] = link
+        with pytest.raises(WireFormatError, match="must name two processors"):
+            instance_from_dict(payload)
+
     def test_mismatched_platform_rejected(self, grid_instance):
         from repro.mapping.enhanced_dag import build_enhanced_dag
         from repro.platform_.cluster import ExtendedPlatform
@@ -272,6 +282,44 @@ class TestRecordsRoundTrip:
         )
         strings = {key: str(value) for key, value in record.to_dict().items()}
         assert RunRecord.from_dict(strings) == record
+
+
+_RECORD = {
+    "instance": "x", "variant": "ASAP", "carbon_cost": 5, "runtime_seconds": 0.25,
+    "makespan": 7, "deadline": 10, "num_tasks": 4,
+}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"variant": "x"}, "record 0 is missing field 'instance'"),
+            (dict(_RECORD, carbon_cost=[5]), "field 'carbon_cost' must be an integer"),
+            (dict(_RECORD, family={"name": "x"}), "field 'family' must be a string"),
+            (dict(_RECORD, makespan=float("nan")), "field 'makespan' must be an integer"),
+            (
+                dict(_RECORD, runtime_seconds=float("nan")),
+                "field 'runtime_seconds' must be a finite number",
+            ),
+            (dict(_RECORD, deadline="soon"), "field 'deadline' must be an integer"),
+            (3, "record 0 must be an object"),
+        ],
+    )
+    def test_malformed_record_rejected_as_wire_error(self, entry, message):
+        text = json.dumps(envelope("records", [entry]))
+        with pytest.raises(WireFormatError, match=message):
+            loads(text, "records")
+
+    def test_non_list_payload_rejected(self):
+        with pytest.raises(WireFormatError, match="must be a list"):
+            loads(json.dumps(envelope("records", {"instance": "x"})), "records")
+
+    def test_load_records_rejects_missing_field(self, tmp_path):
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps(envelope("records", [{"variant": "x"}])))
+        with pytest.raises(WireFormatError, match="missing field 'instance'"):
+            load_records(path)
 
 
 class TestEnvelope:

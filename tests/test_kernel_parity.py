@@ -5,6 +5,7 @@ original scalar algorithms as test-only references and pins the contract
 that the library is *byte-identical* to them:
 
 * ``PowerTimeline.gain_profile`` equals a loop of scalar ``move_gain`` calls,
+  and so do the per-task gains of the batched ``PowerTimeline.gain_profiles``,
 * ``local_search`` returns the same start times as the per-candidate
   ``move_gain`` hill climber (:func:`_scalar_local_search`),
 * every incremental ``EstLstTracker.fix`` leaves the same EST/LST maps as
@@ -15,6 +16,7 @@ that the library is *byte-identical* to them:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Hashable
 
 import numpy as np
@@ -24,13 +26,15 @@ from hypothesis import strategies as st
 from repro.carbon.scenarios import generate_power_profile
 from repro.core.estlst import EstLstTracker
 from repro.core.greedy import greedy_schedule
-from repro.core.local_search import local_search
+from repro.core.local_search import _BatchedSearch, local_search
 from repro.core.subdivision import block_alignment_points
-from repro.mapping.enhanced_dag import build_enhanced_dag
+from repro.mapping.enhanced_dag import EnhancedDAG, build_enhanced_dag
 from repro.mapping.heft import heft_mapping
+from repro.platform_.cluster import Cluster
 from repro.platform_.presets import cluster_from_table1
 from repro.schedule.asap import asap_makespan
 from repro.schedule.instance import ProblemInstance
+from repro.schedule.schedule import Schedule
 from repro.schedule.timeline import PowerTimeline
 from repro.utils.rng import ensure_rng
 from repro.workflow.generators import generate_workflow
@@ -96,6 +100,93 @@ class TestGainProfileParity:
         assert timeline.gain_profile(node, start, start - 1).size == 0
 
 
+def _with_zero_durations(dag: EnhancedDAG, zero) -> EnhancedDAG:
+    """A copy of *dag* in which the nodes of *zero* take no time."""
+    nodes = dag.nodes()
+    return EnhancedDAG(
+        dag.platform,
+        dag.mapping,
+        dag.ordered_task_map(),
+        {node: 0 if node in zero else dag.duration(node) for node in nodes},
+        {node: dag.processor(node) for node in nodes},
+        {node for node in nodes if dag.is_comm(node)},
+        {node: dict.fromkeys(dag.successors(node)) for node in nodes},
+        {node: dict.fromkeys(dag.predecessors(node)) for node in nodes},
+    )
+
+
+@st.composite
+def batched_windows(draw):
+    """A loaded timeline, a task subset and a legal window for each task.
+
+    The PT5 processor and some links draw no working power and some nodes
+    take no time, so zero-power and zero-duration tasks occur; windows may
+    be empty, start at 0 or end at the horizon.
+    """
+    family = draw(st.sampled_from(["atacseq", "eager", "forkjoin", "chain"]))
+    seed = draw(st.integers(0, 10**6))
+    workflow = generate_workflow(family, draw(st.integers(6, 20)), rng=seed)
+    cluster = Cluster(
+        [
+            replace(spec, p_work=0) if spec.proc_type == "PT5" else spec
+            for spec in cluster_from_table1(1, name="parity").processors()
+        ],
+        name="parity",
+    )
+    mapping = heft_mapping(workflow, cluster).mapping
+    dag = build_enhanced_dag(mapping, rng=seed, link_power_range=(0, 1))
+    deadline = int(draw(st.sampled_from([1.5, 2.0, 3.0])) * asap_makespan(dag))
+    profile = generate_power_profile(
+        draw(st.sampled_from(["S1", "S2", "S3", "S4"])), deadline,
+        idle_power=dag.platform.total_idle_power(),
+        work_power=dag.platform.total_work_power(),
+        num_intervals=8, rng=seed,
+    )
+    starts = greedy_schedule(ProblemInstance(dag, profile), base="slack").start_times()
+    zero = draw(st.sets(st.sampled_from(dag.nodes()), max_size=3), label="zero")
+    instance = ProblemInstance(_with_zero_durations(dag, zero), profile)
+    timeline = PowerTimeline(instance, Schedule(instance, starts))
+    nodes = draw(
+        st.lists(st.sampled_from(instance.dag.nodes()), min_size=1, max_size=12, unique=True),
+        label="nodes",
+    )
+    los, his = [], []
+    for node in nodes:
+        limit = deadline - instance.dag.duration(node)
+        lo = draw(st.one_of(st.just(0), st.integers(0, limit)))
+        hi = draw(st.one_of(st.just(limit), st.just(lo - 1), st.integers(lo, limit)))
+        los.append(lo)
+        his.append(hi)
+    return timeline, nodes, los, his
+
+
+class TestBatchedGainProfiles:
+    @given(case=batched_windows())
+    @settings(max_examples=40, deadline=None)
+    def test_batched_gains_equal_scalar_move_gain_loop(self, case):
+        timeline, nodes, los, his = case
+        before = timeline.power_array()
+        gains, offsets = timeline.gain_profiles(nodes, los, his)
+        assert gains.dtype == np.int64
+        assert offsets[0] == 0 and offsets[-1] == len(gains)
+        for index, (node, lo, hi) in enumerate(zip(nodes, los, his)):
+            start = timeline.start_of(node)
+            expected = [
+                timeline.move_gain(node, candidate) if candidate != start else 0
+                for candidate in range(lo, hi + 1)
+            ]
+            assert gains[offsets[index] : offsets[index + 1]].tolist() == expected, node
+        # The timeline itself is untouched by the evaluation.
+        assert np.array_equal(timeline.power_array(), before)
+
+    def test_no_tasks_yield_no_gains(self, tiny_multi_instance):
+        timeline = PowerTimeline(
+            tiny_multi_instance, greedy_schedule(tiny_multi_instance, base="slack")
+        )
+        gains, offsets = timeline.gain_profiles([], [], [])
+        assert gains.size == 0 and offsets.tolist() == [0]
+
+
 class TestLocalSearchParity:
     @given(
         instance=INSTANCE_STRATEGY,
@@ -112,6 +203,39 @@ class TestLocalSearchParity:
         slow = _scalar_local_search(greedy, window=window, best_improvement=best)
         assert fast.start_times() == slow
         assert fast.algorithm == f"{greedy.algorithm}-LS"
+
+    def test_kernel_calls_bounded_by_rounds_plus_moves(self, monkeypatch):
+        # One batched call per round plus at most one per accepted move,
+        # never one per task visit.
+        from repro.experiments.instances import default_grid, make_instance
+
+        counts = {"calls": 0, "rounds": 0, "moves": 0}
+
+        def counting(name, method):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            PowerTimeline, "gain_profiles", counting("calls", PowerTimeline.gain_profiles)
+        )
+        monkeypatch.setattr(_BatchedSearch, "walk", counting("rounds", _BatchedSearch.walk))
+        monkeypatch.setattr(
+            _BatchedSearch, "_apply_move", counting("moves", _BatchedSearch._apply_move)
+        )
+        moves = 0
+        for spec in default_grid(sizes=(30,), seed=1)[::8]:
+            instance = make_instance(spec, master_seed=1)
+            for base in ("slack", "pressure"):
+                greedy = greedy_schedule(instance, base=base, refined=True)
+                for best in (False, True):
+                    counts.update(calls=0, rounds=0, moves=0)
+                    local_search(greedy, best_improvement=best)
+                    assert 1 <= counts["calls"] <= counts["rounds"] + counts["moves"]
+                    moves += counts["moves"]
+        # The bound is exercised by runs that re-score after a move.
+        assert moves > 0
 
     def test_seed_grid_byte_identity(self, monkeypatch):
         from repro.core.scheduler import CaWoSched
