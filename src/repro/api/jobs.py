@@ -29,14 +29,12 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.api.errors import BackendFailure, InvalidJob, UnknownVariant
-from repro.carbon.scenarios import SCENARIOS
 from repro.core.scheduler import CaWoSched, ScheduleResult
 from repro.core.variants import ALL_VARIANTS, variant_names
+from repro.experiments.instances import InstanceSpec, make_instance
 from repro.experiments.runner import RunRecord
 from repro.io.wire import canonical_json, instance_from_dict, instance_to_dict
-from repro.platform_.presets import CLUSTER_PRESETS
 from repro.schedule.instance import ProblemInstance
-from repro.workflow.generators import WORKFLOW_FAMILIES
 
 __all__ = [
     "Job",
@@ -51,12 +49,6 @@ _SPEC_KEYS = ("family", "tasks", "cluster", "scenario", "deadline_factor", "seed
 #: Keys a raw spec may carry: the normalised ones, the optional
 #: ``nodes_per_type`` and the ``num_tasks`` alias.
 _RAW_SPEC_KEYS = _SPEC_KEYS + ("nodes_per_type", "num_tasks")
-#: The names a spec's ``family``, ``cluster`` and ``scenario`` must be one of.
-_SPEC_NAMES = (
-    ("family", WORKFLOW_FAMILIES),
-    ("cluster", CLUSTER_PRESETS),
-    ("scenario", SCENARIOS),
-)
 #: Keys of a job object (see :meth:`Job.from_dict`).
 _JOB_KEYS = ("instance", "spec", "variants", "scheduler", "master_seed")
 #: Keys of a scheduler configuration (see :meth:`CaWoSched.config_dict`).
@@ -146,12 +138,11 @@ def _reject_unknown_keys(what: str, data: Mapping[str, object], known: Sequence[
 def _normalise_spec(spec_data: Mapping[str, object]) -> Dict[str, object]:
     """Coerce a raw spec mapping onto the canonical spec keys (eagerly).
 
-    Validation is eager (unknown keys, malformed values, unknown family,
-    cluster or scenario names, a non-positive size or a deadline factor
-    below 1 fail at job construction time), materialisation is lazy (the
-    workflow is only generated when the instance is actually needed —
-    possibly inside a worker process).  ``nodes_per_type`` is kept only
-    when it is set.
+    Validation is eager (unknown keys, malformed values and everything
+    :meth:`InstanceSpec.validate` rejects fail at job construction time),
+    materialisation is lazy (the workflow is only generated when the
+    instance is actually needed — possibly inside a worker process).
+    ``nodes_per_type`` is kept only when it is set.
     """
     try:
         spec_data = dict(spec_data)
@@ -166,20 +157,34 @@ def _normalise_spec(spec_data: Mapping[str, object]) -> Dict[str, object]:
         }
         nodes = spec_data.get("nodes_per_type")
         if nodes is not None:
-            spec["nodes_per_type"] = nodes = int(nodes)
-            if nodes <= 0:
-                raise ValueError(f"nodes_per_type must be positive, got {nodes}")
-        for key, known in _SPEC_NAMES:
-            if spec[key] not in known:
-                names = ", ".join(sorted(known))
-                raise ValueError(f"unknown {key} {spec[key]!r}; known: {names}")
-        if spec["tasks"] <= 0:
-            raise ValueError(f"tasks must be positive, got {spec['tasks']}")
-        if not spec["deadline_factor"] >= 1.0:
-            raise ValueError(f"deadline_factor must be >= 1, got {spec['deadline_factor']}")
+            spec["nodes_per_type"] = int(nodes)
+        _instance_spec(spec).validate()
         return spec
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidJob(f"malformed job spec {spec_data!r}: {exc}") from exc
+
+
+def _instance_spec(spec: Mapping[str, object]) -> InstanceSpec:
+    """Return the :class:`InstanceSpec` of a normalised spec mapping."""
+    return InstanceSpec(
+        family=str(spec["family"]),
+        num_tasks=int(spec["tasks"]),
+        cluster=str(spec["cluster"]),
+        scenario=str(spec["scenario"]),
+        deadline_factor=float(spec["deadline_factor"]),
+        seed=int(spec["seed"]),
+        nodes_per_type=spec.get("nodes_per_type"),
+    )
+
+
+def _master_seed(value: object) -> Optional[int]:
+    """Return a job's master seed: ``None`` or a non-negative integer."""
+    if value is None:
+        return None
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"master_seed must be non-negative, got {seed}")
+    return seed
 
 
 def _variant_list(value: object) -> Tuple[str, ...]:
@@ -189,9 +194,8 @@ def _variant_list(value: object) -> Tuple[str, ...]:
     return tuple(str(v) for v in value) if value else tuple(variant_names())
 
 
-def _job_field(data: Mapping[str, object], key: str, convert, default):
-    """Coerce ``data[key]`` (or *default*) with *convert*, as an :class:`InvalidJob`."""
-    value = data.get(key, default)
+def _job_field(key: str, value: object, convert):
+    """Return ``convert(value)`` for job field *key*, failing as an :class:`InvalidJob`."""
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
@@ -278,8 +282,6 @@ class Job:
         instance is only generated when needed — for spec jobs shipped to a
         worker pool, that is inside the worker.
         """
-        from repro.experiments.instances import InstanceSpec
-
         if isinstance(spec, InstanceSpec):
             spec = asdict(spec)
         elif not isinstance(spec, Mapping):
@@ -293,7 +295,7 @@ class Job:
             spec=spec_data,
             variants=names,
             scheduler=scheduler.config_dict(),
-            master_seed=None if master_seed is None else int(master_seed),
+            master_seed=_job_field("master_seed", master_seed, _master_seed),
         )
 
     @classmethod
@@ -320,9 +322,9 @@ class Job:
             raise InvalidJob(
                 "a job needs either an 'instance' payload or a 'spec' (exactly one)"
             )
-        payload = _job_field(data, "instance", dict, None) if has_instance else None
+        payload = _job_field("instance", data["instance"], dict) if has_instance else None
         spec = _normalise_spec(data["spec"]) if has_spec else None
-        names = _job_field(data, "variants", _variant_list, None)
+        names = _job_field("variants", data.get("variants"), _variant_list)
         config = data.get("scheduler")
         if isinstance(config, Mapping):
             _reject_unknown_keys("scheduler", config, _SCHEDULER_KEYS)
@@ -335,9 +337,7 @@ class Job:
             spec=spec,
             variants=names,
             scheduler=scheduler.config_dict(),
-            master_seed=_job_field(
-                data, "master_seed", lambda value: None if value is None else int(value), None
-            ),
+            master_seed=_job_field("master_seed", data.get("master_seed"), _master_seed),
         )
 
     # ------------------------------------------------------------------ #
@@ -377,18 +377,7 @@ class Job:
         if self.payload is not None:
             built = instance_from_dict(self.payload)
         else:
-            from repro.experiments.instances import InstanceSpec, make_instance
-
-            spec = InstanceSpec(
-                family=str(self.spec["family"]),
-                num_tasks=int(self.spec["tasks"]),
-                cluster=str(self.spec["cluster"]),
-                scenario=str(self.spec["scenario"]),
-                deadline_factor=float(self.spec["deadline_factor"]),
-                seed=int(self.spec["seed"]),
-                nodes_per_type=self.spec.get("nodes_per_type"),
-            )
-            built = make_instance(spec, master_seed=self.master_seed)
+            built = make_instance(_instance_spec(self.spec), master_seed=self.master_seed)
         object.__setattr__(self, "_instance", built)
         return built
 

@@ -42,7 +42,7 @@ __all__ = [
 DEFAULT_NUM_INTERVALS = 24
 #: The paper caps the variable part of the budget at 80 % of the work power.
 DEFAULT_GREEN_CAP = 0.8
-#: Default relative perturbation applied to every interval budget.
+#: Relative perturbation applied to every interval budget.
 DEFAULT_PERTURBATION = 0.1
 
 
@@ -96,8 +96,6 @@ def generate_power_profile(
     work_power: int,
     num_intervals: int = DEFAULT_NUM_INTERVALS,
     rng: RNGLike = None,
-    perturbation: float = DEFAULT_PERTURBATION,
-    green_cap: float = DEFAULT_GREEN_CAP,
 ) -> PowerProfile:
     """Generate the green-power profile of *scenario* over ``[0, horizon)``.
 
@@ -113,17 +111,14 @@ def generate_power_profile(
         scheduler cannot influence).
     work_power:
         Total working power of the platform; the variable part of the budget
-        is at most ``green_cap * work_power``.
+        is at most ``DEFAULT_GREEN_CAP * work_power``.
     num_intervals:
         Number of intervals ``J``; intervals get as-equal-as-possible lengths.
         Clamped to the horizon so every interval has length at least 1.
     rng:
-        Seed or generator for the perturbations.
-    perturbation:
-        Relative standard deviation of the multiplicative noise applied to the
-        variable part of each interval's budget.
-    green_cap:
-        Fraction of the work power reachable by the budget (paper: 0.8).
+        Seed or generator for the perturbations: the variable part of each
+        interval's budget gets multiplicative noise of relative standard
+        deviation ``DEFAULT_PERTURBATION``.
 
     Returns
     -------
@@ -133,8 +128,6 @@ def generate_power_profile(
     idle_power = check_non_negative_int(idle_power, "idle_power")
     work_power = check_non_negative_int(work_power, "work_power")
     num_intervals = check_positive_int(num_intervals, "num_intervals")
-    check_in_range(perturbation, "perturbation", low=0.0, high=1.0)
-    check_in_range(green_cap, "green_cap", low=0.0, high=1.0)
     if scenario not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
         raise InvalidProfileError(f"unknown scenario {scenario!r}; known: {known}")
@@ -146,14 +139,13 @@ def generate_power_profile(
 
     shape = SCENARIOS[scenario]
     budgets: List[int] = []
-    cap = green_cap * work_power
+    cap = DEFAULT_GREEN_CAP * work_power
     begin = 0
     for length in lengths:
         # Evaluate the shape at the centre of the interval.
         x = (begin + length / 2.0) / horizon
         fraction = shape(min(1.0, max(0.0, x)))
-        if perturbation > 0:
-            fraction *= 1.0 + float(rng.normal(0.0, perturbation))
+        fraction *= 1.0 + float(rng.normal(0.0, DEFAULT_PERTURBATION))
         fraction = min(1.0, max(0.0, fraction))
         budgets.append(int(round(idle_power + fraction * cap)))
         begin += int(length)

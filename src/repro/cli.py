@@ -258,8 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> InstanceSpec:
-    return InstanceSpec(
+def _checked(spec: InstanceSpec, parser: argparse.ArgumentParser) -> InstanceSpec:
+    """Return *spec*, or exit through *parser* if it cannot be built."""
+    try:
+        spec.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
+    return spec
+
+
+def _spec_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> InstanceSpec:
+    spec = InstanceSpec(
         family=args.family,
         num_tasks=args.tasks,
         cluster=args.cluster,
@@ -267,6 +276,7 @@ def _spec_from_args(args: argparse.Namespace) -> InstanceSpec:
         deadline_factor=args.deadline_factor,
         seed=args.seed,
     )
+    return _checked(spec, parser)
 
 
 def _print_cost_table(instance, records: Sequence[RunRecord]) -> None:
@@ -290,15 +300,15 @@ def _scheduler_from_args(
 
 def _run_schedule(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     scheduler = _scheduler_from_args(args, parser)
-    instance = make_instance(_spec_from_args(args))
+    instance = make_instance(_spec_from_args(args, parser))
     job = Job.from_instance(instance, variants=args.variants, scheduler=scheduler)
     result = Client().submit(job)
     _print_cost_table(instance, result.records)
     return 0
 
 
-def _run_grid(args: argparse.Namespace) -> int:
-    specs = default_grid(
+def _run_grid(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    grid = default_grid(
         families=args.families,
         sizes=args.sizes,
         clusters=args.clusters,
@@ -306,6 +316,7 @@ def _run_grid(args: argparse.Namespace) -> int:
         deadline_factors=args.deadline_factors,
         seed=args.seed,
     )
+    specs = [_checked(spec, parser) for spec in grid]
     names = args.variants if args.variants else variant_names(only_local_search=True)
     workers = f" over {args.jobs} workers" if args.jobs > 1 else ""
     print(f"running {len(specs)} instances × {len(names)} variants{workers} ...")
@@ -373,8 +384,8 @@ def _run_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _run_export(args: argparse.Namespace) -> int:
-    instance = make_instance(_spec_from_args(args))
+def _run_export(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    instance = make_instance(_spec_from_args(args, parser))
     save_instance(instance, args.out)
     print(
         f"wrote instance {instance.name} ({instance.num_tasks} tasks, "
@@ -410,9 +421,11 @@ def _run_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             data = json.loads(path.read_text(encoding="utf8"))
         except json.JSONDecodeError as exc:
             parser.error(f"trace file {path} is not valid JSON: {exc}")
-        if not isinstance(data, list):
-            parser.error(f"trace file {path} must contain a JSON list of arrival times")
-        arrival_times = tuple(int(t) for t in data)
+        if not isinstance(data, list) or not all(
+            isinstance(t, int) and not isinstance(t, bool) for t in data
+        ):
+            parser.error(f"trace file {path} must contain a JSON list of integer arrival times")
+        arrival_times = tuple(data)
 
     try:
         config = SimulationConfig(
@@ -509,11 +522,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "schedule":
             return _run_schedule(args, parser)
         if args.command == "grid":
-            return _run_grid(args)
+            return _run_grid(args, parser)
         if args.command == "batch":
             return _run_batch(args, parser)
         if args.command == "export":
-            return _run_export(args)
+            return _run_export(args, parser)
         if args.command == "import":
             return _run_import(args, parser)
         if args.command == "simulate":

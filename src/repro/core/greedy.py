@@ -131,7 +131,6 @@ def greedy_schedule(
     weighted: bool = False,
     refined: bool = False,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    algorithm_name: Optional[str] = None,
 ) -> Schedule:
     """Run the greedy CaWoSched phase on *instance*.
 
@@ -147,14 +146,12 @@ def greedy_schedule(
         Whether to use the refined interval subdivision (block alignments).
     block_size:
         Maximum block size of the refined subdivision (the paper's ``k``).
-    algorithm_name:
-        Optional label stored on the returned schedule.
 
     Returns
     -------
     Schedule
-        A feasible schedule of all tasks (the caller may refine it further
-        with the local search).
+        A feasible schedule of all tasks, labelled with the paper's variant
+        name (the caller may refine it further with the local search).
     """
     if base not in (SCORE_SLACK, SCORE_PRESSURE):
         raise CaWoSchedError(f"unknown base score {base!r}")
@@ -181,7 +178,7 @@ def greedy_schedule(
         tracker.fix(node, start)
         budgets.consume(start, start + dag.duration(node), instance.active_power_of(node))
 
-    name = algorithm_name or _default_name(base, weighted, refined)
+    name = _default_name(base, weighted, refined)
     return Schedule._trusted(instance, tracker.fixed_starts(), algorithm=name)
 
 

@@ -45,7 +45,6 @@ def local_search(
     *,
     window: int = DEFAULT_WINDOW,
     best_improvement: bool = False,
-    algorithm_name: Optional[str] = None,
 ) -> Schedule:
     """Improve *schedule* with the CaWoSched local search.
 
@@ -62,14 +61,12 @@ def local_search(
         instead of the first improving one.  The paper reports that this does
         not significantly change the results and uses first improvement; the
         flag exists for the ablation benchmark.
-    algorithm_name:
-        Optional label of the returned schedule; defaults to the input
-        schedule's label with an ``-LS`` suffix.
 
     Returns
     -------
     Schedule
-        A schedule whose carbon cost is never higher than the input's.
+        A schedule whose carbon cost is never higher than the input's,
+        labelled with the input schedule's label and an ``-LS`` suffix.
     """
     window = check_non_negative_int(window, "window")
 
@@ -93,8 +90,7 @@ def local_search(
     while searcher.walk(order):
         pass
 
-    name = algorithm_name or f"{schedule.algorithm}-LS"
-    return Schedule._trusted(instance, starts, algorithm=name)
+    return Schedule._trusted(instance, starts, algorithm=f"{schedule.algorithm}-LS")
 
 
 class _BatchedSearch:

@@ -139,9 +139,7 @@ class CaWoSched:
                 )
             produced = greedy
             if spec.local_search:
-                produced = local_search(
-                    greedy, window=self.window, algorithm_name=spec.name
-                )
+                produced = local_search(greedy, window=self.window)
         if self.validate:
             check_schedule(produced)
         return produced

@@ -16,12 +16,10 @@ import numpy as np
 
 from repro.core.greedy import greedy_schedule
 from repro.core.local_search import local_search
-from repro.core.scheduler import CaWoSched
 from repro.core.variants import BASELINE, LS_VARIANTS, get_variant, variant_names
 from repro.exact.ilp import ilp_optimal
 from repro.experiments.instances import InstanceSpec, make_instance, single_processor_instance
 from repro.experiments.metrics import (
-    DEFAULT_TAU_GRID,
     BoxplotStats,
     cost_ratio_boxplots,
     cost_ratios_to_baseline,
@@ -75,15 +73,13 @@ def _main_variants() -> List[str]:
     return [BASELINE] + list(LS_VARIANTS)
 
 
-def _run(
-    instance, variants: Sequence[str], scheduler: Optional[CaWoSched] = None
-) -> Tuple[RunRecord, ...]:
+def _run(instance, variants: Sequence[str]) -> Tuple[RunRecord, ...]:
     """Run *variants* on *instance* through the facade's job executor."""
     # Imported lazily: repro.api imports this package (for RunRecord).
     from repro.api.execute import execute_job
     from repro.api.jobs import Job
 
-    job = Job.from_instance(instance, variants=variants, scheduler=scheduler)
+    job = Job.from_instance(instance, variants=variants)
     _, records = execute_job(job)
     return records
 
@@ -95,22 +91,18 @@ def figure1_rank_distribution(records: Iterable[RunRecord]) -> Dict[str, Dict[in
 
 def figure2_performance_profiles(
     records: Iterable[RunRecord],
-    *,
-    taus: Sequence[float] = DEFAULT_TAU_GRID,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Figure 2: performance profiles of ASAP and the 8 LS variants."""
-    return performance_profile(list(records), variants=_main_variants(), taus=taus)
+    return performance_profile(list(records), variants=_main_variants())
 
 
 def figure3_profiles_by_deadline(
     records: Iterable[RunRecord],
-    *,
-    taus: Sequence[float] = DEFAULT_TAU_GRID,
 ) -> Dict[float, Dict[str, List[Tuple[float, float]]]]:
     """Figures 3 and 10: performance profiles split by deadline factor."""
     grouped = group_records(list(records), key=lambda record: record.deadline_factor)
     return {
-        factor: performance_profile(group, variants=_main_variants(), taus=taus)
+        factor: performance_profile(group, variants=_main_variants())
         for factor, group in sorted(grouped.items())
     }
 
@@ -143,13 +135,9 @@ def figure8_running_times(records: Iterable[RunRecord]) -> Dict[str, Dict[str, f
 
 def figure12_runtime_by_size(
     records: Iterable[RunRecord],
-    *,
-    boundaries: Sequence[int] = (60, 150),
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Figure 12: running times split by workflow size class."""
-    grouped = group_records(
-        list(records), key=lambda record: size_class_of(record, boundaries=boundaries)
-    )
+    grouped = group_records(list(records), key=size_class_of)
     return {
         size_class: runtime_statistics(group)
         for size_class, group in sorted(grouped.items())
@@ -190,13 +178,9 @@ def figure15_cost_ratio_by_scenario(
 
 def figure16_cost_ratio_by_size(
     records: Iterable[RunRecord],
-    *,
-    boundaries: Sequence[int] = (60, 150),
 ) -> Dict[str, Dict[str, float]]:
     """Figure 16: median cost ratio split by workflow size class."""
-    grouped = group_records(
-        list(records), key=lambda record: size_class_of(record, boundaries=boundaries)
-    )
+    grouped = group_records(list(records), key=size_class_of)
     return {
         size_class: median_cost_ratio(group, variants=LS_VARIANTS)
         for size_class, group in sorted(grouped.items())
@@ -205,13 +189,11 @@ def figure16_cost_ratio_by_size(
 
 def figure17_profiles_by_cluster(
     records: Iterable[RunRecord],
-    *,
-    taus: Sequence[float] = DEFAULT_TAU_GRID,
 ) -> Dict[str, Dict[str, List[Tuple[float, float]]]]:
     """Figure 17: performance profiles split by cluster size."""
     grouped = group_records(list(records), key=lambda record: record.cluster)
     return {
-        cluster: performance_profile(group, variants=_main_variants(), taus=taus)
+        cluster: performance_profile(group, variants=_main_variants())
         for cluster, group in sorted(grouped.items())
     }
 
@@ -224,15 +206,15 @@ def figure7_ilp_comparison(
     *,
     variants: Optional[Sequence[str]] = None,
     master_seed: RNGLike = None,
-    scheduler: Optional[CaWoSched] = None,
 ) -> Dict[str, Dict[str, object]]:
     """Figure 7: cost ratio ``ILP optimum / heuristic cost`` on small instances.
 
     Returns, per variant, the individual ratios and their median (the paper's
     red dots and boxplot).  A ratio of 1 means the heuristic found an optimal
-    solution; when both costs are 0 the ratio is 1 by convention.
+    solution; when both costs are 0 the ratio is 1 by convention.  The
+    heuristics run with the default
+    :class:`~repro.core.scheduler.CaWoSched` configuration.
     """
-    scheduler = scheduler or CaWoSched()
     names = list(variants) if variants is not None else _main_variants()
     ratios: Dict[str, List[float]] = {name: [] for name in names}
     optima: List[int] = []
@@ -240,7 +222,7 @@ def figure7_ilp_comparison(
         instance = make_instance(spec, master_seed=master_seed)
         optimal = carbon_cost(ilp_optimal(instance))
         optima.append(optimal)
-        for record in _run(instance, names, scheduler):
+        for record in _run(instance, names):
             if record.carbon_cost == 0:
                 ratio = 1.0
             elif optimal == 0:
@@ -265,24 +247,27 @@ def figure7_ilp_comparison(
 # --------------------------------------------------------------------------- #
 # Table 2: local-search ablation
 # --------------------------------------------------------------------------- #
+#: The greedy variants of the paper's Table 2.
+TABLE2_VARIANTS: Tuple[str, ...] = ("slackR", "slackWR", "pressR", "pressWR")
+
+
 def table2_local_search_ablation(
     specs: Sequence[InstanceSpec],
     *,
-    variants: Sequence[str] = ("slackR", "slackWR", "pressR", "pressWR"),
     master_seed: RNGLike = None,
-    window: int = 10,
 ) -> Dict[str, Dict[str, float]]:
     """Table 2: cost ratio (with LS / without LS) per greedy variant.
 
     The paper runs the ablation on the atacseq and bacass subsets and reports
     the minimum, maximum and arithmetic mean of the ratio over the instances;
     a ratio of 0 means the local search reached zero carbon cost while the
-    greedy schedule alone had positive cost.
+    greedy schedule alone had positive cost.  The local search uses the
+    default window ``µ`` (:data:`~repro.core.local_search.DEFAULT_WINDOW`).
     """
-    results: Dict[str, List[float]] = {name: [] for name in variants}
+    results: Dict[str, List[float]] = {name: [] for name in TABLE2_VARIANTS}
     for spec in specs:
         instance = make_instance(spec, master_seed=master_seed)
-        for name in variants:
+        for name in TABLE2_VARIANTS:
             variant = get_variant(name)
             base_schedule = greedy_schedule(
                 instance,
@@ -290,7 +275,7 @@ def table2_local_search_ablation(
                 weighted=variant.weighted,
                 refined=variant.refined,
             )
-            improved = local_search(base_schedule, window=window)
+            improved = local_search(base_schedule)
             base_cost = carbon_cost(base_schedule)
             improved_cost = carbon_cost(improved)
             if base_cost == 0:
@@ -317,20 +302,19 @@ def dp_single_processor_comparison(
     *,
     sizes: Sequence[int] = (4, 6, 8),
     scenarios: Sequence[str] = ("S1", "S3"),
-    deadline_factor: float = 2.0,
     seed: int = 0,
 ) -> List[Dict[str, object]]:
     """Compare the DP optimum against the heuristics on single-processor chains.
 
     Returns one row per (size, scenario) with the DP cost and the best
-    heuristic cost; the heuristics can never beat the DP.
+    heuristic cost; the heuristics can never beat the DP.  The deadline is
+    :func:`~repro.experiments.instances.single_processor_instance`'s default
+    (twice the ASAP makespan).
     """
     rows: List[Dict[str, object]] = []
     for size in sizes:
         for scenario in scenarios:
-            instance = single_processor_instance(
-                size, scenario=scenario, deadline_factor=deadline_factor, seed=seed
-            )
+            instance = single_processor_instance(size, scenario=scenario, seed=seed)
             optimal = carbon_cost(dp_single_processor(instance))
             records = _run(instance, _main_variants())
             best = min(record.carbon_cost for record in records)

@@ -25,7 +25,7 @@ from repro.schedule.instance import ProblemInstance
 from repro.utils.errors import InvalidWorkflowError
 from repro.utils.rng import RNGLike, ensure_rng
 from repro.utils.validation import check_positive_int
-from repro.workflow.generators import independent_tasks_workflow
+from repro.workflow.dag import Workflow
 
 __all__ = [
     "three_partition_instance",
@@ -94,7 +94,9 @@ def three_partition_instance(
                 f"item {x} violates B/4 < x < B/2 for B = {bound}"
             )
 
-    workflow = independent_tasks_workflow(len(items), works=items, name=name)
+    workflow = Workflow(f"{name}-{len(items)}")
+    for i, work in enumerate(items):
+        workflow.add_task(f"t{i}", work=work, category="independent")
     cluster = uniform_cluster(len(items), p_idle=0, p_work=1, name="uniform")
     assignment = {f"t{i}": f"p{i}" for i in range(len(items))}
     mapping = Mapping(workflow, cluster, assignment)

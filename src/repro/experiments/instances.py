@@ -20,16 +20,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.carbon.scenarios import DEFAULT_NUM_INTERVALS, generate_power_profile
+from repro.carbon.scenarios import DEFAULT_NUM_INTERVALS, SCENARIOS, generate_power_profile
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
 from repro.platform_.cluster import Cluster
-from repro.platform_.presets import cluster_preset, single_processor_cluster
+from repro.platform_.presets import CLUSTER_PRESETS, cluster_preset, single_processor_cluster
 from repro.schedule.asap import asap_makespan
 from repro.schedule.instance import ProblemInstance
 from repro.utils.rng import RNGLike, derive_rng
 from repro.workflow.dag import Workflow
-from repro.workflow.generators import generate_workflow
+from repro.workflow.generators import WORKFLOW_FAMILIES, generate_workflow
 
 __all__ = [
     "InstanceSpec",
@@ -41,6 +41,9 @@ __all__ = [
     "DEFAULT_SCENARIOS",
     "DEFAULT_FAMILIES",
 ]
+
+#: Shortest average profile interval, in time units (see :func:`build_instance`).
+MIN_INTERVAL_LENGTH = 8
 
 #: The paper's deadline factors (×D).
 DEFAULT_DEADLINE_FACTORS: Tuple[float, ...] = (1.0, 1.5, 2.0, 3.0)
@@ -92,6 +95,30 @@ class InstanceSpec:
             f"-d{self.deadline_factor:g}"
         )
 
+    def validate(self) -> None:
+        """Raise :class:`ValueError` unless :func:`make_instance` can build this cell.
+
+        The one check of a spec that comes from outside (CLI arguments, batch
+        entries): known family, cluster and scenario names, a positive size
+        and ``nodes_per_type``, a deadline factor of at least 1 and a
+        non-negative seed.
+        """
+        for key, value, known in (
+            ("family", self.family, WORKFLOW_FAMILIES),
+            ("cluster", self.cluster, CLUSTER_PRESETS),
+            ("scenario", self.scenario, SCENARIOS),
+        ):
+            if value not in known:
+                raise ValueError(f"unknown {key} {value!r}; known: {', '.join(sorted(known))}")
+        if self.num_tasks <= 0:
+            raise ValueError(f"tasks must be positive, got {self.num_tasks}")
+        if not self.deadline_factor >= 1.0:
+            raise ValueError(f"deadline_factor must be >= 1, got {self.deadline_factor}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.nodes_per_type is not None and self.nodes_per_type <= 0:
+            raise ValueError(f"nodes_per_type must be positive, got {self.nodes_per_type}")
+
 
 def build_instance(
     workflow: Workflow,
@@ -101,7 +128,6 @@ def build_instance(
     deadline_factor: float,
     rng: RNGLike = None,
     num_intervals: int = DEFAULT_NUM_INTERVALS,
-    min_interval_length: int = 8,
     name: Optional[str] = None,
     metadata: Optional[Dict[str, object]] = None,
 ) -> ProblemInstance:
@@ -113,7 +139,7 @@ def build_instance(
     generator produces the green-power profile over ``[0, T)``.
 
     The number of profile intervals is capped so that the average interval is
-    at least *min_interval_length* time units long: the heuristics reason
+    at least :data:`MIN_INTERVAL_LENGTH` time units long: the heuristics reason
     about interval budgets, which is only meaningful when intervals are not
     degenerate relative to task durations (on the paper's full-scale horizons
     the cap never triggers).
@@ -124,7 +150,7 @@ def build_instance(
     dag = build_enhanced_dag(heft.mapping, rng=derive_rng(rng, "links"))
     tight = asap_makespan(dag)
     deadline = max(1, int(math.ceil(deadline_factor * tight)))
-    effective_intervals = max(1, min(num_intervals, deadline // max(1, min_interval_length)))
+    effective_intervals = max(1, min(num_intervals, deadline // MIN_INTERVAL_LENGTH))
     profile = generate_power_profile(
         scenario,
         deadline,

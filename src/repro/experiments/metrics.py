@@ -23,6 +23,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 
 import numpy as np
 
+from repro.core.variants import BASELINE
 from repro.experiments.runner import RunRecord, records_by_instance
 
 __all__ = [
@@ -37,10 +38,13 @@ __all__ = [
     "group_records",
     "size_class_of",
     "DEFAULT_TAU_GRID",
+    "SIZE_CLASS_BOUNDARIES",
 ]
 
 #: τ grid used when sampling performance-profile curves.
 DEFAULT_TAU_GRID: Tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(0, 21))
+#: Largest task counts of the "small" and "medium" size classes.
+SIZE_CLASS_BOUNDARIES: Tuple[int, int] = (60, 150)
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,8 @@ def rank_distribution(
     records: Iterable[RunRecord],
     *,
     variants: Optional[Sequence[str]] = None,
-    as_fraction: bool = True,
 ) -> Dict[str, Dict[int, float]]:
-    """Return, per variant, how often it achieved each rank.
+    """Return, per variant, the fraction of instances on which it achieved each rank.
 
     Equal carbon costs share the same rank and the next rank is skipped
     (competition / "1224" ranking), exactly as in the paper's Figure 1.
@@ -90,7 +93,7 @@ def rank_distribution(
                 previous_cost = record.carbon_cost
             counts.setdefault(record.variant, {})
             counts[record.variant][rank] = counts[record.variant].get(rank, 0) + 1
-    if as_fraction and num_instances:
+    if num_instances:
         for variant in counts:
             for rank in counts[variant]:
                 counts[variant][rank] /= num_instances
@@ -113,11 +116,10 @@ def performance_profile(
     records: Iterable[RunRecord],
     *,
     variants: Optional[Sequence[str]] = None,
-    taus: Sequence[float] = DEFAULT_TAU_GRID,
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Return the performance-profile curve of every variant.
 
-    For each ``τ`` of *taus*, the curve value is the fraction of instances for
+    For each ``τ`` of :data:`DEFAULT_TAU_GRID`, the curve value is the fraction of instances for
     which the variant's ratio (best cost / own cost) is at least ``τ``.
     Higher curves are better; the value at ``τ = 1`` is the fraction of
     instances on which the variant matches the best observed cost.
@@ -138,7 +140,7 @@ def performance_profile(
     for variant, values in ratios.items():
         array = np.asarray(values, dtype=float)
         curves[variant] = [
-            (float(tau), float(np.mean(array >= tau))) for tau in taus
+            (float(tau), float(np.mean(array >= tau))) for tau in DEFAULT_TAU_GRID
         ]
     return curves
 
@@ -149,10 +151,9 @@ def performance_profile(
 def cost_ratios_to_baseline(
     records: Iterable[RunRecord],
     *,
-    baseline: str = "ASAP",
     variants: Optional[Sequence[str]] = None,
 ) -> Dict[str, List[float]]:
-    """Return, per variant, the list of ``variant cost / baseline cost`` ratios.
+    """Return, per variant, the list of ``variant cost / ASAP cost`` ratios.
 
     Instances where both costs are 0 contribute a ratio of 1; instances where
     only the baseline is 0 are skipped (the ratio would be infinite — this is
@@ -163,13 +164,13 @@ def cost_ratios_to_baseline(
     for instance_records in grouped.values():
         baseline_cost: Optional[int] = None
         for record in instance_records:
-            if record.variant == baseline:
+            if record.variant == BASELINE:
                 baseline_cost = record.carbon_cost
                 break
         if baseline_cost is None:
             continue
         for record in instance_records:
-            if record.variant == baseline:
+            if record.variant == BASELINE:
                 continue
             if variants is not None and record.variant not in variants:
                 continue
@@ -186,11 +187,10 @@ def cost_ratios_to_baseline(
 def median_cost_ratio(
     records: Iterable[RunRecord],
     *,
-    baseline: str = "ASAP",
     variants: Optional[Sequence[str]] = None,
 ) -> Dict[str, float]:
     """Return the median cost ratio to the baseline per variant (Fig. 4)."""
-    ratios = cost_ratios_to_baseline(records, baseline=baseline, variants=variants)
+    ratios = cost_ratios_to_baseline(records, variants=variants)
     return {
         variant: float(np.median(values)) for variant, values in ratios.items() if values
     }
@@ -229,27 +229,20 @@ def boxplot_stats(values: Sequence[float]) -> BoxplotStats:
 def cost_ratio_boxplots(
     records: Iterable[RunRecord],
     *,
-    baseline: str = "ASAP",
     variants: Optional[Sequence[str]] = None,
 ) -> Dict[str, BoxplotStats]:
     """Return the boxplot of cost ratios per variant (Fig. 6)."""
-    ratios = cost_ratios_to_baseline(records, baseline=baseline, variants=variants)
+    ratios = cost_ratios_to_baseline(records, variants=variants)
     return {variant: boxplot_stats(values) for variant, values in ratios.items()}
 
 
 # --------------------------------------------------------------------------- #
 # Runtime statistics
 # --------------------------------------------------------------------------- #
-def runtime_statistics(
-    records: Iterable[RunRecord],
-    *,
-    variants: Optional[Sequence[str]] = None,
-) -> Dict[str, Dict[str, float]]:
+def runtime_statistics(records: Iterable[RunRecord]) -> Dict[str, Dict[str, float]]:
     """Return min/median/mean/max runtime (seconds) per variant (Fig. 8)."""
     grouped: Dict[str, List[float]] = {}
     for record in records:
-        if variants is not None and record.variant not in variants:
-            continue
         grouped.setdefault(record.variant, []).append(record.runtime_seconds)
     stats: Dict[str, Dict[str, float]] = {}
     for variant, values in grouped.items():
@@ -278,19 +271,16 @@ def group_records(
     return grouped
 
 
-def size_class_of(
-    record: RunRecord,
-    *,
-    boundaries: Sequence[int] = (60, 150),
-) -> str:
+def size_class_of(record: RunRecord) -> str:
     """Classify a record's instance into small / medium / large by task count.
 
-    The default boundaries split the scaled-down experiment grid into three
-    classes, mirroring the paper's Figure 16 grouping (which uses 200–4,000 /
-    8,000–18,000 / 20,000–30,000 tasks on the full-scale grid).
+    :data:`SIZE_CLASS_BOUNDARIES` split the scaled-down experiment grid into
+    three classes, mirroring the paper's Figure 16 grouping (which uses
+    200–4,000 / 8,000–18,000 / 20,000–30,000 tasks on the full-scale grid).
     """
-    if record.num_tasks <= boundaries[0]:
+    small, medium = SIZE_CLASS_BOUNDARIES
+    if record.num_tasks <= small:
         return "small"
-    if record.num_tasks <= boundaries[1]:
+    if record.num_tasks <= medium:
         return "medium"
     return "large"

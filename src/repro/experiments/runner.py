@@ -115,7 +115,6 @@ def run_grid(
     variants: Optional[Sequence[str]] = None,
     scheduler: Optional[CaWoSched] = None,
     master_seed: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
 ) -> List[RunRecord]:
     """Run *variants* on every instance of the grid.
@@ -133,9 +132,6 @@ def run_grid(
         ``None``.  A live generator is rejected: it would make the derived
         streams depend on evaluation order, which a worker pool does not
         define.
-    progress:
-        Optional callback receiving a short message per completed instance
-        (its label and the summed ``runtime_seconds`` of its records).
     jobs:
         Number of parallel workers.  ``1`` (the default) runs the cells one
         after another in this process; ``N > 1`` fans them out over a pool
@@ -149,21 +145,17 @@ def run_grid(
             "run_grid needs an integer (or None) master_seed; a live generator "
             "would make results depend on evaluation order"
         )
-    specs = list(specs)
     payloads = [
         Job.from_spec(
             spec, variants=variants, scheduler=scheduler, master_seed=master_seed
         ).to_dict()
         for spec in specs
     ]
-    records: List[RunRecord] = []
-    for spec, row in zip(specs, parallel_map(execute_job_payload, payloads, jobs=jobs)):
-        cell_records = [RunRecord.from_dict(entry) for entry in row]
-        records.extend(cell_records)
-        if progress is not None:
-            elapsed = sum(r.runtime_seconds for r in cell_records)
-            progress(f"{spec.label}: {elapsed:.2f}s")
-    return records
+    return [
+        RunRecord.from_dict(entry)
+        for row in parallel_map(execute_job_payload, payloads, jobs=jobs)
+        for entry in row
+    ]
 
 
 def records_by_instance(records: Iterable[RunRecord]) -> Dict[str, List[RunRecord]]:

@@ -26,7 +26,6 @@ from typing import Hashable, Optional, Tuple
 
 from repro.mapping.heft import HeftResult, _duration_table, _ListSchedule, _ranks
 from repro.platform_.cluster import Cluster
-from repro.utils.errors import InvalidMappingError
 from repro.utils.validation import check_probability
 from repro.workflow.dag import Workflow
 
@@ -38,7 +37,6 @@ def carbon_aware_heft_mapping(
     cluster: Cluster,
     *,
     power_weight: float = 0.3,
-    bandwidth: float = 1.0,
 ) -> HeftResult:
     """Run the carbon-aware HEFT first pass.
 
@@ -51,8 +49,6 @@ def carbon_aware_heft_mapping(
     power_weight:
         Weight of the energy term in the processor-selection objective
         (0 = plain HEFT, 1 = energy only).
-    bandwidth:
-        Normalised network bandwidth (as in HEFT).
 
     Returns
     -------
@@ -62,22 +58,18 @@ def carbon_aware_heft_mapping(
         passes are interchangeable in every downstream pipeline.
     """
     power_weight = check_probability(power_weight, "power_weight")
-    if bandwidth <= 0:
-        raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
     processors = cluster.processors()
     durations = _duration_table(workflow, processors)
-    ranks = _ranks(workflow, durations, len(processors), bandwidth)
+    ranks = _ranks(workflow, durations, len(processors))
 
     power = {spec.name: spec.total_power for spec in processors}
     max_active_power = max(power.values()) or 1
     # Normalise the finish-time term by a crude serial upper bound so both
     # objective terms live on comparable scales.
     slowest = min(spec.speed for spec in processors)
-    horizon_scale = max(
-        1.0, workflow.total_work() / slowest + workflow.total_data() / bandwidth
-    )
+    horizon_scale = max(1.0, workflow.total_work() / slowest + workflow.total_data())
 
-    schedule = _ListSchedule(workflow, processors, bandwidth)
+    schedule = _ListSchedule(workflow, processors)
     for task in schedule.priority(ranks):
         best_score: Optional[float] = None
         best: Optional[Tuple[int, int, Hashable]] = None

@@ -187,8 +187,6 @@ def build_enhanced_dag(
     mapping: Mapping,
     *,
     rng: RNGLike = None,
-    bandwidth: float = 1.0,
-    link_power_range: Tuple[int, int] = (1, 2),
     platform: Optional[ExtendedPlatform] = None,
 ) -> EnhancedDAG:
     """Build the communication-enhanced DAG for *mapping*.
@@ -198,20 +196,14 @@ def build_enhanced_dag(
     mapping:
         The fixed mapping (validated on construction).
     rng:
-        Seed or generator used to draw link processor power values.
-    bandwidth:
-        Link bandwidth; communication durations are
-        ``ceil(data / bandwidth)`` (the paper normalises bandwidth to 1).
-    link_power_range:
-        Inclusive range from which link ``Pidle`` and ``Pwork`` are drawn
-        (the paper uses 1..2).
+        Seed or generator used to draw link processor power values (see
+        :meth:`~repro.platform_.cluster.ExtendedPlatform.for_links`).
     platform:
-        Optional pre-built extended platform.  When given, ``rng``,
-        ``bandwidth`` and ``link_power_range`` are ignored and the platform's
-        link processors are used as-is; it must provide a link processor for
-        every link used by the mapping.  This makes the construction fully
-        deterministic, which the wire format (:mod:`repro.io.wire`) relies on
-        to reconstruct instances exactly.
+        Optional pre-built extended platform.  When given, ``rng`` is ignored
+        and the platform's link processors are used as-is; it must provide a
+        link processor for every link used by the mapping.  This makes the
+        construction fully deterministic, which the wire format
+        (:mod:`repro.io.wire`) relies on to reconstruct instances exactly.
 
     Returns
     -------
@@ -219,18 +211,8 @@ def build_enhanced_dag(
     """
     workflow = mapping.workflow
     cluster = mapping.cluster
-    if bandwidth <= 0:
-        raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
-
     if platform is None:
-        platform = ExtendedPlatform.for_links(
-            cluster,
-            mapping.used_links(),
-            rng=rng,
-            min_power=link_power_range[0],
-            max_power=link_power_range[1],
-            bandwidth=bandwidth,
-        )
+        platform = ExtendedPlatform.for_links(cluster, mapping.used_links(), rng=rng)
     else:
         if platform.cluster is not cluster and platform.cluster.processors() != cluster.processors():
             raise InvalidMappingError(

@@ -90,50 +90,35 @@ def _duration_table(
     return table
 
 
-def upward_ranks(
-    workflow: Workflow,
-    cluster: Cluster,
-    *,
-    bandwidth: float = 1.0,
-) -> Dict[Hashable, float]:
+def upward_ranks(workflow: Workflow, cluster: Cluster) -> Dict[Hashable, float]:
     """Compute HEFT upward ranks for every task.
 
     The average execution time of a task is its work divided by each
     processor speed, averaged; the average communication cost of an edge is
-    its data volume divided by the bandwidth, multiplied by the probability
+    its data volume (bandwidth 1), multiplied by the probability
     ``(P - 1) / P`` that the two endpoints land on different processors.
     """
-    if bandwidth <= 0:
-        raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
     processors = cluster.processors()
-    return _ranks(workflow, _duration_table(workflow, processors), len(processors), bandwidth)
+    return _ranks(workflow, _duration_table(workflow, processors), len(processors))
 
 
 def _ranks(
-    workflow: Workflow,
-    durations: Dict[Hashable, List[int]],
-    num_procs: int,
-    bandwidth: float,
+    workflow: Workflow, durations: Dict[Hashable, List[int]], num_procs: int
 ) -> Dict[Hashable, float]:
-    """Upward ranks from a :func:`_duration_table` (bandwidth already checked)."""
+    """Upward ranks from a :func:`_duration_table`."""
     cross_probability = (num_procs - 1) / num_procs if num_procs > 1 else 0.0
     successors = workflow.successor_map()
     ranks: Dict[Hashable, float] = {}
     for task in reversed(workflow.topological_order()):
         best_successor = 0.0
         for successor, volume in successors[task].items():
-            comm = volume / bandwidth * cross_probability
+            comm = volume * cross_probability
             best_successor = max(best_successor, comm + ranks[successor])
         ranks[task] = sum(durations[task]) / num_procs + best_successor
     return ranks
 
 
-def heft_mapping(
-    workflow: Workflow,
-    cluster: Cluster,
-    *,
-    bandwidth: float = 1.0,
-) -> HeftResult:
+def heft_mapping(workflow: Workflow, cluster: Cluster) -> HeftResult:
     """Run HEFT and return the fixed mapping (plus the HEFT schedule).
 
     Parameters
@@ -142,8 +127,6 @@ def heft_mapping(
         The workflow to map.  Must be a valid DAG.
     cluster:
         The heterogeneous compute cluster.
-    bandwidth:
-        Normalised network bandwidth shared by all links (the paper uses 1).
 
     Notes
     -----
@@ -151,12 +134,10 @@ def heft_mapping(
     tie-breaking, as in the paper).  The insertion policy scans the idle gaps
     of each processor and places the task in the earliest gap that fits.
     """
-    if bandwidth <= 0:
-        raise InvalidMappingError(f"bandwidth must be positive, got {bandwidth}")
     processors = cluster.processors()
     durations = _duration_table(workflow, processors)
-    ranks = _ranks(workflow, durations, len(processors), bandwidth)
-    schedule = _ListSchedule(workflow, processors, bandwidth)
+    ranks = _ranks(workflow, durations, len(processors))
+    schedule = _ListSchedule(workflow, processors)
     for task in schedule.priority(ranks):
         best: Optional[Tuple[int, int, Hashable]] = None  # (finish, start, processor)
         for name, _, start, finish in schedule.candidates(task, durations[task]):
@@ -177,12 +158,9 @@ class _ListSchedule:
     only in how they pick one of the :meth:`candidates`.
     """
 
-    def __init__(
-        self, workflow: Workflow, processors: Sequence[ProcessorSpec], bandwidth: float
-    ) -> None:
+    def __init__(self, workflow: Workflow, processors: Sequence[ProcessorSpec]) -> None:
         self.workflow = workflow
         self.names = [proc.name for proc in processors]
-        self.bandwidth = bandwidth
         self.assignment: Dict[Hashable, Hashable] = {}
         self.start_times: Dict[Hashable, int] = {}
         self.finish_times: Dict[Hashable, int] = {}
@@ -202,7 +180,7 @@ class _ListSchedule:
 
         *durations* is the task's :func:`_duration_table` row.  Each incoming
         edge is read once: a predecessor's data arrives at its finish time on
-        its own processor and ``ceil(data / bandwidth)`` later elsewhere.
+        its own processor and ``data`` time units later elsewhere (bandwidth 1).
         """
         incoming = []
         for predecessor, volume in self.workflow.predecessor_map()[task].items():
@@ -213,9 +191,8 @@ class _ListSchedule:
                     "HEFT priority order is not a topological order; "
                     "check the workflow weights"
                 )
-            comm = int(-(-volume // self.bandwidth)) if volume > 0 else 0
             incoming.append(
-                (self.assignment[predecessor], self.finish_times[predecessor], comm)
+                (self.assignment[predecessor], self.finish_times[predecessor], volume)
             )
         for name, duration in zip(self.names, durations):
             ready = 0

@@ -19,6 +19,10 @@ from repro.platform_.processor import COMPUTE, LINK, ProcessorSpec
 
 __all__ = ["Cluster", "ExtendedPlatform", "link_name"]
 
+#: Inclusive range of the link processors' ``Pidle`` and ``Pwork`` (the paper
+#: draws both "randomly between 1 and 2").
+LINK_POWER_RANGE = (1, 2)
+
 
 def link_name(source_proc: Hashable, target_proc: Hashable) -> Tuple[str, Hashable, Hashable]:
     """Return the canonical name of the directed link ``source -> target``."""
@@ -163,18 +167,16 @@ class ExtendedPlatform:
         used_links: Iterable[Tuple[Hashable, Hashable]],
         *,
         rng: RNGLike = None,
-        min_power: int = 1,
-        max_power: int = 2,
-        bandwidth: float = 1.0,
     ) -> "ExtendedPlatform":
         """Create an extended platform with one processor per used link.
 
-        Idle and working power of each link are drawn uniformly from
-        ``[min_power, max_power]`` (integers), reproducing the paper's "values
+        Idle and working power of each link are drawn uniformly from the
+        integers in :data:`LINK_POWER_RANGE`, reproducing the paper's "values
         for Pidle and Pwork randomly between 1 and 2 for communication links".
-        The link bandwidth (speed) is normalised to *bandwidth*.
+        The link bandwidth (speed) is normalised to 1.
         """
         rng = ensure_rng(rng)
+        low, high = LINK_POWER_RANGE
         specs: List[ProcessorSpec] = []
         seen = set()
         for source_proc, target_proc in used_links:
@@ -189,12 +191,12 @@ class ExtendedPlatform:
             if key in seen:
                 continue
             seen.add(key)
-            p_idle = int(rng.integers(min_power, max_power + 1))
-            p_work = int(rng.integers(min_power, max_power + 1))
+            p_idle = int(rng.integers(low, high + 1))
+            p_work = int(rng.integers(low, high + 1))
             specs.append(
                 ProcessorSpec(
                     name=key,
-                    speed=bandwidth,
+                    speed=1.0,
                     p_idle=p_idle,
                     p_work=p_work,
                     kind=LINK,

@@ -107,6 +107,8 @@ class SimulationConfig:
             raise SimulationError(f"horizon must be positive, got {self.horizon}")
         if int(self.slots) <= 0:
             raise SimulationError(f"slots must be positive, got {self.slots}")
+        if int(self.seed) < 0:
+            raise SimulationError(f"seed must be non-negative, got {self.seed}")
         if self.forecast not in FORECAST_MODELS:
             known = ", ".join(FORECAST_MODELS)
             raise SimulationError(f"unknown forecast model {self.forecast!r}; known: {known}")
@@ -203,22 +205,15 @@ class Simulator:
     Parameters
     ----------
     config:
-        The run description.
-    client:
-        Client facade to plan through; a fresh one (with the configuration's
-        cache size) is created when omitted.  Sharing a client across runs
-        shares its result cache — useful for sweeps over policies on the
-        same workload, but the client statistics echoed in the report then
-        cover all runs so far.
+        The run description.  The run plans through its own
+        :class:`~repro.api.Client` with the configuration's cache size.
     """
 
-    def __init__(
-        self, config: SimulationConfig, *, client: Optional[Client] = None
-    ) -> None:
+    def __init__(self, config: SimulationConfig) -> None:
         self.config = config
         self._workload = config.workload()
         self._scheduler = config.scheduler()
-        self._client = client or Client(cache_size=config.cache_size)
+        self._client = Client(cache_size=config.cache_size)
         cluster = cluster_preset(config.cluster)
         trace = synthetic_daily_trace(
             config.trace,
@@ -449,6 +444,6 @@ class Simulator:
         )
 
 
-def simulate(config: SimulationConfig, *, client: Optional[Client] = None) -> SimReport:
+def simulate(config: SimulationConfig) -> SimReport:
     """Run one simulation and return its report (see :class:`Simulator`)."""
-    return Simulator(config, client=client).run()
+    return Simulator(config).run()

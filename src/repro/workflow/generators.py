@@ -70,31 +70,22 @@ DEFAULT_DATA_STD = 2.0
 # --------------------------------------------------------------------------- #
 # Weight assignment
 # --------------------------------------------------------------------------- #
-def assign_random_weights(
-    workflow: Workflow,
-    *,
-    rng: RNGLike = None,
-    work_mean: float = DEFAULT_WORK_MEAN,
-    work_std: float = DEFAULT_WORK_STD,
-    data_mean: float = DEFAULT_DATA_MEAN,
-    data_std: float = DEFAULT_DATA_STD,
-) -> Workflow:
+def assign_random_weights(workflow: Workflow, *, rng: RNGLike = None) -> Workflow:
     """Assign normally distributed integer weights to *workflow* in place.
 
-    Task work volumes are drawn from ``Normal(work_mean, work_std)`` and edge
-    communication volumes from ``Normal(data_mean, data_std)``; both are
-    rounded and clipped to be at least 1 (tasks) / 0 (edges).
+    Task work volumes are drawn from ``Normal(DEFAULT_WORK_MEAN,
+    DEFAULT_WORK_STD)`` and edge communication volumes from
+    ``Normal(DEFAULT_DATA_MEAN, DEFAULT_DATA_STD)``; both are rounded and
+    clipped to be at least 1 (tasks) / 0 (edges).
 
     Returns the workflow to allow chaining.
     """
     rng = ensure_rng(rng)
-    if work_mean <= 0 or work_std < 0 or data_mean < 0 or data_std < 0:
-        raise InvalidWorkflowError("weight distribution parameters must be non-negative")
     for task in workflow.tasks():
-        work = int(round(rng.normal(work_mean, work_std)))
+        work = int(round(rng.normal(DEFAULT_WORK_MEAN, DEFAULT_WORK_STD)))
         workflow.set_work(task, max(1, work))
     for source, target in workflow.dependencies():
-        data = int(round(rng.normal(data_mean, data_std)))
+        data = int(round(rng.normal(DEFAULT_DATA_MEAN, DEFAULT_DATA_STD)))
         workflow.set_data(source, target, max(0, data))
     return workflow
 
@@ -102,22 +93,15 @@ def assign_random_weights(
 # --------------------------------------------------------------------------- #
 # Generic generators
 # --------------------------------------------------------------------------- #
-def chain_workflow(
-    num_tasks: int,
-    *,
-    rng: RNGLike = None,
-    name: str = "chain",
-    weighted: bool = True,
-) -> Workflow:
+def chain_workflow(num_tasks: int, *, rng: RNGLike = None) -> Workflow:
     """Return a linear chain ``t0 -> t1 -> ... -> t(n-1)``."""
     num_tasks = check_positive_int(num_tasks, "num_tasks")
-    wf = Workflow(f"{name}-{num_tasks}")
+    wf = Workflow(f"chain-{num_tasks}")
     for i in range(num_tasks):
         wf.add_task(f"t{i}", work=1, category="chain")
     for i in range(num_tasks - 1):
         wf.add_dependency(f"t{i}", f"t{i + 1}", data=0)
-    if weighted:
-        assign_random_weights(wf, rng=rng)
+    assign_random_weights(wf, rng=rng)
     return wf
 
 
@@ -127,7 +111,6 @@ def fork_join_workflow(
     stages: int = 1,
     rng: RNGLike = None,
     name: str = "forkjoin",
-    weighted: bool = True,
 ) -> Workflow:
     """Return a fork-join workflow.
 
@@ -148,8 +131,7 @@ def fork_join_workflow(
             wf.add_dependency(previous, task, data=0)
             previous = task
         wf.add_dependency(previous, "sink", data=0)
-    if weighted:
-        assign_random_weights(wf, rng=rng)
+    assign_random_weights(wf, rng=rng)
     return wf
 
 
@@ -159,8 +141,6 @@ def layered_random_workflow(
     num_layers: Optional[int] = None,
     edge_probability: float = 0.3,
     rng: RNGLike = None,
-    name: str = "layered",
-    weighted: bool = True,
 ) -> Workflow:
     """Return a layered random DAG.
 
@@ -188,7 +168,7 @@ def layered_random_workflow(
         layers.append(layer)
         index += int(count)
 
-    wf = Workflow(f"{name}-{num_tasks}")
+    wf = Workflow(f"layered-{num_tasks}")
     for layer_id, layer in enumerate(layers):
         for task in layer:
             wf.add_task(task, work=1, category=f"layer{layer_id}")
@@ -207,23 +187,15 @@ def layered_random_workflow(
                     if rng.random() < edge_probability / (layer_id - earlier):
                         if not wf.has_dependency(candidate, task):
                             wf.add_dependency(candidate, task, data=0)
-    if weighted:
-        assign_random_weights(wf, rng=rng)
+    assign_random_weights(wf, rng=rng)
     return wf
 
 
-def out_tree_workflow(
-    depth: int,
-    branching: int = 2,
-    *,
-    rng: RNGLike = None,
-    name: str = "outtree",
-    weighted: bool = True,
-) -> Workflow:
+def out_tree_workflow(depth: int, branching: int = 2, *, rng: RNGLike = None) -> Workflow:
     """Return a complete out-tree (data distribution pattern) of given depth."""
     depth = check_positive_int(depth, "depth")
     branching = check_positive_int(branching, "branching")
-    wf = Workflow(f"{name}-d{depth}b{branching}")
+    wf = Workflow(f"outtree-d{depth}b{branching}")
     wf.add_task("n0", work=1, category="root")
     frontier = ["n0"]
     counter = 1
@@ -237,20 +209,13 @@ def out_tree_workflow(
                 wf.add_dependency(parent, child, data=0)
                 new_frontier.append(child)
         frontier = new_frontier
-    if weighted:
-        assign_random_weights(wf, rng=rng)
+    assign_random_weights(wf, rng=rng)
     return wf
 
 
-def diamond_workflow(
-    width: int,
-    *,
-    rng: RNGLike = None,
-    name: str = "diamond",
-    weighted: bool = True,
-) -> Workflow:
+def diamond_workflow(width: int, *, rng: RNGLike = None) -> Workflow:
     """Return a single diamond: source -> *width* parallel tasks -> sink."""
-    return fork_join_workflow(width, stages=1, rng=rng, name=name, weighted=weighted)
+    return fork_join_workflow(width, stages=1, rng=rng, name="diamond")
 
 
 def random_dag_workflow(
@@ -258,8 +223,6 @@ def random_dag_workflow(
     *,
     edge_probability: float = 0.15,
     rng: RNGLike = None,
-    name: str = "randomdag",
-    weighted: bool = True,
 ) -> Workflow:
     """Return an ordered Erdős–Rényi random DAG.
 
@@ -269,15 +232,14 @@ def random_dag_workflow(
     num_tasks = check_positive_int(num_tasks, "num_tasks")
     check_probability(edge_probability, "edge_probability")
     rng = ensure_rng(rng)
-    wf = Workflow(f"{name}-{num_tasks}")
+    wf = Workflow(f"randomdag-{num_tasks}")
     for i in range(num_tasks):
         wf.add_task(f"t{i}", work=1, category="random")
     for i in range(num_tasks):
         for j in range(i + 1, num_tasks):
             if rng.random() < edge_probability:
                 wf.add_dependency(f"t{i}", f"t{j}", data=0)
-    if weighted:
-        assign_random_weights(wf, rng=rng)
+    assign_random_weights(wf, rng=rng)
     return wf
 
 
@@ -286,7 +248,6 @@ def independent_tasks_workflow(
     *,
     works: Optional[Sequence[int]] = None,
     rng: RNGLike = None,
-    name: str = "independent",
 ) -> Workflow:
     """Return a workflow of independent tasks (no edges).
 
@@ -295,7 +256,7 @@ def independent_tasks_workflow(
     otherwise random weights are drawn.
     """
     num_tasks = check_positive_int(num_tasks, "num_tasks")
-    wf = Workflow(f"{name}-{num_tasks}")
+    wf = Workflow(f"independent-{num_tasks}")
     for i in range(num_tasks):
         wf.add_task(f"t{i}", work=1, category="independent")
     if works is not None:

@@ -75,18 +75,20 @@ class TestGenerateProfile:
 
     def test_s1_midday_higher_than_edges(self):
         profile = generate_power_profile(
-            "S1", 240, idle_power=0, work_power=100, num_intervals=24,
-            rng=0, perturbation=0.0,
+            "S1", 240, idle_power=0, work_power=100, num_intervals=24, rng=0
         )
         budgets = [iv.budget for iv in profile]
-        assert budgets[len(budgets) // 2] > budgets[0]
-        assert budgets[len(budgets) // 2] > budgets[-1]
+        # The noise-free shape at each interval centre, and the noisy budgets.
+        shape = [scenario_fraction("S1", (iv.begin + iv.end) / 480) for iv in profile]
+        middle = len(profile) // 2
+        for values in (shape, budgets):
+            assert values[middle] > values[0]
+            assert values[middle] > values[-1]
 
     def test_s4_constant_without_perturbation(self):
-        profile = generate_power_profile(
-            "S4", 100, idle_power=5, work_power=40, rng=0, perturbation=0.0
-        )
-        assert len({iv.budget for iv in profile}) == 1
+        profile = generate_power_profile("S4", 100, idle_power=5, work_power=40, rng=0)
+        centres = [(iv.begin + iv.end) / 200 for iv in profile]
+        assert len({scenario_fraction("S4", x) for x in centres}) == 1
 
     def test_determinism(self):
         a = generate_power_profile("S2", 120, idle_power=3, work_power=30, rng=5)

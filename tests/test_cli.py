@@ -308,3 +308,57 @@ class TestBatchCommand:
         with pytest.raises(SystemExit):
             main(["batch", str(path), "--cache-size", "0"])
         assert "--cache-size must be positive" in capsys.readouterr().err
+
+
+class TestMalformedInstanceArguments:
+    """Every entry point checks an instance spec once, the same way.
+
+    A bad size, deadline factor or seed exits with status 2 and a message,
+    never with a traceback: a parser error on the command line, a rejected
+    job in a batch file.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["schedule", "--tasks", "0", "--family", "chain"], "tasks must be positive"),
+            (["schedule", "--tasks", "-3", "--variants", "ASAP"], "tasks must be positive"),
+            (["schedule", "--seed", "-1", "--family", "chain", "--tasks", "6"],
+             "seed must be non-negative"),
+            (["export", "--family", "chain", "--tasks", "6", "--deadline-factor", "0.5",
+              "--out", "OUT"], "deadline_factor must be >= 1"),
+            (["export", "--family", "chain", "--tasks", "6", "--seed", "-1", "--out", "OUT"],
+             "seed must be non-negative"),
+            (["grid", "--seed", "-1", "--families", "chain", "--sizes", "6",
+              "--scenarios", "S1", "--deadline-factors", "1.5", "--variants", "ASAP"],
+             "seed must be non-negative"),
+            (["grid", "--families", "chain", "--sizes", "0", "--scenarios", "S1",
+              "--deadline-factors", "1.5", "--variants", "ASAP"], "tasks must be positive"),
+        ],
+    )
+    def test_command_line(self, capsys, tmp_path, argv, message):
+        argv = [str(tmp_path / "x.json") if arg == "OUT" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"spec": {"family": "chain", "tasks": 6, "seed": -1}}, "seed must be non-negative"),
+            ({"spec": {"family": "chain", "tasks": 6}, "master_seed": -1},
+             "master_seed must be non-negative"),
+        ],
+    )
+    def test_batch_entry(self, capsys, tmp_path, entry, message):
+        path = tmp_path / "requests.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err

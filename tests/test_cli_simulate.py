@@ -128,3 +128,29 @@ class TestVariantsJson:
             assert entry["supports_deadline"] == (not spec.is_baseline)
             assert entry["cost_model"] == ("makespan" if spec.is_baseline else "carbon")
             assert entry["builtin"] is True
+
+
+class TestMalformedSimulateInput:
+    """A negative seed or a non-integer trace entry is a parser error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv, trace, message",
+        [
+            (["--seed", "-1"], None, "seed must be non-negative"),
+            (["--arrivals", "trace"], '["abc"]', "list of integer arrival times"),
+            (["--arrivals", "trace"], "[null]", "list of integer arrival times"),
+            (["--arrivals", "trace"], "[1.5]", "list of integer arrival times"),
+            (["--arrivals", "trace"], "[true]", "list of integer arrival times"),
+        ],
+    )
+    def test_exits_cleanly(self, capsys, tmp_path, argv, trace, message):
+        if trace is not None:
+            trace_file = tmp_path / "arrivals.json"
+            trace_file.write_text(trace, encoding="utf8")
+            argv = argv + ["--trace-file", str(trace_file)]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("simulate", "--horizon", "100", "--tasks", "8", *argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err

@@ -8,6 +8,7 @@ import pytest
 
 from repro.carbon.intervals import PowerProfile
 from repro.core.greedy import BudgetIntervals, greedy_schedule
+from repro.core.variants import ALL_VARIANTS, GREEDY_VARIANTS
 from repro.schedule.asap import asap_schedule
 from repro.schedule.cost import carbon_cost
 from repro.schedule.validation import is_feasible
@@ -106,18 +107,17 @@ class TestGreedySchedule:
         assert (
             greedy_schedule(tiny_multi_instance, base="slack").algorithm == "slack"
         )
-        assert (
-            greedy_schedule(
-                tiny_multi_instance, base="pressure", weighted=True, refined=True
-            ).algorithm
-            == "pressWR"
-        )
-
-    def test_custom_algorithm_name(self, tiny_multi_instance):
-        schedule = greedy_schedule(
-            tiny_multi_instance, base="slack", algorithm_name="custom"
-        )
-        assert schedule.algorithm == "custom"
+        # Every configuration is labelled with its variant name; CaWoSched
+        # relies on it, since the local search labels its result
+        # "<greedy label>-LS".
+        for name in GREEDY_VARIANTS:
+            spec = ALL_VARIANTS[name]
+            schedule = greedy_schedule(
+                tiny_multi_instance, base=spec.base, weighted=spec.weighted,
+                refined=spec.refined,
+            )
+            assert schedule.algorithm == name
+            assert f"{name}-LS" in ALL_VARIANTS
 
     def test_deterministic(self, tiny_multi_instance):
         a = greedy_schedule(tiny_multi_instance, base="pressure", refined=True)

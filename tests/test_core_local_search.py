@@ -71,8 +71,6 @@ class TestLocalSearchBehaviour:
         greedy = greedy_schedule(tiny_multi_instance, base="slack", refined=True)
         improved = local_search(greedy)
         assert improved.algorithm == "slackR-LS"
-        named = local_search(greedy, algorithm_name="custom")
-        assert named.algorithm == "custom"
 
     def test_negative_window_rejected(self, tiny_multi_instance):
         greedy = greedy_schedule(tiny_multi_instance, base="slack")

@@ -60,12 +60,12 @@ class TestRecordDrivenFigures:
             assert sum(ranks.values()) == pytest.approx(1.0)
 
     def test_figure2(self, grid_records):
-        curves = figure2_performance_profiles(grid_records, taus=[0.0, 0.5, 1.0])
+        curves = figure2_performance_profiles(grid_records)
         for curve in curves.values():
             assert dict(curve)[0.0] == pytest.approx(1.0)
 
     def test_figure3_grouped_by_deadline(self, grid_records):
-        by_deadline = figure3_profiles_by_deadline(grid_records, taus=[1.0])
+        by_deadline = figure3_profiles_by_deadline(grid_records)
         assert set(by_deadline) == {1.0, 2.0}
 
     def test_figure4_ratios_at_most_reasonable(self, grid_records):
@@ -116,7 +116,7 @@ class TestRecordDrivenFigures:
         assert set(by_size) <= {"small", "medium", "large"}
 
     def test_figure17_by_cluster(self, grid_records):
-        by_cluster = figure17_profiles_by_cluster(grid_records, taus=[1.0])
+        by_cluster = figure17_profiles_by_cluster(grid_records)
         assert set(by_cluster) == {"small"}
 
 

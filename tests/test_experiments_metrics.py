@@ -45,12 +45,12 @@ def synthetic_records():
 
 class TestRankDistribution:
     def test_competition_ranking_with_ties(self, synthetic_records):
-        ranks = rank_distribution(synthetic_records, as_fraction=False)
+        ranks = rank_distribution(synthetic_records)
         # Instance A: alg1 and alg2 share rank 1, ASAP gets rank 3 (rank 2 skipped).
         # Instance B: alg2 rank 1, alg1 rank 2, ASAP rank 3.
-        assert ranks["alg1"] == {1: 1, 2: 1}
-        assert ranks["alg2"] == {1: 2}
-        assert ranks["ASAP"] == {3: 2}
+        assert ranks["alg1"] == {1: 0.5, 2: 0.5}
+        assert ranks["alg2"] == {1: 1.0}
+        assert ranks["ASAP"] == {3: 1.0}
 
     def test_fractions_sum_to_one_per_variant(self, synthetic_records):
         ranks = rank_distribution(synthetic_records)
@@ -66,13 +66,14 @@ class TestRankDistribution:
 
 class TestPerformanceProfile:
     def test_value_at_tau_one_is_best_fraction(self, synthetic_records):
-        curves = performance_profile(synthetic_records, taus=[1.0])
+        curves = performance_profile(synthetic_records)
         assert dict(curves["alg1"])[1.0] == pytest.approx(0.5)
         assert dict(curves["alg2"])[1.0] == pytest.approx(1.0)
         assert dict(curves["ASAP"])[1.0] == pytest.approx(0.0)
 
     def test_curves_monotonically_decrease_in_tau(self, synthetic_records):
-        curves = performance_profile(synthetic_records, taus=[0.0, 0.5, 1.0])
+        curves = performance_profile(synthetic_records)
+        assert {0.0, 0.5, 1.0} <= {tau for tau, _ in curves["alg1"]}
         for curve in curves.values():
             values = [value for _, value in curve]
             assert values == sorted(values, reverse=True)
@@ -80,7 +81,7 @@ class TestPerformanceProfile:
     def test_zero_cost_handling(self, synthetic_records):
         # On instance B the best cost is 0; alg1 has positive cost -> ratio 0,
         # so alg1's curve at tau=0.1 only counts instance A.
-        curves = performance_profile(synthetic_records, taus=[0.1])
+        curves = performance_profile(synthetic_records)
         assert dict(curves["alg1"])[0.1] == pytest.approx(0.5)
 
 
@@ -154,5 +155,6 @@ class TestGrouping:
         assert size_class_of(record("A", "x", 1, tasks=30)) == "small"
         assert size_class_of(record("A", "x", 1, tasks=100)) == "medium"
         assert size_class_of(record("A", "x", 1, tasks=500)) == "large"
-        custom = size_class_of(record("A", "x", 1, tasks=100), boundaries=(10, 20))
-        assert custom == "large"
+        # The boundaries are inclusive upper bounds.
+        assert size_class_of(record("A", "x", 1, tasks=60)) == "small"
+        assert size_class_of(record("A", "x", 1, tasks=150)) == "medium"

@@ -57,12 +57,6 @@ class TestRunGrid:
         _, records = tiny_grid_records
         assert all(record.carbon_cost >= 0 for record in records)
 
-    def test_progress_callback_called(self):
-        messages = []
-        specs = [InstanceSpec("bacass", 15, "small", "S4", 1.5, seed=0)]
-        run_grid(specs, variants=["ASAP"], progress=messages.append)
-        assert len(messages) == 1
-
     def test_custom_scheduler_parameters(self):
         specs = [InstanceSpec("bacass", 15, "small", "S1", 2.0, seed=0)]
         records = run_grid(specs, variants=["pressR-LS"], scheduler=CaWoSched(window=2))

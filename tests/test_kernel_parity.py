@@ -30,7 +30,7 @@ from repro.core.local_search import _BatchedSearch, local_search
 from repro.core.subdivision import block_alignment_points
 from repro.mapping.enhanced_dag import EnhancedDAG, build_enhanced_dag
 from repro.mapping.heft import heft_mapping
-from repro.platform_.cluster import Cluster
+from repro.platform_.cluster import Cluster, ExtendedPlatform
 from repro.platform_.presets import cluster_from_table1
 from repro.schedule.asap import asap_makespan
 from repro.schedule.instance import ProblemInstance
@@ -134,7 +134,12 @@ def batched_windows(draw):
         name="parity",
     )
     mapping = heft_mapping(workflow, cluster).mapping
-    dag = build_enhanced_dag(mapping, rng=seed, link_power_range=(0, 1))
+    # Link powers drawn from {0, 1} instead of the paper's 1..2.
+    links = [
+        replace(spec, p_idle=draw(st.integers(0, 1)), p_work=draw(st.integers(0, 1)))
+        for spec in ExtendedPlatform.for_links(cluster, mapping.used_links()).links()
+    ]
+    dag = build_enhanced_dag(mapping, platform=ExtendedPlatform(cluster, links))
     deadline = int(draw(st.sampled_from([1.5, 2.0, 3.0])) * asap_makespan(dag))
     profile = generate_power_profile(
         draw(st.sampled_from(["S1", "S2", "S3", "S4"])), deadline,

@@ -10,7 +10,6 @@ from repro.mapping.heft import heft_mapping
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import link_name
 from repro.platform_.presets import scaled_small_cluster, uniform_cluster
-from repro.utils.errors import InvalidMappingError
 from repro.workflow.dag import Workflow
 from repro.workflow.generators import atacseq_like_workflow
 
@@ -55,9 +54,7 @@ class TestConstruction:
 
     def test_comm_duration_is_data_over_bandwidth(self, cross_mapping):
         dag = build_enhanced_dag(cross_mapping, rng=0)
-        assert dag.duration(("comm", "a", "c")) == 2
-        dag_slow = build_enhanced_dag(cross_mapping, rng=0, bandwidth=0.5)
-        assert dag_slow.duration(("comm", "a", "c")) == 4
+        assert dag.duration(("comm", "a", "c")) == 2  # data 2, bandwidth 1
 
     def test_durations_use_processor_speed(self, diamond_workflow_fixed):
         from repro.platform_.cluster import Cluster
@@ -85,10 +82,6 @@ class TestConstruction:
         mapping = heft_mapping(workflow, cluster).mapping
         dag = build_enhanced_dag(mapping, rng=1)
         assert nx.is_directed_acyclic_graph(to_networkx(dag))
-
-    def test_invalid_bandwidth_rejected(self, cross_mapping):
-        with pytest.raises(InvalidMappingError):
-            build_enhanced_dag(cross_mapping, bandwidth=0)
 
     def test_platform_contains_only_used_links(self, cross_mapping):
         dag = build_enhanced_dag(cross_mapping, rng=0)

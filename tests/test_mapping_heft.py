@@ -6,7 +6,6 @@ import pytest
 
 from repro.mapping.heft import heft_mapping, upward_ranks
 from repro.platform_.presets import scaled_small_cluster, uniform_cluster
-from repro.utils.errors import InvalidMappingError
 from repro.workflow.generators import (
     atacseq_like_workflow,
     chain_workflow,
@@ -30,10 +29,6 @@ class TestUpwardRanks:
         # On one processor the cross probability is 0, so the rank of the
         # first task is the total chain work.
         assert ranks["t0"] == pytest.approx(2 + 3 + 1 + 2)
-
-    def test_invalid_bandwidth(self, diamond_workflow_fixed, two_proc_cluster):
-        with pytest.raises(InvalidMappingError):
-            upward_ranks(diamond_workflow_fixed, two_proc_cluster, bandwidth=0)
 
 
 class TestHeftMapping:

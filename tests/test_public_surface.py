@@ -1,14 +1,22 @@
-"""Every name a package exports through ``__all__`` must exist.
+"""Checks on the public surface of the ``repro`` package.
 
-A stale ``__all__`` entry breaks ``from repro.x import *`` and misleads
-readers; linting (ruff F822) catches it too, but this check needs no linter.
+Every name a package exports through ``__all__`` must exist: a stale entry
+breaks ``from repro.x import *`` and misleads readers; linting (ruff F822)
+catches it too, but this check needs no linter.
+
+The number of defaulted parameters on public functions is ratcheted: each
+option is one more configuration the tests must cover.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import repro
 
 PACKAGES = [
     "repro",
@@ -34,3 +42,35 @@ def test_every_exported_name_resolves(package):
     assert len(exported) == len(set(exported)), "duplicate __all__ entries"
     missing = [name for name in exported if not hasattr(module, name)]
     assert missing == []
+
+
+#: Upper bound of :func:`count_defaulted_parameters` over ``src/repro``.
+MAX_DEFAULTED_PARAMETERS = 168
+
+
+def count_defaulted_parameters(root: Path) -> int:
+    """Count the defaulted parameters of the public functions under *root*.
+
+    Positional and keyword-only parameters with a default count, on every
+    function or method whose name does not start with ``_``, plus
+    ``__init__``.
+    """
+    count = 0
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("_") and node.name != "__init__":
+                continue
+            count += len(node.args.defaults)
+            count += sum(default is not None for default in node.args.kw_defaults)
+    return count
+
+
+def test_defaulted_parameter_count_does_not_grow():
+    count = count_defaulted_parameters(Path(repro.__file__).parent)
+    assert count <= MAX_DEFAULTED_PARAMETERS, (
+        f"{count} defaulted public parameters under src/repro, more than "
+        f"{MAX_DEFAULTED_PARAMETERS}; a new option needs a justification in "
+        "CHANGES.md before this bound is raised"
+    )

@@ -51,15 +51,6 @@ class TestRunGridParallel:
         again = run_grid(_specs(), variants=VARIANTS, master_seed=7, jobs=1)
         assert _canonical_bytes(again) == _canonical_bytes(sequential_records)
 
-    def test_progress_callback_fires_per_cell(self):
-        messages: List[str] = []
-        run_grid(
-            _specs()[:2], variants=("ASAP",), master_seed=7, jobs=2,
-            progress=messages.append,
-        )
-        assert len(messages) == 2
-        assert messages[0].startswith("bacass-12-small-S1")
-
     def test_generator_master_seed_rejected_in_parallel(self):
         with pytest.raises(ValueError, match="master_seed"):
             run_grid(

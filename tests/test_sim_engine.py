@@ -6,7 +6,6 @@ import dataclasses
 
 import pytest
 
-from repro.api import Client
 from repro.io.wire import canonical_json, dumps, loads
 from repro.sim import SimReport, SimulationConfig, simulate
 from repro.utils.errors import SimulationError
@@ -171,16 +170,6 @@ class TestEngineBehaviour:
         kinds = {event.kind for event in report.events}
         assert "plan" in kinds
         assert "reschedule" in kinds
-
-    def test_shared_service_reuses_cache_across_runs(self):
-        client = Client(cache_size=512)
-        config = small_config(forecast="oracle", slots=64)
-        first = simulate(config, client=client)
-        solved_once = client.solved
-        second = simulate(config, client=client)
-        assert client.solved == solved_once  # second run fully cached
-        assert second.service["solved"] == first.service["solved"]
-        assert second.service["solve_hits"] > first.service["solve_hits"]
 
     def test_utilization_in_unit_range(self):
         report = simulate(small_config())
