@@ -6,10 +6,9 @@ from repro.schedule.cost import (
     brown_energy_breakdown,
     carbon_cost,
     carbon_cost_per_time_unit,
-    power_events,
 )
 from repro.schedule.timeline import PowerTimeline
-from repro.schedule.validation import check_schedule, feasibility_violations, is_feasible
+from repro.schedule.validation import check_schedule, is_feasible
 from repro.schedule.asap import (
     alap_schedule,
     asap_makespan,
@@ -24,10 +23,8 @@ __all__ = [
     "brown_energy_breakdown",
     "carbon_cost",
     "carbon_cost_per_time_unit",
-    "power_events",
     "PowerTimeline",
     "check_schedule",
-    "feasibility_violations",
     "is_feasible",
     "alap_schedule",
     "asap_makespan",

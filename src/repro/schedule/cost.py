@@ -1,98 +1,75 @@
 """Carbon-cost evaluation of schedules.
 
-Two evaluators are provided:
+The carbon cost of a schedule is ``CC = Σ_t max(P_t − G_t, 0)`` (§3 of the
+paper): the platform power ``P_t`` drawn in time unit ``t`` (every
+processor's idle power plus the working power of the tasks running in ``t``)
+minus the green budget ``G_t``, counted only where it is positive.
 
-* :func:`carbon_cost` — the polynomial interval-by-interval computation of
-  Appendix A.1: the horizon is swept once; sub-interval boundaries are created
-  at every task start/end and at every profile boundary, the platform power is
-  constant within each sub-interval, and the cost of a sub-interval is
-  ``max(power − budget, 0) × length``.
-* :func:`carbon_cost_per_time_unit` — the pseudo-polynomial reference
-  implementation that literally loops over the ``T`` time units (vectorised
-  with NumPy).  It exists to cross-check the polynomial evaluator in tests and
-  to serve as the ground-truth definition (§3 of the paper).
+Every evaluator here reads one pair of rows built by :func:`_power_rows`: the
+power row is a difference array (``+P_work`` at each task's start, ``−P_work``
+at its finish) summed cumulatively on top of the idle baseline, and the
+budget row repeats each profile interval's budget over its time units.  Both
+rows extend past the deadline when a task finishes after it, with the last
+interval's budget, so infeasible schedules still get a well-defined,
+comparable cost (feasibility is checked separately by
+:func:`repro.schedule.validation.check_schedule`).
+:class:`~repro.schedule.timeline.PowerTimeline` starts from the same rows.
 
-Both return exactly the same integer for any feasible schedule.
+:func:`carbon_cost_per_time_unit` builds its rows independently, task by task;
+it is the reference the tests check the shared rows against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, Mapping, Tuple
 
 import numpy as np
 
+from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 
-__all__ = ["carbon_cost", "carbon_cost_per_time_unit", "power_events", "brown_energy_breakdown"]
+__all__ = ["carbon_cost", "carbon_cost_per_time_unit", "brown_energy_breakdown"]
 
 
-def power_events(schedule: Schedule) -> List[Tuple[int, int]]:
-    """Return the (time, power-delta) events induced by the schedule.
+def _power_rows(
+    instance: ProblemInstance, starts: Mapping[Hashable, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Return the platform power and the green budget of every time unit.
 
-    Every task contributes ``+P_work`` of its processor at its start time and
-    ``−P_work`` at its finish time.  Idle power is not part of the events (it
-    is a constant baseline).
+    *starts* maps nodes of the instance's DAG (all of them, or only those
+    placed so far) to non-negative start times.  Both ``int64`` rows span
+    ``[0, max(T, latest finish))``; past the deadline ``T`` the budget is the
+    last interval's.
     """
-    instance = schedule.instance
+    profile = instance.profile
+    count = len(starts)
     duration = instance.dag.duration_map()
     work_power = instance.work_power_map
-    events: List[Tuple[int, int]] = []
-    for node, start in schedule.start_times().items():
-        power = work_power[node]
-        if power:
-            events.append((start, power))
-            events.append((start + duration[node], -power))
-    events.sort()
-    return events
+    begin = np.fromiter(starts.values(), np.int64, count)
+    end = begin + np.fromiter(map(duration.__getitem__, starts), np.int64, count)
+    power = np.fromiter(map(work_power.__getitem__, starts), np.int64, count)
+    horizon = max(profile.horizon, int(end.max(initial=0)))
+    delta = np.zeros(horizon + 1, dtype=np.int64)
+    np.add.at(delta, begin, power)
+    np.subtract.at(delta, end, power)
+    row = delta[:-1].cumsum()
+    row += instance.total_idle_power()
+    budget = profile.budgets_per_time_unit()
+    if horizon > profile.horizon:
+        budget = np.concatenate(
+            (budget, np.full(horizon - profile.horizon, budget[-1], dtype=np.int64))
+        )
+    return row, budget
 
 
 def carbon_cost(schedule: Schedule) -> int:
-    """Compute the total carbon cost of *schedule* (polynomial sweep).
+    """Compute the total carbon cost of *schedule*.
 
-    The computation follows Appendix A.1 of the paper: the horizon is split at
-    every profile boundary and at every task start/finish; within each
-    resulting sub-interval the total platform power is constant, so the cost
-    is ``max(power − budget, 0)`` times the sub-interval length.
-
-    Tasks finishing after the horizon still contribute events; the cost beyond
-    the horizon is accounted against the last interval's budget so that
-    infeasible (deadline-violating) schedules still get a well-defined,
-    comparable cost.  Feasibility itself is checked separately by
-    :func:`repro.schedule.validation.check_schedule`.
+    Time units after the deadline (reached only by infeasible schedules) are
+    charged against the last interval's budget.
     """
-    instance = schedule.instance
-    profile = instance.profile
-    idle_power = instance.total_idle_power()
-
-    events = power_events(schedule)
-    boundaries = sorted(
-        set(profile.boundaries())
-        | {time for time, _ in events}
-        | {0}
-    )
-    # Make sure the sweep covers the full horizon even if no task touches it.
-    horizon_end = max(profile.horizon, boundaries[-1] if boundaries else 0)
-    if boundaries[-1] < horizon_end:
-        boundaries.append(horizon_end)
-
-    # Aggregate the power deltas per boundary time.
-    delta_at: Dict[int, int] = {}
-    for time, delta in events:
-        delta_at[time] = delta_at.get(time, 0) + delta
-
-    total_cost = 0
-    power = idle_power
-    last_budget = profile.interval(profile.num_intervals - 1).budget
-    for begin, end in zip(boundaries, boundaries[1:]):
-        power += delta_at.get(begin, 0)
-        if begin >= profile.horizon:
-            budget = last_budget
-        else:
-            budget = profile.budget_at(begin)
-        length = end - begin
-        if length > 0:
-            total_cost += max(power - budget, 0) * length
-    return int(total_cost)
+    power, budget = _power_rows(schedule.instance, schedule.start_times())
+    return int(np.maximum(power - budget, 0).sum())
 
 
 def carbon_cost_per_time_unit(schedule: Schedule) -> int:
@@ -127,25 +104,13 @@ def brown_energy_breakdown(schedule: Schedule) -> Dict[int, int]:
     """Return the carbon cost attributed to each profile interval.
 
     The keys are 0-based interval indices; the values sum to
-    :func:`carbon_cost` for schedules that finish within the horizon.  Used by
+    :func:`carbon_cost` for schedules that finish within the horizon (the
+    cost of time units after the deadline is not attributed).  Used by
     examples and reporting to show *where* brown energy is consumed.
     """
-    instance = schedule.instance
-    profile = instance.profile
-    dag = instance.dag
-    horizon = profile.horizon
-
-    power = np.full(horizon, instance.total_idle_power(), dtype=np.int64)
-    for node in dag.nodes():
-        start = schedule.start(node)
-        finish = min(start + dag.duration(node), horizon)
-        work_power = dag.processor_spec(node).p_work
-        if work_power and finish > start and start < horizon:
-            power[start:finish] += work_power
-
-    budgets = profile.budgets_per_time_unit()
-    brown = np.maximum(power - budgets, 0)
-    breakdown: Dict[int, int] = {}
-    for index, interval in enumerate(profile.intervals()):
-        breakdown[index] = int(brown[interval.begin : interval.end].sum())
-    return breakdown
+    power, budget = _power_rows(schedule.instance, schedule.start_times())
+    brown = np.maximum(power - budget, 0)
+    return {
+        index: int(brown[interval.begin : interval.end].sum())
+        for index, interval in enumerate(schedule.instance.profile.intervals())
+    }

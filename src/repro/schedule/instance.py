@@ -77,10 +77,6 @@ class ProblemInstance:
         """Total working power of the platform (upper bound on the variable draw)."""
         return self.dag.platform.total_work_power()
 
-    def work_power_of(self, node: Hashable) -> int:
-        """Working power of the processor that executes *node*."""
-        return self.work_power_map[node]
-
     def active_power_of(self, node: Hashable) -> int:
         """Idle plus working power of the processor that executes *node*."""
         return self.active_power_map[node]

@@ -9,6 +9,7 @@ value object; feasibility checking lives in
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Dict, Hashable, Iterator, Mapping, Optional
 
 from repro.schedule.instance import ProblemInstance
@@ -26,9 +27,10 @@ class Schedule:
     instance:
         The problem instance the schedule refers to.
     start_times:
-        Node → integer start time.  Must cover every node of the instance's
-        DAG exactly; extra or missing nodes raise
-        :class:`~repro.utils.errors.InvalidScheduleError`.
+        Node → non-negative integer start time (``int`` or a NumPy integer;
+        ``bool``, floats and strings are rejected).  Must cover every node of
+        the instance's DAG exactly; extra or missing nodes, and any other
+        start value, raise :class:`~repro.utils.errors.InvalidScheduleError`.
     algorithm:
         Name of the algorithm that produced the schedule (for reporting).
     """
@@ -58,6 +60,10 @@ class Schedule:
             )
         self._start: Dict[Hashable, int] = {}
         for node, value in start_times.items():
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise InvalidScheduleError(
+                    f"task {node!r} has non-integer start time {value!r}"
+                )
             value = int(value)
             if value < 0:
                 raise InvalidScheduleError(f"task {node!r} has negative start time {value}")
@@ -118,10 +124,6 @@ class Schedule:
             default=0,
         )
 
-    def meets_deadline(self) -> bool:
-        """Return whether the schedule finishes by the instance's deadline."""
-        return self.makespan <= self._instance.deadline
-
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:
         """Return a JSON-serialisable representation of the schedule.
@@ -143,18 +145,9 @@ class Schedule:
         """Rebuild a schedule from :meth:`to_dict` output against *instance*."""
         return cls(
             instance,
-            {decode_name(node): int(start) for node, start in data["start_times"]},
+            {decode_name(node): start for node, start in data["start_times"]},
             algorithm=str(data.get("algorithm", "unknown")),
         )
-
-    def same_start_times(self, other: "Schedule") -> bool:
-        """Return whether *other* assigns identical start times.
-
-        Unlike ``==`` this does not require both schedules to share the same
-        instance object, which is what wire-format round-trip comparisons
-        need (the deserialised instance is equivalent but distinct).
-        """
-        return self._start == other._start
 
     # ------------------------------------------------------------------ #
     def copy(self, *, algorithm: Optional[str] = None) -> "Schedule":
@@ -162,18 +155,6 @@ class Schedule:
         return Schedule(
             self._instance,
             dict(self._start),
-            algorithm=algorithm if algorithm is not None else self._algorithm,
-        )
-
-    def with_start(self, node: Hashable, start: int, *, algorithm: Optional[str] = None) -> "Schedule":
-        """Return a copy of the schedule with *node* moved to *start*."""
-        if node not in self._start:
-            raise InvalidScheduleError(f"unknown task {node!r}")
-        updated = dict(self._start)
-        updated[node] = int(start)
-        return Schedule(
-            self._instance,
-            updated,
             algorithm=algorithm if algorithm is not None else self._algorithm,
         )
 

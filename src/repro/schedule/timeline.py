@@ -18,6 +18,7 @@ from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.schedule.cost import _power_rows
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.utils.errors import InvalidScheduleError
@@ -40,35 +41,22 @@ class PowerTimeline:
 
     def __init__(self, instance: ProblemInstance, schedule: Optional[Schedule] = None) -> None:
         self._instance = instance
-        horizon = instance.deadline
-        self._power = np.full(horizon, instance.total_idle_power(), dtype=np.int64)
-        self._budget = instance.profile.budgets_per_time_unit()
         # Durations and working powers are read on every mutation; the
         # instance-level maps are computed once and shared across runs.
         self._duration: Dict[Hashable, int] = instance.dag.duration_map()
         self._work_power: Dict[Hashable, int] = instance.work_power_map
-        self._starts: Dict[Hashable, int] = {}
-        if schedule is not None:
-            starts = schedule.start_times()
-            nodes = instance.dag.nodes()
-            count = len(nodes)
-            begin = np.fromiter((starts[node] for node in nodes), np.int64, count)
-            duration = np.fromiter((self._duration[node] for node in nodes), np.int64, count)
-            end = begin + duration
-            outside = (begin < 0) | (end > horizon)
-            if outside.any():
-                index = int(outside.argmax())
-                raise InvalidScheduleError(
-                    f"task {nodes[index]!r} at start {begin[index]} (duration "
-                    f"{duration[index]}) does not fit into the horizon [0, {horizon})"
-                )
-            # Every task adds its working power from its start to its end.
-            work_power = np.fromiter((self._work_power[node] for node in nodes), np.int64, count)
-            delta = np.zeros(horizon + 1, dtype=np.int64)
-            np.add.at(delta, begin, work_power)
-            np.subtract.at(delta, end, work_power)
-            self._power += delta[:-1].cumsum()
-            self._starts = starts
+        self._starts: Dict[Hashable, int] = {} if schedule is None else schedule.start_times()
+        self._power, self._budget = _power_rows(instance, self._starts)
+        horizon = instance.deadline
+        if len(self._power) > horizon:
+            node = next(
+                node for node, start in self._starts.items()
+                if start + self._duration[node] > horizon
+            )
+            raise InvalidScheduleError(
+                f"task {node!r} at start {self._starts[node]} (duration "
+                f"{self._duration[node]}) does not fit into the horizon [0, {horizon})"
+            )
 
     # ------------------------------------------------------------------ #
     @property
@@ -91,10 +79,6 @@ class PowerTimeline:
             return self._starts[node]
         except KeyError as exc:
             raise InvalidScheduleError(f"task {node!r} is not placed on the timeline") from exc
-
-    def is_placed(self, node: Hashable) -> bool:
-        """Return whether *node* is currently placed."""
-        return node in self._starts
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -293,13 +277,6 @@ class PowerTimeline:
         gains = candidate_baseline - prefix[index + candidate_duration]
         gains += prefix[index]
         return gains, offsets
-
-    def as_schedule(self, *, algorithm: str = "timeline") -> Schedule:
-        """Return the currently placed start times as a :class:`Schedule`.
-
-        All nodes of the instance must be placed.
-        """
-        return Schedule(self._instance, dict(self._starts), algorithm=algorithm)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,103 +1,59 @@
 """Feasibility checking of schedules.
 
-A schedule of the communication-enhanced DAG is feasible when
+A schedule of the communication-enhanced DAG ``Gc`` is feasible when
 
-1. every task starts at a non-negative time and finishes by the deadline,
-2. every precedence edge of ``Ec`` is respected (a task starts no earlier than
-   each predecessor's finish time),
-3. tasks mapped to the same (compute or link) processor do not overlap, and
-4. the per-processor ordering of the fixed mapping is respected.
+1. every task runs within ``[0, T]``: it starts at a non-negative time and
+   finishes by the deadline ``T``, and
+2. every edge of ``Ec`` is respected: a task starts no earlier than each
+   predecessor's finish time.
 
-Constraint 4 is implied by constraint 2 (the ordering is encoded as chain
-edges in ``Ec``), and constraint 3 follows from 2 + 4; both are nevertheless
-checked explicitly so that bugs in the DAG construction cannot mask scheduling
-bugs.
+The fixed mapping's order needs no third check.
+:func:`~repro.mapping.enhanced_dag.build_enhanced_dag` adds a chain edge
+between every two consecutive tasks of a compute processor and between every
+two consecutive communications of a link, so check 2 makes each task on a
+processor start after the previous one finishes: the tasks of a processor
+run in the fixed order and never overlap.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Tuple
-
 from repro.schedule.schedule import Schedule
 from repro.utils.errors import InfeasibleScheduleError
 
-__all__ = ["check_schedule", "is_feasible", "feasibility_violations"]
+__all__ = ["check_schedule", "is_feasible"]
 
 
-def feasibility_violations(schedule: Schedule, *, limit: Optional[int] = None) -> List[str]:
-    """Return human-readable descriptions of all feasibility violations.
+def check_schedule(schedule: Schedule) -> None:
+    """Raise :class:`InfeasibleScheduleError` naming the first violation.
 
-    Parameters
-    ----------
-    schedule:
-        The schedule to check.
-    limit:
-        Stop after this many violations (``None`` collects all of them).
+    Deadline violations are reported before precedence violations.
     """
     instance = schedule.instance
     dag = instance.dag
     deadline = instance.deadline
     starts = schedule.start_times()
     duration = dag.duration_map()
-    violations: List[str] = []
-
-    def add(message: str) -> bool:
-        violations.append(message)
-        return limit is not None and len(violations) >= limit
-
-    # 1. Horizon.
+    finish = {node: start + duration[node] for node, start in starts.items()}
     for node in dag.nodes():
         start = starts[node]
-        finish = start + duration[node]
         if start < 0:
-            if add(f"task {node!r} starts at negative time {start}"):
-                return violations
-        if finish > deadline:
-            if add(
-                f"task {node!r} finishes at {finish}, after the deadline {deadline}"
-            ):
-                return violations
-
-    # 2. Precedence (includes the ordering chain edges).
+            raise InfeasibleScheduleError(f"task {node!r} starts at negative time {start}")
+        if finish[node] > deadline:
+            raise InfeasibleScheduleError(
+                f"task {node!r} finishes at {finish[node]}, after the deadline {deadline}"
+            )
     for source, target in dag.edges():
-        source_finish = starts[source] + duration[source]
-        if starts[target] < source_finish:
-            if add(
+        if starts[target] < finish[source]:
+            raise InfeasibleScheduleError(
                 f"precedence violated: {target!r} starts at {starts[target]} "
-                f"before {source!r} finishes at {source_finish}"
-            ):
-                return violations
-
-    # 3. Non-overlap per processor (explicit, although implied by 2 + chains).
-    for processor in dag.processors_with_tasks():
-        tasks = dag.tasks_on(processor)
-        ordered = sorted(tasks, key=starts.__getitem__)
-        for earlier, later in zip(ordered, ordered[1:]):
-            if starts[later] < starts[earlier] + duration[earlier]:
-                if add(
-                    f"tasks {earlier!r} and {later!r} overlap on processor {processor!r}"
-                ):
-                    return violations
-
-        # 4. The fixed ordering itself.
-        positions = {task: index for index, task in enumerate(tasks)}
-        for earlier, later in zip(ordered, ordered[1:]):
-            if positions[earlier] > positions[later]:
-                if add(
-                    f"the fixed order of processor {processor!r} is violated: "
-                    f"{earlier!r} runs before {later!r}"
-                ):
-                    return violations
-    return violations
+                f"before {source!r} finishes at {finish[source]}"
+            )
 
 
 def is_feasible(schedule: Schedule) -> bool:
     """Return whether *schedule* satisfies all feasibility constraints."""
-    return not feasibility_violations(schedule, limit=1)
-
-
-def check_schedule(schedule: Schedule) -> None:
-    """Raise :class:`InfeasibleScheduleError` if *schedule* is infeasible."""
-    violations = feasibility_violations(schedule, limit=1)
-    if violations:
-        raise InfeasibleScheduleError(violations[0])
+    try:
+        check_schedule(schedule)
+    except InfeasibleScheduleError:
+        return False
+    return True

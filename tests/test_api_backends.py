@@ -55,7 +55,7 @@ class TestExecutionEquivalence:
         direct = CaWoSched().run(instance, "pressWR")
         results, records = execute_job(Job.from_instance(instance, variants=("pressWR",)))
         assert results[0].carbon_cost == direct.carbon_cost == records[0].carbon_cost
-        assert results[0].schedule.same_start_times(direct.schedule)
+        assert results[0].schedule.start_times() == direct.schedule.start_times()
 
 
 class TestLiveInstanceReuse:

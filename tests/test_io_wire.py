@@ -168,7 +168,7 @@ class TestInstanceRoundTrip:
         roundtrip = scheduler.run(clone, variant)
         assert roundtrip.carbon_cost == original.carbon_cost
         assert roundtrip.makespan == original.makespan
-        assert roundtrip.schedule.same_start_times(original.schedule)
+        assert roundtrip.schedule.start_times() == original.schedule.start_times()
 
     def test_carbon_cost_invariant_single_processor(self, tiny_single_instance):
         clone = instance_from_dict(instance_to_dict(tiny_single_instance))
@@ -261,7 +261,7 @@ class TestScheduleAndResultRoundTrips:
     def test_schedule_round_trip(self, grid_instance):
         schedule = CaWoSched().schedule(grid_instance, "pressWR-LS")
         clone = Schedule.from_dict(schedule.to_dict(), grid_instance)
-        assert clone.same_start_times(schedule)
+        assert clone.start_times() == schedule.start_times()
         assert clone.algorithm == schedule.algorithm
         assert clone.makespan == schedule.makespan
 

@@ -11,7 +11,7 @@ from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import link_name
 from repro.platform_.presets import scaled_small_cluster, uniform_cluster
 from repro.workflow.dag import Workflow
-from repro.workflow.generators import atacseq_like_workflow
+from repro.workflow.generators import atacseq_like_workflow, generate_workflow
 
 from nx_oracle import to_networkx
 
@@ -75,6 +75,23 @@ class TestConstruction:
         # p0 executes a, b, d in this order -> chain edges a->b (already a
         # precedence edge) and b->d.
         assert ("b", "d") in dag.edges()
+
+    @pytest.mark.parametrize("family", ["atacseq", "bacass", "eager", "forkjoin"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_processor_order_is_a_chain_of_edges(self, family, seed):
+        # Feasibility checking relies on this: the fixed order of every
+        # compute and link processor is part of the edge set.
+        workflow = generate_workflow(family, 40, rng=seed)
+        mapping = heft_mapping(workflow, scaled_small_cluster()).mapping
+        dag = build_enhanced_dag(mapping, rng=seed)
+        edges = set(dag.edges())
+        pairs = {False: 0, True: 0}  # consecutive pairs on compute / link processors
+        for processor in dag.processors_with_tasks():
+            tasks = dag.tasks_on(processor)
+            for earlier, later in zip(tasks, tasks[1:]):
+                assert (earlier, later) in edges
+                pairs[dag.is_comm(earlier)] += 1
+        assert pairs[False] > 0 and pairs[True] > 0
 
     def test_is_acyclic(self):
         workflow = atacseq_like_workflow(60, rng=1)

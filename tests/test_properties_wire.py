@@ -113,7 +113,7 @@ class TestInstanceProperties:
             assert roundtrip.makespan == original.makespan
             # The schedule itself survives a round trip against the clone.
             rebuilt = Schedule.from_dict(_through_json(original.schedule.to_dict()), clone)
-            assert rebuilt.same_start_times(original.schedule)
+            assert rebuilt.start_times() == original.schedule.start_times()
 
 
 class TestRecordProperties:

@@ -5,7 +5,8 @@ breaks ``from repro.x import *`` and misleads readers; linting (ruff F822)
 catches it too, but this check needs no linter.
 
 The number of defaulted parameters on public functions is ratcheted: each
-option is one more configuration the tests must cover.
+option is one more configuration the tests must cover.  So is the number of
+public functions and methods: each is one more name to document and keep.
 """
 
 from __future__ import annotations
@@ -45,7 +46,18 @@ def test_every_exported_name_resolves(package):
 
 
 #: Upper bound of :func:`count_defaulted_parameters` over ``src/repro``.
-MAX_DEFAULTED_PARAMETERS = 168
+MAX_DEFAULTED_PARAMETERS = 165
+
+#: Upper bound of :func:`count_public_functions` over ``src/repro``.
+MAX_PUBLIC_FUNCTIONS = 390
+
+
+def iter_functions(root: Path):
+    """Yield every function and method definition under *root*."""
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node
 
 
 def count_defaulted_parameters(root: Path) -> int:
@@ -56,15 +68,17 @@ def count_defaulted_parameters(root: Path) -> int:
     ``__init__``.
     """
     count = 0
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf8"))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name.startswith("_") and node.name != "__init__":
-                continue
-            count += len(node.args.defaults)
-            count += sum(default is not None for default in node.args.kw_defaults)
+    for node in iter_functions(root):
+        if node.name.startswith("_") and node.name != "__init__":
+            continue
+        count += len(node.args.defaults)
+        count += sum(default is not None for default in node.args.kw_defaults)
     return count
+
+
+def count_public_functions(root: Path) -> int:
+    """Count the functions and methods under *root* whose name has no leading ``_``."""
+    return sum(not node.name.startswith("_") for node in iter_functions(root))
 
 
 def test_defaulted_parameter_count_does_not_grow():
@@ -72,5 +86,14 @@ def test_defaulted_parameter_count_does_not_grow():
     assert count <= MAX_DEFAULTED_PARAMETERS, (
         f"{count} defaulted public parameters under src/repro, more than "
         f"{MAX_DEFAULTED_PARAMETERS}; a new option needs a justification in "
+        "CHANGES.md before this bound is raised"
+    )
+
+
+def test_public_function_count_does_not_grow():
+    count = count_public_functions(Path(repro.__file__).parent)
+    assert count <= MAX_PUBLIC_FUNCTIONS, (
+        f"{count} public functions and methods under src/repro, more than "
+        f"{MAX_PUBLIC_FUNCTIONS}; a new public name needs a justification in "
         "CHANGES.md before this bound is raised"
     )

@@ -13,7 +13,6 @@ from repro.schedule.cost import (
     brown_energy_breakdown,
     carbon_cost,
     carbon_cost_per_time_unit,
-    power_events,
 )
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
@@ -60,6 +59,20 @@ class TestHandComputedCosts:
         # (cost 3 each) = 6.
         assert carbon_cost(schedule) == 6
 
+    def test_task_past_horizon_charged_against_last_budget(self):
+        profile = PowerProfile([5, 5], [3, 1])
+        instance = single_task_instance(4, p_idle=1, p_work=2, profile=profile)
+        schedule = Schedule(instance, {"t": 8})
+        # Active power 3 from 8 to 12.  Units 8-9 lie in the last interval
+        # (budget 1): cost 2 each.  Units 10-11 lie past the horizon T = 10
+        # and are charged against the last interval's budget 1, not the
+        # first interval's 3: cost 2 each.  Total 8; idle power 1 before 8
+        # stays within both budgets.
+        assert carbon_cost(schedule) == 8
+        assert carbon_cost_per_time_unit(schedule) == 8
+        # The interval breakdown attributes only the time units before T.
+        assert brown_energy_breakdown(schedule) == {0: 0, 1: 4}
+
 
 class TestEvaluatorEquivalence:
     def test_asap_and_alap_agree_with_reference(self, tiny_multi_instance):
@@ -72,17 +85,6 @@ class TestEvaluatorEquivalence:
 
     def test_costs_are_non_negative(self, tiny_multi_instance):
         assert carbon_cost(asap_schedule(tiny_multi_instance)) >= 0
-
-
-class TestPowerEvents:
-    def test_events_balance_to_zero(self, tiny_multi_instance):
-        events = power_events(asap_schedule(tiny_multi_instance))
-        assert sum(delta for _, delta in events) == 0
-
-    def test_events_sorted_by_time(self, tiny_multi_instance):
-        events = power_events(asap_schedule(tiny_multi_instance))
-        times = [time for time, _ in events]
-        assert times == sorted(times)
 
 
 class TestBrownEnergyBreakdown:

@@ -24,7 +24,7 @@ class TestProblemInstance:
     def test_work_power_of_node(self, tiny_multi_instance):
         dag = tiny_multi_instance.dag
         for node in dag.nodes():
-            assert tiny_multi_instance.work_power_of(node) == dag.processor_spec(node).p_work
+            assert tiny_multi_instance.work_power_map[node] == dag.processor_spec(node).p_work
             assert (
                 tiny_multi_instance.active_power_of(node)
                 == dag.processor_spec(node).total_power

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.schedule.asap import asap_schedule, earliest_start_times
 from repro.schedule.schedule import Schedule
 from repro.utils.errors import InvalidScheduleError
+
+from schedule_helpers import with_start
 
 
 class TestScheduleConstruction:
@@ -34,6 +37,22 @@ class TestScheduleConstruction:
         with pytest.raises(InvalidScheduleError):
             Schedule(tiny_multi_instance, est)
 
+    @pytest.mark.parametrize(
+        "value", [1.7, 2.0, "3", "x", True, None, float("nan"), np.float64(1.0)]
+    )
+    def test_non_integer_start_rejected(self, tiny_multi_instance, value):
+        est = earliest_start_times(tiny_multi_instance.dag)
+        est[next(iter(est))] = value
+        with pytest.raises(InvalidScheduleError, match="non-integer start time"):
+            Schedule(tiny_multi_instance, est)
+
+    def test_numpy_integer_start_accepted(self, tiny_multi_instance):
+        est = earliest_start_times(tiny_multi_instance.dag)
+        node = next(iter(est))
+        est[node] = np.int64(est[node])
+        schedule = Schedule(tiny_multi_instance, est)
+        assert type(schedule.start(node)) is int
+
 
 class TestScheduleAccessors:
     def test_start_finish_duration_relation(self, tiny_multi_instance):
@@ -47,7 +66,8 @@ class TestScheduleAccessors:
         assert schedule.makespan == max(schedule.finish(n) for n in schedule)
 
     def test_meets_deadline(self, tiny_multi_instance):
-        assert asap_schedule(tiny_multi_instance).meets_deadline()
+        schedule = asap_schedule(tiny_multi_instance)
+        assert schedule.makespan <= tiny_multi_instance.deadline
 
     def test_unknown_task_raises(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
@@ -72,14 +92,14 @@ class TestScheduleCopy:
     def test_with_start(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
         node = next(iter(schedule))
-        moved = schedule.with_start(node, schedule.start(node) + 1)
+        moved = with_start(schedule, node, schedule.start(node) + 1)
         assert moved.start(node) == schedule.start(node) + 1
         assert moved != schedule
 
     def test_with_start_unknown_task(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
         with pytest.raises(InvalidScheduleError):
-            schedule.with_start("ghost", 3)
+            with_start(schedule, "ghost", 3)
 
     def test_contains_and_iter(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.schedule.asap import asap_schedule
@@ -9,12 +11,22 @@ from repro.schedule.cost import carbon_cost
 from repro.schedule.timeline import PowerTimeline
 from repro.utils.errors import InvalidScheduleError
 
+from schedule_helpers import with_start
+
 
 class TestPlacement:
     def test_total_cost_matches_cost_evaluator(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
         timeline = PowerTimeline(tiny_multi_instance, schedule)
         assert timeline.total_cost() == carbon_cost(schedule)
+
+    def test_schedule_past_horizon_rejected(self, tiny_multi_instance):
+        schedule = asap_schedule(tiny_multi_instance)
+        dag = tiny_multi_instance.dag
+        sink = next(n for n in dag.nodes() if not dag.successors(n))
+        late = with_start(schedule, sink, tiny_multi_instance.deadline)
+        with pytest.raises(InvalidScheduleError, match=re.escape(f"task {sink!r} at start")):
+            PowerTimeline(tiny_multi_instance, late)
 
     def test_empty_timeline_cost_is_idle_only(self, tiny_multi_instance):
         timeline = PowerTimeline(tiny_multi_instance)
@@ -52,9 +64,9 @@ class TestPlacement:
     def test_start_of_and_is_placed(self, tiny_multi_instance):
         timeline = PowerTimeline(tiny_multi_instance)
         node = tiny_multi_instance.dag.nodes()[0]
-        assert not timeline.is_placed(node)
+        with pytest.raises(InvalidScheduleError):
+            timeline.start_of(node)
         timeline.place(node, 3)
-        assert timeline.is_placed(node)
         assert timeline.start_of(node) == 3
 
 
@@ -161,9 +173,9 @@ class TestAsSchedule:
     def test_roundtrip_through_schedule(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
         timeline = PowerTimeline(tiny_multi_instance, schedule)
-        rebuilt = timeline.as_schedule(algorithm="rebuilt")
-        assert rebuilt.start_times() == schedule.start_times()
-        assert rebuilt.algorithm == "rebuilt"
+        placed = {node: timeline.start_of(node) for node in schedule}
+        assert placed == schedule.start_times()
+        assert timeline.total_cost() == carbon_cost(schedule)
 
     def test_segment_cost_clipping(self, tiny_multi_instance):
         timeline = PowerTimeline(tiny_multi_instance, asap_schedule(tiny_multi_instance))

@@ -2,18 +2,32 @@
 
 from __future__ import annotations
 
-import pytest
+from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.carbon.scenarios import generate_power_profile
+from repro.core.greedy import greedy_schedule
+from repro.mapping.enhanced_dag import build_enhanced_dag
+from repro.mapping.heft import heft_mapping
+from repro.platform_.presets import cluster_from_table1
 from repro.schedule.asap import asap_schedule
-from repro.schedule.validation import check_schedule, feasibility_violations, is_feasible
+from repro.schedule.cost import carbon_cost, carbon_cost_per_time_unit
+from repro.schedule.instance import ProblemInstance
+from repro.schedule.schedule import Schedule
+from repro.schedule.validation import check_schedule, is_feasible
 from repro.utils.errors import InfeasibleScheduleError
+from repro.workflow.generators import generate_workflow
+
+from schedule_helpers import with_start
 
 
 class TestFeasibleSchedules:
     def test_asap_is_feasible(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
         assert is_feasible(schedule)
-        assert feasibility_violations(schedule) == []
         check_schedule(schedule)  # must not raise
 
 
@@ -23,9 +37,9 @@ class TestInfeasibleSchedules:
         dag = tiny_multi_instance.dag
         # Pick an edge and move the target before the source's finish.
         source, target = dag.edges()[0]
-        broken = schedule.with_start(target, schedule.start(source))
+        broken = with_start(schedule, target, schedule.start(source))
         assert not is_feasible(broken)
-        with pytest.raises(InfeasibleScheduleError):
+        with pytest.raises(InfeasibleScheduleError, match="precedence violated"):
             check_schedule(broken)
 
     def test_deadline_violation_detected(self, tiny_multi_instance):
@@ -33,30 +47,105 @@ class TestInfeasibleSchedules:
         dag = tiny_multi_instance.dag
         # Find a sink node and push it past the deadline.
         sink = next(n for n in dag.nodes() if not dag.successors(n))
-        broken = schedule.with_start(sink, tiny_multi_instance.deadline)
-        violations = feasibility_violations(broken)
-        assert any("deadline" in violation for violation in violations)
+        broken = with_start(schedule, sink, tiny_multi_instance.deadline)
+        assert not is_feasible(broken)
+        with pytest.raises(InfeasibleScheduleError, match="after the deadline"):
+            check_schedule(broken)
 
     def test_overlap_on_processor_detected(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
         dag = tiny_multi_instance.dag
-        # Two consecutive tasks on the same processor forced to the same start.
+        # Two consecutive tasks on the same processor forced to the same start:
+        # their chain edge reports the overlap.
         processor = next(
             p for p in dag.processors_with_tasks() if len(dag.tasks_on(p)) >= 2
         )
         first, second = dag.tasks_on(processor)[:2]
-        broken = schedule.with_start(second, schedule.start(first))
+        broken = with_start(schedule, second, schedule.start(first))
         assert not is_feasible(broken)
+        with pytest.raises(InfeasibleScheduleError, match="precedence violated"):
+            check_schedule(broken)
 
     def test_violation_limit(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
-        dag = tiny_multi_instance.dag
-        starts = schedule.start_times()
-        # Break every edge by resetting all starts to zero.
-        broken = schedule
-        for node in starts:
-            broken = broken.with_start(node, 0)
-        all_violations = feasibility_violations(broken)
-        limited = feasibility_violations(broken, limit=1)
-        assert len(limited) == 1
-        assert len(all_violations) >= 1
+        # Break every edge by resetting all starts to zero: the error names
+        # the first violated edge only.
+        broken = Schedule(tiny_multi_instance, {node: 0 for node in schedule})
+        assert not is_feasible(broken)
+        with pytest.raises(InfeasibleScheduleError) as excinfo:
+            check_schedule(broken)
+        assert str(excinfo.value).count("precedence violated") == 1
+
+
+def overlap_or_order_violations(schedule):
+    """The per-processor checks ``check_schedule`` leaves to the chain edges.
+
+    For every (compute or link) processor, tasks sorted by start time must
+    not overlap and must run in the mapping's fixed order.
+    """
+    dag = schedule.instance.dag
+    starts = schedule.start_times()
+    violations = []
+    for processor in dag.processors_with_tasks():
+        tasks = dag.tasks_on(processor)
+        ordered = sorted(tasks, key=starts.__getitem__)
+        for earlier, later in zip(ordered, ordered[1:]):
+            if starts[later] < starts[earlier] + dag.duration(earlier):
+                violations.append(("overlap", processor, earlier, later))
+        positions = {task: index for index, task in enumerate(tasks)}
+        for earlier, later in zip(ordered, ordered[1:]):
+            if positions[earlier] > positions[later]:
+                violations.append(("order", processor, earlier, later))
+    return violations
+
+
+@lru_cache(maxsize=None)
+def generated_schedules(family, seed):
+    """An instance on a six-processor cluster, with its ASAP and greedy schedules."""
+    workflow = generate_workflow(family, 12, rng=seed)
+    mapping = heft_mapping(workflow, cluster_from_table1(1, name="validation")).mapping
+    dag = build_enhanced_dag(mapping, rng=seed)
+    deadline = int(1.5 * dag.critical_path_duration())
+    profile = generate_power_profile(
+        "S2", deadline,
+        idle_power=dag.platform.total_idle_power(),
+        work_power=dag.platform.total_work_power(),
+        num_intervals=4, rng=seed,
+    )
+    instance = ProblemInstance(dag, profile)
+    return asap_schedule(instance), greedy_schedule(instance, base="pressure", refined=True)
+
+
+class TestPerturbedSchedules:
+    @given(
+        family=st.sampled_from(["atacseq", "eager", "forkjoin", "chain"]),
+        seed=st.integers(0, 7),
+        greedy=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_chain_edges_catch_every_overlap_and_order_violation(
+        self, family, seed, greedy, data
+    ):
+        asap, greedy_result = generated_schedules(family, seed)
+        schedule = greedy_result if greedy else asap
+        assert is_feasible(schedule)
+        assert not overlap_or_order_violations(schedule)
+        dag = schedule.instance.dag
+        nodes = dag.nodes()
+        deadline = schedule.instance.deadline
+        for _ in range(data.draw(st.integers(1, 4), label="moves")):
+            node = data.draw(st.sampled_from(nodes), label="node")
+            if data.draw(st.booleans(), label="onto another task"):
+                other = data.draw(st.sampled_from(nodes), label="other")
+                start = schedule.start(other)
+            else:
+                # Shifts may run past the deadline.
+                shift = data.draw(st.integers(-deadline, deadline), label="shift")
+                start = max(0, schedule.start(node) + shift)
+            schedule = with_start(schedule, node, start)
+        if overlap_or_order_violations(schedule):
+            assert not is_feasible(schedule)
+            with pytest.raises(InfeasibleScheduleError):
+                check_schedule(schedule)
+        assert carbon_cost(schedule) == carbon_cost_per_time_unit(schedule)
