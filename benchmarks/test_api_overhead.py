@@ -2,26 +2,34 @@
 
 The facade adds payload serialisation, canonical fingerprinting, cache
 bookkeeping and record derivation around every submission.  This benchmark
-quantifies that toll on the paper's reference workload shape — one
+prints that toll on the paper's reference workload shape — one
 ``pressWR-LS`` run on a 30-task instance — by timing a fresh
 ``Job → Client`` submission (inline, ``execute_job``) against a direct
-``CaWoSched.run`` of the same work, and asserts the facade stays within 10%
-of the direct path.
+``CaWoSched.run`` of the same work.
 
 The two paths are timed round by round in turn, the order reversed every
 other round, and the overhead is the median over rounds of the facade/direct
-time ratio.  The two calls of a round run back to back, so a drift of the
-host's speed during the measurement affects both sides of each ratio alike;
-comparing each side's best-of-N time instead lets the two minima fall in
-different speed regimes.
+time ratio.  The ratio is reported, not asserted: the facade's fixed cost
+is a small fraction of one run, and on a shared host the median ratio
+spreads by more than any bound that close to it could allow.
+
+What the test asserts is the facade's work, which is deterministic: one
+submission runs the scheduler exactly once per variant (an ``-LS`` variant
+reusing its greedy parent's schedule), builds the instance payload and the
+fingerprint once, and a resubmission of the same problem is served from the
+cache without running anything again.
 """
 
 from __future__ import annotations
 
+import functools
 import statistics
 import time
+from collections import Counter
 from typing import List, Tuple
 
+import repro.api.jobs as jobs_module
+import repro.core.scheduler as scheduler_module
 from repro.api import Client, Job
 from repro.core.scheduler import CaWoSched
 from repro.experiments.instances import InstanceSpec, make_instance
@@ -30,8 +38,8 @@ from repro.experiments.reporting import format_table
 from bench_utils import write_figure_output
 
 VARIANT = "pressWR-LS"
+SPEC = InstanceSpec("atacseq", 30, "small", "S1", 2.0, seed=0)
 ROUNDS = 15
-MAX_OVERHEAD = 0.10
 
 
 def _paired_times(first, second, rounds: int = ROUNDS) -> List[Tuple[float, float]]:
@@ -53,8 +61,32 @@ def _paired_times(first, second, rounds: int = ROUNDS) -> List[Tuple[float, floa
     return pairs
 
 
-def test_facade_overhead(benchmark, output_dir):
-    instance = make_instance(InstanceSpec("atacseq", 30, "small", "S1", 2.0, seed=0))
+def _count_calls(monkeypatch, counts: Counter) -> None:
+    """Count the facade's and the scheduler's units of work in *counts*."""
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(CaWoSched, "run", counting("run", CaWoSched.run))
+    for module, name in (
+        (scheduler_module, "greedy_schedule"),
+        (scheduler_module, "local_search"),
+        (scheduler_module, "check_schedule"),
+        (scheduler_module, "carbon_cost"),
+        (jobs_module, "instance_to_dict"),
+        (jobs_module, "_problem_text"),
+        (jobs_module, "_fingerprint"),
+    ):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+
+def test_facade_overhead(benchmark, output_dir, monkeypatch):
+    instance = make_instance(SPEC)
     scheduler = CaWoSched()
 
     def direct():
@@ -90,7 +122,34 @@ def test_facade_overhead(benchmark, output_dir):
     print("\nFacade overhead (Job + Client vs CaWoSched.run)\n" + text)
     write_figure_output(output_dir, "api_overhead", text)
 
-    assert overhead < MAX_OVERHEAD, (
-        f"facade adds {overhead * 100.0:.1f}% over direct scheduling "
-        f"(budget {MAX_OVERHEAD * 100.0:.0f}%)"
-    )
+    # The work check, on a fresh instance so that nothing is memoised yet.
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, counts)
+    fresh = make_instance(SPEC)
+    client = Client()
+    variants = ("pressWR", VARIANT)
+    first = client.submit(Job.from_instance(fresh, variants=variants, scheduler=scheduler))
+    assert not first.cached
+    assert [record.variant for record in first.records] == list(variants)
+    assert dict(counts) == {
+        # One scheduler run per variant; the -LS run refines its parent's
+        # greedy schedule instead of recomputing it, and its cost comes from
+        # the local search.
+        "run": 2,
+        "greedy_schedule": 1,
+        "local_search": 1,
+        "check_schedule": 2,
+        "carbon_cost": 1,
+        # One payload, one canonical problem text, one job fingerprint.
+        "instance_to_dict": 1,
+        "_problem_text": 1,
+        "_fingerprint": 1,
+    }
+
+    counts.clear()
+    again = client.submit(Job.from_instance(fresh, variants=variants, scheduler=scheduler))
+    assert again.cached
+    assert again.records == first.records
+    # A new job object hashes its (memoised) problem text once more; nothing
+    # is scheduled or serialised again.
+    assert dict(counts) == {"_fingerprint": 1}

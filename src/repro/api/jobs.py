@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.api.errors import BackendFailure, InvalidJob, UnknownVariant
 from repro.core.scheduler import CaWoSched, ScheduleResult
@@ -55,18 +55,6 @@ _JOB_KEYS = ("instance", "spec", "variants", "scheduler", "master_seed")
 _SCHEDULER_KEYS = ("block_size", "window", "validate")
 
 
-def _memo(instance: ProblemInstance, key: str, compute: Callable[[], object]):
-    """Return ``compute()``, computed once per live *instance*.
-
-    The value is stored in the frozen instance's ``__dict__``, as its own
-    ``cached_property`` maps are, and lives as long as the instance.
-    """
-    memo = instance.__dict__
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 def shared_instance_payload(instance: ProblemInstance) -> Dict[str, object]:
     """Return *instance* as a wire payload, built once per live instance.
 
@@ -75,7 +63,7 @@ def shared_instance_payload(instance: ProblemInstance) -> Dict[str, object]:
     way, so resubmitting an instance pays for neither again.  Treat the
     dict as read-only and copy before mutating.
     """
-    return _memo(instance, "_wire_payload", lambda: instance_to_dict(instance))
+    return instance._memoised("wire_payload", lambda: instance_to_dict(instance))
 
 
 def _problem_text(problem: Mapping[str, object]) -> str:
@@ -400,7 +388,7 @@ class Job:
         if cached is None:
             live = self.live_instance
             if live is not None and self.payload is shared_instance_payload(live):
-                text = _memo(live, "_problem_text", lambda: _problem_text(self.payload))
+                text = live._memoised("problem_text", lambda: _problem_text(self.payload))
             else:
                 text = _problem_text(self.problem_payload())
             cached = _fingerprint(text, self.variants, self.scheduler)

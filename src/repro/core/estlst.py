@@ -24,6 +24,7 @@ exactly the ``[EST, LST]`` intervals.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -114,6 +115,19 @@ class EstLstTracker:
     def fixed_starts(self) -> Dict[Hashable, int]:
         """Return a copy of all fixed start times."""
         return dict(self._fixed)
+
+    def _copy(self) -> "EstLstTracker":
+        """Return an independent tracker in the same state.
+
+        Only the fixed starts and the EST/LST rows change under :meth:`fix`;
+        the graph rows are read-only and shared with the copy.
+        """
+        twin = copy.copy(self)
+        twin._fixed = dict(self._fixed)
+        twin._is_fixed = list(self._is_fixed)
+        twin._est = list(self._est)
+        twin._lst = list(self._lst)
+        return twin
 
     # ------------------------------------------------------------------ #
     def fix(self, node: Hashable, start: int) -> None:

@@ -14,9 +14,8 @@ unscheduled tasks are updated (§5.2 of the paper).
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+import copy
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.carbon.intervals import PowerProfile
 from repro.core.estlst import EstLstTracker
@@ -36,13 +35,13 @@ __all__ = ["BudgetIntervals", "greedy_schedule"]
 class BudgetIntervals:
     """Mutable view of the green budget over a subdivision of the horizon.
 
-    The interval boundaries are kept as sorted Python lists (``bisect`` plus
-    ``list.insert`` beat array reallocation at these sizes) while the budgets
-    form an ``int64`` row, always contiguous over ``[0, T)``.  Placing a task
-    splits the partially covered first/last intervals and decreases the budget
-    of every interval the task overlaps in one slice subtraction; the best
-    start of a window is a ``bisect`` plus an ``argmax`` over the budget row
-    instead of a Python scan.
+    The interval begins, ends and budgets are plain Python ``int`` lists,
+    always contiguous over ``[0, T)``.  A task's window covers a few
+    intervals out of a few dozen, so ``bisect``, a first-maximum scan,
+    ``list.insert`` and a short loop beat NumPy calls, whose per-call
+    overhead dominates at these sizes.  Placing a task splits the partially
+    covered first/last intervals and decreases the budget of every interval
+    the task overlaps.
     """
 
     def __init__(self, profile: PowerProfile, subdivision_points: Sequence[int]) -> None:
@@ -53,32 +52,40 @@ class BudgetIntervals:
         boundaries = points + [profile.horizon]
         self._begins: List[int] = []
         self._ends: List[int] = []
-        budgets: List[int] = []
+        self._budgets: List[int] = []
         for begin, end in zip(boundaries, boundaries[1:]):
             if end <= begin:
                 continue
             self._begins.append(begin)
             self._ends.append(end)
-            budgets.append(profile.budget_at(begin))
-        self._budgets = np.asarray(budgets, dtype=np.int64)
+            self._budgets.append(profile.budget_at(begin))
+
+    def _copy(self) -> "BudgetIntervals":
+        """Return an independent copy (consuming it leaves this one unchanged)."""
+        twin = copy.copy(self)
+        twin._begins = list(self._begins)
+        twin._ends = list(self._ends)
+        twin._budgets = list(self._budgets)
+        return twin
 
     # ------------------------------------------------------------------ #
     def intervals(self) -> List[Tuple[int, int, int]]:
         """Return the current (begin, end, budget) triples."""
-        return list(zip(self._begins, self._ends, self._budgets.tolist()))
+        return list(zip(self._begins, self._ends, self._budgets))
 
     def best_start(self, earliest: int, latest: int) -> Optional[int]:
         """Return the best interval start within ``[earliest, latest]``.
 
         "Best" means the interval with the highest remaining budget; ties are
-        broken towards the earliest start point (``argmax`` keeps the first
+        broken towards the earliest start point (``max`` keeps the first
         maximum).  Returns ``None`` when no interval starts inside the window.
         """
-        lo = bisect.bisect_left(self._begins, earliest)
-        hi = bisect.bisect_right(self._begins, latest)
+        begins = self._begins
+        lo = bisect.bisect_left(begins, earliest)
+        hi = bisect.bisect_right(begins, latest)
         if hi <= lo:
             return None
-        return self._begins[lo + int(self._budgets[lo:hi].argmax())]
+        return begins[max(range(lo, hi), key=self._budgets.__getitem__)]
 
     def _split_index(self, time: int) -> int:
         """Make *time* an interval boundary and return its interval index.
@@ -89,12 +96,12 @@ class BudgetIntervals:
         index = bisect.bisect_right(begins, time) - 1
         if begins[index] == time:
             return index
-        end, budget = self._ends[index], self._budgets[index]
         # Shrink the existing interval and insert the right part after it.
-        self._ends[index] = time
+        ends = self._ends
         begins.insert(index + 1, time)
-        self._ends.insert(index + 1, end)
-        self._budgets = _insert_scalar(self._budgets, index + 1, budget)
+        ends.insert(index + 1, ends[index])
+        ends[index] = time
+        self._budgets.insert(index + 1, self._budgets[index])
         return index + 1
 
     def consume(self, begin: int, end: int, power: int) -> None:
@@ -105,23 +112,16 @@ class BudgetIntervals:
         negative, which simply marks heavily loaded intervals as unattractive
         for subsequent tasks.
         """
-        horizon = int(self._ends[-1])
+        horizon = self._ends[-1]
         begin = max(0, int(begin))
         end = min(horizon, int(end))
         if end <= begin:
             return
         lo = self._split_index(begin)
         hi = self._split_index(end) if end < horizon else len(self._begins)
-        self._budgets[lo:hi] -= power
-
-
-def _insert_scalar(row: np.ndarray, index: int, value: int) -> np.ndarray:
-    """Insert *value* at *index* (three slice copies, no ``np.insert`` axis machinery)."""
-    out = np.empty(len(row) + 1, dtype=row.dtype)
-    out[:index] = row[:index]
-    out[index] = value
-    out[index + 1 :] = row[index:]
-    return out
+        budgets = self._budgets
+        for index in range(lo, hi):
+            budgets[index] -= power
 
 
 def greedy_schedule(
@@ -133,6 +133,11 @@ def greedy_schedule(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> Schedule:
     """Run the greedy CaWoSched phase on *instance*.
+
+    The inputs that depend on the instance alone (the initial EST/LST, the
+    task order of each score, the initial budget intervals of each
+    subdivision) are computed on the first run that needs them and kept on
+    the instance, so later runs on it pay only for the placement loop.
 
     Parameters
     ----------
@@ -156,19 +161,27 @@ def greedy_schedule(
     if base not in (SCORE_SLACK, SCORE_PRESSURE):
         raise CaWoSchedError(f"unknown base score {base!r}")
     dag = instance.dag
-    tracker = EstLstTracker(dag, instance.deadline)
+    initial = instance._memoised("greedy_tracker", lambda: EstLstTracker(dag, instance.deadline))
 
-    scores = compute_scores(
-        dag, tracker.est_map(), tracker.lst_map(), base=base, weighted=weighted
-    )
-    order = task_order(dag, scores, base=base)
+    def _scored_order() -> List[Hashable]:
+        scores = compute_scores(
+            dag, initial.est_map(), initial.lst_map(), base=base, weighted=weighted
+        )
+        return task_order(dag, scores, base=base)
 
-    if refined:
-        points = refined_subdivision(instance, block_size=block_size)
-    else:
-        points = original_subdivision(instance.profile)
-    budgets = BudgetIntervals(instance.profile, points)
+    def _initial_budgets() -> BudgetIntervals:
+        if refined:
+            points = refined_subdivision(instance, block_size=block_size)
+        else:
+            points = original_subdivision(instance.profile)
+        return BudgetIntervals(instance.profile, points)
 
+    order = instance._memoised(("greedy_order", base, weighted), _scored_order)
+    subdivision = block_size if refined else None
+    budgets = instance._memoised(("greedy_budgets", subdivision), _initial_budgets)._copy()
+    tracker = initial._copy()
+    duration = dag.duration_map()
+    power = instance.active_power_map
     for node in order:
         earliest = tracker.est(node)
         latest = tracker.lst(node)
@@ -176,7 +189,7 @@ def greedy_schedule(
         if start is None:
             start = earliest
         tracker.fix(node, start)
-        budgets.consume(start, start + dag.duration(node), instance.active_power_of(node))
+        budgets.consume(start, start + duration[node], power[node])
 
     name = _default_name(base, weighted, refined)
     return Schedule._trusted(instance, tracker.fixed_starts(), algorithm=name)

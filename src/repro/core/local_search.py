@@ -90,7 +90,9 @@ def local_search(
     while searcher.walk(order):
         pass
 
-    return Schedule._trusted(instance, starts, algorithm=f"{schedule.algorithm}-LS")
+    return Schedule._trusted(
+        instance, starts, algorithm=f"{schedule.algorithm}-LS", cost=timeline.total_cost()
+    )
 
 
 class _BatchedSearch:

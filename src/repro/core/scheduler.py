@@ -46,7 +46,11 @@ class ScheduleResult:
         Wall-clock time of the run, validation included.  An ``-LS`` result
         built from its greedy parent's schedule (see :meth:`CaWoSched.run`)
         reports the parent's ``runtime_seconds`` plus its own elapsed time,
-        so it always covers greedy phase + local search.
+        so it always covers greedy phase + local search.  The greedy
+        phase's instance-invariant inputs (initial EST/LST, task orders,
+        subdivisions) are computed by the first greedy run on an instance
+        and reused by later ones, so within a job the first greedy variant
+        pays for them and the others report marginal times.
     makespan:
         Makespan of the schedule.
     """
@@ -178,10 +182,14 @@ class CaWoSched:
             produced = self._schedule(instance, spec, greedy=parent.schedule)
             inherited = parent.runtime_seconds
         elapsed = time.perf_counter() - begin
+        # An -LS schedule carries the cost its search timeline already holds.
+        cost = produced._cost
+        if cost is None:
+            cost = carbon_cost(produced)
         return ScheduleResult(
             variant=variant,
             schedule=produced,
-            carbon_cost=carbon_cost(produced),
+            carbon_cost=cost,
             runtime_seconds=inherited + elapsed,
             makespan=produced.makespan,
         )

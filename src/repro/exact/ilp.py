@@ -30,15 +30,16 @@ matrices so that the model can be exported or inspected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.utils.errors import SolverError
+
+if TYPE_CHECKING:
+    from scipy.optimize import Bounds, LinearConstraint
 
 __all__ = ["IlpModel", "build_ilp", "ilp_optimal"]
 
@@ -76,6 +77,11 @@ class IlpModel:
 
 def build_ilp(instance: ProblemInstance) -> IlpModel:
     """Assemble the MILP for *instance* (without solving it)."""
+    # scipy is imported here, not at module level, so that `import repro`
+    # does not pay for it.
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint
+
     dag = instance.dag
     horizon = instance.deadline
     nodes = dag.nodes()
@@ -218,6 +224,8 @@ def ilp_optimal(
     SolverError
         If the solver does not return a feasible integer solution.
     """
+    from scipy.optimize import milp
+
     model = build_ilp(instance)
     options: Dict[str, object] = {}
     if time_limit is not None:

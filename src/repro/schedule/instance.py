@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Hashable
+from typing import Callable, Dict, Hashable
 
 from repro.carbon.intervals import PowerProfile
 from repro.mapping.enhanced_dag import EnhancedDAG
@@ -77,10 +77,6 @@ class ProblemInstance:
         """Total working power of the platform (upper bound on the variable draw)."""
         return self.dag.platform.total_work_power()
 
-    def active_power_of(self, node: Hashable) -> int:
-        """Idle plus working power of the processor that executes *node*."""
-        return self.active_power_map[node]
-
     @cached_property
     def work_power_map(self) -> Dict[Hashable, int]:
         """Node → working power of its processor (computed once, read-only)."""
@@ -94,6 +90,25 @@ class ProblemInstance:
         dag = self.dag
         total = {spec.name: spec.total_power for spec in dag.platform.processors()}
         return {node: total[dag.processor(node)] for node in dag.nodes()}
+
+    @cached_property
+    def _memo(self) -> Dict[Hashable, object]:
+        """Values derived from this instance alone; see :meth:`_memoised`."""
+        return {}
+
+    def _memoised(self, key: Hashable, compute: Callable[[], object]) -> object:
+        """Return ``compute()``, computed once per live instance under *key*.
+
+        Holds what several runs on one instance would otherwise recompute:
+        the facade's wire payload and canonical text, and the greedy phase's
+        initial EST/LST tracker, task orders and budget intervals.  Values
+        live as long as the instance; callers treat them as read-only and
+        copy what they mutate.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     def describe(self) -> Dict[str, object]:
         """Return a dictionary summary (used by experiment reports)."""

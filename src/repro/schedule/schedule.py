@@ -44,6 +44,7 @@ class Schedule:
     ) -> None:
         self._instance = instance
         self._algorithm = str(algorithm)
+        self._cost: Optional[int] = None
         dag_nodes = set(instance.dag.nodes())
         given = set(start_times)
         missing = dag_nodes - given
@@ -76,17 +77,23 @@ class Schedule:
         start_times: Dict[Hashable, int],
         *,
         algorithm: str,
+        cost: Optional[int] = None,
     ) -> "Schedule":
         """Internal fast path: adopt *start_times* without membership checks.
 
         Callers must pass a plain dict of native non-negative ints covering
         exactly the instance's nodes (the greedy phase and the local search
         maintain exactly that invariant); the dict is adopted, not copied.
+        *cost* is the schedule's carbon cost when the caller already holds it
+        (the local search reads it off its power timeline);
+        :meth:`repro.core.scheduler.CaWoSched.run` reports it instead of
+        costing the schedule again.
         """
         schedule = cls.__new__(cls)
         schedule._instance = instance
         schedule._algorithm = algorithm
         schedule._start = start_times
+        schedule._cost = cost
         return schedule
 
     # ------------------------------------------------------------------ #

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.carbon.intervals import PowerProfile
 from repro.core.greedy import BudgetIntervals, greedy_schedule
+from repro.core.scheduler import CaWoSched
 from repro.core.variants import ALL_VARIANTS, GREEDY_VARIANTS
+from repro.experiments.instances import InstanceSpec, make_instance
 from repro.schedule.asap import asap_schedule
 from repro.schedule.cost import carbon_cost
 from repro.schedule.validation import is_feasible
@@ -127,3 +132,125 @@ class TestGreedySchedule:
     def test_single_processor_instance(self, tiny_single_instance):
         schedule = greedy_schedule(tiny_single_instance, base="slack", refined=True)
         assert is_feasible(schedule)
+
+
+@st.composite
+def _budget_scenarios(draw):
+    """A profile, extra subdivision points and a sequence of operations."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    budgets = draw(st.lists(st.integers(0, 9), min_size=len(lengths), max_size=len(lengths)))
+    profile = PowerProfile(lengths, budgets)
+    horizon = profile.horizon
+    points = draw(st.lists(st.integers(0, horizon + 2), max_size=6))
+    operations = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["consume", "best_start"]),
+                st.integers(-2, horizon + 2),
+                st.integers(-2, horizon + 2),
+                st.integers(0, 5),
+            ),
+            max_size=12,
+        )
+    )
+    return profile, points, operations
+
+
+class TestBudgetIntervalsAgainstTimeUnits:
+    """``best_start``/``consume`` against a naive per-time-unit budget row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_budget_scenarios())
+    def test_matches_per_time_unit_row(self, scenario):
+        profile, points, operations = scenario
+        horizon = profile.horizon
+        budgets = BudgetIntervals(profile, points)
+        # The naive model: one budget per time unit and the set of interval
+        # starts (the initial subdivision plus every consumed window's ends).
+        row = [profile.budget_at(time) for time in range(horizon)]
+        starts = {0} | {iv.begin for iv in profile.intervals()}
+        starts |= {point for point in points if 0 <= point < horizon}
+        for kind, first, second, power in operations:
+            if kind == "consume":
+                budgets.consume(first, second, power)
+                begin, end = max(0, first), min(horizon, second)
+                if begin < end:
+                    starts |= {begin} | ({end} if end < horizon else set())
+                    for time in range(begin, end):
+                        row[time] -= power
+            else:
+                candidates = [p for p in sorted(starts) if first <= p <= second]
+                expected = max(candidates, key=row.__getitem__) if candidates else None
+                assert budgets.best_start(first, second) == expected
+            begins = sorted(starts)
+            assert budgets.intervals() == [
+                (begin, end, row[begin])
+                for begin, end in zip(begins, begins[1:] + [horizon])
+            ]
+            for begin, end, budget in budgets.intervals():
+                assert row[begin:end] == [budget] * (end - begin)
+
+
+#: Instances for the shared greedy set-up (small and large cluster).
+MEMO_SPECS = (
+    InstanceSpec("bacass", 15, "small", "S1", 1.5, seed=1),
+    InstanceSpec("atacseq", 20, "large", "S2", 2.0, seed=4),
+)
+
+
+def _greedy_starts(instance, name):
+    spec = ALL_VARIANTS[name]
+    return greedy_schedule(
+        instance, base=spec.base, weighted=spec.weighted, refined=spec.refined
+    ).start_times()
+
+
+class TestSharedGreedySetUp:
+    """Greedy runs on one instance share its memoised inputs."""
+
+    @pytest.mark.parametrize("spec", MEMO_SPECS, ids=lambda spec: spec.label)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_instance_matches_fresh_instances(self, spec, seed):
+        names = list(GREEDY_VARIANTS)
+        random.Random(seed).shuffle(names)
+        warm = make_instance(spec)
+        for name in names:
+            # Every variant on a fresh instance computes its own inputs; on
+            # the warm instance it reuses what the earlier variants stored.
+            assert _greedy_starts(warm, name) == _greedy_starts(make_instance(spec), name)
+
+    @pytest.mark.parametrize("spec", MEMO_SPECS, ids=lambda spec: spec.label)
+    def test_block_sizes_on_one_instance_match_fresh_runs(self, spec):
+        shared = make_instance(spec)
+        for block_size in (2, 3, 2):
+            scheduler = CaWoSched(block_size=block_size)
+            for name in ("slackR", "pressWR-LS"):
+                warm = scheduler.run(shared, name)
+                fresh = scheduler.run(make_instance(spec), name)
+                assert warm.schedule.start_times() == fresh.schedule.start_times()
+                assert warm.carbon_cost == fresh.carbon_cost
+        # One subdivision per block size, plus none for the original one.
+        keys = {key for key in shared._memo if key[0] == "greedy_budgets"}
+        assert keys == {("greedy_budgets", 2), ("greedy_budgets", 3)}
+
+    def test_memoised_template_unchanged_by_a_run(self):
+        instance = make_instance(MEMO_SPECS[0])
+        greedy_schedule(instance, base="pressure", weighted=True, refined=True)
+        memo = instance._memo
+        tracker = memo["greedy_tracker"]
+        before = (
+            tracker.est_map(), tracker.lst_map(), tracker.fixed_starts(),
+            memo[("greedy_budgets", 3)].intervals(),
+            list(memo[("greedy_order", "pressure", True)]),
+        )
+        assert before[2] == {}
+        for name in GREEDY_VARIANTS:
+            _greedy_starts(instance, name)
+        after = (
+            tracker.est_map(), tracker.lst_map(), tracker.fixed_starts(),
+            memo[("greedy_budgets", 3)].intervals(),
+            list(memo[("greedy_order", "pressure", True)]),
+        )
+        assert after == before
+        # Four (base, weighted) orders, one tracker, two subdivisions.
+        assert len(memo) == 1 + 4 + 2

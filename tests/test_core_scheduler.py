@@ -10,10 +10,10 @@ import pytest
 from repro.api.execute import execute_job
 from repro.api.jobs import Job
 from repro.core.scheduler import CaWoSched
-from repro.core.variants import GREEDY_VARIANTS, variant_names
+from repro.core.variants import GREEDY_VARIANTS, LS_VARIANTS, variant_names
 from repro.experiments.instances import InstanceSpec, make_instance
 from repro.io.wire import instance_from_dict, instance_to_dict
-from repro.schedule.cost import carbon_cost
+from repro.schedule.cost import carbon_cost, carbon_cost_per_time_unit
 from repro.schedule.validation import is_feasible
 from repro.utils.errors import CaWoSchedError
 
@@ -102,6 +102,16 @@ class TestSharedGreedyPhase:
         assert [result.variant for result in results] == variants
         for result in results:
             assert _outcome(result) == _outcome(standalone[result.variant])
+
+    @pytest.mark.parametrize("spec", SHARED_GREEDY_SPECS[:2], ids=lambda spec: spec.label)
+    def test_ls_cost_from_the_search_timeline_matches_recomputation(self, spec):
+        instance = make_instance(spec)
+        for name in LS_VARIANTS:
+            result = CaWoSched().run(instance, name)
+            # The reported cost is the one the local search's timeline held.
+            assert result.schedule._cost == result.carbon_cost
+            assert result.carbon_cost == carbon_cost_per_time_unit(result.schedule)
+            assert result.carbon_cost == carbon_cost(result.schedule.copy())
 
     def test_parent_schedule_unchanged_by_its_ls_twin(self):
         instance = make_instance(SHARED_GREEDY_SPECS[0])

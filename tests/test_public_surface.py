@@ -7,12 +7,18 @@ catches it too, but this check needs no linter.
 The number of defaulted parameters on public functions is ratcheted: each
 option is one more configuration the tests must cover.  So is the number of
 public functions and methods: each is one more name to document and keep.
+
+``import repro`` must not load scipy: only the exact ILP solver needs it, and
+every CLI invocation pays for what the package imports.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,7 +55,7 @@ def test_every_exported_name_resolves(package):
 MAX_DEFAULTED_PARAMETERS = 165
 
 #: Upper bound of :func:`count_public_functions` over ``src/repro``.
-MAX_PUBLIC_FUNCTIONS = 390
+MAX_PUBLIC_FUNCTIONS = 389
 
 
 def iter_functions(root: Path):
@@ -97,3 +103,14 @@ def test_public_function_count_does_not_grow():
         f"{MAX_PUBLIC_FUNCTIONS}; a new public name needs a justification in "
         "CHANGES.md before this bound is raised"
     )
+
+
+def test_import_repro_leaves_scipy_unloaded():
+    source_root = str(Path(repro.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    probe = "import sys, repro; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.strip() == "[]"

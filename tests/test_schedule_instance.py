@@ -26,7 +26,7 @@ class TestProblemInstance:
         for node in dag.nodes():
             assert tiny_multi_instance.work_power_map[node] == dag.processor_spec(node).p_work
             assert (
-                tiny_multi_instance.active_power_of(node)
+                tiny_multi_instance.active_power_map[node]
                 == dag.processor_spec(node).total_power
             )
 
