@@ -15,9 +15,12 @@ spreads by more than any bound that close to it could allow.
 
 What the test asserts is the facade's work, which is deterministic: one
 submission runs the scheduler exactly once per variant (an ``-LS`` variant
-reusing its greedy parent's schedule), builds the instance payload and the
-fingerprint once, and a resubmission of the same problem is served from the
-cache without running anything again.
+reusing its greedy parent's schedule), serialises the mapping, encodes the
+DAG's canonical text and hashes the fingerprint once, and a resubmission of
+the same problem is served from the cache without running anything again.
+A second instance over the same DAG (the online simulator plans one
+workflow against several profiles) reuses the DAG's serialised mapping,
+canonical text and critical path.
 """
 
 from __future__ import annotations
@@ -31,9 +34,13 @@ from typing import List, Tuple
 import repro.api.jobs as jobs_module
 import repro.core.scheduler as scheduler_module
 from repro.api import Client, Job
+from repro.carbon.intervals import PowerProfile
 from repro.core.scheduler import CaWoSched
 from repro.experiments.instances import InstanceSpec, make_instance
 from repro.experiments.reporting import format_table
+from repro.mapping.enhanced_dag import EnhancedDAG
+from repro.mapping.mapping import Mapping
+from repro.schedule.instance import ProblemInstance
 
 from bench_utils import write_figure_output
 
@@ -73,6 +80,19 @@ def _count_calls(monkeypatch, counts: Counter) -> None:
         return wrapper
 
     monkeypatch.setattr(CaWoSched, "run", counting("run", CaWoSched.run))
+    monkeypatch.setattr(Mapping, "to_dict", counting("Mapping.to_dict", Mapping.to_dict))
+    monkeypatch.setattr(
+        EnhancedDAG, "_longest_path", counting("critical_path", EnhancedDAG._longest_path)
+    )
+    encode = jobs_module.canonical_json
+
+    def canonical_json(payload):
+        # Count the encodings of a text that holds the serialised mapping.
+        if isinstance(payload, dict) and "mapping" in payload:
+            counts["graph_text"] += 1
+        return encode(payload)
+
+    monkeypatch.setattr(jobs_module, "canonical_json", canonical_json)
     for module, name in (
         (scheduler_module, "greedy_schedule"),
         (scheduler_module, "local_search"),
@@ -140,9 +160,13 @@ def test_facade_overhead(benchmark, output_dir, monkeypatch):
         "local_search": 1,
         "check_schedule": 2,
         "carbon_cost": 1,
-        # One payload, one canonical problem text, one job fingerprint.
-        "instance_to_dict": 1,
-        "_problem_text": 1,
+        # The DAG's critical path (instance construction), its serialised
+        # mapping and canonical text, and one job fingerprint.  The live
+        # job's problem text is the DAG's text with the profile spliced in,
+        # so neither instance_to_dict nor _problem_text runs.
+        "critical_path": 1,
+        "Mapping.to_dict": 1,
+        "graph_text": 1,
         "_fingerprint": 1,
     }
 
@@ -153,3 +177,20 @@ def test_facade_overhead(benchmark, output_dir, monkeypatch):
     # A new job object hashes its (memoised) problem text once more; nothing
     # is scheduled or serialised again.
     assert dict(counts) == {"_fingerprint": 1}
+
+    # A second instance over the same DAG with another profile is a new
+    # problem, scheduled afresh, but the DAG's serialised mapping, canonical
+    # text and critical path are not computed again.
+    counts.clear()
+    other = ProblemInstance(fresh.dag, PowerProfile.constant(fresh.deadline + 10, 50))
+    second = client.submit(Job.from_instance(other, variants=variants, scheduler=scheduler))
+    assert not second.cached
+    assert second.fingerprint != first.fingerprint
+    assert dict(counts) == {
+        "run": 2,
+        "greedy_schedule": 1,
+        "local_search": 1,
+        "check_schedule": 2,
+        "carbon_cost": 1,
+        "_fingerprint": 1,
+    }

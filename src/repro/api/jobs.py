@@ -33,7 +33,9 @@ from repro.core.scheduler import CaWoSched, ScheduleResult
 from repro.core.variants import ALL_VARIANTS, variant_names
 from repro.experiments.instances import InstanceSpec, make_instance
 from repro.experiments.runner import RunRecord
-from repro.io.wire import canonical_json, instance_from_dict, instance_to_dict
+from repro.io.wire import _graph_payload, _instance_payload, canonical_json
+from repro.io.wire import instance_from_dict, instance_to_dict
+from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.schedule.instance import ProblemInstance
 
 __all__ = [
@@ -60,10 +62,19 @@ def shared_instance_payload(instance: ProblemInstance) -> Dict[str, object]:
 
     Every job built from the same instance shares the returned dict, and
     :attr:`Job.fingerprint` memoises the instance's canonical text the same
-    way, so resubmitting an instance pays for neither again.  Treat the
-    dict as read-only and copy before mutating.
+    way, so resubmitting an instance pays for neither again.  The payload's
+    ``mapping`` and ``links`` (and their canonical text) are built once per
+    DAG and shared by every instance over it.  Treat the dict as read-only
+    and copy before mutating.
     """
-    return instance._memoised("wire_payload", lambda: instance_to_dict(instance))
+    return instance._memoised(
+        "wire_payload", lambda: _instance_payload(_graph_part(instance.dag), instance)
+    )
+
+
+def _graph_part(dag: EnhancedDAG) -> Dict[str, object]:
+    """Return the ``mapping`` and ``links`` of every payload over *dag* (built once)."""
+    return dag._memoised("wire_graph", lambda: _graph_payload(dag))
 
 
 def _problem_text(problem: Mapping[str, object]) -> str:
@@ -72,6 +83,17 @@ def _problem_text(problem: Mapping[str, object]) -> str:
     problem.pop("name", None)
     problem.pop("metadata", None)
     return canonical_json(problem)
+
+
+def _live_problem_text(dag: EnhancedDAG, profile: Mapping[str, object]) -> str:
+    """Return :func:`_problem_text` of a shared payload over *dag* with *profile*.
+
+    Canonical keys sort ``links`` < ``mapping`` < ``profile``, so the text is
+    the DAG's canonical ``{"links", "mapping"}`` text, encoded once per DAG,
+    with the profile spliced in as its last member.
+    """
+    graph_text = dag._memoised("wire_graph_text", lambda: canonical_json(_graph_part(dag)))
+    return f'{graph_text[:-1]},"profile":{canonical_json(profile)}}}'
 
 
 def _fingerprint(
@@ -382,13 +404,16 @@ class Job:
         See :func:`job_fingerprint` for the normalisation rules.  Spec jobs
         are materialised on first access so that spec-defined and
         payload-defined jobs for the same problem share a fingerprint.  Jobs
-        built from one live instance share its canonical problem text.
+        built from one live instance share its canonical problem text, which
+        splices the profile into the text its DAG's instances share.
         """
         cached = getattr(self, "_fingerprint", None)
         if cached is None:
             live = self.live_instance
             if live is not None and self.payload is shared_instance_payload(live):
-                text = live._memoised("problem_text", lambda: _problem_text(self.payload))
+                text = live._memoised(
+                    "problem_text", lambda: _live_problem_text(live.dag, self.payload["profile"])
+                )
             else:
                 text = _problem_text(self.problem_payload())
             cached = _fingerprint(text, self.variants, self.scheduler)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.utils.errors import InfeasibleScheduleError
@@ -53,24 +53,11 @@ class EstLstTracker:
     def __init__(self, dag: EnhancedDAG, deadline: int) -> None:
         self._dag = dag
         self._deadline = int(deadline)
-        self._order = dag.topological_order()
-        self._position: Dict[Hashable, int] = {
-            node: index for index, node in enumerate(self._order)
-        }
-        position = self._position
-        duration_map = dag.duration_map()
-        pred_map = dag.predecessor_map()
-        succ_map = dag.successor_map()
-        self._duration: List[int] = [duration_map[node] for node in self._order]
-        # Predecessors are always read together with their duration (the
-        # finish-time bound), so the pair is fused into the adjacency row.
-        self._preds: List[List[Tuple[int, int]]] = [
-            [(position[pred], duration_map[pred]) for pred in pred_map[node]]
-            for node in self._order
-        ]
-        self._succs: List[List[int]] = [
-            [position[succ] for succ in succ_map[node]] for node in self._order
-        ]
+        # The graph rows depend on the DAG alone: every tracker over it,
+        # whatever its deadline, reads the same read-only rows.
+        self._order, self._position, self._duration, self._preds, self._succs = (
+            dag._memoised("estlst_rows", lambda: _graph_rows(dag))
+        )
         self._fixed: Dict[Hashable, int] = {}
         self._is_fixed: List[bool] = [False] * len(self._order)
         self._est: List[int] = []
@@ -271,3 +258,21 @@ class EstLstTracker:
                 )
         self._est = est
         self._lst = lst
+
+
+def _graph_rows(dag: EnhancedDAG) -> tuple:
+    """Return *dag*'s order, positions, durations, preds and succs, by topological rank.
+
+    Predecessors are always read together with their duration (the
+    finish-time bound), so the pair is fused into the adjacency row.
+    """
+    order = dag.topological_order()
+    position = {node: index for index, node in enumerate(order)}
+    duration = dag.duration_map()
+    return (
+        order,
+        position,
+        [duration[node] for node in order],
+        [[(position[p], duration[p]) for p in dag.predecessor_map()[node]] for node in order],
+        [[position[s] for s in dag.successor_map()[node]] for node in order],
+    )

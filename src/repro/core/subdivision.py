@@ -13,11 +13,12 @@ paper, default ``k = 3``).
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.carbon.intervals import PowerProfile
+from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.schedule.instance import ProblemInstance
 from repro.utils.validation import check_positive_int
 
@@ -52,10 +53,25 @@ def block_alignment_points(
     """
     block_size = check_positive_int(block_size, "block_size")
     dag = instance.dag
+    sums = dag._memoised(("block_window_sums", block_size), lambda: _window_sums(dag, block_size))
+    if sums is None:
+        # No processor executes any task, so no block induces any candidate.
+        return set()
+    offsets, window_sums = sums
     profile = instance.profile
-    horizon = profile.horizon
     boundary_row = np.asarray(profile.boundaries(), dtype=np.int64)
+    merged = np.concatenate(
+        [
+            (boundary_row[:, None] + offsets[None, :]).ravel(),
+            (boundary_row[:, None] - window_sums[None, :]).ravel(),
+        ]
+    )
+    merged = merged[(merged >= 0) & (merged < profile.horizon)]
+    return set(np.unique(merged).tolist())
 
+
+def _window_sums(dag: EnhancedDAG, block_size: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Return the offsets and window sums to broadcast, or ``None`` if no task runs."""
     # With prefix sums ``P`` of a processor's task durations, the start of the
     # r-th task of a block i..i+L-1 aligned at boundary ``b`` is
     # ``b + (P[i+r] - P[i])`` (start alignment) or ``b - (P[i+L] - P[i+r])``
@@ -67,7 +83,8 @@ def block_alignment_points(
     # weakest block-start guard is attained with the block equal to the
     # window itself, where it coincides with the ``candidate >= 0`` filter.
     # Two broadcasts over the collected lag differences replace the
-    # per-(block, alignment, task) Python loops.
+    # per-(block, alignment, task) Python loops; the sums depend on the DAG
+    # alone, the broadcasts on the profile.
     plus_chunks: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
     minus_chunks: List[np.ndarray] = []
     for processor in dag.processors_with_tasks():
@@ -80,18 +97,8 @@ def block_alignment_points(
                 plus_chunks.append(prefix[lag:num_tasks] - prefix[: num_tasks - lag])
             minus_chunks.append(prefix[lag:] - prefix[: num_tasks + 1 - lag])
     if not minus_chunks:
-        # No processor executes any task, so no block induces any candidate.
-        return set()
-    offsets = np.concatenate(plus_chunks)
-    window_sums = np.concatenate(minus_chunks)
-    merged = np.concatenate(
-        [
-            (boundary_row[:, None] + offsets[None, :]).ravel(),
-            (boundary_row[:, None] - window_sums[None, :]).ravel(),
-        ]
-    )
-    merged = merged[(merged >= 0) & (merged < horizon)]
-    return set(np.unique(merged).tolist())
+        return None
+    return np.concatenate(plus_chunks), np.concatenate(minus_chunks)
 
 
 def refined_subdivision(

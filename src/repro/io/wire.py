@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Union
 
 from repro.carbon.intervals import PowerProfile
 from repro.experiments.runner import RunRecord
-from repro.mapping.enhanced_dag import build_enhanced_dag
+from repro.mapping.enhanced_dag import EnhancedDAG, build_enhanced_dag
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import ExtendedPlatform
 from repro.platform_.processor import ProcessorSpec
@@ -146,10 +146,21 @@ def instance_to_dict(instance: ProblemInstance) -> Dict[str, object]:
     DAG itself is not stored: given the mapping and the exact link
     processors, its reconstruction is deterministic.
     """
-    dag = instance.dag
+    return _instance_payload(_graph_payload(instance.dag), instance)
+
+
+def _graph_payload(dag: EnhancedDAG) -> Dict[str, object]:
+    """Return the part of an instance payload that depends on *dag* alone."""
     return {
         "mapping": dag.mapping.to_dict(),
         "links": [spec.to_dict() for spec in dag.platform.links()],
+    }
+
+
+def _instance_payload(graph: TMapping[str, object], instance: ProblemInstance) -> Dict[str, object]:
+    """Return the payload of *instance* around *graph* (:func:`_graph_payload` output)."""
+    return {
+        **graph,
         "profile": instance.profile.to_dict(),
         "name": instance.name,
         "metadata": dict(instance.metadata),

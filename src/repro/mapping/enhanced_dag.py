@@ -18,7 +18,7 @@ evaluators and exact algorithms work on.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import ExtendedPlatform, link_name
@@ -44,6 +44,14 @@ class EnhancedDAG:
     * ``duration`` — integer running time on the assigned processor,
     * ``processor`` — name of the (compute or link) processor,
     * ``is_comm`` — whether the node is a communication task.
+
+    The DAG is immutable, so what depends on it alone is computed once, in
+    its memo (:meth:`_memoised`): the critical path, the node power maps,
+    the EST/LST graph rows, the block-window sums of the refined subdivision
+    and the wire payload's ``mapping`` and ``links`` with their canonical
+    text.  A value lives on the narrowest object it depends on: what also
+    depends on the profile or the deadline is memoised per instance
+    (``ProblemInstance._memoised``).
     """
 
     def __init__(
@@ -74,6 +82,17 @@ class EnhancedDAG:
         self._duration_map = {node: durations[node] for node in self._order}
         self._pred_map = {node: list(pred[node]) for node in self._order}
         self._succ_map = {node: list(succ[node]) for node in self._order}
+        self._memo: Dict[Hashable, object] = {}
+
+    def _memoised(self, key: Hashable, compute: Callable[[], object]) -> object:
+        """Return ``compute()``, computed once per DAG under *key* (treat as read-only).
+
+        Every problem instance over this DAG shares the value.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     # ------------------------------------------------------------------ #
     @property
@@ -163,7 +182,10 @@ class EnhancedDAG:
         return sum(self._duration_map.values())
 
     def critical_path_duration(self) -> int:
-        """Return the longest path duration — a lower bound on any makespan."""
+        """Return the longest path duration — a lower bound on any makespan (cached)."""
+        return self._memoised("critical_path", self._longest_path)
+
+    def _longest_path(self) -> int:
         best: Dict[Hashable, int] = {}
         for node in self._order:
             incoming = max((best[p] for p in self._pred_map[node]), default=0)

@@ -157,7 +157,10 @@ CLUSTER_PRESETS: Dict[str, Callable[[Optional[int]], Cluster]] = {
 
 
 def cluster_preset(name: str, nodes_per_type: Optional[int] = None) -> Cluster:
-    """Return a fresh cluster of the preset *name* (see :data:`CLUSTER_PRESETS`).
+    """Return a new cluster of the preset *name* (see :data:`CLUSTER_PRESETS`).
+
+    A cluster has no mutator, so callers that need one preset many times
+    may share one: the online simulator builds each preset once per process.
 
     Raises
     ------

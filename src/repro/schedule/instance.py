@@ -10,7 +10,6 @@ schedulers, cost evaluators and exact algorithms take a problem instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, Hashable
 
 from repro.carbon.intervals import PowerProfile
@@ -47,6 +46,10 @@ class ProblemInstance:
     profile: PowerProfile
     name: str = "instance"
     metadata: Dict[str, object] = field(default_factory=dict)
+    #: Values derived from this instance alone; see :meth:`_memoised`.
+    _memo: Dict[Hashable, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.profile.horizon <= 0:
@@ -77,33 +80,34 @@ class ProblemInstance:
         """Total working power of the platform (upper bound on the variable draw)."""
         return self.dag.platform.total_work_power()
 
-    @cached_property
+    @property
     def work_power_map(self) -> Dict[Hashable, int]:
-        """Node → working power of its processor (computed once, read-only)."""
+        """Node → working power of its processor (computed once per DAG, read-only)."""
         dag = self.dag
-        p_work = {spec.name: spec.p_work for spec in dag.platform.processors()}
-        return {node: p_work[dag.processor(node)] for node in dag.nodes()}
+        return dag._memoised(
+            "work_power_map",
+            lambda: {node: dag.processor_spec(node).p_work for node in dag.nodes()},
+        )
 
-    @cached_property
+    @property
     def active_power_map(self) -> Dict[Hashable, int]:
-        """Node → idle + working power of its processor (computed once, read-only)."""
+        """Node → idle + working power of its processor (computed once per DAG, read-only)."""
         dag = self.dag
-        total = {spec.name: spec.total_power for spec in dag.platform.processors()}
-        return {node: total[dag.processor(node)] for node in dag.nodes()}
-
-    @cached_property
-    def _memo(self) -> Dict[Hashable, object]:
-        """Values derived from this instance alone; see :meth:`_memoised`."""
-        return {}
+        return dag._memoised(
+            "active_power_map",
+            lambda: {node: dag.processor_spec(node).total_power for node in dag.nodes()},
+        )
 
     def _memoised(self, key: Hashable, compute: Callable[[], object]) -> object:
         """Return ``compute()``, computed once per live instance under *key*.
 
-        Holds what several runs on one instance would otherwise recompute:
-        the facade's wire payload and canonical text, and the greedy phase's
-        initial EST/LST tracker, task orders and budget intervals.  Values
-        live as long as the instance; callers treat them as read-only and
-        copy what they mutate.
+        Holds what several runs on one instance would otherwise recompute
+        and what depends on its profile or deadline: the facade's wire
+        payload and canonical text, and the greedy phase's initial EST/LST
+        tracker, task orders and budget intervals.  A value lives on the
+        narrowest object it depends on, so what depends on the DAG alone
+        lives in ``EnhancedDAG._memoised``, shared by every instance over it.
+        Callers treat values as read-only and copy what they mutate.
         """
         memo = self._memo
         if key not in memo:

@@ -24,7 +24,7 @@ from abc import ABC, abstractmethod
 from repro.carbon.intervals import PowerProfile
 from repro.sim.signal import CarbonSignal
 from repro.utils.errors import SimulationError
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = [
     "CarbonForecast",
@@ -93,9 +93,11 @@ class MovingAverageForecast(CarbonForecast):
 
     def profile(self, now: int, length: int) -> PowerProfile:
         length = check_positive_int(length, "length")
-        begin = max(0, int(now) - self.window + 1)
-        observed = [self.signal.budget_at(t) for t in range(begin, int(now) + 1)]
-        level = int(round(sum(observed) / len(observed)))
+        now = check_non_negative_int(int(now), "time")
+        begin = max(0, now - self.window + 1)
+        # The budget is constant within a trace sample: sum sample by sample.
+        total = sum(run * budget for run, budget in self.signal._runs(begin, now + 1))
+        level = int(round(total / (now + 1 - begin)))
         return PowerProfile.constant(length, level)
 
 

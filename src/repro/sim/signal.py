@@ -20,7 +20,7 @@ power that is assumed green, on top of a floor at the platform's idle power.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List, Tuple
 
 from repro.carbon.intervals import PowerProfile
 from repro.carbon.traces import CarbonIntensityTrace
@@ -97,21 +97,25 @@ class CarbonSignal:
         """
         begin = check_non_negative_int(begin, "begin")
         length = check_positive_int(length, "length")
-        sample_duration = self.trace.sample_duration
         lengths: List[int] = []
         budgets: List[int] = []
-        time, end = begin, begin + length
+        for run, budget in self._runs(begin, begin + length):
+            if budgets and budgets[-1] == budget:
+                lengths[-1] += run
+            else:
+                lengths.append(run)
+                budgets.append(budget)
+        return PowerProfile(lengths, budgets)
+
+    def _runs(self, begin: int, end: int) -> Iterator[Tuple[int, int]]:
+        """Yield ``(length, budget)`` for each trace sample ``[begin, end)`` overlaps, in order."""
+        sample_duration = self.trace.sample_duration
+        time = begin
         while time < end:
             sample = time // sample_duration
             run_end = min((sample + 1) * sample_duration, end)
-            budget = self._budgets[sample % len(self._budgets)]
-            if budgets and budgets[-1] == budget:
-                lengths[-1] += run_end - time
-            else:
-                lengths.append(run_end - time)
-                budgets.append(budget)
+            yield run_end - time, self._budgets[sample % len(self._budgets)]
             time = run_end
-        return PowerProfile(lengths, budgets)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

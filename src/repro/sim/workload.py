@@ -2,8 +2,8 @@
 
 Each arrival of the online simulator is a :class:`SimJob`: a realistic
 workflow (drawn from the wfcommons-style families of
-:mod:`repro.workflow.generators`), already HEFT-mapped onto a fresh replica
-of the configured cluster and communication-enhanced — exactly the
+:mod:`repro.workflow.generators`), already HEFT-mapped onto a replica of the
+configured cluster and communication-enhanced — exactly the
 preprocessing pipeline of the offline experiments — plus its timing facts
 (minimum makespan, relative and absolute deadline).
 
@@ -15,6 +15,7 @@ simulations in separate processes and resumable event logs reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -122,6 +123,10 @@ class SimJob:
         }
 
 
+#: One cluster per preset name, shared by every job (a cluster has no mutator).
+_preset_cluster = functools.lru_cache(maxsize=None)(cluster_preset)
+
+
 def build_job(
     workload: WorkloadConfig, seed: RNGLike, index: int, arrival: int
 ) -> SimJob:
@@ -135,7 +140,7 @@ def build_job(
     family = str(workload.families[int(rng.integers(0, len(workload.families)))])
     size = int(workload.sizes[int(rng.integers(0, len(workload.sizes)))])
     workflow = generate_workflow(family, size, rng=rng)
-    cluster = cluster_preset(workload.cluster)
+    cluster = _preset_cluster(workload.cluster)
     heft = heft_mapping(workflow, cluster)
     dag = build_enhanced_dag(heft.mapping, rng=derive_rng(seed, "links", index))
     min_makespan = asap_makespan(dag)

@@ -141,6 +141,29 @@ class TestForecasts:
         profile = forecast.profile(0, 10)
         assert profile.budget_at(0) == signal.budget_at(0)
 
+    @pytest.mark.parametrize("key", sorted(PARITY_TRACES))
+    @given(
+        now=st.one_of(st.integers(0, 400), st.integers(0, 5000)),
+        window=st.one_of(st.integers(1, 130), st.integers(1, 2000)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_moving_average_matches_per_time_unit_reference(self, key, now, window):
+        # Small `now` clips the window at time 0; windows of any length start
+        # and end at sample boundaries or inside a sample.
+        trace = PARITY_TRACES[key]
+        forecast = MovingAverageForecast(CarbonSignal(trace, **POWER), window=window)
+        observed = [
+            reference_budget(trace, t, **POWER) for t in range(max(0, now - window + 1), now + 1)
+        ]
+        profile = forecast.profile(now, 7)
+        assert profile.intervals()[0].budget == int(round(sum(observed) / len(observed)))
+        assert (profile.num_intervals, profile.horizon) == (1, 7)
+
+    @pytest.mark.parametrize("model", [PersistenceForecast, MovingAverageForecast])
+    def test_negative_now_raises_value_error(self, signal, model):
+        with pytest.raises(ValueError, match="time must be non-negative"):
+            model(signal).profile(-1, 5)
+
     def test_factory_builds_all_models(self, signal):
         for name in FORECAST_MODELS:
             forecast = make_forecast(name, signal)
