@@ -17,6 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from repro.utils.errors import InvalidProfileError
+from repro.utils.validation import INT64_MAX
 
 __all__ = ["Interval", "PowerProfile"]
 
@@ -36,6 +37,8 @@ class Interval:
             )
         if self.budget < 0:
             raise InvalidProfileError(f"budget must be non-negative, got {budget}")
+        if max(self.end, self.budget) > INT64_MAX:
+            raise InvalidProfileError(f"interval end and budget must be at most {INT64_MAX}")
 
     @property
     def length(self) -> int:

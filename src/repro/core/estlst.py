@@ -6,14 +6,20 @@ earliest start times (EST) of downstream tasks and the latest start times
 graph using a precomputed topological order (§5.2, "These updates take
 ``O(n + |Ec|)`` time").  :class:`EstLstTracker` improves on that: fixing a
 task at ``start`` can only *raise* ESTs downstream and *lower* LSTs upstream,
-so the tracker propagates the change outward from the fixed task along the
-topological order and stops as soon as values stop changing.  Most fixes
-touch a small neighbourhood, which turns the greedy phase's quadratic
-bookkeeping into near-linear work.  The full two-sweep recompute only runs
-once, to initialise the tracker; the test suite checks every incremental
-update against it.  Internally all bookkeeping is positional
-(lists indexed by topological rank, adjacency as index/duration pairs), so
-the propagation loop touches no hashing at all.
+so the tracker pushes the change outward from the fixed task and stops where
+values stop changing.  Most fixes touch a small neighbourhood, which turns
+the greedy phase's quadratic bookkeeping into near-linear work.
+
+The push is relax-on-push over a worklist ordered by topological rank:
+expanding a task relaxes each successor's EST against that task's finish
+(forward pass), or each predecessor's LST against its start (backward pass,
+ranks negated), and pushes each neighbour it changed.  Tasks are only pushed
+by tasks before them in the pass, so they pop in rank order after all their
+updates, and duplicate pushes pop next to each other and are skipped: each
+task is expanded at most once per pass of a fix.  The fixpoint is unique, so
+the values equal the full two-sweep recompute's, which only runs to
+initialise the tracker (the test suite checks every update against it).  The
+rows are lists indexed by topological rank and memoised on the DAG.
 
 Fixing a task at a start time within its current ``[EST, LST]`` window always
 keeps the remaining problem feasible: the constraints form a system of
@@ -25,7 +31,7 @@ exactly the ``[EST, LST]`` intervals.
 from __future__ import annotations
 
 import copy
-import heapq
+from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional
 
 from repro.mapping.enhanced_dag import EnhancedDAG
@@ -51,12 +57,9 @@ class EstLstTracker:
     """
 
     def __init__(self, dag: EnhancedDAG, deadline: int) -> None:
-        self._dag = dag
         self._deadline = int(deadline)
-        # The graph rows depend on the DAG alone: every tracker over it,
-        # whatever its deadline, reads the same read-only rows.
         self._order, self._position, self._duration, self._preds, self._succs = (
-            dag._memoised("estlst_rows", lambda: _graph_rows(dag))
+            _rank_rows(dag)
         )
         self._fixed: Dict[Hashable, int] = {}
         self._is_fixed: List[bool] = [False] * len(self._order)
@@ -123,13 +126,17 @@ class EstLstTracker:
         Raises
         ------
         InfeasibleScheduleError
-            If the start time lies outside the node's current
-            ``[EST, LST]`` window (which would make the rest infeasible).
+            If *node* is already fixed, or the start time lies outside the
+            node's current ``[EST, LST]`` window (which would make the rest
+            infeasible).
         """
-        start = int(start)
-        if node in self._fixed:
+        self._fix_at(self._position[node], int(start))
+
+    def _fix_at(self, index: int, start: int) -> None:
+        """Fix the task at topological rank *index* to *start* (see :meth:`fix`)."""
+        node = self._order[index]
+        if self._is_fixed[index]:
             raise InfeasibleScheduleError(f"task {node!r} is already fixed")
-        index = self._position[node]
         if not self._est[index] <= start <= self._lst[index]:
             raise InfeasibleScheduleError(
                 f"cannot fix task {node!r} at {start}: outside its window "
@@ -143,82 +150,58 @@ class EstLstTracker:
     def _propagate_fix(self, index: int, start: int) -> None:
         """Push the EST/LST consequences of fixing the task at *index* outward.
 
-        ESTs are non-decreasing and LSTs non-increasing under a fix inside the
-        node's window, so a worklist ordered by topological rank revisits each
-        affected task after its relevant neighbours are final and stops where
-        values no longer change.
+        Relax-on-push over a heap of topological ranks (see the module
+        docstring); fixed tasks keep their values and stop the propagation.
         """
         est, lst = self._est, self._lst
         is_fixed = self._is_fixed
         duration, preds, succs = self._duration, self._preds, self._succs
 
-        forward: List[int] = []
         if est[index] != start:
             # The fix raised the node's EST, so downstream ESTs may rise too;
             # an unchanged EST leaves every successor's input untouched.
             est[index] = start
-            forward = list(succs[index])
-            heapq.heapify(forward)
-        queued = set(forward)
-        while forward:
-            current = heapq.heappop(forward)
-            queued.discard(current)
-            if is_fixed[current]:
-                continue
-            value = 0
-            for pred, pred_duration in preds[current]:
-                finish = est[pred] + pred_duration
-                if finish > value:
-                    value = finish
-            if value == est[current]:
-                continue
-            est[current] = value
-            if value > lst[current]:
-                raise InfeasibleScheduleError(
-                    f"task {self._order[current]!r} has an empty scheduling window "
-                    f"[{value}, {lst[current]}] for deadline {self._deadline}"
-                )
-            for succ in succs[current]:
-                if succ not in queued:
-                    queued.add(succ)
-                    heapq.heappush(forward, succ)
+            forward = [index]
+            last = -1
+            while forward:
+                current = heappop(forward)
+                if current == last:
+                    continue
+                last = current
+                finish = est[current] + duration[current]
+                for succ in succs[current]:
+                    if finish > est[succ] and not is_fixed[succ]:
+                        est[succ] = finish
+                        if finish > lst[succ]:
+                            self._raise_empty(succ)
+                        heappush(forward, succ)
 
-        backward: List[int] = []
         if lst[index] != start:
             lst[index] = start
-            backward = [-pred for pred, _ in preds[index]]
-            heapq.heapify(backward)
-        queued = set(backward)
-        while backward:
-            negative = heapq.heappop(backward)
-            queued.discard(negative)
-            current = -negative
-            if is_fixed[current]:
-                continue
-            successors = succs[current]
-            if successors:
-                bound = lst[successors[0]]
-                for succ in successors[1:]:
-                    if lst[succ] < bound:
-                        bound = lst[succ]
-                value = bound - duration[current]
-            else:
-                value = self._deadline - duration[current]
-            if value == lst[current]:
-                continue
-            lst[current] = value
-            if value < est[current]:
-                raise InfeasibleScheduleError(
-                    f"task {self._order[current]!r} has an empty scheduling window "
-                    f"[{est[current]}, {value}] for deadline {self._deadline}"
-                )
-            for pred, _ in preds[current]:
-                if -pred not in queued:
-                    queued.add(-pred)
-                    heapq.heappush(backward, -pred)
+            backward = [-index]
+            last = 1
+            while backward:
+                negative = heappop(backward)
+                if negative == last:
+                    continue
+                last = negative
+                bound = lst[-negative]
+                for pred, pred_duration in preds[-negative]:
+                    value = bound - pred_duration
+                    if value < lst[pred] and not is_fixed[pred]:
+                        lst[pred] = value
+                        if value < est[pred]:
+                            self._raise_empty(pred)
+                        heappush(backward, -pred)
+
+    def _raise_empty(self, index: int) -> None:
+        raise InfeasibleScheduleError(
+            f"task {self._order[index]!r} has an empty scheduling window "
+            f"[{self._est[index]}, {self._lst[index]}] for deadline {self._deadline}"
+        )
 
     def _recompute(self) -> None:
-        """Recompute EST and LST with the fixed tasks pinned (two sweeps)."""
+        """Recompute EST and LST with the fixed tasks pinned (two sweeps, in place)."""
         num_nodes = len(self._order)
         duration, preds, succs = self._duration, self._preds, self._succs
         is_fixed = self._is_fixed
@@ -226,7 +209,8 @@ class EstLstTracker:
             self._fixed[node] if is_fixed[index] else 0
             for index, node in enumerate(self._order)
         ]
-        est: List[int] = [0] * num_nodes
+        est, lst = self._est, self._lst
+        est[:] = lst[:] = [0] * num_nodes
         for index in range(num_nodes):
             if is_fixed[index]:
                 est[index] = fixed_value[index]
@@ -237,7 +221,6 @@ class EstLstTracker:
                 if finish > value:
                     value = finish
             est[index] = value
-        lst: List[int] = [0] * num_nodes
         for index in range(num_nodes - 1, -1, -1):
             if is_fixed[index]:
                 lst[index] = fixed_value[index]
@@ -252,12 +235,16 @@ class EstLstTracker:
             else:
                 lst[index] = self._deadline - duration[index]
             if lst[index] < est[index]:
-                raise InfeasibleScheduleError(
-                    f"task {self._order[index]!r} has an empty scheduling window "
-                    f"[{est[index]}, {lst[index]}] for deadline {self._deadline}"
-                )
-        self._est = est
-        self._lst = lst
+                self._raise_empty(index)
+
+
+def _rank_rows(dag: EnhancedDAG) -> tuple:
+    """Return *dag*'s graph rows by topological rank, computed once per DAG.
+
+    The rows depend on the DAG alone: every tracker over it, whatever its
+    deadline, and every local search on it read the same read-only rows.
+    """
+    return dag._memoised("estlst_rows", lambda: _graph_rows(dag))
 
 
 def _graph_rows(dag: EnhancedDAG) -> tuple:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import copy
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.carbon.intervals import PowerProfile
 from repro.core.estlst import EstLstTracker
@@ -35,49 +35,40 @@ __all__ = ["BudgetIntervals", "greedy_schedule"]
 class BudgetIntervals:
     """Mutable view of the green budget over a subdivision of the horizon.
 
-    The interval begins, ends and budgets are plain Python ``int`` lists,
-    always contiguous over ``[0, T)``.  A task's window covers a few
-    intervals out of a few dozen, so ``bisect``, a first-maximum scan,
-    ``list.insert`` and a short loop beat NumPy calls, whose per-call
-    overhead dominates at these sizes.  Placing a task splits the partially
-    covered first/last intervals and decreases the budget of every interval
-    the task overlaps.
+    The interval begins and budgets are plain Python ``int`` lists; the
+    intervals are contiguous over ``[0, T)``, so each one ends where the
+    next begins.  A task's window covers a few intervals out of a few
+    dozen, so ``bisect``, a first-maximum scan, ``list.insert`` and a short
+    loop beat NumPy calls, whose per-call overhead dominates at these
+    sizes.  Placing a task splits the partially covered first/last
+    intervals and decreases the budget of every interval the task overlaps.
     """
 
     def __init__(self, profile: PowerProfile, subdivision_points: Sequence[int]) -> None:
         points = sorted(set(subdivision_points) | {iv.begin for iv in profile.intervals()})
         if not points or points[0] != 0:
             points = [0] + [p for p in points if p != 0]
-        points = [p for p in points if 0 <= p < profile.horizon]
-        boundaries = points + [profile.horizon]
-        self._begins: List[int] = []
-        self._ends: List[int] = []
-        self._budgets: List[int] = []
-        for begin, end in zip(boundaries, boundaries[1:]):
-            if end <= begin:
-                continue
-            self._begins.append(begin)
-            self._ends.append(end)
-            self._budgets.append(profile.budget_at(begin))
+        self._horizon = profile.horizon
+        self._begins: List[int] = [p for p in points if 0 <= p < profile.horizon]
+        self._budgets: List[int] = [profile.budget_at(begin) for begin in self._begins]
 
     def _copy(self) -> "BudgetIntervals":
         """Return an independent copy (consuming it leaves this one unchanged)."""
         twin = copy.copy(self)
         twin._begins = list(self._begins)
-        twin._ends = list(self._ends)
         twin._budgets = list(self._budgets)
         return twin
 
     # ------------------------------------------------------------------ #
     def intervals(self) -> List[Tuple[int, int, int]]:
         """Return the current (begin, end, budget) triples."""
-        return list(zip(self._begins, self._ends, self._budgets))
+        return list(zip(self._begins, self._begins[1:] + [self._horizon], self._budgets))
 
     def best_start(self, earliest: int, latest: int) -> Optional[int]:
         """Return the best interval start within ``[earliest, latest]``.
 
         "Best" means the interval with the highest remaining budget; ties are
-        broken towards the earliest start point (``max`` keeps the first
+        broken towards the earliest start point (the scan keeps the first
         maximum).  Returns ``None`` when no interval starts inside the window.
         """
         begins = self._begins
@@ -85,7 +76,12 @@ class BudgetIntervals:
         hi = bisect.bisect_right(begins, latest)
         if hi <= lo:
             return None
-        return begins[max(range(lo, hi), key=self._budgets.__getitem__)]
+        budgets = self._budgets
+        best = lo
+        for index in range(lo + 1, hi):
+            if budgets[index] > budgets[best]:
+                best = index
+        return begins[best]
 
     def _split_index(self, time: int) -> int:
         """Make *time* an interval boundary and return its interval index.
@@ -96,11 +92,8 @@ class BudgetIntervals:
         index = bisect.bisect_right(begins, time) - 1
         if begins[index] == time:
             return index
-        # Shrink the existing interval and insert the right part after it.
-        ends = self._ends
+        # The right part of the split interval starts at *time*.
         begins.insert(index + 1, time)
-        ends.insert(index + 1, ends[index])
-        ends[index] = time
         self._budgets.insert(index + 1, self._budgets[index])
         return index + 1
 
@@ -112,9 +105,9 @@ class BudgetIntervals:
         negative, which simply marks heavily loaded intervals as unattractive
         for subsequent tasks.
         """
-        horizon = self._ends[-1]
-        begin = max(0, int(begin))
-        end = min(horizon, int(end))
+        horizon = self._horizon
+        begin = int(begin) if begin > 0 else 0
+        end = int(end) if end < horizon else horizon
         if end <= begin:
             return
         lo = self._split_index(begin)
@@ -163,11 +156,12 @@ def greedy_schedule(
     dag = instance.dag
     initial = instance._memoised("greedy_tracker", lambda: EstLstTracker(dag, instance.deadline))
 
-    def _scored_order() -> List[Hashable]:
+    def _scored_order() -> List[int]:
         scores = compute_scores(
             dag, initial.est_map(), initial.lst_map(), base=base, weighted=weighted
         )
-        return task_order(dag, scores, base=base)
+        position = initial._position
+        return [position[node] for node in task_order(dag, scores, base=base)]
 
     def _initial_budgets() -> BudgetIntervals:
         if refined:
@@ -176,20 +170,22 @@ def greedy_schedule(
             points = original_subdivision(instance.profile)
         return BudgetIntervals(instance.profile, points)
 
+    # Tasks are topological ranks: the loop reads the tracker's rows directly.
     order = instance._memoised(("greedy_order", base, weighted), _scored_order)
     subdivision = block_size if refined else None
     budgets = instance._memoised(("greedy_budgets", subdivision), _initial_budgets)._copy()
     tracker = initial._copy()
-    duration = dag.duration_map()
-    power = instance.active_power_map
-    for node in order:
-        earliest = tracker.est(node)
-        latest = tracker.lst(node)
-        start = budgets.best_start(earliest, latest)
+    est, lst, duration = tracker._est, tracker._lst, tracker._duration
+    active = instance.active_power_map
+    power = dag._memoised("active_power_row", lambda: [active[node] for node in initial._order])
+    best_start, consume, fix_at = budgets.best_start, budgets.consume, tracker._fix_at
+    for index in order:
+        earliest = est[index]
+        start = best_start(earliest, lst[index])
         if start is None:
             start = earliest
-        tracker.fix(node, start)
-        budgets.consume(start, start + duration[node], power[node])
+        fix_at(index, start)
+        consume(start, start + duration[index], power[index])
 
     name = _default_name(base, weighted, refined)
     return Schedule._trusted(instance, tracker.fixed_starts(), algorithm=name)

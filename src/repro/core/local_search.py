@@ -26,10 +26,11 @@ which the test suite keeps as its reference.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.estlst import _rank_rows
 from repro.schedule.schedule import Schedule
 from repro.schedule.timeline import PowerTimeline
 from repro.utils.validation import check_non_negative_int
@@ -71,145 +72,148 @@ def local_search(
     window = check_non_negative_int(window, "window")
 
     instance = schedule.instance
-    dag = instance.dag
-    starts: Dict[Hashable, int] = schedule.start_times()
     timeline = PowerTimeline(instance, schedule)
-
-    # Processors in non-increasing order of their working power; ties broken
-    # by name for determinism.
-    processors: List[Hashable] = sorted(
-        dag.processors_with_tasks(),
-        key=lambda proc: (-instance.dag.platform.processor(proc).p_work, str(proc)),
-    )
-
-    order = [node for processor in processors for node in dag.ordered_task_map()[processor]]
-    searcher = _BatchedSearch(instance, timeline, starts, window, best_improvement)
+    searcher = _BatchedSearch(instance, timeline, schedule.start_times(), window, best_improvement)
 
     # Every accepted move lowers the integer, non-negative carbon cost, so
     # the rounds end.
-    while searcher.walk(order):
+    while searcher.walk():
         pass
 
+    starts, position = searcher._starts, searcher._position
     return Schedule._trusted(
-        instance, starts, algorithm=f"{schedule.algorithm}-LS", cost=timeline.total_cost()
+        instance,
+        {node: starts[position[node]] for node in schedule},
+        algorithm=f"{schedule.algorithm}-LS",
+        cost=timeline.total_cost(),
+    )
+
+
+def _search_rows(dag, work_power: Dict) -> Tuple:
+    """Return the walk and the kernel rows of the search on *dag*, by topological rank.
+
+    The walk visits the processors by non-increasing working power (ties
+    broken by name), each processor's tasks in mapping order; the kernel
+    rows are the ``int64`` durations and working powers.
+    """
+    order, position, duration = _rank_rows(dag)[:3]
+    processors = sorted(
+        dag.processors_with_tasks(),
+        key=lambda proc: (-dag.platform.processor(proc).p_work, str(proc)),
+    )
+    return (
+        [position[node] for proc in processors for node in dag.ordered_task_map()[proc]],
+        np.array((duration, [work_power[node] for node in order]), dtype=np.int64),
     )
 
 
 class _BatchedSearch:
     """Round-batched first- (or best-) improvement walk over stored scores.
 
-    Each task's score is kept in one state map together with the time region
-    it depends on and the start it would move to (``None`` when no move
-    improves the cost: the task is *clean*).  A clean task stays clean across
-    rounds until a move touches its window or region, so the final no-gain
-    round of the hill climber re-scores nothing.  A task's legal window is
-    derived from its graph neighbours' current starts when it is scored.
+    Tasks are topological ranks: the start times, durations and graph rows
+    are lists indexed by rank.  Each task's score is kept in one state map
+    together with the time region it depends on and the start it would move
+    to (``None`` when no move improves the cost: the task is *clean*).  A
+    clean task stays clean across rounds until a move touches its window or
+    region, so the final no-gain round of the hill climber re-scores
+    nothing.  A task's legal window is derived from its graph neighbours'
+    current starts when it is scored.
     """
 
-    def __init__(
-        self,
-        instance,
-        timeline: PowerTimeline,
-        starts: Dict[Hashable, int],
-        window: int,
-        best_improvement: bool,
-    ) -> None:
+    def __init__(self, instance, timeline: PowerTimeline, starts: Dict, window: int,
+                 best_improvement: bool) -> None:
         dag = instance.dag
+        self._order, self._position, self._duration, self._preds, self._succs = _rank_rows(dag)
+        self._walk, self._kernel_rows = dag._memoised(
+            "search_rows", lambda: _search_rows(dag, instance.work_power_map)
+        )
+        self._starts: List[int] = [starts[node] for node in self._order]
         self._deadline = instance.deadline
         self._timeline = timeline
-        self._starts = starts
         self._window = window
         self._best_improvement = best_improvement
-        self._duration: Dict[Hashable, int] = dag.duration_map()
-        self._preds: Dict[Hashable, List[Hashable]] = dag.predecessor_map()
-        self._succs: Dict[Hashable, List[Hashable]] = dag.successor_map()
-        # Scored tasks: node -> (begin, end, target).  [begin, end) is the
+        # Scored tasks: rank -> (begin, end, target).  [begin, end) is the
         # power region the score read; target is the improving start, or
         # None for a clean task.
-        self._scored: Dict[Hashable, Tuple[int, int, Optional[int]]] = {}
+        self._scored: Dict[int, Tuple[int, int, Optional[int]]] = {}
 
-    def walk(self, order: List[Hashable]) -> bool:
-        """Visit every task of *order* once; return whether any task moved."""
+    def walk(self) -> bool:
+        """Visit every task once, in walk order; return whether any task moved."""
+        order = self._walk
         scored = self._scored
         moved = False
-        for position, node in enumerate(order):
-            state = scored.get(node)
+        for position, index in enumerate(order):
+            state = scored.get(index)
             if state is None:
                 self._score([other for other in order[position:] if other not in scored])
-                state = scored[node]
+                state = scored[index]
             target = state[2]
             if target is not None:
-                self._apply_move(node, target)
+                self._apply_move(index, target)
                 moved = True
         return moved
 
-    def _score(self, nodes: List[Hashable]) -> None:
-        """Score the candidate starts of *nodes* with one kernel call."""
-        starts = self._starts
+    def _score(self, indices: List[int]) -> None:
+        """Score the candidate starts of the tasks *indices* with one kernel call."""
+        starts, duration, preds, succs = self._starts, self._duration, self._preds, self._succs
         window = self._window
-        duration = self._duration
-        preds = self._preds
-        succs = self._succs
+        placed: List[int] = []
         los: List[int] = []
         his: List[int] = []
-        for node in nodes:
+        for index in indices:
             # The legal window: after every predecessor's finish, before
             # every successor's start and the deadline.
-            current = starts[node]
-            lo = current - window
-            if lo < 0:
-                lo = 0
-            for pred in preds[node]:
-                finish = starts[pred] + duration[pred]
-                if finish > lo:
-                    lo = finish
+            current = starts[index]
+            lo = current - window if current > window else 0
+            for pred, pred_duration in preds[index]:
+                if starts[pred] + pred_duration > lo:
+                    lo = starts[pred] + pred_duration
             hi = self._deadline
-            for succ in succs[node]:
+            for succ in succs[index]:
                 if starts[succ] < hi:
                     hi = starts[succ]
-            hi -= duration[node]
-            if current + window < hi:
-                hi = current + window
+            hi -= duration[index]
+            placed.append(current)
             los.append(lo)
-            his.append(hi)
-        gains, offsets = self._timeline.gain_profiles(nodes, los, his)
+            his.append(hi if hi < current + window else current + window)
+        cur, lo, hi = np.array((placed, los, his), dtype=np.int64)
+        length, power = self._kernel_rows[:, indices]
+        gains, offsets = self._timeline._gain_rows(cur, length, power, lo, hi)
         # Each task's candidates are gains[begin:end]; its chosen index is the
         # first positive (or, for best improvement, the first positive
         # maximum) one, and ``end`` when none improves the cost.
-        bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
         if self._best_improvement:
-            chosen = []
-            for begin, end in bounds:
+            best = []
+            for begin, end in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
                 index = begin + int(gains[begin:end].argmax()) if end > begin else end
-                chosen.append(index if index < end and gains[index] > 0 else end)
+                best.append(index if index < end and gains[index] > 0 else end)
+            chosen = np.array(best, dtype=np.int64)
         else:
-            positive = np.append(np.flatnonzero(gains > 0), offsets[-1])
-            chosen = positive[np.searchsorted(positive, offsets[:-1])].tolist()
+            positive = np.concatenate(((gains > 0).nonzero()[0], offsets[-1:]))
+            chosen = positive[np.searchsorted(positive, offsets[:-1])]
+        target = np.where(chosen < offsets[1:], lo + chosen - offsets[:-1], -1)
+        region_begin = np.minimum(lo, cur)
+        region_end = np.maximum(hi, cur) + length
         scored = self._scored
-        for node, lo, hi, (begin, end), index in zip(nodes, los, his, bounds, chosen):
-            current = starts[node]
-            scored[node] = (
-                min(lo, current),
-                max(hi, current) + duration[node],
-                lo + index - begin if index < end else None,
-            )
+        for index, begin, end, move in zip(
+            indices, region_begin.tolist(), region_end.tolist(), target.tolist()
+        ):
+            scored[index] = (begin, end, move if move >= 0 else None)
 
-    def _apply_move(self, node: Hashable, target: int) -> None:
-        timeline = self._timeline
-        old_start = self._starts[node]
-        timeline._remove_unchecked(node, old_start)
-        timeline._place_unchecked(node, target)
-        self._starts[node] = target
+    def _apply_move(self, index: int, target: int) -> None:
+        old_start = self._starts[index]
+        self._timeline.move(self._order[index], target)
+        self._starts[index] = target
         scored = self._scored
-        del scored[node]
+        del scored[index]
         # A graph neighbour's legal window changed.
-        for other in self._succs[node]:
+        for other in self._succs[index]:
             scored.pop(other, None)
-        for other in self._preds[node]:
+        for other, _ in self._preds[index]:
             scored.pop(other, None)
         # Drop every score whose power region overlaps the changed window.
         changed_begin = min(old_start, target)
-        changed_end = max(old_start, target) + self._duration[node]
+        changed_end = max(old_start, target) + self._duration[index]
         stale = [
             other
             for other, (begin, end, _) in scored.items()

@@ -47,8 +47,11 @@ class EnhancedDAG:
 
     The DAG is immutable, so what depends on it alone is computed once, in
     its memo (:meth:`_memoised`): the critical path, the node power maps,
-    the EST/LST graph rows, the block-window sums of the refined subdivision
-    and the wire payload's ``mapping`` and ``links`` with their canonical
+    the rows by topological rank that the scheduling core runs on (the
+    EST/LST graph rows, the greedy phase's active powers, the local
+    search's walk and padded neighbour rows), the feasibility check's
+    constraint rows, the block-window sums of the refined subdivision and
+    the wire payload's ``mapping`` and ``links`` with their canonical
     text.  A value lives on the narrowest object it depends on: what also
     depends on the profile or the deadline is memoised per instance
     (``ProblemInstance._memoised``).

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable
 
 from repro.utils.names import decode_name, encode_name
-from repro.utils.validation import check_in_range, check_non_negative_int
+from repro.utils.validation import INT64_MAX, check_in_range, check_non_negative_int
 
 __all__ = ["ProcessorSpec", "COMPUTE", "LINK"]
 
@@ -58,8 +58,9 @@ class ProcessorSpec:
 
     def __post_init__(self) -> None:
         check_in_range(self.speed, "speed", low=0.0, low_inclusive=False)
-        check_non_negative_int(self.p_idle, "p_idle")
-        check_non_negative_int(self.p_work, "p_work")
+        for name in ("p_idle", "p_work"):
+            if check_non_negative_int(getattr(self, name), name) > INT64_MAX:
+                raise ValueError(f"{name} must be at most {INT64_MAX}, got {getattr(self, name)}")
         if self.kind not in (COMPUTE, LINK):
             raise ValueError(f"kind must be 'compute' or 'link', got {self.kind!r}")
 

@@ -34,12 +34,11 @@ def earliest_start_times(dag: EnhancedDAG) -> Dict[Hashable, int]:
     ``EST(v) = max over predecessors u of (EST(u) + duration(u))``, 0 for
     sources.  The computation follows a topological order (Kahn's algorithm).
     """
+    duration = dag.duration_map()
     est: Dict[Hashable, int] = {}
-    for node in dag.topological_order():
-        est[node] = max(
-            (est[pred] + dag.duration(pred) for pred in dag.predecessors(node)),
-            default=0,
-        )
+    # The predecessor map is keyed in topological order.
+    for node, preds in dag.predecessor_map().items():
+        est[node] = max((est[pred] + duration[pred] for pred in preds), default=0)
     return est
 
 
@@ -86,8 +85,7 @@ def asap_schedule(instance: ProblemInstance) -> Schedule:
     Every task starts at its earliest start time; the green-power profile is
     ignored entirely (this is the carbon-unaware competitor of the paper).
     """
-    est = earliest_start_times(instance.dag)
-    return Schedule(instance, est, algorithm="ASAP")
+    return Schedule._trusted(instance, earliest_start_times(instance.dag), algorithm="ASAP")
 
 
 def alap_schedule(instance: ProblemInstance) -> Schedule:

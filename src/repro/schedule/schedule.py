@@ -125,10 +125,9 @@ class Schedule:
     @property
     def makespan(self) -> int:
         """Return the latest finish time of any task."""
-        dag = self._instance.dag
+        duration = self._instance.dag.duration_map()
         return max(
-            (start + dag.duration(node) for node, start in self._start.items()),
-            default=0,
+            (start + duration[node] for node, start in self._start.items()), default=0
         )
 
     # ------------------------------------------------------------------ #

@@ -94,32 +94,17 @@ class PowerTimeline:
                 f"task {node!r} at start {start} (duration {duration}) does not fit "
                 f"into the horizon [0, {self.horizon})"
             )
-        self._place_unchecked(node, start)
-
-    def remove(self, node: Hashable) -> int:
-        """Remove *node* from the timeline and return its previous start time."""
-        start = self.start_of(node)
-        return self._remove_unchecked(node, start)
-
-    def _place_unchecked(self, node: Hashable, start: int) -> None:
-        """Place *node* at *start* without horizon/duplicate checks.
-
-        Internal fast path for callers that already validated the placement
-        (the local search clamps every candidate to the feasible window before
-        evaluating it).
-        """
-        duration = self._duration[node]
         work_power = self._work_power[node]
         if work_power:
             self._power[start : start + duration] += work_power
         self._starts[node] = start
 
-    def _remove_unchecked(self, node: Hashable, start: int) -> int:
-        """Remove *node* (placed at *start*) without looking it up again."""
-        duration = self._duration[node]
+    def remove(self, node: Hashable) -> int:
+        """Remove *node* from the timeline and return its previous start time."""
+        start = self.start_of(node)
         work_power = self._work_power[node]
         if work_power:
-            self._power[start : start + duration] -= work_power
+            self._power[start : start + self._duration[node]] -= work_power
         del self._starts[node]
         return start
 
@@ -217,7 +202,6 @@ class PowerTimeline:
         All arithmetic is integer, so the gains are bit-identical to the
         scalar loop.  The timeline is left unchanged.
         """
-        count = len(nodes)
         starts = self._starts
         try:
             placed = [starts[node] for node in nodes]
@@ -242,6 +226,17 @@ class PowerTimeline:
                 f"task {nodes[index]!r} cannot move within [{lo[index]}, {hi[index]}]: "
                 "outside the horizon"
             )
+        return self._gain_rows(cur, duration, power, lo, hi)
+
+    def _gain_rows(self, cur, duration, power, lo, hi) -> Tuple[np.ndarray, np.ndarray]:
+        """The kernel of :meth:`gain_profiles` on ``int64`` rows, one entry per task.
+
+        Task ``i`` is placed at ``cur[i]``, takes ``duration[i]`` time units,
+        draws ``power[i]`` working power and moves within ``lo[i] .. hi[i]``,
+        a window inside the horizon (unchecked here).  The local search calls
+        it directly with rows gathered by topological rank.
+        """
+        count = len(cur)
         candidates = np.maximum(hi - lo + 1, 0)
         offsets = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(candidates, out=offsets[1:])

@@ -17,6 +17,12 @@ run in the fixed order and never overlap.
 
 from __future__ import annotations
 
+from itertools import chain
+from typing import List, Tuple
+
+import numpy as np
+
+from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.schedule.schedule import Schedule
 from repro.utils.errors import InfeasibleScheduleError
 
@@ -26,28 +32,70 @@ __all__ = ["check_schedule", "is_feasible"]
 def check_schedule(schedule: Schedule) -> None:
     """Raise :class:`InfeasibleScheduleError` naming the first violation.
 
-    Deadline violations are reported before precedence violations.
+    Deadline violations are reported before precedence violations: the
+    first task in :meth:`~repro.mapping.enhanced_dag.EnhancedDAG.nodes`
+    order that starts before 0 or finishes after the deadline, else the
+    first violated edge in :meth:`~repro.mapping.enhanced_dag.EnhancedDAG.edges`
+    order.  Both are one vectorised pass over the difference constraints
+    of :func:`_constraint_rows`.
     """
-    instance = schedule.instance
-    dag = instance.dag
-    deadline = instance.deadline
-    starts = schedule.start_times()
-    duration = dag.duration_map()
-    finish = {node: start + duration[node] for node, start in starts.items()}
-    for node in dag.nodes():
-        start = starts[node]
-        if start < 0:
-            raise InfeasibleScheduleError(f"task {node!r} starts at negative time {start}")
-        if finish[node] > deadline:
-            raise InfeasibleScheduleError(
-                f"task {node!r} finishes at {finish[node]}, after the deadline {deadline}"
-            )
-    for source, target in dag.edges():
-        if starts[target] < finish[source]:
-            raise InfeasibleScheduleError(
-                f"precedence violated: {target!r} starts at {starts[target]} "
-                f"before {source!r} finishes at {finish[source]}"
-            )
+    dag = schedule.instance.dag
+    deadline = schedule.instance.deadline
+    nodes, sources, targets, source_duration = dag._memoised(
+        "constraint_rows", lambda: _constraint_rows(dag)
+    )
+    starts = schedule._start
+    cells = chain(map(starts.__getitem__, nodes), (0, deadline))
+    try:
+        row = np.fromiter(cells, np.int64, len(nodes) + 2)
+    except OverflowError:
+        # Any start outside [0, deadline] breaks its window, whatever its size.
+        cells = chain((min(max(starts[node], -1), deadline + 1) for node in nodes), (0, deadline))
+        row = np.fromiter(cells, np.int64, len(nodes) + 2)
+    violated = row[targets] - row[sources] < source_duration
+    if not violated.any():
+        return
+    index = int(violated.argmax())
+    count = len(nodes)
+    if index >= 2 * count:
+        source, target = nodes[sources[index]], nodes[targets[index]]
+        raise InfeasibleScheduleError(
+            f"precedence violated: {target!r} starts at {starts[target]} "
+            f"before {source!r} finishes at {starts[source] + dag.duration(source)}"
+        )
+    node = nodes[int((violated[:count] | violated[count : 2 * count]).argmax())]
+    if starts[node] < 0:
+        raise InfeasibleScheduleError(f"task {node!r} starts at negative time {starts[node]}")
+    raise InfeasibleScheduleError(
+        f"task {node!r} finishes at {starts[node] + dag.duration(node)}, "
+        f"after the deadline {deadline}"
+    )
+
+
+def _constraint_rows(dag: EnhancedDAG) -> Tuple[List, np.ndarray, np.ndarray, np.ndarray]:
+    """Return *dag*'s nodes and its feasibility constraints as ``int64`` rows.
+
+    Constraint ``i`` reads ``start[targets[i]] - start[sources[i]] >=
+    duration[i]`` over the starts in node order, then a time-0 cell and a
+    deadline cell.  First come one constraint per task from the time-0 cell
+    (duration 0), then one per task to the deadline cell (its duration),
+    then the DAG's edges in :meth:`EnhancedDAG.edges` order.
+    """
+    nodes = dag.nodes()
+    count = len(nodes)
+    position = {node: index for index, node in enumerate(nodes)}
+    duration = list(map(dag.duration_map().__getitem__, nodes))
+    edges = [(position[source], position[target]) for source, target in dag.edges()]
+    cells = list(range(count))
+    sources, targets, source_duration = np.array(
+        (
+            [count] * count + cells + [source for source, _ in edges],
+            cells + [count + 1] * count + [target for _, target in edges],
+            [0] * count + duration + [duration[source] for source, _ in edges],
+        ),
+        dtype=np.int64,
+    )
+    return nodes, sources, targets, source_duration
 
 
 def is_feasible(schedule: Schedule) -> bool:

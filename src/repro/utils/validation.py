@@ -7,6 +7,7 @@ text across the library, not a validation framework.
 
 from __future__ import annotations
 
+import math
 from numbers import Integral, Real
 from typing import Optional
 
@@ -16,6 +17,9 @@ __all__ = [
     "check_probability",
     "check_in_range",
 ]
+
+#: Largest power, budget or time the int64 rows of the schedule evaluators hold.
+INT64_MAX = 2**63 - 1
 
 
 def check_positive_int(value, name: str) -> int:
@@ -58,6 +62,8 @@ def check_in_range(
     if not isinstance(value, Real) or isinstance(value, bool):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
     value = float(value)
+    if math.isnan(value):
+        raise ValueError(f"{name} must be a number, got {value}")
     if low is not None:
         if low_inclusive and value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")

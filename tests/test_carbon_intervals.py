@@ -26,6 +26,17 @@ class TestInterval:
         assert len({Interval(0, 5, 2), Interval(0, 5, 2)}) == 1
 
 
+    def test_end_and_budget_must_fit_int64(self):
+        assert Interval(0, 2**63 - 1, 2**63 - 1).budget == 2**63 - 1
+        with pytest.raises(InvalidProfileError, match="at most"):
+            Interval(0, 5, 2**63)
+        with pytest.raises(InvalidProfileError, match="at most"):
+            Interval(2**63 - 2, 2**63, 1)
+        # The intervals' ends accumulate: each length fits, their sum does not.
+        with pytest.raises(InvalidProfileError, match="at most"):
+            PowerProfile([2**62, 2**62], [1, 1])
+
+
 class TestPowerProfileConstruction:
     def test_basic(self):
         profile = PowerProfile([5, 5], [10, 2])

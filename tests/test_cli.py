@@ -172,6 +172,39 @@ class TestExportImportCommands:
         assert "must name two processors" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "owner, field, value, message",
+        [
+            ("links", "speed", float("nan"), "speed must be a number"),
+            ("profile", "budgets", 2**70, "must be at most"),
+        ],
+    )
+    def test_import_out_of_range_value_exits_cleanly(
+        self, capsys, tmp_path, owner, field, value, message
+    ):
+        # Used to load and then crash scheduling: a bare ValueError from
+        # execution_time (exit 1) or an OverflowError reported as a backend
+        # failure (exit 4).
+        path = tmp_path / "instance.json"
+        main([
+            "export", "--family", "bacass", "--tasks", "30", "--cluster", "small",
+            "--seed", "1", "--out", str(path),
+        ])
+        document = json.loads(path.read_text())
+        entry = document["payload"][owner]
+        if owner == "links":
+            entry[0][field] = value
+        else:
+            entry[field][0] = value
+        path.write_text(json.dumps(document))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["import", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestBatchCommand:
     @staticmethod

@@ -102,3 +102,74 @@ class TestFixing:
         for other in dag.nodes():
             assert tracker.est(other) >= before_est[other]
             assert tracker.lst(other) <= before_lst[other]
+
+
+class TestWorklistWork:
+    """Deterministic work counts of the rank-ordered relax-on-push worklist.
+
+    The eight greedy variants run on every instance of the byte-identity
+    fixture (``tests/data/identity``).  An expansion reads the expanded
+    task's successor row (forward pass) or predecessor row (backward pass),
+    so the tracker's rows are swapped for counting ones during each fix; an
+    update pushes the changed neighbour, so the tracker's ``heappush`` is
+    counted.
+    """
+
+    #: Totals over the fixture's 2,472 fixes; a change must explain new values.
+    EXPANSIONS = 6036
+    UPDATES = 4977
+
+    def test_work_counts_are_pinned_and_expansions_unique(self, monkeypatch):
+        import heapq
+        from pathlib import Path
+
+        import repro.core.estlst as estlst
+        from repro.core.greedy import greedy_schedule
+        from repro.io.wire import load_instance
+
+        class CountingRows(list):
+            def __init__(self, rows, log):
+                super().__init__(rows)
+                self.log = log
+
+            def __getitem__(self, index):
+                self.log.append(index)
+                return list.__getitem__(self, index)
+
+        fixes = []
+        propagate = EstLstTracker._propagate_fix
+
+        def counted(tracker, index, start):
+            fix = {"forward": [], "backward": [], "updates": 0}
+            fixes.append(fix)
+            preds, succs = tracker._preds, tracker._succs
+            tracker._succs = CountingRows(succs, fix["forward"])
+            tracker._preds = CountingRows(preds, fix["backward"])
+            try:
+                propagate(tracker, index, start)
+            finally:
+                tracker._preds, tracker._succs = preds, succs
+
+        def push(heap, item):
+            fixes[-1]["updates"] += 1
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(EstLstTracker, "_propagate_fix", counted)
+        monkeypatch.setattr(estlst, "heappush", push)
+        fixture = Path(__file__).parent / "data" / "identity"
+        for path in sorted(fixture.glob("*.json")):
+            if path.name == "expected.json":
+                continue
+            instance = load_instance(path)
+            for base in ("slack", "pressure"):
+                for weighted in (False, True):
+                    for refined in (False, True):
+                        greedy_schedule(instance, base=base, weighted=weighted, refined=refined)
+        assert len(fixes) == 2472
+        for fix in fixes:
+            # Each pass of a fix expands a task at most once.
+            assert len(fix["forward"]) == len(set(fix["forward"]))
+            assert len(fix["backward"]) == len(set(fix["backward"]))
+        expansions = sum(len(fix["forward"]) + len(fix["backward"]) for fix in fixes)
+        updates = sum(fix["updates"] for fix in fixes)
+        assert (expansions, updates) == (self.EXPANSIONS, self.UPDATES)

@@ -30,7 +30,7 @@ from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import Cluster, ExtendedPlatform
 from repro.platform_.processor import ProcessorSpec
 from repro.schedule.schedule import Schedule
-from repro.utils.errors import InvalidWorkflowError, WireFormatError
+from repro.utils.errors import InvalidProfileError, InvalidWorkflowError, WireFormatError
 from repro.utils.names import decode_name, encode_name
 from repro.workflow.dag import Workflow
 from repro.workflow.generators import generate_workflow
@@ -233,6 +233,38 @@ class TestInstanceRoundTrip:
         assert payload["mapping"]["communication_order"]
         payload["mapping"]["communication_order"][0][0] = link
         with pytest.raises(WireFormatError, match="must name two processors"):
+            instance_from_dict(payload)
+
+    def test_nan_link_speed_rejected_as_wire_error(self):
+        spec = InstanceSpec("bacass", 30, "small", "S1", 1.5, seed=1)
+        payload = instance_to_dict(make_instance(spec))
+        payload["links"][0]["speed"] = float("nan")
+        with pytest.raises(WireFormatError, match="speed must be a number"):
+            instance_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["processor p_idle", "processor p_work", "link p_idle", "link p_work",
+         "profile budgets", "profile lengths"],
+    )
+    def test_value_beyond_int64_rejected_on_load(self, field):
+        # The schedule evaluators hold powers, budgets and times in int64
+        # rows; a larger value is a malformed input, not a crash when the
+        # first schedule is costed.
+        spec = InstanceSpec("bacass", 30, "small", "S1", 1.5, seed=1)
+        payload = instance_to_dict(make_instance(spec))
+        owner, name = field.split()
+        error = InvalidProfileError if owner == "profile" else WireFormatError
+        entry = {
+            "processor": payload["mapping"]["cluster"]["processors"][0],
+            "link": payload["links"][0],
+            "profile": payload["profile"],
+        }[owner]
+        if owner == "profile":
+            entry[name][0] = 2**70
+        else:
+            entry[name] = 2**70
+        with pytest.raises(error, match="must be at most"):
             instance_from_dict(payload)
 
     def test_mismatched_platform_rejected(self, grid_instance):

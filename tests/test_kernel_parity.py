@@ -223,7 +223,7 @@ class TestLocalSearchParity:
             return wrapper
 
         monkeypatch.setattr(
-            PowerTimeline, "gain_profiles", counting("calls", PowerTimeline.gain_profiles)
+            PowerTimeline, "_gain_rows", counting("calls", PowerTimeline._gain_rows)
         )
         monkeypatch.setattr(_BatchedSearch, "walk", counting("rounds", _BatchedSearch.walk))
         monkeypatch.setattr(

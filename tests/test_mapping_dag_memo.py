@@ -171,6 +171,9 @@ class TestDagMemoContents:
             "work_power_map",
             "active_power_map",
             "estlst_rows",
+            "active_power_row",
+            "search_rows",
+            "constraint_rows",
             ("block_window_sums", 2),
             ("block_window_sums", 3),
             "wire_graph",

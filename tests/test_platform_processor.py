@@ -30,6 +30,16 @@ class TestProcessorSpec:
         with pytest.raises(TypeError):
             ProcessorSpec("p0", p_work=1.5)
 
+    def test_nan_speed_rejected(self):
+        with pytest.raises(ValueError, match="speed must be a number"):
+            ProcessorSpec("p0", speed=float("nan"))
+
+    @pytest.mark.parametrize("field", ["p_idle", "p_work"])
+    def test_powers_must_fit_int64(self, field):
+        assert getattr(ProcessorSpec("p0", **{field: 2**63 - 1}), field) == 2**63 - 1
+        with pytest.raises(ValueError, match=f"{field} must be at most"):
+            ProcessorSpec("p0", **{field: 2**63})
+
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             ProcessorSpec("p0", kind="gpu")

@@ -144,19 +144,6 @@ class TestMoves:
             assert first.start_of(node) == second.start_of(node)
             assert (first.power_array() == second.power_array()).all()
 
-    def test_unchecked_fast_paths_match_checked(self, tiny_multi_instance):
-        schedule = asap_schedule(tiny_multi_instance)
-        checked = PowerTimeline(tiny_multi_instance, schedule)
-        unchecked = PowerTimeline(tiny_multi_instance, schedule)
-        node = tiny_multi_instance.dag.nodes()[0]
-        start = checked.start_of(node)
-        checked.remove(node)
-        checked.place(node, start)
-        unchecked._remove_unchecked(node, start)
-        unchecked._place_unchecked(node, start)
-        assert (checked.power_array() == unchecked.power_array()).all()
-        assert checked.start_of(node) == unchecked.start_of(node)
-
     def test_gain_profile_covers_current_start_with_zero(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
         timeline = PowerTimeline(tiny_multi_instance, schedule)

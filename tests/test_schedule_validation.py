@@ -149,3 +149,65 @@ class TestPerturbedSchedules:
             with pytest.raises(InfeasibleScheduleError):
                 check_schedule(schedule)
         assert carbon_cost(schedule) == carbon_cost_per_time_unit(schedule)
+
+
+def _first_violation(schedule):
+    """The message of the first violation, from a per-node and per-edge scan.
+
+    The reference for the vectorised :func:`check_schedule`: deadline window
+    in node order first, then the edges in ``dag.edges()`` order.
+    """
+    dag = schedule.instance.dag
+    deadline = schedule.instance.deadline
+    starts = schedule.start_times()
+    finish = {node: start + dag.duration(node) for node, start in starts.items()}
+    for node in dag.nodes():
+        if starts[node] < 0:
+            return f"task {node!r} starts at negative time {starts[node]}"
+        if finish[node] > deadline:
+            return f"task {node!r} finishes at {finish[node]}, after the deadline {deadline}"
+    for source, target in dag.edges():
+        if starts[target] < finish[source]:
+            return (
+                f"precedence violated: {target!r} starts at {starts[target]} "
+                f"before {source!r} finishes at {finish[source]}"
+            )
+    return None
+
+
+def _message(schedule):
+    try:
+        check_schedule(schedule)
+    except InfeasibleScheduleError as exc:
+        return str(exc)
+    return None
+
+
+class TestFirstViolation:
+    @given(
+        family=st.sampled_from(["atacseq", "eager", "forkjoin", "chain"]),
+        seed=st.integers(0, 7),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_message_matches_the_per_node_and_per_edge_scan(self, family, seed, data):
+        schedule = generated_schedules(family, seed)[1]
+        nodes = schedule.instance.dag.nodes()
+        deadline = schedule.instance.deadline
+        starts = schedule.start_times()
+        for _ in range(data.draw(st.integers(0, 4), label="moves")):
+            node = data.draw(st.sampled_from(nodes), label="node")
+            starts[node] = data.draw(st.integers(-3, deadline + 3), label="start")
+        # _trusted keeps negative starts, which the constructor rejects.
+        broken = Schedule._trusted(schedule.instance, starts, algorithm="perturbed")
+        assert _message(broken) == _first_violation(broken)
+
+    @pytest.mark.parametrize("start", [2**63 - 2, 2**63, 2**70])
+    def test_start_beyond_int64_is_a_deadline_violation(self, tiny_multi_instance, start):
+        schedule = asap_schedule(tiny_multi_instance)
+        node = tiny_multi_instance.dag.nodes()[-1]
+        broken = with_start(schedule, node, start)
+        with pytest.raises(InfeasibleScheduleError, match="after the deadline") as excinfo:
+            check_schedule(broken)
+        assert str(excinfo.value) == _first_violation(broken)
+        assert not is_feasible(broken)

@@ -86,3 +86,9 @@ class TestCheckInRange:
     def test_rejects_non_number(self):
         with pytest.raises(TypeError):
             check_in_range("a", "x", low=0)
+
+    @pytest.mark.parametrize("bounds", [{}, {"low": 0.0}, {"high": 1.0}, {"low": 0.0, "low_inclusive": False}])
+    def test_rejects_nan(self, bounds):
+        # Every comparison with NaN is false, so no bound alone rejects it.
+        with pytest.raises(ValueError, match="x must be a number"):
+            check_in_range(float("nan"), "x", **bounds)
