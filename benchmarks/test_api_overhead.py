@@ -84,15 +84,10 @@ def _count_calls(monkeypatch, counts: Counter) -> None:
     monkeypatch.setattr(
         EnhancedDAG, "_longest_path", counting("critical_path", EnhancedDAG._longest_path)
     )
-    encode = jobs_module.canonical_json
-
-    def canonical_json(payload):
-        # Count the encodings of a text that holds the serialised mapping.
-        if isinstance(payload, dict) and "mapping" in payload:
-            counts["graph_text"] += 1
-        return encode(payload)
-
-    monkeypatch.setattr(jobs_module, "canonical_json", canonical_json)
+    # The DAG's canonical text is composed from its members by _graph_text.
+    monkeypatch.setattr(
+        jobs_module, "_graph_text", counting("graph_text", jobs_module._graph_text)
+    )
     for module, name in (
         (scheduler_module, "greedy_schedule"),
         (scheduler_module, "local_search"),

@@ -92,8 +92,27 @@ def _live_problem_text(dag: EnhancedDAG, profile: Mapping[str, object]) -> str:
     the DAG's canonical ``{"links", "mapping"}`` text, encoded once per DAG,
     with the profile spliced in as its last member.
     """
-    graph_text = dag._memoised("wire_graph_text", lambda: canonical_json(_graph_part(dag)))
+    graph_text = dag._memoised("wire_graph_text", lambda: _graph_text(dag))
     return f'{graph_text[:-1]},"profile":{canonical_json(profile)}}}'
+
+
+def _graph_text(dag: EnhancedDAG) -> str:
+    """Return ``canonical_json(_graph_part(dag))``, joined from its members' texts.
+
+    The cluster's text is encoded once per cluster, shared by every mapping onto it.
+    """
+    graph = _graph_part(dag)
+    mapping = graph["mapping"]
+    cluster = dag.mapping.cluster
+    cluster_text = cluster._memoised("canonical_text", lambda: canonical_json(cluster.to_dict()))
+    return (
+        f'{{"links":{canonical_json(graph["links"])},'
+        f'"mapping":{{"assignment":{canonical_json(mapping["assignment"])},'
+        f'"cluster":{cluster_text},'
+        f'"communication_order":{canonical_json(mapping["communication_order"])},'
+        f'"processor_order":{canonical_json(mapping["processor_order"])},'
+        f'"workflow":{canonical_json(mapping["workflow"])}}}}}'
+    )
 
 
 def _fingerprint(

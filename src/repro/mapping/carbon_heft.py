@@ -22,7 +22,7 @@ scheduler, realising the two-pass approach end to end (see the
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.mapping.heft import HeftResult, _duration_table, _ListSchedule, _ranks
 from repro.platform_.cluster import Cluster
@@ -71,20 +71,14 @@ def carbon_aware_heft_mapping(
 
     schedule = _ListSchedule(workflow, processors)
     for task in schedule.priority(ranks):
-        best_score: Optional[float] = None
-        best: Optional[Tuple[int, int, Hashable]] = None
+        best: Optional[Tuple[float, int, int]] = None  # (score, finish, start)
         for name, duration, start, finish in schedule.candidates(task, durations[task]):
             energy = duration * power[name]
             score = (1.0 - power_weight) * (finish / horizon_scale) + power_weight * (
                 energy / (horizon_scale * max_active_power)
             )
-            if best_score is None or (score, finish, start) < (
-                best_score,
-                best[0] if best else 0,
-                best[1] if best else 0,
-            ):
-                best_score = score
-                best = (finish, start, name)
+            if best is None or (score, finish, start) < best:
+                best, best_name = (score, finish, start), name
         assert best is not None
-        schedule.place(task, best[2], best[1], best[0])
+        schedule.place(task, best_name, best[2], best[1])
     return schedule.result(cluster, ranks)

@@ -25,7 +25,10 @@ times) for inspection.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.mapping.mapping import Mapping
@@ -35,8 +38,6 @@ from repro.utils.errors import InvalidMappingError
 from repro.workflow.dag import Workflow
 
 __all__ = ["HeftResult", "heft_mapping", "upward_ranks"]
-
-Edge = Tuple[Hashable, Hashable]
 
 
 @dataclass
@@ -71,21 +72,21 @@ def _duration_table(
 ) -> Dict[Hashable, List[int]]:
     """Return task -> running time on each of *processors*, in processor order.
 
-    Each distinct ``(work, speed)`` pair goes through
-    :meth:`~repro.platform_.processor.ProcessorSpec.execution_time` once;
-    both HEFT phases then read durations from this table.
+    :meth:`~repro.platform_.processor.ProcessorSpec.execution_time` is
+    computed once per distinct work volume and speed, on works the workflow
+    has already checked.  Tasks of equal work share one (read-only) row.
     """
-    known: Dict[Tuple[int, float], int] = {}
+    speeds = list(dict.fromkeys(proc.speed for proc in processors))
+    column = [speeds.index(proc.speed) for proc in processors]
+    rows: Dict[int, List[int]] = {}
     table: Dict[Hashable, List[int]] = {}
     for task in workflow.tasks():
         work = workflow.work(task)
-        row: List[int] = []
-        for proc in processors:
-            key = (work, proc.speed)
-            duration = known.get(key)
-            if duration is None:
-                duration = known[key] = proc.execution_time(work)
-            row.append(duration)
+        row = rows.get(work)
+        if row is None:
+            # ``or 1``: the ceiling is 0 only for an infinite speed.
+            per_speed = [math.ceil(work / speed) or 1 for speed in speeds]
+            row = rows[work] = [per_speed[index] for index in column]
         table[task] = row
     return table
 
@@ -139,12 +140,12 @@ def heft_mapping(workflow: Workflow, cluster: Cluster) -> HeftResult:
     ranks = _ranks(workflow, durations, len(processors))
     schedule = _ListSchedule(workflow, processors)
     for task in schedule.priority(ranks):
-        best: Optional[Tuple[int, int, Hashable]] = None  # (finish, start, processor)
+        best: Optional[Tuple[int, int]] = None  # (finish, start)
         for name, _, start, finish in schedule.candidates(task, durations[task]):
-            if best is None or (finish, start) < (best[0], best[1]):
-                best = (finish, start, name)
+            if best is None or (finish, start) < best:
+                best, best_name = (finish, start), name
         assert best is not None
-        schedule.place(task, best[2], best[1], best[0])
+        schedule.place(task, best_name, best[1], best[0])
     return schedule.result(cluster, ranks)
 
 
@@ -161,6 +162,8 @@ class _ListSchedule:
     def __init__(self, workflow: Workflow, processors: Sequence[ProcessorSpec]) -> None:
         self.workflow = workflow
         self.names = [proc.name for proc in processors]
+        # Processors of one class give identical candidates while idle.
+        self.classes = [(proc.speed, proc.total_power) for proc in processors]
         self.assignment: Dict[Hashable, Hashable] = {}
         self.start_times: Dict[Hashable, int] = {}
         self.finish_times: Dict[Hashable, int] = {}
@@ -178,29 +181,46 @@ class _ListSchedule:
     ) -> Iterator[Tuple[Hashable, int, int, int]]:
         """Yield ``(processor, duration, start, finish)`` of *task* per processor.
 
-        *durations* is the task's :func:`_duration_table` row.  Each incoming
-        edge is read once: a predecessor's data arrives at its finish time on
-        its own processor and ``data`` time units later elsewhere (bandwidth 1).
+        *durations* is the task's :func:`_duration_table` row.  A
+        predecessor's data arrives at its finish time on its own processor
+        and ``data`` time units later elsewhere (bandwidth 1), so on a
+        processor hosting no predecessor the task is ready at the latest
+        arrival over all incoming edges.  An idle processor is skipped when
+        one of its ``(speed, total_power)`` class already yielded an idle
+        candidate: its candidate would be the same, and both selection
+        phases keep the earlier of two equal candidates.
         """
+        finish_times = self.finish_times
+        remote = 0
         incoming = []
+        hosts = set()
         for predecessor, volume in self.workflow.predecessor_map()[task].items():
-            if predecessor not in self.finish_times:
+            finish = finish_times.get(predecessor)
+            if finish is None:
                 # Predecessor has lower rank — allowed by HEFT only if the
                 # rank computation failed; guard explicitly.
                 raise InvalidMappingError(
                     "HEFT priority order is not a topological order; "
                     "check the workflow weights"
                 )
-            incoming.append(
-                (self.assignment[predecessor], self.finish_times[predecessor], volume)
-            )
-        for name, duration in zip(self.names, durations):
-            ready = 0
-            for pred_proc, pred_finish, comm in incoming:
-                arrival = pred_finish if pred_proc == name else pred_finish + comm
-                if arrival > ready:
-                    ready = arrival
-            start = _earliest_slot(self.busy[name], ready, duration)
+            proc = self.assignment[predecessor]
+            hosts.add(proc)
+            incoming.append((proc, finish, finish + volume))
+            if finish + volume > remote:
+                remote = finish + volume
+        idle_classes = set()
+        for name, duration, kind in zip(self.names, durations, self.classes):
+            slots = self.busy[name]
+            if not slots:
+                if kind in idle_classes:
+                    continue
+                idle_classes.add(kind)
+                yield name, duration, remote, remote + duration
+                continue
+            ready = remote
+            if name in hosts:
+                ready = max(finish if at == name else arrival for at, finish, arrival in incoming)
+            start = _earliest_slot(slots, ready, duration)
             yield name, duration, start, start + duration
 
     def place(self, task: Hashable, name: Hashable, start: int, finish: int) -> None:
@@ -242,11 +262,11 @@ def _earliest_slot(slots: List[Tuple[int, int, Hashable]], ready: int, duration:
     for slot_start, slot_finish, _ in slots:
         if candidate + duration <= slot_start:
             return candidate
-        candidate = max(candidate, slot_finish)
+        if slot_finish > candidate:
+            candidate = slot_finish
     return candidate
 
 
 def _insert_slot(slots: List[Tuple[int, int, Hashable]], slot: Tuple[int, int, Hashable]) -> None:
-    """Insert *slot* keeping the list sorted by start time."""
-    slots.append(slot)
-    slots.sort(key=lambda item: item[0])
+    """Insert *slot* keeping the list sorted by start time (after equal starts)."""
+    bisect.insort_right(slots, slot, key=itemgetter(0))

@@ -17,12 +17,13 @@ constraints (otherwise the communication-enhanced DAG would contain a cycle).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
+from collections import Counter
+from itertools import chain
+from typing import Dict, Hashable, List, Mapping as TMapping, Optional, Sequence, Tuple
 
-from repro.platform_.cluster import Cluster, link_name
-from repro.utils.errors import CyclicWorkflowError, InvalidMappingError
+from repro.platform_.cluster import Cluster
+from repro.utils.errors import InvalidMappingError
 from repro.utils.names import decode_name, encode_name
-from repro.utils.ordering import topological_order
 from repro.workflow.dag import Workflow
 
 __all__ = ["Mapping"]
@@ -66,6 +67,7 @@ class Mapping:
         self._cluster = cluster
         self._assignment: Dict[Hashable, Hashable] = dict(assignment)
         self._validate_assignment()
+        self._communications = self._cross_processor_edges()
 
         if processor_order is None:
             self._processor_order = self._canonical_processor_order()
@@ -76,6 +78,7 @@ class Mapping:
         self._validate_processor_order()
 
         if communication_order is None:
+            # Derived from the communications, so it lists each once.
             self._communication_order = self._canonical_communication_order()
         else:
             self._communication_order = {
@@ -83,7 +86,7 @@ class Mapping:
                 for link, edges in communication_order.items()
                 if edges
             }
-        self._validate_communication_order()
+            self._validate_communication_order()
         self._validate_acyclic()
 
     # ------------------------------------------------------------------ #
@@ -129,19 +132,13 @@ class Mapping:
         These are the edges whose endpoints run on different processors and
         whose data volume is positive.
         """
-        result: List[Edge] = []
-        for source, target in self._workflow.dependencies():
-            if self._assignment[source] != self._assignment[target] and self._workflow.data(
-                source, target
-            ) > 0:
-                result.append((source, target))
-        return result
+        return list(self._communications)
 
     def used_links(self) -> List[Tuple[Hashable, Hashable]]:
         """Return the directed processor pairs used by at least one communication."""
         links: List[Tuple[Hashable, Hashable]] = []
         seen = set()
-        for source, target in self.communications():
+        for source, target in self._communications:
             link = (self._assignment[source], self._assignment[target])
             if link not in seen:
                 seen.add(link)
@@ -222,6 +219,16 @@ class Mapping:
     # ------------------------------------------------------------------ #
     # Canonical orders
     # ------------------------------------------------------------------ #
+    def _cross_processor_edges(self) -> Tuple[Edge, ...]:
+        """Return :meth:`communications`, computed once: the mapping never changes."""
+        assignment = self._assignment
+        return tuple(
+            (source, target)
+            for source, targets in self._workflow.successor_map().items()
+            for target, data in targets.items()
+            if data > 0 and assignment[source] != assignment[target]
+        )
+
     def _canonical_processor_order(self) -> Dict[Hashable, List[Hashable]]:
         order: Dict[Hashable, List[Hashable]] = {}
         for task in self._workflow.topological_order():
@@ -234,7 +241,7 @@ class Mapping:
             for index, task in enumerate(tasks):
                 position[task] = index
         order: Dict[Tuple[Hashable, Hashable], List[Edge]] = {}
-        for source, target in self.communications():
+        for source, target in self._communications:
             link = (self._assignment[source], self._assignment[target])
             order.setdefault(link, []).append((source, target))
         for link, edges in order.items():
@@ -278,7 +285,7 @@ class Mapping:
 
     def _validate_communication_order(self) -> None:
         expected: Dict[Tuple[Hashable, Hashable], set] = {}
-        for source, target in self.communications():
+        for source, target in self._communications:
             link = (self._assignment[source], self._assignment[target])
             expected.setdefault(link, set()).add((source, target))
         listed: Dict[Tuple[Hashable, Hashable], set] = {}
@@ -295,19 +302,24 @@ class Mapping:
             )
 
     def _validate_acyclic(self) -> None:
-        """Check that the orderings are compatible with the precedence constraints."""
+        """Check, by a Kahn pass, that the orderings respect the precedence constraints."""
         successors = {
             task: list(targets) for task, targets in self._workflow.successor_map().items()
         }
         for tasks in self._processor_order.values():
             for earlier, later in zip(tasks, tasks[1:]):
                 successors[earlier].append(later)
-        try:
-            topological_order(successors)
-        except CyclicWorkflowError as exc:
+        indegree = Counter(chain.from_iterable(successors.values()))
+        reached = [task for task in successors if not indegree[task]]
+        for task in reached:  # grows while it is walked
+            for later in successors[task]:
+                indegree[later] -= 1
+                if not indegree[later]:
+                    reached.append(later)
+        if len(reached) != len(successors):
             raise InvalidMappingError(
                 "per-processor ordering contradicts the workflow precedence constraints"
-            ) from exc
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

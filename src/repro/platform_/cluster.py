@@ -11,7 +11,7 @@ equivalent to omitting it from the platform entirely.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.utils.errors import InvalidMappingError
 from repro.utils.rng import RNGLike, ensure_rng
@@ -54,6 +54,14 @@ class Cluster:
             self._processors[spec.name] = spec
         if not self._processors:
             raise ValueError("a cluster needs at least one processor")
+        self._memo: Dict[Hashable, object] = {}
+
+    def _memoised(self, key: Hashable, compute: Callable[[], object]) -> object:
+        """Return ``compute()``, once per cluster under *key*: a cluster has no mutators."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     # ------------------------------------------------------------------ #
     @property

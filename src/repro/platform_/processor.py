@@ -81,9 +81,7 @@ class ProcessorSpec:
         The result is at least 1 time unit (a task always occupies some time).
         """
         work = check_non_negative_int(work, "work")
-        if work == 0:
-            return 1
-        return max(1, int(math.ceil(work / self.speed)))
+        return max(1, math.ceil(work / self.speed))
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:

@@ -84,18 +84,25 @@ def _constraint_rows(dag: EnhancedDAG) -> Tuple[List, np.ndarray, np.ndarray, np
     nodes = dag.nodes()
     count = len(nodes)
     position = {node: index for index, node in enumerate(nodes)}
-    duration = list(map(dag.duration_map().__getitem__, nodes))
-    edges = [(position[source], position[target]) for source, target in dag.edges()]
-    cells = list(range(count))
-    sources, targets, source_duration = np.array(
-        (
-            [count] * count + cells + [source for source, _ in edges],
-            cells + [count + 1] * count + [target for _, target in edges],
-            [0] * count + duration + [duration[source] for source, _ in edges],
-        ),
-        dtype=np.int64,
+    successors = list(map(dag.successor_map().__getitem__, nodes))
+    degrees = list(map(len, successors))
+    edges = sum(degrees)
+    cells = np.arange(count, dtype=np.int64)
+    sources = np.empty(2 * count + edges, np.int64)
+    targets = np.empty(2 * count + edges, np.int64)
+    sources[:count] = count
+    sources[count : 2 * count] = cells
+    sources[2 * count :] = cells.repeat(degrees)
+    targets[:count] = cells
+    targets[count : 2 * count] = count + 1
+    targets[2 * count :] = np.fromiter(
+        map(position.__getitem__, chain.from_iterable(successors)), np.int64, edges
     )
-    return nodes, sources, targets, source_duration
+    # Each constraint's duration is its source cell's; the two time cells have none.
+    durations = np.fromiter(
+        chain(map(dag.duration_map().__getitem__, nodes), (0, 0)), np.int64, count + 2
+    )
+    return nodes, sources, targets, durations[sources]
 
 
 def is_feasible(schedule: Schedule) -> bool:

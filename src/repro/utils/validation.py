@@ -24,6 +24,8 @@ INT64_MAX = 2**63 - 1
 
 def check_positive_int(value, name: str) -> int:
     """Return *value* as ``int`` after checking it is a positive integer."""
+    if type(value) is int and value > 0:
+        return value
     if not isinstance(value, Integral) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if value <= 0:
@@ -33,6 +35,8 @@ def check_positive_int(value, name: str) -> int:
 
 def check_non_negative_int(value, name: str) -> int:
     """Return *value* as ``int`` after checking it is a non-negative integer."""
+    if type(value) is int and value >= 0:
+        return value
     if not isinstance(value, Integral) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
     if value < 0:

@@ -76,17 +76,20 @@ def assign_random_weights(workflow: Workflow, *, rng: RNGLike = None) -> Workflo
     Task work volumes are drawn from ``Normal(DEFAULT_WORK_MEAN,
     DEFAULT_WORK_STD)`` and edge communication volumes from
     ``Normal(DEFAULT_DATA_MEAN, DEFAULT_DATA_STD)``; both are rounded and
-    clipped to be at least 1 (tasks) / 0 (edges).
+    clipped to be at least 1 (tasks) / 0 (edges).  The task volumes are
+    drawn first, in task order, then the edge volumes, in edge order.
 
     Returns the workflow to allow chaining.
     """
     rng = ensure_rng(rng)
-    for task in workflow.tasks():
-        work = int(round(rng.normal(DEFAULT_WORK_MEAN, DEFAULT_WORK_STD)))
-        workflow.set_work(task, max(1, work))
-    for source, target in workflow.dependencies():
-        data = int(round(rng.normal(DEFAULT_DATA_MEAN, DEFAULT_DATA_STD)))
-        workflow.set_data(source, target, max(0, data))
+    tasks = workflow.tasks()
+    works = rng.normal(DEFAULT_WORK_MEAN, DEFAULT_WORK_STD, size=len(tasks))
+    for task, work in zip(tasks, works.tolist()):
+        workflow.set_work(task, max(1, round(work)))
+    edges = workflow.dependencies()
+    volumes = rng.normal(DEFAULT_DATA_MEAN, DEFAULT_DATA_STD, size=len(edges))
+    for (source, target), data in zip(edges, volumes.tolist()):
+        workflow.set_data(source, target, max(0, round(data)))
     return workflow
 
 

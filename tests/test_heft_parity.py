@@ -1,7 +1,9 @@
 """Parity suite for the table-driven HEFT passes.
 
 ``heft_mapping`` and ``carbon_aware_heft_mapping`` read task durations from
-a per-call duration table and each task's incoming edges once per task.
+a per-call duration table and each task's incoming edges once per task, and
+skip an idle processor whose ``(speed, total_power)`` class already gave an
+idle candidate.
 This module keeps the original per-processor algorithms — every duration
 through ``ProcessorSpec.execution_time`` and every incoming edge re-read
 for every candidate processor — as test-only references and pins that the
@@ -185,6 +187,38 @@ def clusters(draw) -> Cluster:
     return Cluster(processors, name="hyp")
 
 
+@st.composite
+def replicated_clusters(draw) -> Cluster:
+    """Replicas of one to three processor types, plus a type that shares a speed.
+
+    Replicas of a type give equal idle candidates, which the selection phase
+    skips after the first; the extra type has the speed of an existing type
+    but another power, so it is never skipped and carbon-aware HEFT's power
+    term tells the two apart.
+    """
+    types = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.5, 1.0, 1.5, 2.0]), st.integers(0, 5), st.integers(0, 20)
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    speed, p_idle, p_work = draw(st.sampled_from(types))
+    types.append((speed, p_idle, p_work + draw(st.integers(1, 10))))
+    counts = [draw(st.integers(1, 4)) for _ in types]
+    # Interleave the replicas so that equal processors are not always adjacent.
+    replicas = [index for index, count in enumerate(counts) for _ in range(count)]
+    order = draw(st.permutations(replicas))
+    processors = [
+        ProcessorSpec(f"p{position}", speed=types[index][0], p_idle=types[index][1],
+                      p_work=types[index][2])
+        for position, index in enumerate(order)
+    ]
+    return Cluster(processors, name="replicated")
+
+
 # --------------------------------------------------------------------------- #
 # Tests
 # --------------------------------------------------------------------------- #
@@ -192,6 +226,11 @@ class TestHeftParity:
     @given(workflow=workflows(), cluster=clusters())
     @settings(max_examples=150, deadline=None)
     def test_random_workflows(self, workflow, cluster):
+        check_parity(workflow, cluster)
+
+    @given(workflow=workflows(), cluster=replicated_clusters())
+    @settings(max_examples=150, deadline=None)
+    def test_replicated_processor_types(self, workflow, cluster):
         check_parity(workflow, cluster)
 
     @given(family=st.sampled_from(["atacseq", "eager", "methylseq", "forkjoin",

@@ -11,16 +11,19 @@ profile or the deadline.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.api import Client, Job, job_fingerprint
+from repro.api.jobs import _graph_part, _graph_text
 from repro.carbon.intervals import PowerProfile
 from repro.carbon.traces import synthetic_daily_trace
 from repro.core.scheduler import CaWoSched
 from repro.core.variants import variant_names
 from repro.experiments.instances import InstanceSpec, make_instance
-from repro.io.wire import instance_from_dict, instance_to_dict
+from repro.io.wire import canonical_json, instance_from_dict, instance_to_dict, load_instance
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
 from repro.platform_.presets import cluster_preset
@@ -29,6 +32,7 @@ from repro.sim.signal import CarbonSignal
 from repro.sim.workload import WorkloadConfig, build_job
 from repro.workflow.dag import Workflow
 
+IDENTITY = Path(__file__).parent / "data" / "identity"
 SPEC = InstanceSpec("bacass", 15, "small", "S1", 1.5, seed=1)
 VARIANTS = ("pressWR", "pressWR-LS", "slackR")
 
@@ -190,3 +194,22 @@ class TestDagMemoContents:
         client.submit(Job.from_instance(fresh, variants=variant_names()))
         CaWoSched(block_size=2).run(fresh, "slackR")
         assert _snapshot(fresh.dag._memo) == before
+
+
+class TestComposedGraphText:
+    """The DAG's canonical text, composed from its members, is the one encoding."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in IDENTITY.glob("*.json") if p.name != "expected.json")
+    )
+    def test_identity_fixtures(self, name):
+        dag = load_instance(IDENTITY / name).dag
+        assert _graph_text(dag) == canonical_json(_graph_part(dag))
+
+    def test_simulator_jobs_and_unicode_names(self):
+        workload = WorkloadConfig(families=("atacseq", "eager", "bacass"), sizes=(8, 12, 20))
+        dags = [build_job(workload, 5, index, 0).dag for index in range(50)]
+        for dag in dags + [_unicode_instance().dag]:
+            assert _graph_text(dag) == canonical_json(_graph_part(dag))
+        # The jobs share one cluster, so its text is encoded once.
+        assert len({id(dag.mapping.cluster._memo["canonical_text"]) for dag in dags}) == 1

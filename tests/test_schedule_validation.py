@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.carbon.scenarios import generate_power_profile
 from repro.core.greedy import greedy_schedule
+from repro.io.wire import load_instance
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
 from repro.platform_.presets import cluster_from_table1
@@ -17,7 +20,7 @@ from repro.schedule.asap import asap_schedule
 from repro.schedule.cost import carbon_cost, carbon_cost_per_time_unit
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
-from repro.schedule.validation import check_schedule, is_feasible
+from repro.schedule.validation import _constraint_rows, check_schedule, is_feasible
 from repro.utils.errors import InfeasibleScheduleError
 from repro.workflow.generators import generate_workflow
 
@@ -211,3 +214,34 @@ class TestFirstViolation:
             check_schedule(broken)
         assert str(excinfo.value) == _first_violation(broken)
         assert not is_feasible(broken)
+
+
+IDENTITY = Path(__file__).parent / "data" / "identity"
+
+
+def _reference_constraint_rows(dag):
+    """The constraint rows built edge by edge from :meth:`EnhancedDAG.edges`."""
+    nodes = dag.nodes()
+    count = len(nodes)
+    position = {node: index for index, node in enumerate(nodes)}
+    duration = [dag.duration(node) for node in nodes]
+    edges = [(position[source], position[target]) for source, target in dag.edges()]
+    cells = list(range(count))
+    sources = [count] * count + cells + [source for source, _ in edges]
+    targets = cells + [count + 1] * count + [target for _, target in edges]
+    durations = [0] * count + duration + [duration[source] for source, _ in edges]
+    return nodes, sources, targets, durations
+
+
+class TestConstraintRows:
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in IDENTITY.glob("*.json") if p.name != "expected.json")
+    )
+    def test_rows_match_the_edge_by_edge_builder(self, name):
+        dag = load_instance(IDENTITY / name).dag
+        nodes, *rows = _constraint_rows(dag)
+        expected_nodes, *expected = _reference_constraint_rows(dag)
+        assert nodes == expected_nodes
+        for row, reference in zip(rows, expected):
+            assert row.dtype == np.int64
+            assert row.tolist() == reference
