@@ -37,7 +37,7 @@ def run_comparison():
         costs = []
         started = time.perf_counter()
         for schedule in greedy:
-            costs.append(carbon_cost(local_search(schedule, best_improvement=best)))
+            costs.append(carbon_cost(local_search([schedule], best_improvement=best)[0]))
         elapsed = time.perf_counter() - started
         results[label] = {"mean_cost": float(np.mean(costs)), "total_seconds": elapsed}
     return results

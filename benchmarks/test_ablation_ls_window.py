@@ -38,7 +38,7 @@ def run_sweep():
         costs = []
         started = time.perf_counter()
         for schedule in greedy:
-            costs.append(carbon_cost(local_search(schedule, window=window)))
+            costs.append(carbon_cost(local_search([schedule], window=window)[0]))
         elapsed = time.perf_counter() - started
         results[window] = {"mean_cost": float(np.mean(costs)), "total_seconds": elapsed}
     results["greedy"] = {

@@ -2,10 +2,11 @@
 
 :func:`execute_job` materialises a :class:`~repro.api.jobs.Job`'s instance,
 rebuilds the scheduler from the job's configuration, runs every variant
-through :meth:`CaWoSched.run <repro.core.scheduler.CaWoSched.run>` and
-derives the flat :class:`~repro.experiments.runner.RunRecord` rows — one per
-variant, in job order.  An ``-LS`` variant refines its greedy parent's
-schedule when the parent ran earlier in the same job.
+through :meth:`CaWoSched.run <repro.core.scheduler.CaWoSched.run>`, the
+``-LS`` variants as one lock-step group, and derives the flat
+:class:`~repro.experiments.runner.RunRecord` rows — one per variant, in job
+order.  An ``-LS`` variant refines its greedy parent's schedule when the
+parent is in the same job.
 
 :func:`execute_job_payload` is the worker function of the process pool: it
 receives a job as plain wire data and returns record dictionaries, so only
@@ -74,24 +75,26 @@ def record_for(instance: ProblemInstance, result: ScheduleResult) -> RunRecord:
 def execute_job(job: Job) -> Tuple[Tuple[ScheduleResult, ...], Tuple[RunRecord, ...]]:
     """Run every variant of *job* and return (full results, flat records).
 
-    Variants run in job order through :meth:`CaWoSched.run`, so results are
-    byte-identical to calling the scheduler directly.  An ``-LS`` variant
-    whose greedy parent already ran earlier in the job gets that result as
-    ``parent=`` and only adds the local search; its ``runtime_seconds`` then
-    covers the parent's greedy phase plus its own local search.
+    ASAP and the greedy variants run first, in job order, through
+    :meth:`CaWoSched.run`; then every ``-LS`` variant runs in one lock-step
+    local search, refining its greedy parent's schedule when the parent is
+    in the job.  Results come back in job order and are byte-identical to
+    calling the scheduler directly.  An ``-LS`` result's
+    ``runtime_seconds`` is its parent's plus an equal share of the group's
+    local search and validation.
     """
     instance = job.instance()
     scheduler = CaWoSched.from_config(job.scheduler)
     done: Dict[str, ScheduleResult] = {}
-    results = []
+    refined = []
     for name in job.variants:
-        parent = done.get(get_variant(name).parent)
-        if parent is None:
-            result = scheduler.run(instance, name)
+        if get_variant(name).local_search:
+            refined.append(name)
         else:
-            result = scheduler.run(instance, name, parent=parent)
-        done[name] = result
-        results.append(result)
+            done[name] = scheduler.run(instance, name)
+    if refined:
+        done.update(zip(refined, scheduler._refine(instance, refined, done)))
+    results = [done[name] for name in job.variants]
     return tuple(results), tuple(record_for(instance, result) for result in results)
 
 

@@ -10,10 +10,11 @@ is applied.  Rounds over all processors are repeated until a full round yields
 no gain, so the procedure is a plain hill climber and can only improve the
 schedule.
 
-The search is round-batched.  One
-:meth:`~repro.schedule.timeline.PowerTimeline.gain_profiles` call scores the
-candidate starts of every task that has no valid score yet, and the walk then
-reads the stored scores in the paper's order.  A score stays valid until an
+The search is round-batched.  One kernel call
+(:meth:`~repro.schedule.timeline.PowerTimeline._gain_rows`, the kernel of
+``gain_profiles``) scores the candidate starts of every task that has no
+valid score yet, and the walk then reads the stored scores in the paper's
+order.  A score stays valid until an
 accepted move changes what it depends on: the task's legal window (a graph
 neighbour moved) or the power in the time region it read (the move's window
 overlaps it).  When the walk reaches a task whose score was dropped, one call
@@ -22,17 +23,27 @@ round, so a run makes at most one kernel call per round plus one per accepted
 move.  Every call reads the timeline's current state, so the result is
 byte-identical to the per-candidate ``move_gain`` hill climber of the paper,
 which the test suite keeps as its reference.
+
+The searches of one call run in lock step, so that NumPy's fixed cost per
+kernel call is paid once for all of them.  Each search's walk is a step
+function that yields the tasks it needs scored; once every unfinished search
+has yielded, one kernel call scores all their tasks over a stacked power
+buffer (search ``k``'s row at offset ``k * T``), and every search resumes.
+The searches share nothing but the kernel call, so each one makes exactly
+the moves it makes alone, and a group makes at most as many calls as its
+longest search would.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.estlst import _rank_rows
 from repro.schedule.schedule import Schedule
 from repro.schedule.timeline import PowerTimeline
+from repro.utils.errors import CaWoSchedError
 from repro.utils.validation import check_non_negative_int
 
 __all__ = ["local_search", "DEFAULT_WINDOW"]
@@ -42,18 +53,23 @@ DEFAULT_WINDOW = 10
 
 
 def local_search(
-    schedule: Schedule,
+    schedules: Sequence[Schedule],
     *,
     window: int = DEFAULT_WINDOW,
     best_improvement: bool = False,
-) -> Schedule:
-    """Improve *schedule* with the CaWoSched local search.
+) -> List[Schedule]:
+    """Improve every schedule of *schedules* with the CaWoSched local search.
+
+    The searches run in lock step: each one walks its own schedule and
+    pauses whenever it needs tasks scored, and one kernel call then scores
+    the pending tasks of every search.  A search makes exactly the moves it
+    makes when it runs alone, so the result does not depend on the group.
 
     Parameters
     ----------
-    schedule:
-        A feasible schedule (typically the output of the greedy phase or of
-        ASAP).
+    schedules:
+        Feasible schedules of one instance (typically the outputs of the
+        greedy phase, or ASAP); the same schedule may appear more than once.
     window:
         Maximum shift (in time units) considered to the left and to the right
         of a task's current start time (the paper's ``µ``, default 10).
@@ -65,28 +81,52 @@ def local_search(
 
     Returns
     -------
-    Schedule
-        A schedule whose carbon cost is never higher than the input's,
-        labelled with the input schedule's label and an ``-LS`` suffix.
+    list of Schedule
+        One schedule per input, in input order, whose carbon cost is never
+        higher than the input's, labelled with the input schedule's label
+        and an ``-LS`` suffix.
+
+    Raises
+    ------
+    CaWoSchedError
+        If *schedules* is empty, is a single :class:`Schedule` instead of a
+        sequence of them, or holds schedules of different instances.
     """
     window = check_non_negative_int(window, "window")
+    if isinstance(schedules, Schedule):
+        raise CaWoSchedError("local_search takes a sequence of schedules, not one Schedule")
+    schedules = list(schedules)
+    if not schedules:
+        raise CaWoSchedError("local_search needs at least one schedule")
+    instance = schedules[0].instance
+    if any(schedule.instance is not instance for schedule in schedules):
+        raise CaWoSchedError("local_search takes schedules of one instance only")
 
-    instance = schedule.instance
-    timeline = PowerTimeline(instance, schedule)
-    searcher = _BatchedSearch(instance, timeline, schedule.start_times(), window, best_improvement)
-
+    group = _LockStep(instance, schedules, window, best_improvement)
     # Every accepted move lowers the integer, non-negative carbon cost, so
-    # the rounds end.
-    while searcher.walk():
-        pass
+    # every search ends.
+    requests = [(search._rounds(), search, None) for search in group.searches]
+    while True:
+        requests = [
+            (steps, search, ranks)
+            for steps, search, _ in requests
+            if (ranks := next(steps, None)) is not None
+        ]
+        if not requests:
+            break
+        group._score([(search, ranks) for _, search, ranks in requests])
 
-    starts, position = searcher._starts, searcher._position
-    return Schedule._trusted(
-        instance,
-        {node: starts[position[node]] for node in schedule},
-        algorithm=f"{schedule.algorithm}-LS",
-        cost=timeline.total_cost(),
-    )
+    # A timeline's start map follows every move and keeps the schedule's
+    # key order; the timelines are discarded, so the maps are adopted.
+    return [
+        Schedule._trusted(
+            instance,
+            search._timeline._starts,
+            algorithm=f"{schedule.algorithm}-LS",
+            cost=search._timeline.total_cost(),
+        )
+        for schedule, search in zip(schedules, group.searches)
+    ]
 
 
 def _search_rows(dag, work_power: Dict) -> Tuple:
@@ -107,78 +147,69 @@ def _search_rows(dag, work_power: Dict) -> Tuple:
     )
 
 
-class _BatchedSearch:
-    """Round-batched first- (or best-) improvement walk over stored scores.
+class _LockStep:
+    """The searches of one lock-step group and the kernel they share.
 
-    Tasks are topological ranks: the start times, durations and graph rows
-    are lists indexed by rank.  Each task's score is kept in one state map
-    together with the time region it depends on and the start it would move
-    to (``None`` when no move improves the cost: the task is *clean*).  A
-    clean task stays clean across rounds until a move touches its window or
-    region, so the final no-gain round of the hill climber re-scores
-    nothing.  A task's legal window is derived from its graph neighbours'
-    current starts when it is scored.
+    Search ``k``'s timeline has row ``k`` of a stacked power buffer (see
+    :meth:`PowerTimeline._stacked`); the kernel timeline reads the whole
+    buffer, so :meth:`_score` scores the pending ranks of every search with
+    one kernel call.
     """
 
-    def __init__(self, instance, timeline: PowerTimeline, starts: Dict, window: int,
+    def __init__(self, instance, schedules: List[Schedule], window: int,
                  best_improvement: bool) -> None:
         dag = instance.dag
-        self._order, self._position, self._duration, self._preds, self._succs = _rank_rows(dag)
-        self._walk, self._kernel_rows = dag._memoised(
+        walk, self._kernel_rows = dag._memoised(
             "search_rows", lambda: _search_rows(dag, instance.work_power_map)
         )
-        self._starts: List[int] = [starts[node] for node in self._order]
+        self._kernel, timelines = PowerTimeline._stacked(instance, schedules)
         self._deadline = instance.deadline
-        self._timeline = timeline
         self._window = window
         self._best_improvement = best_improvement
-        # Scored tasks: rank -> (begin, end, target).  [begin, end) is the
-        # power region the score read; target is the improving start, or
-        # None for a clean task.
-        self._scored: Dict[int, Tuple[int, int, Optional[int]]] = {}
+        self.searches = [
+            _BatchedSearch(dag, timeline, walk, row * instance.deadline)
+            for row, timeline in enumerate(timelines)
+        ]
 
-    def walk(self) -> bool:
-        """Visit every task once, in walk order; return whether any task moved."""
-        order = self._walk
-        scored = self._scored
-        moved = False
-        for position, index in enumerate(order):
-            state = scored.get(index)
-            if state is None:
-                self._score([other for other in order[position:] if other not in scored])
-                state = scored[index]
-            target = state[2]
-            if target is not None:
-                self._apply_move(index, target)
-                moved = True
-        return moved
+    def _score(self, requests: List[Tuple["_BatchedSearch", List[int]]]) -> None:
+        """Score the requested ranks of every search with one kernel call.
 
-    def _score(self, indices: List[int]) -> None:
-        """Score the candidate starts of the tasks *indices* with one kernel call."""
-        starts, duration, preds, succs = self._starts, self._duration, self._preds, self._succs
-        window = self._window
+        A task's legal window is derived from its graph neighbours' current
+        starts in its own search.  Every search works on its row of the
+        stacked power buffer (see :class:`_BatchedSearch`), so its starts,
+        windows, targets and regions need no conversion for the kernel.
+        """
         placed: List[int] = []
         los: List[int] = []
         his: List[int] = []
-        for index in indices:
-            # The legal window: after every predecessor's finish, before
-            # every successor's start and the deadline.
-            current = starts[index]
-            lo = current - window if current > window else 0
-            for pred, pred_duration in preds[index]:
-                if starts[pred] + pred_duration > lo:
-                    lo = starts[pred] + pred_duration
-            hi = self._deadline
-            for succ in succs[index]:
-                if starts[succ] < hi:
-                    hi = starts[succ]
-            hi -= duration[index]
-            placed.append(current)
-            los.append(lo)
-            his.append(hi if hi < current + window else current + window)
+        ranks: List[int] = []
+        deadline, window = self._deadline, self._window
+        for search, indices in requests:
+            starts, duration = search._starts, search._duration
+            preds, succs = search._preds, search._succs
+            # The search's time 0 and deadline, on its row of the buffer.
+            first = search._shift
+            last = first + deadline
+            for index in indices:
+                # The legal window: after every predecessor's finish, before
+                # every successor's start and the deadline.
+                current = starts[index]
+                lo = current - window if current - window > first else first
+                for pred, pred_duration in preds[index]:
+                    if starts[pred] + pred_duration > lo:
+                        lo = starts[pred] + pred_duration
+                hi = last
+                for succ in succs[index]:
+                    if starts[succ] < hi:
+                        hi = starts[succ]
+                hi -= duration[index]
+                placed.append(current)
+                los.append(lo)
+                his.append(hi if hi < current + window else current + window)
+            ranks += indices
         cur, lo, hi = np.array((placed, los, his), dtype=np.int64)
-        length, power = self._kernel_rows[:, indices]
-        gains, offsets = self._timeline._gain_rows(cur, length, power, lo, hi)
+        length, power = self._kernel_rows[:, ranks]
+        gains, offsets = self._kernel._gain_rows(cur, length, power, lo, hi)
         # Each task's candidates are gains[begin:end]; its chosen index is the
         # first positive (or, for best improvement, the first positive
         # maximum) one, and ``end`` when none improves the cost.
@@ -191,18 +222,76 @@ class _BatchedSearch:
         else:
             positive = np.concatenate(((gains > 0).nonzero()[0], offsets[-1:]))
             chosen = positive[np.searchsorted(positive, offsets[:-1])]
-        target = np.where(chosen < offsets[1:], lo + chosen - offsets[:-1], -1)
-        region_begin = np.minimum(lo, cur)
-        region_end = np.maximum(hi, cur) + length
+        states = zip(
+            np.minimum(lo, cur).tolist(),
+            (np.maximum(hi, cur) + length).tolist(),
+            np.where(chosen < offsets[1:], lo + chosen - offsets[:-1], -1).tolist(),
+        )
+        # zip stops at the end of *indices* before drawing from *states*.
+        for search, indices in requests:
+            search._scored.update(zip(indices, states))
+
+
+class _BatchedSearch:
+    """Round-batched first- (or best-) improvement walk over stored scores.
+
+    Tasks are topological ranks: the start times, durations and graph rows
+    are lists indexed by rank.  Each task's score is kept in one state map
+    together with the time region it depends on and the start it would move
+    to (``-1`` when no move improves the cost: the task is *clean*).  A
+    clean task stays clean across rounds until a move touches its window or
+    region, so the final no-gain round of the hill climber re-scores
+    nothing.  A task's legal window is derived from its graph neighbours'
+    current starts when it is scored.
+
+    The walk is a step function: it yields the ranks it needs scored and
+    resumes once :meth:`_LockStep._score` has stored their scores.  Its
+    timeline's power row starts *shift* cells into the group's stacked
+    buffer, and the search keeps its starts, regions and targets in the
+    cells of that buffer: time ``t`` is cell ``shift + t``.  Gains are
+    differences, so they do not depend on the shift.
+    """
+
+    def __init__(self, dag, timeline: PowerTimeline, walk: List[int], shift: int) -> None:
+        self._order, _, self._duration, self._preds, self._succs = _rank_rows(dag)
+        self._walk = walk
+        self._timeline = timeline
+        self._starts: List[int] = [timeline._starts[node] + shift for node in self._order]
+        self._shift = shift
+        # Scored tasks: rank -> (begin, end, target).  [begin, end) is the
+        # power region the score read; target is the improving start, or
+        # -1 for a clean task.
+        self._scored: Dict[int, Tuple[int, int, int]] = {}
+
+    def _rounds(self) -> Iterator[List[int]]:
+        """Walk round after round until a round moves no task, yielding as :meth:`walk` does."""
+        while (yield from self.walk()):
+            pass
+
+    def walk(self) -> Generator[List[int], None, bool]:
+        """Visit every task once, in walk order; return whether any task moved.
+
+        On reaching a task without a score it yields that task and every
+        other unscored task still ahead in the round, and resumes once they
+        are scored.
+        """
+        order = self._walk
         scored = self._scored
-        for index, begin, end, move in zip(
-            indices, region_begin.tolist(), region_end.tolist(), target.tolist()
-        ):
-            scored[index] = (begin, end, move if move >= 0 else None)
+        moved = False
+        for position, index in enumerate(order):
+            state = scored.get(index)
+            if state is None:
+                yield [other for other in order[position:] if other not in scored]
+                state = scored[index]
+            target = state[2]
+            if target >= 0:
+                self._apply_move(index, target)
+                moved = True
+        return moved
 
     def _apply_move(self, index: int, target: int) -> None:
         old_start = self._starts[index]
-        self._timeline.move(self._order[index], target)
+        self._timeline.move(self._order[index], target - self._shift)
         self._starts[index] = target
         scored = self._scored
         del scored[index]

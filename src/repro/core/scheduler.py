@@ -6,14 +6,15 @@ baseline behind a single entry point keyed by the paper's variant names
 :class:`ScheduleResult` with the schedule, its carbon cost and the wall-clock
 time spent, which is what the experiment harness records.  An ``-LS``
 variant can start from its greedy parent's result instead of recomputing the
-greedy schedule (``run(..., parent=...)``).
+greedy schedule (``run(..., parent=...)``), and the ``-LS`` variants of one
+job share one lock-step local search.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.greedy import greedy_schedule
 from repro.core.local_search import DEFAULT_WINDOW, local_search
@@ -43,10 +44,14 @@ class ScheduleResult:
     carbon_cost:
         Total carbon cost of the schedule.
     runtime_seconds:
-        Wall-clock time of the run, validation included.  An ``-LS`` result
-        built from its greedy parent's schedule (see :meth:`CaWoSched.run`)
-        reports the parent's ``runtime_seconds`` plus its own elapsed time,
-        so it always covers greedy phase + local search.  The greedy
+        Wall-clock time of the run, validation included.  The ``-LS``
+        variants of a job run as one lock-step group (one local search for
+        all of them; a variant run alone is a group of one), and an ``-LS``
+        result reports its greedy parent's ``runtime_seconds`` (or, without
+        the parent in the job, the time of its own greedy schedule) plus an
+        equal share of the group's wall time, local search and validation
+        of every result.  So it always covers greedy phase + local search,
+        and the shares of a group sum to the group's time.  The greedy
         phase's instance-invariant inputs (initial EST/LST, task orders,
         subdivisions) are computed by the first greedy run on an instance
         and reused by later ones, so within a job the first greedy variant
@@ -121,32 +126,17 @@ class CaWoSched:
     # ------------------------------------------------------------------ #
     def schedule(self, instance: ProblemInstance, variant: str) -> Schedule:
         """Return the schedule produced by *variant* on *instance*."""
-        return self._schedule(instance, get_variant(variant))
+        return self.run(instance, variant).schedule
 
-    def _schedule(
-        self,
-        instance: ProblemInstance,
-        spec: VariantSpec,
-        greedy: Optional[Schedule] = None,
-    ) -> Schedule:
-        """Run *spec* on *instance*, starting from *greedy* if it is given."""
-        if spec.is_baseline:
-            produced = asap_schedule(instance)
-        else:
-            if greedy is None:
-                greedy = greedy_schedule(
-                    instance,
-                    base=spec.base,
-                    weighted=spec.weighted,
-                    refined=spec.refined,
-                    block_size=self.block_size,
-                )
-            produced = greedy
-            if spec.local_search:
-                produced = local_search(greedy, window=self.window)
-        if self.validate:
-            check_schedule(produced)
-        return produced
+    def _greedy(self, instance: ProblemInstance, spec: VariantSpec) -> Schedule:
+        """Return the greedy schedule of *spec*'s configuration, unchecked and uncosted."""
+        return greedy_schedule(
+            instance,
+            base=spec.base,
+            weighted=spec.weighted,
+            refined=spec.refined,
+            block_size=self.block_size,
+        )
 
     def run(
         self,
@@ -163,7 +153,8 @@ class CaWoSched:
         ``parent.schedule``; the result is identical to a run without
         *parent*, and its ``runtime_seconds`` is ``parent.runtime_seconds``
         plus the time spent here.  The new schedule is still validated and
-        costed; *parent* is not modified.
+        costed; *parent* is not modified.  An ``-LS`` variant runs as a
+        lock-step group of one (see :meth:`_refine`).
 
         Raises
         ------
@@ -172,27 +163,69 @@ class CaWoSched:
             is not an ``-LS`` variant, is not its greedy parent, or was
             computed on another instance.
         """
-        begin = time.perf_counter()
         spec = get_variant(variant)
-        if parent is None:
-            produced = self._schedule(instance, spec)
-            inherited = 0.0
-        else:
+        if parent is not None:
             _check_parent(spec, instance, parent)
-            produced = self._schedule(instance, spec, greedy=parent.schedule)
-            inherited = parent.runtime_seconds
+        if spec.local_search:
+            parents = {} if parent is None else {parent.variant: parent}
+            return self._refine(instance, [variant], parents)[0]
+        begin = time.perf_counter()
+        produced = asap_schedule(instance) if spec.is_baseline else self._greedy(instance, spec)
+        if self.validate:
+            check_schedule(produced)
         elapsed = time.perf_counter() - begin
-        # An -LS schedule carries the cost its search timeline already holds.
-        cost = produced._cost
-        if cost is None:
-            cost = carbon_cost(produced)
         return ScheduleResult(
             variant=variant,
             schedule=produced,
-            carbon_cost=cost,
-            runtime_seconds=inherited + elapsed,
+            carbon_cost=carbon_cost(produced),
+            runtime_seconds=elapsed,
             makespan=produced.makespan,
         )
+
+    def _refine(
+        self,
+        instance: ProblemInstance,
+        variants: Sequence[str],
+        parents: Mapping[str, ScheduleResult],
+    ) -> List[ScheduleResult]:
+        """Run the ``-LS`` *variants* on *instance* as one lock-step local search.
+
+        *parents* maps greedy variant names to their results on *instance*;
+        a variant whose parent is missing computes its greedy schedule here,
+        without checking or costing it.  Every result is validated and
+        carries the cost its search timeline holds.  Its
+        ``runtime_seconds`` is its greedy parent's time (or the time of the
+        greedy schedule computed here) plus an equal share of the group's
+        wall time: the local search and the validation of every result.
+        """
+        greedy: List[Schedule] = []
+        inherited: List[float] = []
+        for variant in variants:
+            spec = get_variant(variant)
+            parent = parents.get(spec.parent)
+            if parent is None:
+                begin = time.perf_counter()
+                greedy.append(self._greedy(instance, spec))
+                inherited.append(time.perf_counter() - begin)
+            else:
+                greedy.append(parent.schedule)
+                inherited.append(parent.runtime_seconds)
+        begin = time.perf_counter()
+        produced = local_search(greedy, window=self.window)
+        if self.validate:
+            for schedule in produced:
+                check_schedule(schedule)
+        share = (time.perf_counter() - begin) / len(variants)
+        return [
+            ScheduleResult(
+                variant=variant,
+                schedule=schedule,
+                carbon_cost=schedule._cost,
+                runtime_seconds=own + share,
+                makespan=schedule.makespan,
+            )
+            for variant, schedule, own in zip(variants, produced, inherited)
+        ]
 
 
 def _check_parent(

@@ -129,7 +129,13 @@ def figure6_cost_ratio_boxplot(records: Iterable[RunRecord]) -> Dict[str, Boxplo
 
 
 def figure8_running_times(records: Iterable[RunRecord]) -> Dict[str, Dict[str, float]]:
-    """Figure 8: running-time statistics per algorithm variant."""
+    """Figure 8: running-time statistics per algorithm variant.
+
+    Within a job the eight ``-LS`` variants run as one lock-step local
+    search; each ``-LS`` time is its greedy parent's time plus an equal
+    share of that group's wall time (see
+    :class:`~repro.core.scheduler.ScheduleResult`).
+    """
     return runtime_statistics(list(records))
 
 
@@ -267,15 +273,19 @@ def table2_local_search_ablation(
     results: Dict[str, List[float]] = {name: [] for name in TABLE2_VARIANTS}
     for spec in specs:
         instance = make_instance(spec, master_seed=master_seed)
-        for name in TABLE2_VARIANTS:
-            variant = get_variant(name)
-            base_schedule = greedy_schedule(
+        base_schedules = [
+            greedy_schedule(
                 instance,
                 base=variant.base,
                 weighted=variant.weighted,
                 refined=variant.refined,
             )
-            improved = local_search(base_schedule)
+            for variant in map(get_variant, TABLE2_VARIANTS)
+        ]
+        improved_schedules = local_search(base_schedules)
+        for name, base_schedule, improved in zip(
+            TABLE2_VARIANTS, base_schedules, improved_schedules
+        ):
             base_cost = carbon_cost(base_schedule)
             improved_cost = carbon_cost(improved)
             if base_cost == 0:

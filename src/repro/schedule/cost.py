@@ -39,7 +39,8 @@ def _power_rows(
     *starts* maps nodes of the instance's DAG (all of them, or only those
     placed so far) to non-negative start times.  Both ``int64`` rows span
     ``[0, max(T, latest finish))``; past the deadline ``T`` the budget is the
-    last interval's.
+    last interval's.  Within the horizon the budget row is memoised on the
+    instance and shared, so callers treat it as read-only.
     """
     profile = instance.profile
     count = len(starts)
@@ -54,7 +55,7 @@ def _power_rows(
     np.subtract.at(delta, end, power)
     row = delta[:-1].cumsum()
     row += instance.total_idle_power()
-    budget = profile.budgets_per_time_unit()
+    budget = instance._memoised("budget_row", profile.budgets_per_time_unit)
     if horizon > profile.horizon:
         budget = np.concatenate(
             (budget, np.full(horizon - profile.horizon, budget[-1], dtype=np.int64))

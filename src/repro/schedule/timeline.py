@@ -14,7 +14,7 @@ tasks by individual time units).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,18 @@ from repro.schedule.schedule import Schedule
 from repro.utils.errors import InvalidScheduleError
 
 __all__ = ["PowerTimeline"]
+
+
+def _node_rows(dag, work_power: Dict[Hashable, int]) -> Tuple:
+    """Return *dag*'s nodes with their ``int64`` duration and working-power rows, and its idle power."""
+    nodes = dag.nodes()
+    duration = dag.duration_map()
+    return (
+        nodes,
+        np.array([duration[node] for node in nodes], dtype=np.int64),
+        np.array([work_power[node] for node in nodes], dtype=np.int64),
+        dag.platform.total_idle_power(),
+    )
 
 
 class PowerTimeline:
@@ -40,23 +52,85 @@ class PowerTimeline:
     """
 
     def __init__(self, instance: ProblemInstance, schedule: Optional[Schedule] = None) -> None:
+        starts = {} if schedule is None else schedule.start_times()
+        power, budget = _power_rows(instance, starts)
+        self._adopt(instance, starts, power, budget)
+        horizon = instance.deadline
+        if len(power) > horizon:
+            node = next(
+                node for node, start in starts.items()
+                if start + self._duration[node] > horizon
+            )
+            raise InvalidScheduleError(
+                f"task {node!r} at start {starts[node]} (duration "
+                f"{self._duration[node]}) does not fit into the horizon [0, {horizon})"
+            )
+
+    def _adopt(
+        self, instance: ProblemInstance, starts: Dict[Hashable, int], power: np.ndarray,
+        budget: np.ndarray,
+    ) -> None:
+        """Take *starts* and the rows *power* and *budget* built from them."""
         self._instance = instance
         # Durations and working powers are read on every mutation; the
         # instance-level maps are computed once and shared across runs.
         self._duration: Dict[Hashable, int] = instance.dag.duration_map()
         self._work_power: Dict[Hashable, int] = instance.work_power_map
-        self._starts: Dict[Hashable, int] = {} if schedule is None else schedule.start_times()
-        self._power, self._budget = _power_rows(instance, self._starts)
+        self._starts: Dict[Hashable, int] = starts
+        self._power, self._budget = power, budget
+
+    @classmethod
+    def _stacked(
+        cls, instance: ProblemInstance, schedules: Sequence[Schedule]
+    ) -> Tuple["PowerTimeline", List["PowerTimeline"]]:
+        """Return a kernel timeline and one timeline per schedule, over one power buffer.
+
+        The power row of ``schedules[k]``'s timeline is row ``k`` of one
+        ``(N, T)`` buffer, built in one pass the way :func:`_power_rows`
+        builds one row, so :meth:`move` updates the buffer in place.  The
+        kernel timeline reads the flattened buffer against an ``N``-fold
+        budget row: its :meth:`_gain_rows` scores a task of timeline ``k``
+        at start ``s`` on cell ``k * T + s``, so one call scores tasks of
+        every timeline; it holds no placed tasks.  A single timeline is its
+        own kernel timeline.
+        """
+        if len(schedules) == 1:
+            timeline = cls(instance, schedules[0])
+            return timeline, [timeline]
+        dag = instance.dag
+        nodes, duration, power, idle = dag._memoised(
+            "timeline_rows", lambda: _node_rows(dag, instance.work_power_map)
+        )
+        starts = [schedule.start_times() for schedule in schedules]
+        begin = np.array([[start[node] for node in nodes] for start in starts], dtype=np.int64)
         horizon = instance.deadline
-        if len(self._power) > horizon:
-            node = next(
-                node for node, start in self._starts.items()
-                if start + self._duration[node] > horizon
-            )
-            raise InvalidScheduleError(
-                f"task {node!r} at start {self._starts[node]} (duration "
-                f"{self._duration[node]}) does not fit into the horizon [0, {horizon})"
-            )
+        if (begin + duration).max(initial=0) > horizon:
+            late = int((begin + duration > horizon).any(axis=1).argmax())
+            cls(instance, schedules[late])  # raises the horizon error
+        # One difference row over all N rows: a task of row k adds its power
+        # at cell k * T + start and removes it at k * T + finish.  A finish
+        # at T lands on the first cell of row k + 1, where the row's own
+        # power must end anyway, so one cumulative sum gives every row.
+        begin += np.arange(0, len(schedules) * horizon, horizon)[:, None]
+        end = (begin + duration).ravel()
+        begin = begin.ravel()
+        # ufunc.at gets flat rows of equal length: with a 2-D index and a
+        # broadcast value row, NumPy 2.4 added wrong values.
+        power = np.broadcast_to(power, (len(schedules), len(nodes))).ravel()
+        delta = np.zeros(len(schedules) * horizon + 1, dtype=np.int64)
+        delta[0] = idle
+        np.add.at(delta, begin, power)
+        np.subtract.at(delta, end, power)
+        buffer = delta.cumsum()[:-1]
+        budget = instance._memoised("budget_row", instance.profile.budgets_per_time_unit)
+        timelines = []
+        for start, row in zip(starts, buffer.reshape(len(schedules), horizon)):
+            timeline = cls.__new__(cls)
+            timeline._adopt(instance, start, row, budget)
+            timelines.append(timeline)
+        kernel = cls.__new__(cls)
+        kernel._adopt(instance, {}, buffer, np.concatenate([budget] * len(schedules)))
+        return kernel, timelines
 
     # ------------------------------------------------------------------ #
     @property

@@ -156,3 +156,39 @@ class TestParentContract:
         result = scheduler.run(tiny_multi_instance, "slackR-LS", parent=parent)
         # One clock read before and one after the local search: 0.25 s own time.
         assert result.runtime_seconds == parent.runtime_seconds + 0.25
+
+
+class TestSharedLocalSearchTime:
+    """An ``-LS`` time is its parent's plus an equal share of the group's time."""
+
+    def test_shares_sum_to_the_group_time(self, tiny_multi_instance, monkeypatch):
+        # Every timed span is two clock reads, 0.25 s apart: each greedy run
+        # and the one lock-step group of the eight -LS variants.
+        ticks = itertools.count(start=10.0, step=0.25)
+        monkeypatch.setattr("repro.core.scheduler.time.perf_counter", lambda: next(ticks))
+        results, _ = execute_job(Job.from_instance(tiny_multi_instance, variants=variant_names()))
+        by_name = {result.variant: result for result in results}
+        shares = [
+            by_name[name].runtime_seconds - by_name[name[: -len("-LS")]].runtime_seconds
+            for name in LS_VARIANTS
+        ]
+        assert by_name["pressWR"].runtime_seconds == 0.25
+        assert shares == [0.25 / len(LS_VARIANTS)] * len(LS_VARIANTS)
+        assert sum(shares) == 0.25
+
+    def test_lone_variant_times_its_own_greedy_phase(self, tiny_multi_instance, monkeypatch):
+        ticks = itertools.count(start=10.0, step=0.25)
+        monkeypatch.setattr("repro.core.scheduler.time.perf_counter", lambda: next(ticks))
+        variants = ["slack-LS", "pressWR", "pressWR-LS"]
+        results, _ = execute_job(Job.from_instance(tiny_multi_instance, variants=variants))
+        assert [result.variant for result in results] == variants
+        # slack-LS: its own greedy schedule (0.25 s) plus half the group.
+        assert [result.runtime_seconds for result in results] == [0.375, 0.25, 0.375]
+
+    def test_every_ls_time_covers_its_parent(self):
+        instance = make_instance(SHARED_GREEDY_SPECS[2])
+        results, _ = execute_job(Job.from_instance(instance, variants=variant_names()))
+        by_name = {result.variant: result for result in results}
+        for name in LS_VARIANTS:
+            parent = by_name[name[: -len("-LS")]]
+            assert by_name[name].runtime_seconds >= parent.runtime_seconds

@@ -7,7 +7,8 @@ that the library is *byte-identical* to them:
 * ``PowerTimeline.gain_profile`` equals a loop of scalar ``move_gain`` calls,
   and so do the per-task gains of the batched ``PowerTimeline.gain_profiles``,
 * ``local_search`` returns the same start times as the per-candidate
-  ``move_gain`` hill climber (:func:`_scalar_local_search`),
+  ``move_gain`` hill climber (:func:`_scalar_local_search`), and a
+  lock-step group of searches returns what each search returns alone,
 * every incremental ``EstLstTracker.fix`` leaves the same EST/LST maps as
   the full two-sweep recompute,
 * the lag-difference form of ``block_alignment_points`` equals the original
@@ -16,6 +17,7 @@ that the library is *byte-identical* to them:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from typing import Dict, Hashable
 
@@ -204,43 +206,127 @@ class TestLocalSearchParity:
         self, instance, base, best, window
     ):
         greedy = greedy_schedule(instance, base=base, refined=True)
-        fast = local_search(greedy, window=window, best_improvement=best)
+        fast = local_search([greedy], window=window, best_improvement=best)[0]
         slow = _scalar_local_search(greedy, window=window, best_improvement=best)
         assert fast.start_times() == slow
         assert fast.algorithm == f"{greedy.algorithm}-LS"
 
+    @given(
+        instance=INSTANCE_STRATEGY,
+        window=st.sampled_from([0, 1, 10]),
+        best=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_group_call_equals_single_calls(self, instance, window, best, data):
+        greedy = [
+            greedy_schedule(instance, base=base, weighted=weighted, refined=refined)
+            for base in ("slack", "pressure")
+            for weighted in (False, True)
+            for refined in (False, True)
+        ]
+        picks = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=8), label="group")
+        group = [greedy[pick] for pick in picks]
+        together = local_search(group, window=window, best_improvement=best)
+        assert len(together) == len(group)
+        for schedule, improved in zip(group, together):
+            alone = local_search([schedule], window=window, best_improvement=best)[0]
+            assert list(improved.start_times().items()) == list(alone.start_times().items())
+            assert improved.algorithm == alone.algorithm
+            assert improved._cost == alone._cost
+        # The input schedules are not modified.
+        assert [schedule.start_times() for schedule in group] == [
+            greedy[pick].start_times() for pick in picks
+        ]
+
+    def test_group_holding_one_schedule_twice(self, tiny_multi_instance):
+        greedy = greedy_schedule(tiny_multi_instance, base="pressure", refined=True)
+        other = greedy_schedule(tiny_multi_instance, base="slack")
+        alone = local_search([greedy])[0]
+        twice = local_search([greedy, other, greedy])
+        assert twice[0].start_times() == twice[2].start_times() == alone.start_times()
+        assert twice[0]._cost == twice[2]._cost == alone._cost
+        assert twice[1].start_times() == local_search([other])[0].start_times()
+
     def test_kernel_calls_bounded_by_rounds_plus_moves(self, monkeypatch):
         # One batched call per round plus at most one per accepted move,
-        # never one per task visit.
+        # never one per task visit.  In a lock-step group one call serves
+        # every search at once, so the group's calls are bounded by the
+        # largest per-search rounds + moves.
         from repro.experiments.instances import default_grid, make_instance
 
-        counts = {"calls": 0, "rounds": 0, "moves": 0}
+        calls, moves = [0], [0]
+        # Per search: rounds + moves.
+        work: Counter = Counter()
 
-        def counting(name, method):
+        def counting(method, name=None):
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                if name is None:
+                    calls[0] += 1
+                else:
+                    work[id(args[0])] += 1
+                    moves[0] += name == "moves"
                 return method(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(PowerTimeline, "_gain_rows", counting(PowerTimeline._gain_rows))
+        monkeypatch.setattr(_BatchedSearch, "walk", counting(_BatchedSearch.walk, "rounds"))
         monkeypatch.setattr(
-            PowerTimeline, "_gain_rows", counting("calls", PowerTimeline._gain_rows)
+            _BatchedSearch, "_apply_move", counting(_BatchedSearch._apply_move, "moves")
         )
-        monkeypatch.setattr(_BatchedSearch, "walk", counting("rounds", _BatchedSearch.walk))
-        monkeypatch.setattr(
-            _BatchedSearch, "_apply_move", counting("moves", _BatchedSearch._apply_move)
-        )
-        moves = 0
         for spec in default_grid(sizes=(30,), seed=1)[::8]:
             instance = make_instance(spec, master_seed=1)
-            for base in ("slack", "pressure"):
-                greedy = greedy_schedule(instance, base=base, refined=True)
-                for best in (False, True):
-                    counts.update(calls=0, rounds=0, moves=0)
-                    local_search(greedy, best_improvement=best)
-                    assert 1 <= counts["calls"] <= counts["rounds"] + counts["moves"]
-                    moves += counts["moves"]
+            greedy = [
+                greedy_schedule(instance, base=base, weighted=weighted, refined=refined)
+                for base in ("slack", "pressure")
+                for weighted in (False, True)
+                for refined in (False, True)
+            ]
+            for best in (False, True):
+                for group in [[schedule] for schedule in greedy] + [greedy]:
+                    calls[0] = 0
+                    work.clear()
+                    local_search(group, best_improvement=best)
+                    assert len(work) >= len(group)
+                    assert 1 <= calls[0] <= max(work.values())
         # The bound is exercised by runs that re-score after a move.
-        assert moves > 0
+        assert moves[0] > 0
+
+    def test_kernel_calls_of_a_job_are_pinned(self, monkeypatch):
+        # A job of all 17 variants on each instance of the byte-identity
+        # fixture runs its eight local searches as one lock-step group; run
+        # alone, the same searches make 212 calls in total.
+        from pathlib import Path
+
+        from repro.api.execute import execute_job
+        from repro.api.jobs import Job
+        from repro.core.variants import variant_names
+        from repro.io.wire import load_instance
+
+        calls = [0]
+        kernel = PowerTimeline._gain_rows
+
+        def counting(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(PowerTimeline, "_gain_rows", counting)
+        fixture = Path(__file__).parent / "data" / "identity"
+        observed = {}
+        for path in sorted(fixture.glob("*_*.json")):
+            calls[0] = 0
+            execute_job(Job.from_instance(load_instance(path), variants=variant_names()))
+            observed[path.name] = calls[0]
+        assert observed == {
+            "atacseq_large_S2.json": 16,
+            "bacass_large_S2.json": 1,
+            "chain_single_S3.json": 4,
+            "eager_small_S4.json": 3,
+            "forkjoin_large_S1.json": 1,
+            "layered_small_S2.json": 12,
+            "methylseq_single_S1.json": 3,
+            "random_small_S2.json": 12,
+        }
 
     def test_seed_grid_byte_identity(self, monkeypatch):
         from repro.core.scheduler import CaWoSched

@@ -74,7 +74,7 @@ class TestSchedulingInvariants:
     @settings(max_examples=15, deadline=None)
     def test_local_search_never_increases_cost_and_stays_feasible(self, instance, base):
         greedy = greedy_schedule(instance, base=base, refined=True)
-        improved = local_search(greedy, window=5)
+        improved = local_search([greedy], window=5)[0]
         assert is_feasible(improved)
         assert carbon_cost(improved) <= carbon_cost(greedy)
 

@@ -4,7 +4,9 @@
 every workflow family, all four scenarios, all three cluster presets) and
 ``expected.json``, which records for every variant on each instance its
 carbon cost, its makespan and the SHA-256 of its start times in the
-schedule's key order.  The expected values were produced before the
+schedule's key order.  Every variant run alone (each ``-LS`` variant a
+lock-step group of one) and one job of all variants (its eight ``-LS``
+variants one group of eight) must both reproduce them.  The expected values were produced before the
 scheduling core moved to topological-rank rows; loading a wire instance
 draws no random numbers, so the values do not depend on the NumPy version.
 
@@ -22,6 +24,8 @@ from typing import Dict, List
 
 import pytest
 
+from repro.api.execute import execute_job
+from repro.api.jobs import Job
 from repro.core.scheduler import CaWoSched
 from repro.core.variants import variant_names
 from repro.io.wire import load_instance
@@ -32,24 +36,39 @@ EXPECTED = FIXTURE / "expected.json"
 INSTANCES = sorted(path.name for path in FIXTURE.glob("*.json") if path != EXPECTED)
 
 
-def observed(name: str) -> Dict[str, List[object]]:
-    """Return variant -> [cost, makespan, start-time digest] on fixture *name*."""
-    instance = load_instance(FIXTURE / name)
-    scheduler = CaWoSched()
-    results = {}
-    for variant in variant_names():
-        result = scheduler.run(instance, variant)
+def digests(results) -> Dict[str, List[object]]:
+    """Return variant -> [cost, makespan, start-time digest] of *results*."""
+    digested = {}
+    for result in results:
         starts = [
             [encode_name(node), start]
             for node, start in result.schedule.start_times().items()
         ]
         text = json.dumps(starts, separators=(",", ":"), ensure_ascii=True)
-        results[variant] = [
+        digested[result.variant] = [
             result.carbon_cost,
             result.makespan,
             hashlib.sha256(text.encode("ascii")).hexdigest(),
         ]
-    return results
+    return digested
+
+
+def observed(name: str) -> Dict[str, List[object]]:
+    """Return the digests of every variant run alone on fixture *name*."""
+    instance = load_instance(FIXTURE / name)
+    scheduler = CaWoSched()
+    return digests(scheduler.run(instance, variant) for variant in variant_names())
+
+
+def observed_as_job(name: str) -> Dict[str, List[object]]:
+    """Return the digests of one job of all variants on fixture *name*.
+
+    The job's eight ``-LS`` variants refine their parents' schedules in one
+    lock-step local search.
+    """
+    instance = load_instance(FIXTURE / name)
+    results, _ = execute_job(Job.from_instance(instance, variants=variant_names()))
+    return digests(results)
 
 
 def test_fixture_is_complete():
@@ -64,6 +83,12 @@ def test_fixture_is_complete():
 def test_schedules_are_byte_identical(name):
     expected = json.loads(EXPECTED.read_text())[name]
     assert observed(name) == expected
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_one_job_of_all_variants_is_byte_identical(name):
+    expected = json.loads(EXPECTED.read_text())[name]
+    assert observed_as_job(name) == expected
 
 
 if __name__ == "__main__":

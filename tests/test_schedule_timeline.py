@@ -170,3 +170,41 @@ class TestAsSchedule:
         assert timeline.segment_cost(5, 5) == 0
         total = timeline.segment_cost(0, tiny_multi_instance.deadline)
         assert total == timeline.total_cost()
+
+
+class TestStackedTimelines:
+    """The timelines of a lock-step group share one power buffer."""
+
+    def test_rows_equal_lone_timelines(self, tiny_multi_instance):
+        from repro.core.greedy import greedy_schedule
+
+        schedules = [
+            asap_schedule(tiny_multi_instance),
+            greedy_schedule(tiny_multi_instance, base="pressure"),
+            asap_schedule(tiny_multi_instance),
+        ]
+        kernel, timelines = PowerTimeline._stacked(tiny_multi_instance, schedules)
+        lone = [PowerTimeline(tiny_multi_instance, schedule) for schedule in schedules]
+        for timeline, reference in zip(timelines, lone):
+            assert timeline.power_array().tolist() == reference.power_array().tolist()
+            assert timeline.total_cost() == reference.total_cost()
+        assert kernel.horizon == len(schedules) * tiny_multi_instance.deadline
+        # A move updates the shared buffer the kernel reads.
+        dag = tiny_multi_instance.dag
+        node = next(
+            node for node in dag.nodes()
+            if dag.duration(node) and timelines[1].start_of(node) > 0
+        )
+        timelines[1].move(node, timelines[1].start_of(node) - 1)
+        assert timelines[1].power_array().tolist() != lone[1].power_array().tolist()
+        assert kernel.power_array().tolist() == sum(
+            (timeline.power_array().tolist() for timeline in timelines), []
+        )
+
+    def test_schedule_past_horizon_rejected(self, tiny_multi_instance):
+        schedule = asap_schedule(tiny_multi_instance)
+        dag = tiny_multi_instance.dag
+        sink = next(n for n in dag.nodes() if not dag.successors(n))
+        late = with_start(schedule, sink, tiny_multi_instance.deadline)
+        with pytest.raises(InvalidScheduleError, match=re.escape(f"task {sink!r} at start")):
+            PowerTimeline._stacked(tiny_multi_instance, [schedule, late])
