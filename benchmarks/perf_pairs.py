@@ -14,10 +14,11 @@ won.
 Usage::
 
     python benchmarks/perf_pairs.py BASE CHANGE --workloads offline_grid \\
-        --seeds 301-310 --seconds 20 [--workdir DIR] [--out FILE]
+        --seeds 301-310 [--workdir DIR] [--out FILE]
 
 ``BASE`` and ``CHANGE`` are anything ``git rev-parse`` accepts (``HEAD~1``,
-a SHA, a branch).  Uncommitted changes are not measured.
+a SHA, a branch).  Uncommitted changes are not measured.  Every run lasts
+the benchmark's ``run_seconds`` from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = ROOT / "benchmarks" / "output" / "BENCH_perfbench.json"
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 #: End-to-end metric name -> whether a higher value is better.
 METRICS = {"throughput": True, "latency_p50_ms": False, "latency_p90_ms": False, "setup_s": False}
 
@@ -60,11 +62,11 @@ def export(revision: str, directory: Path) -> str:
     return sha
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
+def run_once(checkout: Path, workload: str, seed: int) -> Dict[str, float]:
     """Run one untraced perfbench measurement and return its end-to-end metrics."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, check=True, capture_output=True, text=True,
     )
     result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -85,7 +87,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="revision of the changed side")
     parser.add_argument("--workloads", nargs="+", default=["offline_grid"])
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("301-310"))
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--workdir", type=Path, help="where the exports go (default: a temp dir)")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
@@ -99,7 +100,7 @@ def main(argv=None) -> int:
             for pair, seed in enumerate(args.seeds):
                 order = [("base", base_dir), ("change", change_dir)]
                 for side, checkout in order if pair % 2 == 0 else order[::-1]:
-                    sides[side].append(run_once(checkout, workload, seed, args.seconds))
+                    sides[side].append(run_once(checkout, workload, seed))
                 base, change = sides["base"][-1], sides["change"][-1]
                 print(f"{workload} seed {seed}: throughput {base['throughput']:.1f} -> "
                       f"{change['throughput']:.1f}", file=sys.stderr)
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
     entry = {
         "base_sha": base_sha,
         "change_sha": change_sha,
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "trace": 0,
         "workloads": workloads,
     }

@@ -31,6 +31,12 @@ from repro.schedule.schedule import Schedule
 __all__ = ["carbon_cost", "carbon_cost_per_time_unit", "brown_energy_breakdown"]
 
 
+def _read_only(row: np.ndarray) -> np.ndarray:
+    """Return *row* made read-only, so that a shared row cannot be edited in place."""
+    row.setflags(write=False)
+    return row
+
+
 def _power_rows(
     instance: ProblemInstance, starts: Mapping[Hashable, int]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -40,7 +46,7 @@ def _power_rows(
     placed so far) to non-negative start times.  Both ``int64`` rows span
     ``[0, max(T, latest finish))``; past the deadline ``T`` the budget is the
     last interval's.  Within the horizon the budget row is memoised on the
-    instance and shared, so callers treat it as read-only.
+    instance and shared, so it is read-only.
     """
     profile = instance.profile
     count = len(starts)
@@ -55,7 +61,7 @@ def _power_rows(
     np.subtract.at(delta, end, power)
     row = delta[:-1].cumsum()
     row += instance.total_idle_power()
-    budget = instance._memoised("budget_row", profile.budgets_per_time_unit)
+    budget = instance._memoised("budget_row", lambda: _read_only(profile.budgets_per_time_unit()))
     if horizon > profile.horizon:
         budget = np.concatenate(
             (budget, np.full(horizon - profile.horizon, budget[-1], dtype=np.int64))

@@ -104,8 +104,8 @@ class ProblemInstance:
         Holds what several runs on one instance would otherwise recompute
         and what depends on its profile or deadline: the facade's wire
         payload and canonical text, the greedy phase's initial EST/LST
-        tracker, task orders and budget intervals, and the budget row of
-        the local search's stacked power timelines.  A value lives on the
+        tracker, task orders and budget intervals, and the read-only budget
+        row of :func:`repro.schedule.cost._power_rows`.  A value lives on the
         narrowest object it depends on, so what depends on the DAG alone
         lives in ``EnhancedDAG._memoised``, shared by every instance over it.
         Callers treat values as read-only and copy what they mutate.

@@ -26,18 +26,6 @@ from repro.utils.errors import InvalidScheduleError
 __all__ = ["PowerTimeline"]
 
 
-def _node_rows(dag, work_power: Dict[Hashable, int]) -> Tuple:
-    """Return *dag*'s nodes with their ``int64`` duration and working-power rows, and its idle power."""
-    nodes = dag.nodes()
-    duration = dag.duration_map()
-    return (
-        nodes,
-        np.array([duration[node] for node in nodes], dtype=np.int64),
-        np.array([work_power[node] for node in nodes], dtype=np.int64),
-        dag.platform.total_idle_power(),
-    )
-
-
 class PowerTimeline:
     """Total platform power and green budget per time unit.
 
@@ -86,50 +74,20 @@ class PowerTimeline:
         """Return a kernel timeline and one timeline per schedule, over one power buffer.
 
         The power row of ``schedules[k]``'s timeline is row ``k`` of one
-        ``(N, T)`` buffer, built in one pass the way :func:`_power_rows`
-        builds one row, so :meth:`move` updates the buffer in place.  The
+        ``(N, T)`` buffer, so :meth:`move` updates the buffer in place.  The
         kernel timeline reads the flattened buffer against an ``N``-fold
         budget row: its :meth:`_gain_rows` scores a task of timeline ``k``
         at start ``s`` on cell ``k * T + s``, so one call scores tasks of
-        every timeline; it holds no placed tasks.  A single timeline is its
-        own kernel timeline.
+        every timeline; it holds no placed tasks.
         """
-        if len(schedules) == 1:
-            timeline = cls(instance, schedules[0])
-            return timeline, [timeline]
-        dag = instance.dag
-        nodes, duration, power, idle = dag._memoised(
-            "timeline_rows", lambda: _node_rows(dag, instance.work_power_map)
-        )
-        starts = [schedule.start_times() for schedule in schedules]
-        begin = np.array([[start[node] for node in nodes] for start in starts], dtype=np.int64)
-        horizon = instance.deadline
-        if (begin + duration).max(initial=0) > horizon:
-            late = int((begin + duration > horizon).any(axis=1).argmax())
-            cls(instance, schedules[late])  # raises the horizon error
-        # One difference row over all N rows: a task of row k adds its power
-        # at cell k * T + start and removes it at k * T + finish.  A finish
-        # at T lands on the first cell of row k + 1, where the row's own
-        # power must end anyway, so one cumulative sum gives every row.
-        begin += np.arange(0, len(schedules) * horizon, horizon)[:, None]
-        end = (begin + duration).ravel()
-        begin = begin.ravel()
-        # ufunc.at gets flat rows of equal length: with a 2-D index and a
-        # broadcast value row, NumPy 2.4 added wrong values.
-        power = np.broadcast_to(power, (len(schedules), len(nodes))).ravel()
-        delta = np.zeros(len(schedules) * horizon + 1, dtype=np.int64)
-        delta[0] = idle
-        np.add.at(delta, begin, power)
-        np.subtract.at(delta, end, power)
-        buffer = delta.cumsum()[:-1]
-        budget = instance._memoised("budget_row", instance.profile.budgets_per_time_unit)
-        timelines = []
-        for start, row in zip(starts, buffer.reshape(len(schedules), horizon)):
-            timeline = cls.__new__(cls)
-            timeline._adopt(instance, start, row, budget)
-            timelines.append(timeline)
+        timelines = [cls(instance, schedule) for schedule in schedules]
+        buffer = np.stack([timeline._power for timeline in timelines])
+        for timeline, row in zip(timelines, buffer):
+            timeline._power = row
         kernel = cls.__new__(cls)
-        kernel._adopt(instance, {}, buffer, np.concatenate([budget] * len(schedules)))
+        kernel._adopt(
+            instance, {}, buffer.ravel(), np.tile(timelines[0]._budget, len(timelines))
+        )
         return kernel, timelines
 
     # ------------------------------------------------------------------ #

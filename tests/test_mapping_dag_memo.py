@@ -177,7 +177,6 @@ class TestDagMemoContents:
             "estlst_rows",
             "active_power_row",
             "search_rows",
-            "timeline_rows",
             "constraint_rows",
             ("block_window_sums", 2),
             ("block_window_sums", 3),

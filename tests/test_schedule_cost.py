@@ -10,6 +10,7 @@ from repro.mapping.mapping import Mapping
 from repro.platform_.presets import single_processor_cluster
 from repro.schedule.asap import alap_schedule, asap_schedule
 from repro.schedule.cost import (
+    _power_rows,
     brown_energy_breakdown,
     carbon_cost,
     carbon_cost_per_time_unit,
@@ -85,6 +86,16 @@ class TestEvaluatorEquivalence:
 
     def test_costs_are_non_negative(self, tiny_multi_instance):
         assert carbon_cost(asap_schedule(tiny_multi_instance)) >= 0
+
+
+class TestSharedBudgetRow:
+    def test_budget_row_is_read_only(self, tiny_multi_instance):
+        budget = _power_rows(tiny_multi_instance, asap_schedule(tiny_multi_instance).start_times())[1]
+        with pytest.raises(ValueError, match="read-only"):
+            budget[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            budget -= 1
+        assert _power_rows(tiny_multi_instance, {})[1] is budget
 
 
 class TestBrownEnergyBreakdown:
