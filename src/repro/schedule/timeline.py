@@ -78,9 +78,14 @@ class PowerTimeline:
         kernel timeline reads the flattened buffer against an ``N``-fold
         budget row: its :meth:`_gain_rows` scores a task of timeline ``k``
         at start ``s`` on cell ``k * T + s``, so one call scores tasks of
-        every timeline; it holds no placed tasks.
+        every timeline; it holds no placed tasks.  A single timeline is its
+        own kernel timeline.
         """
         timelines = [cls(instance, schedule) for schedule in schedules]
+        if len(timelines) == 1:
+            # Skipping the copies keeps a group of one (every online job) as
+            # cheap as a search run alone.
+            return timelines[0], timelines
         buffer = np.stack([timeline._power for timeline in timelines])
         for timeline, row in zip(timelines, buffer):
             timeline._power = row

@@ -20,6 +20,12 @@ class TestPlacement:
         timeline = PowerTimeline(tiny_multi_instance, schedule)
         assert timeline.total_cost() == carbon_cost(schedule)
 
+    def test_single_timeline_is_its_own_kernel(self, tiny_multi_instance):
+        schedule = asap_schedule(tiny_multi_instance)
+        kernel, timelines = PowerTimeline._stacked(tiny_multi_instance, [schedule])
+        assert timelines == [kernel]
+        assert kernel.total_cost() == PowerTimeline(tiny_multi_instance, schedule).total_cost()
+
     def test_schedule_past_horizon_rejected(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
         dag = tiny_multi_instance.dag
@@ -200,6 +206,12 @@ class TestStackedTimelines:
         assert kernel.power_array().tolist() == sum(
             (timeline.power_array().tolist() for timeline in timelines), []
         )
+
+    def test_single_timeline_is_its_own_kernel(self, tiny_multi_instance):
+        schedule = asap_schedule(tiny_multi_instance)
+        kernel, timelines = PowerTimeline._stacked(tiny_multi_instance, [schedule])
+        assert timelines == [kernel]
+        assert kernel.total_cost() == PowerTimeline(tiny_multi_instance, schedule).total_cost()
 
     def test_schedule_past_horizon_rejected(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
