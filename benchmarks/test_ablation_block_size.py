@@ -35,7 +35,7 @@ def run_sweep():
         costs = []
         started = time.perf_counter()
         for instance in instances:
-            costs.append(carbon_cost(scheduler.schedule(instance, "pressWR-LS")))
+            costs.append(carbon_cost(scheduler.run(instance, "pressWR-LS").schedule))
         elapsed = time.perf_counter() - started
         results[block_size] = {
             "mean_cost": float(np.mean(costs)),

@@ -49,7 +49,7 @@ def test_fig8_running_times(grid_records, benchmark, output_dir):
         InstanceSpec("atacseq", 60, "small", "S1", 2.0, seed=0), master_seed=0
     )
     scheduler = CaWoSched()
-    benchmark(lambda: scheduler.schedule(instance, "pressWR-LS"))
+    benchmark(lambda: scheduler.run(instance, "pressWR-LS"))
 
     # Shape checks: ASAP is the fastest variant; the heuristics stay within an
     # interactive time budget on laptop-scale instances.

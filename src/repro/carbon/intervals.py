@@ -113,41 +113,9 @@ class PowerProfile:
     # Alternative constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_boundaries(cls, boundaries: Sequence[int], budgets: Sequence[int]) -> "PowerProfile":
-        """Build a profile from interval boundaries ``[b_1=0, e_1, ..., e_J=T]``."""
-        if len(boundaries) < 2:
-            raise InvalidProfileError("need at least two boundaries")
-        if boundaries[0] != 0:
-            raise InvalidProfileError("the first boundary must be 0")
-        lengths = [int(b) - int(a) for a, b in zip(boundaries, boundaries[1:])]
-        return cls(lengths, budgets)
-
-    @classmethod
     def constant(cls, horizon: int, budget: int) -> "PowerProfile":
         """Build a single-interval profile with a constant budget."""
         return cls([int(horizon)], [int(budget)])
-
-    @classmethod
-    def from_time_unit_budgets(cls, budgets: Sequence[int]) -> "PowerProfile":
-        """Build a profile from a per-time-unit budget array (merging runs)."""
-        if len(budgets) == 0:
-            raise InvalidProfileError("need at least one time unit")
-        lengths: List[int] = []
-        values: List[int] = []
-        current = int(budgets[0])
-        run = 0
-        for value in budgets:
-            value = int(value)
-            if value == current:
-                run += 1
-            else:
-                lengths.append(run)
-                values.append(current)
-                current = value
-                run = 1
-        lengths.append(run)
-        values.append(current)
-        return cls(lengths, values)
 
     # ------------------------------------------------------------------ #
     # Serialisation
@@ -210,18 +178,6 @@ class PowerProfile:
         for iv in self._intervals:
             result[iv.begin : iv.end] = iv.budget
         return result
-
-    def total_green_energy(self) -> int:
-        """Return the total green energy over the horizon (sum of budget × length)."""
-        return sum(iv.budget * iv.length for iv in self._intervals)
-
-    def max_budget(self) -> int:
-        """Return the largest per-time-unit budget."""
-        return max(iv.budget for iv in self._intervals)
-
-    def min_budget(self) -> int:
-        """Return the smallest per-time-unit budget."""
-        return min(iv.budget for iv in self._intervals)
 
     # ------------------------------------------------------------------ #
     # Transformations

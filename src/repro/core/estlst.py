@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import copy
 from heapq import heappop, heappush
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List
 
 from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.utils.errors import InfeasibleScheduleError
@@ -97,10 +97,6 @@ class EstLstTracker:
     def is_fixed(self, node: Hashable) -> bool:
         """Return whether *node* already has a fixed start time."""
         return node in self._fixed
-
-    def fixed_start(self, node: Hashable) -> Optional[int]:
-        """Return the fixed start time of *node*, or ``None``."""
-        return self._fixed.get(node)
 
     def fixed_starts(self) -> Dict[Hashable, int]:
         """Return a copy of all fixed start times."""

@@ -4,10 +4,10 @@
 baseline behind a single entry point keyed by the paper's variant names
 (``slack``, ``pressWR-LS``, ``ASAP``, ...).  Every run produces a
 :class:`ScheduleResult` with the schedule, its carbon cost and the wall-clock
-time spent, which is what the experiment harness records.  An ``-LS``
-variant can start from its greedy parent's result instead of recomputing the
-greedy schedule (``run(..., parent=...)``), and the ``-LS`` variants of one
-job share one lock-step local search.
+time spent, which is what the experiment harness records.  The ``-LS``
+variants of one job share one lock-step local search (:meth:`CaWoSched._refine`),
+which starts from the greedy parents' results when the job holds them;
+:meth:`CaWoSched.run` on one ``-LS`` variant is a group of one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.schedule.cost import carbon_cost
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.schedule.validation import check_schedule
-from repro.utils.errors import CaWoSchedError
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = ["ScheduleResult", "CaWoSched"]
@@ -124,10 +123,6 @@ class CaWoSched:
         )
 
     # ------------------------------------------------------------------ #
-    def schedule(self, instance: ProblemInstance, variant: str) -> Schedule:
-        """Return the schedule produced by *variant* on *instance*."""
-        return self.run(instance, variant).schedule
-
     def _greedy(self, instance: ProblemInstance, spec: VariantSpec) -> Schedule:
         """Return the greedy schedule of *spec*'s configuration, unchecked and uncosted."""
         return greedy_schedule(
@@ -138,37 +133,20 @@ class CaWoSched:
             block_size=self.block_size,
         )
 
-    def run(
-        self,
-        instance: ProblemInstance,
-        variant: str,
-        *,
-        parent: Optional[ScheduleResult] = None,
-    ) -> ScheduleResult:
+    def run(self, instance: ProblemInstance, variant: str) -> ScheduleResult:
         """Run *variant* on *instance* and return a timed, costed result.
 
-        *parent* is the result of the greedy parent of an ``-LS`` variant on
-        the same instance (``variant == parent.variant + "-LS"``).  When it is
-        given, the greedy phase is skipped and the local search starts from
-        ``parent.schedule``; the result is identical to a run without
-        *parent*, and its ``runtime_seconds`` is ``parent.runtime_seconds``
-        plus the time spent here.  The new schedule is still validated and
-        costed; *parent* is not modified.  An ``-LS`` variant runs as a
+        An ``-LS`` variant computes its greedy schedule and runs as a
         lock-step group of one (see :meth:`_refine`).
 
         Raises
         ------
         CaWoSchedError
-            If *variant* is unknown, or *parent* is given for a variant that
-            is not an ``-LS`` variant, is not its greedy parent, or was
-            computed on another instance.
+            If *variant* is unknown.
         """
         spec = get_variant(variant)
-        if parent is not None:
-            _check_parent(spec, instance, parent)
         if spec.local_search:
-            parents = {} if parent is None else {parent.variant: parent}
-            return self._refine(instance, [variant], parents)[0]
+            return self._refine(instance, [variant], {})[0]
         begin = time.perf_counter()
         produced = asap_schedule(instance) if spec.is_baseline else self._greedy(instance, spec)
         if self.validate:
@@ -227,20 +205,3 @@ class CaWoSched:
             for variant, schedule, own in zip(variants, produced, inherited)
         ]
 
-
-def _check_parent(
-    spec: VariantSpec, instance: ProblemInstance, parent: ScheduleResult
-) -> None:
-    """Reject a *parent* that is not *spec*'s greedy parent on *instance*."""
-    if spec.parent is None:
-        raise CaWoSchedError(
-            f"parent= is only accepted for -LS variants, not {spec.name!r}"
-        )
-    if parent.variant != spec.parent:
-        raise CaWoSchedError(
-            f"{spec.name!r} refines {spec.parent!r}, not {parent.variant!r}"
-        )
-    if parent.schedule.instance is not instance:
-        raise CaWoSchedError(
-            f"the parent {parent.variant!r} result belongs to another instance"
-        )

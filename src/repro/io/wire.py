@@ -62,7 +62,6 @@ __all__ = [
     "save_records",
     "load_records",
     "save_sim_report",
-    "load_sim_report",
 ]
 
 #: Identifier of the wire format (the envelope's ``format`` field).
@@ -317,7 +316,3 @@ def save_sim_report(report, path: Union[str, Path]) -> None:
     """Write a simulation report to *path* as enveloped JSON."""
     save("sim-report", report, path)
 
-
-def load_sim_report(path: Union[str, Path]):
-    """Read a simulation report from an enveloped JSON file."""
-    return load(path, "sim-report")

@@ -7,7 +7,7 @@ CaWoSched, the baseline and the exact algorithms operate.
 """
 
 from repro.mapping.mapping import Mapping
-from repro.mapping.heft import HeftResult, heft_mapping, upward_ranks
+from repro.mapping.heft import HeftResult, heft_mapping
 from repro.mapping.carbon_heft import carbon_aware_heft_mapping
 from repro.mapping.enhanced_dag import EnhancedDAG, build_enhanced_dag
 
@@ -15,7 +15,6 @@ __all__ = [
     "Mapping",
     "HeftResult",
     "heft_mapping",
-    "upward_ranks",
     "carbon_aware_heft_mapping",
     "EnhancedDAG",
     "build_enhanced_dag",

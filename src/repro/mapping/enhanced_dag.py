@@ -180,10 +180,6 @@ class EnhancedDAG:
         """Return processors (compute and link) that execute at least one node."""
         return [proc for proc, tasks in self._processor_tasks.items() if tasks]
 
-    def total_duration(self) -> int:
-        """Return the sum of all node durations (serial execution time)."""
-        return sum(self._duration_map.values())
-
     def critical_path_duration(self) -> int:
         """Return the longest path duration — a lower bound on any makespan (cached)."""
         return self._memoised("critical_path", self._longest_path)

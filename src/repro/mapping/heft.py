@@ -37,7 +37,7 @@ from repro.platform_.processor import ProcessorSpec
 from repro.utils.errors import InvalidMappingError
 from repro.workflow.dag import Workflow
 
-__all__ = ["HeftResult", "heft_mapping", "upward_ranks"]
+__all__ = ["HeftResult", "heft_mapping"]
 
 
 @dataclass
@@ -89,18 +89,6 @@ def _duration_table(
             row = rows[work] = [per_speed[index] for index in column]
         table[task] = row
     return table
-
-
-def upward_ranks(workflow: Workflow, cluster: Cluster) -> Dict[Hashable, float]:
-    """Compute HEFT upward ranks for every task.
-
-    The average execution time of a task is its work divided by each
-    processor speed, averaged; the average communication cost of an edge is
-    its data volume (bandwidth 1), multiplied by the probability
-    ``(P - 1) / P`` that the two endpoints land on different processors.
-    """
-    processors = cluster.processors()
-    return _ranks(workflow, _duration_table(workflow, processors), len(processors))
 
 
 def _ranks(

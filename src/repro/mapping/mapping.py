@@ -145,10 +145,6 @@ class Mapping:
                 links.append(link)
         return links
 
-    def communications_on(self, link: Tuple[Hashable, Hashable]) -> List[Edge]:
-        """Return the ordered communications using the directed *link*."""
-        return list(self._communication_order.get(link, []))
-
     def communication_order(self) -> Dict[Tuple[Hashable, Hashable], List[Edge]]:
         """Return a copy of the per-link communication ordering."""
         return {link: list(edges) for link, edges in self._communication_order.items()}

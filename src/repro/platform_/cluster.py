@@ -101,10 +101,6 @@ class Cluster:
         """Return the sum of working powers of all compute processors."""
         return sum(p.p_work for p in self._processors.values())
 
-    def fastest_processor(self) -> ProcessorSpec:
-        """Return the processor with the highest speed (ties: first declared)."""
-        return max(self._processors.values(), key=lambda p: p.speed)
-
     def to_dict(self) -> Dict[str, object]:
         """Return a JSON-serialisable representation of the cluster."""
         return {
@@ -119,13 +115,6 @@ class Cluster:
             [ProcessorSpec.from_dict(entry) for entry in data["processors"]],
             name=str(data.get("name", "cluster")),
         )
-
-    def by_type(self) -> Dict[str, List[ProcessorSpec]]:
-        """Group processors by their ``proc_type`` label."""
-        groups: Dict[str, List[ProcessorSpec]] = {}
-        for spec in self._processors.values():
-            groups.setdefault(spec.proc_type or "unknown", []).append(spec)
-        return groups
 
     def __iter__(self) -> Iterator[ProcessorSpec]:
         return iter(self._processors.values())
@@ -223,11 +212,6 @@ class ExtendedPlatform:
     def num_processors(self) -> int:
         """Total number of processors (compute + links)."""
         return self._cluster.num_processors + len(self._links)
-
-    @property
-    def num_links(self) -> int:
-        """Number of link processors."""
-        return len(self._links)
 
     def processor_names(self) -> List[Hashable]:
         """Return all processor names, compute processors first."""

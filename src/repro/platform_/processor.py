@@ -70,11 +70,6 @@ class ProcessorSpec:
         """Idle plus working power — the draw while the processor is active."""
         return int(self.p_idle + self.p_work)
 
-    @property
-    def is_link(self) -> bool:
-        """Whether this processor models a communication link."""
-        return self.kind == LINK
-
     def execution_time(self, work: int) -> int:
         """Return the integer running time of a task with the given work volume.
 

@@ -10,7 +10,6 @@ from repro.schedule.cost import (
 from repro.schedule.timeline import PowerTimeline
 from repro.schedule.validation import check_schedule, is_feasible
 from repro.schedule.asap import (
-    alap_schedule,
     asap_makespan,
     asap_schedule,
     earliest_start_times,
@@ -26,7 +25,6 @@ __all__ = [
     "PowerTimeline",
     "check_schedule",
     "is_feasible",
-    "alap_schedule",
     "asap_makespan",
     "asap_schedule",
     "earliest_start_times",

@@ -24,7 +24,6 @@ __all__ = [
     "latest_start_times",
     "asap_makespan",
     "asap_schedule",
-    "alap_schedule",
 ]
 
 
@@ -87,13 +86,3 @@ def asap_schedule(instance: ProblemInstance) -> Schedule:
     """
     return Schedule._trusted(instance, earliest_start_times(instance.dag), algorithm="ASAP")
 
-
-def alap_schedule(instance: ProblemInstance) -> Schedule:
-    """Return the ALAP schedule (every task at its latest start time).
-
-    Not part of the paper's algorithm set, but useful as a second
-    carbon-unaware reference point and in tests (it is feasible whenever the
-    instance is).
-    """
-    lst = latest_start_times(instance.dag, instance.deadline)
-    return Schedule(instance, lst, algorithm="ALAP")

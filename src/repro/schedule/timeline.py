@@ -1,10 +1,10 @@
 """Mutable power timeline used for incremental cost evaluation.
 
 The local search needs to evaluate many candidate single-task moves cheaply.
-:class:`PowerTimeline` keeps the total platform power per time unit as a NumPy
-array together with the per-time-unit green budget; placing or removing a task
-touches only the task's execution window, and the cost change of a move can be
-computed from the affected slice alone.
+:class:`PowerTimeline` loads a schedule and keeps the total platform power per
+time unit as a NumPy array together with the per-time-unit green budget;
+moving a task touches only its old and new execution windows, and the cost
+change of a move can be computed from the affected slice alone.
 
 The timeline is pseudo-polynomial in the deadline (one array cell per time
 unit), which is practical for the instance sizes the library targets and is
@@ -14,7 +14,7 @@ tasks by individual time units).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,12 +35,11 @@ class PowerTimeline:
         The problem instance (defines the horizon, the idle-power baseline and
         the per-node working powers).
     schedule:
-        Optional schedule to load immediately; otherwise the timeline starts
-        empty (idle power only) and tasks are placed with :meth:`place`.
+        The schedule whose tasks the timeline holds.
     """
 
-    def __init__(self, instance: ProblemInstance, schedule: Optional[Schedule] = None) -> None:
-        starts = {} if schedule is None else schedule.start_times()
+    def __init__(self, instance: ProblemInstance, schedule: Schedule) -> None:
+        starts = schedule.start_times()
         power, budget = _power_rows(instance, starts)
         self._adopt(instance, starts, power, budget)
         horizon = instance.deadline
@@ -106,10 +105,6 @@ class PowerTimeline:
         """The deadline ``T``."""
         return len(self._power)
 
-    def power_array(self) -> np.ndarray:
-        """Return a copy of the per-time-unit total power."""
-        return self._power.copy()
-
     def start_of(self, node: Hashable) -> int:
         """Return the currently placed start time of *node*."""
         try:
@@ -120,37 +115,8 @@ class PowerTimeline:
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def place(self, node: Hashable, start: int) -> None:
-        """Place *node* at *start*, adding its working power to the window."""
-        if node in self._starts:
-            raise InvalidScheduleError(f"task {node!r} is already placed")
-        start = int(start)
-        duration = self._duration[node]
-        if start < 0 or start + duration > self.horizon:
-            raise InvalidScheduleError(
-                f"task {node!r} at start {start} (duration {duration}) does not fit "
-                f"into the horizon [0, {self.horizon})"
-            )
-        work_power = self._work_power[node]
-        if work_power:
-            self._power[start : start + duration] += work_power
-        self._starts[node] = start
-
-    def remove(self, node: Hashable) -> int:
-        """Remove *node* from the timeline and return its previous start time."""
-        start = self.start_of(node)
-        work_power = self._work_power[node]
-        if work_power:
-            self._power[start : start + self._duration[node]] -= work_power
-        del self._starts[node]
-        return start
-
     def move(self, node: Hashable, new_start: int) -> None:
-        """Move *node* to *new_start* with two slice updates.
-
-        Unlike a ``remove`` + ``place`` pair this validates once and keeps the
-        node's dictionary entry in place.
-        """
+        """Move *node* to *new_start* with two slice updates."""
         old_start = self.start_of(node)
         new_start = int(new_start)
         if new_start == old_start:
@@ -226,7 +192,7 @@ class PowerTimeline:
         ``len(nodes) + 1`` offsets delimiting them, so that
         ``gains[offsets[i] + s - los[i]] == move_gain(nodes[i], s)``.
 
-        Instead of per-candidate remove/place round-trips, every candidate is
+        Instead of per-candidate move round trips, every candidate is
         scored with one prefix-sum expression over the concatenated regions
         ``[min(lo, cur), max(hi, cur) + d)`` of the tasks: with ``excess[t] =
         power[t] - budget[t]`` after removing the task's own power ``p``, the

@@ -27,7 +27,7 @@ from repro.utils.errors import (
     WireFormatError,
 )
 from repro.utils.names import decode_name, encode_name
-from repro.utils.rng import derive_rng, ensure_rng, spawn_seeds
+from repro.utils.rng import derive_rng, ensure_rng
 from repro.utils.ordering import topological_order
 from repro.utils.validation import (
     check_positive_int,
@@ -50,7 +50,6 @@ __all__ = [
     "encode_name",
     "derive_rng",
     "ensure_rng",
-    "spawn_seeds",
     "topological_order",
     "check_positive_int",
     "check_non_negative_int",

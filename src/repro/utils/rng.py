@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["ensure_rng", "derive_rng", "spawn_seeds", "RNGLike"]
+__all__ = ["ensure_rng", "derive_rng", "RNGLike"]
 
 #: Accepted specification of a random source throughout the library.
 RNGLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
@@ -74,18 +74,6 @@ def derive_rng(seed: RNGLike, *keys: Union[int, str]) -> np.random.Generator:
     spawn_key = [_key_to_int(k) for k in keys]
     seq = np.random.SeedSequence(entropy=base, spawn_key=tuple(spawn_key))
     return np.random.default_rng(seq)
-
-
-def spawn_seeds(seed: RNGLike, count: int) -> list[int]:
-    """Return *count* independent integer seeds derived from *seed*.
-
-    Useful when an experiment needs to hand a plain integer seed to each of a
-    set of independent repetitions.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    rng = ensure_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
 
 
 def _key_to_int(key: Union[int, str]) -> int:

@@ -18,14 +18,11 @@ from repro.workflow.generators import (
     atacseq_like_workflow,
     bacass_like_workflow,
     chain_workflow,
-    diamond_workflow,
     eager_like_workflow,
     fork_join_workflow,
     generate_workflow,
-    independent_tasks_workflow,
     layered_random_workflow,
     methylseq_like_workflow,
-    out_tree_workflow,
     random_dag_workflow,
 )
 
@@ -38,13 +35,10 @@ __all__ = [
     "atacseq_like_workflow",
     "bacass_like_workflow",
     "chain_workflow",
-    "diamond_workflow",
     "eager_like_workflow",
     "fork_join_workflow",
     "generate_workflow",
-    "independent_tasks_workflow",
     "layered_random_workflow",
     "methylseq_like_workflow",
-    "out_tree_workflow",
     "random_dag_workflow",
 ]

@@ -24,7 +24,7 @@ supported.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.utils.errors import CyclicWorkflowError, InvalidWorkflowError
 from repro.utils.names import decode_name, encode_name
@@ -93,11 +93,6 @@ class Workflow:
         self._category[name] = category
         self._succ[name] = {}
         self._pred[name] = {}
-
-    def add_tasks(self, tasks: Iterable[Task]) -> None:
-        """Add several :class:`~repro.workflow.task.Task` objects at once."""
-        for task in tasks:
-            self.add_task(task.name, work=task.work, category=task.category)
 
     def add_dependency(self, source: Hashable, target: Hashable, data: int = 0) -> None:
         """Add a precedence constraint ``source -> target``.
@@ -259,18 +254,6 @@ class Workflow:
             return 0
         return 1 + max(self.levels().values())
 
-    def critical_path_work(self) -> int:
-        """Return the maximum total work along any path (ignoring communications).
-
-        This is a lower bound on the makespan of any schedule executed at unit
-        speed, and is used to sanity-check deadlines.
-        """
-        best: Dict[Hashable, int] = {}
-        for node in self.topological_order():
-            incoming = max((best[p] for p in self._pred[node]), default=0)
-            best[node] = incoming + self._work[node]
-        return max(best.values(), default=0)
-
     # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #
@@ -337,33 +320,6 @@ class Workflow:
             for target, data in targets.items():
                 clone._pred[target][source] = data
         return clone
-
-    def remove_task(self, name: Hashable, *, reconnect: bool = False) -> None:
-        """Remove a task.
-
-        Parameters
-        ----------
-        name:
-            Task to remove.
-        reconnect:
-            If true, add an edge from every predecessor to every successor of
-            the removed task (with communication volume 0) so that transitive
-            precedence is preserved.  This is what WfGen-style down-scaling
-            uses.
-        """
-        if name not in self._work:
-            raise InvalidWorkflowError(f"unknown task {name!r}")
-        if reconnect:
-            for p in self._pred[name]:
-                for s in self._succ[name]:
-                    if p != s and s not in self._succ[p]:
-                        self._succ[p][s] = 0
-                        self._pred[s][p] = 0
-        for s in self._succ.pop(name):
-            del self._pred[s][name]
-        for p in self._pred.pop(name):
-            del self._succ[p][name]
-        del self._work[name], self._category[name]
 
     def set_work(self, name: Hashable, work: int) -> None:
         """Set the work volume of task *name*.

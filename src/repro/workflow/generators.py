@@ -42,10 +42,7 @@ __all__ = [
     "chain_workflow",
     "fork_join_workflow",
     "layered_random_workflow",
-    "out_tree_workflow",
-    "diamond_workflow",
     "random_dag_workflow",
-    "independent_tasks_workflow",
     "atacseq_like_workflow",
     "methylseq_like_workflow",
     "eager_like_workflow",
@@ -194,33 +191,6 @@ def layered_random_workflow(
     return wf
 
 
-def out_tree_workflow(depth: int, branching: int = 2, *, rng: RNGLike = None) -> Workflow:
-    """Return a complete out-tree (data distribution pattern) of given depth."""
-    depth = check_positive_int(depth, "depth")
-    branching = check_positive_int(branching, "branching")
-    wf = Workflow(f"outtree-d{depth}b{branching}")
-    wf.add_task("n0", work=1, category="root")
-    frontier = ["n0"]
-    counter = 1
-    for _ in range(depth - 1):
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(branching):
-                child = f"n{counter}"
-                counter += 1
-                wf.add_task(child, work=1, category="tree")
-                wf.add_dependency(parent, child, data=0)
-                new_frontier.append(child)
-        frontier = new_frontier
-    assign_random_weights(wf, rng=rng)
-    return wf
-
-
-def diamond_workflow(width: int, *, rng: RNGLike = None) -> Workflow:
-    """Return a single diamond: source -> *width* parallel tasks -> sink."""
-    return fork_join_workflow(width, stages=1, rng=rng, name="diamond")
-
-
 def random_dag_workflow(
     num_tasks: int,
     *,
@@ -243,34 +213,6 @@ def random_dag_workflow(
             if rng.random() < edge_probability:
                 wf.add_dependency(f"t{i}", f"t{j}", data=0)
     assign_random_weights(wf, rng=rng)
-    return wf
-
-
-def independent_tasks_workflow(
-    num_tasks: int,
-    *,
-    works: Optional[Sequence[int]] = None,
-    rng: RNGLike = None,
-) -> Workflow:
-    """Return a workflow of independent tasks (no edges).
-
-    Used by the NP-hardness (3-Partition) construction and by unit tests.  If
-    *works* is given it must have length *num_tasks* and is used verbatim,
-    otherwise random weights are drawn.
-    """
-    num_tasks = check_positive_int(num_tasks, "num_tasks")
-    wf = Workflow(f"independent-{num_tasks}")
-    for i in range(num_tasks):
-        wf.add_task(f"t{i}", work=1, category="independent")
-    if works is not None:
-        if len(works) != num_tasks:
-            raise InvalidWorkflowError(
-                f"expected {num_tasks} work values, got {len(works)}"
-            )
-        for i, w in enumerate(works):
-            wf.set_work(f"t{i}", int(w))
-    else:
-        assign_random_weights(wf, rng=rng)
     return wf
 
 

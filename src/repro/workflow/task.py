@@ -46,10 +46,6 @@ class Task:
     def __post_init__(self) -> None:
         check_positive_int(self.work, "work")
 
-    def with_work(self, work: int) -> "Task":
-        """Return a copy of this task with a different work volume."""
-        return Task(name=self.name, work=int(work), category=self.category)
-
     def to_dict(self) -> Dict[str, object]:
         """Return a JSON-serialisable representation of the task."""
         return {

@@ -56,25 +56,10 @@ class TestPowerProfileConstruction:
         with pytest.raises(InvalidProfileError):
             PowerProfile([5, 0], [1, 1])
 
-    def test_from_boundaries(self):
-        profile = PowerProfile.from_boundaries([0, 3, 10], [4, 7])
-        assert [iv.length for iv in profile] == [3, 7]
-        assert profile.budget_at(5) == 7
-
-    def test_from_boundaries_must_start_at_zero(self):
-        with pytest.raises(InvalidProfileError):
-            PowerProfile.from_boundaries([1, 5], [2])
-
     def test_constant(self):
         profile = PowerProfile.constant(20, 6)
         assert profile.num_intervals == 1
         assert profile.budget_at(19) == 6
-
-    def test_from_time_unit_budgets_merges_runs(self):
-        profile = PowerProfile.from_time_unit_budgets([3, 3, 3, 1, 1, 4])
-        assert profile.num_intervals == 3
-        assert [iv.length for iv in profile] == [3, 2, 1]
-        assert [iv.budget for iv in profile] == [3, 1, 4]
 
 
 class TestPowerProfileAccessors:
@@ -103,13 +88,6 @@ class TestPowerProfileAccessors:
         budgets = profile.budgets_per_time_unit()
         assert budgets.shape == (10,)
         assert list(budgets) == [5, 5, 5, 5, 1, 1, 1, 8, 8, 8]
-
-    def test_total_green_energy(self, profile):
-        assert profile.total_green_energy() == 4 * 5 + 3 * 1 + 3 * 8
-
-    def test_min_max_budget(self, profile):
-        assert profile.min_budget() == 1
-        assert profile.max_budget() == 8
 
     def test_iteration_and_len(self, profile):
         assert len(profile) == 3

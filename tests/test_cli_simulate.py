@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.variants import ALL_VARIANTS, variant_names
-from repro.io.wire import load_sim_report
+from repro.io.wire import load
 
 
 def run_cli(*argv):
@@ -43,7 +43,7 @@ class TestSimulateCommand:
         assert run_cli(*SIM_ARGS, "--out", str(second)) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
-        report = load_sim_report(first)
+        report = load(first, "sim-report")
         assert report.config["policy"] == "edf"
         assert report.config["forecast"] == "persistence"
         assert len(report.jobs) > 0
@@ -60,7 +60,7 @@ class TestSimulateCommand:
         )
         capsys.readouterr()
         assert code == 0
-        report = load_sim_report(out_file)
+        report = load(out_file, "sim-report")
         assert sorted(record.arrival for record in report.jobs) == [5, 90, 200]
 
     def test_trace_arrivals_need_a_file(self, capsys):

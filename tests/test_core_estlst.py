@@ -37,7 +37,7 @@ class TestFixing:
         assert tracker.est(node) == start
         assert tracker.lst(node) == start
         assert tracker.is_fixed(node)
-        assert tracker.fixed_start(node) == start
+        assert tracker.fixed_starts() == {node: start}
 
     def test_fix_propagates_to_successors(self, tiny_multi_instance):
         dag = tiny_multi_instance.dag

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
@@ -12,7 +11,6 @@ from repro.api.jobs import Job
 from repro.core.scheduler import CaWoSched
 from repro.core.variants import GREEDY_VARIANTS, LS_VARIANTS, variant_names
 from repro.experiments.instances import InstanceSpec, make_instance
-from repro.io.wire import instance_from_dict, instance_to_dict
 from repro.schedule.cost import carbon_cost, carbon_cost_per_time_unit
 from repro.schedule.validation import is_feasible
 from repro.utils.errors import CaWoSchedError
@@ -68,8 +66,8 @@ class TestCaWoSched:
     def test_validation_can_be_disabled(self, tiny_multi_instance):
         # With validation disabled the run must still succeed and produce the
         # same schedule.
-        a = CaWoSched(validate=True).schedule(tiny_multi_instance, "pressR")
-        b = CaWoSched(validate=False).schedule(tiny_multi_instance, "pressR")
+        a = CaWoSched(validate=True).run(tiny_multi_instance, "pressR").schedule
+        b = CaWoSched(validate=False).run(tiny_multi_instance, "pressR").schedule
         assert a.start_times() == b.start_times()
 
 
@@ -114,48 +112,17 @@ class TestSharedGreedyPhase:
             assert result.carbon_cost == carbon_cost(result.schedule.copy())
 
     def test_parent_schedule_unchanged_by_its_ls_twin(self):
+        # In a job of all variants each -LS variant refines its parent's
+        # schedule; the parent's own result must come out as if run alone.
         instance = make_instance(SHARED_GREEDY_SPECS[0])
-        scheduler = CaWoSched()
+        alone = {name: CaWoSched().run(instance, name) for name in GREEDY_VARIANTS}
+        results, _ = execute_job(Job.from_instance(instance, variants=variant_names()))
+        by_name = {result.variant: result for result in results}
         for name in GREEDY_VARIANTS:
-            parent = scheduler.run(instance, name)
-            before = parent.schedule.start_times()
-            child = scheduler.run(instance, f"{name}-LS", parent=parent)
-            assert parent.schedule.start_times() == before
-            assert child.carbon_cost <= parent.carbon_cost
-
-
-class TestParentContract:
-    def test_wrong_parent_variant_rejected(self, tiny_multi_instance):
-        scheduler = CaWoSched()
-        parent = scheduler.run(tiny_multi_instance, "slack")
-        with pytest.raises(CaWoSchedError, match="refines 'press'"):
-            scheduler.run(tiny_multi_instance, "press-LS", parent=parent)
-
-    def test_parent_from_another_instance_rejected(self, tiny_multi_instance):
-        twin = instance_from_dict(instance_to_dict(tiny_multi_instance))
-        assert instance_to_dict(twin) == instance_to_dict(tiny_multi_instance)
-        scheduler = CaWoSched()
-        parent = scheduler.run(twin, "pressWR")
-        with pytest.raises(CaWoSchedError, match="another instance"):
-            scheduler.run(tiny_multi_instance, "pressWR-LS", parent=parent)
-
-    @pytest.mark.parametrize("variant", ["pressWR", "ASAP"])
-    def test_parent_for_non_ls_variant_rejected(self, tiny_multi_instance, variant):
-        scheduler = CaWoSched()
-        parent = scheduler.run(tiny_multi_instance, "pressWR")
-        with pytest.raises(CaWoSchedError, match="only accepted for -LS variants"):
-            scheduler.run(tiny_multi_instance, variant, parent=parent)
-
-    def test_runtime_adds_parent_and_own_elapsed(self, tiny_multi_instance, monkeypatch):
-        scheduler = CaWoSched()
-        parent = dataclasses.replace(
-            scheduler.run(tiny_multi_instance, "slackR"), runtime_seconds=1.5
-        )
-        ticks = itertools.count(start=10.0, step=0.25)
-        monkeypatch.setattr("repro.core.scheduler.time.perf_counter", lambda: next(ticks))
-        result = scheduler.run(tiny_multi_instance, "slackR-LS", parent=parent)
-        # One clock read before and one after the local search: 0.25 s own time.
-        assert result.runtime_seconds == parent.runtime_seconds + 0.25
+            parent = by_name[name]
+            assert parent.schedule.start_times() == alone[name].schedule.start_times()
+            assert carbon_cost(parent.schedule) == parent.carbon_cost == alone[name].carbon_cost
+            assert by_name[f"{name}-LS"].carbon_cost <= parent.carbon_cost
 
 
 class TestSharedLocalSearchTime:

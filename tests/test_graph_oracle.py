@@ -103,7 +103,7 @@ class TestWorkflowOracle:
     def test_edit_sequences_match_networkx(self, data):
         workflow, mirror = Workflow("w"), nx.DiGraph()
         for _ in range(data.draw(st.integers(0, 40))):
-            op = data.draw(st.sampled_from(["task", "task", "edge", "edge", "edge", "remove", "copy"]))
+            op = data.draw(st.sampled_from(["task", "task", "edge", "edge", "edge", "work", "copy"]))
             tasks = list(mirror.nodes)
             if op == "task":
                 name, work = data.draw(LABELS), data.draw(st.integers(1, 9))
@@ -125,15 +125,10 @@ class TestWorkflowOracle:
                 else:
                     workflow.add_dependency(source, target, data=volume)
                     mirror.add_edge(source, target, data=volume)
-            elif op == "remove" and tasks:
-                name, reconnect = data.draw(st.sampled_from(tasks)), data.draw(st.booleans())
-                workflow.remove_task(name, reconnect=reconnect)
-                if reconnect:
-                    for p in list(mirror.predecessors(name)):
-                        for s in list(mirror.successors(name)):
-                            if not mirror.has_edge(p, s):
-                                mirror.add_edge(p, s, data=0)
-                mirror.remove_node(name)
+            elif op == "work" and tasks:
+                name, work = data.draw(st.sampled_from(tasks)), data.draw(st.integers(1, 9))
+                workflow.set_work(name, work)
+                mirror.nodes[name]["work"] = work
             elif op == "copy":
                 workflow, mirror = workflow.copy(), mirror.copy()
             assert_mirrors(workflow, mirror)

@@ -291,7 +291,7 @@ class TestInstanceRoundTrip:
 
 class TestScheduleAndResultRoundTrips:
     def test_schedule_round_trip(self, grid_instance):
-        schedule = CaWoSched().schedule(grid_instance, "pressWR-LS")
+        schedule = CaWoSched().run(grid_instance, "pressWR-LS").schedule
         clone = Schedule.from_dict(schedule.to_dict(), grid_instance)
         assert clone.start_times() == schedule.start_times()
         assert clone.algorithm == schedule.algorithm

@@ -172,7 +172,7 @@ class TestBatchedGainProfiles:
     @settings(max_examples=40, deadline=None)
     def test_batched_gains_equal_scalar_move_gain_loop(self, case):
         timeline, nodes, los, his = case
-        before = timeline.power_array()
+        before = timeline._power.copy()
         gains, offsets = timeline.gain_profiles(nodes, los, his)
         assert gains.dtype == np.int64
         assert offsets[0] == 0 and offsets[-1] == len(gains)
@@ -184,7 +184,7 @@ class TestBatchedGainProfiles:
             ]
             assert gains[offsets[index] : offsets[index + 1]].tolist() == expected, node
         # The timeline itself is untouched by the evaluation.
-        assert np.array_equal(timeline.power_array(), before)
+        assert np.array_equal(timeline._power, before)
 
     def test_no_tasks_yield_no_gains(self, tiny_multi_instance):
         timeline = PowerTimeline(
@@ -350,7 +350,7 @@ class TestLocalSearchParity:
                         block_size=scheduler.block_size,
                     )
 
-                fast = scheduler.schedule(instance, variant)
+                fast = scheduler.run(instance, variant).schedule
                 fast_greedy = build_greedy()
                 # The reference greedy re-derives EST/LST with the full
                 # two-sweep recompute after every fix.  The greedy fixes tasks

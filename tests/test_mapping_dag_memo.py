@@ -31,6 +31,7 @@ from repro.schedule.instance import ProblemInstance
 from repro.sim.signal import CarbonSignal
 from repro.sim.workload import WorkloadConfig, build_job
 from repro.workflow.dag import Workflow
+from schedule_helpers import profile_from_time_unit_budgets
 
 IDENTITY = Path(__file__).parent / "data" / "identity"
 SPEC = InstanceSpec("bacass", 15, "small", "S1", 1.5, seed=1)
@@ -58,7 +59,7 @@ def _twins(instance: ProblemInstance):
     return [
         instance,
         ProblemInstance(dag, profile, name="relabelled", metadata={"tag": "ü"}),
-        ProblemInstance(dag, PowerProfile.from_time_unit_budgets(budgets[::-1])),
+        ProblemInstance(dag, profile_from_time_unit_budgets(budgets[::-1])),
         ProblemInstance(dag, PowerProfile.constant(profile.horizon + 9, 17), name="longer"),
     ]
 
@@ -118,7 +119,7 @@ def _deadline_profiles(instance: ProblemInstance):
     budgets = list(instance.profile.budgets_per_time_unit())
     shorter = instance.dag.critical_path_duration() + 1
     assert shorter < len(budgets)
-    return instance.profile, PowerProfile.from_time_unit_budgets(budgets[:shorter])
+    return instance.profile, profile_from_time_unit_budgets(budgets[:shorter])
 
 
 class TestNothingInTheDagMemoDependsOnTheDeadline:

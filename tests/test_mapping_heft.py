@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.mapping.heft import heft_mapping, upward_ranks
+from repro.mapping.heft import _duration_table, _ranks, heft_mapping
 from repro.platform_.presets import scaled_small_cluster, uniform_cluster
 from repro.workflow.generators import (
     atacseq_like_workflow,
     chain_workflow,
     fork_join_workflow,
 )
+
+
+def upward_ranks(workflow, cluster):
+    """Return HEFT's upward rank of every task of *workflow* on *cluster*."""
+    processors = cluster.processors()
+    return _ranks(workflow, _duration_table(workflow, processors), len(processors))
 
 
 class TestUpwardRanks:

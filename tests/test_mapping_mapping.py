@@ -92,7 +92,7 @@ class TestCommunications:
         wf.add_dependency("a", "c", data=1)
         wf.add_dependency("b", "d", data=1)
         mapping = Mapping(wf, cluster, {"a": "p0", "b": "p0", "c": "p1", "d": "p1"})
-        comms = mapping.communications_on(("p0", "p1"))
+        comms = mapping.communication_order()[("p0", "p1")]
         assert comms == [("a", "c"), ("b", "d")]
 
     def test_custom_communication_order_must_match_edges(self, workflow, cluster):

@@ -37,13 +37,6 @@ class TestCluster:
         assert cluster.total_idle_power() == 5
         assert cluster.total_work_power() == 10
 
-    def test_fastest_processor(self):
-        assert make_cluster().fastest_processor().name == "p1"
-
-    def test_by_type(self):
-        groups = make_cluster().by_type()
-        assert set(groups) == {"A", "B"}
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             Cluster([ProcessorSpec("p0"), ProcessorSpec("p0")])
@@ -67,13 +60,13 @@ class TestExtendedPlatform:
     def test_for_links_creates_one_processor_per_used_link(self):
         cluster = make_cluster()
         platform = ExtendedPlatform.for_links(cluster, [("p0", "p1"), ("p1", "p0")], rng=0)
-        assert platform.num_links == 2
+        assert len(platform.links()) == 2
         assert platform.num_processors == 4
 
     def test_duplicate_links_deduplicated(self):
         cluster = make_cluster()
         platform = ExtendedPlatform.for_links(cluster, [("p0", "p1"), ("p0", "p1")], rng=0)
-        assert platform.num_links == 1
+        assert len(platform.links()) == 1
 
     def test_link_power_in_range(self):
         cluster = make_cluster()
@@ -81,7 +74,7 @@ class TestExtendedPlatform:
         link = platform.links()[0]
         assert 1 <= link.p_idle <= 2
         assert 1 <= link.p_work <= 2
-        assert link.is_link
+        assert link.kind == LINK
 
     def test_self_link_rejected(self):
         cluster = make_cluster()
@@ -105,7 +98,7 @@ class TestExtendedPlatform:
         platform = ExtendedPlatform.for_links(cluster, [("p0", "p1")], rng=0)
         assert platform.processor("p0").name == "p0"
         key = link_name("p0", "p1")
-        assert platform.processor(key).is_link
+        assert platform.processor(key).kind == LINK
         assert platform.has_processor(key)
         with pytest.raises(KeyError):
             platform.processor("missing")

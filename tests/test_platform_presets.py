@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.platform_.presets import (
@@ -52,9 +54,8 @@ class TestClusters:
 
     def test_cluster_from_table1_types(self):
         cluster = cluster_from_table1(2)
-        groups = cluster.by_type()
-        assert set(groups) == {pt.name for pt in PROCESSOR_TYPES}
-        assert all(len(group) == 2 for group in groups.values())
+        types = Counter(spec.proc_type for spec in cluster)
+        assert types == {pt.name: 2 for pt in PROCESSOR_TYPES}
 
     def test_invalid_nodes_per_type(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.platform_.processor import COMPUTE, LINK, ProcessorSpec
+from repro.platform_.processor import COMPUTE, ProcessorSpec
 
 
 class TestProcessorSpec:
@@ -43,10 +43,6 @@ class TestProcessorSpec:
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             ProcessorSpec("p0", kind="gpu")
-
-    def test_is_link(self):
-        assert ProcessorSpec("l", kind=LINK).is_link
-        assert not ProcessorSpec("p").is_link
 
 
 class TestExecutionTime:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.carbon.intervals import PowerProfile
 from repro.carbon.scenarios import generate_power_profile
 from repro.carbon.traces import profile_from_trace, synthetic_daily_trace
+from schedule_helpers import profile_from_time_unit_budgets
 
 
 profiles = st.builds(
@@ -54,7 +55,7 @@ class TestProfileInvariants:
     @given(profile=random_profiles())
     @settings(max_examples=30, deadline=None)
     def test_round_trip_through_time_unit_budgets(self, profile):
-        rebuilt = PowerProfile.from_time_unit_budgets(profile.budgets_per_time_unit())
+        rebuilt = profile_from_time_unit_budgets(profile.budgets_per_time_unit())
         assert np.array_equal(
             rebuilt.budgets_per_time_unit(), profile.budgets_per_time_unit()
         )

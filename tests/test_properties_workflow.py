@@ -50,11 +50,3 @@ class TestGeneratorProperties:
     def test_fork_join_task_count_formula(self, width, stages, seed):
         wf = fork_join_workflow(width, stages=stages, rng=seed)
         assert wf.number_of_tasks == 2 + width * stages
-
-    @given(family=FAMILIES, num_tasks=st.integers(10, 80), seed=st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
-    def test_critical_path_at_most_total_work(self, family, num_tasks, seed):
-        wf = generate_workflow(family, num_tasks, rng=seed)
-        assert wf.critical_path_work() <= wf.total_work()
-        assert wf.depth() <= wf.number_of_tasks
-

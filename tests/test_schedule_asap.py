@@ -6,7 +6,6 @@ import pytest
 
 from repro.carbon.intervals import PowerProfile
 from repro.schedule.asap import (
-    alap_schedule,
     asap_makespan,
     asap_schedule,
     earliest_start_times,
@@ -15,6 +14,7 @@ from repro.schedule.asap import (
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.validation import is_feasible
 from repro.utils.errors import InfeasibleScheduleError
+from schedule_helpers import alap_schedule
 
 
 class TestEarliestStartTimes:

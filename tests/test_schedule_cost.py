@@ -8,7 +8,7 @@ from repro.carbon.intervals import PowerProfile
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.mapping import Mapping
 from repro.platform_.presets import single_processor_cluster
-from repro.schedule.asap import alap_schedule, asap_schedule
+from repro.schedule.asap import asap_schedule
 from repro.schedule.cost import (
     _power_rows,
     brown_energy_breakdown,
@@ -18,6 +18,7 @@ from repro.schedule.cost import (
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.workflow.dag import Workflow
+from schedule_helpers import alap_schedule
 
 
 def single_task_instance(work: int, p_idle: int, p_work: int, profile: PowerProfile):

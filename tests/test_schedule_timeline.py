@@ -34,46 +34,13 @@ class TestPlacement:
         with pytest.raises(InvalidScheduleError, match=re.escape(f"task {sink!r} at start")):
             PowerTimeline(tiny_multi_instance, late)
 
-    def test_empty_timeline_cost_is_idle_only(self, tiny_multi_instance):
-        timeline = PowerTimeline(tiny_multi_instance)
-        idle = tiny_multi_instance.total_idle_power()
-        budgets = tiny_multi_instance.profile.budgets_per_time_unit()
-        expected = int(sum(max(idle - b, 0) for b in budgets))
-        assert timeline.total_cost() == expected
-
-    def test_place_remove_roundtrip(self, tiny_multi_instance):
-        timeline = PowerTimeline(tiny_multi_instance)
-        baseline = timeline.total_cost()
-        node = tiny_multi_instance.dag.nodes()[0]
-        timeline.place(node, 0)
-        timeline.remove(node)
-        assert timeline.total_cost() == baseline
-
-    def test_double_place_rejected(self, tiny_multi_instance):
-        timeline = PowerTimeline(tiny_multi_instance)
-        node = tiny_multi_instance.dag.nodes()[0]
-        timeline.place(node, 0)
-        with pytest.raises(InvalidScheduleError):
-            timeline.place(node, 1)
-
-    def test_remove_unplaced_rejected(self, tiny_multi_instance):
-        timeline = PowerTimeline(tiny_multi_instance)
-        with pytest.raises(InvalidScheduleError):
-            timeline.remove(tiny_multi_instance.dag.nodes()[0])
-
-    def test_place_outside_horizon_rejected(self, tiny_multi_instance):
-        timeline = PowerTimeline(tiny_multi_instance)
-        node = tiny_multi_instance.dag.nodes()[0]
-        with pytest.raises(InvalidScheduleError):
-            timeline.place(node, tiny_multi_instance.deadline)
-
     def test_start_of_and_is_placed(self, tiny_multi_instance):
-        timeline = PowerTimeline(tiny_multi_instance)
-        node = tiny_multi_instance.dag.nodes()[0]
-        with pytest.raises(InvalidScheduleError):
-            timeline.start_of(node)
-        timeline.place(node, 3)
-        assert timeline.start_of(node) == 3
+        schedule = asap_schedule(tiny_multi_instance)
+        timeline = PowerTimeline(tiny_multi_instance, schedule)
+        with pytest.raises(InvalidScheduleError, match="not placed"):
+            timeline.start_of("missing")
+        for node in tiny_multi_instance.dag.nodes():
+            assert timeline.start_of(node) == schedule.start(node)
 
 
 class TestMoves:
@@ -128,27 +95,26 @@ class TestMoves:
         timeline = PowerTimeline(tiny_multi_instance, schedule)
         node = tiny_multi_instance.dag.nodes()[0]
         start = timeline.start_of(node)
-        before = timeline.power_array()
+        before = timeline._power.copy()
         with pytest.raises(InvalidScheduleError):
             timeline.move(node, tiny_multi_instance.deadline)
         assert timeline.start_of(node) == start
-        assert (timeline.power_array() == before).all()
+        assert (timeline._power == before).all()
 
-    def test_move_matches_remove_place(self, tiny_multi_instance):
+    def test_move_matches_a_timeline_loaded_after_the_move(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
-        first = PowerTimeline(tiny_multi_instance, schedule)
-        second = PowerTimeline(tiny_multi_instance, schedule)
+        timeline = PowerTimeline(tiny_multi_instance, schedule)
         dag = tiny_multi_instance.dag
         for node in dag.nodes():
             candidate = min(
                 tiny_multi_instance.deadline - dag.duration(node),
-                first.start_of(node) + 3,
+                timeline.start_of(node) + 3,
             )
-            first.move(node, candidate)
-            second.remove(node)
-            second.place(node, candidate)
-            assert first.start_of(node) == second.start_of(node)
-            assert (first.power_array() == second.power_array()).all()
+            timeline.move(node, candidate)
+            schedule = with_start(schedule, node, candidate)
+            loaded = PowerTimeline(tiny_multi_instance, schedule)
+            assert (timeline._power == loaded._power).all()
+            assert timeline.total_cost() == loaded.total_cost()
 
     def test_gain_profile_covers_current_start_with_zero(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
@@ -192,7 +158,7 @@ class TestStackedTimelines:
         kernel, timelines = PowerTimeline._stacked(tiny_multi_instance, schedules)
         lone = [PowerTimeline(tiny_multi_instance, schedule) for schedule in schedules]
         for timeline, reference in zip(timelines, lone):
-            assert timeline.power_array().tolist() == reference.power_array().tolist()
+            assert timeline._power.tolist() == reference._power.tolist()
             assert timeline.total_cost() == reference.total_cost()
         assert kernel.horizon == len(schedules) * tiny_multi_instance.deadline
         # A move updates the shared buffer the kernel reads.
@@ -202,9 +168,9 @@ class TestStackedTimelines:
             if dag.duration(node) and timelines[1].start_of(node) > 0
         )
         timelines[1].move(node, timelines[1].start_of(node) - 1)
-        assert timelines[1].power_array().tolist() != lone[1].power_array().tolist()
-        assert kernel.power_array().tolist() == sum(
-            (timeline.power_array().tolist() for timeline in timelines), []
+        assert timelines[1]._power.tolist() != lone[1]._power.tolist()
+        assert kernel._power.tolist() == sum(
+            (timeline._power.tolist() for timeline in timelines), []
         )
 
     def test_single_timeline_is_its_own_kernel(self, tiny_multi_instance):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.carbon.intervals import PowerProfile
 from repro.carbon.traces import CarbonIntensityTrace, synthetic_daily_trace
 from repro.sim.forecast import (
     FORECAST_MODELS,
@@ -17,6 +16,7 @@ from repro.sim.forecast import (
 )
 from repro.sim.signal import CarbonSignal
 from repro.utils.errors import SimulationError
+from schedule_helpers import profile_from_time_unit_budgets
 
 
 @pytest.fixture
@@ -59,7 +59,7 @@ class TestCarbonSignal:
     def test_window_matches_reference(self, key, begin, length):
         trace = PARITY_TRACES[key]
         signal = CarbonSignal(trace, **POWER)
-        expected = PowerProfile.from_time_unit_budgets(
+        expected = profile_from_time_unit_budgets(
             [reference_budget(trace, t, **POWER) for t in range(begin, begin + length)]
         )
         assert signal.window(begin, length).to_dict() == expected.to_dict()
@@ -70,7 +70,7 @@ class TestCarbonSignal:
         signal = CarbonSignal(trace, **POWER)
         begin = trace.duration + trace.sample_duration // 2 + 3
         length = 2 * trace.duration + 11
-        expected = PowerProfile.from_time_unit_budgets(
+        expected = profile_from_time_unit_budgets(
             [reference_budget(trace, t, **POWER) for t in range(begin, begin + length)]
         )
         assert signal.window(begin, length) == expected

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import derive_rng, ensure_rng, spawn_seeds
+from repro.utils.rng import derive_rng, ensure_rng
 
 
 class TestEnsureRng:
@@ -51,22 +50,3 @@ class TestDeriveRng:
         a = derive_rng(1, "x").integers(0, 10**9)
         b = derive_rng(2, "x").integers(0, 10**9)
         assert a != b
-
-
-class TestSpawnSeeds:
-    def test_count_and_determinism(self):
-        seeds_a = spawn_seeds(3, 5)
-        seeds_b = spawn_seeds(3, 5)
-        assert len(seeds_a) == 5
-        assert seeds_a == seeds_b
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_seeds(0, -1)
-
-    def test_zero_count(self):
-        assert spawn_seeds(0, 0) == []
-
-    def test_seeds_are_distinct(self):
-        seeds = spawn_seeds(1, 20)
-        assert len(set(seeds)) == 20

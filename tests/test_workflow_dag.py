@@ -6,7 +6,6 @@ import pytest
 
 from repro.utils.errors import CyclicWorkflowError, InvalidWorkflowError
 from repro.workflow.dag import Workflow
-from repro.workflow.task import Task
 
 
 class TestConstruction:
@@ -27,12 +26,6 @@ class TestConstruction:
         wf = Workflow("w")
         with pytest.raises(InvalidWorkflowError):
             wf.add_task("a", work=0)
-
-    def test_add_tasks_from_task_objects(self):
-        wf = Workflow("w")
-        wf.add_tasks([Task("a", 2), Task("b", 3, category="x")])
-        assert wf.number_of_tasks == 2
-        assert wf.work("b") == 3
 
     def test_add_dependency(self):
         wf = Workflow("w")
@@ -130,14 +123,9 @@ class TestStructure:
         assert levels == {"a": 0, "b": 1, "c": 1, "d": 2}
         assert diamond_workflow_fixed.depth() == 3
 
-    def test_critical_path_work(self, diamond_workflow_fixed):
-        # a(2) -> b(3) -> d(2) is the heaviest path.
-        assert diamond_workflow_fixed.critical_path_work() == 7
-
     def test_empty_workflow(self):
         wf = Workflow("empty")
         assert wf.depth() == 0
-        assert wf.critical_path_work() == 0
         assert wf.topological_order() == []
 
 
@@ -147,16 +135,6 @@ class TestEditing:
         clone.set_work("a", 99)
         assert diamond_workflow_fixed.work("a") == 2
         assert clone.name == "clone"
-
-    def test_remove_task_with_reconnect(self, diamond_workflow_fixed):
-        diamond_workflow_fixed.remove_task("b", reconnect=True)
-        assert not diamond_workflow_fixed.has_task("b")
-        assert diamond_workflow_fixed.has_dependency("a", "d")
-
-    def test_remove_task_without_reconnect(self, diamond_workflow_fixed):
-        diamond_workflow_fixed.remove_task("b")
-        assert not diamond_workflow_fixed.has_dependency("a", "d")
-        assert "b" not in diamond_workflow_fixed.tasks()
 
     def test_set_work_and_data(self, diamond_workflow_fixed):
         diamond_workflow_fixed.set_work("a", 10)

@@ -12,14 +12,11 @@ from repro.workflow.generators import (
     atacseq_like_workflow,
     bacass_like_workflow,
     chain_workflow,
-    diamond_workflow,
     eager_like_workflow,
     fork_join_workflow,
     generate_workflow,
-    independent_tasks_workflow,
     layered_random_workflow,
     methylseq_like_workflow,
-    out_tree_workflow,
     random_dag_workflow,
 )
 
@@ -49,7 +46,7 @@ class TestGenericGenerators:
         assert wf.depth() == 4
 
     def test_diamond_is_forkjoin_with_one_stage(self):
-        wf = diamond_workflow(3, rng=0)
+        wf = fork_join_workflow(3, stages=1, rng=0)
         assert wf.number_of_tasks == 5
         assert wf.depth() == 3
 
@@ -68,26 +65,11 @@ class TestGenericGenerators:
         assert a.dependencies() == b.dependencies()
         assert [a.work(t) for t in a.tasks()] == [b.work(t) for t in b.tasks()]
 
-    def test_out_tree_node_count(self):
-        wf = out_tree_workflow(3, branching=2, rng=0)
-        assert wf.number_of_tasks == 1 + 2 + 4
-        assert len(wf.sources()) == 1
-        assert len(wf.sinks()) == 4
-
     def test_random_dag_edge_probability_extremes(self):
         empty = random_dag_workflow(10, edge_probability=0.0, rng=0)
         full = random_dag_workflow(10, edge_probability=1.0, rng=0)
         assert empty.number_of_dependencies == 0
         assert full.number_of_dependencies == 45
-
-    def test_independent_tasks_with_given_works(self):
-        wf = independent_tasks_workflow(3, works=[5, 6, 7])
-        assert [wf.work(t) for t in wf.tasks()] == [5, 6, 7]
-        assert wf.number_of_dependencies == 0
-
-    def test_independent_tasks_wrong_length(self):
-        with pytest.raises(InvalidWorkflowError):
-            independent_tasks_workflow(3, works=[5, 6])
 
 
 class TestWeightAssignment:

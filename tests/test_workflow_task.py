@@ -19,14 +19,6 @@ class TestTask:
         with pytest.raises(ValueError):
             Task("a", work=-3)
 
-    def test_with_work(self):
-        task = Task("a", work=2, category="qc")
-        bumped = task.with_work(9)
-        assert bumped.work == 9
-        assert bumped.name == "a"
-        assert bumped.category == "qc"
-        assert task.work == 2  # original unchanged
-
     def test_frozen(self):
         task = Task("a")
         with pytest.raises(AttributeError):
