@@ -37,6 +37,7 @@ from repro.io.wire import _graph_payload, _instance_payload, canonical_json
 from repro.io.wire import instance_from_dict, instance_to_dict
 from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.schedule.instance import ProblemInstance
+from repro.utils.validation import check_in_range, check_non_negative_int, check_positive_int
 
 __all__ = [
     "Job",
@@ -165,28 +166,32 @@ def _reject_unknown_keys(what: str, data: Mapping[str, object], known: Sequence[
 
 
 def _normalise_spec(spec_data: Mapping[str, object]) -> Dict[str, object]:
-    """Coerce a raw spec mapping onto the canonical spec keys (eagerly).
+    """Check a raw spec mapping and return it on the canonical spec keys (eagerly).
 
-    Validation is eager (unknown keys, malformed values and everything
-    :meth:`InstanceSpec.validate` rejects fail at job construction time),
-    materialisation is lazy (the workflow is only generated when the
-    instance is actually needed — possibly inside a worker process).
-    ``nodes_per_type`` is kept only when it is set.
+    Validation is eager: unknown keys, malformed values and everything
+    :meth:`InstanceSpec.validate` rejects fail at job construction time.
+    Numbers are checked, not converted, so ``"tasks": 6.7`` or ``"seed":
+    true`` fails instead of naming another cell.  Materialisation is lazy
+    (the workflow is only generated when the instance is actually needed —
+    possibly inside a worker process).  ``nodes_per_type`` is kept only when
+    it is set.
     """
     try:
         spec_data = dict(spec_data)
         _reject_unknown_keys("job spec", spec_data, _RAW_SPEC_KEYS)
+        tasks = spec_data.get("tasks", spec_data.get("num_tasks"))
+        factor = spec_data.get("deadline_factor", 2.0)
         spec: Dict[str, object] = {
             "family": str(spec_data["family"]),
-            "tasks": int(spec_data.get("tasks", spec_data.get("num_tasks"))),
+            "tasks": check_positive_int(tasks, "tasks"),
             "cluster": str(spec_data.get("cluster", "small")),
             "scenario": str(spec_data.get("scenario", "S1")),
-            "deadline_factor": float(spec_data.get("deadline_factor", 2.0)),
-            "seed": int(spec_data.get("seed", 0)),
+            "deadline_factor": check_in_range(factor, "deadline_factor"),
+            "seed": check_non_negative_int(spec_data.get("seed", 0), "seed"),
         }
         nodes = spec_data.get("nodes_per_type")
         if nodes is not None:
-            spec["nodes_per_type"] = int(nodes)
+            spec["nodes_per_type"] = check_positive_int(nodes, "nodes_per_type")
         _instance_spec(spec).validate()
         return spec
     except (KeyError, TypeError, ValueError) as exc:
@@ -208,12 +213,7 @@ def _instance_spec(spec: Mapping[str, object]) -> InstanceSpec:
 
 def _master_seed(value: object) -> Optional[int]:
     """Return a job's master seed: ``None`` or a non-negative integer."""
-    if value is None:
-        return None
-    seed = int(value)
-    if seed < 0:
-        raise ValueError(f"master_seed must be non-negative, got {seed}")
-    return seed
+    return None if value is None else check_non_negative_int(value, "master_seed")
 
 
 def _variant_list(value: object) -> Tuple[str, ...]:

@@ -79,7 +79,7 @@ class CaWoSched:
         integer.
     validate:
         Check every produced schedule for feasibility (adds a small overhead;
-        enabled by default).
+        enabled by default); a ``bool``.
 
     Examples
     --------
@@ -97,7 +97,9 @@ class CaWoSched:
     ) -> None:
         self.block_size = check_positive_int(block_size, "block_size")
         self.window = check_non_negative_int(window, "window")
-        self.validate = bool(validate)
+        if not isinstance(validate, bool):
+            raise TypeError(f"validate must be a boolean, got {type(validate).__name__}")
+        self.validate = validate
 
     # ------------------------------------------------------------------ #
     def config_dict(self) -> Dict[str, object]:
@@ -114,12 +116,17 @@ class CaWoSched:
 
     @classmethod
     def from_config(cls, config: Optional[Dict[str, object]] = None) -> "CaWoSched":
-        """Rebuild a scheduler from :meth:`config_dict` output."""
+        """Rebuild a scheduler from :meth:`config_dict` output.
+
+        The values are checked as the constructor checks them, not converted:
+        ``"window": 2.9`` or ``"validate": "false"`` raise instead of running
+        another configuration.
+        """
         config = dict(config or {})
         return cls(
-            block_size=int(config.get("block_size", DEFAULT_BLOCK_SIZE)),
-            window=int(config.get("window", DEFAULT_WINDOW)),
-            validate=bool(config.get("validate", True)),
+            block_size=config.get("block_size", DEFAULT_BLOCK_SIZE),
+            window=config.get("window", DEFAULT_WINDOW),
+            validate=config.get("validate", True),
         )
 
     # ------------------------------------------------------------------ #

@@ -92,6 +92,22 @@ class TestJobConstruction:
              "window must be non-negative"),
             ({"spec": {"family": "chain", "tasks": 6}, "scheduler": {"block_size": 0}},
              "block_size must be positive"),
+            # Numbers of the wrong type are errors, not truncated or coerced.
+            ({"spec": {"family": "chain", "tasks": 6.7}}, "tasks must be an integer, got float"),
+            ({"spec": {"family": "chain", "tasks": 6, "seed": 1.9}},
+             "seed must be an integer, got float"),
+            ({"spec": {"family": "chain", "tasks": 6, "nodes_per_type": 2.5}},
+             "nodes_per_type must be an integer, got float"),
+            ({"spec": {"family": "chain", "tasks": 6, "deadline_factor": "1.5"}},
+             "deadline_factor must be a real number, got str"),
+            ({"spec": {"family": "chain", "tasks": 6}, "master_seed": True},
+             "master_seed must be an integer, got bool"),
+            ({"spec": {"family": "chain", "tasks": 6}, "scheduler": {"window": 2.9}},
+             "window must be an integer, got float"),
+            ({"spec": {"family": "chain", "tasks": 6}, "scheduler": {"block_size": True}},
+             "block_size must be an integer, got bool"),
+            ({"spec": {"family": "chain", "tasks": 6}, "scheduler": {"validate": "false"}},
+             "validate must be a boolean, got str"),
         ],
     )
     def test_from_dict_rejects_bad_values(self, entry, message):
