@@ -44,7 +44,7 @@ from repro.api.cache import ResultCache
 from repro.api.errors import ApiError, BackendFailure
 from repro.api.jobs import Job, JobResult
 from repro.core.scheduler import CaWoSched, ScheduleResult
-from repro.experiments.runner import RunRecord
+from repro.io.records import RunRecord
 from repro.schedule.instance import ProblemInstance
 
 __all__ = ["Client"]

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Tuple, TypeVar
 from repro.api.jobs import Job
 from repro.core.scheduler import CaWoSched, ScheduleResult
 from repro.core.variants import get_variant
-from repro.experiments.runner import RunRecord
+from repro.io.records import RunRecord
 from repro.schedule.instance import ProblemInstance
 
 __all__ = [

@@ -32,7 +32,7 @@ from repro.api.errors import BackendFailure, InvalidJob, UnknownVariant
 from repro.core.scheduler import CaWoSched, ScheduleResult
 from repro.core.variants import ALL_VARIANTS, variant_names
 from repro.experiments.instances import InstanceSpec, make_instance
-from repro.experiments.runner import RunRecord
+from repro.io.records import RunRecord
 from repro.io.wire import _graph_payload, _instance_payload, canonical_json
 from repro.io.wire import instance_from_dict, instance_to_dict
 from repro.mapping.enhanced_dag import EnhancedDAG

@@ -30,8 +30,8 @@ from repro.experiments.metrics import (
     runtime_statistics,
     size_class_of,
 )
-from repro.experiments.runner import RunRecord
 from repro.exact.dp_single import dp_single_processor
+from repro.io.records import RunRecord
 from repro.platform_.presets import table1_rows
 from repro.schedule.cost import carbon_cost
 from repro.utils.rng import RNGLike
@@ -75,7 +75,8 @@ def _main_variants() -> List[str]:
 
 def _run(instance, variants: Sequence[str]) -> Tuple[RunRecord, ...]:
     """Run *variants* on *instance* through the facade's job executor."""
-    # Imported lazily: repro.api imports this package (for RunRecord).
+    # Imported lazily: repro.api.jobs imports repro.experiments.instances,
+    # which loads this package.
     from repro.api.execute import execute_job
     from repro.api.jobs import Job
 

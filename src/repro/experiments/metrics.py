@@ -24,7 +24,8 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 import numpy as np
 
 from repro.core.variants import BASELINE
-from repro.experiments.runner import RunRecord, records_by_instance
+from repro.experiments.runner import records_by_instance
+from repro.io.records import RunRecord
 
 __all__ = [
     "BoxplotStats",

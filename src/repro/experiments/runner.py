@@ -15,98 +15,23 @@ code, and each cell derives its random streams from the master seed and
 its own coordinates only, so they produce the same records, up to
 wall-clock timings, in the same order.
 
-The facade imports are deferred: :mod:`repro.api` composes this module's
-:class:`RunRecord` into its results, so importing it at module load time
-would be circular.
+The facade imports are deferred: :mod:`repro.api.jobs` imports
+:mod:`repro.experiments.instances` to materialise spec jobs, which loads
+this package, so importing the facade at module load time would be
+circular.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import MISSING, dataclass, fields
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.scheduler import CaWoSched
 from repro.experiments.instances import InstanceSpec
+from repro.io.records import RunRecord
 
 __all__ = ["RunRecord", "run_grid", "records_by_instance"]
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One algorithm run on one instance.
-
-    The metadata of the instance (family, cluster, scenario, deadline factor,
-    size) is denormalised into the record so that grouping and filtering never
-    need the instance object again.
-    """
-
-    instance: str
-    variant: str
-    carbon_cost: int
-    runtime_seconds: float
-    makespan: int
-    deadline: int
-    num_tasks: int
-    family: str = ""
-    cluster: str = ""
-    scenario: str = ""
-    deadline_factor: float = 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        """Return the record as a plain dictionary (JSON friendly)."""
-        return {
-            "instance": self.instance,
-            "variant": self.variant,
-            "carbon_cost": self.carbon_cost,
-            "runtime_seconds": self.runtime_seconds,
-            "makespan": self.makespan,
-            "deadline": self.deadline,
-            "num_tasks": self.num_tasks,
-            "family": self.family,
-            "cluster": self.cluster,
-            "scenario": self.scenario,
-            "deadline_factor": self.deadline_factor,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RunRecord":
-        """Rebuild a record from :meth:`to_dict` output.
-
-        Values are coerced to their field types, so a record read back from
-        wire-format JSON compares equal to the one written.  A missing
-        required field raises :class:`KeyError` with the field name; a value
-        that is not a scalar of the field's type (a list, an object, a
-        non-numeric string, NaN or an infinity) raises :class:`ValueError`
-        naming the field.
-        """
-        values: Dict[str, object] = {}
-        for field in fields(cls):
-            if field.name not in data:
-                if field.default is MISSING:
-                    raise KeyError(field.name)
-                continue
-            value = data[field.name]
-            coerce, expected = _FIELD_TYPES[field.type]
-            try:
-                coerced = None if isinstance(value, (list, dict)) else coerce(value)
-            except (TypeError, ValueError, OverflowError):
-                coerced = None
-            if coerced is None or (coerce is float and not math.isfinite(coerced)):
-                raise ValueError(f"field {field.name!r} must be {expected}, got {value!r}")
-            values[field.name] = coerced
-        return cls(**values)
-
-
-#: Field annotation -> coercion of a :class:`RunRecord` field read from the
-#: wire, and what it accepts.
-_FIELD_TYPES: Dict[str, Tuple[Callable[[object], object], str]] = {
-    "str": (str, "a string"),
-    "int": (int, "an integer"),
-    "float": (float, "a finite number"),
-}
 
 
 def run_grid(

@@ -14,7 +14,7 @@ and wraps the documents the CLI writes in a versioned envelope::
 
 There are three kinds: ``"instance"`` (a
 :class:`~repro.schedule.instance.ProblemInstance`), ``"records"`` (a list of
-:class:`~repro.experiments.runner.RunRecord`) and ``"sim-report"`` (a
+:class:`~repro.io.records.RunRecord`) and ``"sim-report"`` (a
 :class:`~repro.sim.report.SimReport`).
 
 Reconstruction is exact: a deserialised :class:`ProblemInstance` has the same
@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Union
 
 from repro.carbon.intervals import PowerProfile
-from repro.experiments.runner import RunRecord
+from repro.io.records import RunRecord
 from repro.mapping.enhanced_dag import EnhancedDAG, build_enhanced_dag
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import ExtendedPlatform

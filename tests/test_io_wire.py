@@ -306,15 +306,6 @@ class TestRecordsRoundTrip:
         clone = loads(dumps("records", records), "records")
         assert clone == records
 
-    def test_record_from_csv_strings(self):
-        record = RunRecord(
-            instance="x", variant="ASAP", carbon_cost=5, runtime_seconds=0.25,
-            makespan=7, deadline=10, num_tasks=4, family="bacass",
-            cluster="small", scenario="S1", deadline_factor=1.5,
-        )
-        strings = {key: str(value) for key, value in record.to_dict().items()}
-        assert RunRecord.from_dict(strings) == record
-
 
 _RECORD = {
     "instance": "x", "variant": "ASAP", "carbon_cost": 5, "runtime_seconds": 0.25,
@@ -335,6 +326,13 @@ class TestMalformedRecords:
                 "field 'runtime_seconds' must be a finite number",
             ),
             (dict(_RECORD, deadline="soon"), "field 'deadline' must be an integer"),
+            # Integers are read strictly, not truncated or parsed from text.
+            (dict(_RECORD, carbon_cost=2.7), "field 'carbon_cost' must be an integer, got 2.7"),
+            (dict(_RECORD, carbon_cost=True), "field 'carbon_cost' must be an integer, got True"),
+            (dict(_RECORD, carbon_cost="9"), "field 'carbon_cost' must be an integer, got '9'"),
+            (dict(_RECORD, runtime_seconds="0.25"), "field 'runtime_seconds' must be a finite"),
+            (dict(_RECORD, deadline_factor=False), "field 'deadline_factor' must be a finite"),
+            (dict(_RECORD, instance=5), "field 'instance' must be a string, got 5"),
             (3, "record 0 must be an object"),
         ],
     )
