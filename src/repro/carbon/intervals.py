@@ -12,7 +12,7 @@ description of this staircase function; schedulers additionally keep mutable
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 

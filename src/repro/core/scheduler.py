@@ -211,4 +211,3 @@ class CaWoSched:
             )
             for variant, schedule, own in zip(variants, produced, inherited)
         ]
-

@@ -9,20 +9,18 @@ and prints the resulting rows next to the paper's values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.greedy import greedy_schedule
 from repro.core.local_search import local_search
-from repro.core.variants import BASELINE, LS_VARIANTS, get_variant, variant_names
+from repro.core.variants import BASELINE, LS_VARIANTS, get_variant
 from repro.exact.ilp import ilp_optimal
 from repro.experiments.instances import InstanceSpec, make_instance, single_processor_instance
 from repro.experiments.metrics import (
     BoxplotStats,
     cost_ratio_boxplots,
-    cost_ratios_to_baseline,
     group_records,
     median_cost_ratio,
     performance_profile,

@@ -315,4 +315,3 @@ def load_records(path: Union[str, Path]) -> List[RunRecord]:
 def save_sim_report(report, path: Union[str, Path]) -> None:
     """Write a simulation report to *path* as enveloped JSON."""
     save("sim-report", report, path)
-

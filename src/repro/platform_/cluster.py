@@ -11,7 +11,7 @@ equivalent to omitting it from the platform entirely.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Tuple
 
 from repro.utils.errors import InvalidMappingError
 from repro.utils.rng import RNGLike, ensure_rng

@@ -85,4 +85,3 @@ def asap_schedule(instance: ProblemInstance) -> Schedule:
     ignored entirely (this is the carbon-unaware competitor of the paper).
     """
     return Schedule._trusted(instance, earliest_start_times(instance.dag), algorithm="ASAP")
-

@@ -11,7 +11,7 @@ stream.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 

@@ -13,7 +13,7 @@ Communication tasks of the communication-enhanced DAG are represented by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.utils.names import decode_name, encode_name

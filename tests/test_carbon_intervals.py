@@ -7,6 +7,7 @@ import pytest
 
 from repro.carbon.intervals import Interval, PowerProfile
 from repro.utils.errors import InvalidProfileError
+from schedule_helpers import profile_from_time_unit_budgets
 
 
 class TestInterval:
@@ -60,6 +61,13 @@ class TestPowerProfileConstruction:
         profile = PowerProfile.constant(20, 6)
         assert profile.num_intervals == 1
         assert profile.budget_at(19) == 6
+
+    def test_from_time_unit_budgets_merges_runs(self):
+        # The tests' builder of profiles from per-time-unit budgets.
+        profile = profile_from_time_unit_budgets([3, 3, 3, 1, 1, 4])
+        assert profile.num_intervals == 3
+        assert [iv.length for iv in profile] == [3, 2, 1]
+        assert [iv.budget for iv in profile] == [3, 1, 4]
 
 
 class TestPowerProfileAccessors:

@@ -49,4 +49,3 @@ def test_lower_layer_does_not_import_experiments_or_exact(package):
         if is_upper(module)
     ]
     assert offending == []
-

@@ -25,6 +25,7 @@ class TestGeneratorProperties:
         wf = generate_workflow(family, num_tasks, rng=seed)
         assert nx.is_directed_acyclic_graph(to_networkx(wf))
         assert wf.number_of_tasks >= 1
+        assert wf.depth() <= wf.number_of_tasks
         assert all(type(wf.work(task)) is int and wf.work(task) >= 1 for task in wf.tasks())
         assert all(type(wf.data(u, v)) is int and wf.data(u, v) >= 0 for u, v in wf.dependencies())
 
