@@ -103,15 +103,9 @@ def test_goldens_are_complete():
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_matches_golden(name, tmp_path):
-    produced = produce(name, tmp_path).decode("utf8").splitlines()
-    expected = (GOLDEN / name).read_text(encoding="utf8").splitlines()
-    first = next(
-        (i for i, (a, b) in enumerate(zip(produced, expected)) if a != b),
-        min(len(produced), len(expected)),
-    )
-    assert produced == expected, (
-        f"{name} differs from its golden at line {first + 1}"
-    )
+    # Compared line by line so that a failure names the first differing line.
+    produced = produce(name, tmp_path).decode("utf8").splitlines(keepends=True)
+    assert produced == (GOLDEN / name).read_text(encoding="utf8").splitlines(keepends=True)
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
