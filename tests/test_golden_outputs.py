@@ -1,6 +1,6 @@
 """Byte-identity of what the CLI writes with ``--out``, against committed goldens.
 
-``tests/data/golden`` holds four documents, each written by one command
+``tests/data/golden`` holds seven documents, each written by one command
 through :func:`repro.cli.main`:
 
 - ``simulate-poisson-edf.json``: the report of the CI's online simulation
@@ -8,10 +8,15 @@ through :func:`repro.cli.main`:
 - ``simulate-burst-reschedule.json``: bursts re-planned against a
   moving-average forecast of a noisy trace with ``pressWR-LS`` (every plan a
   lock-step local search of one);
+- ``simulate-fifo-oracle.json``: FIFO commits planned against the exact
+  (oracle) forecast with ``slackW-LS``;
 - ``grid-all-variants.json``: one grid cell with all 17 variants;
+- ``export.json``: one generated instance in the wire format;
 - ``batch.json``: batch responses with job fingerprints for a spec job, an
   inline instance, a ``"scheduler": {"block_size": 2}`` entry and a repeat
-  served from the cache.
+  served from the cache;
+- ``batch-identity.json``: the 17-variant job of each of the eight
+  ``tests/data/identity`` instances, with its fingerprint.
 
 Wall-clock ``runtime_seconds`` fields are zeroed before comparing; every
 other byte must match.  To regenerate the goldens on purpose (only when a
@@ -48,11 +53,21 @@ COMMANDS = {
         "--forecast", "moving-average", "--ma-window", "60", "--trace-noise", "0.2",
         "--seed", "2", "--tasks", "8", "--variant", "pressWR-LS",
     ],
+    "simulate-fifo-oracle.json": [
+        "simulate", "--arrivals", "poisson", "--rate", "0.03", "--horizon", "360",
+        "--policy", "fifo", "--forecast", "oracle", "--seed", "3", "--tasks", "8", "12",
+        "--families", "bacass", "eager", "--variant", "slackW-LS",
+    ],
     "grid-all-variants.json": [
         "grid", "--families", "bacass", "--sizes", "20", "--scenarios", "S2",
         "--deadline-factors", "1.2", "--seed", "2", "--variants", *variant_names(),
     ],
+    "export.json": [
+        "export", "--family", "atacseq", "--tasks", "20", "--cluster", "large",
+        "--scenario", "S3", "--deadline-factor", "1.5", "--seed", "4",
+    ],
     "batch.json": ["batch"],
+    "batch-identity.json": ["batch"],
 }
 
 
@@ -67,6 +82,19 @@ def batch_requests() -> List[dict]:
         {"spec": spec, "variants": ["pressWR", "pressWR-LS"], "scheduler": {"block_size": 2}},
         {"spec": spec, "variants": ["ASAP", "pressWR", "pressWR-LS"], "master_seed": 3},
     ]
+
+
+def identity_requests() -> List[dict]:
+    """Return one default (17-variant) request per identity-fixture instance."""
+    return [
+        {"instance": json.loads(path.read_text())["payload"]}
+        for path in sorted(IDENTITY.glob("*.json"))
+        if path.name != "expected.json"
+    ]
+
+
+#: Batch golden name -> the request entries it serves.
+BATCHES = {"batch.json": batch_requests, "batch-identity.json": identity_requests}
 
 
 def _zero_runtimes(value: object) -> None:
@@ -85,9 +113,9 @@ def _zero_runtimes(value: object) -> None:
 def produce(name: str, workdir: Path) -> bytes:
     """Run the command of golden *name* in *workdir* and return its normalised output."""
     args = list(COMMANDS[name])
-    if name == "batch.json":
+    if name in BATCHES:
         requests = workdir / "requests.json"
-        requests.write_text(json.dumps(batch_requests()), encoding="utf8")
+        requests.write_text(json.dumps(BATCHES[name]()), encoding="utf8")
         args.append(str(requests))
     out = workdir / name
     with contextlib.redirect_stdout(io.StringIO()):
