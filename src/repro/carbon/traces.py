@@ -17,7 +17,6 @@ the two views:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 

@@ -50,7 +50,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.api import ApiError, Client, Job
 from repro.core.scheduler import CaWoSched

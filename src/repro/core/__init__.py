@@ -16,7 +16,7 @@ from repro.core.subdivision import (
     original_subdivision,
     refined_subdivision,
 )
-from repro.core.greedy import BudgetIntervals, greedy_schedule
+from repro.core.greedy import greedy_schedule
 from repro.core.local_search import DEFAULT_WINDOW, local_search
 from repro.core.variants import (
     ALL_VARIANTS,
@@ -42,7 +42,6 @@ __all__ = [
     "block_alignment_points",
     "original_subdivision",
     "refined_subdivision",
-    "BudgetIntervals",
     "greedy_schedule",
     "DEFAULT_WINDOW",
     "local_search",

@@ -9,13 +9,21 @@ simply starts at its EST.  After a task has been placed, the budgets of the
 intervals it overlaps are decreased by the task's processor power (idle +
 working), the overlapped boundary intervals are split, and the EST/LST of all
 unscheduled tasks are updated (§5.2 of the paper).
+
+The budget intervals are two plain ``int`` lists, the interval begins and
+their budgets; the intervals are contiguous over ``[0, T)``, so each one ends
+where the next begins.  A task's window covers a few intervals out of a few
+dozen, so ``bisect``, a first-maximum scan, ``list.insert`` and a short loop
+beat NumPy calls, whose per-call overhead dominates at these sizes.  The
+placement loop does the best-start scan, the split and the decrement inline
+and calls :meth:`EstLstTracker._propagate_fix` for the EST/LST update: one
+method call per placement besides the ``bisect`` and list operations.
 """
 
 from __future__ import annotations
 
-import bisect
-import copy
-from typing import List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import List, Sequence, Tuple
 
 from repro.carbon.intervals import PowerProfile
 from repro.core.estlst import EstLstTracker
@@ -29,92 +37,21 @@ from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.utils.errors import CaWoSchedError
 
-__all__ = ["BudgetIntervals", "greedy_schedule"]
+__all__ = ["greedy_schedule"]
 
 
-class BudgetIntervals:
-    """Mutable view of the green budget over a subdivision of the horizon.
+def _initial_intervals(
+    profile: PowerProfile, subdivision_points: Sequence[int]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Return the interval begins and budgets of *profile* split at *subdivision_points*.
 
-    The interval begins and budgets are plain Python ``int`` lists; the
-    intervals are contiguous over ``[0, T)``, so each one ends where the
-    next begins.  A task's window covers a few intervals out of a few
-    dozen, so ``bisect``, a first-maximum scan, ``list.insert`` and a short
-    loop beat NumPy calls, whose per-call overhead dominates at these
-    sizes.  Placing a task splits the partially covered first/last
-    intervals and decreases the budget of every interval the task overlaps.
+    Points outside ``[0, T)`` are dropped; the profile's own boundaries are
+    always interval begins.  Both rows are tuples: the greedy phase memoises
+    them on the instance and copies them into lists for each run.
     """
-
-    def __init__(self, profile: PowerProfile, subdivision_points: Sequence[int]) -> None:
-        points = sorted(set(subdivision_points) | {iv.begin for iv in profile.intervals()})
-        if not points or points[0] != 0:
-            points = [0] + [p for p in points if p != 0]
-        self._horizon = profile.horizon
-        self._begins: List[int] = [p for p in points if 0 <= p < profile.horizon]
-        self._budgets: List[int] = [profile.budget_at(begin) for begin in self._begins]
-
-    def _copy(self) -> "BudgetIntervals":
-        """Return an independent copy (consuming it leaves this one unchanged)."""
-        twin = copy.copy(self)
-        twin._begins = list(self._begins)
-        twin._budgets = list(self._budgets)
-        return twin
-
-    # ------------------------------------------------------------------ #
-    def intervals(self) -> List[Tuple[int, int, int]]:
-        """Return the current (begin, end, budget) triples."""
-        return list(zip(self._begins, self._begins[1:] + [self._horizon], self._budgets))
-
-    def best_start(self, earliest: int, latest: int) -> Optional[int]:
-        """Return the best interval start within ``[earliest, latest]``.
-
-        "Best" means the interval with the highest remaining budget; ties are
-        broken towards the earliest start point (the scan keeps the first
-        maximum).  Returns ``None`` when no interval starts inside the window.
-        """
-        begins = self._begins
-        lo = bisect.bisect_left(begins, earliest)
-        hi = bisect.bisect_right(begins, latest)
-        if hi <= lo:
-            return None
-        budgets = self._budgets
-        best = lo
-        for index in range(lo + 1, hi):
-            if budgets[index] > budgets[best]:
-                best = index
-        return begins[best]
-
-    def _split_index(self, time: int) -> int:
-        """Make *time* an interval boundary and return its interval index.
-
-        *time* must lie in ``[0, horizon)``.
-        """
-        begins = self._begins
-        index = bisect.bisect_right(begins, time) - 1
-        if begins[index] == time:
-            return index
-        # The right part of the split interval starts at *time*.
-        begins.insert(index + 1, time)
-        self._budgets.insert(index + 1, self._budgets[index])
-        return index + 1
-
-    def consume(self, begin: int, end: int, power: int) -> None:
-        """Decrease the budget by *power* over the window ``[begin, end)``.
-
-        The window is clipped to the horizon; boundary intervals are split so
-        that the decrement applies exactly to the window.  Budgets may become
-        negative, which simply marks heavily loaded intervals as unattractive
-        for subsequent tasks.
-        """
-        horizon = self._horizon
-        begin = int(begin) if begin > 0 else 0
-        end = int(end) if end < horizon else horizon
-        if end <= begin:
-            return
-        lo = self._split_index(begin)
-        hi = self._split_index(end) if end < horizon else len(self._begins)
-        budgets = self._budgets
-        for index in range(lo, hi):
-            budgets[index] -= power
+    points = set(subdivision_points) | {interval.begin for interval in profile.intervals()}
+    begins = tuple(sorted(point for point in points if 0 <= point < profile.horizon))
+    return begins, tuple(profile.budgets_per_time_unit()[list(begins)].tolist())
 
 
 def greedy_schedule(
@@ -131,6 +68,8 @@ def greedy_schedule(
     task order of each score, the initial budget intervals of each
     subdivision) are computed on the first run that needs them and kept on
     the instance, so later runs on it pay only for the placement loop.
+    Every placement keeps :meth:`EstLstTracker.fix`'s checks: a task is
+    fixed once, at a start inside its current ``[EST, LST]`` window.
 
     Parameters
     ----------
@@ -157,38 +96,80 @@ def greedy_schedule(
     initial = instance._memoised("greedy_tracker", lambda: EstLstTracker(dag, instance.deadline))
 
     def _scored_order() -> List[int]:
-        scores = compute_scores(
-            dag, initial.est_map(), initial.lst_map(), base=base, weighted=weighted
+        # The four orders score the same initial windows.
+        est, lst = instance._memoised(
+            "greedy_windows", lambda: (initial.est_map(), initial.lst_map())
         )
+        scores = compute_scores(dag, est, lst, base=base, weighted=weighted)
         position = initial._position
         return [position[node] for node in task_order(dag, scores, base=base)]
 
-    def _initial_budgets() -> BudgetIntervals:
+    def _initial_budgets() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         if refined:
             points = refined_subdivision(instance, block_size=block_size)
         else:
             points = original_subdivision(instance.profile)
-        return BudgetIntervals(instance.profile, points)
+        return _initial_intervals(instance.profile, points)
 
     # Tasks are topological ranks: the loop reads the tracker's rows directly.
     order = instance._memoised(("greedy_order", base, weighted), _scored_order)
     subdivision = block_size if refined else None
-    budgets = instance._memoised(("greedy_budgets", subdivision), _initial_budgets)._copy()
+    template = instance._memoised(("greedy_budgets", subdivision), _initial_budgets)
+    begins, budgets = list(template[0]), list(template[1])
     tracker = initial._copy()
     est, lst, duration = tracker._est, tracker._lst, tracker._duration
+    is_fixed, fixed, nodes = tracker._is_fixed, tracker._fixed, tracker._order
+    propagate = tracker._propagate_fix
     active = instance.active_power_map
     power = dag._memoised("active_power_row", lambda: [active[node] for node in initial._order])
-    best_start, consume, fix_at = budgets.best_start, budgets.consume, tracker._fix_at
+    horizon = instance.deadline
     for index in order:
         earliest = est[index]
-        start = best_start(earliest, lst[index])
-        if start is None:
+        latest = lst[index]
+        # The best start: the begin of the first interval with the highest
+        # budget among those starting in [EST, LST], else the EST.
+        first = bisect_left(begins, earliest)
+        stop = bisect_right(begins, latest, first)
+        if first < stop:
+            top = budgets[first]
+            for position in range(first + 1, stop):
+                if budgets[position] > top:
+                    first = position
+                    top = budgets[position]
+            start = begins[first]
+        else:
             start = earliest
-        fix_at(index, start)
-        consume(start, start + duration[index], power[index])
+            if duration[index]:
+                # The EST lies inside interval first - 1; split it there.
+                begins.insert(first, start)
+                budgets.insert(first, budgets[first - 1])
+        if is_fixed[index] or not earliest <= start <= latest:
+            tracker._fix_at(index, start)  # raises, naming the task
+        fixed[nodes[index]] = start
+        is_fixed[index] = True
+        propagate(index, start)
+        # Spend the task's power over [start, end), clipped to the horizon;
+        # interval first begins at start, and the one holding end is split.
+        end = start + duration[index]
+        if end > horizon:
+            end = horizon
+        if start >= end:
+            continue
+        if end < horizon:
+            stop = bisect_right(begins, end, first) - 1
+            if begins[stop] != end:
+                stop += 1
+                begins.insert(stop, end)
+                budgets.insert(stop, budgets[stop - 1])
+        else:
+            stop = len(begins)
+        spent = power[index]
+        for position in range(first, stop):
+            budgets[position] -= spent
 
     name = _default_name(base, weighted, refined)
-    return Schedule._trusted(instance, tracker.fixed_starts(), algorithm=name)
+    # The run's tracker is discarded, so its start map is adopted.
+    return Schedule._trusted(instance, fixed, algorithm=name)
 
 
 def _default_name(base: str, weighted: bool, refined: bool) -> str:

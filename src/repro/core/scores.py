@@ -13,14 +13,18 @@ the greedy algorithm picks tasks:
   Pressure is multiplied by ``wf`` and slack by its reciprocal, so that in
   both cases tasks on power-hungry processors move towards the front of the
   order.
+
+The rows the four orders share (nodes, durations, weight factors, the
+topological positions that break ties) are built once per DAG.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
 
+from repro.core.estlst import _rank_rows
 from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.utils.errors import CaWoSchedError
 
@@ -46,26 +50,30 @@ def weight_factors(dag: EnhancedDAG) -> Dict[Hashable, float]:
     divided by the maximum total power over all processors of the extended
     platform, hence lies in ``(0, 1]``.
     """
-    max_power = max(spec.total_power for spec in dag.platform.processors())
-    nodes = dag.nodes()
-    if max_power <= 0:
-        # Degenerate platform (all powers zero): weighting has no effect.
-        return {node: 1.0 for node in nodes}
-    totals = _node_powers(dag, nodes)
-    return dict(zip(nodes, (totals / max_power).tolist()))
+    nodes, _, factors = _score_rows(dag)
+    return dict(zip(nodes, factors.tolist()))
 
 
-def _node_powers(dag: EnhancedDAG, nodes: List[Hashable]) -> np.ndarray:
-    """Return the per-node total (idle + working) processor power as a row.
+def _score_rows(dag: EnhancedDAG) -> Tuple[List[Hashable], np.ndarray, np.ndarray]:
+    """Return *dag*'s nodes with their durations and weight factors as read-only rows."""
 
-    Powers are looked up once per *processor* and broadcast to the nodes it
-    executes, so the Python-level attribute chase is proportional to the
-    platform size, not the DAG size.
-    """
-    power_of = {spec.name: spec.total_power for spec in dag.platform.processors()}
-    return np.array(
-        [power_of[dag.processor(node)] for node in nodes], dtype=np.float64
-    )
+    def _build() -> Tuple[List[Hashable], np.ndarray, np.ndarray]:
+        nodes = dag.nodes()
+        # Powers are looked up once per processor and broadcast to its nodes.
+        power_of = {spec.name: spec.total_power for spec in dag.platform.processors()}
+        max_power = max(power_of.values())
+        factors = np.array([power_of[dag.processor(node)] for node in nodes], dtype=np.float64)
+        if max_power > 0:
+            factors /= max_power
+        else:
+            # Degenerate platform (all powers zero): weighting has no effect.
+            factors[:] = 1.0
+        duration = np.array([dag.duration(node) for node in nodes], dtype=np.float64)
+        duration.setflags(write=False)
+        factors.setflags(write=False)
+        return nodes, duration, factors
+
+    return dag._memoised("score_rows", _build)
 
 
 def slack_scores(
@@ -76,11 +84,9 @@ def slack_scores(
     weighted: bool = False,
 ) -> Dict[Hashable, float]:
     """Return the (optionally weighted) slack score of every node."""
-    nodes = dag.nodes()
+    nodes, _, factor_row = _score_rows(dag)
     slack = np.array([lst[node] - est[node] for node in nodes], dtype=np.float64)
     if weighted:
-        factors = weight_factors(dag)
-        factor_row = np.array([factors[node] for node in nodes], dtype=np.float64)
         # Reciprocal weighting: power-hungry processors (factor close to 1)
         # keep their slack, light processors get their slack inflated and
         # therefore move towards the back of the non-decreasing order.
@@ -97,15 +103,11 @@ def pressure_scores(
     weighted: bool = False,
 ) -> Dict[Hashable, float]:
     """Return the (optionally weighted) pressure score of every node."""
-    nodes = dag.nodes()
-    duration = np.array([dag.duration(node) for node in nodes], dtype=np.float64)
+    nodes, duration, factor_row = _score_rows(dag)
     slack = np.array([lst[node] - est[node] for node in nodes], dtype=np.float64)
     pressure = duration / (slack + duration)
     if weighted:
-        factors = weight_factors(dag)
-        pressure = pressure * np.array(
-            [factors[node] for node in nodes], dtype=np.float64
-        )
+        pressure = pressure * factor_row
     return dict(zip(nodes, pressure.tolist()))
 
 
@@ -138,7 +140,7 @@ def task_order(
     topological position of the task, so equal-score tasks are handled in
     precedence order.
     """
-    position = {node: index for index, node in enumerate(dag.topological_order())}
+    position = _rank_rows(dag)[1]
     if base == SCORE_SLACK:
         return sorted(dag.nodes(), key=lambda node: (scores[node], position[node]))
     if base == SCORE_PRESSURE:

@@ -9,7 +9,7 @@ beyond a configurable size.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional
 
 from repro.schedule.cost import carbon_cost
 from repro.schedule.instance import ProblemInstance

@@ -22,7 +22,7 @@ additive while matching the exact carbon-cost definition.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Sequence, Set, Tuple
 
 import numpy as np
 

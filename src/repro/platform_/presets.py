@@ -9,11 +9,12 @@ laptop, and a generic factory :func:`cluster_from_table1`.
 
 :data:`CLUSTER_PRESETS` names the clusters the experiment grid, the online
 simulator and the CLI accept (``small``, ``large``, ``single``);
-:func:`cluster_preset` builds one.
+:func:`cluster_preset` returns one, shared by every caller.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -157,17 +158,28 @@ CLUSTER_PRESETS: Dict[str, Callable[[Optional[int]], Cluster]] = {
 
 
 def cluster_preset(name: str, nodes_per_type: Optional[int] = None) -> Cluster:
-    """Return a new cluster of the preset *name* (see :data:`CLUSTER_PRESETS`).
+    """Return the shared cluster of the preset *name* (see :data:`CLUSTER_PRESETS`).
 
-    A cluster has no mutator, so callers that need one preset many times
-    may share one: the online simulator builds each preset once per process.
+    The clusters of the 16 latest ``(name, nodes_per_type)`` pairs are kept and
+    shared by every caller (a cluster has no mutator), so each preset is built
+    and its wire text encoded once per process.
 
     Raises
     ------
     ValueError
-        If *name* is not a preset.
+        If *name* is not a preset, or *nodes_per_type* is not positive.
+    TypeError
+        If *nodes_per_type* is neither ``None`` nor an integer.
     """
     if name not in CLUSTER_PRESETS:
         known = ", ".join(CLUSTER_PRESETS)
         raise ValueError(f"unknown cluster preset {name!r}; known: {known}")
+    if nodes_per_type is not None:
+        # Checked before the cache, so a bad count is never a key.
+        nodes_per_type = check_positive_int(nodes_per_type, "nodes_per_type")
+    return _shared_preset(name, nodes_per_type)
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_preset(name: str, nodes_per_type: Optional[int]) -> Cluster:
     return CLUSTER_PRESETS[name](nodes_per_type)

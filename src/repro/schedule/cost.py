@@ -13,7 +13,10 @@ rows extend past the deadline when a task finishes after it, with the last
 interval's budget, so infeasible schedules still get a well-defined,
 comparable cost (feasibility is checked separately by
 :func:`repro.schedule.validation.check_schedule`).
-:class:`~repro.schedule.timeline.PowerTimeline` starts from the same rows.
+A schedule's rows are built once: :func:`carbon_cost` keeps them, read-only,
+on the schedule, and a :class:`~repro.schedule.timeline.PowerTimeline`
+loaded from it starts from a copy of its power row (an uncosted schedule's
+timeline builds its own rows).
 
 :func:`carbon_cost_per_time_unit` builds its rows independently, task by task;
 it is the reference the tests check the shared rows against.
@@ -69,13 +72,22 @@ def _power_rows(
     return row, budget
 
 
+def _schedule_rows(schedule: Schedule) -> Tuple[np.ndarray, np.ndarray]:
+    """Return *schedule*'s power and budget rows, built once and kept read-only on it."""
+    rows = schedule._rows
+    if rows is None:
+        power, budget = _power_rows(schedule.instance, schedule._start)
+        rows = schedule._rows = (_read_only(power), _read_only(budget))
+    return rows
+
+
 def carbon_cost(schedule: Schedule) -> int:
     """Compute the total carbon cost of *schedule*.
 
     Time units after the deadline (reached only by infeasible schedules) are
     charged against the last interval's budget.
     """
-    power, budget = _power_rows(schedule.instance, schedule.start_times())
+    power, budget = _schedule_rows(schedule)
     return int(np.maximum(power - budget, 0).sum())
 
 
@@ -115,7 +127,7 @@ def brown_energy_breakdown(schedule: Schedule) -> Dict[int, int]:
     cost of time units after the deadline is not attributed).  Used by
     examples and reporting to show *where* brown energy is consumed.
     """
-    power, budget = _power_rows(schedule.instance, schedule.start_times())
+    power, budget = _schedule_rows(schedule)
     brown = np.maximum(power - budget, 0)
     return {
         index: int(brown[interval.begin : interval.end].sum())

@@ -45,6 +45,7 @@ class Schedule:
         self._instance = instance
         self._algorithm = str(algorithm)
         self._cost: Optional[int] = None
+        self._rows: Optional[tuple] = None
         dag_nodes = set(instance.dag.nodes())
         given = set(start_times)
         missing = dag_nodes - given
@@ -87,13 +88,15 @@ class Schedule:
         *cost* is the schedule's carbon cost when the caller already holds it
         (the local search reads it off its power timeline);
         :meth:`repro.core.scheduler.CaWoSched.run` reports it instead of
-        costing the schedule again.
+        costing the schedule again.  ``_rows`` holds the read-only rows
+        :func:`~repro.schedule.cost.carbon_cost` built (see there).
         """
         schedule = cls.__new__(cls)
         schedule._instance = instance
         schedule._algorithm = algorithm
         schedule._start = start_times
         schedule._cost = cost
+        schedule._rows = None
         return schedule
 
     # ------------------------------------------------------------------ #

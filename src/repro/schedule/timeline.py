@@ -39,8 +39,17 @@ class PowerTimeline:
     """
 
     def __init__(self, instance: ProblemInstance, schedule: Schedule) -> None:
+        self._load(instance, schedule)
+        if not self._power.flags.writeable:
+            # A costed schedule's row is read-only and stays with it; moves
+            # edit a copy.
+            self._power = self._power.copy()
+
+    def _load(self, instance: ProblemInstance, schedule: Schedule) -> None:
+        """Take *schedule*'s starts and rows, reusing the rows its cost built."""
         starts = schedule.start_times()
-        power, budget = _power_rows(instance, starts)
+        rows = schedule._rows if schedule.instance is instance else None
+        power, budget = rows or _power_rows(instance, starts)
         self._adopt(instance, starts, power, budget)
         horizon = instance.deadline
         if len(power) > horizon:
@@ -78,13 +87,17 @@ class PowerTimeline:
         budget row: its :meth:`_gain_rows` scores a task of timeline ``k``
         at start ``s`` on cell ``k * T + s``, so one call scores tasks of
         every timeline; it holds no placed tasks.  A single timeline is its
-        own kernel timeline.
+        own kernel timeline.  A costed schedule's power row is read, not
+        copied twice: the buffer is the copy.
         """
-        timelines = [cls(instance, schedule) for schedule in schedules]
-        if len(timelines) == 1:
-            # Skipping the copies keeps a group of one (every online job) as
+        if len(schedules) == 1:
+            # Skipping the buffer keeps a group of one (every online job) as
             # cheap as a search run alone.
-            return timelines[0], timelines
+            timeline = cls(instance, schedules[0])
+            return timeline, [timeline]
+        timelines = [cls.__new__(cls) for _ in schedules]
+        for timeline, schedule in zip(timelines, schedules):
+            timeline._load(instance, schedule)
         buffer = np.stack([timeline._power for timeline in timelines])
         for timeline, row in zip(timelines, buffer):
             timeline._power = row

@@ -11,7 +11,7 @@ with the same seed produce byte-identical logs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 __all__ = ["SimEvent", "EVENT_KINDS"]
 

@@ -15,7 +15,6 @@ simulations in separate processes and resumable event logs reproducible.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -123,10 +122,6 @@ class SimJob:
         }
 
 
-#: One cluster per preset name, shared by every job (a cluster has no mutator).
-_preset_cluster = functools.lru_cache(maxsize=None)(cluster_preset)
-
-
 def build_job(
     workload: WorkloadConfig, seed: RNGLike, index: int, arrival: int
 ) -> SimJob:
@@ -140,7 +135,7 @@ def build_job(
     family = str(workload.families[int(rng.integers(0, len(workload.families)))])
     size = int(workload.sizes[int(rng.integers(0, len(workload.sizes)))])
     workflow = generate_workflow(family, size, rng=rng)
-    cluster = _preset_cluster(workload.cluster)
+    cluster = cluster_preset(workload.cluster)
     heft = heft_mapping(workflow, cluster)
     dag = build_enhanced_dag(heft.mapping, rng=derive_rng(seed, "links", index))
     min_makespan = asap_makespan(dag)

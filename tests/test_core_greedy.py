@@ -1,4 +1,10 @@
-"""Tests for the greedy CaWoSched phase and its budget bookkeeping."""
+"""Tests for the greedy CaWoSched phase and its budget bookkeeping.
+
+``greedy_schedule`` scans and splits the budget intervals inline; the
+tests-side :class:`~schedule_helpers.BudgetIntervals` is the reference for
+that bookkeeping, and :func:`~schedule_helpers.reference_greedy` assembles a
+greedy phase from it and the public ``EstLstTracker.fix``.
+"""
 
 from __future__ import annotations
 
@@ -10,14 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.carbon.intervals import PowerProfile
-from repro.core.greedy import BudgetIntervals, greedy_schedule
+from repro.core.greedy import greedy_schedule
 from repro.core.scheduler import CaWoSched
 from repro.core.variants import ALL_VARIANTS, GREEDY_VARIANTS
 from repro.experiments.instances import InstanceSpec, make_instance
+from repro.mapping.enhanced_dag import build_enhanced_dag
+from repro.mapping.heft import heft_mapping
+from repro.mapping.mapping import Mapping
+from repro.platform_.presets import cluster_preset, uniform_cluster
 from repro.schedule.asap import asap_schedule
 from repro.schedule.cost import carbon_cost
+from repro.schedule.instance import ProblemInstance
 from repro.schedule.validation import is_feasible
 from repro.utils.errors import CaWoSchedError
+from repro.workflow.dag import Workflow
+from repro.workflow.generators import generate_workflow
+from schedule_helpers import BudgetIntervals, reference_greedy, with_zero_durations
 
 
 class TestBudgetIntervals:
@@ -240,7 +254,7 @@ class TestSharedGreedySetUp:
         tracker = memo["greedy_tracker"]
         before = (
             tracker.est_map(), tracker.lst_map(), tracker.fixed_starts(),
-            memo[("greedy_budgets", 3)].intervals(),
+            memo[("greedy_budgets", 3)],
             list(memo[("greedy_order", "pressure", True)]),
         )
         assert before[2] == {}
@@ -248,9 +262,91 @@ class TestSharedGreedySetUp:
             _greedy_starts(instance, name)
         after = (
             tracker.est_map(), tracker.lst_map(), tracker.fixed_starts(),
-            memo[("greedy_budgets", 3)].intervals(),
+            memo[("greedy_budgets", 3)],
             list(memo[("greedy_order", "pressure", True)]),
         )
         assert after == before
-        # Four (base, weighted) orders, one tracker, two subdivisions.
-        assert len(memo) == 1 + 4 + 2
+        # The budget template is a pair of tuples, which no run can edit.
+        assert all(type(row) is tuple for row in memo[("greedy_budgets", 3)])
+        # Four (base, weighted) orders, one tracker and its EST/LST maps,
+        # two subdivisions.
+        assert len(memo) == 1 + 1 + 4 + 2
+
+
+@st.composite
+def _greedy_instances(draw):
+    """Small generated instances with tight deadlines and tied budgets.
+
+    A deadline of at most twice the critical path (often exactly it) makes
+    many tasks' windows end at the horizon; budgets drawn from three values
+    make equal-budget intervals common, so the first-maximum tie-break
+    decides many placements; some nodes take no time and spend no budget.
+    """
+    family = draw(st.sampled_from(["atacseq", "bacass", "eager", "forkjoin", "chain"]))
+    seed = draw(st.integers(0, 10**6))
+    workflow = generate_workflow(family, draw(st.integers(4, 16)), rng=seed)
+    cluster = draw(
+        st.sampled_from(
+            [cluster_preset("small"), cluster_preset("single"),
+             uniform_cluster(2, p_idle=1, p_work=2)]
+        )
+    )
+    dag = build_enhanced_dag(heft_mapping(workflow, cluster).mapping, rng=seed)
+    zero = draw(st.sets(st.sampled_from(dag.nodes()), max_size=2), label="zero")
+    dag = with_zero_durations(dag, zero)
+    critical = dag.critical_path_duration()
+    deadline = max(1, critical + draw(st.integers(0, critical), label="slack"))
+    cuts = sorted(draw(st.sets(st.integers(1, deadline - 1), max_size=8), label="cuts")) \
+        if deadline > 1 else []
+    bounds = [0, *cuts, deadline]
+    lengths = [end - begin for begin, end in zip(bounds, bounds[1:])]
+    budgets = draw(
+        st.lists(st.sampled_from([0, 120, 400]), min_size=len(lengths), max_size=len(lengths)),
+        label="budgets",
+    )
+    return ProblemInstance(dag, PowerProfile(lengths, budgets))
+
+
+class TestGreedyMatchesReference:
+    """The inline placement loop places what the reference greedy places."""
+
+    # A zero-duration task with no slack has a NaN pressure (0 / 0); both
+    # sides order it through the same task_order.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _greedy_instances(),
+        st.sampled_from(["slack", "pressure"]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 4),
+    )
+    def test_generated_instances(self, instance, base, weighted, refined, block_size):
+        produced = greedy_schedule(
+            instance, base=base, weighted=weighted, refined=refined, block_size=block_size
+        ).start_times()
+        expected = reference_greedy(
+            instance, base=base, weighted=weighted, refined=refined, block_size=block_size
+        )
+        # Same starts, placed in the same order.
+        assert list(produced.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("spec", MEMO_SPECS, ids=lambda spec: spec.label)
+    @pytest.mark.parametrize("name", sorted(GREEDY_VARIANTS))
+    def test_grid_instances(self, spec, name):
+        instance = make_instance(spec)
+        variant = ALL_VARIANTS[name]
+        expected = reference_greedy(
+            instance, base=variant.base, weighted=variant.weighted,
+            refined=variant.refined, block_size=3,
+        )
+        assert list(_greedy_starts(instance, name).items()) == list(expected.items())
+
+    def test_equal_budgets_pick_the_earliest_interval(self, single_cluster):
+        # One task fits in either interval; both hold the same budget.
+        workflow = Workflow("one")
+        workflow.add_task("t", work=2)
+        dag = build_enhanced_dag(Mapping(workflow, single_cluster, {"t": "p0"}), rng=0)
+        instance = ProblemInstance(dag, PowerProfile([3, 3, 4], [5, 9, 9]))
+        schedule = greedy_schedule(instance, base="slack")
+        assert schedule.start("t") == 3

@@ -30,7 +30,7 @@ from repro.core.estlst import EstLstTracker
 from repro.core.greedy import greedy_schedule
 from repro.core.local_search import _BatchedSearch, local_search
 from repro.core.subdivision import block_alignment_points
-from repro.mapping.enhanced_dag import EnhancedDAG, build_enhanced_dag
+from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
 from repro.platform_.cluster import Cluster, ExtendedPlatform
 from repro.platform_.presets import cluster_from_table1
@@ -40,6 +40,7 @@ from repro.schedule.schedule import Schedule
 from repro.schedule.timeline import PowerTimeline
 from repro.utils.rng import ensure_rng
 from repro.workflow.generators import generate_workflow
+from schedule_helpers import with_zero_durations
 
 
 def build_random_instance(family: str, num_tasks: int, scenario: str,
@@ -102,21 +103,6 @@ class TestGainProfileParity:
         assert timeline.gain_profile(node, start, start - 1).size == 0
 
 
-def _with_zero_durations(dag: EnhancedDAG, zero) -> EnhancedDAG:
-    """A copy of *dag* in which the nodes of *zero* take no time."""
-    nodes = dag.nodes()
-    return EnhancedDAG(
-        dag.platform,
-        dag.mapping,
-        dag.ordered_task_map(),
-        {node: 0 if node in zero else dag.duration(node) for node in nodes},
-        {node: dag.processor(node) for node in nodes},
-        {node for node in nodes if dag.is_comm(node)},
-        {node: dict.fromkeys(dag.successors(node)) for node in nodes},
-        {node: dict.fromkeys(dag.predecessors(node)) for node in nodes},
-    )
-
-
 @st.composite
 def batched_windows(draw):
     """A loaded timeline, a task subset and a legal window for each task.
@@ -151,7 +137,7 @@ def batched_windows(draw):
     )
     starts = greedy_schedule(ProblemInstance(dag, profile), base="slack").start_times()
     zero = draw(st.sets(st.sampled_from(dag.nodes()), max_size=3), label="zero")
-    instance = ProblemInstance(_with_zero_durations(dag, zero), profile)
+    instance = ProblemInstance(with_zero_durations(dag, zero), profile)
     timeline = PowerTimeline(instance, Schedule(instance, starts))
     nodes = draw(
         st.lists(st.sampled_from(instance.dag.nodes()), min_size=1, max_size=12, unique=True),

@@ -176,6 +176,7 @@ class TestDagMemoContents:
             "work_power_map",
             "active_power_map",
             "estlst_rows",
+            "score_rows",
             "active_power_row",
             "search_rows",
             "constraint_rows",

@@ -7,8 +7,10 @@ from collections import Counter
 import pytest
 
 from repro.platform_.presets import (
+    CLUSTER_PRESETS,
     PROCESSOR_TYPES,
     cluster_from_table1,
+    cluster_preset,
     large_cluster,
     scaled_large_cluster,
     scaled_small_cluster,
@@ -76,3 +78,34 @@ class TestClusters:
         assert small_cluster().name == "small"
         assert large_cluster().name == "large"
         assert scaled_small_cluster().name == "small"
+
+
+class TestClusterPreset:
+    @pytest.mark.parametrize("name", sorted(CLUSTER_PRESETS))
+    def test_one_shared_cluster_per_preset(self, name):
+        assert cluster_preset(name) is cluster_preset(name)
+        assert cluster_preset(name, 3) is cluster_preset(name, 3)
+
+    def test_node_counts(self):
+        assert cluster_preset("small").num_processors == 12
+        assert cluster_preset("large").num_processors == 24
+        assert cluster_preset("small", 3).num_processors == 18
+        assert cluster_preset("single").num_processors == 1
+
+    @pytest.mark.parametrize("name", sorted(CLUSTER_PRESETS))
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_non_positive_node_count_rejected(self, name, count):
+        # ``small``/``large`` used to read 0 as their default and ``single``
+        # ignored the count.
+        with pytest.raises(ValueError, match="nodes_per_type"):
+            cluster_preset(name, count)
+
+    @pytest.mark.parametrize("name", sorted(CLUSTER_PRESETS))
+    @pytest.mark.parametrize("count", ["x", 2.5, True])
+    def test_non_integer_node_count_rejected(self, name, count):
+        with pytest.raises(TypeError, match="nodes_per_type"):
+            cluster_preset(name, count)
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(ValueError, match="unknown cluster preset"):
+            cluster_preset("huge")

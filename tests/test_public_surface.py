@@ -55,7 +55,7 @@ def test_every_exported_name_resolves(package):
 MAX_DEFAULTED_PARAMETERS = 157
 
 #: Upper bound of :func:`count_public_functions` over ``src/repro``.
-MAX_PUBLIC_FUNCTIONS = 362
+MAX_PUBLIC_FUNCTIONS = 359
 
 
 def iter_functions(root: Path):
