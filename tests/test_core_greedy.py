@@ -296,8 +296,9 @@ def _greedy_instances(draw):
     dag = with_zero_durations(dag, zero)
     critical = dag.critical_path_duration()
     deadline = max(1, critical + draw(st.integers(0, critical), label="slack"))
-    cuts = sorted(draw(st.sets(st.integers(1, deadline - 1), max_size=8), label="cuts")) \
-        if deadline > 1 else []
+    cuts = []
+    if deadline > 1:
+        cuts = sorted(draw(st.sets(st.integers(1, deadline - 1), max_size=8), label="cuts"))
     bounds = [0, *cuts, deadline]
     lengths = [end - begin for begin, end in zip(bounds, bounds[1:])]
     budgets = draw(
