@@ -49,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -427,30 +428,14 @@ def _run_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             parser.error(f"trace file {path} must contain a JSON list of integer arrival times")
         arrival_times = tuple(data)
 
+    # Every parsed option named like a configuration field is that field.
+    names = {field.name for field in fields(SimulationConfig)}
+    options = {name: value for name, value in vars(args).items() if name in names}
+    options.update(
+        families=tuple(args.families), tasks=tuple(args.tasks), arrival_times=arrival_times
+    )
     try:
-        config = SimulationConfig(
-            horizon=args.horizon,
-            slots=args.slots,
-            seed=args.seed,
-            arrivals=args.arrivals,
-            rate=args.rate,
-            burst_period=args.burst_period,
-            burst_size=args.burst_size,
-            arrival_times=arrival_times,
-            policy=args.policy,
-            threshold=args.threshold,
-            reschedule_period=args.reschedule_period,
-            forecast=args.forecast,
-            ma_window=args.ma_window,
-            trace=args.trace,
-            trace_noise=args.trace_noise,
-            families=tuple(args.families),
-            tasks=tuple(args.tasks),
-            cluster=args.cluster,
-            deadline_factor=args.deadline_factor,
-            variant=args.variant,
-            cache_size=args.cache_size,
-        )
+        config = SimulationConfig(**options)
     except CaWoSchedError as exc:
         parser.error(str(exc))
 

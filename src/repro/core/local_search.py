@@ -11,27 +11,29 @@ no gain, so the procedure is a plain hill climber and can only improve the
 schedule.
 
 The search is round-batched.  One kernel call
-(:meth:`~repro.schedule.timeline.PowerTimeline._gain_rows`, the kernel of
-``gain_profiles``) scores the candidate starts of every task that has no
-valid score yet, and the walk then reads the stored scores in the paper's
-order.  A score stays valid until an
-accepted move changes what it depends on: the task's legal window (a graph
-neighbour moved) or the power in the time region it read (the move's window
-overlaps it).  When the walk reaches a task whose score was dropped, one call
-re-scores it together with every other unscored task still ahead in the
-round, so a run makes at most one kernel call per round plus one per accepted
-move.  Every call reads the timeline's current state, so the result is
+(:func:`repro.schedule.timeline._gain_rows`, the kernel of
+``PowerTimeline.gain_profiles``) scores the candidate starts of every task
+that has no valid score yet, and the walk then reads the stored scores in
+the paper's order.  A score stays valid until an accepted move changes what
+it depends on: the task's legal window (a graph neighbour moved) or the
+excess (power minus budget) in the time region it read (the move's window
+overlaps it).  When the walk reaches a task whose score was dropped, one
+call re-scores it together with every other unscored task still ahead in
+the round, so a run makes at most one kernel call per round plus one per
+accepted move.  Every call reads the current excess, so the result is
 byte-identical to the per-candidate ``move_gain`` hill climber of the paper,
 which the test suite keeps as its reference.
 
 The searches of one call run in lock step, so that NumPy's fixed cost per
-kernel call is paid once for all of them.  Each search's walk is a step
-function that yields the tasks it needs scored; once every unfinished search
-has yielded, one kernel call scores all their tasks over a stacked power
-buffer (search ``k``'s row at offset ``k * T``), and every search resumes.
-The searches share nothing but the kernel call, so each one makes exactly
-the moves it makes alone, and a group makes at most as many calls as its
-longest search would.
+kernel call is paid once for all of them.  The group owns one excess buffer,
+the concatenation of its schedules' excess rows: search ``k`` owns cells
+``k * T .. (k + 1) * T`` and applies its moves there with two slice updates.
+Each search's walk is a step function that yields the tasks it needs
+scored; once every unfinished search has yielded, one kernel call on the
+buffer scores all their tasks, and every search resumes.  The searches
+share nothing but the kernel call, so each one makes exactly the moves it
+makes alone, and a group makes at most as many calls as its longest search
+would.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from repro.core.estlst import _rank_rows
 from repro.schedule.schedule import Schedule
-from repro.schedule.timeline import PowerTimeline
+from repro.schedule.timeline import _fitting_excess, _gain_rows
 from repro.utils.errors import CaWoSchedError
 from repro.utils.validation import check_non_negative_int
 
@@ -116,67 +118,73 @@ def local_search(
             break
         group._score([(search, ranks) for _, search, ranks in requests])
 
-    # A timeline's start map follows every move and keeps the schedule's
-    # key order; the timelines are discarded, so the maps are adopted.
+    # Each result keeps its input's key order; its cost is the clipped sum
+    # of its cells of the buffer.
+    position = _rank_rows(instance.dag)[1]
+    costs = np.maximum(group.excess, 0).reshape(len(schedules), -1).sum(axis=1).tolist()
     return [
         Schedule._trusted(
             instance,
-            search._timeline._starts,
+            {node: search._starts[position[node]] - search._shift for node in schedule._start},
             algorithm=f"{schedule.algorithm}-LS",
-            cost=search._timeline.total_cost(),
+            cost=cost,
         )
-        for schedule, search in zip(schedules, group.searches)
+        for schedule, search, cost in zip(schedules, group.searches, costs)
     ]
 
 
 def _search_rows(dag, work_power: Dict) -> Tuple:
-    """Return the walk and the kernel rows of the search on *dag*, by topological rank.
+    """Return the walk, the kernel rows and the working powers of the search on *dag*.
 
-    The walk visits the processors by non-increasing working power (ties
-    broken by name), each processor's tasks in mapping order; the kernel
-    rows are the ``int64`` durations and working powers.
+    All three are by topological rank.  The walk visits the processors by
+    non-increasing working power (ties broken by name), each processor's
+    tasks in mapping order; the kernel rows are the ``int64`` durations and
+    working powers.
     """
     order, position, duration = _rank_rows(dag)[:3]
     processors = sorted(
         dag.processors_with_tasks(),
         key=lambda proc: (-dag.platform.processor(proc).p_work, str(proc)),
     )
+    powers = [work_power[node] for node in order]
     return (
         [position[node] for proc in processors for node in dag.ordered_task_map()[proc]],
-        np.array((duration, [work_power[node] for node in order]), dtype=np.int64),
+        np.array((duration, powers), dtype=np.int64),
+        powers,
     )
 
 
 class _LockStep:
-    """The searches of one lock-step group and the kernel they share.
+    """The searches of one lock-step group and the excess buffer they share.
 
-    Search ``k``'s timeline has row ``k`` of a stacked power buffer (see
-    :meth:`PowerTimeline._stacked`); the kernel timeline reads the whole
-    buffer, so :meth:`_score` scores the pending ranks of every search with
-    one kernel call.
+    The buffer concatenates the schedules' excess rows: search ``k`` owns
+    cells ``k * T .. (k + 1) * T``, so :meth:`_score` scores the pending
+    ranks of every search with one kernel call on it.
     """
 
     def __init__(self, instance, schedules: List[Schedule], window: int,
                  best_improvement: bool) -> None:
         dag = instance.dag
-        walk, self._kernel_rows = dag._memoised(
+        walk, self._kernel_rows, powers = dag._memoised(
             "search_rows", lambda: _search_rows(dag, instance.work_power_map)
         )
-        self._kernel, timelines = PowerTimeline._stacked(instance, schedules)
+        self.excess = np.concatenate(
+            [_fitting_excess(instance, schedule) for schedule in schedules]
+        )
         self._deadline = instance.deadline
         self._window = window
         self._best_improvement = best_improvement
         self.searches = [
-            _BatchedSearch(dag, timeline, walk, row * instance.deadline)
-            for row, timeline in enumerate(timelines)
+            _BatchedSearch(dag, schedule, walk, powers, self.excess, row * instance.deadline)
+            for row, schedule in enumerate(schedules)
         ]
 
     def _score(self, requests: List[Tuple["_BatchedSearch", List[int]]]) -> None:
         """Score the requested ranks of every search with one kernel call.
 
         A task's legal window is derived from its graph neighbours' current
-        starts in its own search.  Every search works on its row of the
-        stacked power buffer (see :class:`_BatchedSearch`), so its starts,
+        starts in its own search.  Every search works on its cells of the
+        excess buffer (see :class:`_BatchedSearch`), so its starts,
         windows, targets and regions need no conversion for the kernel.
         """
         placed: List[int] = []
@@ -209,7 +217,7 @@ class _LockStep:
             ranks += indices
         cur, lo, hi = np.array((placed, los, his), dtype=np.int64)
         length, power = self._kernel_rows[:, ranks]
-        gains, offsets = self._kernel._gain_rows(cur, length, power, lo, hi)
+        gains, offsets = _gain_rows(self.excess, cur, length, power, lo, hi)
         # Each task's candidates are gains[begin:end]; its chosen index is the
         # first positive (or, for best improvement, the first positive
         # maximum) one, and ``end`` when none improves the cost.
@@ -246,17 +254,20 @@ class _BatchedSearch:
 
     The walk is a step function: it yields the ranks it needs scored and
     resumes once :meth:`_LockStep._score` has stored their scores.  Its
-    timeline's power row starts *shift* cells into the group's stacked
-    buffer, and the search keeps its starts, regions and targets in the
-    cells of that buffer: time ``t`` is cell ``shift + t``.  Gains are
-    differences, so they do not depend on the shift.
+    excess row starts *shift* cells into the group's *excess* buffer, and
+    the search keeps its starts, regions and targets in the cells of that
+    buffer: time ``t`` is cell ``shift + t``.  Gains are differences, so they
+    do not depend on the shift.
     """
 
-    def __init__(self, dag, timeline: PowerTimeline, walk: List[int], shift: int) -> None:
-        self._order, _, self._duration, self._preds, self._succs = _rank_rows(dag)
+    def __init__(self, dag, schedule: Schedule, walk: List[int], powers: List[int],
+                 excess: np.ndarray, shift: int) -> None:
+        order, _, self._duration, self._preds, self._succs = _rank_rows(dag)
         self._walk = walk
-        self._timeline = timeline
-        self._starts: List[int] = [timeline._starts[node] + shift for node in self._order]
+        self._powers = powers
+        self._excess = excess
+        starts = schedule._start
+        self._starts: List[int] = [starts[node] + shift for node in order]
         self._shift = shift
         # Scored tasks: rank -> (begin, end, target).  [begin, end) is the
         # power region the score read; target is the improving start, or
@@ -291,7 +302,11 @@ class _BatchedSearch:
 
     def _apply_move(self, index: int, target: int) -> None:
         old_start = self._starts[index]
-        self._timeline.move(self._order[index], target - self._shift)
+        duration = self._duration[index]
+        power = self._powers[index]
+        if power:
+            self._excess[old_start : old_start + duration] -= power
+            self._excess[target : target + duration] += power
         self._starts[index] = target
         scored = self._scored
         del scored[index]
@@ -302,7 +317,7 @@ class _BatchedSearch:
             scored.pop(other, None)
         # Drop every score whose power region overlaps the changed window.
         changed_begin = min(old_start, target)
-        changed_end = max(old_start, target) + self._duration[index]
+        changed_end = max(old_start, target) + duration
         stale = [
             other
             for other, (begin, end, _) in scored.items()

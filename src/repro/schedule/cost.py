@@ -5,26 +5,24 @@ paper): the platform power ``P_t`` drawn in time unit ``t`` (every
 processor's idle power plus the working power of the tasks running in ``t``)
 minus the green budget ``G_t``, counted only where it is positive.
 
-Every evaluator here reads one pair of rows built by :func:`_power_rows`: the
-power row is a difference array (``+P_work`` at each task's start, ``−P_work``
-at its finish) summed cumulatively on top of the idle baseline, and the
-budget row repeats each profile interval's budget over its time units.  Both
-rows extend past the deadline when a task finishes after it, with the last
-interval's budget, so infeasible schedules still get a well-defined,
-comparable cost (feasibility is checked separately by
-:func:`repro.schedule.validation.check_schedule`).
-A schedule's rows are built once: :func:`carbon_cost` keeps them, read-only,
-on the schedule, and a :class:`~repro.schedule.timeline.PowerTimeline`
-loaded from it starts from a copy of its power row (an uncosted schedule's
-timeline builds its own rows).
+Every evaluator here reads one excess row ``P_t − G_t`` built by
+:func:`_excess_row`: a difference array (``+P_work`` at each task's start,
+``−P_work`` at its finish) summed cumulatively on top of the instance's idle
+excess ``idle − G_t``.  The row extends past the deadline when a task
+finishes after it, with the last interval's budget, so infeasible schedules
+still get a well-defined, comparable cost (feasibility is checked separately
+by :func:`repro.schedule.validation.check_schedule`).  A schedule's row is
+built once and kept, read-only, on the schedule: its cost, its breakdown,
+a :class:`~repro.schedule.timeline.PowerTimeline` and the local search all
+start from it.
 
 :func:`carbon_cost_per_time_unit` builds its rows independently, task by task;
-it is the reference the tests check the shared rows against.
+it is the reference the tests check the shared row against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping, Tuple
+from typing import Dict, Hashable, Mapping
 
 import numpy as np
 
@@ -40,45 +38,41 @@ def _read_only(row: np.ndarray) -> np.ndarray:
     return row
 
 
-def _power_rows(
-    instance: ProblemInstance, starts: Mapping[Hashable, int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Return the platform power and the green budget of every time unit.
+def _excess_row(instance: ProblemInstance, starts: Mapping[Hashable, int]) -> np.ndarray:
+    """Return the platform power minus the green budget of every time unit.
 
     *starts* maps nodes of the instance's DAG (all of them, or only those
-    placed so far) to non-negative start times.  Both ``int64`` rows span
-    ``[0, max(T, latest finish))``; past the deadline ``T`` the budget is the
-    last interval's.  Within the horizon the budget row is memoised on the
-    instance and shared, so it is read-only.
+    placed so far) to non-negative start times.  The ``int64`` row spans
+    ``[0, max(T, latest finish))``.  Its idle part, ``idle − G_t`` over
+    ``[0, T)``, is memoised on the instance and read-only; past the deadline
+    ``T`` the last interval's budget holds.
     """
-    profile = instance.profile
     count = len(starts)
     duration = instance.dag.duration_map()
     work_power = instance.work_power_map
     begin = np.fromiter(starts.values(), np.int64, count)
     end = begin + np.fromiter(map(duration.__getitem__, starts), np.int64, count)
     power = np.fromiter(map(work_power.__getitem__, starts), np.int64, count)
-    horizon = max(profile.horizon, int(end.max(initial=0)))
-    delta = np.zeros(horizon + 1, dtype=np.int64)
+    idle = instance._memoised(
+        "idle_excess_row",
+        lambda: _read_only(instance.total_idle_power() - instance.profile.budgets_per_time_unit()),
+    )
+    deadline = len(idle)
+    delta = np.zeros(max(deadline, int(end.max(initial=0))) + 1, dtype=np.int64)
     np.add.at(delta, begin, power)
     np.subtract.at(delta, end, power)
     row = delta[:-1].cumsum()
-    row += instance.total_idle_power()
-    budget = instance._memoised("budget_row", lambda: _read_only(profile.budgets_per_time_unit()))
-    if horizon > profile.horizon:
-        budget = np.concatenate(
-            (budget, np.full(horizon - profile.horizon, budget[-1], dtype=np.int64))
-        )
-    return row, budget
+    row[:deadline] += idle
+    row[deadline:] += idle[-1]
+    return row
 
 
-def _schedule_rows(schedule: Schedule) -> Tuple[np.ndarray, np.ndarray]:
-    """Return *schedule*'s power and budget rows, built once and kept read-only on it."""
-    rows = schedule._rows
-    if rows is None:
-        power, budget = _power_rows(schedule.instance, schedule._start)
-        rows = schedule._rows = (_read_only(power), _read_only(budget))
-    return rows
+def _schedule_excess(schedule: Schedule) -> np.ndarray:
+    """Return *schedule*'s excess row, built once and kept read-only on it."""
+    row = schedule._excess
+    if row is None:
+        row = schedule._excess = _read_only(_excess_row(schedule.instance, schedule._start))
+    return row
 
 
 def carbon_cost(schedule: Schedule) -> int:
@@ -87,8 +81,7 @@ def carbon_cost(schedule: Schedule) -> int:
     Time units after the deadline (reached only by infeasible schedules) are
     charged against the last interval's budget.
     """
-    power, budget = _schedule_rows(schedule)
-    return int(np.maximum(power - budget, 0).sum())
+    return int(np.maximum(_schedule_excess(schedule), 0).sum())
 
 
 def carbon_cost_per_time_unit(schedule: Schedule) -> int:
@@ -127,8 +120,7 @@ def brown_energy_breakdown(schedule: Schedule) -> Dict[int, int]:
     cost of time units after the deadline is not attributed).  Used by
     examples and reporting to show *where* brown energy is consumed.
     """
-    power, budget = _schedule_rows(schedule)
-    brown = np.maximum(power - budget, 0)
+    brown = np.maximum(_schedule_excess(schedule), 0)
     return {
         index: int(brown[interval.begin : interval.end].sum())
         for index, interval in enumerate(schedule.instance.profile.intervals())

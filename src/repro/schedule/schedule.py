@@ -45,7 +45,8 @@ class Schedule:
         self._instance = instance
         self._algorithm = str(algorithm)
         self._cost: Optional[int] = None
-        self._rows: Optional[tuple] = None
+        self._excess = None
+        self._makespan: Optional[int] = None
         dag_nodes = set(instance.dag.nodes())
         given = set(start_times)
         missing = dag_nodes - given
@@ -88,15 +89,18 @@ class Schedule:
         *cost* is the schedule's carbon cost when the caller already holds it
         (the local search reads it off its power timeline);
         :meth:`repro.core.scheduler.CaWoSched.run` reports it instead of
-        costing the schedule again.  ``_rows`` holds the read-only rows
-        :func:`~repro.schedule.cost.carbon_cost` built (see there).
+        costing the schedule again.  ``_excess`` holds the read-only excess
+        row (power minus budget) that the cost evaluators build once (see
+        :mod:`repro.schedule.cost`), and ``_makespan`` the makespan once
+        read; a schedule never changes after construction.
         """
         schedule = cls.__new__(cls)
         schedule._instance = instance
         schedule._algorithm = algorithm
         schedule._start = start_times
         schedule._cost = cost
-        schedule._rows = None
+        schedule._excess = None
+        schedule._makespan = None
         return schedule
 
     # ------------------------------------------------------------------ #
@@ -127,11 +131,13 @@ class Schedule:
 
     @property
     def makespan(self) -> int:
-        """Return the latest finish time of any task."""
-        duration = self._instance.dag.duration_map()
-        return max(
-            (start + duration[node] for node, start in self._start.items()), default=0
-        )
+        """Return the latest finish time of any task (computed on first read)."""
+        if self._makespan is None:
+            duration = self._instance.dag.duration_map()
+            self._makespan = max(
+                (start + duration[node] for node, start in self._start.items()), default=0
+            )
+        return self._makespan
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, object]:

@@ -1,10 +1,13 @@
-"""Mutable power timeline used for incremental cost evaluation.
+"""Mutable excess timeline used for incremental cost evaluation.
 
 The local search needs to evaluate many candidate single-task moves cheaply.
-:class:`PowerTimeline` loads a schedule and keeps the total platform power per
-time unit as a NumPy array together with the per-time-unit green budget;
-moving a task touches only its old and new execution windows, and the cost
-change of a move can be computed from the affected slice alone.
+:class:`PowerTimeline` loads a schedule and keeps its excess row, the
+platform power minus the green budget of every time unit (see
+:mod:`repro.schedule.cost`), as one NumPy array; moving a task touches only
+its old and new execution windows, and the cost change of a move can be
+computed from the affected slice alone.  :func:`_gain_rows` scores every
+candidate start of many tasks against an excess row in one pass; the local
+search calls it directly on a buffer of its own.
 
 The timeline is pseudo-polynomial in the deadline (one array cell per time
 unit), which is practical for the instance sizes the library targets and is
@@ -14,11 +17,11 @@ tasks by individual time units).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, Sequence, Tuple
 
 import numpy as np
 
-from repro.schedule.cost import _power_rows
+from repro.schedule.cost import _excess_row, _schedule_excess
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.utils.errors import InvalidScheduleError
@@ -26,8 +29,30 @@ from repro.utils.errors import InvalidScheduleError
 __all__ = ["PowerTimeline"]
 
 
+def _fitting_excess(instance: ProblemInstance, schedule: Schedule) -> np.ndarray:
+    """Return *schedule*'s read-only excess row on *instance*, ending at the deadline.
+
+    The row a costed schedule holds is reused.  A task that finishes after
+    the deadline raises :class:`InvalidScheduleError` naming it.
+    """
+    starts = schedule._start
+    if schedule.instance is instance:
+        row = _schedule_excess(schedule)
+    else:
+        row = _excess_row(instance, starts)
+    horizon = instance.deadline
+    if len(row) > horizon:
+        duration = instance.dag.duration_map()
+        node = next(node for node, start in starts.items() if start + duration[node] > horizon)
+        raise InvalidScheduleError(
+            f"task {node!r} at start {starts[node]} (duration "
+            f"{duration[node]}) does not fit into the horizon [0, {horizon})"
+        )
+    return row
+
+
 class PowerTimeline:
-    """Total platform power and green budget per time unit.
+    """Platform power minus green budget per time unit, under single-task moves.
 
     Parameters
     ----------
@@ -39,73 +64,14 @@ class PowerTimeline:
     """
 
     def __init__(self, instance: ProblemInstance, schedule: Schedule) -> None:
-        self._load(instance, schedule)
-        if not self._power.flags.writeable:
-            # A costed schedule's row is read-only and stays with it; moves
-            # edit a copy.
-            self._power = self._power.copy()
-
-    def _load(self, instance: ProblemInstance, schedule: Schedule) -> None:
-        """Take *schedule*'s starts and rows, reusing the rows its cost built."""
-        starts = schedule.start_times()
-        rows = schedule._rows if schedule.instance is instance else None
-        power, budget = rows or _power_rows(instance, starts)
-        self._adopt(instance, starts, power, budget)
-        horizon = instance.deadline
-        if len(power) > horizon:
-            node = next(
-                node for node, start in starts.items()
-                if start + self._duration[node] > horizon
-            )
-            raise InvalidScheduleError(
-                f"task {node!r} at start {starts[node]} (duration "
-                f"{self._duration[node]}) does not fit into the horizon [0, {horizon})"
-            )
-
-    def _adopt(
-        self, instance: ProblemInstance, starts: Dict[Hashable, int], power: np.ndarray,
-        budget: np.ndarray,
-    ) -> None:
-        """Take *starts* and the rows *power* and *budget* built from them."""
         self._instance = instance
         # Durations and working powers are read on every mutation; the
         # instance-level maps are computed once and shared across runs.
         self._duration: Dict[Hashable, int] = instance.dag.duration_map()
         self._work_power: Dict[Hashable, int] = instance.work_power_map
-        self._starts: Dict[Hashable, int] = starts
-        self._power, self._budget = power, budget
-
-    @classmethod
-    def _stacked(
-        cls, instance: ProblemInstance, schedules: Sequence[Schedule]
-    ) -> Tuple["PowerTimeline", List["PowerTimeline"]]:
-        """Return a kernel timeline and one timeline per schedule, over one power buffer.
-
-        The power row of ``schedules[k]``'s timeline is row ``k`` of one
-        ``(N, T)`` buffer, so :meth:`move` updates the buffer in place.  The
-        kernel timeline reads the flattened buffer against an ``N``-fold
-        budget row: its :meth:`_gain_rows` scores a task of timeline ``k``
-        at start ``s`` on cell ``k * T + s``, so one call scores tasks of
-        every timeline; it holds no placed tasks.  A single timeline is its
-        own kernel timeline.  A costed schedule's power row is read, not
-        copied twice: the buffer is the copy.
-        """
-        if len(schedules) == 1:
-            # Skipping the buffer keeps a group of one (every online job) as
-            # cheap as a search run alone.
-            timeline = cls(instance, schedules[0])
-            return timeline, [timeline]
-        timelines = [cls.__new__(cls) for _ in schedules]
-        for timeline, schedule in zip(timelines, schedules):
-            timeline._load(instance, schedule)
-        buffer = np.stack([timeline._power for timeline in timelines])
-        for timeline, row in zip(timelines, buffer):
-            timeline._power = row
-        kernel = cls.__new__(cls)
-        kernel._adopt(
-            instance, {}, buffer.ravel(), np.tile(timelines[0]._budget, len(timelines))
-        )
-        return kernel, timelines
+        self._starts: Dict[Hashable, int] = schedule.start_times()
+        # The schedule's row is read-only and stays with it; moves edit a copy.
+        self._excess = _fitting_excess(instance, schedule).copy()
 
     # ------------------------------------------------------------------ #
     @property
@@ -116,7 +82,7 @@ class PowerTimeline:
     @property
     def horizon(self) -> int:
         """The deadline ``T``."""
-        return len(self._power)
+        return len(self._excess)
 
     def start_of(self, node: Hashable) -> int:
         """Return the currently placed start time of *node*."""
@@ -142,8 +108,8 @@ class PowerTimeline:
             )
         work_power = self._work_power[node]
         if work_power:
-            self._power[old_start : old_start + duration] -= work_power
-            self._power[new_start : new_start + duration] += work_power
+            self._excess[old_start : old_start + duration] -= work_power
+            self._excess[new_start : new_start + duration] += work_power
         self._starts[node] = new_start
 
     # ------------------------------------------------------------------ #
@@ -151,7 +117,7 @@ class PowerTimeline:
     # ------------------------------------------------------------------ #
     def total_cost(self) -> int:
         """Return the carbon cost of the currently placed tasks."""
-        return int(np.maximum(self._power - self._budget, 0).sum())
+        return int(np.maximum(self._excess, 0).sum())
 
     def segment_cost(self, begin: int, end: int) -> int:
         """Return the carbon cost restricted to the time window ``[begin, end)``."""
@@ -159,8 +125,7 @@ class PowerTimeline:
         end = min(self.horizon, int(end))
         if end <= begin:
             return 0
-        window = self._power[begin:end] - self._budget[begin:end]
-        return int(np.maximum(window, 0).sum())
+        return int(np.maximum(self._excess[begin:end], 0).sum())
 
     def move_gain(self, node: Hashable, new_start: int) -> int:
         """Return the cost reduction of moving *node* to *new_start*.
@@ -207,9 +172,9 @@ class PowerTimeline:
 
         Instead of per-candidate move round trips, every candidate is
         scored with one prefix-sum expression over the concatenated regions
-        ``[min(lo, cur), max(hi, cur) + d)`` of the tasks: with ``excess[t] =
-        power[t] - budget[t]`` after removing the task's own power ``p``, the
-        cost delta of covering ``t`` is ``max(excess[t] + p, 0) -
+        ``[min(lo, cur), max(hi, cur) + d)`` of the tasks: with ``excess[t]``
+        the power minus the budget after removing the task's own power
+        ``p``, the cost delta of covering ``t`` is ``max(excess[t] + p, 0) -
         max(excess[t], 0) = clip(excess[t], -p, 0) + p``; the constant ``p``
         per covered unit is shared by every candidate and cancels in the gain
         differences, so the cost of candidate ``s`` differs from the shared
@@ -242,55 +207,57 @@ class PowerTimeline:
                 f"task {nodes[index]!r} cannot move within [{lo[index]}, {hi[index]}]: "
                 "outside the horizon"
             )
-        return self._gain_rows(cur, duration, power, lo, hi)
-
-    def _gain_rows(self, cur, duration, power, lo, hi) -> Tuple[np.ndarray, np.ndarray]:
-        """The kernel of :meth:`gain_profiles` on ``int64`` rows, one entry per task.
-
-        Task ``i`` is placed at ``cur[i]``, takes ``duration[i]`` time units,
-        draws ``power[i]`` working power and moves within ``lo[i] .. hi[i]``,
-        a window inside the horizon (unchecked here).  The local search calls
-        it directly with rows gathered by topological rank.
-        """
-        count = len(cur)
-        candidates = np.maximum(hi - lo + 1, 0)
-        offsets = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(candidates, out=offsets[1:])
-        # Region of each task in the concatenated rows; it always holds the
-        # task's current placement, whose window sum is the shared baseline.
-        begin = np.minimum(lo, cur)
-        lengths = np.maximum(hi, cur) + duration - begin
-        region = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(lengths, out=region[1:])
-        # Per cell of the concatenated regions: the offset from cell index to
-        # time, and the task's own start, end and power.
-        shift, own_begin, own_end, own_power = np.repeat(
-            np.array((begin - region[:-1], cur, cur + duration, power)), lengths, axis=1
-        )
-        times = np.arange(region[-1], dtype=np.int64)
-        times += shift
-        excess = self._power[times] - self._budget[times]
-        excess -= ((times >= own_begin) & (times < own_end)) * own_power
-        np.minimum(excess, 0, out=excess)
-        np.maximum(excess, -own_power, out=excess)
-        prefix = np.zeros(len(excess) + 1, dtype=np.int64)
-        np.cumsum(excess, out=prefix[1:])
-        # Prefix index of each task's current start and of every candidate.
-        current = region[:-1] + cur - begin
-        baseline = prefix[current + duration] - prefix[current]
-        first, candidate_duration, candidate_baseline = np.repeat(
-            np.array((region[:-1] + lo - begin - offsets[:-1], duration, baseline)),
-            candidates,
-            axis=1,
-        )
-        index = np.arange(offsets[-1], dtype=np.int64)
-        index += first
-        gains = candidate_baseline - prefix[index + candidate_duration]
-        gains += prefix[index]
-        return gains, offsets
+        return _gain_rows(self._excess, cur, duration, power, lo, hi)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"PowerTimeline(horizon={self.horizon}, placed={len(self._starts)}/"
             f"{self._instance.dag.num_nodes})"
         )
+
+
+def _gain_rows(excess, cur, duration, power, lo, hi) -> Tuple[np.ndarray, np.ndarray]:
+    """The kernel of :meth:`PowerTimeline.gain_profiles` on ``int64`` rows, one entry per task.
+
+    *excess* holds the power minus the budget of every cell.  Task ``i``
+    is placed at cell ``cur[i]``, takes ``duration[i]`` cells, draws
+    ``power[i]`` working power and moves within ``lo[i] .. hi[i]``, a window
+    inside the row (unchecked here).  The local search calls it directly
+    with rows gathered by topological rank.
+    """
+    count = len(cur)
+    candidates = np.maximum(hi - lo + 1, 0)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(candidates, out=offsets[1:])
+    # Region of each task in the concatenated rows; it always holds the
+    # task's current placement, whose window sum is the shared baseline.
+    begin = np.minimum(lo, cur)
+    lengths = np.maximum(hi, cur) + duration - begin
+    region = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(lengths, out=region[1:])
+    # Per cell of the concatenated regions: the offset from cell index to
+    # time, and the task's own start, end and power.
+    shift, own_begin, own_end, own_power = np.repeat(
+        np.array((begin - region[:-1], cur, cur + duration, power)), lengths, axis=1
+    )
+    times = np.arange(region[-1], dtype=np.int64)
+    times += shift
+    cells = excess[times]
+    cells -= ((times >= own_begin) & (times < own_end)) * own_power
+    np.minimum(cells, 0, out=cells)
+    np.maximum(cells, -own_power, out=cells)
+    prefix = np.zeros(len(cells) + 1, dtype=np.int64)
+    np.cumsum(cells, out=prefix[1:])
+    # Prefix index of each task's current start and of every candidate.
+    current = region[:-1] + cur - begin
+    baseline = prefix[current + duration] - prefix[current]
+    first, candidate_duration, candidate_baseline = np.repeat(
+        np.array((region[:-1] + lo - begin - offsets[:-1], duration, baseline)),
+        candidates,
+        axis=1,
+    )
+    index = np.arange(offsets[-1], dtype=np.int64)
+    index += first
+    gains = candidate_baseline - prefix[index + candidate_duration]
+    gains += prefix[index]
+    return gains, offsets

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.api.client import Client
@@ -167,35 +167,14 @@ class SimulationConfig:
         return CaWoSched(block_size=self.block_size, window=self.window)
 
     def to_dict(self) -> Dict[str, object]:
-        """Return the configuration as a plain dictionary."""
+        """Return the configuration as a plain dictionary, fields in declaration order.
+
+        Tuples (and lists) become lists.
+        """
+        values = {field.name: getattr(self, field.name) for field in fields(self)}
         return {
-            "horizon": self.horizon,
-            "slots": self.slots,
-            "seed": self.seed,
-            "arrivals": self.arrivals,
-            "rate": self.rate,
-            "burst_period": self.burst_period,
-            "burst_size": self.burst_size,
-            "burst_jitter": self.burst_jitter,
-            "arrival_times": list(self.arrival_times) if self.arrival_times is not None else None,
-            "policy": self.policy,
-            "threshold": self.threshold,
-            "check_interval": self.check_interval,
-            "reschedule_period": self.reschedule_period,
-            "forecast": self.forecast,
-            "ma_window": self.ma_window,
-            "trace": self.trace,
-            "trace_noise": self.trace_noise,
-            "sample_duration": self.sample_duration,
-            "green_cap": self.green_cap,
-            "families": list(self.families),
-            "tasks": list(self.tasks),
-            "cluster": self.cluster,
-            "deadline_factor": self.deadline_factor,
-            "variant": self.variant,
-            "block_size": self.block_size,
-            "window": self.window,
-            "cache_size": self.cache_size,
+            name: list(value) if isinstance(value, (tuple, list)) else value
+            for name, value in values.items()
         }
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.carbon.intervals import PowerProfile
@@ -15,8 +17,10 @@ from repro.schedule.asap import asap_schedule
 from repro.schedule.cost import carbon_cost
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.validation import is_feasible
-from repro.utils.errors import CaWoSchedError
+from repro.utils.errors import CaWoSchedError, InvalidScheduleError
 from repro.workflow.dag import Workflow
+
+from schedule_helpers import with_start
 
 
 @pytest.fixture
@@ -112,3 +116,12 @@ class TestLocalSearchInput:
         assert [schedule.algorithm for schedule in improved] == [
             f"{schedule.algorithm}-LS" for schedule in schedules
         ]
+
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_schedule_past_horizon_rejected(self, tiny_multi_instance, group):
+        schedule = asap_schedule(tiny_multi_instance)
+        dag = tiny_multi_instance.dag
+        sink = next(n for n in dag.nodes() if not dag.successors(n))
+        late = with_start(schedule, sink, tiny_multi_instance.deadline)
+        with pytest.raises(InvalidScheduleError, match=re.escape(f"task {sink!r} at start")):
+            local_search([schedule, late][-group:])

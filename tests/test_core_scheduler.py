@@ -12,12 +12,12 @@ import repro.schedule.cost as cost_module
 import repro.schedule.timeline as timeline_module
 from repro.api.execute import execute_job
 from repro.api.jobs import Job
+from repro.core.local_search import local_search
 from repro.core.scheduler import CaWoSched
 from repro.core.variants import GREEDY_VARIANTS, LS_VARIANTS, variant_names
 from repro.experiments.instances import InstanceSpec, make_instance
 from repro.io.wire import load_instance
 from repro.schedule.cost import carbon_cost, carbon_cost_per_time_unit
-from repro.schedule.timeline import PowerTimeline
 from repro.schedule.validation import is_feasible
 from repro.utils.errors import CaWoSchedError
 
@@ -135,7 +135,7 @@ IDENTITY = Path(__file__).parent / "data" / "identity"
 
 
 class TestSharedPowerRows:
-    """A greedy result's power row, built by its cost, seeds its ``-LS`` timeline."""
+    """A greedy result's excess row, built by its cost, seeds its ``-LS`` search."""
 
     @pytest.mark.parametrize(
         "name", sorted(p.name for p in IDENTITY.glob("*.json") if p.name != "expected.json")
@@ -143,36 +143,31 @@ class TestSharedPowerRows:
     def test_nine_power_rows_per_job(self, name, monkeypatch):
         instance = load_instance(IDENTITY / name)
         built = []
-        power_rows = cost_module._power_rows
+        excess_row = cost_module._excess_row
 
         def counted(*args):
             built.append(args)
-            return power_rows(*args)
+            return excess_row(*args)
 
-        monkeypatch.setattr(cost_module, "_power_rows", counted)
-        monkeypatch.setattr(timeline_module, "_power_rows", counted)
+        monkeypatch.setattr(cost_module, "_excess_row", counted)
+        monkeypatch.setattr(timeline_module, "_excess_row", counted)
         execute_job(Job.from_instance(instance, variants=variant_names()))
         # ASAP and the eight greedy results are costed; the eight -LS
-        # timelines start from their parents' rows.
+        # searches start from their parents' rows.
         assert len(built) == 9
 
     @pytest.mark.parametrize("group", [1, len(GREEDY_VARIANTS)])
     def test_moves_leave_the_parent_cost_and_row(self, group):
-        instance = make_instance(SHARED_GREEDY_SPECS[0])
+        # On this instance the search moves tasks of the first parent.
+        instance = make_instance(SHARED_GREEDY_SPECS[2])
         parents = [CaWoSched().run(instance, name) for name in list(GREEDY_VARIANTS)[:group]]
-        rows = [parent.schedule._rows[0].copy() for parent in parents]
-        _, timelines = PowerTimeline._stacked(instance, [parent.schedule for parent in parents])
-        work_power = instance.work_power_map
-        for timeline, parent, row in zip(timelines, parents, rows):
-            node = next(
-                node for node, start in parent.schedule.start_times().items()
-                if start > 0 and work_power[node] > 0
-            )
-            timeline.move(node, 0)
-            assert not np.array_equal(timeline._power, row)
-            # The parent's row is shared read-only; the timeline moved a copy.
-            assert not parent.schedule._rows[0].flags.writeable
-            assert np.array_equal(parent.schedule._rows[0], row)
+        rows = [parent.schedule._excess.copy() for parent in parents]
+        improved = local_search([parent.schedule for parent in parents])
+        assert improved[0].start_times() != parents[0].schedule.start_times()
+        for parent, row in zip(parents, rows):
+            # The parent's row is shared read-only; the search moved a copy.
+            assert not parent.schedule._excess.flags.writeable
+            assert np.array_equal(parent.schedule._excess, row)
             assert carbon_cost(parent.schedule) == parent.carbon_cost
 
 

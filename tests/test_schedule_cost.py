@@ -10,7 +10,7 @@ from repro.mapping.mapping import Mapping
 from repro.platform_.presets import single_processor_cluster
 from repro.schedule.asap import asap_schedule
 from repro.schedule.cost import (
-    _power_rows,
+    _excess_row,
     brown_energy_breakdown,
     carbon_cost,
     carbon_cost_per_time_unit,
@@ -91,12 +91,17 @@ class TestEvaluatorEquivalence:
 
 class TestSharedBudgetRow:
     def test_budget_row_is_read_only(self, tiny_multi_instance):
-        budget = _power_rows(tiny_multi_instance, asap_schedule(tiny_multi_instance).start_times())[1]
+        # The budget lives in one memo per instance: idle power minus budget.
+        _excess_row(tiny_multi_instance, asap_schedule(tiny_multi_instance).start_times())
+        idle = tiny_multi_instance._memo["idle_excess_row"]
         with pytest.raises(ValueError, match="read-only"):
-            budget[0] = 0
+            idle[0] = 0
         with pytest.raises(ValueError, match="read-only"):
-            budget -= 1
-        assert _power_rows(tiny_multi_instance, {})[1] is budget
+            idle -= 1
+        _excess_row(tiny_multi_instance, {})
+        assert tiny_multi_instance._memo["idle_excess_row"] is idle
+        # With no task placed, the row is the idle excess itself.
+        assert _excess_row(tiny_multi_instance, {}).tolist() == idle.tolist()
 
 
 class TestBrownEnergyBreakdown:

@@ -20,12 +20,6 @@ class TestPlacement:
         timeline = PowerTimeline(tiny_multi_instance, schedule)
         assert timeline.total_cost() == carbon_cost(schedule)
 
-    def test_single_timeline_is_its_own_kernel(self, tiny_multi_instance):
-        schedule = asap_schedule(tiny_multi_instance)
-        kernel, timelines = PowerTimeline._stacked(tiny_multi_instance, [schedule])
-        assert timelines == [kernel]
-        assert kernel.total_cost() == PowerTimeline(tiny_multi_instance, schedule).total_cost()
-
     def test_schedule_past_horizon_rejected(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
         dag = tiny_multi_instance.dag
@@ -95,11 +89,11 @@ class TestMoves:
         timeline = PowerTimeline(tiny_multi_instance, schedule)
         node = tiny_multi_instance.dag.nodes()[0]
         start = timeline.start_of(node)
-        before = timeline._power.copy()
+        before = timeline._excess.copy()
         with pytest.raises(InvalidScheduleError):
             timeline.move(node, tiny_multi_instance.deadline)
         assert timeline.start_of(node) == start
-        assert (timeline._power == before).all()
+        assert (timeline._excess == before).all()
 
     def test_move_matches_a_timeline_loaded_after_the_move(self, tiny_multi_instance):
         schedule = asap_schedule(tiny_multi_instance)
@@ -113,7 +107,7 @@ class TestMoves:
             timeline.move(node, candidate)
             schedule = with_start(schedule, node, candidate)
             loaded = PowerTimeline(tiny_multi_instance, schedule)
-            assert (timeline._power == loaded._power).all()
+            assert (timeline._excess == loaded._excess).all()
             assert timeline.total_cost() == loaded.total_cost()
 
     def test_gain_profile_covers_current_start_with_zero(self, tiny_multi_instance):
@@ -143,46 +137,3 @@ class TestAsSchedule:
         total = timeline.segment_cost(0, tiny_multi_instance.deadline)
         assert total == timeline.total_cost()
 
-
-class TestStackedTimelines:
-    """The timelines of a lock-step group share one power buffer."""
-
-    def test_rows_equal_lone_timelines(self, tiny_multi_instance):
-        from repro.core.greedy import greedy_schedule
-
-        schedules = [
-            asap_schedule(tiny_multi_instance),
-            greedy_schedule(tiny_multi_instance, base="pressure"),
-            asap_schedule(tiny_multi_instance),
-        ]
-        kernel, timelines = PowerTimeline._stacked(tiny_multi_instance, schedules)
-        lone = [PowerTimeline(tiny_multi_instance, schedule) for schedule in schedules]
-        for timeline, reference in zip(timelines, lone):
-            assert timeline._power.tolist() == reference._power.tolist()
-            assert timeline.total_cost() == reference.total_cost()
-        assert kernel.horizon == len(schedules) * tiny_multi_instance.deadline
-        # A move updates the shared buffer the kernel reads.
-        dag = tiny_multi_instance.dag
-        node = next(
-            node for node in dag.nodes()
-            if dag.duration(node) and timelines[1].start_of(node) > 0
-        )
-        timelines[1].move(node, timelines[1].start_of(node) - 1)
-        assert timelines[1]._power.tolist() != lone[1]._power.tolist()
-        assert kernel._power.tolist() == sum(
-            (timeline._power.tolist() for timeline in timelines), []
-        )
-
-    def test_single_timeline_is_its_own_kernel(self, tiny_multi_instance):
-        schedule = asap_schedule(tiny_multi_instance)
-        kernel, timelines = PowerTimeline._stacked(tiny_multi_instance, [schedule])
-        assert timelines == [kernel]
-        assert kernel.total_cost() == PowerTimeline(tiny_multi_instance, schedule).total_cost()
-
-    def test_schedule_past_horizon_rejected(self, tiny_multi_instance):
-        schedule = asap_schedule(tiny_multi_instance)
-        dag = tiny_multi_instance.dag
-        sink = next(n for n in dag.nodes() if not dag.successors(n))
-        late = with_start(schedule, sink, tiny_multi_instance.deadline)
-        with pytest.raises(InvalidScheduleError, match=re.escape(f"task {sink!r} at start")):
-            PowerTimeline._stacked(tiny_multi_instance, [schedule, late])
