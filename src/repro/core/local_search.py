@@ -270,7 +270,7 @@ class _BatchedSearch:
         self._starts: List[int] = [starts[node] + shift for node in order]
         self._shift = shift
         # Scored tasks: rank -> (begin, end, target).  [begin, end) is the
-        # power region the score read; target is the improving start, or
+        # excess region the score read; target is the improving start, or
         # -1 for a clean task.
         self._scored: Dict[int, Tuple[int, int, int]] = {}
 
@@ -315,7 +315,7 @@ class _BatchedSearch:
             scored.pop(other, None)
         for other, _ in self._preds[index]:
             scored.pop(other, None)
-        # Drop every score whose power region overlaps the changed window.
+        # Drop every score whose excess region overlaps the changed window.
         changed_begin = min(old_start, target)
         changed_end = max(old_start, target) + duration
         stale = [

@@ -178,7 +178,7 @@ class CaWoSched:
         *parents* maps greedy variant names to their results on *instance*;
         a variant whose parent is missing computes its greedy schedule here,
         without checking or costing it.  Every result is validated and
-        carries the cost its search timeline holds.  Its
+        carries the cost its search read off its excess row.  Its
         ``runtime_seconds`` is its greedy parent's time (or the time of the
         greedy schedule computed here) plus an equal share of the group's
         wall time: the local search and the validation of every result.

@@ -49,7 +49,7 @@ class EnhancedDAG:
     its memo (:meth:`_memoised`): the critical path, the node power maps,
     the rows by topological rank that the scheduling core runs on (the
     EST/LST graph rows, the greedy phase's active powers, the local
-    search's walk and kernel rows), the feasibility check's
+    search's walk, kernel rows and working powers), the feasibility check's
     constraint rows, the block-window sums of the refined subdivision and
     the wire payload's ``mapping`` and ``links`` with their canonical
     text.  A value lives on the narrowest object it depends on: what also

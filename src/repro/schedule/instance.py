@@ -104,10 +104,13 @@ class ProblemInstance:
         Holds what several runs on one instance would otherwise recompute
         and what depends on its profile or deadline: the facade's wire
         payload and canonical text, the greedy phase's initial EST/LST
-        tracker, task orders and budget intervals, and the read-only budget
-        row of :func:`repro.schedule.cost._power_rows`.  A value lives on the
-        narrowest object it depends on, so what depends on the DAG alone
-        lives in ``EnhancedDAG._memoised``, shared by every instance over it.
+        tracker, task orders and budget intervals, and the read-only idle
+        excess row (idle power minus budget per time unit) that
+        :func:`repro.schedule.cost._excess_row` builds every schedule's
+        excess row on, so the platform's idle power is summed once.  A value
+        lives on the narrowest object it depends on, so what depends on the
+        DAG alone lives in ``EnhancedDAG._memoised``, shared by every
+        instance over it.
         Callers treat values as read-only and copy what they mutate.
         """
         memo = self._memo

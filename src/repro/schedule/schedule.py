@@ -87,7 +87,7 @@ class Schedule:
         exactly the instance's nodes (the greedy phase and the local search
         maintain exactly that invariant); the dict is adopted, not copied.
         *cost* is the schedule's carbon cost when the caller already holds it
-        (the local search reads it off its power timeline);
+        (the local search sums it off its excess buffer);
         :meth:`repro.core.scheduler.CaWoSched.run` reports it instead of
         costing the schedule again.  ``_excess`` holds the read-only excess
         row (power minus budget) that the cost evaluators build once (see
