@@ -148,7 +148,7 @@ def test_facade_overhead(benchmark, output_dir, monkeypatch):
     assert not first.cached
     assert [record.variant for record in first.records] == list(variants)
     assert dict(counts) == {
-        # One scheduler run for the greedy variant and one lock-step group
+        # One scheduler run for the greedy variant and one _refine call
         # for the -LS variant, which refines its parent's greedy schedule
         # instead of recomputing it; its cost comes from the local search.
         "run": 1,

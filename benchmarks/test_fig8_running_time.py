@@ -4,9 +4,9 @@ The paper reports that every variant computes its schedule within seconds for
 most instances (minutes for the largest workflows) and that the overhead over
 ASAP is reasonable.  Here we report the per-variant runtime statistics from
 the grid run and additionally time one representative full scheduling call.
-The grid runs all variants of an instance as one job, whose eight ``-LS``
-variants share one lock-step local search: an ``-LS`` time is its greedy
-parent's time plus an equal share of that group's wall time.
+The grid runs all variants of an instance as one job: an ``-LS`` time is its
+greedy parent's time plus the wall time of its own local search and
+validation.
 """
 
 from __future__ import annotations

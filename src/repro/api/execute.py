@@ -3,7 +3,7 @@
 :func:`execute_job` materialises a :class:`~repro.api.jobs.Job`'s instance,
 rebuilds the scheduler from the job's configuration, runs every variant
 through :meth:`CaWoSched.run <repro.core.scheduler.CaWoSched.run>`, the
-``-LS`` variants as one lock-step group, and derives the flat
+``-LS`` variants through one ``CaWoSched._refine`` call, and derives the flat
 :class:`~repro.experiments.runner.RunRecord` rows — one per variant, in job
 order.  An ``-LS`` variant refines its greedy parent's schedule when the
 parent is in the same job.
@@ -76,12 +76,11 @@ def execute_job(job: Job) -> Tuple[Tuple[ScheduleResult, ...], Tuple[RunRecord, 
     """Run every variant of *job* and return (full results, flat records).
 
     ASAP and the greedy variants run first, in job order, through
-    :meth:`CaWoSched.run`; then every ``-LS`` variant runs in one lock-step
-    local search, refining its greedy parent's schedule when the parent is
-    in the job.  Results come back in job order and are byte-identical to
-    calling the scheduler directly.  An ``-LS`` result's
-    ``runtime_seconds`` is its parent's plus an equal share of the group's
-    local search and validation.
+    :meth:`CaWoSched.run`; then every ``-LS`` variant runs its local search,
+    refining its greedy parent's schedule when the parent is in the job.
+    Results come back in job order and are byte-identical to calling the
+    scheduler directly.  An ``-LS`` result's ``runtime_seconds`` is its
+    parent's plus its own local search and validation.
     """
     instance = job.instance()
     scheduler = CaWoSched.from_config(job.scheduler)

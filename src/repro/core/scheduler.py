@@ -5,9 +5,8 @@ baseline behind a single entry point keyed by the paper's variant names
 (``slack``, ``pressWR-LS``, ``ASAP``, ...).  Every run produces a
 :class:`ScheduleResult` with the schedule, its carbon cost and the wall-clock
 time spent, which is what the experiment harness records.  The ``-LS``
-variants of one job share one lock-step local search (:meth:`CaWoSched._refine`),
-which starts from the greedy parents' results when the job holds them;
-:meth:`CaWoSched.run` on one ``-LS`` variant is a group of one.
+variants of one job run through :meth:`CaWoSched._refine`, whose local
+searches start from the greedy parents' results when the job holds them.
 """
 
 from __future__ import annotations
@@ -43,15 +42,12 @@ class ScheduleResult:
     carbon_cost:
         Total carbon cost of the schedule.
     runtime_seconds:
-        Wall-clock time of the run, validation included.  The ``-LS``
-        variants of a job run as one lock-step group (one local search for
-        all of them; a variant run alone is a group of one), and an ``-LS``
+        Wall-clock time of the run, validation included.  An ``-LS``
         result reports its greedy parent's ``runtime_seconds`` (or, without
-        the parent in the job, the time of its own greedy schedule) plus an
-        equal share of the group's wall time, local search and validation
-        of every result.  So it always covers greedy phase + local search,
-        and the shares of a group sum to the group's time.  The greedy
-        phase's instance-invariant inputs (initial EST/LST, task orders,
+        the parent in the job, the time of its own greedy schedule) plus
+        the wall time of its own local search and validation, so it always
+        covers greedy phase + local search.  The greedy phase's
+        instance-invariant inputs (initial EST/LST, task orders,
         subdivisions) are computed by the first greedy run on an instance
         and reused by later ones, so within a job the first greedy variant
         pays for them and the others report marginal times.
@@ -143,8 +139,8 @@ class CaWoSched:
     def run(self, instance: ProblemInstance, variant: str) -> ScheduleResult:
         """Run *variant* on *instance* and return a timed, costed result.
 
-        An ``-LS`` variant computes its greedy schedule and runs as a
-        lock-step group of one (see :meth:`_refine`).
+        An ``-LS`` variant computes its greedy schedule and refines it
+        (see :meth:`_refine`).
 
         Raises
         ------
@@ -173,41 +169,37 @@ class CaWoSched:
         variants: Sequence[str],
         parents: Mapping[str, ScheduleResult],
     ) -> List[ScheduleResult]:
-        """Run the ``-LS`` *variants* on *instance* as one lock-step local search.
+        """Run the ``-LS`` *variants* on *instance*, one local search each.
 
         *parents* maps greedy variant names to their results on *instance*;
         a variant whose parent is missing computes its greedy schedule here,
         without checking or costing it.  Every result is validated and
         carries the cost its search read off its excess row.  Its
         ``runtime_seconds`` is its greedy parent's time (or the time of the
-        greedy schedule computed here) plus an equal share of the group's
-        wall time: the local search and the validation of every result.
+        greedy schedule computed here) plus the wall time of its own local
+        search and validation.
         """
-        greedy: List[Schedule] = []
-        inherited: List[float] = []
+        results = []
         for variant in variants:
             spec = get_variant(variant)
             parent = parents.get(spec.parent)
             if parent is None:
                 begin = time.perf_counter()
-                greedy.append(self._greedy(instance, spec))
-                inherited.append(time.perf_counter() - begin)
+                greedy = self._greedy(instance, spec)
+                inherited = time.perf_counter() - begin
             else:
-                greedy.append(parent.schedule)
-                inherited.append(parent.runtime_seconds)
-        begin = time.perf_counter()
-        produced = local_search(greedy, window=self.window)
-        if self.validate:
-            for schedule in produced:
-                check_schedule(schedule)
-        share = (time.perf_counter() - begin) / len(variants)
-        return [
-            ScheduleResult(
-                variant=variant,
-                schedule=schedule,
-                carbon_cost=schedule._cost,
-                runtime_seconds=own + share,
-                makespan=schedule.makespan,
+                greedy, inherited = parent.schedule, parent.runtime_seconds
+            begin = time.perf_counter()
+            produced = local_search([greedy], window=self.window)[0]
+            if self.validate:
+                check_schedule(produced)
+            results.append(
+                ScheduleResult(
+                    variant=variant,
+                    schedule=produced,
+                    carbon_cost=produced._cost,
+                    runtime_seconds=inherited + (time.perf_counter() - begin),
+                    makespan=produced.makespan,
+                )
             )
-            for variant, schedule, own in zip(variants, produced, inherited)
-        ]
+        return results

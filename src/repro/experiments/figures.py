@@ -130,9 +130,8 @@ def figure6_cost_ratio_boxplot(records: Iterable[RunRecord]) -> Dict[str, Boxplo
 def figure8_running_times(records: Iterable[RunRecord]) -> Dict[str, Dict[str, float]]:
     """Figure 8: running-time statistics per algorithm variant.
 
-    Within a job the eight ``-LS`` variants run as one lock-step local
-    search; each ``-LS`` time is its greedy parent's time plus an equal
-    share of that group's wall time (see
+    Within a job each ``-LS`` time is its greedy parent's time plus the
+    wall time of its own local search and validation (see
     :class:`~repro.core.scheduler.ScheduleResult`).
     """
     return runtime_statistics(list(records))

@@ -1,13 +1,16 @@
 """Mutable excess timeline used for incremental cost evaluation.
 
-The local search needs to evaluate many candidate single-task moves cheaply.
-:class:`PowerTimeline` loads a schedule and keeps its excess row, the
-platform power minus the green budget of every time unit (see
-:mod:`repro.schedule.cost`), as one NumPy array; moving a task touches only
-its old and new execution windows, and the cost change of a move can be
-computed from the affected slice alone.  :func:`_gain_rows` scores every
-candidate start of many tasks against an excess row in one pass; the local
-search calls it directly on a buffer of its own.
+The local search evaluates many candidate single-task moves; this module is
+their reference evaluator.  :class:`PowerTimeline` loads a schedule and
+keeps its excess row, the platform power minus the green budget of every
+time unit (see :mod:`repro.schedule.cost`), as one NumPy array; moving a
+task touches only its old and new execution windows, and the cost change of
+a move can be computed from the affected slice alone.  :func:`_gain_rows`,
+the kernel of :meth:`PowerTimeline.gain_profiles`, scores every candidate
+start of many tasks against an excess row in one NumPy pass.  The local
+search does not call it: it runs the same integer arithmetic in plain Python
+on the few tasks that its no-gain tests let through, and the test suite
+checks both against per-candidate :meth:`PowerTimeline.move_gain` calls.
 
 The timeline is pseudo-polynomial in the deadline (one array cell per time
 unit), which is practical for the instance sizes the library targets and is
@@ -222,8 +225,7 @@ def _gain_rows(excess, cur, duration, power, lo, hi) -> Tuple[np.ndarray, np.nda
     *excess* holds the power minus the budget of every cell.  Task ``i``
     is placed at cell ``cur[i]``, takes ``duration[i]`` cells, draws
     ``power[i]`` working power and moves within ``lo[i] .. hi[i]``, a window
-    inside the row (unchecked here).  The local search calls it directly
-    with rows gathered by topological rank.
+    inside the row (unchecked here).
     """
     count = len(cur)
     candidates = np.maximum(hi - lo + 1, 0)

@@ -172,22 +172,21 @@ class TestSharedPowerRows:
 
 
 class TestSharedLocalSearchTime:
-    """An ``-LS`` time is its parent's plus an equal share of the group's time."""
+    """An ``-LS`` time is its parent's plus its own local search and validation."""
 
-    def test_shares_sum_to_the_group_time(self, tiny_multi_instance, monkeypatch):
+    def test_each_ls_time_adds_its_own_span(self, tiny_multi_instance, monkeypatch):
         # Every timed span is two clock reads, 0.25 s apart: each greedy run
-        # and the one lock-step group of the eight -LS variants.
+        # and each -LS variant's local search with its validation.
         ticks = itertools.count(start=10.0, step=0.25)
         monkeypatch.setattr("repro.core.scheduler.time.perf_counter", lambda: next(ticks))
         results, _ = execute_job(Job.from_instance(tiny_multi_instance, variants=variant_names()))
         by_name = {result.variant: result for result in results}
-        shares = [
+        spans = [
             by_name[name].runtime_seconds - by_name[name[: -len("-LS")]].runtime_seconds
             for name in LS_VARIANTS
         ]
         assert by_name["pressWR"].runtime_seconds == 0.25
-        assert shares == [0.25 / len(LS_VARIANTS)] * len(LS_VARIANTS)
-        assert sum(shares) == 0.25
+        assert spans == [0.25] * len(LS_VARIANTS)
 
     def test_lone_variant_times_its_own_greedy_phase(self, tiny_multi_instance, monkeypatch):
         ticks = itertools.count(start=10.0, step=0.25)
@@ -195,8 +194,8 @@ class TestSharedLocalSearchTime:
         variants = ["slack-LS", "pressWR", "pressWR-LS"]
         results, _ = execute_job(Job.from_instance(tiny_multi_instance, variants=variants))
         assert [result.variant for result in results] == variants
-        # slack-LS: its own greedy schedule (0.25 s) plus half the group.
-        assert [result.runtime_seconds for result in results] == [0.375, 0.25, 0.375]
+        # slack-LS: its own greedy schedule (0.25 s) plus its own search.
+        assert [result.runtime_seconds for result in results] == [0.5, 0.25, 0.5]
 
     def test_every_ls_time_covers_its_parent(self):
         instance = make_instance(SHARED_GREEDY_SPECS[2])

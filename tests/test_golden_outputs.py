@@ -6,8 +6,8 @@ through :func:`repro.cli.main`:
 - ``simulate-poisson-edf.json``: the report of the CI's online simulation
   (Poisson arrivals, EDF, persistence forecast, ``pressWR``);
 - ``simulate-burst-reschedule.json``: bursts re-planned against a
-  moving-average forecast of a noisy trace with ``pressWR-LS`` (every plan a
-  lock-step local search of one);
+  moving-average forecast of a noisy trace with ``pressWR-LS`` (every plan
+  runs a local search);
 - ``simulate-fifo-oracle.json``: FIFO commits planned against the exact
   (oracle) forecast with ``slackW-LS``;
 - ``grid-all-variants.json``: one grid cell with all 17 variants;

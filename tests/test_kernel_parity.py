@@ -7,8 +7,9 @@ that the library is *byte-identical* to them:
 * ``PowerTimeline.gain_profile`` equals a loop of scalar ``move_gain`` calls,
   and so do the per-task gains of the batched ``PowerTimeline.gain_profiles``,
 * ``local_search`` returns the same start times as the per-candidate
-  ``move_gain`` hill climber (:func:`_scalar_local_search`), and a
-  lock-step group of searches returns what each search returns alone,
+  ``move_gain`` hill climber (:func:`_scalar_local_search`), a call on many
+  schedules returns what each schedule's call returns alone, and every
+  task its two no-gain tests call clean has no positive gain,
 * every incremental ``EstLstTracker.fix`` leaves the same EST/LST maps as
   the full two-sweep recompute,
 * the lag-difference form of ``block_alignment_points`` equals the original
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from repro.carbon.scenarios import generate_power_profile
 from repro.core.estlst import EstLstTracker
 from repro.core.greedy import greedy_schedule
-from repro.core.local_search import _BatchedSearch, local_search
+from repro.core.local_search import _Search, _search_rows, local_search
 from repro.core.subdivision import block_alignment_points
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
@@ -43,9 +44,10 @@ from repro.utils.rng import ensure_rng
 from repro.workflow.generators import generate_workflow
 from schedule_helpers import with_zero_durations
 
-# The module, not the function ``repro.core`` re-exports under its name: the
-# kernel-counting tests patch the kernel where the local search looks it up.
+# The module, not the function ``repro.core`` re-exports under its name.
 LOCAL_SEARCH = sys.modules["repro.core.local_search"]
+# The kernel-counting tests patch the gain kernel where the timeline looks it up.
+TIMELINE = sys.modules["repro.schedule.timeline"]
 
 
 def build_random_instance(family: str, num_tasks: int, scenario: str,
@@ -239,32 +241,37 @@ class TestLocalSearchParity:
         assert twice[0]._cost == twice[2]._cost == alone._cost
         assert twice[1].start_times() == local_search([other])[0].start_times()
 
-    def test_kernel_calls_bounded_by_rounds_plus_moves(self, monkeypatch):
-        # One batched call per round plus at most one per accepted move,
-        # never one per task visit.  In a lock-step group one call serves
-        # every search at once, so the group's calls are bounded by the
-        # largest per-search rounds + moves.
+    def test_scores_bounded_by_walk_visits(self, monkeypatch):
+        # A search scores a task only when its walk reaches it without a
+        # stored score, so it never scores more often than it visits tasks,
+        # and scores in full only what the two no-gain tests let through.
+        # No search calls the gain kernel.
         from repro.experiments.instances import default_grid, make_instance
 
-        calls, moves = [0], [0]
-        # Per search: rounds + moves.
-        work: Counter = Counter()
+        kernel, moves = [0], [0]
+        # Per search: walk visits, _score calls and full scorings.
+        work: Dict[_Search, Counter] = {}
 
-        def counting(method, name=None):
-            def wrapper(*args, **kwargs):
-                if name is None:
-                    calls[0] += 1
+        def counting(method, name):
+            def wrapper(search, *args):
+                if name == "visits":
+                    work.setdefault(search, Counter())["visits"] += len(search._walk)
+                elif name == "moves":
+                    moves[0] += 1
                 else:
-                    work[id(args[0])] += 1
-                    moves[0] += name == "moves"
-                return method(*args, **kwargs)
+                    work[search][name] += 1
+                return method(search, *args)
             return wrapper
 
-        monkeypatch.setattr(LOCAL_SEARCH, "_gain_rows", counting(LOCAL_SEARCH._gain_rows))
-        monkeypatch.setattr(_BatchedSearch, "walk", counting(_BatchedSearch.walk, "rounds"))
-        monkeypatch.setattr(
-            _BatchedSearch, "_apply_move", counting(_BatchedSearch._apply_move, "moves")
-        )
+        def counting_kernel(*args):
+            kernel[0] += 1
+            return TIMELINE._gain_rows(*args)
+
+        monkeypatch.setattr(TIMELINE, "_gain_rows", counting_kernel)
+        monkeypatch.setattr(_Search, "walk", counting(_Search.walk, "visits"))
+        monkeypatch.setattr(_Search, "_score", counting(_Search._score, "scores"))
+        monkeypatch.setattr(_Search, "_full_score", counting(_Search._full_score, "full"))
+        monkeypatch.setattr(_Search, "_apply_move", counting(_Search._apply_move, "moves"))
         for spec in default_grid(sizes=(30,), seed=1)[::8]:
             instance = make_instance(spec, master_seed=1)
             greedy = [
@@ -275,18 +282,21 @@ class TestLocalSearchParity:
             ]
             for best in (False, True):
                 for group in [[schedule] for schedule in greedy] + [greedy]:
-                    calls[0] = 0
                     work.clear()
                     local_search(group, best_improvement=best)
-                    assert len(work) >= len(group)
-                    assert 1 <= calls[0] <= max(work.values())
-        # The bound is exercised by runs that re-score after a move.
+                    assert len(work) == len(group)
+                    for counts in work.values():
+                        assert 1 <= counts["scores"] <= counts["visits"]
+                        assert counts["full"] <= counts["scores"]
+        assert kernel[0] == 0
+        # The bounds are exercised by runs that re-score after a move.
         assert moves[0] > 0
 
     def test_kernel_calls_of_a_job_are_pinned(self, monkeypatch):
         # A job of all 17 variants on each instance of the byte-identity
-        # fixture runs its eight local searches as one lock-step group; run
-        # alone, the same searches make 212 calls in total.
+        # fixture runs its eight local searches without the gain kernel;
+        # the tasks they score, and the ones they score in full, are pinned
+        # as (scores, full scorings).
         from pathlib import Path
 
         from repro.api.execute import execute_job
@@ -294,29 +304,34 @@ class TestLocalSearchParity:
         from repro.core.variants import variant_names
         from repro.io.wire import load_instance
 
-        calls = [0]
-        kernel = LOCAL_SEARCH._gain_rows
+        assert not hasattr(LOCAL_SEARCH, "_gain_rows")
+        counts: Counter = Counter()
 
-        def counting(*args):
-            calls[0] += 1
-            return kernel(*args)
+        def counting(name, method):
+            def wrapper(*args):
+                counts[name] += 1
+                return method(*args)
+            return wrapper
 
-        monkeypatch.setattr(LOCAL_SEARCH, "_gain_rows", counting)
+        monkeypatch.setattr(TIMELINE, "_gain_rows", counting("kernel", TIMELINE._gain_rows))
+        monkeypatch.setattr(_Search, "_score", counting("scores", _Search._score))
+        monkeypatch.setattr(_Search, "_full_score", counting("full", _Search._full_score))
         fixture = Path(__file__).parent / "data" / "identity"
         observed = {}
         for path in sorted(fixture.glob("*_*.json")):
-            calls[0] = 0
+            counts.clear()
             execute_job(Job.from_instance(load_instance(path), variants=variant_names()))
-            observed[path.name] = calls[0]
+            assert counts["kernel"] == 0
+            observed[path.name] = (counts["scores"], counts["full"])
         assert observed == {
-            "atacseq_large_S2.json": 16,
-            "bacass_large_S2.json": 1,
-            "chain_single_S3.json": 4,
-            "eager_small_S4.json": 3,
-            "forkjoin_large_S1.json": 1,
-            "layered_small_S2.json": 12,
-            "methylseq_single_S1.json": 3,
-            "random_small_S2.json": 12,
+            "atacseq_large_S2.json": (729, 43),
+            "bacass_large_S2.json": (184, 26),
+            "chain_single_S3.json": (166, 4),
+            "eager_small_S4.json": (430, 5),
+            "forkjoin_large_S1.json": (224, 0),
+            "layered_small_S2.json": (668, 112),
+            "methylseq_single_S1.json": (236, 2),
+            "random_small_S2.json": (621, 45),
         }
 
     def test_seed_grid_byte_identity(self, monkeypatch):
@@ -357,6 +372,68 @@ class TestLocalSearchParity:
                     spec, variant)
                 slow = _scalar_local_search(slow_greedy, window=scheduler.window)
                 assert fast.start_times() == slow, (spec, variant)
+
+
+class TestNoGainTests:
+    def test_clean_tasks_have_no_positive_gain(self):
+        # Every task that the search calls clean without scoring it in
+        # full, by test (i) (it covers no cell of positive excess) or test
+        # (ii) (its window reaches no cell of negative excess), has no
+        # positive gain anywhere in its legal window.  The schedules are
+        # greedy ones, some after random legal moves.
+        fired: Counter = Counter()
+
+        @given(
+            instance=INSTANCE_STRATEGY,
+            base=st.sampled_from(["slack", "pressure"]),
+            window=st.integers(0, 12),
+            data=st.data(),
+        )
+        @settings(max_examples=40, deadline=None)
+        def check(instance, base, window, data):
+            dag = instance.dag
+            deadline = instance.deadline
+            starts = greedy_schedule(instance, base=base).start_times()
+
+            def legal(node, reach):
+                current, duration = starts[node], dag.duration(node)
+                lo = max(
+                    [current - reach, 0]
+                    + [starts[pred] + dag.duration(pred) for pred in dag.predecessors(node)]
+                )
+                hi = min(
+                    [current + reach + duration, deadline]
+                    + [starts[succ] for succ in dag.successors(node)]
+                )
+                return lo, hi - duration
+
+            moves = data.draw(st.lists(st.sampled_from(dag.nodes()), max_size=12), label="moves")
+            for node in moves:
+                lo, hi = legal(node, deadline)
+                starts[node] = data.draw(st.integers(lo, hi), label="start")
+            schedule = Schedule(instance, starts)
+            timeline = PowerTimeline(instance, schedule)
+            walk, powers = _search_rows(dag, instance.work_power_map)
+            search = _Search(instance, schedule, walk, powers, window, False)
+            # Stand in for the full scoring, to see which tasks reach it.
+            search._full_score = lambda *args: -2
+            position = {node: index for index, node in enumerate(dag.topological_order())}
+            excess = search._excess
+            for node in dag.nodes():
+                if search._score(position[node])[2] == -2:
+                    continue
+                lo, hi = legal(node, window)
+                assert timeline.gain_profile(node, lo, hi).max(initial=0) <= 0, node
+                current, duration = starts[node], dag.duration(node)
+                covers_brown = (
+                    instance.work_power_map[node] > 0
+                    and duration > 0
+                    and max(excess[current : current + duration]) > 0
+                )
+                fired["ii" if covers_brown else "i"] += 1
+
+        check()
+        assert fired["i"] > 0 and fired["ii"] > 0, fired
 
 
 class TestEstLstParity:

@@ -4,9 +4,9 @@
 every workflow family, all four scenarios, all three cluster presets) and
 ``expected.json``, which records for every variant on each instance its
 carbon cost, its makespan and the SHA-256 of its start times in the
-schedule's key order.  Every variant run alone (each ``-LS`` variant a
-lock-step group of one) and one job of all variants (its eight ``-LS``
-variants one group of eight) must both reproduce them.  The expected values were produced before the
+schedule's key order.  Every variant run alone (each ``-LS`` variant from
+its own greedy schedule) and one job of all variants (its eight ``-LS``
+variants from their parents' schedules) must both reproduce them.  The expected values were produced before the
 scheduling core moved to topological-rank rows; loading a wire instance
 draws no random numbers, so the values do not depend on the NumPy version.
 
@@ -63,8 +63,7 @@ def observed(name: str) -> Dict[str, List[object]]:
 def observed_as_job(name: str) -> Dict[str, List[object]]:
     """Return the digests of one job of all variants on fixture *name*.
 
-    The job's eight ``-LS`` variants refine their parents' schedules in one
-    lock-step local search.
+    The job's eight ``-LS`` variants refine their parents' schedules.
     """
     instance = load_instance(FIXTURE / name)
     results, _ = execute_job(Job.from_instance(instance, variants=variant_names()))
