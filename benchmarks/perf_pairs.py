@@ -87,10 +87,12 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="revision of the changed side")
     parser.add_argument("--workloads", nargs="+", default=["offline_grid"])
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("301-310"))
-    parser.add_argument("--workdir", type=Path, help="where the exports go (default: a temp dir)")
+    parser.add_argument("--workdir", type=Path, help="where the exports go, created if missing (default: a temp dir)")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
+    if args.workdir is not None:
+        args.workdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=args.workdir) as scratch:
         base_dir, change_dir = Path(scratch) / "base", Path(scratch) / "change"
         base_sha, change_sha = export(args.base, base_dir), export(args.change, change_dir)

@@ -55,7 +55,7 @@ _RAW_SPEC_KEYS = _SPEC_KEYS + ("nodes_per_type", "num_tasks")
 #: Keys of a job object (see :meth:`Job.from_dict`).
 _JOB_KEYS = ("instance", "spec", "variants", "scheduler", "master_seed")
 #: Keys of a scheduler configuration (see :meth:`CaWoSched.config_dict`).
-_SCHEDULER_KEYS = ("block_size", "window", "validate")
+_SCHEDULER_KEYS = ("block_size", "window")
 
 
 def shared_instance_payload(instance: ProblemInstance) -> Dict[str, object]:

@@ -24,13 +24,13 @@ Most tasks cannot gain, and two exact tests show it without scoring a
 candidate: a task that covers no cell of positive excess saves nothing by
 leaving its cells, and a task whose window reaches no cell of negative
 excess pays its full power for every cell it newly covers, which is at least
-what it saves.  Only the other tasks are scored in full, with the integer
-arithmetic of the gain kernel (:func:`repro.schedule.timeline._gain_rows`):
-the excess without the task's own power, clipped to ``[-p, 0]``, and one
-window sum per candidate start.  Every stored score equals a fresh one when
-it is read, so the result is byte-identical to the per-candidate
-``move_gain`` hill climber of the paper, which the test suite keeps as its
-reference.
+what it saves.  Only the other tasks are scored in full, in integer
+arithmetic: the excess without the task's own power, clipped to ``[-p, 0]``,
+and one window sum per candidate start, which gives each candidate's
+:meth:`~repro.schedule.timeline.PowerTimeline.move_gain`.  Every stored score
+equals a fresh one when it is read, so the result is byte-identical to the
+per-candidate ``move_gain`` hill climber of the paper, which the test suite
+keeps as its reference.
 """
 
 from __future__ import annotations
@@ -219,7 +219,9 @@ class _Search:
         with ``e_t`` the excess without the task's own power ``p``; the
         constant ``p`` cancels in the gains, so the gain of a candidate is the
         window sum over the current cells minus the one over the candidate's
-        cells, both read from one prefix sum over ``[begin, stop)``.
+        cells, both read from one prefix sum over ``[begin, stop)``.  Each
+        gain equals :meth:`~repro.schedule.timeline.PowerTimeline.move_gain`
+        of the candidate, the reference the tests check it against.
         """
         current = self._starts[index]
         duration = self._duration[index]

@@ -65,6 +65,9 @@ class ScheduleResult:
 class CaWoSched:
     """Carbon-aware workflow scheduler with a fixed mapping and deadline.
 
+    Every schedule a run produces is checked for feasibility with
+    :func:`~repro.schedule.validation.check_schedule`.
+
     Parameters
     ----------
     block_size:
@@ -73,9 +76,6 @@ class CaWoSched:
     window:
         Local-search window ``µ`` (paper default: 10); a non-negative
         integer.
-    validate:
-        Check every produced schedule for feasibility (adds a small overhead;
-        enabled by default); a ``bool``.
 
     Examples
     --------
@@ -89,13 +89,9 @@ class CaWoSched:
         *,
         block_size: int = DEFAULT_BLOCK_SIZE,
         window: int = DEFAULT_WINDOW,
-        validate: bool = True,
     ) -> None:
         self.block_size = check_positive_int(block_size, "block_size")
         self.window = check_non_negative_int(window, "window")
-        if not isinstance(validate, bool):
-            raise TypeError(f"validate must be a boolean, got {type(validate).__name__}")
-        self.validate = validate
 
     # ------------------------------------------------------------------ #
     def config_dict(self) -> Dict[str, object]:
@@ -104,25 +100,19 @@ class CaWoSched:
         Used by :mod:`repro.api` jobs to ship the configuration across
         process boundaries and to fingerprint them.
         """
-        return {
-            "block_size": self.block_size,
-            "window": self.window,
-            "validate": self.validate,
-        }
+        return {"block_size": self.block_size, "window": self.window}
 
     @classmethod
     def from_config(cls, config: Optional[Dict[str, object]] = None) -> "CaWoSched":
         """Rebuild a scheduler from :meth:`config_dict` output.
 
         The values are checked as the constructor checks them, not converted:
-        ``"window": 2.9`` or ``"validate": "false"`` raise instead of running
-        another configuration.
+        ``"window": 2.9`` raises instead of running another configuration.
         """
         config = dict(config or {})
         return cls(
             block_size=config.get("block_size", DEFAULT_BLOCK_SIZE),
             window=config.get("window", DEFAULT_WINDOW),
-            validate=config.get("validate", True),
         )
 
     # ------------------------------------------------------------------ #
@@ -152,8 +142,7 @@ class CaWoSched:
             return self._refine(instance, [variant], {})[0]
         begin = time.perf_counter()
         produced = asap_schedule(instance) if spec.is_baseline else self._greedy(instance, spec)
-        if self.validate:
-            check_schedule(produced)
+        check_schedule(produced)
         elapsed = time.perf_counter() - begin
         return ScheduleResult(
             variant=variant,
@@ -191,8 +180,7 @@ class CaWoSched:
                 greedy, inherited = parent.schedule, parent.runtime_seconds
             begin = time.perf_counter()
             produced = local_search([greedy], window=self.window)[0]
-            if self.validate:
-                check_schedule(produced)
+            check_schedule(produced)
             results.append(
                 ScheduleResult(
                     variant=variant,

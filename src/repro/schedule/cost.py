@@ -12,9 +12,11 @@ excess ``idle − G_t``.  The row extends past the deadline when a task
 finishes after it, with the last interval's budget, so infeasible schedules
 still get a well-defined, comparable cost (feasibility is checked separately
 by :func:`repro.schedule.validation.check_schedule`).  A schedule's row is
-built once and kept, read-only, on the schedule: its cost, its breakdown,
-a :class:`~repro.schedule.timeline.PowerTimeline` and the local search all
-start from it.
+built once and kept, read-only, on the schedule: its cost, its breakdown
+and the local search start from it, and so does the tests' reference
+evaluator, :class:`~repro.schedule.timeline.PowerTimeline`.  The row and its
+sums are ``int64``; :class:`~repro.schedule.instance.ProblemInstance` rejects
+an instance whose powers and budgets could add up past that.
 
 :func:`carbon_cost_per_time_unit` builds its rows independently, task by task;
 it is the reference the tests check the shared row against.

@@ -14,7 +14,8 @@ from typing import Callable, Dict, Hashable
 
 from repro.carbon.intervals import PowerProfile
 from repro.mapping.enhanced_dag import EnhancedDAG
-from repro.utils.errors import InfeasibleScheduleError, InvalidProfileError
+from repro.utils.errors import InfeasibleScheduleError, InvalidProfileError, InvalidScheduleError
+from repro.utils.validation import INT64_MAX
 
 __all__ = ["ProblemInstance"]
 
@@ -40,6 +41,9 @@ class ProblemInstance:
     InfeasibleScheduleError
         If no schedule can meet the deadline (the DAG's critical path is
         longer than the horizon).
+    InvalidScheduleError
+        If a schedule's power and budget sums could exceed the ``int64``
+        rows of the cost evaluators (see :meth:`_check_sums`).
     """
 
     dag: EnhancedDAG
@@ -59,6 +63,27 @@ class ProblemInstance:
             raise InfeasibleScheduleError(
                 f"deadline {self.profile.horizon} is shorter than the critical "
                 f"path duration {critical}; no feasible schedule exists"
+            )
+        self._check_sums()
+
+    def _check_sums(self) -> None:
+        """Raise :class:`InvalidScheduleError` if a cost sum could exceed ``int64``.
+
+        Each power and budget fits ``int64`` on its own; the bound on their
+        sums is the total idle and working power of the platform over
+        ``max(T, sum of durations)`` time units, plus the largest budget
+        over ``T``.
+        """
+        power = sum(spec.p_idle + spec.p_work for spec in self.dag.platform.processors())
+        horizon = self.profile.horizon
+        length = max(horizon, sum(self.dag.duration_map().values()))
+        budget = max(interval.budget for interval in self.profile.intervals())
+        bound = power * length + budget * horizon
+        if bound > INT64_MAX:
+            raise InvalidScheduleError(
+                f"power {power} over {length} time units plus budget {budget} over "
+                f"{horizon} time units is {bound}, more than the int64 costs can hold "
+                f"({INT64_MAX})"
             )
 
     # ------------------------------------------------------------------ #

@@ -5,12 +5,10 @@ their reference evaluator.  :class:`PowerTimeline` loads a schedule and
 keeps its excess row, the platform power minus the green budget of every
 time unit (see :mod:`repro.schedule.cost`), as one NumPy array; moving a
 task touches only its old and new execution windows, and the cost change of
-a move can be computed from the affected slice alone.  :func:`_gain_rows`,
-the kernel of :meth:`PowerTimeline.gain_profiles`, scores every candidate
-start of many tasks against an excess row in one NumPy pass.  The local
-search does not call it: it runs the same integer arithmetic in plain Python
-on the few tasks that its no-gain tests let through, and the test suite
-checks both against per-candidate :meth:`PowerTimeline.move_gain` calls.
+a move can be computed from the affected slice alone.  The local search
+reads only :func:`_fitting_excess` from this module: it scores moves with its
+own integer arithmetic in plain Python, and the test suite checks it against
+per-candidate :meth:`PowerTimeline.move_gain` calls.
 
 The timeline is pseudo-polynomial in the deadline (one array cell per time
 unit), which is practical for the instance sizes the library targets and is
@@ -20,7 +18,7 @@ tasks by individual time units).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Sequence, Tuple
+from typing import Dict, Hashable
 
 import numpy as np
 
@@ -153,64 +151,14 @@ class PowerTimeline:
         return before - after
 
     def gain_profile(self, node: Hashable, lo: int, hi: int) -> np.ndarray:
-        """Return the move gains of all candidate starts ``lo .. hi`` at once.
+        """Return the move gains of all candidate starts ``lo .. hi``.
 
-        The result is an ``int64`` array of length ``hi - lo + 1`` whose entry
-        ``s - lo`` equals ``move_gain(node, s)`` (the entry for the current
-        start, when inside the window, is 0).  This is the one-task case of
-        :meth:`gain_profiles`.  The timeline is left unchanged.
+        The result is an ``int64`` array of length ``hi - lo + 1`` (empty when
+        ``hi < lo``) whose entry ``s - lo`` is ``move_gain(node, s)``, so the
+        entry for the current start is 0.  The timeline is left unchanged.
         """
-        return self.gain_profiles([node], [lo], [hi])[0]
-
-    def gain_profiles(
-        self, nodes: Sequence[Hashable], los: Sequence[int], his: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the move gains of every task's candidate starts in one pass.
-
-        Task ``i`` moves within ``los[i] .. his[i]`` (an empty window when
-        ``his[i] < los[i]``).  The result is ``(gains, offsets)``: the
-        ``int64`` gains of all tasks concatenated in task order, and the
-        ``len(nodes) + 1`` offsets delimiting them, so that
-        ``gains[offsets[i] + s - los[i]] == move_gain(nodes[i], s)``.
-
-        Instead of per-candidate move round trips, every candidate is
-        scored with one prefix-sum expression over the concatenated regions
-        ``[min(lo, cur), max(hi, cur) + d)`` of the tasks: with ``excess[t]``
-        the power minus the budget after removing the task's own power
-        ``p``, the cost delta of covering ``t`` is ``max(excess[t] + p, 0) -
-        max(excess[t], 0) = clip(excess[t], -p, 0) + p``; the constant ``p``
-        per covered unit is shared by every candidate and cancels in the gain
-        differences, so the cost of candidate ``s`` differs from the shared
-        baseline by the sum of ``clip(excess, -p, 0)`` over ``[s, s + d)`` — a
-        sliding-window sum read from one cumulative sum, segmented per task.
-        All arithmetic is integer, so the gains are bit-identical to the
-        scalar loop.  The timeline is left unchanged.
-        """
-        starts = self._starts
-        try:
-            placed = [starts[node] for node in nodes]
-        except KeyError as exc:
-            raise InvalidScheduleError(
-                f"task {exc.args[0]!r} is not placed on the timeline"
-            ) from None
-        cur, duration, power, lo, hi = np.array(
-            (
-                placed,
-                [self._duration[node] for node in nodes],
-                [self._work_power[node] for node in nodes],
-                los,
-                his,
-            ),
-            dtype=np.int64,
-        )
-        outside = (lo < 0) | (hi + duration > self.horizon)
-        if outside.any():
-            index = int(outside.argmax())
-            raise InvalidScheduleError(
-                f"task {nodes[index]!r} cannot move within [{lo[index]}, {hi[index]}]: "
-                "outside the horizon"
-            )
-        return _gain_rows(self._excess, cur, duration, power, lo, hi)
+        gains = [self.move_gain(node, start) for start in range(lo, hi + 1)]
+        return np.array(gains, dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -218,48 +166,3 @@ class PowerTimeline:
             f"{self._instance.dag.num_nodes})"
         )
 
-
-def _gain_rows(excess, cur, duration, power, lo, hi) -> Tuple[np.ndarray, np.ndarray]:
-    """The kernel of :meth:`PowerTimeline.gain_profiles` on ``int64`` rows, one entry per task.
-
-    *excess* holds the power minus the budget of every cell.  Task ``i``
-    is placed at cell ``cur[i]``, takes ``duration[i]`` cells, draws
-    ``power[i]`` working power and moves within ``lo[i] .. hi[i]``, a window
-    inside the row (unchecked here).
-    """
-    count = len(cur)
-    candidates = np.maximum(hi - lo + 1, 0)
-    offsets = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(candidates, out=offsets[1:])
-    # Region of each task in the concatenated rows; it always holds the
-    # task's current placement, whose window sum is the shared baseline.
-    begin = np.minimum(lo, cur)
-    lengths = np.maximum(hi, cur) + duration - begin
-    region = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(lengths, out=region[1:])
-    # Per cell of the concatenated regions: the offset from cell index to
-    # time, and the task's own start, end and power.
-    shift, own_begin, own_end, own_power = np.repeat(
-        np.array((begin - region[:-1], cur, cur + duration, power)), lengths, axis=1
-    )
-    times = np.arange(region[-1], dtype=np.int64)
-    times += shift
-    cells = excess[times]
-    cells -= ((times >= own_begin) & (times < own_end)) * own_power
-    np.minimum(cells, 0, out=cells)
-    np.maximum(cells, -own_power, out=cells)
-    prefix = np.zeros(len(cells) + 1, dtype=np.int64)
-    np.cumsum(cells, out=prefix[1:])
-    # Prefix index of each task's current start and of every candidate.
-    current = region[:-1] + cur - begin
-    baseline = prefix[current + duration] - prefix[current]
-    first, candidate_duration, candidate_baseline = np.repeat(
-        np.array((region[:-1] + lo - begin - offsets[:-1], duration, baseline)),
-        candidates,
-        axis=1,
-    )
-    index = np.arange(offsets[-1], dtype=np.int64)
-    index += first
-    gains = candidate_baseline - prefix[index + candidate_duration]
-    gains += prefix[index]
-    return gains, offsets

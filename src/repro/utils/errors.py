@@ -61,7 +61,8 @@ class InvalidScheduleError(CaWoSchedError):
     """A schedule object is structurally malformed.
 
     Raised when a start time is missing or negative, or refers to an unknown
-    task of the communication-enhanced DAG.
+    task of the communication-enhanced DAG, and when a problem instance's
+    power and budget sums are too large for the ``int64`` cost rows.
     """
 
 

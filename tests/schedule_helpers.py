@@ -9,10 +9,13 @@ from repro.carbon.intervals import PowerProfile
 from repro.core.estlst import EstLstTracker
 from repro.core.scores import compute_scores, task_order
 from repro.core.subdivision import original_subdivision, refined_subdivision
-from repro.mapping.enhanced_dag import EnhancedDAG
+from repro.mapping.enhanced_dag import EnhancedDAG, build_enhanced_dag
+from repro.mapping.heft import heft_mapping
+from repro.platform_.presets import single_processor_cluster
 from repro.schedule.asap import latest_start_times
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
+from repro.workflow.dag import Workflow
 
 
 def with_start(schedule: Schedule, node: Hashable, start: int) -> Schedule:
@@ -25,6 +28,20 @@ def with_start(schedule: Schedule, node: Hashable, start: int) -> Schedule:
     starts = schedule.start_times()
     starts[node] = start
     return Schedule(schedule.instance, starts, algorithm=schedule.algorithm)
+
+
+def two_task_chain(p_idle: int, p_work: int, budget: int) -> ProblemInstance:
+    """Two unit tasks in a chain on one processor, with deadline 2 and one budget.
+
+    Its cost sums are bounded by ``(p_idle + p_work) * 2 + budget * 2``.
+    """
+    workflow = Workflow("chain-2")
+    workflow.add_task("a", work=1)
+    workflow.add_task("b", work=1)
+    workflow.add_dependency("a", "b", data=0)
+    cluster = single_processor_cluster(p_idle=p_idle, p_work=p_work)
+    dag = build_enhanced_dag(heft_mapping(workflow, cluster).mapping)
+    return ProblemInstance(dag, PowerProfile([2], [budget]))
 
 
 def with_zero_durations(dag: EnhancedDAG, zero) -> EnhancedDAG:

@@ -66,6 +66,9 @@ class TestJobConstruction:
             ({"tags": ["urgent"]}, "unknown job field 'tags'"),
             ({"scheduler": {"windw": 5}}, "unknown scheduler field 'windw'; known: block_size"),
             ({"spec": {"family": "chain", "taks": 6}}, "unknown job spec field 'taks'; known: family"),
+            # Every schedule is checked; there is no switch to turn it off.
+            ({"scheduler": {"validate": True}},
+             "unknown scheduler field 'validate'; known: block_size, window"),
         ],
     )
     def test_from_dict_rejects_unknown_fields(self, entry, message):
@@ -106,8 +109,6 @@ class TestJobConstruction:
              "window must be an integer, got float"),
             ({"spec": {"family": "chain", "tasks": 6}, "scheduler": {"block_size": True}},
              "block_size must be an integer, got bool"),
-            ({"spec": {"family": "chain", "tasks": 6}, "scheduler": {"validate": "false"}},
-             "validate must be a boolean, got str"),
         ],
     )
     def test_from_dict_rejects_bad_values(self, entry, message):

@@ -8,7 +8,9 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.variants import variant_names
-from repro.io.wire import WIRE_FORMAT, load_records
+from repro.io.wire import WIRE_FORMAT, load_records, save_instance
+
+from schedule_helpers import two_task_chain
 
 
 class TestParser:
@@ -206,6 +208,22 @@ class TestExportImportCommands:
         assert "Traceback" not in err
 
 
+    def test_import_sums_beyond_int64_exit_cleanly(self, capsys, tmp_path):
+        # Every power passes its own int64 check, but their sum over the
+        # horizon does not: exit status 2, no traceback.
+        path = tmp_path / "instance.json"
+        save_instance(two_task_chain(2**61, 2**61 - 1, 0), path)
+        document = json.loads(path.read_text())
+        document["payload"]["mapping"]["cluster"]["processors"][0]["p_idle"] = 2**61 + 1
+        path.write_text(json.dumps(document))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["import", str(path), "--variants", "ASAP"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "more than the int64 costs can hold" in err
+        assert "Traceback" not in err
+
+
 class TestBatchCommand:
     @staticmethod
     def _requests_file(tmp_path, entries):
@@ -273,6 +291,7 @@ class TestBatchCommand:
             ({"spec": spec, "priority": "high"}, "unknown job field 'priority'"),
             ({"spec": spec, "tags": 5}, "unknown job field 'tags'"),
             ({"spec": spec, "variant": ["ASAP"]}, "unknown job field 'variant'"),
+            ({"spec": spec, "scheduler": {"validate": False}}, "unknown scheduler field 'validate'"),
             ({"spec": spec, "master_seed": "x"}, "malformed job field 'master_seed'"),
             ({"instance": 7}, "malformed job field 'instance'"),
             (5, "must be a JSON object"),

@@ -64,17 +64,9 @@ class TestCaWoSched:
             assert is_feasible(result.schedule)
 
     def test_parameters_are_stored(self):
-        scheduler = CaWoSched(block_size=2, window=5, validate=False)
+        scheduler = CaWoSched(block_size=2, window=5)
         assert scheduler.block_size == 2
         assert scheduler.window == 5
-        assert scheduler.validate is False
-
-    def test_validation_can_be_disabled(self, tiny_multi_instance):
-        # With validation disabled the run must still succeed and produce the
-        # same schedule.
-        a = CaWoSched(validate=True).run(tiny_multi_instance, "pressR").schedule
-        b = CaWoSched(validate=False).run(tiny_multi_instance, "pressR").schedule
-        assert a.start_times() == b.start_times()
 
 
 #: Grid cells covering two families, both clusters and two scenarios.

@@ -19,6 +19,7 @@ from repro.io.wire import (
     envelope,
     instance_from_dict,
     instance_to_dict,
+    load,
     load_instance,
     load_records,
     loads,
@@ -29,12 +30,21 @@ from repro.io.wire import (
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import Cluster, ExtendedPlatform
 from repro.platform_.processor import ProcessorSpec
+from repro.schedule.asap import asap_schedule
+from repro.schedule.cost import carbon_cost
 from repro.schedule.schedule import Schedule
-from repro.utils.errors import InvalidProfileError, InvalidWorkflowError, WireFormatError
+from repro.utils.errors import (
+    InvalidProfileError,
+    InvalidScheduleError,
+    InvalidWorkflowError,
+    WireFormatError,
+)
 from repro.utils.names import decode_name, encode_name
 from repro.workflow.dag import Workflow
 from repro.workflow.generators import generate_workflow
 from repro.workflow.task import CommTask, Task
+
+from schedule_helpers import two_task_chain
 
 
 def _canonical(instance) -> str:
@@ -266,6 +276,17 @@ class TestInstanceRoundTrip:
             entry[name] = 2**70
         with pytest.raises(error, match="must be at most"):
             instance_from_dict(payload)
+
+    def test_sums_beyond_int64_rejected_on_load(self, tmp_path):
+        # Each value passes its own int64 check; their sum does not.
+        path = tmp_path / "instance.json"
+        save_instance(two_task_chain(2**61, 2**61 - 1, 0), path)
+        assert carbon_cost(asap_schedule(load(path, "instance"))) == 2**63 - 2
+        document = json.loads(path.read_text())
+        document["payload"]["mapping"]["cluster"]["processors"][0]["p_work"] = 2**61
+        path.write_text(json.dumps(document))
+        with pytest.raises(InvalidScheduleError, match="more than the int64 costs can hold"):
+            load(path, "instance")
 
     def test_mismatched_platform_rejected(self, grid_instance):
         from repro.mapping.enhanced_dag import build_enhanced_dag

@@ -5,11 +5,11 @@ original scalar algorithms as test-only references and pins the contract
 that the library is *byte-identical* to them:
 
 * ``PowerTimeline.gain_profile`` equals a loop of scalar ``move_gain`` calls,
-  and so do the per-task gains of the batched ``PowerTimeline.gain_profiles``,
 * ``local_search`` returns the same start times as the per-candidate
-  ``move_gain`` hill climber (:func:`_scalar_local_search`), a call on many
-  schedules returns what each schedule's call returns alone, and every
-  task its two no-gain tests call clean has no positive gain,
+  ``move_gain`` hill climber (:func:`_scalar_local_search`), also with
+  zero-power and zero-duration tasks, a call on many schedules returns what
+  each schedule's call returns alone, and every task its two no-gain tests
+  call clean has no positive gain,
 * every incremental ``EstLstTracker.fix`` leaves the same EST/LST maps as
   the full two-sweep recompute,
 * the lag-difference form of ``block_alignment_points`` equals the original
@@ -18,7 +18,6 @@ that the library is *byte-identical* to them:
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import replace
 from typing import Dict, Hashable
@@ -43,11 +42,6 @@ from repro.schedule.timeline import PowerTimeline
 from repro.utils.rng import ensure_rng
 from repro.workflow.generators import generate_workflow
 from schedule_helpers import with_zero_durations
-
-# The module, not the function ``repro.core`` re-exports under its name.
-LOCAL_SEARCH = sys.modules["repro.core.local_search"]
-# The kernel-counting tests patch the gain kernel where the timeline looks it up.
-TIMELINE = sys.modules["repro.schedule.timeline"]
 
 
 def build_random_instance(family: str, num_tasks: int, scenario: str,
@@ -111,12 +105,12 @@ class TestGainProfileParity:
 
 
 @st.composite
-def batched_windows(draw):
-    """A loaded timeline, a task subset and a legal window for each task.
+def zero_power_schedules(draw):
+    """A greedy schedule of an instance with zero-power and zero-duration tasks.
 
-    The PT5 processor and some links draw no working power and some nodes
-    take no time, so zero-power and zero-duration tasks occur; windows may
-    be empty, start at 0 or end at the horizon.
+    The PT5 processor and some links draw no working power, and up to three
+    nodes take no time; the greedy starts, computed before those durations
+    drop to zero, stay feasible.
     """
     family = draw(st.sampled_from(["atacseq", "eager", "forkjoin", "chain"]))
     seed = draw(st.integers(0, 10**6))
@@ -142,49 +136,11 @@ def batched_windows(draw):
         work_power=dag.platform.total_work_power(),
         num_intervals=8, rng=seed,
     )
-    starts = greedy_schedule(ProblemInstance(dag, profile), base="slack").start_times()
+    base = draw(st.sampled_from(["slack", "pressure"]))
+    starts = greedy_schedule(ProblemInstance(dag, profile), base=base).start_times()
     zero = draw(st.sets(st.sampled_from(dag.nodes()), max_size=3), label="zero")
     instance = ProblemInstance(with_zero_durations(dag, zero), profile)
-    timeline = PowerTimeline(instance, Schedule(instance, starts))
-    nodes = draw(
-        st.lists(st.sampled_from(instance.dag.nodes()), min_size=1, max_size=12, unique=True),
-        label="nodes",
-    )
-    los, his = [], []
-    for node in nodes:
-        limit = deadline - instance.dag.duration(node)
-        lo = draw(st.one_of(st.just(0), st.integers(0, limit)))
-        hi = draw(st.one_of(st.just(limit), st.just(lo - 1), st.integers(lo, limit)))
-        los.append(lo)
-        his.append(hi)
-    return timeline, nodes, los, his
-
-
-class TestBatchedGainProfiles:
-    @given(case=batched_windows())
-    @settings(max_examples=40, deadline=None)
-    def test_batched_gains_equal_scalar_move_gain_loop(self, case):
-        timeline, nodes, los, his = case
-        before = timeline._excess.copy()
-        gains, offsets = timeline.gain_profiles(nodes, los, his)
-        assert gains.dtype == np.int64
-        assert offsets[0] == 0 and offsets[-1] == len(gains)
-        for index, (node, lo, hi) in enumerate(zip(nodes, los, his)):
-            start = timeline.start_of(node)
-            expected = [
-                timeline.move_gain(node, candidate) if candidate != start else 0
-                for candidate in range(lo, hi + 1)
-            ]
-            assert gains[offsets[index] : offsets[index + 1]].tolist() == expected, node
-        # The timeline itself is untouched by the evaluation.
-        assert np.array_equal(timeline._excess, before)
-
-    def test_no_tasks_yield_no_gains(self, tiny_multi_instance):
-        timeline = PowerTimeline(
-            tiny_multi_instance, greedy_schedule(tiny_multi_instance, base="slack")
-        )
-        gains, offsets = timeline.gain_profiles([], [], [])
-        assert gains.size == 0 and offsets.tolist() == [0]
+    return Schedule(instance, starts, algorithm=base)
 
 
 class TestLocalSearchParity:
@@ -203,6 +159,17 @@ class TestLocalSearchParity:
         slow = _scalar_local_search(greedy, window=window, best_improvement=best)
         assert fast.start_times() == slow
         assert fast.algorithm == f"{greedy.algorithm}-LS"
+
+    @given(
+        schedule=zero_power_schedules(),
+        best=st.booleans(),
+        window=st.integers(1, 12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_zero_power_and_zero_duration_tasks(self, schedule, best, window):
+        fast = local_search([schedule], window=window, best_improvement=best)[0]
+        slow = _scalar_local_search(schedule, window=window, best_improvement=best)
+        assert fast.start_times() == slow
 
     @given(
         instance=INSTANCE_STRATEGY,
@@ -245,10 +212,9 @@ class TestLocalSearchParity:
         # A search scores a task only when its walk reaches it without a
         # stored score, so it never scores more often than it visits tasks,
         # and scores in full only what the two no-gain tests let through.
-        # No search calls the gain kernel.
         from repro.experiments.instances import default_grid, make_instance
 
-        kernel, moves = [0], [0]
+        moves = [0]
         # Per search: walk visits, _score calls and full scorings.
         work: Dict[_Search, Counter] = {}
 
@@ -263,11 +229,6 @@ class TestLocalSearchParity:
                 return method(search, *args)
             return wrapper
 
-        def counting_kernel(*args):
-            kernel[0] += 1
-            return TIMELINE._gain_rows(*args)
-
-        monkeypatch.setattr(TIMELINE, "_gain_rows", counting_kernel)
         monkeypatch.setattr(_Search, "walk", counting(_Search.walk, "visits"))
         monkeypatch.setattr(_Search, "_score", counting(_Search._score, "scores"))
         monkeypatch.setattr(_Search, "_full_score", counting(_Search._full_score, "full"))
@@ -288,15 +249,13 @@ class TestLocalSearchParity:
                     for counts in work.values():
                         assert 1 <= counts["scores"] <= counts["visits"]
                         assert counts["full"] <= counts["scores"]
-        assert kernel[0] == 0
         # The bounds are exercised by runs that re-score after a move.
         assert moves[0] > 0
 
     def test_kernel_calls_of_a_job_are_pinned(self, monkeypatch):
         # A job of all 17 variants on each instance of the byte-identity
-        # fixture runs its eight local searches without the gain kernel;
-        # the tasks they score, and the ones they score in full, are pinned
-        # as (scores, full scorings).
+        # fixture runs eight local searches; the tasks they score, and the
+        # ones they score in full, are pinned as (scores, full scorings).
         from pathlib import Path
 
         from repro.api.execute import execute_job
@@ -304,7 +263,6 @@ class TestLocalSearchParity:
         from repro.core.variants import variant_names
         from repro.io.wire import load_instance
 
-        assert not hasattr(LOCAL_SEARCH, "_gain_rows")
         counts: Counter = Counter()
 
         def counting(name, method):
@@ -313,7 +271,6 @@ class TestLocalSearchParity:
                 return method(*args)
             return wrapper
 
-        monkeypatch.setattr(TIMELINE, "_gain_rows", counting("kernel", TIMELINE._gain_rows))
         monkeypatch.setattr(_Search, "_score", counting("scores", _Search._score))
         monkeypatch.setattr(_Search, "_full_score", counting("full", _Search._full_score))
         fixture = Path(__file__).parent / "data" / "identity"
@@ -321,7 +278,6 @@ class TestLocalSearchParity:
         for path in sorted(fixture.glob("*_*.json")):
             counts.clear()
             execute_job(Job.from_instance(load_instance(path), variants=variant_names()))
-            assert counts["kernel"] == 0
             observed[path.name] = (counts["scores"], counts["full"])
         assert observed == {
             "atacseq_large_S2.json": (729, 43),

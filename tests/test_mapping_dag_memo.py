@@ -179,7 +179,6 @@ class TestDagMemoContents:
             "score_rows",
             "active_power_row",
             "search_rows",
-            "constraint_rows",
             ("block_window_sums", 2),
             ("block_window_sums", 3),
             "wire_graph",

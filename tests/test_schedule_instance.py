@@ -5,8 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.carbon.intervals import PowerProfile
+from repro.mapping.enhanced_dag import build_enhanced_dag
+from repro.mapping.heft import heft_mapping
+from repro.platform_.presets import uniform_cluster
+from repro.schedule.asap import asap_schedule
+from repro.schedule.cost import carbon_cost, carbon_cost_per_time_unit
 from repro.schedule.instance import ProblemInstance
-from repro.utils.errors import InfeasibleScheduleError
+from repro.utils.errors import CaWoSchedError, InfeasibleScheduleError, InvalidScheduleError
+
+from schedule_helpers import two_task_chain
 
 
 class TestProblemInstance:
@@ -48,3 +55,28 @@ class TestProblemInstance:
         assert summary["tasks"] == tiny_multi_instance.num_tasks
         assert summary["deadline"] == tiny_multi_instance.deadline
         assert "name" in summary
+
+
+class TestInt64Sums:
+    # Every power and budget below fits int64 on its own; the cost rows
+    # add them up.  The two-task chain's bound is (p_idle + p_work) * 2
+    # + budget * 2.
+    def test_sums_up_to_int64_are_costed_exactly(self):
+        instance = two_task_chain(2**61, 2**61 - 1, 0)
+        schedule = asap_schedule(instance)
+        assert carbon_cost(schedule) == carbon_cost_per_time_unit(schedule) == 2**63 - 2
+
+    @pytest.mark.parametrize(
+        "p_idle, p_work, budget", [(2**61, 2**61, 0), (2**61, 2**61 - 1, 1), (2**62, 0, 0)]
+    )
+    def test_sums_beyond_int64_are_rejected(self, p_idle, p_work, budget):
+        with pytest.raises(InvalidScheduleError, match="more than the int64 costs can hold"):
+            two_task_chain(p_idle, p_work, budget)
+
+    def test_diamond_that_used_to_get_a_wrapped_cost(self, diamond_workflow_fixed):
+        # The total power, 2**63 plus the links' powers, over ten time
+        # units: its ASAP cost wrapped around int64 before the check.
+        cluster = uniform_cluster(2, p_idle=2**61, p_work=2**61)
+        dag = build_enhanced_dag(heft_mapping(diamond_workflow_fixed, cluster).mapping, rng=0)
+        with pytest.raises(CaWoSchedError, match="int64"):
+            ProblemInstance(dag, PowerProfile([5, 5], [0, 0]))

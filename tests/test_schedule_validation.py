@@ -5,7 +5,6 @@ from __future__ import annotations
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +19,7 @@ from repro.schedule.asap import asap_schedule
 from repro.schedule.cost import carbon_cost, carbon_cost_per_time_unit
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
-from repro.schedule.validation import _constraint_rows, check_schedule, is_feasible
+from repro.schedule.validation import check_schedule, is_feasible
 from repro.utils.errors import InfeasibleScheduleError
 from repro.workflow.generators import generate_workflow
 
@@ -157,7 +156,7 @@ class TestPerturbedSchedules:
 def _first_violation(schedule):
     """The message of the first violation, from a per-node and per-edge scan.
 
-    The reference for the vectorised :func:`check_schedule`: deadline window
+    The reference for :func:`check_schedule`: deadline window
     in node order first, then the edges in ``dag.edges()`` order.
     """
     dag = schedule.instance.dag
@@ -219,29 +218,28 @@ class TestFirstViolation:
 IDENTITY = Path(__file__).parent / "data" / "identity"
 
 
-def _reference_constraint_rows(dag):
-    """The constraint rows built edge by edge from :meth:`EnhancedDAG.edges`."""
-    nodes = dag.nodes()
-    count = len(nodes)
-    position = {node: index for index, node in enumerate(nodes)}
-    duration = [dag.duration(node) for node in nodes]
-    edges = [(position[source], position[target]) for source, target in dag.edges()]
-    cells = list(range(count))
-    sources = [count] * count + cells + [source for source, _ in edges]
-    targets = cells + [count + 1] * count + [target for _, target in edges]
-    durations = [0] * count + duration + [duration[source] for source, _ in edges]
-    return nodes, sources, targets, durations
-
-
-class TestConstraintRows:
+class TestIdentityDags:
     @pytest.mark.parametrize(
         "name", sorted(p.name for p in IDENTITY.glob("*.json") if p.name != "expected.json")
     )
-    def test_rows_match_the_edge_by_edge_builder(self, name):
-        dag = load_instance(IDENTITY / name).dag
-        nodes, *rows = _constraint_rows(dag)
-        expected_nodes, *expected = _reference_constraint_rows(dag)
-        assert nodes == expected_nodes
-        for row, reference in zip(rows, expected):
-            assert row.dtype == np.int64
-            assert row.tolist() == reference
+    def test_moved_tasks_match_the_scan(self, name):
+        # Communication tasks, links and several clusters: each task moved
+        # to time 0, just before its ASAP finish, or to the deadline, alone
+        # and with the last task also moved to the deadline.
+        instance = load_instance(IDENTITY / name)
+        schedule = asap_schedule(instance)
+        deadline = instance.deadline
+        last = instance.dag.nodes()[-1]
+        assert _message(schedule) is None
+        messages = set()
+        for node in instance.dag.nodes():
+            finish = schedule.start(node) + instance.dag.duration(node)
+            for start in {0, max(finish - 1, 0), deadline}:
+                for broken in (
+                    with_start(schedule, node, start),
+                    with_start(with_start(schedule, node, start), last, deadline),
+                ):
+                    messages.add(_message(broken))
+                    assert _message(broken) == _first_violation(broken), (node, start)
+        assert any(m and "precedence" in m for m in messages)
+        assert any(m and "deadline" in m for m in messages)
