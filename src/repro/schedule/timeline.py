@@ -165,4 +165,3 @@ class PowerTimeline:
             f"PowerTimeline(horizon={self.horizon}, placed={len(self._starts)}/"
             f"{self._instance.dag.num_nodes})"
         )
-
