@@ -6,13 +6,13 @@ budget* ``G_j`` is available per time unit.  Power drawn above the budget is
 brown power and counts as carbon cost.  :class:`PowerProfile` is the immutable
 description of this staircase function; schedulers additionally keep mutable
 "remaining budget" views derived from it (see
-:mod:`repro.core.subdivision`).
+:mod:`repro.core.greedy`).
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -178,57 +178,6 @@ class PowerProfile:
         for iv in self._intervals:
             result[iv.begin : iv.end] = iv.budget
         return result
-
-    # ------------------------------------------------------------------ #
-    # Transformations
-    # ------------------------------------------------------------------ #
-    def restricted(self, horizon: int) -> "PowerProfile":
-        """Return a copy truncated (or identical) to the given horizon."""
-        horizon = int(horizon)
-        if horizon <= 0:
-            raise InvalidProfileError(f"horizon must be positive, got {horizon}")
-        if horizon > self.horizon:
-            raise InvalidProfileError(
-                f"cannot restrict to {horizon} > current horizon {self.horizon}"
-            )
-        lengths: List[int] = []
-        budgets: List[int] = []
-        for iv in self._intervals:
-            if iv.begin >= horizon:
-                break
-            lengths.append(min(iv.end, horizon) - iv.begin)
-            budgets.append(iv.budget)
-        return PowerProfile(lengths, budgets)
-
-    def extended(self, horizon: int, budget: int = 0) -> "PowerProfile":
-        """Return a copy extended to *horizon* with a final interval of *budget*."""
-        horizon = int(horizon)
-        if horizon < self.horizon:
-            raise InvalidProfileError(
-                f"cannot extend to {horizon} < current horizon {self.horizon}"
-            )
-        if horizon == self.horizon:
-            return PowerProfile(
-                [iv.length for iv in self._intervals], [iv.budget for iv in self._intervals]
-            )
-        lengths = [iv.length for iv in self._intervals] + [horizon - self.horizon]
-        budgets = [iv.budget for iv in self._intervals] + [int(budget)]
-        return PowerProfile(lengths, budgets)
-
-    def refined(self, extra_boundaries: Iterable[int]) -> "PowerProfile":
-        """Return an equivalent profile with additional interval boundaries.
-
-        The budget staircase is unchanged; intervals are only split at the
-        extra boundary points (values outside ``(0, T)`` are ignored).  This is
-        the primitive behind the heuristics' interval subdivision.
-        """
-        points = sorted(
-            {b for b in self._boundaries}
-            | {int(x) for x in extra_boundaries if 0 < int(x) < self.horizon}
-        )
-        lengths = [b - a for a, b in zip(points, points[1:])]
-        budgets = [self.budget_at(a) for a in points[:-1]]
-        return PowerProfile(lengths, budgets)
 
     # ------------------------------------------------------------------ #
     def __iter__(self) -> Iterator[Interval]:

@@ -51,7 +51,7 @@ def _initial_intervals(
     """
     points = set(subdivision_points) | {interval.begin for interval in profile.intervals()}
     begins = tuple(sorted(point for point in points if 0 <= point < profile.horizon))
-    return begins, tuple(profile.budgets_per_time_unit()[list(begins)].tolist())
+    return begins, tuple(map(profile.budget_at, begins))
 
 
 def greedy_schedule(

@@ -39,8 +39,8 @@ from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.estlst import _rank_rows
+from repro.schedule.cost import _fitting_excess
 from repro.schedule.schedule import Schedule
-from repro.schedule.timeline import _fitting_excess
 from repro.utils.errors import CaWoSchedError
 from repro.utils.validation import check_non_negative_int
 
@@ -159,7 +159,7 @@ class _Search:
         self._best_improvement = best_improvement
         starts = schedule._start
         self._starts: List[int] = [starts[node] for node in order]
-        self._excess: List[int] = _fitting_excess(instance, schedule).tolist()
+        self._excess: List[int] = list(_fitting_excess(instance, schedule))
         # Scored tasks: rank -> (begin, end, target).  [begin, end) is the
         # excess region the score read; target is the improving start, or
         # -1 for a clean task.

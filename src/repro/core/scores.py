@@ -15,14 +15,17 @@ the greedy algorithm picks tasks:
   order.
 
 The rows the four orders share (nodes, durations, weight factors, the
-topological positions that break ties) are built once per DAG.
+topological positions that break ties) are built once per DAG, as plain
+lists of floats: a DAG has a few dozen nodes, too few for NumPy's per-call
+cost to pay off.  Each score is computed in ``float`` arithmetic, as IEEE
+doubles, so it is the value a ``float64`` row would hold.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Tuple
 
-import numpy as np
+import math
 
 from repro.core.estlst import _rank_rows
 from repro.mapping.enhanced_dag import EnhancedDAG
@@ -51,27 +54,23 @@ def weight_factors(dag: EnhancedDAG) -> Dict[Hashable, float]:
     platform, hence lies in ``(0, 1]``.
     """
     nodes, _, factors = _score_rows(dag)
-    return dict(zip(nodes, factors.tolist()))
+    return dict(zip(nodes, factors))
 
 
-def _score_rows(dag: EnhancedDAG) -> Tuple[List[Hashable], np.ndarray, np.ndarray]:
-    """Return *dag*'s nodes with their durations and weight factors as read-only rows."""
+def _score_rows(dag: EnhancedDAG) -> Tuple[tuple, Tuple[float, ...], Tuple[float, ...]]:
+    """Return *dag*'s nodes with their durations and weight factors as tuples."""
 
-    def _build() -> Tuple[List[Hashable], np.ndarray, np.ndarray]:
-        nodes = dag.nodes()
+    def _build():
+        nodes = tuple(dag.nodes())
         # Powers are looked up once per processor and broadcast to its nodes.
-        power_of = {spec.name: spec.total_power for spec in dag.platform.processors()}
+        power_of = {spec.name: float(spec.total_power) for spec in dag.platform.processors()}
         max_power = max(power_of.values())
-        factors = np.array([power_of[dag.processor(node)] for node in nodes], dtype=np.float64)
         if max_power > 0:
-            factors /= max_power
+            factors = tuple(power_of[dag.processor(node)] / max_power for node in nodes)
         else:
             # Degenerate platform (all powers zero): weighting has no effect.
-            factors[:] = 1.0
-        duration = np.array([dag.duration(node) for node in nodes], dtype=np.float64)
-        duration.setflags(write=False)
-        factors.setflags(write=False)
-        return nodes, duration, factors
+            factors = (1.0,) * len(nodes)
+        return nodes, tuple(float(dag.duration(node)) for node in nodes), factors
 
     return dag._memoised("score_rows", _build)
 
@@ -85,14 +84,14 @@ def slack_scores(
 ) -> Dict[Hashable, float]:
     """Return the (optionally weighted) slack score of every node."""
     nodes, _, factor_row = _score_rows(dag)
-    slack = np.array([lst[node] - est[node] for node in nodes], dtype=np.float64)
-    if weighted:
+    slack = {}
+    for node, factor in zip(nodes, factor_row):
+        value = float(lst[node] - est[node])
         # Reciprocal weighting: power-hungry processors (factor close to 1)
         # keep their slack, light processors get their slack inflated and
         # therefore move towards the back of the non-decreasing order.
-        positive = factor_row > 0
-        slack = np.where(positive, slack / np.where(positive, factor_row, 1.0), slack)
-    return dict(zip(nodes, slack.tolist()))
+        slack[node] = value / factor if weighted and factor > 0 else value
+    return slack
 
 
 def pressure_scores(
@@ -104,11 +103,13 @@ def pressure_scores(
 ) -> Dict[Hashable, float]:
     """Return the (optionally weighted) pressure score of every node."""
     nodes, duration, factor_row = _score_rows(dag)
-    slack = np.array([lst[node] - est[node] for node in nodes], dtype=np.float64)
-    pressure = duration / (slack + duration)
-    if weighted:
-        pressure = pressure * factor_row
-    return dict(zip(nodes, pressure.tolist()))
+    pressure = {}
+    for node, work, factor in zip(nodes, duration, factor_row):
+        total = float(lst[node] - est[node]) + work
+        # A task with no duration and no slack has pressure 0 / 0: NaN.
+        value = work / total if total else math.nan
+        pressure[node] = value * factor if weighted else value
+    return pressure
 
 
 def compute_scores(

@@ -13,9 +13,9 @@ paper, default ``k = 3``).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import List, Optional, Set, Tuple
-
-import numpy as np
 
 from repro.carbon.intervals import PowerProfile
 from repro.mapping.enhanced_dag import EnhancedDAG
@@ -53,25 +53,24 @@ def block_alignment_points(
     """
     block_size = check_positive_int(block_size, "block_size")
     dag = instance.dag
-    sums = dag._memoised(("block_window_sums", block_size), lambda: _window_sums(dag, block_size))
+    sums = dag._memoised(("block_lag_sums", block_size), lambda: _lag_sums(dag, block_size))
     if sums is None:
         # No processor executes any task, so no block induces any candidate.
         return set()
-    offsets, window_sums = sums
-    profile = instance.profile
-    boundary_row = np.asarray(profile.boundaries(), dtype=np.int64)
-    merged = np.concatenate(
-        [
-            (boundary_row[:, None] + offsets[None, :]).ravel(),
-            (boundary_row[:, None] - window_sums[None, :]).ravel(),
-        ]
-    )
-    merged = merged[(merged >= 0) & (merged < profile.horizon)]
-    return set(np.unique(merged).tolist())
+    plus, minus = sums
+    horizon = instance.profile.horizon
+    points: Set[int] = set()
+    for boundary in instance.profile.boundaries():
+        # Keep 0 <= boundary + lag < T and 0 <= boundary - lag < T; both
+        # rows are sorted and non-negative, and boundary <= T.
+        points.update(boundary + lag for lag in plus[: bisect_left(plus, horizon - boundary)])
+        low = bisect_right(minus, boundary - horizon)
+        points.update(boundary - lag for lag in minus[low : bisect_right(minus, boundary, low)])
+    return points
 
 
-def _window_sums(dag: EnhancedDAG, block_size: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Return the offsets and window sums to broadcast, or ``None`` if no task runs."""
+def _lag_sums(dag: EnhancedDAG, block_size: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    """Return the sorted distinct lags to add and to subtract, or ``None`` if no task runs."""
     # With prefix sums ``P`` of a processor's task durations, the start of the
     # r-th task of a block i..i+L-1 aligned at boundary ``b`` is
     # ``b + (P[i+r] - P[i])`` (start alignment) or ``b - (P[i+L] - P[i+r])``
@@ -82,23 +81,21 @@ def _window_sums(dag: EnhancedDAG, block_size: int) -> Optional[Tuple[np.ndarray
     # window sum of 1..block_size consecutive tasks: for ``b - D`` the
     # weakest block-start guard is attained with the block equal to the
     # window itself, where it coincides with the ``candidate >= 0`` filter.
-    # Two broadcasts over the collected lag differences replace the
-    # per-(block, alignment, task) Python loops; the sums depend on the DAG
-    # alone, the broadcasts on the profile.
-    plus_chunks: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-    minus_chunks: List[np.ndarray] = []
+    # The lags depend on the DAG alone, the boundaries they shift on the
+    # profile.
+    plus = {0}
+    minus = set()
     for processor in dag.processors_with_tasks():
         tasks = dag.tasks_on(processor)
         num_tasks = len(tasks)
-        durations = np.array([dag.duration(task) for task in tasks], dtype=np.int64)
-        prefix = np.concatenate(([0], np.cumsum(durations)))
+        prefix = list(accumulate((dag.duration(task) for task in tasks), initial=0))
         for lag in range(1, min(block_size, num_tasks) + 1):
             if lag < block_size and lag < num_tasks:
-                plus_chunks.append(prefix[lag:num_tasks] - prefix[: num_tasks - lag])
-            minus_chunks.append(prefix[lag:] - prefix[: num_tasks + 1 - lag])
-    if not minus_chunks:
+                plus.update(prefix[i + lag] - prefix[i] for i in range(num_tasks - lag))
+            minus.update(prefix[i + lag] - prefix[i] for i in range(num_tasks + 1 - lag))
+    if not minus:
         return None
-    return np.concatenate(plus_chunks), np.concatenate(minus_chunks)
+    return tuple(sorted(plus)), tuple(sorted(minus))
 
 
 def refined_subdivision(

@@ -5,75 +5,93 @@ paper): the platform power ``P_t`` drawn in time unit ``t`` (every
 processor's idle power plus the working power of the tasks running in ``t``)
 minus the green budget ``G_t``, counted only where it is positive.
 
-Every evaluator here reads one excess row ``P_t − G_t`` built by
-:func:`_excess_row`: a difference array (``+P_work`` at each task's start,
-``−P_work`` at its finish) summed cumulatively on top of the instance's idle
-excess ``idle − G_t``.  The row extends past the deadline when a task
-finishes after it, with the last interval's budget, so infeasible schedules
-still get a well-defined, comparable cost (feasibility is checked separately
-by :func:`repro.schedule.validation.check_schedule`).  A schedule's row is
-built once and kept, read-only, on the schedule: its cost, its breakdown
-and the local search start from it, and so does the tests' reference
-evaluator, :class:`~repro.schedule.timeline.PowerTimeline`.  The row and its
-sums are ``int64``; :class:`~repro.schedule.instance.ProblemInstance` rejects
-an instance whose powers and budgets could add up past that.
+Every evaluator here reads one excess row ``P_t − G_t`` of Python ints built
+by :func:`_excess_row`: one running sum over a list of differences (``idle −
+G_0`` at 0, each budget step at its interval's begin, ``+P_work`` at each
+task's start and ``−P_work`` at its finish).  The row extends past the
+deadline when a task finishes after it, with the last interval's budget, so
+infeasible schedules still get a well-defined, comparable cost (feasibility
+is checked separately by :func:`repro.schedule.validation.check_schedule`).
+A schedule's row is built once and kept on the schedule as a tuple, so it
+cannot be edited: its cost and its breakdown read it, and the local search
+and the tests' reference evaluator,
+:class:`~repro.schedule.timeline.PowerTimeline`, start from a copy of it
+(:func:`_fitting_excess`).  :class:`~repro.schedule.instance.ProblemInstance`
+rejects an instance whose powers and budgets could add up past ``int64``,
+the bound the NumPy reference below and the exact solvers rely on.
 
-:func:`carbon_cost_per_time_unit` builds its rows independently, task by task;
-it is the reference the tests check the shared row against.
+:func:`carbon_cost_per_time_unit` builds its rows independently, task by task
+with NumPy; it is the reference the tests check the shared row against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping
+from itertools import accumulate
+from typing import Dict, Hashable, Mapping, Tuple
 
 import numpy as np
 
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
+from repro.utils.errors import InvalidScheduleError
 
 __all__ = ["carbon_cost", "carbon_cost_per_time_unit", "brown_energy_breakdown"]
 
 
-def _read_only(row: np.ndarray) -> np.ndarray:
-    """Return *row* made read-only, so that a shared row cannot be edited in place."""
-    row.setflags(write=False)
-    return row
-
-
-def _excess_row(instance: ProblemInstance, starts: Mapping[Hashable, int]) -> np.ndarray:
+def _excess_row(instance: ProblemInstance, starts: Mapping[Hashable, int]) -> Tuple[int, ...]:
     """Return the platform power minus the green budget of every time unit.
 
     *starts* maps nodes of the instance's DAG (all of them, or only those
-    placed so far) to non-negative start times.  The ``int64`` row spans
-    ``[0, max(T, latest finish))``.  Its idle part, ``idle − G_t`` over
-    ``[0, T)``, is memoised on the instance and read-only; past the deadline
-    ``T`` the last interval's budget holds.
+    placed so far) to non-negative start times.  The row spans ``[0, max(T,
+    latest finish))``; past the deadline ``T`` the last interval's budget
+    holds.
     """
-    count = len(starts)
     duration = instance.dag.duration_map()
     work_power = instance.work_power_map
-    begin = np.fromiter(starts.values(), np.int64, count)
-    end = begin + np.fromiter(map(duration.__getitem__, starts), np.int64, count)
-    power = np.fromiter(map(work_power.__getitem__, starts), np.int64, count)
-    idle = instance._memoised(
-        "idle_excess_row",
-        lambda: _read_only(instance.total_idle_power() - instance.profile.budgets_per_time_unit()),
-    )
-    deadline = len(idle)
-    delta = np.zeros(max(deadline, int(end.max(initial=0))) + 1, dtype=np.int64)
-    np.add.at(delta, begin, power)
-    np.subtract.at(delta, end, power)
-    row = delta[:-1].cumsum()
-    row[:deadline] += idle
-    row[deadline:] += idle[-1]
+    profile = instance.profile
+    ends = [start + duration[node] for node, start in starts.items()]
+    delta = [0] * (max(profile.horizon, max(ends, default=0)) + 1)
+    # The budget steps down from the idle power: idle - G_0 at 0, then
+    # G_{j-1} - G_j at each interval's begin.
+    previous = instance.total_idle_power()
+    for interval in profile:
+        delta[interval.begin] = previous - interval.budget
+        previous = interval.budget
+    for node, start, end in zip(starts, starts.values(), ends):
+        power = work_power[node]
+        delta[start] += power
+        delta[end] -= power
+    delta.pop()
+    return tuple(accumulate(delta))
+
+
+def _schedule_excess(schedule: Schedule) -> Tuple[int, ...]:
+    """Return *schedule*'s excess row, built once and kept on it."""
+    row = schedule._excess
+    if row is None:
+        row = schedule._excess = _excess_row(schedule.instance, schedule._start)
     return row
 
 
-def _schedule_excess(schedule: Schedule) -> np.ndarray:
-    """Return *schedule*'s excess row, built once and kept read-only on it."""
-    row = schedule._excess
-    if row is None:
-        row = schedule._excess = _read_only(_excess_row(schedule.instance, schedule._start))
+def _fitting_excess(instance: ProblemInstance, schedule: Schedule) -> Tuple[int, ...]:
+    """Return *schedule*'s excess row on *instance*, ending at the deadline.
+
+    The row a costed schedule holds is reused.  A task that finishes after
+    the deadline raises :class:`InvalidScheduleError` naming it.
+    """
+    starts = schedule._start
+    if schedule.instance is instance:
+        row = _schedule_excess(schedule)
+    else:
+        row = _excess_row(instance, starts)
+    horizon = instance.deadline
+    if len(row) > horizon:
+        duration = instance.dag.duration_map()
+        node = next(node for node, start in starts.items() if start + duration[node] > horizon)
+        raise InvalidScheduleError(
+            f"task {node!r} at start {starts[node]} (duration "
+            f"{duration[node]}) does not fit into the horizon [0, {horizon})"
+        )
     return row
 
 
@@ -83,7 +101,7 @@ def carbon_cost(schedule: Schedule) -> int:
     Time units after the deadline (reached only by infeasible schedules) are
     charged against the last interval's budget.
     """
-    return int(np.maximum(_schedule_excess(schedule), 0).sum())
+    return sum(cell for cell in _schedule_excess(schedule) if cell > 0)
 
 
 def carbon_cost_per_time_unit(schedule: Schedule) -> int:
@@ -122,8 +140,8 @@ def brown_energy_breakdown(schedule: Schedule) -> Dict[int, int]:
     cost of time units after the deadline is not attributed).  Used by
     examples and reporting to show *where* brown energy is consumed.
     """
-    brown = np.maximum(_schedule_excess(schedule), 0)
+    row = _schedule_excess(schedule)
     return {
-        index: int(brown[interval.begin : interval.end].sum())
+        index: sum(cell for cell in row[interval.begin : interval.end] if cell > 0)
         for index, interval in enumerate(schedule.instance.profile.intervals())
     }

@@ -43,7 +43,8 @@ class ProblemInstance:
         longer than the horizon).
     InvalidScheduleError
         If a schedule's power and budget sums could exceed the ``int64``
-        rows of the cost evaluators (see :meth:`_check_sums`).
+        rows of the NumPy evaluators: the reference cost, the timeline and
+        the exact solvers (see :meth:`_check_sums`).
     """
 
     dag: EnhancedDAG
@@ -74,9 +75,18 @@ class ProblemInstance:
         ``max(T, sum of durations)`` time units, plus the largest budget
         over ``T``.
         """
-        power = sum(spec.p_idle + spec.p_work for spec in self.dag.platform.processors())
+        dag = self.dag
+        # The platform's power and the tasks' total duration depend on the
+        # DAG alone, so every instance over it shares them.
+        power, total_duration = dag._memoised(
+            "power_duration_sums",
+            lambda: (
+                sum(spec.p_idle + spec.p_work for spec in dag.platform.processors()),
+                sum(dag.duration_map().values()),
+            ),
+        )
         horizon = self.profile.horizon
-        length = max(horizon, sum(self.dag.duration_map().values()))
+        length = max(horizon, total_duration)
         budget = max(interval.budget for interval in self.profile.intervals())
         bound = power * length + budget * horizon
         if bound > INT64_MAX:
@@ -128,11 +138,8 @@ class ProblemInstance:
 
         Holds what several runs on one instance would otherwise recompute
         and what depends on its profile or deadline: the facade's wire
-        payload and canonical text, the greedy phase's initial EST/LST
-        tracker, task orders and budget intervals, and the read-only idle
-        excess row (idle power minus budget per time unit) that
-        :func:`repro.schedule.cost._excess_row` builds every schedule's
-        excess row on, so the platform's idle power is summed once.  A value
+        payload and canonical text, and the greedy phase's initial EST/LST
+        tracker, task orders and budget intervals.  A value
         lives on the narrowest object it depends on, so what depends on the
         DAG alone lives in ``EnhancedDAG._memoised``, shared by every
         instance over it.

@@ -89,10 +89,11 @@ class Schedule:
         *cost* is the schedule's carbon cost when the caller already holds it
         (the local search sums it off its excess buffer);
         :meth:`repro.core.scheduler.CaWoSched.run` reports it instead of
-        costing the schedule again.  ``_excess`` holds the read-only excess
-        row (power minus budget) that the cost evaluators build once (see
-        :mod:`repro.schedule.cost`), and ``_makespan`` the makespan once
-        read; a schedule never changes after construction.
+        costing the schedule again.  ``_excess`` holds the excess row
+        (power minus budget per time unit), a tuple of ints that the cost
+        evaluators build once (see :mod:`repro.schedule.cost`), and
+        ``_makespan`` the makespan once read; a schedule never changes after
+        construction.
         """
         schedule = cls.__new__(cls)
         schedule._instance = instance

@@ -1,13 +1,12 @@
-"""Mutable excess timeline used for incremental cost evaluation.
+"""Mutable excess timeline: the reference evaluator of single-task moves.
 
-The local search evaluates many candidate single-task moves; this module is
-their reference evaluator.  :class:`PowerTimeline` loads a schedule and
-keeps its excess row, the platform power minus the green budget of every
-time unit (see :mod:`repro.schedule.cost`), as one NumPy array; moving a
-task touches only its old and new execution windows, and the cost change of
-a move can be computed from the affected slice alone.  The local search
-reads only :func:`_fitting_excess` from this module: it scores moves with its
-own integer arithmetic in plain Python, and the test suite checks it against
+:class:`PowerTimeline` loads a schedule and keeps its excess row, the
+platform power minus the green budget of every time unit (see
+:mod:`repro.schedule.cost`), as one ``int64`` NumPy array; moving a task
+touches only its old and new execution windows, and the cost change of a
+move can be computed from the affected slice alone.  The library does not
+use it: the local search scores moves with its own integer arithmetic in
+plain Python, and the test suite checks each of its scores against
 per-candidate :meth:`PowerTimeline.move_gain` calls.
 
 The timeline is pseudo-polynomial in the deadline (one array cell per time
@@ -22,34 +21,12 @@ from typing import Dict, Hashable
 
 import numpy as np
 
-from repro.schedule.cost import _excess_row, _schedule_excess
+from repro.schedule.cost import _fitting_excess
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.utils.errors import InvalidScheduleError
 
 __all__ = ["PowerTimeline"]
-
-
-def _fitting_excess(instance: ProblemInstance, schedule: Schedule) -> np.ndarray:
-    """Return *schedule*'s read-only excess row on *instance*, ending at the deadline.
-
-    The row a costed schedule holds is reused.  A task that finishes after
-    the deadline raises :class:`InvalidScheduleError` naming it.
-    """
-    starts = schedule._start
-    if schedule.instance is instance:
-        row = _schedule_excess(schedule)
-    else:
-        row = _excess_row(instance, starts)
-    horizon = instance.deadline
-    if len(row) > horizon:
-        duration = instance.dag.duration_map()
-        node = next(node for node, start in starts.items() if start + duration[node] > horizon)
-        raise InvalidScheduleError(
-            f"task {node!r} at start {starts[node]} (duration "
-            f"{duration[node]}) does not fit into the horizon [0, {horizon})"
-        )
-    return row
 
 
 class PowerTimeline:
@@ -71,8 +48,8 @@ class PowerTimeline:
         self._duration: Dict[Hashable, int] = instance.dag.duration_map()
         self._work_power: Dict[Hashable, int] = instance.work_power_map
         self._starts: Dict[Hashable, int] = schedule.start_times()
-        # The schedule's row is read-only and stays with it; moves edit a copy.
-        self._excess = _fitting_excess(instance, schedule).copy()
+        # The schedule's row stays with it; moves edit an array copy.
+        self._excess = np.array(_fitting_excess(instance, schedule), dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     @property

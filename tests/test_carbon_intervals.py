@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.carbon.intervals import Interval, PowerProfile
@@ -106,41 +105,6 @@ class TestPowerProfileTransformations:
     @pytest.fixture
     def profile(self) -> PowerProfile:
         return PowerProfile([4, 3, 3], [5, 1, 8])
-
-    def test_restricted(self, profile):
-        shorter = profile.restricted(6)
-        assert shorter.horizon == 6
-        assert shorter.num_intervals == 2
-        assert shorter.budget_at(5) == 1
-
-    def test_restricted_beyond_horizon_rejected(self, profile):
-        with pytest.raises(InvalidProfileError):
-            profile.restricted(11)
-
-    def test_extended(self, profile):
-        longer = profile.extended(15, budget=2)
-        assert longer.horizon == 15
-        assert longer.budget_at(12) == 2
-        # Prefix budgets unchanged.
-        assert list(longer.budgets_per_time_unit()[:10]) == list(
-            profile.budgets_per_time_unit()
-        )
-
-    def test_extended_same_horizon_is_copy(self, profile):
-        same = profile.extended(10)
-        assert same == profile
-
-    def test_extended_shorter_rejected(self, profile):
-        with pytest.raises(InvalidProfileError):
-            profile.extended(5)
-
-    def test_refined_preserves_budget_staircase(self, profile):
-        refined = profile.refined([2, 5, 8, 8, 200, -3])
-        assert refined.horizon == profile.horizon
-        assert np.array_equal(
-            refined.budgets_per_time_unit(), profile.budgets_per_time_unit()
-        )
-        assert refined.num_intervals > profile.num_intervals
 
     def test_equality(self, profile):
         assert profile == PowerProfile([4, 3, 3], [5, 1, 8])

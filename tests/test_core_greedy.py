@@ -313,7 +313,6 @@ class TestGreedyMatchesReference:
 
     # A zero-duration task with no slack has a NaN pressure (0 / 0); both
     # sides order it through the same task_order.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(
         _greedy_instances(),

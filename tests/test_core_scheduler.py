@@ -5,11 +5,9 @@ from __future__ import annotations
 import itertools
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro.schedule.cost as cost_module
-import repro.schedule.timeline as timeline_module
 from repro.api.execute import execute_job
 from repro.api.jobs import Job
 from repro.core.local_search import local_search
@@ -142,7 +140,6 @@ class TestSharedPowerRows:
             return excess_row(*args)
 
         monkeypatch.setattr(cost_module, "_excess_row", counted)
-        monkeypatch.setattr(timeline_module, "_excess_row", counted)
         execute_job(Job.from_instance(instance, variants=variant_names()))
         # ASAP and the eight greedy results are costed; the eight -LS
         # searches start from their parents' rows.
@@ -153,13 +150,18 @@ class TestSharedPowerRows:
         # On this instance the search moves tasks of the first parent.
         instance = make_instance(SHARED_GREEDY_SPECS[2])
         parents = [CaWoSched().run(instance, name) for name in list(GREEDY_VARIANTS)[:group]]
-        rows = [parent.schedule._excess.copy() for parent in parents]
+        held = [parent.schedule._excess for parent in parents]
+        rows = [list(row) for row in held]
         improved = local_search([parent.schedule for parent in parents])
         assert improved[0].start_times() != parents[0].schedule.start_times()
-        for parent, row in zip(parents, rows):
-            # The parent's row is shared read-only; the search moved a copy.
-            assert not parent.schedule._excess.flags.writeable
-            assert np.array_equal(parent.schedule._excess, row)
+        for parent, row, before in zip(parents, held, rows):
+            # The parent keeps its row, a tuple that cannot be edited; the
+            # search moved a list copy of it.
+            assert parent.schedule._excess is row
+            assert type(row) is tuple
+            with pytest.raises(TypeError):
+                row[0] = 0
+            assert list(row) == before
             assert carbon_cost(parent.schedule) == parent.carbon_cost
 
 

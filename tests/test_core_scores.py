@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro.carbon.intervals import PowerProfile
 from repro.core.estlst import EstLstTracker
 from repro.core.scores import (
     SCORE_PRESSURE,
@@ -14,7 +17,14 @@ from repro.core.scores import (
     task_order,
     weight_factors,
 )
+from repro.mapping.enhanced_dag import build_enhanced_dag
+from repro.mapping.heft import heft_mapping
+from repro.mapping.mapping import Mapping
+from repro.platform_.cluster import Cluster
+from repro.platform_.processor import ProcessorSpec
+from repro.schedule.instance import ProblemInstance
 from repro.utils.errors import CaWoSchedError
+from schedule_helpers import with_zero_durations
 
 
 @pytest.fixture
@@ -38,6 +48,27 @@ class TestWeightFactors:
 
 
 class TestSlackScores:
+    def test_weighted_keeps_the_slack_of_a_powerless_processor(self, diamond_workflow_fixed):
+        cluster = Cluster(
+            [
+                ProcessorSpec("off", speed=1, p_idle=0, p_work=0, proc_type="PT1"),
+                ProcessorSpec("on", speed=1, p_idle=1, p_work=3, proc_type="PT2"),
+            ],
+            name="half-off",
+        )
+        assignment = {"a": "off", "b": "on", "c": "off", "d": "on"}
+        mapping = Mapping(diamond_workflow_fixed, cluster, assignment)
+        dag = build_enhanced_dag(mapping, rng=0)
+        tracker = EstLstTracker(dag, 3 * dag.critical_path_duration())
+        est, lst = tracker.est_map(), tracker.lst_map()
+        factors = weight_factors(dag)
+        plain = slack_scores(dag, est, lst)
+        weighted = slack_scores(dag, est, lst, weighted=True)
+        assert factors["a"] == factors["c"] == 0.0 < plain["a"]
+        assert weighted["a"] == plain["a"] and weighted["c"] == plain["c"]
+        assert weighted["b"] == plain["b"] / factors["b"]
+
+
     def test_unweighted_equals_lst_minus_est(self, tiny_multi_instance, est_lst):
         est, lst = est_lst
         scores = slack_scores(tiny_multi_instance.dag, est, lst)
@@ -114,3 +145,32 @@ class TestTaskOrder:
             compute_scores(tiny_multi_instance.dag, est, lst, base="priority")
         with pytest.raises(CaWoSchedError):
             task_order(tiny_multi_instance.dag, {}, base="priority")
+
+
+class TestZeroDurationZeroSlack:
+    """A task that takes no time and has no slack has pressure 0 / 0, NaN."""
+
+    #: The pressure orders of the instance below, recorded before the scores
+    #: left NumPy.  The NaN score of ``d`` compares false with every other
+    #: score, so the order is not sorted by score; it must stay as it is.
+    ORDERS = {
+        False: ["a", "b", "c", "d", ("comm", "a", "c"), ("comm", "b", "d")],
+        True: ["a", "b", "c", "d", ("comm", "a", "c"), ("comm", "b", "d")],
+    }
+
+    @pytest.fixture
+    def instance(self, diamond_workflow_fixed, hetero_cluster):
+        mapping = heft_mapping(diamond_workflow_fixed, hetero_cluster).mapping
+        dag = with_zero_durations(build_enhanced_dag(mapping, rng=0), {"d"})
+        return ProblemInstance(dag, PowerProfile([dag.critical_path_duration()], [5]))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_pressure_is_nan_and_the_order_is_pinned(self, instance, weighted):
+        dag = instance.dag
+        tracker = EstLstTracker(dag, instance.deadline)
+        est, lst = tracker.est_map(), tracker.lst_map()
+        assert dag.duration("d") == 0 and est["d"] == lst["d"]
+        scores = pressure_scores(dag, est, lst, weighted=weighted)
+        assert math.isnan(scores["d"])
+        assert not any(math.isnan(scores[node]) for node in dag.nodes() if node != "d")
+        assert task_order(dag, scores, base=SCORE_PRESSURE) == self.ORDERS[weighted]

@@ -99,3 +99,15 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used
         ]
     assert offending == []
+
+
+def test_scheduling_core_does_not_import_numpy():
+    # The scheduling core works on rows of a few dozen cells, as Python ints
+    # and floats; NumPy's per-call cost does not pay off at that size.
+    offending = [
+        f"{path.relative_to(SOURCE)}:{line}: {module}"
+        for path in sorted((SOURCE / "core").rglob("*.py"))
+        for line, module in imported_modules(path)
+        if module == "numpy" or module.startswith("numpy.")
+    ]
+    assert offending == []

@@ -4,7 +4,8 @@ The library has one implementation of each hot path; this module keeps the
 original scalar algorithms as test-only references and pins the contract
 that the library is *byte-identical* to them:
 
-* ``PowerTimeline.gain_profile`` equals a loop of scalar ``move_gain`` calls,
+* ``_Search._full_score`` picks the first (or the best) candidate start
+  whose ``PowerTimeline.move_gain`` is positive,
 * ``local_search`` returns the same start times as the per-candidate
   ``move_gain`` hill climber (:func:`_scalar_local_search`), also with
   zero-power and zero-duration tasks, a call on many schedules returns what
@@ -22,7 +23,6 @@ from collections import Counter
 from dataclasses import replace
 from typing import Dict, Hashable
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,30 +70,60 @@ INSTANCE_STRATEGY = st.builds(
 )
 
 
+class TestFullScoreParity:
+    def test_target_is_the_first_or_best_positive_move_gain(self):
+        # For every task of a drawn schedule and a drawn window of candidate
+        # starts, _full_score returns the first start whose
+        # PowerTimeline.move_gain is positive (first improvement) or the
+        # first start of maximum positive gain (best improvement), and -1
+        # when no gain is positive.  The schedules are greedy ones with a
+        # few tasks relocated anywhere in the horizon.
+        found: Counter = Counter()
+
+        @given(
+            instance=INSTANCE_STRATEGY,
+            best=st.booleans(),
+            seed=st.integers(0, 10**6),
+            data=st.data(),
+        )
+        @settings(max_examples=40, deadline=None)
+        def check(instance, best, seed, data):
+            dag = instance.dag
+            deadline = instance.deadline
+            base = data.draw(st.sampled_from(["slack", "pressure"]), label="base")
+            starts = greedy_schedule(instance, base=base).start_times()
+            moved = data.draw(st.lists(st.sampled_from(dag.nodes()), max_size=4), label="moved")
+            for node in moved:
+                limit = deadline - dag.duration(node)
+                starts[node] = data.draw(st.integers(0, limit), label="start")
+            schedule = Schedule(instance, starts)
+            timeline = PowerTimeline(instance, schedule)
+            walk, powers = _search_rows(dag, instance.work_power_map)
+            search = _Search(instance, schedule, walk, powers, 10, best)
+            rng = ensure_rng(seed)
+            for index, node in enumerate(dag.topological_order()):
+                start, duration = starts[node], dag.duration(node)
+                limit = deadline - duration
+                lo = int(rng.integers(max(0, start - 12), min(start, limit) + 1))
+                hi = int(rng.integers(lo, min(limit, lo + 24) + 1))
+                stop = max(hi, start) + duration
+                target = search._full_score(index, lo, hi, min(lo, start), stop)
+                gains = [timeline.move_gain(node, candidate) for candidate in range(lo, hi + 1)]
+                top = max(gains)
+                if top <= 0:
+                    expected = -1
+                elif best:
+                    expected = lo + gains.index(top)
+                else:
+                    expected = lo + next(k for k, gain in enumerate(gains) if gain > 0)
+                assert target == expected, (node, lo, hi, gains)
+                found["none" if expected < 0 else "lo" if expected == lo else "later"] += 1
+
+        check()
+        assert min(found["none"], found["lo"], found["later"]) > 0, found
+
+
 class TestGainProfileParity:
-    @given(instance=INSTANCE_STRATEGY, data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_gain_profile_equals_scalar_move_gain_loop(self, instance, data):
-        schedule = greedy_schedule(instance, base="slack")
-        timeline = PowerTimeline(instance, schedule)
-        dag = instance.dag
-        node = data.draw(st.sampled_from(dag.nodes()), label="node")
-        duration = dag.duration(node)
-        start = timeline.start_of(node)
-        limit = instance.deadline - duration
-        lo = data.draw(st.integers(0, min(start, limit)), label="lo")
-        hi = data.draw(st.integers(lo, limit), label="hi")
-
-        profile = timeline.gain_profile(node, lo, hi)
-        expected = [
-            timeline.move_gain(node, candidate) if candidate != start else 0
-            for candidate in range(lo, hi + 1)
-        ]
-        assert profile.dtype == np.int64
-        assert profile.tolist() == expected
-        # The timeline itself is untouched by the evaluation.
-        assert timeline.start_of(node) == start
-
     @given(instance=INSTANCE_STRATEGY)
     @settings(max_examples=10, deadline=None)
     def test_empty_window_yields_empty_profile(self, instance):
@@ -423,6 +453,15 @@ class TestSubdivisionParity:
     def test_block_alignment_points_match_naive_enumeration(
         self, instance, block_size
     ):
+        expected = _naive_block_alignment_points(instance, block_size)
+        assert block_alignment_points(instance, block_size=block_size) == expected
+
+    @given(schedule=zero_power_schedules(), block_size=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_zero_duration_tasks_match_naive_enumeration(self, schedule, block_size):
+        # A zero lag shifts a boundary onto itself, and the horizon T is a
+        # boundary that is not a point.
+        instance = schedule.instance
         expected = _naive_block_alignment_points(instance, block_size)
         assert block_alignment_points(instance, block_size=block_size) == expected
 

@@ -3,7 +3,7 @@
 Every :class:`~repro.schedule.instance.ProblemInstance` over one
 :class:`~repro.mapping.enhanced_dag.EnhancedDAG` (the online simulator plans
 each workflow against several profiles) reads the DAG's critical path, power
-maps, EST/LST graph rows, block-window sums and the wire payload's graph
+maps, EST/LST graph rows, block lag sums and the wire payload's graph
 part from the DAG's memo.  These tests check that sharing them changes no
 fingerprint, schedule or cost, and that nothing in the memo depends on the
 profile or the deadline.
@@ -179,8 +179,9 @@ class TestDagMemoContents:
             "score_rows",
             "active_power_row",
             "search_rows",
-            ("block_window_sums", 2),
-            ("block_window_sums", 3),
+            "power_duration_sums",
+            ("block_lag_sums", 2),
+            ("block_lag_sums", 3),
             "wire_graph",
             "wire_graph_text",
         }

@@ -43,15 +43,6 @@ class TestProfileInvariants:
         for t in range(profile.horizon):
             assert budgets[t] == profile.budget_at(t)
 
-    @given(profile=random_profiles(), extra=st.lists(st.integers(-5, 300), max_size=8))
-    @settings(max_examples=50, deadline=None)
-    def test_refined_profile_is_equivalent(self, profile, extra):
-        refined = profile.refined(extra)
-        assert refined.horizon == profile.horizon
-        assert np.array_equal(
-            refined.budgets_per_time_unit(), profile.budgets_per_time_unit()
-        )
-
     @given(profile=random_profiles())
     @settings(max_examples=30, deadline=None)
     def test_round_trip_through_time_unit_budgets(self, profile):

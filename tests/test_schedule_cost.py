@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.carbon.intervals import PowerProfile
 from repro.mapping.enhanced_dag import build_enhanced_dag
+from repro.mapping.heft import heft_mapping
 from repro.mapping.mapping import Mapping
-from repro.platform_.presets import single_processor_cluster
+from repro.platform_.presets import cluster_preset, single_processor_cluster
 from repro.schedule.asap import asap_schedule
 from repro.schedule.cost import (
     _excess_row,
@@ -18,7 +21,8 @@ from repro.schedule.cost import (
 from repro.schedule.instance import ProblemInstance
 from repro.schedule.schedule import Schedule
 from repro.workflow.dag import Workflow
-from schedule_helpers import alap_schedule
+from repro.workflow.generators import generate_workflow
+from schedule_helpers import alap_schedule, with_zero_durations
 
 
 def single_task_instance(work: int, p_idle: int, p_work: int, profile: PowerProfile):
@@ -91,17 +95,62 @@ class TestEvaluatorEquivalence:
 
 class TestSharedBudgetRow:
     def test_budget_row_is_read_only(self, tiny_multi_instance):
-        # The budget lives in one memo per instance: idle power minus budget.
-        _excess_row(tiny_multi_instance, asap_schedule(tiny_multi_instance).start_times())
-        idle = tiny_multi_instance._memo["idle_excess_row"]
-        with pytest.raises(ValueError, match="read-only"):
-            idle[0] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            idle -= 1
-        _excess_row(tiny_multi_instance, {})
-        assert tiny_multi_instance._memo["idle_excess_row"] is idle
-        # With no task placed, the row is the idle excess itself.
-        assert _excess_row(tiny_multi_instance, {}).tolist() == idle.tolist()
+        instance = tiny_multi_instance
+        # With no task placed, the row is idle power minus budget per time
+        # unit, built from the profile on each call: nothing is memoised.
+        idle = _excess_row(instance, {})
+        budgets = instance.profile.budgets_per_time_unit().tolist()
+        assert idle == tuple(instance.total_idle_power() - budget for budget in budgets)
+        assert all(type(cell) is int for cell in idle)
+        assert "idle_excess_row" not in instance._memo
+        # A costed schedule keeps its row as a tuple, which cannot be edited
+        # and which later rows on the instance leave unchanged.
+        schedule = asap_schedule(instance)
+        cost = carbon_cost(schedule)
+        row = schedule._excess
+        before = list(row)
+        assert type(row) is tuple
+        with pytest.raises(TypeError):
+            row[0] = 0
+        assert _excess_row(instance, {}) == idle
+        assert _excess_row(instance, alap_schedule(instance).start_times()) != row
+        assert schedule._excess is row and list(row) == before
+        assert carbon_cost(schedule) == cost == sum(cell for cell in row if cell > 0)
+
+
+@st.composite
+def _placements(draw):
+    """An instance with some zero-duration tasks and starts anywhere up to 2T."""
+    seed = draw(st.integers(0, 10**6))
+    workflow = generate_workflow(draw(st.sampled_from(["chain", "forkjoin", "eager"])), 8, rng=seed)
+    dag = build_enhanced_dag(heft_mapping(workflow, cluster_preset("small")).mapping, rng=seed)
+    dag = with_zero_durations(dag, draw(st.sets(st.sampled_from(dag.nodes()), max_size=3)))
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    budgets = draw(st.lists(st.integers(0, 900), min_size=len(lengths), max_size=len(lengths)))
+    lengths[-1] += dag.critical_path_duration()
+    instance = ProblemInstance(dag, PowerProfile(lengths, budgets))
+    placed = draw(st.sets(st.sampled_from(dag.nodes())))
+    horizon = 2 * instance.deadline
+    return instance, {node: draw(st.integers(0, horizon)) for node in dag.nodes() if node in placed}
+
+
+class TestExcessRow:
+    @given(placement=_placements())
+    @settings(max_examples=40, deadline=None)
+    def test_row_is_power_minus_budget_per_time_unit(self, placement):
+        instance, starts = placement
+        dag, profile = instance.dag, instance.profile
+        finish = max((start + dag.duration(node) for node, start in starts.items()), default=0)
+        expected = []
+        for time in range(max(profile.horizon, finish)):
+            power = instance.total_idle_power() + sum(
+                dag.processor_spec(node).p_work
+                for node, start in starts.items()
+                if start <= time < start + dag.duration(node)
+            )
+            budget = profile.budget_at(min(time, profile.horizon - 1))
+            expected.append(power - budget)
+        assert _excess_row(instance, starts) == tuple(expected)
 
 
 class TestBrownEnergyBreakdown:

@@ -73,6 +73,23 @@ class TestInt64Sums:
         with pytest.raises(InvalidScheduleError, match="more than the int64 costs can hold"):
             two_task_chain(p_idle, p_work, budget)
 
+    def test_instances_over_one_dag_sum_its_platform_and_durations_once(
+        self, tiny_multi_instance, monkeypatch
+    ):
+        dag = tiny_multi_instance.dag
+        power, total_duration = dag._memo["power_duration_sums"]
+        assert power == sum(spec.total_power for spec in dag.platform.processors())
+        assert total_duration == sum(dag.duration(node) for node in dag.nodes())
+
+        def unexpected():
+            raise AssertionError("the platform is summed again")
+
+        monkeypatch.setattr(dag.platform, "processors", unexpected)
+        ProblemInstance(dag, PowerProfile([tiny_multi_instance.deadline + 3], [5]))
+        # The shared sums still bound the new profile's budget.
+        with pytest.raises(InvalidScheduleError, match="int64"):
+            ProblemInstance(dag, PowerProfile([tiny_multi_instance.deadline], [2**62]))
+
     def test_diamond_that_used_to_get_a_wrapped_cost(self, diamond_workflow_fixed):
         # The total power, 2**63 plus the links' powers, over ten time
         # units: its ASAP cost wrapped around int64 before the check.
