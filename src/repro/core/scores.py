@@ -15,9 +15,9 @@ the greedy algorithm picks tasks:
   order.
 
 The rows the four orders share (nodes, durations, weight factors, the
-topological positions that break ties) are built once per DAG, as plain
-lists of floats: a DAG has a few dozen nodes, too few for NumPy's per-call
-cost to pay off.  Each score is computed in ``float`` arithmetic, as IEEE
+topological positions that break ties) are built once per DAG as plain
+tuples: a DAG has a few dozen nodes, too few for NumPy's per-call cost to
+pay off.  Each score is computed in ``float`` arithmetic, as IEEE
 doubles, so it is the value a ``float64`` row would hold.
 """
 
