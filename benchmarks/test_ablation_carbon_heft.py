@@ -3,9 +3,9 @@
 The paper's future-work section (§7) proposes a two-pass approach: a
 carbon-aware mapping/ordering pass followed by the schedule optimisation this
 paper contributes.  This benchmark compares the final carbon cost of
-``pressWR-LS`` when the fixed mapping comes from plain HEFT versus the
-carbon-aware HEFT first pass (several power weights), on the same workflows
-and power profiles.
+``pressWR-LS`` when the fixed mapping comes from plain HEFT (``power_weight``
+0) versus the carbon-aware HEFT first pass (several power weights), on the
+same workflows and power profiles.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.carbon.scenarios import generate_power_profile
 from repro.core.scheduler import CaWoSched
-from repro.mapping.carbon_heft import carbon_aware_heft_mapping
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
 from repro.platform_.presets import scaled_small_cluster
@@ -37,12 +36,7 @@ def run_comparison():
     for family, size, scenario, seed in CASES:
         workflow = generate_workflow(family, size, rng=seed)
         for weight in POWER_WEIGHTS:
-            if weight == 0.0:
-                first_pass = heft_mapping(workflow, cluster)
-            else:
-                first_pass = carbon_aware_heft_mapping(
-                    workflow, cluster, power_weight=weight
-                )
+            first_pass = heft_mapping(workflow, cluster, power_weight=weight)
             dag = build_enhanced_dag(first_pass.mapping, rng=seed)
             deadline = 2 * asap_makespan(dag)
             profile = generate_power_profile(

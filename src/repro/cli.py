@@ -191,59 +191,55 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate",
         help="run the online discrete-event simulator and print the online metrics",
     )
-    simulate_.add_argument(
-        "--arrivals", default="poisson", choices=list(ARRIVAL_PROCESSES),
+    config_defaults = {field.name: field.default for field in fields(SimulationConfig)}
+
+    def _config_option(flag: str, **kwargs) -> None:
+        """Add *flag*, which defaults to the configuration field of its name."""
+        default = config_defaults[flag[2:].replace("-", "_")]
+        simulate_.add_argument(flag, default=default, **kwargs)
+
+    _config_option(
+        "--arrivals", choices=list(ARRIVAL_PROCESSES),
         help="arrival process of the workflow stream",
     )
-    simulate_.add_argument(
-        "--rate", type=float, default=0.02,
+    _config_option(
+        "--rate", type=float,
         help="Poisson arrival rate (workflows per time unit)",
     )
-    simulate_.add_argument("--burst-period", type=int, default=240,
-                           help="time units between burst onsets")
-    simulate_.add_argument("--burst-size", type=int, default=5,
-                           help="workflows per burst")
+    _config_option("--burst-period", type=int, help="time units between burst onsets")
+    _config_option("--burst-size", type=int, help="workflows per burst")
     simulate_.add_argument(
         "--trace-file", default=None, metavar="PATH",
         help="JSON file with a list of arrival times (for --arrivals trace)",
     )
-    simulate_.add_argument("--horizon", type=int, default=2880,
-                           help="arrival horizon in time units")
-    simulate_.add_argument("--slots", type=int, default=4,
-                           help="number of cluster replicas workflows run on")
-    simulate_.add_argument(
-        "--policy", default="fifo", choices=list(POLICIES),
-        help="online scheduling policy",
-    )
-    simulate_.add_argument("--threshold", type=float, default=0.5,
-                           help="green fraction above which the carbon policy commits")
-    simulate_.add_argument("--reschedule-period", type=int, default=120,
-                           help="re-planning period of the reschedule policy")
-    simulate_.add_argument(
-        "--forecast", default="oracle", choices=list(FORECAST_MODELS),
+    _config_option("--horizon", type=int, help="arrival horizon in time units")
+    _config_option("--slots", type=int, help="number of cluster replicas workflows run on")
+    _config_option("--policy", choices=list(POLICIES), help="online scheduling policy")
+    _config_option("--threshold", type=float,
+                  help="green fraction above which the carbon policy commits")
+    _config_option("--reschedule-period", type=int,
+                  help="re-planning period of the reschedule policy")
+    _config_option(
+        "--forecast", choices=list(FORECAST_MODELS),
         help="carbon forecast model the policies plan against",
     )
-    simulate_.add_argument("--ma-window", type=int, default=120,
-                           help="trailing window of the moving-average forecast")
-    simulate_.add_argument(
-        "--trace", default="solar", choices=sorted(SYNTHETIC_TRACE_PROFILES),
+    _config_option("--ma-window", type=int,
+                  help="trailing window of the moving-average forecast")
+    _config_option(
+        "--trace", choices=sorted(SYNTHETIC_TRACE_PROFILES),
         help="shape of the synthetic daily carbon-intensity trace",
     )
-    simulate_.add_argument("--trace-noise", type=float, default=0.0,
-                           help="relative noise of the synthetic trace (seeded)")
-    simulate_.add_argument("--families", nargs="+", default=["atacseq", "eager"],
-                           choices=sorted(WORKFLOW_FAMILIES),
-                           help="workflow families sampled per arrival")
-    simulate_.add_argument("--tasks", nargs="+", type=int, default=[12],
-                           help="workflow sizes sampled per arrival")
-    simulate_.add_argument("--cluster", default="small", choices=list(CLUSTER_PRESETS))
-    simulate_.add_argument("--deadline-factor", type=float, default=2.0,
-                           help="relative deadline as a multiple of the ASAP makespan")
-    simulate_.add_argument("--variant", default="pressWR-LS",
-                           help="algorithm variant that plans committed workflows")
-    simulate_.add_argument("--seed", type=int, default=0)
-    simulate_.add_argument("--cache-size", type=int, default=256,
-                           help="bound of the client's schedule cache")
+    _config_option("--trace-noise", type=float,
+                  help="relative noise of the synthetic trace (seeded)")
+    _config_option("--families", nargs="+", choices=sorted(WORKFLOW_FAMILIES),
+                  help="workflow families sampled per arrival")
+    _config_option("--tasks", nargs="+", type=int, help="workflow sizes sampled per arrival")
+    _config_option("--cluster", choices=list(CLUSTER_PRESETS))
+    _config_option("--deadline-factor", type=float,
+                  help="relative deadline as a multiple of the ASAP makespan")
+    _config_option("--variant", help="algorithm variant that plans committed workflows")
+    _config_option("--seed", type=int)
+    _config_option("--cache-size", type=int, help="bound of the client's schedule cache")
     simulate_.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the full simulation report to PATH as wire-format JSON",

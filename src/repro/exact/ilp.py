@@ -30,7 +30,7 @@ matrices so that the model can be exported or inspected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Tuple
 
 import numpy as np
 
@@ -201,46 +201,30 @@ def build_ilp(instance: ProblemInstance) -> IlpModel:
     )
 
 
-def ilp_optimal(
-    instance: ProblemInstance,
-    *,
-    time_limit: Optional[float] = None,
-    mip_gap: Optional[float] = None,
-) -> Schedule:
-    """Solve *instance* to optimality and return the optimal schedule.
+def ilp_optimal(instance: ProblemInstance) -> Schedule:
+    """Solve *instance* to proven optimality and return the optimal schedule.
 
     Parameters
     ----------
     instance:
         The problem instance.  The model size is pseudo-polynomial in the
         deadline, so this is intended for small instances (as in the paper).
-    time_limit:
-        Optional wall-clock limit passed to HiGHS (seconds).
-    mip_gap:
-        Optional relative MIP gap; ``None`` solves to proven optimality.
 
     Raises
     ------
     SolverError
-        If the solver does not return a feasible integer solution.
+        If HiGHS does not prove an integer solution optimal.
     """
     from scipy.optimize import milp
 
     model = build_ilp(instance)
-    options: Dict[str, object] = {}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    if mip_gap is not None:
-        options["mip_rel_gap"] = float(mip_gap)
-
     result = milp(
         c=model.objective,
         constraints=model.constraints,
         integrality=model.integrality,
         bounds=model.bounds,
-        options=options or None,
     )
-    if result.x is None or result.status not in (0, 1):
+    if result.x is None or result.status != 0:
         raise SolverError(f"MILP solver failed: {result.message}")
 
     # Decode the start binaries into start times (pick the argmax per task).

@@ -14,6 +14,14 @@ module is that implementation:
    order; each is placed on the processor minimising its earliest finish time
    (EFT), using the standard insertion policy that may fill idle gaps.
 
+With ``power_weight > 0`` the same loop is the carbon-aware first pass
+sketched in the paper's §7: a processor is chosen by a convex combination of
+the task's finish time and the energy it would draw there (duration × (idle +
+working power)), each normalised by a platform-wide bound.  ``1`` ignores
+finish times entirely (a GreenHEFT-style energy-greedy mapping).  The
+``ablation_carbon_heft`` benchmark feeds such mappings to CaWoSched, the
+second pass.
+
 Both phases read task durations from one table built per call, which
 computes each distinct ``(work, speed)`` pair once.
 
@@ -29,12 +37,13 @@ import bisect
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import Cluster
 from repro.platform_.processor import ProcessorSpec
 from repro.utils.errors import InvalidMappingError
+from repro.utils.validation import check_probability
 from repro.workflow.dag import Workflow
 
 __all__ = ["HeftResult", "heft_mapping"]
@@ -107,7 +116,9 @@ def _ranks(
     return ranks
 
 
-def heft_mapping(workflow: Workflow, cluster: Cluster) -> HeftResult:
+def heft_mapping(
+    workflow: Workflow, cluster: Cluster, *, power_weight: float = 0.0
+) -> HeftResult:
     """Run HEFT and return the fixed mapping (plus the HEFT schedule).
 
     Parameters
@@ -116,73 +127,47 @@ def heft_mapping(workflow: Workflow, cluster: Cluster) -> HeftResult:
         The workflow to map.  Must be a valid DAG.
     cluster:
         The heterogeneous compute cluster.
+    power_weight:
+        Weight of the energy term in the processor-selection objective: ``0``
+        is plain HEFT, ``1`` ignores finish times (energy only).
 
     Notes
     -----
     Ties in the priority list are broken by task insertion order (no special
     tie-breaking, as in the paper).  The insertion policy scans the idle gaps
     of each processor and places the task in the earliest gap that fits.
+
+    A task's data arrives at a predecessor's finish time on the predecessor's
+    own processor and ``data`` time units later elsewhere (bandwidth 1).  An
+    idle processor is skipped when an idle one of its ``(speed,
+    total_power)`` class was already considered: its candidate would be the
+    same, and the earlier of two equal candidates is kept.
     """
+    power_weight = check_probability(power_weight, "power_weight")
     processors = cluster.processors()
     durations = _duration_table(workflow, processors)
     ranks = _ranks(workflow, durations, len(processors))
-    schedule = _ListSchedule(workflow, processors)
-    for task in schedule.priority(ranks):
-        best: Optional[Tuple[int, int]] = None  # (finish, start)
-        for name, _, start, finish in schedule.candidates(task, durations[task]):
-            if best is None or (finish, start) < best:
-                best, best_name = (finish, start), name
-        assert best is not None
-        schedule.place(task, best_name, best[1], best[0])
-    return schedule.result(cluster, ranks)
-
-
-# --------------------------------------------------------------------------- #
-# Processor-selection phase
-# --------------------------------------------------------------------------- #
-class _ListSchedule:
-    """The partial schedule of the processor-selection phase.
-
-    Shared by :func:`heft_mapping` and the carbon-aware variant, which differ
-    only in how they pick one of the :meth:`candidates`.
-    """
-
-    def __init__(self, workflow: Workflow, processors: Sequence[ProcessorSpec]) -> None:
-        self.workflow = workflow
-        self.names = [proc.name for proc in processors]
-        # Processors of one class give identical candidates while idle.
-        self.classes = [(proc.speed, proc.total_power) for proc in processors]
-        self.assignment: Dict[Hashable, Hashable] = {}
-        self.start_times: Dict[Hashable, int] = {}
-        self.finish_times: Dict[Hashable, int] = {}
-        # Occupied slots per processor, kept sorted by start time.
-        self.busy: Dict[Hashable, List[Tuple[int, int, Hashable]]] = {
-            name: [] for name in self.names
-        }
-
-    def priority(self, ranks: Dict[Hashable, float]) -> List[Hashable]:
-        """Non-increasing rank order; the stable sort keeps insertion order for ties."""
-        return sorted(self.workflow.tasks(), key=lambda task: -ranks[task])
-
-    def candidates(
-        self, task: Hashable, durations: List[int]
-    ) -> Iterator[Tuple[Hashable, int, int, int]]:
-        """Yield ``(processor, duration, start, finish)`` of *task* per processor.
-
-        *durations* is the task's :func:`_duration_table` row.  A
-        predecessor's data arrives at its finish time on its own processor
-        and ``data`` time units later elsewhere (bandwidth 1), so on a
-        processor hosting no predecessor the task is ready at the latest
-        arrival over all incoming edges.  An idle processor is skipped when
-        one of its ``(speed, total_power)`` class already yielded an idle
-        candidate: its candidate would be the same, and both selection
-        phases keep the earlier of two equal candidates.
-        """
-        finish_times = self.finish_times
+    names = [proc.name for proc in processors]
+    powers = [proc.total_power for proc in processors]
+    classes = [(proc.speed, proc.total_power) for proc in processors]
+    if power_weight:
+        # Normalise the finish-time term by a crude serial upper bound so both
+        # objective terms live on comparable scales.
+        max_active_power = max(powers) or 1
+        slowest = min(proc.speed for proc in processors)
+        scale = max(1.0, workflow.total_work() / slowest + workflow.total_data())
+    predecessors = workflow.predecessor_map()
+    assignment: Dict[Hashable, Hashable] = {}
+    start_times: Dict[Hashable, int] = {}
+    finish_times: Dict[Hashable, int] = {}
+    # Occupied slots per processor, kept sorted by start time.
+    busy: Dict[Hashable, List[Tuple[int, int, Hashable]]] = {name: [] for name in names}
+    # Non-increasing rank order; the stable sort keeps insertion order for ties.
+    for task in sorted(workflow.tasks(), key=lambda task: -ranks[task]):
         remote = 0
         incoming = []
         hosts = set()
-        for predecessor, volume in self.workflow.predecessor_map()[task].items():
+        for predecessor, volume in predecessors[task].items():
             finish = finish_times.get(predecessor)
             if finish is None:
                 # Predecessor has lower rank — allowed by HEFT only if the
@@ -191,50 +176,52 @@ class _ListSchedule:
                     "HEFT priority order is not a topological order; "
                     "check the workflow weights"
                 )
-            proc = self.assignment[predecessor]
+            proc = assignment[predecessor]
             hosts.add(proc)
             incoming.append((proc, finish, finish + volume))
             if finish + volume > remote:
                 remote = finish + volume
+        best = None
         idle_classes = set()
-        for name, duration, kind in zip(self.names, durations, self.classes):
-            slots = self.busy[name]
+        for name, duration, power, kind in zip(names, durations[task], powers, classes):
+            slots = busy[name]
             if not slots:
                 if kind in idle_classes:
                     continue
                 idle_classes.add(kind)
-                yield name, duration, remote, remote + duration
-                continue
-            ready = remote
-            if name in hosts:
-                ready = max(finish if at == name else arrival for at, finish, arrival in incoming)
-            start = _earliest_slot(slots, ready, duration)
-            yield name, duration, start, start + duration
-
-    def place(self, task: Hashable, name: Hashable, start: int, finish: int) -> None:
-        """Commit *task* to processor *name* over ``[start, finish)``."""
-        self.assignment[task] = name
-        self.start_times[task] = start
-        self.finish_times[task] = finish
-        _insert_slot(self.busy[name], (start, finish, task))
-
-    def result(self, cluster: Cluster, ranks: Dict[Hashable, float]) -> HeftResult:
-        """Return the validated mapping and the schedule as a :class:`HeftResult`."""
-        processor_order = {
-            name: [task for _, _, task in sorted(slots)]
-            for name, slots in self.busy.items()
-            if slots
-        }
-        mapping = Mapping(
-            self.workflow, cluster, self.assignment, processor_order=processor_order
-        )
-        return HeftResult(
-            mapping=mapping,
-            start_times=self.start_times,
-            finish_times=self.finish_times,
-            makespan=max(self.finish_times.values(), default=0),
-            ranks=ranks,
-        )
+                start = remote
+            else:
+                ready = remote
+                if name in hosts:
+                    ready = max(
+                        finish if at == name else arrival for at, finish, arrival in incoming
+                    )
+                start = _earliest_slot(slots, ready, duration)
+            finish = start + duration
+            if power_weight:
+                score = (1.0 - power_weight) * (finish / scale) + power_weight * (
+                    duration * power / (scale * max_active_power)
+                )
+                key = (score, finish, start)
+            else:
+                key = (finish, start)
+            if best is None or key < best:
+                best, best_name = key, name
+        finish, start = best[-2:]
+        assignment[task] = best_name
+        start_times[task] = start
+        finish_times[task] = finish
+        _insert_slot(busy[best_name], (start, finish, task))
+    processor_order = {
+        name: [task for _, _, task in slots] for name, slots in busy.items() if slots
+    }
+    return HeftResult(
+        mapping=Mapping(workflow, cluster, assignment, processor_order=processor_order),
+        start_times=start_times,
+        finish_times=finish_times,
+        makespan=max(finish_times.values(), default=0),
+        ranks=ranks,
+    )
 
 
 # --------------------------------------------------------------------------- #

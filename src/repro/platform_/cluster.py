@@ -155,6 +155,13 @@ class ExtendedPlatform:
             if spec.name in self._links or cluster.has_processor(spec.name):
                 raise ValueError(f"duplicate processor name {spec.name!r}")
             self._links[spec.name] = spec
+        # Summed once: neither the cluster nor the links change.
+        self._idle_power = cluster.total_idle_power() + sum(
+            p.p_idle for p in self._links.values()
+        )
+        self._work_power = cluster.total_work_power() + sum(
+            p.p_work for p in self._links.values()
+        )
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -240,15 +247,11 @@ class ExtendedPlatform:
 
     def total_idle_power(self) -> int:
         """Return the sum of idle powers over all processors (compute + links)."""
-        return self._cluster.total_idle_power() + sum(
-            p.p_idle for p in self._links.values()
-        )
+        return self._idle_power
 
     def total_work_power(self) -> int:
         """Return the sum of working powers over all processors (compute + links)."""
-        return self._cluster.total_work_power() + sum(
-            p.p_work for p in self._links.values()
-        )
+        return self._work_power
 
     def to_dict(self) -> Dict[str, object]:
         """Return a JSON-serialisable representation of the extended platform."""

@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+import repro.cli
 from repro.cli import main
 from repro.core.variants import ALL_VARIANTS, variant_names
 from repro.io.wire import load
+from repro.sim.engine import SimulationConfig
 
 
 def run_cli(*argv):
@@ -71,6 +73,22 @@ class TestSimulateCommand:
     def test_zero_rate_reports_nothing(self, capsys):
         assert run_cli("simulate", "--rate", "0", "--horizon", "100") == 0
         assert "no arrivals" in capsys.readouterr().out
+
+    def test_no_options_build_the_default_config(self, monkeypatch, capsys):
+        built = []
+
+        class Planned(Exception):
+            pass
+
+        def record(config):
+            built.append(config)
+            raise Planned
+
+        monkeypatch.setattr(repro.cli, "simulate", record)
+        with pytest.raises(Planned):
+            run_cli("simulate")
+        capsys.readouterr()
+        assert built == [SimulationConfig()]
 
     def test_unknown_variant_rejected(self, capsys):
         with pytest.raises(SystemExit):

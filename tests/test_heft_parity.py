@@ -1,9 +1,9 @@
 """Parity suite for the table-driven HEFT passes.
 
-``heft_mapping`` and ``carbon_aware_heft_mapping`` read task durations from
-a per-call duration table and each task's incoming edges once per task, and
-skip an idle processor whose ``(speed, total_power)`` class already gave an
-idle candidate.
+``heft_mapping`` (plain, and carbon-aware with a ``power_weight``) reads
+task durations from a per-call duration table and each task's incoming edges
+once per task, and skips an idle processor whose ``(speed, total_power)``
+class already gave an idle candidate.
 This module keeps the original per-processor algorithms — every duration
 through ``ProcessorSpec.execution_time`` and every incoming edge re-read
 for every candidate processor — as test-only references and pins that the
@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapping.carbon_heft import carbon_aware_heft_mapping
 from repro.mapping.heft import _earliest_slot, _insert_slot, heft_mapping
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import Cluster
@@ -148,7 +147,7 @@ def check_parity(workflow: Workflow, cluster: Cluster) -> None:
     )
     for weight in (0.0, 0.5):
         assert_same_result(
-            carbon_aware_heft_mapping(workflow, cluster, power_weight=weight),
+            heft_mapping(workflow, cluster, power_weight=weight),
             _reference_heft(workflow, cluster, 1.0, power_weight=weight),
         )
 

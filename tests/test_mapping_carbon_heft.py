@@ -6,7 +6,6 @@ import pytest
 
 from repro.carbon.scenarios import generate_power_profile
 from repro.core.scheduler import CaWoSched
-from repro.mapping.carbon_heft import carbon_aware_heft_mapping
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
 from repro.platform_.presets import scaled_small_cluster
@@ -20,14 +19,14 @@ class TestCarbonAwareHeft:
         workflow = atacseq_like_workflow(40, rng=1)
         cluster = scaled_small_cluster()
         plain = heft_mapping(workflow, cluster)
-        green = carbon_aware_heft_mapping(workflow, cluster, power_weight=0.0)
+        green = heft_mapping(workflow, cluster, power_weight=0.0)
         assert green.mapping.assignment() == plain.mapping.assignment()
         assert green.makespan == plain.makespan
 
     def test_produces_valid_mapping(self):
         workflow = atacseq_like_workflow(50, rng=2)
         cluster = scaled_small_cluster()
-        result = carbon_aware_heft_mapping(workflow, cluster, power_weight=0.5)
+        result = heft_mapping(workflow, cluster, power_weight=0.5)
         assert set(result.mapping.assignment()) == set(workflow.tasks())
         dag = build_enhanced_dag(result.mapping, rng=2)
         assert dag.num_nodes >= workflow.number_of_tasks
@@ -35,7 +34,7 @@ class TestCarbonAwareHeft:
     def test_energy_greedy_picks_per_task_energy_minimiser(self):
         workflow = fork_join_workflow(6, stages=1, rng=0)
         cluster = scaled_small_cluster()
-        energy_only = carbon_aware_heft_mapping(workflow, cluster, power_weight=1.0)
+        energy_only = heft_mapping(workflow, cluster, power_weight=1.0)
         # With the energy-only objective every task lands on a processor that
         # minimises its own energy (duration × total power); finish times are
         # ignored.
@@ -60,20 +59,20 @@ class TestCarbonAwareHeft:
                 for task in workflow.tasks()
             )
 
-        plain = mapping_energy(carbon_aware_heft_mapping(workflow, cluster, power_weight=0.0))
-        green = mapping_energy(carbon_aware_heft_mapping(workflow, cluster, power_weight=0.8))
+        plain = mapping_energy(heft_mapping(workflow, cluster, power_weight=0.0))
+        green = mapping_energy(heft_mapping(workflow, cluster, power_weight=0.8))
         assert green <= plain
 
     def test_invalid_power_weight(self):
         workflow = atacseq_like_workflow(20, rng=0)
         with pytest.raises(ValueError):
-            carbon_aware_heft_mapping(workflow, scaled_small_cluster(), power_weight=1.5)
+            heft_mapping(workflow, scaled_small_cluster(), power_weight=1.5)
 
     def test_two_pass_pipeline_runs_end_to_end(self):
         """Carbon-aware mapping (pass 1) + CaWoSched (pass 2)."""
         workflow = atacseq_like_workflow(40, rng=5)
         cluster = scaled_small_cluster()
-        result = carbon_aware_heft_mapping(workflow, cluster, power_weight=0.4)
+        result = heft_mapping(workflow, cluster, power_weight=0.4)
         dag = build_enhanced_dag(result.mapping, rng=5)
         deadline = 2 * asap_makespan(dag)
         profile = generate_power_profile(
