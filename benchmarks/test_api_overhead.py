@@ -82,9 +82,7 @@ def _count_calls(monkeypatch, counts: Counter) -> None:
     monkeypatch.setattr(CaWoSched, "run", counting("run", CaWoSched.run))
     monkeypatch.setattr(CaWoSched, "_refine", counting("_refine", CaWoSched._refine))
     monkeypatch.setattr(Mapping, "to_dict", counting("Mapping.to_dict", Mapping.to_dict))
-    monkeypatch.setattr(
-        EnhancedDAG, "_longest_path", counting("critical_path", EnhancedDAG._longest_path)
-    )
+    monkeypatch.setattr(EnhancedDAG, "__init__", counting("EnhancedDAG", EnhancedDAG.__init__))
     # The DAG's canonical text is composed from its members by _graph_text.
     monkeypatch.setattr(
         jobs_module, "_graph_text", counting("graph_text", jobs_module._graph_text)
@@ -157,11 +155,11 @@ def test_facade_overhead(benchmark, output_dir, monkeypatch):
         "local_search": 1,
         "check_schedule": 2,
         "carbon_cost": 1,
-        # The DAG's critical path (instance construction), its serialised
+        # The DAG and its rows (instance construction), its serialised
         # mapping and canonical text, and one job fingerprint.  The live
         # job's problem text is the DAG's text with the profile spliced in,
         # so neither instance_to_dict nor _problem_text runs.
-        "critical_path": 1,
+        "EnhancedDAG": 1,
         "Mapping.to_dict": 1,
         "graph_text": 1,
         "_fingerprint": 1,
@@ -176,8 +174,8 @@ def test_facade_overhead(benchmark, output_dir, monkeypatch):
     assert dict(counts) == {"_fingerprint": 1}
 
     # A second instance over the same DAG with another profile is a new
-    # problem, scheduled afresh, but the DAG's serialised mapping, canonical
-    # text and critical path are not computed again.
+    # problem, scheduled afresh, but the DAG (with its rows), its serialised
+    # mapping and its canonical text are not built again.
     counts.clear()
     other = ProblemInstance(fresh.dag, PowerProfile.constant(fresh.deadline + 10, 50))
     second = client.submit(Job.from_instance(other, variants=variants, scheduler=scheduler))

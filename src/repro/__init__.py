@@ -46,8 +46,6 @@ from repro.utils.errors import (
     SolverError,
 )
 from repro.workflow import (
-    Task,
-    CommTask,
     Workflow,
     WORKFLOW_FAMILIES,
     generate_workflow,
@@ -139,8 +137,6 @@ __all__ = [
     "InvalidWorkflowError",
     "SolverError",
     # workflow
-    "Task",
-    "CommTask",
     "Workflow",
     "WORKFLOW_FAMILIES",
     "generate_workflow",

@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Sequence
 import numpy as np
 
 from repro.utils.errors import InvalidProfileError
-from repro.utils.validation import INT64_MAX
+from repro.utils.validation import INT64_MAX, check_non_negative_int, check_positive_int
 
 __all__ = ["Interval", "PowerProfile"]
 
@@ -102,10 +102,12 @@ class PowerProfile:
         self._intervals: List[Interval] = []
         begin = 0
         for length, budget in zip(lengths, budgets):
-            length = int(length)
-            if length <= 0:
-                raise InvalidProfileError(f"interval lengths must be positive, got {length}")
-            self._intervals.append(Interval(begin, begin + length, int(budget)))
+            try:
+                length = check_positive_int(length, "interval length")
+                budget = check_non_negative_int(budget, "budget")
+            except (TypeError, ValueError) as exc:
+                raise InvalidProfileError(str(exc)) from exc
+            self._intervals.append(Interval(begin, begin + length, budget))
             begin += length
         self._boundaries = [iv.begin for iv in self._intervals] + [begin]
 
@@ -129,11 +131,16 @@ class PowerProfile:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Sequence[int]]) -> "PowerProfile":
-        """Rebuild a profile from :meth:`to_dict` output."""
-        return cls(
-            [int(length) for length in data["lengths"]],
-            [int(budget) for budget in data["budgets"]],
-        )
+        """Rebuild a profile from :meth:`to_dict` output.
+
+        Every length and budget must be an integer as given: a value such as
+        2.5, ``true`` or ``"3"`` raises ``TypeError``, which the wire loader
+        reports as a malformed payload.
+        """
+        for key in ("lengths", "budgets"):
+            for value in data[key]:
+                check_non_negative_int(value, f"profile {key}")
+        return cls(data["lengths"], data["budgets"])
 
     # ------------------------------------------------------------------ #
     # Accessors

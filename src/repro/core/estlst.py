@@ -19,7 +19,7 @@ updates, and duplicate pushes pop next to each other and are skipped: each
 task is expanded at most once per pass of a fix.  The fixpoint is unique, so
 the values equal the full two-sweep recompute's, which only runs to
 initialise the tracker (the test suite checks every update against it).  The
-rows are lists indexed by topological rank and memoised on the DAG.
+tracker runs on the DAG's rows by topological rank, built with the DAG.
 
 Fixing a task at a start time within its current ``[EST, LST]`` window always
 keeps the remaining problem feasible: the constraints form a system of
@@ -58,9 +58,9 @@ class EstLstTracker:
 
     def __init__(self, dag: EnhancedDAG, deadline: int) -> None:
         self._deadline = int(deadline)
-        self._order, self._position, self._duration, self._preds, self._succs = (
-            _rank_rows(dag)
-        )
+        # The DAG's read-only rows by topological rank.
+        self._order, self._position = dag._order, dag._position
+        self._duration, self._preds, self._succs = dag._duration_row, dag._pred_rows, dag._succ_rows
         self._fixed: Dict[Hashable, int] = {}
         self._is_fixed: List[bool] = [False] * len(self._order)
         self._est: List[int] = []
@@ -233,29 +233,3 @@ class EstLstTracker:
             if lst[index] < est[index]:
                 self._raise_empty(index)
 
-
-def _rank_rows(dag: EnhancedDAG) -> tuple:
-    """Return *dag*'s graph rows by topological rank, computed once per DAG.
-
-    The rows depend on the DAG alone: every tracker over it, whatever its
-    deadline, and every local search on it read the same read-only rows.
-    """
-    return dag._memoised("estlst_rows", lambda: _graph_rows(dag))
-
-
-def _graph_rows(dag: EnhancedDAG) -> tuple:
-    """Return *dag*'s order, positions, durations, preds and succs, by topological rank.
-
-    Predecessors are always read together with their duration (the
-    finish-time bound), so the pair is fused into the adjacency row.
-    """
-    order = dag.topological_order()
-    position = {node: index for index, node in enumerate(order)}
-    duration = dag.duration_map()
-    return (
-        order,
-        position,
-        [duration[node] for node in order],
-        [[(position[p], duration[p]) for p in dag.predecessor_map()[node]] for node in order],
-        [[position[s] for s in dag.successor_map()[node]] for node in order],
-    )

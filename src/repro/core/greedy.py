@@ -101,7 +101,7 @@ def greedy_schedule(
             "greedy_windows", lambda: (initial.est_map(), initial.lst_map())
         )
         scores = compute_scores(dag, est, lst, base=base, weighted=weighted)
-        position = initial._position
+        position = dag._position
         return [position[node] for node in task_order(dag, scores, base=base)]
 
     def _initial_budgets() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -120,8 +120,7 @@ def greedy_schedule(
     est, lst, duration = tracker._est, tracker._lst, tracker._duration
     is_fixed, fixed, nodes = tracker._is_fixed, tracker._fixed, tracker._order
     propagate = tracker._propagate_fix
-    active = instance.active_power_map
-    power = dag._memoised("active_power_row", lambda: [active[node] for node in initial._order])
+    power = dag._active_power_row
     horizon = instance.deadline
     for index in order:
         earliest = est[index]

@@ -38,7 +38,6 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.estlst import _rank_rows
 from repro.schedule.cost import _fitting_excess
 from repro.schedule.schedule import Schedule
 from repro.utils.errors import CaWoSchedError
@@ -98,12 +97,10 @@ def local_search(
     if any(schedule.instance is not instance for schedule in schedules):
         raise CaWoSchedError("local_search takes schedules of one instance only")
 
-    dag = instance.dag
-    walk, powers = dag._memoised("search_rows", lambda: _search_rows(dag, instance.work_power_map))
-    position = _rank_rows(dag)[1]
+    position = instance.dag._position
     improved = []
     for schedule in schedules:
-        search = _Search(instance, schedule, walk, powers, window, best_improvement)
+        search = _Search(instance, schedule, window, best_improvement)
         # Every accepted move lowers the integer, non-negative carbon cost,
         # so the search ends.
         while search.walk():
@@ -121,21 +118,22 @@ def local_search(
     return improved
 
 
-def _search_rows(dag, work_power: Dict) -> Tuple[List[int], List[int]]:
-    """Return the walk and the working powers of the search on *dag*, by topological rank.
+def _search_walk(dag) -> List[int]:
+    """Return the search's walk over *dag* by topological rank, computed once per DAG.
 
     The walk visits the processors by non-increasing working power (ties
     broken by name), each processor's tasks in mapping order.
     """
-    order, position = _rank_rows(dag)[:2]
-    processors = sorted(
-        dag.processors_with_tasks(),
-        key=lambda proc: (-dag.platform.processor(proc).p_work, str(proc)),
-    )
-    return (
-        [position[node] for proc in processors for node in dag.ordered_task_map()[proc]],
-        [work_power[node] for node in order],
-    )
+
+    def _build() -> List[int]:
+        processors = sorted(
+            dag.processors_with_tasks(),
+            key=lambda proc: (-dag.platform.processor(proc).p_work, str(proc)),
+        )
+        position = dag._position
+        return [position[node] for proc in processors for node in dag.ordered_task_map()[proc]]
+
+    return dag._memoised("search_rows", _build)
 
 
 class _Search:
@@ -149,16 +147,16 @@ class _Search:
     current starts when it is scored.
     """
 
-    def __init__(self, instance, schedule: Schedule, walk: List[int], powers: List[int],
-                 window: int, best_improvement: bool) -> None:
-        order, _, self._duration, self._preds, self._succs = _rank_rows(instance.dag)
-        self._walk = walk
-        self._powers = powers
+    def __init__(self, instance, schedule: Schedule, window: int, best_improvement: bool) -> None:
+        dag = instance.dag
+        self._duration, self._preds, self._succs = dag._duration_row, dag._pred_rows, dag._succ_rows
+        self._walk = _search_walk(dag)
+        self._powers = dag._work_power_row
         self._deadline = instance.deadline
         self._window = window
         self._best_improvement = best_improvement
         starts = schedule._start
-        self._starts: List[int] = [starts[node] for node in order]
+        self._starts: List[int] = [starts[node] for node in dag._order]
         self._excess: List[int] = list(_fitting_excess(instance, schedule))
         # Scored tasks: rank -> (begin, end, target).  [begin, end) is the
         # excess region the score read; target is the improving start, or

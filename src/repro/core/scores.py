@@ -27,7 +27,6 @@ from typing import Dict, Hashable, List, Tuple
 
 import math
 
-from repro.core.estlst import _rank_rows
 from repro.mapping.enhanced_dag import EnhancedDAG
 from repro.utils.errors import CaWoSchedError
 
@@ -141,7 +140,7 @@ def task_order(
     topological position of the task, so equal-score tasks are handled in
     precedence order.
     """
-    position = _rank_rows(dag)[1]
+    position = dag._position
     if base == SCORE_SLACK:
         return sorted(dag.nodes(), key=lambda node: (scores[node], position[node]))
     if base == SCORE_PRESSURE:

@@ -2,7 +2,7 @@
 
 This module is the serialisation boundary of the library.  The leaf value
 types carry their own ``to_dict``/``from_dict``
-(:class:`~repro.workflow.task.Task`, :class:`~repro.workflow.dag.Workflow`,
+(:class:`~repro.workflow.dag.Workflow`,
 :class:`~repro.platform_.processor.ProcessorSpec`,
 :class:`~repro.platform_.cluster.Cluster`,
 :class:`~repro.carbon.intervals.PowerProfile`,

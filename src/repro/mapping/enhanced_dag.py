@@ -4,8 +4,9 @@ Given a workflow, a cluster and a fixed :class:`~repro.mapping.mapping.Mapping`,
 the communication-enhanced DAG replaces every cross-processor edge by a
 *communication task* executed on a fictional link processor (§3 of the paper):
 
-* ``Vc`` contains every original task plus one communication task per edge in
-  ``E'`` (cross-processor edges with positive data volume),
+* ``Vc`` contains every original task plus one communication task per edge
+  ``(u, v)`` in ``E'`` (cross-processor edges with positive data volume),
+  named ``("comm", u, v)``,
 * ``Ec`` contains the same-processor original edges, the two edges
   ``(u, comm_uv)`` and ``(comm_uv, v)`` per communication, the per-processor
   ordering chains and the per-link communication ordering chains (``E''``),
@@ -18,6 +19,7 @@ evaluators and exact algorithms work on.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.mapping.mapping import Mapping
@@ -26,7 +28,6 @@ from repro.platform_.processor import ProcessorSpec
 from repro.utils.errors import CyclicWorkflowError, InvalidMappingError
 from repro.utils.ordering import topological_order
 from repro.utils.rng import RNGLike
-from repro.workflow.task import CommTask
 
 __all__ = ["EnhancedDAG", "build_enhanced_dag"]
 
@@ -45,16 +46,18 @@ class EnhancedDAG:
     * ``processor`` — name of the (compute or link) processor,
     * ``is_comm`` — whether the node is a communication task.
 
-    The DAG is immutable, so what depends on it alone is computed once, in
-    its memo (:meth:`_memoised`): the critical path, the node power maps,
-    the rows by topological rank that the scheduling core runs on (the
-    EST/LST graph rows, the greedy phase's active powers, the local
-    search's walk, kernel rows and working powers), the feasibility check's
-    constraint rows, the block-window sums of the refined subdivision and
-    the wire payload's ``mapping`` and ``links`` with their canonical
-    text.  A value lives on the narrowest object it depends on: what also
-    depends on the profile or the deadline is memoised per instance
-    (``ProblemInstance._memoised``).
+    The DAG is immutable and numbers its nodes once: the constructor sorts
+    it topologically (``_order``, with ``_position`` mapping a node to its
+    rank) and builds, read-only, the rows by rank that every scheduler phase
+    reads: durations, predecessor rows of ``(rank, duration)`` pairs,
+    successor rows of ranks, working and active powers (``_work_power`` is
+    the working power by node) and the ASAP starts, whose largest finish is
+    the critical path.  What else depends on the DAG alone is computed once,
+    in its memo (:meth:`_memoised`): the score rows, the local search's
+    walk, the lag sums of the refined subdivision and the wire payload's
+    ``mapping`` and ``links`` with their canonical text.  A value lives on
+    the narrowest object it depends on: what also depends on the profile or
+    the deadline is memoised per instance (``ProblemInstance._memoised``).
     """
 
     def __init__(
@@ -80,11 +83,28 @@ class EnhancedDAG:
                 "the communication-enhanced DAG contains a cycle; the mapping's "
                 "orderings are inconsistent with the precedence constraints"
             ) from exc
-        # Read-only maps shared by the scheduling kernels, keyed in
-        # topological order: the DAG is immutable after construction.
-        self._duration_map = {node: durations[node] for node in self._order}
-        self._pred_map = {node: list(pred[node]) for node in self._order}
-        self._succ_map = {node: list(succ[node]) for node in self._order}
+        order = self._order
+        # Read-only maps and rows, keyed in topological order: the DAG is
+        # immutable after construction.
+        self._duration_map = {node: durations[node] for node in order}
+        self._pred_map = {node: list(pred[node]) for node in order}
+        self._succ_map = {node: list(succ[node]) for node in order}
+        # The rows by topological rank.  A predecessor is always read with
+        # its duration (the finish-time bound), so the pair is fused.
+        self._position = position = {node: rank for rank, node in enumerate(order)}
+        self._duration_row = [durations[node] for node in order]
+        self._pred_rows = [[(position[p], durations[p]) for p in pred[node]] for node in order]
+        self._succ_rows = [[position[s] for s in succ[node]] for node in order]
+        specs = [platform.processor(processors[node]) for node in order]
+        self._work_power_row = [spec.p_work for spec in specs]
+        self._active_power_row = [spec.total_power for spec in specs]
+        self._work_power = dict(zip(order, self._work_power_row))
+        asap: List[int] = []
+        for preds in self._pred_rows:
+            asap.append(max([asap[p] + d for p, d in preds], default=0))
+        self._asap_row = asap
+        self._critical_path = max(map(add, asap, self._duration_row), default=0)
+        self._total_duration = sum(self._duration_row)
         self._memo: Dict[Hashable, object] = {}
 
     def _memoised(self, key: Hashable, compute: Callable[[], object]) -> object:
@@ -181,15 +201,8 @@ class EnhancedDAG:
         return [proc for proc, tasks in self._processor_tasks.items() if tasks]
 
     def critical_path_duration(self) -> int:
-        """Return the longest path duration — a lower bound on any makespan (cached)."""
-        return self._memoised("critical_path", self._longest_path)
-
-    def _longest_path(self) -> int:
-        best: Dict[Hashable, int] = {}
-        for node in self._order:
-            incoming = max((best[p] for p in self._pred_map[node]), default=0)
-            best[node] = incoming + self._duration_map[node]
-        return max(best.values(), default=0)
+        """Return the longest path duration — a lower bound on any makespan."""
+        return self._critical_path
 
     def __len__(self) -> int:
         return len(self._processors)
@@ -258,11 +271,11 @@ def build_enhanced_dag(
     # Communication tasks (E').
     comm_nodes: Dict[Edge, Hashable] = {}
     for source, target in mapping.communications():
-        comm = CommTask(source, target, volume=workflow.data(source, target))
+        comm = ("comm", source, target)
         link = link_name(mapping.processor_of(source), mapping.processor_of(target))
-        durations[comm.name] = platform.processor(link).execution_time(comm.volume)
-        processors[comm.name] = link
-        comm_nodes[(source, target)] = comm.name
+        durations[comm] = platform.processor(link).execution_time(workflow.data(source, target))
+        processors[comm] = link
+        comm_nodes[(source, target)] = comm
 
     # Adjacency as node -> {neighbour: None}: adding an edge that already
     # exists (a chain edge parallel to a precedence edge) keeps its position.

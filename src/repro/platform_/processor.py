@@ -92,12 +92,16 @@ class ProcessorSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ProcessorSpec":
-        """Rebuild a processor specification from :meth:`to_dict` output."""
+        """Rebuild a processor specification from :meth:`to_dict` output.
+
+        The numbers are checked as given, never converted: a ``p_idle`` of
+        1.9 or a speed of ``"2"`` raises ``TypeError``.
+        """
         return cls(
             name=decode_name(data["name"]),
-            speed=float(data["speed"]),
-            p_idle=int(data["p_idle"]),
-            p_work=int(data["p_work"]),
+            speed=data["speed"],
+            p_idle=data["p_idle"],
+            p_work=data["p_work"],
             kind=str(data.get("kind", COMPUTE)),
             proc_type=str(data.get("proc_type", "")),
         )

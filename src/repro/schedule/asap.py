@@ -31,14 +31,10 @@ def earliest_start_times(dag: EnhancedDAG) -> Dict[Hashable, int]:
     """Return the earliest start time (EST) of every node of *dag*.
 
     ``EST(v) = max over predecessors u of (EST(u) + duration(u))``, 0 for
-    sources.  The computation follows a topological order (Kahn's algorithm).
+    sources.  The DAG computes these starts once, in topological order; the
+    result is keyed in that order.
     """
-    duration = dag.duration_map()
-    est: Dict[Hashable, int] = {}
-    # The predecessor map is keyed in topological order.
-    for node, preds in dag.predecessor_map().items():
-        est[node] = max((est[pred] + duration[pred] for pred in preds), default=0)
-    return est
+    return dict(zip(dag._order, dag._asap_row))
 
 
 def latest_start_times(dag: EnhancedDAG, deadline: int) -> Dict[Hashable, int]:

@@ -47,7 +47,7 @@ def _excess_row(instance: ProblemInstance, starts: Mapping[Hashable, int]) -> Tu
     holds.
     """
     duration = instance.dag.duration_map()
-    work_power = instance.work_power_map
+    work_power = instance.dag._work_power
     profile = instance.profile
     ends = [start + duration[node] for node, start in starts.items()]
     delta = [0] * (max(profile.horizon, max(ends, default=0)) + 1)

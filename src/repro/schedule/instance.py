@@ -75,18 +75,11 @@ class ProblemInstance:
         ``max(T, sum of durations)`` time units, plus the largest budget
         over ``T``.
         """
-        dag = self.dag
-        # The platform's power and the tasks' total duration depend on the
-        # DAG alone, so every instance over it shares them.
-        power, total_duration = dag._memoised(
-            "power_duration_sums",
-            lambda: (
-                sum(spec.p_idle + spec.p_work for spec in dag.platform.processors()),
-                sum(dag.duration_map().values()),
-            ),
-        )
+        # The platform sums its powers and the DAG its durations once, so
+        # every instance over the DAG shares the sums.
+        power = self.total_idle_power() + self.total_work_power()
         horizon = self.profile.horizon
-        length = max(horizon, total_duration)
+        length = max(horizon, self.dag._total_duration)
         budget = max(interval.budget for interval in self.profile.intervals())
         bound = power * length + budget * horizon
         if bound > INT64_MAX:
@@ -114,24 +107,6 @@ class ProblemInstance:
     def total_work_power(self) -> int:
         """Total working power of the platform (upper bound on the variable draw)."""
         return self.dag.platform.total_work_power()
-
-    @property
-    def work_power_map(self) -> Dict[Hashable, int]:
-        """Node → working power of its processor (computed once per DAG, read-only)."""
-        dag = self.dag
-        return dag._memoised(
-            "work_power_map",
-            lambda: {node: dag.processor_spec(node).p_work for node in dag.nodes()},
-        )
-
-    @property
-    def active_power_map(self) -> Dict[Hashable, int]:
-        """Node → idle + working power of its processor (computed once per DAG, read-only)."""
-        dag = self.dag
-        return dag._memoised(
-            "active_power_map",
-            lambda: {node: dag.processor_spec(node).total_power for node in dag.nodes()},
-        )
 
     def _memoised(self, key: Hashable, compute: Callable[[], object]) -> object:
         """Return ``compute()``, computed once per live instance under *key*.

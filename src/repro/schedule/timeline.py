@@ -44,9 +44,9 @@ class PowerTimeline:
     def __init__(self, instance: ProblemInstance, schedule: Schedule) -> None:
         self._instance = instance
         # Durations and working powers are read on every mutation; the
-        # instance-level maps are computed once and shared across runs.
+        # DAG's maps are built with it and shared across runs.
         self._duration: Dict[Hashable, int] = instance.dag.duration_map()
-        self._work_power: Dict[Hashable, int] = instance.work_power_map
+        self._work_power: Dict[Hashable, int] = instance.dag._work_power
         self._starts: Dict[Hashable, int] = schedule.start_times()
         # The schedule's row stays with it; moves edit an array copy.
         self._excess = np.array(_fitting_excess(instance, schedule), dtype=np.int64)

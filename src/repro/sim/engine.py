@@ -234,7 +234,7 @@ class Simulator:
         self._events: List[SimEvent] = []
         self._records: List[JobRecord] = []
         self._pending: List[SimJob] = []
-        self._running: Dict[int, Dict[str, object]] = {}
+        self._running: Dict[int, JobRecord] = {}
         self._oracle_costs: Dict[int, int] = {}
         self._free_slots = int(config.slots)
         self._event_seq = 0
@@ -335,9 +335,8 @@ class Simulator:
 
     def _handle(self, kind: str, payload: object, now: int) -> None:
         if kind == "finish":
-            info = self._running.pop(int(payload))
+            record = self._running.pop(int(payload))
             self._free_slots += 1
-            record: JobRecord = info["record"]
             self._records.append(record)
             self._emit(
                 "finish",
@@ -411,7 +410,7 @@ class Simulator:
             oracle_cost=self._oracle_costs.pop(job.index),
         )
         self._free_slots -= 1
-        self._running[job.index] = {"record": record}
+        self._running[job.index] = record
         self._push(completion, _PRIO_FINISH, "finish", job.index)
         self._emit(
             "commit",

@@ -1,11 +1,14 @@
 """Topological-order helpers on plain ``node -> successors`` mappings.
 
-The schedulers rely on topological orders in several places: EST/LST
-propagation, the greedy placement loop and the single-processor DP.  The
-order is a Kahn pass with deterministic tie-breaking (by node sort key, then
-by insertion order) so that repeated runs produce identical orders, which
-matters for the reproducibility of the greedy heuristics.  The same pass is
-the library's only acyclicity check.
+Workflows and communication-enhanced DAGs are numbered by this order: HEFT's
+upward ranks, the brute-force solver and the DAG's rows by topological rank
+(EST/LST propagation, the greedy placement loop, the local search) read it.
+The order is a Kahn pass with deterministic tie-breaking (by node sort key,
+then by insertion order) so that repeated runs produce identical orders,
+which matters for the reproducibility of the greedy heuristics.  The pass
+also rejects cycles: it is the acyclicity check of the communication-enhanced
+DAG, while ``Workflow.add_dependency`` and ``Mapping._validate_acyclic``
+check their own graphs before one is built.
 """
 
 from __future__ import annotations

@@ -38,8 +38,6 @@ def ensure_rng(seed: RNGLike = None) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     return np.random.default_rng(seed)
 
 

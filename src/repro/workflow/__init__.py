@@ -1,16 +1,15 @@
-"""Workflow (DAG) substrate: tasks, DAG model, generators.
+"""Workflow (DAG) substrate: the DAG model and its generators.
 
 Public surface:
 
-* :class:`~repro.workflow.task.Task`, :class:`~repro.workflow.task.CommTask`
-* :class:`~repro.workflow.dag.Workflow`
+* :class:`~repro.workflow.dag.Workflow` (a task is a name with a work volume
+  and an optional category)
 * generators for generic DAG shapes and nf-core-like families
   (:func:`~repro.workflow.generators.generate_workflow`,
   :data:`~repro.workflow.generators.WORKFLOW_FAMILIES`); a family's
   workflow of any size comes from ``generate_workflow(family, n)``
 """
 
-from repro.workflow.task import CommTask, Task
 from repro.workflow.dag import Workflow
 from repro.workflow.generators import (
     WORKFLOW_FAMILIES,
@@ -27,8 +26,6 @@ from repro.workflow.generators import (
 )
 
 __all__ = [
-    "Task",
-    "CommTask",
     "Workflow",
     "WORKFLOW_FAMILIES",
     "assign_random_weights",

@@ -30,7 +30,6 @@ from repro.utils.errors import CyclicWorkflowError, InvalidWorkflowError
 from repro.utils.names import decode_name, encode_name
 from repro.utils.ordering import topological_order
 from repro.utils.validation import check_non_negative_int, check_positive_int
-from repro.workflow.task import Task
 
 __all__ = ["Workflow"]
 
@@ -200,10 +199,6 @@ class Workflow:
             raise InvalidWorkflowError(
                 f"unknown dependency {source!r} -> {target!r}"
             ) from exc
-
-    def task(self, name: Hashable) -> Task:
-        """Return a :class:`~repro.workflow.task.Task` view of task *name*."""
-        return Task(name=name, work=self.work(name), category=self.category(name))
 
     def predecessors(self, name: Hashable) -> List[Hashable]:
         """Return the direct predecessors of task *name*."""

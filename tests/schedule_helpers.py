@@ -59,6 +59,19 @@ def with_zero_durations(dag: EnhancedDAG, zero) -> EnhancedDAG:
     )
 
 
+def reference_earliest_starts(dag: EnhancedDAG) -> Dict[Hashable, int]:
+    """Return every node's earliest start by one dict sweep over the predecessor map.
+
+    The map is keyed in topological order, so each predecessor's start is
+    known when its successors are reached.
+    """
+    duration = dag.duration_map()
+    est: Dict[Hashable, int] = {}
+    for node, preds in dag.predecessor_map().items():
+        est[node] = max((est[pred] + duration[pred] for pred in preds), default=0)
+    return est
+
+
 def alap_schedule(instance: ProblemInstance) -> Schedule:
     """Return the ALAP schedule of *instance*: every task at its latest start time."""
     lst = latest_start_times(instance.dag, instance.deadline)
@@ -171,11 +184,10 @@ def reference_greedy(
     else:
         points = original_subdivision(profile)
     budgets = BudgetIntervals(profile, points)
-    active = instance.active_power_map
     for node in task_order(dag, scores, base=base):
         start = budgets.best_start(tracker.est(node), tracker.lst(node))
         if start is None:
             start = tracker.est(node)
         tracker.fix(node, start)
-        budgets.consume(start, start + dag.duration(node), active[node])
+        budgets.consume(start, start + dag.duration(node), dag.processor_spec(node).total_power)
     return tracker.fixed_starts()

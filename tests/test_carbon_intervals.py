@@ -56,6 +56,14 @@ class TestPowerProfileConstruction:
         with pytest.raises(InvalidProfileError):
             PowerProfile([5, 0], [1, 1])
 
+    @pytest.mark.parametrize(
+        "lengths, budgets", [([2.5], [1]), ([2], [2.9]), ([True], [1]), ([2], [True]), (["2"], [1])]
+    )
+    def test_non_integer_length_or_budget_rejected(self, lengths, budgets):
+        # 2.5 is not truncated to 2, nor true read as 1.
+        with pytest.raises(InvalidProfileError, match="must be an integer"):
+            PowerProfile(lengths, budgets)
+
     def test_constant(self):
         profile = PowerProfile.constant(20, 6)
         assert profile.num_intervals == 1

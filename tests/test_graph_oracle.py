@@ -25,7 +25,6 @@ from repro.platform_.cluster import link_name
 from repro.utils.errors import CyclicWorkflowError, InvalidWorkflowError
 from repro.utils.ordering import _sort_key, topological_order
 from repro.workflow.dag import Workflow
-from repro.workflow.task import CommTask
 
 # Mixed label types, as in a communication-enhanced DAG.
 LABELS = st.one_of(
@@ -141,10 +140,7 @@ def test_enhanced_dag_matches_networkx_build(family, size):
     mapping, workflow = dag.mapping, dag.mapping.workflow
     mirror = nx.DiGraph()
     mirror.add_nodes_from(workflow.tasks())
-    comm = {
-        (u, v): CommTask(u, v, volume=workflow.data(u, v)).name
-        for u, v in mapping.communications()
-    }
+    comm = {(u, v): ("comm", u, v) for u, v in mapping.communications()}
     mirror.add_nodes_from(comm.values())
     for u, v in workflow.dependencies():
         if (u, v) in comm:

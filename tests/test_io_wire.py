@@ -42,7 +42,6 @@ from repro.utils.errors import (
 from repro.utils.names import decode_name, encode_name
 from repro.workflow.dag import Workflow
 from repro.workflow.generators import generate_workflow
-from repro.workflow.task import CommTask, Task
 
 from schedule_helpers import two_task_chain
 
@@ -91,14 +90,6 @@ class TestNameCodec:
 
 
 class TestLeafRoundTrips:
-    def test_task(self):
-        task = Task("qc-1", work=5, category="qc")
-        assert Task.from_dict(task.to_dict()) == task
-
-    def test_comm_task(self):
-        comm = CommTask("a", "b", volume=3)
-        assert CommTask.from_dict(comm.to_dict()) == comm
-
     def test_processor_spec(self):
         spec = ProcessorSpec("p0", speed=2.5, p_idle=1, p_work=4, proc_type="PT2")
         assert ProcessorSpec.from_dict(spec.to_dict()) == spec
@@ -275,6 +266,33 @@ class TestInstanceRoundTrip:
         else:
             entry[name] = 2**70
         with pytest.raises(error, match="must be at most"):
+            instance_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("link p_idle", 1.9), ("link p_idle", "5"), ("link p_work", True),
+            ("link speed", "2"), ("processor p_work", 3.7), ("processor p_idle", True),
+            ("processor speed", True), ("profile lengths", 2.5), ("profile budgets", 2.9),
+            ("profile budgets", True), ("profile budgets", "3"),
+        ],
+    )
+    def test_non_integer_number_rejected_not_coerced(self, field, value):
+        # Loading must not truncate or convert a number: a p_idle of 1.9 is
+        # not 1, a budget of true is not 1 and a speed of "2" is not 2.0.
+        spec = InstanceSpec("bacass", 30, "small", "S1", 1.5, seed=1)
+        payload = instance_to_dict(make_instance(spec))
+        owner, name = field.split()
+        entry = {
+            "processor": payload["mapping"]["cluster"]["processors"][0],
+            "link": payload["links"][0],
+            "profile": payload["profile"],
+        }[owner]
+        if owner == "profile":
+            entry[name][0] = value
+        else:
+            entry[name] = value
+        with pytest.raises(WireFormatError, match="malformed instance payload"):
             instance_from_dict(payload)
 
     def test_sums_beyond_int64_rejected_on_load(self, tmp_path):

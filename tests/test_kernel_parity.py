@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.carbon.scenarios import generate_power_profile
 from repro.core.estlst import EstLstTracker
 from repro.core.greedy import greedy_schedule
-from repro.core.local_search import _Search, _search_rows, local_search
+from repro.core.local_search import _Search, local_search
 from repro.core.subdivision import block_alignment_points
 from repro.mapping.enhanced_dag import build_enhanced_dag
 from repro.mapping.heft import heft_mapping
@@ -98,8 +98,7 @@ class TestFullScoreParity:
                 starts[node] = data.draw(st.integers(0, limit), label="start")
             schedule = Schedule(instance, starts)
             timeline = PowerTimeline(instance, schedule)
-            walk, powers = _search_rows(dag, instance.work_power_map)
-            search = _Search(instance, schedule, walk, powers, 10, best)
+            search = _Search(instance, schedule, 10, best)
             rng = ensure_rng(seed)
             for index, node in enumerate(dag.topological_order()):
                 start, duration = starts[node], dag.duration(node)
@@ -399,8 +398,7 @@ class TestNoGainTests:
                 starts[node] = data.draw(st.integers(lo, hi), label="start")
             schedule = Schedule(instance, starts)
             timeline = PowerTimeline(instance, schedule)
-            walk, powers = _search_rows(dag, instance.work_power_map)
-            search = _Search(instance, schedule, walk, powers, window, False)
+            search = _Search(instance, schedule, window, False)
             # Stand in for the full scoring, to see which tasks reach it.
             search._full_score = lambda *args: -2
             position = {node: index for index, node in enumerate(dag.topological_order())}
@@ -412,7 +410,7 @@ class TestNoGainTests:
                 assert timeline.gain_profile(node, lo, hi).max(initial=0) <= 0, node
                 current, duration = starts[node], dag.duration(node)
                 covers_brown = (
-                    instance.work_power_map[node] > 0
+                    dag.processor_spec(node).p_work > 0
                     and duration > 0
                     and max(excess[current : current + duration]) > 0
                 )

@@ -2,11 +2,12 @@
 
 Every :class:`~repro.schedule.instance.ProblemInstance` over one
 :class:`~repro.mapping.enhanced_dag.EnhancedDAG` (the online simulator plans
-each workflow against several profiles) reads the DAG's critical path, power
-maps, EST/LST graph rows, block lag sums and the wire payload's graph
-part from the DAG's memo.  These tests check that sharing them changes no
-fingerprint, schedule or cost, and that nothing in the memo depends on the
-profile or the deadline.
+each workflow against several profiles) reads the rows by topological rank
+that the DAG builds with itself (durations, graph rows, powers, ASAP
+starts, critical path) and, from the DAG's memo, the score rows, the local
+search's walk, the block lag sums and the wire payload's graph part.  These
+tests check that sharing them changes no fingerprint, schedule or cost, and
+that nothing the DAG holds depends on the profile or the deadline.
 """
 
 from __future__ import annotations
@@ -145,6 +146,18 @@ class TestNothingInTheDagMemoDependsOnTheDeadline:
                 assert warm_result.carbon_cost == fresh_result.carbon_cost
 
 
+#: The DAG's rows by topological rank, built with it.
+ROWS = (
+    "_order", "_position", "_duration_row", "_pred_rows", "_succ_rows", "_work_power_row",
+    "_active_power_row", "_work_power", "_asap_row", "_critical_path", "_total_duration",
+)
+
+
+def _contents(dag) -> dict:
+    """Return a deep, comparable copy of *dag*'s rows and memo."""
+    return _snapshot({**{name: getattr(dag, name) for name in ROWS}, **dag._memo})
+
+
 def _snapshot(memo) -> dict:
     """Return a deep, comparable copy of a DAG memo."""
 
@@ -172,30 +185,24 @@ class TestDagMemoContents:
                 Job.from_instance(twin, scheduler=CaWoSched(block_size=block_size))
             )
         assert set(dag._memo) == {
-            "critical_path",
-            "work_power_map",
-            "active_power_map",
-            "estlst_rows",
             "score_rows",
-            "active_power_row",
             "search_rows",
-            "power_duration_sums",
             ("block_lag_sums", 2),
             ("block_lag_sums", 3),
             "wire_graph",
             "wire_graph_text",
         }
-        before = _snapshot(dag._memo)
+        before = _contents(dag)
         for name in variant_names():
             CaWoSched(block_size=2).run(ProblemInstance(dag, instance.profile), name)
-        assert _snapshot(dag._memo) == before
+        assert _contents(dag) == before
 
         # A fresh DAG computes the same values from scratch.
         fresh = make_instance(SPEC)
         client = Client()
         client.submit(Job.from_instance(fresh, variants=variant_names()))
         CaWoSched(block_size=2).run(fresh, "slackR")
-        assert _snapshot(fresh.dag._memo) == before
+        assert _contents(fresh.dag) == before
 
 
 class TestComposedGraphText:

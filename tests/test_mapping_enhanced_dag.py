@@ -41,6 +41,25 @@ class TestConstruction:
         # The direct edge a -> c must have been replaced.
         assert ("a", "c") not in dag.edges()
 
+    def test_comm_nodes_are_named_by_their_edge(self):
+        workflow = generate_workflow("bacass", 30, rng=2)
+        mapping = heft_mapping(workflow, scaled_small_cluster()).mapping
+        dag = build_enhanced_dag(mapping, rng=2)
+        comm = [node for node in dag.nodes() if dag.is_comm(node)]
+        assert comm == [("comm", u, v) for u, v in mapping.communications()]
+        assert len(set(comm)) == dag.num_comm_tasks > 0
+
+    def test_zero_data_cross_edge_has_no_comm_task(self, diamond_workflow_fixed):
+        diamond_workflow_fixed.set_data("a", "c", 0)
+        cluster = uniform_cluster(2, p_idle=1, p_work=2)
+        mapping = Mapping(
+            diamond_workflow_fixed, cluster, {"a": "p0", "b": "p0", "c": "p1", "d": "p0"}
+        )
+        dag = build_enhanced_dag(mapping, rng=0)
+        assert ("comm", "a", "c") not in dag
+        assert ("a", "c") in dag.edges()
+        assert dag.num_comm_tasks == 1
+
     def test_same_processor_edge_kept(self, cross_mapping):
         dag = build_enhanced_dag(cross_mapping, rng=0)
         assert ("a", "b") in dag.edges()

@@ -31,11 +31,10 @@ class TestProblemInstance:
     def test_work_power_of_node(self, tiny_multi_instance):
         dag = tiny_multi_instance.dag
         for node in dag.nodes():
-            assert tiny_multi_instance.work_power_map[node] == dag.processor_spec(node).p_work
-            assert (
-                tiny_multi_instance.active_power_map[node]
-                == dag.processor_spec(node).total_power
-            )
+            rank = dag._position[node]
+            spec = dag.processor_spec(node)
+            assert dag._work_power[node] == dag._work_power_row[rank] == spec.p_work
+            assert dag._active_power_row[rank] == spec.total_power
 
     def test_infeasible_deadline_rejected(self, tiny_multi_instance):
         dag = tiny_multi_instance.dag
@@ -77,9 +76,9 @@ class TestInt64Sums:
         self, tiny_multi_instance, monkeypatch
     ):
         dag = tiny_multi_instance.dag
-        power, total_duration = dag._memo["power_duration_sums"]
+        power = tiny_multi_instance.total_idle_power() + tiny_multi_instance.total_work_power()
         assert power == sum(spec.total_power for spec in dag.platform.processors())
-        assert total_duration == sum(dag.duration(node) for node in dag.nodes())
+        assert dag._total_duration == sum(dag.duration(node) for node in dag.nodes())
 
         def unexpected():
             raise AssertionError("the platform is summed again")

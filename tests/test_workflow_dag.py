@@ -106,11 +106,6 @@ class TestAccessors:
         with pytest.raises(InvalidWorkflowError):
             diamond_workflow_fixed.predecessors("zzz")
 
-    def test_task_view(self, diamond_workflow_fixed):
-        task = diamond_workflow_fixed.task("b")
-        assert task.name == "b"
-        assert task.work == 3
-
 
 class TestStructure:
     def test_topological_order_validity(self, diamond_workflow_fixed):
