@@ -121,6 +121,7 @@ class TestLeafRoundTrips:
         assert clone.dependencies() == diamond_workflow_fixed.dependencies()
         for task in clone.tasks():
             assert clone.work(task) == diamond_workflow_fixed.work(task)
+            assert clone.category(task) == diamond_workflow_fixed.category(task)
         for source, target in clone.dependencies():
             assert clone.data(source, target) == diamond_workflow_fixed.data(source, target)
 
@@ -128,6 +129,11 @@ class TestLeafRoundTrips:
         workflow = generate_workflow("atacseq", 40, rng=3)
         clone = Workflow.from_dict(workflow.to_dict())
         assert clone.topological_order() == workflow.topological_order()
+        # Names, work volumes and categories survive too.
+        assert [(task, clone.work(task), clone.category(task)) for task in clone.tasks()] == [
+            (task, workflow.work(task), workflow.category(task)) for task in workflow.tasks()
+        ]
+        assert {workflow.category(task) for task in workflow.tasks()} - {None}
 
 
 class TestMappingRoundTrip:

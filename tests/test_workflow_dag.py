@@ -15,6 +15,9 @@ class TestConstruction:
         assert wf.has_task("a")
         assert wf.work("a") == 5
         assert wf.category("a") == "qc"
+        wf.add_task("b")
+        assert wf.work("b") == 1
+        assert wf.category("b") is None
 
     def test_duplicate_task_rejected(self):
         wf = Workflow("w")
@@ -26,6 +29,8 @@ class TestConstruction:
         wf = Workflow("w")
         with pytest.raises(InvalidWorkflowError):
             wf.add_task("a", work=0)
+        with pytest.raises(InvalidWorkflowError):
+            wf.add_task("a", work=-3)
 
     def test_add_dependency(self):
         wf = Workflow("w")
