@@ -90,6 +90,14 @@ class TestNameCodec:
 
 
 class TestLeafRoundTrips:
+    def test_task(self):
+        workflow = Workflow("w")
+        workflow.add_task("qc-1", work=5, category="qc")
+        clone = Workflow.from_dict(workflow.to_dict())
+        assert clone.tasks() == ["qc-1"]
+        assert clone.work("qc-1") == 5
+        assert clone.category("qc-1") == "qc"
+
     def test_processor_spec(self):
         spec = ProcessorSpec("p0", speed=2.5, p_idle=1, p_work=4, proc_type="PT2")
         assert ProcessorSpec.from_dict(spec.to_dict()) == spec
