@@ -35,93 +35,7 @@ Quickstart
 True
 """
 
-from repro.utils.errors import (
-    CaWoSchedError,
-    CyclicWorkflowError,
-    InfeasibleScheduleError,
-    InvalidMappingError,
-    InvalidProfileError,
-    InvalidScheduleError,
-    InvalidWorkflowError,
-    SolverError,
-)
-from repro.workflow import (
-    Workflow,
-    WORKFLOW_FAMILIES,
-    generate_workflow,
-)
-from repro.platform_ import (
-    Cluster,
-    ExtendedPlatform,
-    ProcessorSpec,
-    cluster_from_table1,
-    large_cluster,
-    scaled_large_cluster,
-    scaled_small_cluster,
-    single_processor_cluster,
-    small_cluster,
-    uniform_cluster,
-)
-from repro.mapping import (
-    EnhancedDAG,
-    HeftResult,
-    Mapping,
-    build_enhanced_dag,
-    heft_mapping,
-)
-from repro.carbon import (
-    CarbonIntensityTrace,
-    PowerProfile,
-    generate_power_profile,
-    profile_from_trace,
-    synthetic_daily_trace,
-)
-from repro.schedule import (
-    ProblemInstance,
-    Schedule,
-    asap_makespan,
-    asap_schedule,
-    carbon_cost,
-    carbon_cost_per_time_unit,
-    check_schedule,
-    is_feasible,
-)
-from repro.core import (
-    CaWoSched,
-    ScheduleResult,
-    greedy_schedule,
-    local_search,
-    variant_names,
-)
-from repro.io import (
-    instance_from_dict,
-    instance_to_dict,
-    load_instance,
-    load_records,
-    save_instance,
-    save_records,
-)
-from repro.api import (
-    ApiError,
-    BackendFailure,
-    Client,
-    InvalidJob,
-    Job,
-    JobResult,
-    ResultCache,
-    UnknownVariant,
-    parallel_map,
-)
-from repro.sim import (
-    CarbonSignal,
-    JobRecord,
-    SimEvent,
-    SimReport,
-    SimulationConfig,
-    Simulator,
-    WorkloadConfig,
-    simulate,
-)
+from repro.utils.lazy import _lazy_exports
 
 __version__ = "1.2.0"
 
@@ -205,3 +119,96 @@ __all__ = [
     "WorkloadConfig",
     "simulate",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.utils.errors": (
+            "CaWoSchedError",
+            "CyclicWorkflowError",
+            "InfeasibleScheduleError",
+            "InvalidMappingError",
+            "InvalidProfileError",
+            "InvalidScheduleError",
+            "InvalidWorkflowError",
+            "SolverError",
+        ),
+        "repro.workflow": (
+            "Workflow",
+            "WORKFLOW_FAMILIES",
+            "generate_workflow",
+        ),
+        "repro.platform_": (
+            "Cluster",
+            "ExtendedPlatform",
+            "ProcessorSpec",
+            "cluster_from_table1",
+            "large_cluster",
+            "scaled_large_cluster",
+            "scaled_small_cluster",
+            "single_processor_cluster",
+            "small_cluster",
+            "uniform_cluster",
+        ),
+        "repro.mapping": (
+            "EnhancedDAG",
+            "HeftResult",
+            "Mapping",
+            "build_enhanced_dag",
+            "heft_mapping",
+        ),
+        "repro.carbon": (
+            "CarbonIntensityTrace",
+            "PowerProfile",
+            "generate_power_profile",
+            "profile_from_trace",
+            "synthetic_daily_trace",
+        ),
+        "repro.schedule": (
+            "ProblemInstance",
+            "Schedule",
+            "asap_makespan",
+            "asap_schedule",
+            "carbon_cost",
+            "carbon_cost_per_time_unit",
+            "check_schedule",
+            "is_feasible",
+        ),
+        "repro.core": (
+            "CaWoSched",
+            "ScheduleResult",
+            "greedy_schedule",
+            "local_search",
+            "variant_names",
+        ),
+        "repro.io": (
+            "instance_from_dict",
+            "instance_to_dict",
+            "load_instance",
+            "load_records",
+            "save_instance",
+            "save_records",
+        ),
+        "repro.api": (
+            "ApiError",
+            "BackendFailure",
+            "Client",
+            "InvalidJob",
+            "Job",
+            "JobResult",
+            "ResultCache",
+            "UnknownVariant",
+            "parallel_map",
+        ),
+        "repro.sim": (
+            "CarbonSignal",
+            "JobRecord",
+            "SimEvent",
+            "SimReport",
+            "SimulationConfig",
+            "Simulator",
+            "WorkloadConfig",
+            "simulate",
+        ),
+    },
+)

@@ -20,16 +20,7 @@ The grid runner (``run_grid``), the online simulator and every CLI
 subcommand submit their work through this package.
 """
 
-from repro.api.errors import (
-    ApiError,
-    BackendFailure,
-    InvalidJob,
-    UnknownVariant,
-)
-from repro.api.cache import ResultCache
-from repro.api.jobs import Job, JobResult, job_fingerprint
-from repro.api.execute import execute_job, parallel_map, record_for
-from repro.api.client import Client
+from repro.utils.lazy import _lazy_exports
 
 __all__ = [
     # errors
@@ -50,3 +41,27 @@ __all__ = [
     # client
     "Client",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.api.errors": (
+            "ApiError",
+            "BackendFailure",
+            "InvalidJob",
+            "UnknownVariant",
+        ),
+        "repro.api.cache": ("ResultCache",),
+        "repro.api.jobs": (
+            "Job",
+            "JobResult",
+            "job_fingerprint",
+        ),
+        "repro.api.execute": (
+            "execute_job",
+            "parallel_map",
+            "record_for",
+        ),
+        "repro.api.client": ("Client",),
+    },
+)

@@ -18,7 +18,6 @@ grid runner share.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, Iterable, List, Mapping, Tuple, TypeVar
 
 from repro.api.jobs import Job
@@ -121,5 +120,8 @@ def parallel_map(
     items = list(items)
     if int(jobs) <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here: the pool machinery is only needed for a pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(int(jobs), len(items))) as pool:
         return list(pool.map(fn, items))

@@ -1,20 +1,6 @@
 """Carbon / green-power substrate: interval profiles, scenarios S1–S4, traces."""
 
-from repro.carbon.intervals import Interval, PowerProfile
-from repro.carbon.scenarios import (
-    DEFAULT_GREEN_CAP,
-    DEFAULT_NUM_INTERVALS,
-    DEFAULT_PERTURBATION,
-    SCENARIOS,
-    generate_power_profile,
-    scenario_fraction,
-)
-from repro.carbon.traces import (
-    SYNTHETIC_TRACE_PROFILES,
-    CarbonIntensityTrace,
-    profile_from_trace,
-    synthetic_daily_trace,
-)
+from repro.utils.lazy import _lazy_exports
 
 __all__ = [
     "Interval",
@@ -30,3 +16,27 @@ __all__ = [
     "synthetic_daily_trace",
     "SYNTHETIC_TRACE_PROFILES",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.carbon.intervals": (
+            "Interval",
+            "PowerProfile",
+        ),
+        "repro.carbon.scenarios": (
+            "DEFAULT_GREEN_CAP",
+            "DEFAULT_NUM_INTERVALS",
+            "DEFAULT_PERTURBATION",
+            "SCENARIOS",
+            "generate_power_profile",
+            "scenario_fraction",
+        ),
+        "repro.carbon.traces": (
+            "SYNTHETIC_TRACE_PROFILES",
+            "CarbonIntensityTrace",
+            "profile_from_trace",
+            "synthetic_daily_trace",
+        ),
+    },
+)

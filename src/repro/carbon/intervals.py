@@ -22,23 +22,41 @@ from repro.utils.validation import INT64_MAX, check_non_negative_int, check_posi
 __all__ = ["Interval", "PowerProfile"]
 
 
+def _check_int64(end: int, budget: int) -> None:
+    """Raise unless an interval end and budget fit the evaluators' int64 rows."""
+    if max(end, budget) > INT64_MAX:
+        raise InvalidProfileError(f"interval end and budget must be at most {INT64_MAX}")
+
+
 class Interval:
-    """One interval ``[begin, end)`` with a constant green power budget."""
+    """One interval ``[begin, end)`` with a constant green power budget.
+
+    The bounds and the budget must be integers as given: ``Interval(0, 2.9,
+    1)`` raises :class:`InvalidProfileError` rather than becoming ``[0, 2)``.
+    """
 
     __slots__ = ("begin", "end", "budget")
 
     def __init__(self, begin: int, end: int, budget: int) -> None:
-        self.begin = int(begin)
-        self.end = int(end)
-        self.budget = int(budget)
-        if self.end <= self.begin:
+        try:
+            begin = check_non_negative_int(begin, "interval begin")
+            end = check_positive_int(end, "interval end")
+            budget = check_non_negative_int(budget, "budget")
+        except (TypeError, ValueError) as exc:
+            raise InvalidProfileError(str(exc)) from exc
+        if end <= begin:
             raise InvalidProfileError(
                 f"interval [{begin}, {end}) must have positive length"
             )
-        if self.budget < 0:
-            raise InvalidProfileError(f"budget must be non-negative, got {budget}")
-        if max(self.end, self.budget) > INT64_MAX:
-            raise InvalidProfileError(f"interval end and budget must be at most {INT64_MAX}")
+        _check_int64(end, budget)
+        self.begin, self.end, self.budget = begin, end, budget
+
+    @classmethod
+    def _checked_ints(cls, begin: int, end: int, budget: int) -> "Interval":
+        """Build from ints the caller checked (``0 <= begin < end``, ``budget >= 0``)."""
+        interval = cls.__new__(cls)
+        interval.begin, interval.end, interval.budget = begin, end, budget
+        return interval
 
     @property
     def length(self) -> int:
@@ -52,7 +70,7 @@ class Interval:
     @classmethod
     def from_dict(cls, data: Dict[str, int]) -> "Interval":
         """Rebuild an interval from :meth:`to_dict` output."""
-        return cls(int(data["begin"]), int(data["end"]), int(data["budget"]))
+        return cls(data["begin"], data["end"], data["budget"])
 
     def __iter__(self):
         yield self.begin
@@ -107,7 +125,8 @@ class PowerProfile:
                 budget = check_non_negative_int(budget, "budget")
             except (TypeError, ValueError) as exc:
                 raise InvalidProfileError(str(exc)) from exc
-            self._intervals.append(Interval(begin, begin + length, budget))
+            _check_int64(begin + length, budget)
+            self._intervals.append(Interval._checked_ints(begin, begin + length, budget))
             begin += length
         self._boundaries = [iv.begin for iv in self._intervals] + [begin]
 
@@ -117,7 +136,7 @@ class PowerProfile:
     @classmethod
     def constant(cls, horizon: int, budget: int) -> "PowerProfile":
         """Build a single-interval profile with a constant budget."""
-        return cls([int(horizon)], [int(budget)])
+        return cls([horizon], [budget])
 
     # ------------------------------------------------------------------ #
     # Serialisation
@@ -134,12 +153,8 @@ class PowerProfile:
         """Rebuild a profile from :meth:`to_dict` output.
 
         Every length and budget must be an integer as given: a value such as
-        2.5, ``true`` or ``"3"`` raises ``TypeError``, which the wire loader
-        reports as a malformed payload.
+        2.5, ``true`` or ``"3"`` raises :class:`InvalidProfileError`.
         """
-        for key in ("lengths", "budgets"):
-            for value in data[key]:
-                check_non_negative_int(value, f"profile {key}")
         return cls(data["lengths"], data["budgets"])
 
     # ------------------------------------------------------------------ #

@@ -1,33 +1,10 @@
 """CaWoSched core: scores, subdivision, greedy phase, local search, variants."""
 
-from repro.core.estlst import EstLstTracker
-from repro.core.scores import (
-    SCORE_PRESSURE,
-    SCORE_SLACK,
-    compute_scores,
-    pressure_scores,
-    slack_scores,
-    task_order,
-    weight_factors,
-)
-from repro.core.subdivision import (
-    DEFAULT_BLOCK_SIZE,
-    block_alignment_points,
-    original_subdivision,
-    refined_subdivision,
-)
-from repro.core.greedy import greedy_schedule
+from repro.utils.lazy import _lazy_exports
+
+# Imported now: the function shares its name with the submodule, and an
+# import of the submodule would bind the module under that name first.
 from repro.core.local_search import DEFAULT_WINDOW, local_search
-from repro.core.variants import (
-    ALL_VARIANTS,
-    BASELINE,
-    GREEDY_VARIANTS,
-    LS_VARIANTS,
-    VariantSpec,
-    get_variant,
-    variant_names,
-)
-from repro.core.scheduler import CaWoSched, ScheduleResult
 
 __all__ = [
     "EstLstTracker",
@@ -55,3 +32,39 @@ __all__ = [
     "CaWoSched",
     "ScheduleResult",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.estlst": ("EstLstTracker",),
+        "repro.core.scores": (
+            "SCORE_PRESSURE",
+            "SCORE_SLACK",
+            "compute_scores",
+            "pressure_scores",
+            "slack_scores",
+            "task_order",
+            "weight_factors",
+        ),
+        "repro.core.subdivision": (
+            "DEFAULT_BLOCK_SIZE",
+            "block_alignment_points",
+            "original_subdivision",
+            "refined_subdivision",
+        ),
+        "repro.core.greedy": ("greedy_schedule",),
+        "repro.core.variants": (
+            "ALL_VARIANTS",
+            "BASELINE",
+            "GREEDY_VARIANTS",
+            "LS_VARIANTS",
+            "VariantSpec",
+            "get_variant",
+            "variant_names",
+        ),
+        "repro.core.scheduler": (
+            "CaWoSched",
+            "ScheduleResult",
+        ),
+    },
+)

@@ -10,16 +10,20 @@ so the tracker pushes the change outward from the fixed task and stops where
 values stop changing.  Most fixes touch a small neighbourhood, which turns
 the greedy phase's quadratic bookkeeping into near-linear work.
 
-The push is relax-on-push over a worklist ordered by topological rank:
-expanding a task relaxes each successor's EST against that task's finish
-(forward pass), or each predecessor's LST against its start (backward pass,
-ranks negated), and pushes each neighbour it changed.  Tasks are only pushed
-by tasks before them in the pass, so they pop in rank order after all their
-updates, and duplicate pushes pop next to each other and are skipped: each
-task is expanded at most once per pass of a fix.  The fixpoint is unique, so
-the values equal the full two-sweep recompute's, which only runs to
-initialise the tracker (the test suite checks every update against it).  The
-tracker runs on the DAG's rows by topological rank, built with the DAG.
+The push is relax-on-push by topological rank: expanding a task relaxes
+each successor's EST against that task's finish (forward pass), or each
+predecessor's LST against its start (backward pass, ranks negated).  A pass
+runs only if the fix changed the task's own EST (or LST).  The fixed task is
+expanded first, into a plain list of the neighbours it changed; most passes
+stop there (on the experiment grid a fix changes 1.3 ESTs and 0.9 LSTs on
+average).  Only a non-empty list is sorted into a heap of ranks, whose
+expansions push each neighbour they change.  Tasks are only pushed by tasks
+before them in the pass, so they pop in rank order after all their updates,
+and duplicate pushes pop next to each other and are skipped: each task is
+expanded at most once per pass of a fix.  The fixpoint is unique, so the
+values equal the full two-sweep recompute's, which only runs to initialise
+the tracker (the test suite checks every update against it).  The tracker
+runs on the DAG's rows by topological rank, built with the DAG.
 
 Fixing a task at a start time within its current ``[EST, LST]`` window always
 keeps the remaining problem feasible: the constraints form a system of
@@ -30,7 +34,6 @@ exactly the ``[EST, LST]`` intervals.
 
 from __future__ import annotations
 
-import copy
 from heapq import heappop, heappush
 from typing import Dict, Hashable, List
 
@@ -108,7 +111,8 @@ class EstLstTracker:
         Only the fixed starts and the EST/LST rows change under :meth:`fix`;
         the graph rows are read-only and shared with the copy.
         """
-        twin = copy.copy(self)
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
         twin._fixed = dict(self._fixed)
         twin._is_fixed = list(self._is_fixed)
         twin._est = list(self._est)
@@ -146,8 +150,10 @@ class EstLstTracker:
     def _propagate_fix(self, index: int, start: int) -> None:
         """Push the EST/LST consequences of fixing the task at *index* outward.
 
-        Relax-on-push over a heap of topological ranks (see the module
-        docstring); fixed tasks keep their values and stop the propagation.
+        The fixed task's direct neighbours are relaxed into a plain list; the
+        ones that changed, sorted, seed the heap of topological ranks (see
+        the module docstring).  Fixed tasks keep their values and stop the
+        propagation.
         """
         est, lst = self._est, self._lst
         is_fixed = self._is_fixed
@@ -157,7 +163,16 @@ class EstLstTracker:
             # The fix raised the node's EST, so downstream ESTs may rise too;
             # an unchanged EST leaves every successor's input untouched.
             est[index] = start
-            forward = [index]
+            finish = start + duration[index]
+            forward = []
+            for succ in succs[index]:
+                if finish > est[succ] and not is_fixed[succ]:
+                    est[succ] = finish
+                    if finish > lst[succ]:
+                        self._raise_empty(succ)
+                    forward.append(succ)
+            if len(forward) > 1:
+                forward.sort()
             last = -1
             while forward:
                 current = heappop(forward)
@@ -174,7 +189,16 @@ class EstLstTracker:
 
         if lst[index] != start:
             lst[index] = start
-            backward = [-index]
+            backward = []
+            for pred, pred_duration in preds[index]:
+                value = start - pred_duration
+                if value < lst[pred] and not is_fixed[pred]:
+                    lst[pred] = value
+                    if value < est[pred]:
+                        self._raise_empty(pred)
+                    backward.append(-pred)
+            if len(backward) > 1:
+                backward.sort()
             last = 1
             while backward:
                 negative = heappop(backward)

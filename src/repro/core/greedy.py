@@ -15,9 +15,13 @@ their budgets; the intervals are contiguous over ``[0, T)``, so each one ends
 where the next begins.  A task's window covers a few intervals out of a few
 dozen, so ``bisect``, a first-maximum scan, ``list.insert`` and a short loop
 beat NumPy calls, whose per-call overhead dominates at these sizes.  The
-placement loop does the best-start scan, the split and the decrement inline
-and calls :meth:`EstLstTracker._propagate_fix` for the EST/LST update: one
-method call per placement besides the ``bisect`` and list operations.
+scan is a plain loop: a window holds 7 intervals on average and just one in
+44% of placements on the experiment grid, where slicing the window for
+``max`` and ``list.index`` measured slower.  The placement loop does the
+best-start scan, the split and the decrement inline and calls
+:meth:`EstLstTracker._propagate_fix` for the EST/LST update, unless the task
+starts at both its EST and its LST (40% of placements on the grid): such a
+fix changes no window.
 """
 
 from __future__ import annotations
@@ -146,7 +150,9 @@ def greedy_schedule(
             tracker._fix_at(index, start)  # raises, naming the task
         fixed[nodes[index]] = start
         is_fixed[index] = True
-        propagate(index, start)
+        if earliest != start or latest != start:
+            # A task fixed at its only possible start changes no window.
+            propagate(index, start)
         # Spend the task's power over [start, end), clipped to the horizon;
         # interval first begins at start, and the one holding end is split.
         end = start + duration[index]

@@ -1,12 +1,6 @@
 """Exact algorithms: single-processor DP, ILP (HiGHS via SciPy), brute force."""
 
-from repro.exact.dp_single import (
-    candidate_end_times,
-    dp_single_processor,
-    single_processor_task_chain,
-)
-from repro.exact.ilp import IlpModel, build_ilp, ilp_optimal
-from repro.exact.brute import brute_force_optimal
+from repro.utils.lazy import _lazy_exports
 
 __all__ = [
     "candidate_end_times",
@@ -17,3 +11,20 @@ __all__ = [
     "ilp_optimal",
     "brute_force_optimal",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.exact.dp_single": (
+            "candidate_end_times",
+            "dp_single_processor",
+            "single_processor_task_chain",
+        ),
+        "repro.exact.ilp": (
+            "IlpModel",
+            "build_ilp",
+            "ilp_optimal",
+        ),
+        "repro.exact.brute": ("brute_force_optimal",),
+    },
+)

@@ -12,23 +12,7 @@ Public surface (see :mod:`repro.io.wire` for the full documentation):
   :func:`~repro.io.wire.load_records`, ...).
 """
 
-from repro.io.wire import (
-    WIRE_FORMAT,
-    WIRE_VERSION,
-    canonical_json,
-    dumps,
-    envelope,
-    instance_from_dict,
-    instance_to_dict,
-    load,
-    load_instance,
-    load_records,
-    loads,
-    open_envelope,
-    save,
-    save_instance,
-    save_records,
-)
+from repro.utils.lazy import _lazy_exports
 
 __all__ = [
     "WIRE_FORMAT",
@@ -47,3 +31,26 @@ __all__ = [
     "save_instance",
     "save_records",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.io.wire": (
+            "WIRE_FORMAT",
+            "WIRE_VERSION",
+            "canonical_json",
+            "dumps",
+            "envelope",
+            "instance_from_dict",
+            "instance_to_dict",
+            "load",
+            "load_instance",
+            "load_records",
+            "loads",
+            "open_envelope",
+            "save",
+            "save_instance",
+            "save_records",
+        ),
+    },
+)

@@ -42,7 +42,7 @@ from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import ExtendedPlatform
 from repro.platform_.processor import ProcessorSpec
 from repro.schedule.instance import ProblemInstance
-from repro.utils.errors import WireFormatError
+from repro.utils.errors import CaWoSchedError, WireFormatError
 
 __all__ = [
     "WIRE_FORMAT",
@@ -167,21 +167,27 @@ def _instance_payload(graph: TMapping[str, object], instance: ProblemInstance) -
 
 
 def instance_from_dict(payload: TMapping[str, object]) -> ProblemInstance:
-    """Rebuild a problem instance from :func:`instance_to_dict` output."""
+    """Rebuild a problem instance from :func:`instance_to_dict` output.
+
+    Whatever decoding the payload's fields raises is reported as one
+    :class:`WireFormatError`, caused by the original error: a missing field,
+    a value of the wrong type or a domain error such as
+    :class:`~repro.utils.errors.InvalidProfileError`.  The checks of the
+    decoded instance as a whole (the deadline against the critical path, the
+    int64 sums) keep their own types.
+    """
     try:
         mapping = Mapping.from_dict(payload["mapping"])
         links = [ProcessorSpec.from_dict(entry) for entry in payload.get("links", [])]
         profile = PowerProfile.from_dict(payload["profile"])
         metadata = dict(payload.get("metadata", {}))
+        dag = build_enhanced_dag(mapping, platform=ExtendedPlatform(mapping.cluster, links))
+    except WireFormatError:
+        raise
     except KeyError as exc:
         raise WireFormatError(f"instance payload is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        # Coercions inside the nested from_dicts (int()/float()/range checks)
-        # raise bare ValueError/TypeError on malformed values; surface them
-        # uniformly as a wire error.
+    except (TypeError, ValueError, CaWoSchedError) as exc:
         raise WireFormatError(f"malformed instance payload: {exc}") from exc
-    platform = ExtendedPlatform(mapping.cluster, links)
-    dag = build_enhanced_dag(mapping, platform=platform)
     return ProblemInstance(
         dag,
         profile,

@@ -7,9 +7,7 @@ manually) and converts it into the communication-enhanced DAG ``Gc`` on
 which CaWoSched, the baseline and the exact algorithms operate.
 """
 
-from repro.mapping.mapping import Mapping
-from repro.mapping.heft import HeftResult, heft_mapping
-from repro.mapping.enhanced_dag import EnhancedDAG, build_enhanced_dag
+from repro.utils.lazy import _lazy_exports
 
 __all__ = [
     "Mapping",
@@ -18,3 +16,18 @@ __all__ = [
     "EnhancedDAG",
     "build_enhanced_dag",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.mapping.mapping": ("Mapping",),
+        "repro.mapping.heft": (
+            "HeftResult",
+            "heft_mapping",
+        ),
+        "repro.mapping.enhanced_dag": (
+            "EnhancedDAG",
+            "build_enhanced_dag",
+        ),
+    },
+)

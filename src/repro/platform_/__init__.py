@@ -4,22 +4,7 @@ The subpackage is called ``platform_`` (with a trailing underscore) to avoid
 any confusion with the Python standard-library :mod:`platform` module.
 """
 
-from repro.platform_.processor import COMPUTE, LINK, ProcessorSpec
-from repro.platform_.cluster import Cluster, ExtendedPlatform, link_name
-from repro.platform_.presets import (
-    CLUSTER_PRESETS,
-    PROCESSOR_TYPES,
-    ProcessorType,
-    cluster_from_table1,
-    cluster_preset,
-    large_cluster,
-    scaled_large_cluster,
-    scaled_small_cluster,
-    single_processor_cluster,
-    small_cluster,
-    table1_rows,
-    uniform_cluster,
-)
+from repro.utils.lazy import _lazy_exports
 
 __all__ = [
     "COMPUTE",
@@ -41,3 +26,33 @@ __all__ = [
     "table1_rows",
     "uniform_cluster",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.platform_.processor": (
+            "COMPUTE",
+            "LINK",
+            "ProcessorSpec",
+        ),
+        "repro.platform_.cluster": (
+            "Cluster",
+            "ExtendedPlatform",
+            "link_name",
+        ),
+        "repro.platform_.presets": (
+            "CLUSTER_PRESETS",
+            "PROCESSOR_TYPES",
+            "ProcessorType",
+            "cluster_from_table1",
+            "cluster_preset",
+            "large_cluster",
+            "scaled_large_cluster",
+            "scaled_small_cluster",
+            "single_processor_cluster",
+            "small_cluster",
+            "table1_rows",
+            "uniform_cluster",
+        ),
+    },
+)

@@ -20,38 +20,7 @@ Quickstart
 True
 """
 
-from repro.sim.arrivals import (
-    ARRIVAL_PROCESSES,
-    ArrivalProcess,
-    BurstProcess,
-    PoissonProcess,
-    TraceProcess,
-    make_arrivals,
-)
-from repro.sim.engine import SimulationConfig, Simulator, simulate
-from repro.sim.events import EVENT_KINDS, SimEvent
-from repro.sim.forecast import (
-    FORECAST_MODELS,
-    CarbonForecast,
-    MovingAverageForecast,
-    OracleForecast,
-    PersistenceForecast,
-    make_forecast,
-)
-from repro.sim.metrics import JobRecord, compute_metrics
-from repro.sim.policies import (
-    POLICIES,
-    CarbonThresholdPolicy,
-    EdfPolicy,
-    FifoPolicy,
-    Policy,
-    PolicyContext,
-    ReschedulePolicy,
-    make_policy,
-)
-from repro.sim.report import SimReport
-from repro.sim.signal import CarbonSignal
-from repro.sim.workload import SimJob, WorkloadConfig, build_job
+from repro.utils.lazy import _lazy_exports
 
 __all__ = [
     # arrivals
@@ -96,3 +65,55 @@ __all__ = [
     "WorkloadConfig",
     "build_job",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.sim.arrivals": (
+            "ARRIVAL_PROCESSES",
+            "ArrivalProcess",
+            "BurstProcess",
+            "PoissonProcess",
+            "TraceProcess",
+            "make_arrivals",
+        ),
+        "repro.sim.engine": (
+            "SimulationConfig",
+            "Simulator",
+            "simulate",
+        ),
+        "repro.sim.events": (
+            "EVENT_KINDS",
+            "SimEvent",
+        ),
+        "repro.sim.forecast": (
+            "FORECAST_MODELS",
+            "CarbonForecast",
+            "MovingAverageForecast",
+            "OracleForecast",
+            "PersistenceForecast",
+            "make_forecast",
+        ),
+        "repro.sim.metrics": (
+            "JobRecord",
+            "compute_metrics",
+        ),
+        "repro.sim.policies": (
+            "POLICIES",
+            "CarbonThresholdPolicy",
+            "EdfPolicy",
+            "FifoPolicy",
+            "Policy",
+            "PolicyContext",
+            "ReschedulePolicy",
+            "make_policy",
+        ),
+        "repro.sim.report": ("SimReport",),
+        "repro.sim.signal": ("CarbonSignal",),
+        "repro.sim.workload": (
+            "SimJob",
+            "WorkloadConfig",
+            "build_job",
+        ),
+    },
+)

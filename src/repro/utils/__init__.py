@@ -15,26 +15,7 @@ subpackages:
   public API.
 """
 
-from repro.utils.errors import (
-    CaWoSchedError,
-    CyclicWorkflowError,
-    InfeasibleScheduleError,
-    InvalidMappingError,
-    InvalidProfileError,
-    InvalidScheduleError,
-    InvalidWorkflowError,
-    SolverError,
-    WireFormatError,
-)
-from repro.utils.names import decode_name, encode_name
-from repro.utils.rng import derive_rng, ensure_rng
-from repro.utils.ordering import topological_order
-from repro.utils.validation import (
-    check_positive_int,
-    check_non_negative_int,
-    check_probability,
-    check_in_range,
-)
+from repro.utils.lazy import _lazy_exports
 
 __all__ = [
     "CaWoSchedError",
@@ -56,3 +37,35 @@ __all__ = [
     "check_probability",
     "check_in_range",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.utils.errors": (
+            "CaWoSchedError",
+            "CyclicWorkflowError",
+            "InfeasibleScheduleError",
+            "InvalidMappingError",
+            "InvalidProfileError",
+            "InvalidScheduleError",
+            "InvalidWorkflowError",
+            "SolverError",
+            "WireFormatError",
+        ),
+        "repro.utils.names": (
+            "decode_name",
+            "encode_name",
+        ),
+        "repro.utils.rng": (
+            "derive_rng",
+            "ensure_rng",
+        ),
+        "repro.utils.ordering": ("topological_order",),
+        "repro.utils.validation": (
+            "check_positive_int",
+            "check_non_negative_int",
+            "check_probability",
+            "check_in_range",
+        ),
+    },
+)

@@ -10,20 +10,7 @@ Public surface:
   workflow of any size comes from ``generate_workflow(family, n)``
 """
 
-from repro.workflow.dag import Workflow
-from repro.workflow.generators import (
-    WORKFLOW_FAMILIES,
-    assign_random_weights,
-    atacseq_like_workflow,
-    bacass_like_workflow,
-    chain_workflow,
-    eager_like_workflow,
-    fork_join_workflow,
-    generate_workflow,
-    layered_random_workflow,
-    methylseq_like_workflow,
-    random_dag_workflow,
-)
+from repro.utils.lazy import _lazy_exports
 
 __all__ = [
     "Workflow",
@@ -39,3 +26,23 @@ __all__ = [
     "methylseq_like_workflow",
     "random_dag_workflow",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.workflow.dag": ("Workflow",),
+        "repro.workflow.generators": (
+            "WORKFLOW_FAMILIES",
+            "assign_random_weights",
+            "atacseq_like_workflow",
+            "bacass_like_workflow",
+            "chain_workflow",
+            "eager_like_workflow",
+            "fork_join_workflow",
+            "generate_workflow",
+            "layered_random_workflow",
+            "methylseq_like_workflow",
+            "random_dag_workflow",
+        ),
+    },
+)

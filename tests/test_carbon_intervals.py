@@ -25,6 +25,23 @@ class TestInterval:
         assert Interval(0, 5, 2) == Interval(0, 5, 2)
         assert len({Interval(0, 5, 2), Interval(0, 5, 2)}) == 1
 
+    @pytest.mark.parametrize(
+        "begin, end, budget", [(0, 2.9, 1), (0, 3, 1.7), (0.5, 3, 1), (True, 3, 1), (0, "3", 1)]
+    )
+    def test_non_integer_values_rejected(self, begin, end, budget):
+        # 2.9 is not truncated to 2: [0, 2.9) is not the interval [0, 2).
+        with pytest.raises(InvalidProfileError, match="must be an integer"):
+            Interval(begin, end, budget)
+
+    def test_negative_begin_rejected(self):
+        with pytest.raises(InvalidProfileError, match="must be non-negative"):
+            Interval(-2, 5, 1)
+
+    def test_from_dict_rejects_non_integers(self):
+        assert Interval.from_dict({"begin": 0, "end": 3, "budget": 1}) == Interval(0, 3, 1)
+        with pytest.raises(InvalidProfileError, match="must be an integer"):
+            Interval.from_dict({"begin": 0, "end": 2.9, "budget": 1.7})
+
 
     def test_end_and_budget_must_fit_int64(self):
         assert Interval(0, 2**63 - 1, 2**63 - 1).budget == 2**63 - 1
@@ -68,6 +85,12 @@ class TestPowerProfileConstruction:
         profile = PowerProfile.constant(20, 6)
         assert profile.num_intervals == 1
         assert profile.budget_at(19) == 6
+
+    @pytest.mark.parametrize("horizon, budget", [(2.5, 1), (3, 1.9), (True, 1)])
+    def test_constant_rejects_non_integers(self, horizon, budget):
+        # A horizon of 2.5 is not 2, nor a budget of 1.9 budget 1.
+        with pytest.raises(InvalidProfileError, match="must be an integer"):
+            PowerProfile.constant(horizon, budget)
 
     def test_from_time_unit_budgets_merges_runs(self):
         # The tests' builder of profiles from per-time-unit budgets.

@@ -108,11 +108,12 @@ class TestWorklistWork:
     """Deterministic work counts of the rank-ordered relax-on-push worklist.
 
     The eight greedy variants run on every instance of the byte-identity
-    fixture (``tests/data/identity``).  An expansion reads the expanded
-    task's successor row (forward pass) or predecessor row (backward pass),
-    so the tracker's rows are swapped for counting ones during each fix; an
-    update pushes the changed neighbour, so the tracker's ``heappush`` is
-    counted.
+    fixture (``tests/data/identity``) with the rows of each run's tracker
+    swapped for counting ones.  A fix marks its task fixed, so a write to
+    the fixed row opens the fix's record.  An expansion reads the expanded
+    task's successor row (forward pass) or predecessor row (backward pass).
+    An update writes a neighbour's EST or LST: a write to the EST or LST row
+    at any task other than the fixed one.
     """
 
     #: Totals over the fixture's 2,472 fixes; a change must explain new values.
@@ -120,42 +121,45 @@ class TestWorklistWork:
     UPDATES = 4977
 
     def test_work_counts_are_pinned_and_expansions_unique(self, monkeypatch):
-        import heapq
         from pathlib import Path
 
-        import repro.core.estlst as estlst
         from repro.core.greedy import greedy_schedule
         from repro.io.wire import load_instance
 
-        class CountingRows(list):
-            def __init__(self, rows, log):
+        fixes = []
+
+        class FixedRow(list):
+            def __setitem__(self, index, value):
+                if value:
+                    fixes.append({"task": index, "forward": [], "backward": [], "updates": 0})
+                list.__setitem__(self, index, value)
+
+        class StartRow(list):
+            def __setitem__(self, index, value):
+                if index != fixes[-1]["task"]:
+                    fixes[-1]["updates"] += 1
+                list.__setitem__(self, index, value)
+
+        class NeighbourRows(list):
+            def __init__(self, rows, direction):
                 super().__init__(rows)
-                self.log = log
+                self.direction = direction
 
             def __getitem__(self, index):
-                self.log.append(index)
+                fixes[-1][self.direction].append(index)
                 return list.__getitem__(self, index)
 
-        fixes = []
-        propagate = EstLstTracker._propagate_fix
+        copy = EstLstTracker._copy
 
-        def counted(tracker, index, start):
-            fix = {"forward": [], "backward": [], "updates": 0}
-            fixes.append(fix)
-            preds, succs = tracker._preds, tracker._succs
-            tracker._succs = CountingRows(succs, fix["forward"])
-            tracker._preds = CountingRows(preds, fix["backward"])
-            try:
-                propagate(tracker, index, start)
-            finally:
-                tracker._preds, tracker._succs = preds, succs
+        def counting_copy(tracker):
+            twin = copy(tracker)
+            twin._is_fixed = FixedRow(twin._is_fixed)
+            twin._est, twin._lst = StartRow(twin._est), StartRow(twin._lst)
+            twin._succs = NeighbourRows(twin._succs, "forward")
+            twin._preds = NeighbourRows(twin._preds, "backward")
+            return twin
 
-        def push(heap, item):
-            fixes[-1]["updates"] += 1
-            heapq.heappush(heap, item)
-
-        monkeypatch.setattr(EstLstTracker, "_propagate_fix", counted)
-        monkeypatch.setattr(estlst, "heappush", push)
+        monkeypatch.setattr(EstLstTracker, "_copy", counting_copy)
         fixture = Path(__file__).parent / "data" / "identity"
         for path in sorted(fixture.glob("*.json")):
             if path.name == "expected.json":

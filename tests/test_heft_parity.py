@@ -2,13 +2,19 @@
 
 ``heft_mapping`` (plain, and carbon-aware with a ``power_weight``) reads
 task durations from a per-call duration table and each task's incoming edges
-once per task, and skips an idle processor whose ``(speed, total_power)``
-class already gave an idle candidate.
-This module keeps the original per-processor algorithms — every duration
-through ``ProcessorSpec.execution_time`` and every incoming edge re-read
-for every candidate processor — as test-only references and pins that the
-library returns an identical :class:`~repro.mapping.heft.HeftResult`: ranks
-(values and order), start and finish times, makespan and mapping.
+once per task.  It tries a task on the busy processors and on the lowest
+idle processor of each ``(speed, total_power)`` class only, skips (plain
+HEFT) a busy processor that cannot finish the task before the best
+candidate so far, and finds a processor's earliest gap by bisecting its
+slots.
+This module keeps two test-only references and pins that the library
+returns an identical :class:`~repro.mapping.heft.HeftResult`: ranks (values
+and order), start and finish times, makespan and mapping.  One is the
+original per-processor algorithm: every duration through
+``ProcessorSpec.execution_time`` and every incoming edge re-read for every
+candidate processor.  The other is the library's earlier selection loop,
+which walks every processor in cluster order and scans each one's slots
+from its first.
 """
 
 from __future__ import annotations
@@ -20,7 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapping.heft import _earliest_slot, _insert_slot, heft_mapping
+from repro.mapping.heft import (
+    HeftResult,
+    _duration_table,
+    _earliest_slot,
+    _insert_slot,
+    _ranks,
+    heft_mapping,
+)
 from repro.mapping.mapping import Mapping
 from repro.platform_.cluster import Cluster
 from repro.platform_.presets import (
@@ -31,7 +44,7 @@ from repro.platform_.presets import (
 )
 from repro.platform_.processor import ProcessorSpec
 from repro.workflow.dag import Workflow
-from repro.workflow.generators import generate_workflow
+from repro.workflow.generators import WORKFLOW_FAMILIES, generate_workflow
 
 from nx_oracle import to_networkx
 
@@ -39,6 +52,19 @@ from nx_oracle import to_networkx
 # --------------------------------------------------------------------------- #
 # Test-only references: the per-processor HEFT passes
 # --------------------------------------------------------------------------- #
+def _reference_earliest_slot(
+    slots: List[Tuple[int, int, Hashable]], ready: int, duration: int
+) -> int:
+    """The earliest gap of length *duration* from *ready*, scanning every slot."""
+    candidate = ready
+    for slot_start, slot_finish, _ in slots:
+        if candidate + duration <= slot_start:
+            return candidate
+        if slot_finish > candidate:
+            candidate = slot_finish
+    return candidate
+
+
 def _reference_ranks(workflow: Workflow, cluster: Cluster, bandwidth: float) -> Dict:
     processors = cluster.processors()
     num_procs = len(processors)
@@ -96,7 +122,7 @@ def _reference_heft(
                     volume = workflow.data(predecessor, task)
                     comm = int(-(-volume // bandwidth)) if volume > 0 else 0
                 ready = max(ready, finish_times[predecessor] + comm)
-            start = _earliest_slot(busy[proc.name], ready, duration)
+            start = _reference_earliest_slot(busy[proc.name], ready, duration)
             finish = start + duration
             if power_weight is None:
                 if best is None or (finish, start) < (best[0], best[1]):
@@ -130,6 +156,83 @@ def _reference_heft(
     return ranks, start_times, finish_times, makespan, mapping.to_dict()
 
 
+def _reference_selection(
+    workflow: Workflow, cluster: Cluster, power_weight: float = 0.0
+) -> HeftResult:
+    """The library's earlier selection loop: every processor, in cluster order.
+
+    An idle processor is skipped when an idle one of its ``(speed,
+    total_power)`` class was already tried, and each busy processor's slots
+    are scanned from its first.  Durations and ranks come from the library.
+    """
+    processors = cluster.processors()
+    durations = _duration_table(workflow, processors)
+    ranks = _ranks(workflow, durations, len(processors))
+    names = [proc.name for proc in processors]
+    powers = [proc.total_power for proc in processors]
+    classes = [(proc.speed, proc.total_power) for proc in processors]
+    if power_weight:
+        max_active_power = max(powers) or 1
+        slowest = min(proc.speed for proc in processors)
+        scale = max(1.0, workflow.total_work() / slowest + workflow.total_data())
+    predecessors = workflow.predecessor_map()
+    assignment: Dict[Hashable, Hashable] = {}
+    start_times: Dict[Hashable, int] = {}
+    finish_times: Dict[Hashable, int] = {}
+    busy: Dict[Hashable, List[Tuple[int, int, Hashable]]] = {name: [] for name in names}
+    for task in sorted(workflow.tasks(), key=lambda task: -ranks[task]):
+        remote = 0
+        incoming = []
+        hosts = set()
+        for predecessor, volume in predecessors[task].items():
+            finish = finish_times[predecessor]
+            proc = assignment[predecessor]
+            hosts.add(proc)
+            incoming.append((proc, finish, finish + volume))
+            remote = max(remote, finish + volume)
+        best = None
+        idle_classes = set()
+        for name, duration, power, kind in zip(names, durations[task], powers, classes):
+            slots = busy[name]
+            if not slots:
+                if kind in idle_classes:
+                    continue
+                idle_classes.add(kind)
+                start = remote
+            else:
+                ready = remote
+                if name in hosts:
+                    ready = max(
+                        finish if at == name else arrival for at, finish, arrival in incoming
+                    )
+                start = _reference_earliest_slot(slots, ready, duration)
+            finish = start + duration
+            if power_weight:
+                score = (1.0 - power_weight) * (finish / scale) + power_weight * (
+                    duration * power / (scale * max_active_power)
+                )
+                key = (score, finish, start)
+            else:
+                key = (finish, start)
+            if best is None or key < best:
+                best, best_name = key, name
+        finish, start = best[-2:]
+        assignment[task] = best_name
+        start_times[task] = start
+        finish_times[task] = finish
+        _insert_slot(busy[best_name], (start, finish, task))
+    processor_order = {
+        name: [task for _, _, task in slots] for name, slots in busy.items() if slots
+    }
+    return HeftResult(
+        mapping=Mapping(workflow, cluster, assignment, processor_order=processor_order),
+        start_times=start_times,
+        finish_times=finish_times,
+        makespan=max(finish_times.values(), default=0),
+        ranks=ranks,
+    )
+
+
 def assert_same_result(result, reference) -> None:
     ranks, start_times, finish_times, makespan, mapping = reference
     assert list(result.ranks.items()) == list(ranks.items())
@@ -137,6 +240,18 @@ def assert_same_result(result, reference) -> None:
     assert list(result.finish_times.items()) == list(finish_times.items())
     assert result.makespan == makespan
     assert result.mapping.to_dict() == mapping
+
+
+def assert_equal_heft(result: HeftResult, reference: HeftResult) -> None:
+    """Equal assignment, processor order, times, makespan and ranks, in order."""
+    mapping, expected = result.mapping, reference.mapping
+    assert list(mapping.assignment().items()) == list(expected.assignment().items())
+    assert list(mapping.processor_order().items()) == list(expected.processor_order().items())
+    assert mapping.to_dict() == expected.to_dict()
+    assert list(result.start_times.items()) == list(reference.start_times.items())
+    assert list(result.finish_times.items()) == list(reference.finish_times.items())
+    assert result.makespan == reference.makespan
+    assert list(result.ranks.items()) == list(reference.ranks.items())
 
 
 def check_parity(workflow: Workflow, cluster: Cluster) -> None:
@@ -276,3 +391,57 @@ class TestHeftParity:
     def test_presets(self, preset):
         workflow = generate_workflow("methylseq", 60, rng=7)
         check_parity(workflow, preset())
+
+
+class TestSelectionReference:
+    """The busy-plus-idle-heads loop against the earlier all-processor loop."""
+
+    @pytest.mark.parametrize("power_weight", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "preset",
+        [scaled_small_cluster, scaled_large_cluster, lambda: uniform_cluster(5)],
+        ids=["small", "large", "uniform_cluster"],
+    )
+    def test_generated_workflows(self, preset, power_weight):
+        cluster = preset()
+        for index, family in enumerate(WORKFLOW_FAMILIES):
+            for num_tasks in (10, 45):
+                workflow = generate_workflow(family, num_tasks, rng=100 * index + num_tasks)
+                assert_equal_heft(
+                    heft_mapping(workflow, cluster, power_weight=power_weight),
+                    _reference_selection(workflow, cluster, power_weight),
+                )
+
+    @given(workflow=workflows(), cluster=replicated_clusters(),
+           power_weight=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_replicated_processor_types(self, workflow, cluster, power_weight):
+        assert_equal_heft(
+            heft_mapping(workflow, cluster, power_weight=power_weight),
+            _reference_selection(workflow, cluster, power_weight),
+        )
+
+
+@st.composite
+def slot_rows(draw):
+    """Sorted, disjoint (start, finish, task) slots, a ready time and a duration."""
+    slots = []
+    time = draw(st.integers(0, 5))
+    for index in range(draw(st.integers(0, 8))):
+        time += draw(st.integers(0, 4))
+        length = draw(st.integers(1, 6))
+        slots.append((time, time + length, f"t{index}"))
+        time += length
+    ready = draw(st.integers(0, time + 3))
+    duration = draw(st.integers(1, 8))
+    return slots, ready, duration
+
+
+class TestEarliestSlot:
+    @given(case=slot_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_bisect_matches_full_scan(self, case):
+        slots, ready, duration = case
+        assert _earliest_slot(slots, ready, duration) == _reference_earliest_slot(
+            slots, ready, duration
+        )

@@ -4,12 +4,17 @@
 brute-force, DP and ILP solvers) sit on top of the scheduling library.  The
 wire format, the scheduler core, the schedule model, the mapping and the
 simulator must load without them, so no module in those subpackages names
-them in an import statement, at module level or inside a function.
+them in an import statement, at module level or inside a function.  Package
+``__init__`` modules import their public names on first access, so loading
+the wire format loads none of the layers above it.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +116,23 @@ def test_scheduling_core_does_not_import_numpy():
         if module == "numpy" or module.startswith("numpy.")
     ]
     assert offending == []
+
+
+def test_wire_format_loads_no_upper_layer():
+    # ``repro`` and each subpackage resolve their public names on first
+    # access, so importing the wire format runs no module of the layers
+    # built on top of it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE.parent), env.get("PYTHONPATH")]))
+    probe = "import sys, repro.io.wire; print(' '.join(sorted(sys.modules)))"
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    upper = ("repro.experiments", "repro.exact", "repro.api", "repro.sim")
+    loaded = completed.stdout.split()
+    assert "repro.io.wire" in loaded
+    assert [
+        module for module in loaded if any(
+            module == name or module.startswith(name + ".") for name in upper
+        )
+    ] == []

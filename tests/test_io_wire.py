@@ -230,15 +230,17 @@ class TestInstanceRoundTrip:
         # Loading must not truncate a weight into range: 2.7 is not work 2.
         payload = instance_to_dict(grid_instance)
         payload["mapping"]["workflow"]["tasks"][0]["work"] = work
-        with pytest.raises(InvalidWorkflowError, match="work must be an integer"):
+        with pytest.raises(WireFormatError, match="work must be an integer") as raised:
             instance_from_dict(payload)
+        assert isinstance(raised.value.__cause__, InvalidWorkflowError)
 
     @pytest.mark.parametrize("data", [1.9, 0.0, True, "1"])
     def test_non_integer_data_rejected(self, grid_instance, data):
         payload = instance_to_dict(grid_instance)
         payload["mapping"]["workflow"]["dependencies"][0][2] = data
-        with pytest.raises(InvalidWorkflowError, match="data must be an integer"):
+        with pytest.raises(WireFormatError, match="data must be an integer") as raised:
             instance_from_dict(payload)
+        assert isinstance(raised.value.__cause__, InvalidWorkflowError)
 
     @pytest.mark.parametrize("link", [[], ["p0"], "p0", None])
     def test_malformed_communication_link_rejected_as_wire_error(self, link):
@@ -249,6 +251,23 @@ class TestInstanceRoundTrip:
         payload["mapping"]["communication_order"][0][0] = link
         with pytest.raises(WireFormatError, match="must name two processors"):
             instance_from_dict(payload)
+
+    def test_duplicate_link_rejected_as_wire_error(self):
+        # The platform's own check raises ValueError; a load reports it as a
+        # malformed payload, not as a bare ValueError.
+        spec = InstanceSpec("bacass", 30, "small", "S1", 1.5, seed=1)
+        payload = instance_to_dict(make_instance(spec))
+        payload["links"].append(dict(payload["links"][0]))
+        with pytest.raises(WireFormatError, match="duplicate processor name") as raised:
+            instance_from_dict(payload)
+        assert isinstance(raised.value.__cause__, ValueError)
+
+    def test_zero_profile_length_rejected_as_wire_error(self, grid_instance):
+        payload = instance_to_dict(grid_instance)
+        payload["profile"]["lengths"][0] = 0
+        with pytest.raises(WireFormatError, match="length must be positive") as raised:
+            instance_from_dict(payload)
+        assert isinstance(raised.value.__cause__, InvalidProfileError)
 
     def test_nan_link_speed_rejected_as_wire_error(self):
         spec = InstanceSpec("bacass", 30, "small", "S1", 1.5, seed=1)
@@ -269,7 +288,8 @@ class TestInstanceRoundTrip:
         spec = InstanceSpec("bacass", 30, "small", "S1", 1.5, seed=1)
         payload = instance_to_dict(make_instance(spec))
         owner, name = field.split()
-        error = InvalidProfileError if owner == "profile" else WireFormatError
+        # One error type for every field, caused by the domain's own error.
+        cause = InvalidProfileError if owner == "profile" else ValueError
         entry = {
             "processor": payload["mapping"]["cluster"]["processors"][0],
             "link": payload["links"][0],
@@ -279,8 +299,9 @@ class TestInstanceRoundTrip:
             entry[name][0] = 2**70
         else:
             entry[name] = 2**70
-        with pytest.raises(error, match="must be at most"):
+        with pytest.raises(WireFormatError, match="must be at most") as raised:
             instance_from_dict(payload)
+        assert isinstance(raised.value.__cause__, cause)
 
     @pytest.mark.parametrize(
         "field, value",
