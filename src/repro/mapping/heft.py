@@ -31,11 +31,13 @@ grid, 1.5 of 12 for a simulated job), and all idle processors of one
 ``(speed, total_power)`` class give the same candidate.  So a task is tried
 on the busy processors and on the lowest idle processor of each class, and
 candidates compare by their key and then by processor position, as in a
-scan of every processor in cluster order.  In plain HEFT a busy processor
-that cannot finish the task before the best candidate so far, even with
-the task's data already there, is not scanned.  A scan starts at the first
-slot that finishes after the task's data is ready: slots are disjoint, so
-the earlier ones cannot hold it.
+scan of every processor in cluster order.  In plain HEFT the idle classes
+are tried fastest first and stop at the first one that finishes later than
+the best so far (a slower class cannot run the task in less time), and a
+busy processor that cannot finish the task before the best candidate so
+far, even with the task's data already there, is not scanned.  A scan
+starts at the first slot that finishes after the task's data is ready:
+slots are disjoint, so the earlier ones cannot hold it.
 
 The result is returned both as a :class:`~repro.mapping.mapping.Mapping`
 (assignment + per-processor order + per-link communication order, which is
@@ -122,8 +124,9 @@ def _ranks(
     for task in reversed(workflow.topological_order()):
         best_successor = 0.0
         for successor, volume in successors[task].items():
-            comm = volume * cross_probability
-            best_successor = max(best_successor, comm + ranks[successor])
+            rank = volume * cross_probability + ranks[successor]
+            if rank > best_successor:
+                best_successor = rank
         ranks[task] = sum(durations[task]) / num_procs + best_successor
     return ranks
 
@@ -154,7 +157,9 @@ def heft_mapping(
     Each task is tried on every busy processor and on the idle processor of
     lowest position in each ``(speed, total_power)`` class: the other idle
     processors of a class would give the same candidate, and of equal
-    candidates the one of lowest position in the cluster is kept.
+    candidates the one of lowest position in the cluster is kept.  Plain
+    HEFT tries the idle classes fastest first and stops at the first that
+    finishes later than the best candidate so far.
     """
     power_weight = check_probability(power_weight, "power_weight")
     processors = cluster.processors()
@@ -181,12 +186,13 @@ def heft_mapping(
     classes: Dict[Tuple[float, int], List[int]] = {}
     for position, proc in enumerate(processors):
         classes.setdefault((proc.speed, proc.total_power), []).insert(0, position)
-    idle = list(classes.values())
+    # Fastest class first: in plain HEFT a slower idle class cannot finish sooner.
+    idle = sorted(classes.values(), key=lambda queue: -processors[queue[-1]].speed)
     placed: Dict[Hashable, int] = {}
     start_times: Dict[Hashable, int] = {}
     finish_times: Dict[Hashable, int] = {}
     # Non-increasing rank order; the stable sort keeps insertion order for ties.
-    for task in sorted(workflow.tasks(), key=lambda task: -ranks[task]):
+    for task in sorted(workflow.tasks(), key=ranks.__getitem__, reverse=True):
         remote = 0
         incoming = []
         hosts = set()
@@ -213,18 +219,24 @@ def heft_mapping(
         for queue in idle:
             position = queue[-1]
             finish = remote + row[position]
-            key = (finish, remote, position)
             if power_weight:
-                key = (_score(finish, row[position], position), *key)
+                key = (_score(finish, row[position], position), finish, remote, position)
+            elif finish > best[0]:
+                break
+            else:
+                key = (finish, remote, position)
             if key < best:
                 best = key
         for position in busy_positions:
             duration = row[position]
             ready = remote
             if position in hosts:
-                ready = max(
-                    finish if at == position else arrival for at, finish, arrival in incoming
-                )
+                ready = 0
+                for at, finish, arrival in incoming:
+                    if at == position:
+                        arrival = finish
+                    if arrival > ready:
+                        ready = arrival
             elif not power_weight and remote + duration > best[0]:
                 # Finishing no earlier than remote + duration, it cannot win.
                 continue
